@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -60,6 +59,9 @@ def _parse_one(args: tuple[str, str, str, Optional[str], Optional[str]]) -> str:
 def _map_jobs(func, items: list, jobs: int) -> list:
     if jobs <= 1 or len(items) <= 1:
         return [func(item) for item in items]
+    # imported here so that single-process runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(func, items, chunksize=max(1, len(items) // (jobs * 4) or 1)))
 
@@ -273,12 +275,13 @@ def _cmd_correction_stats(args) -> int:
 
 def _correction_stats_keyed(pred, gold) -> metrics.CorrectionStats:
     """Per-document correction stats summed over a corpus."""
-    doc_ids = sorted({doc_id for doc_id, _ in pred} | {doc_id for doc_id, _ in gold})
+    by_doc: dict = {}
+    for side, pairs in ((0, pred), (1, gold)):
+        for doc_id, m in pairs:
+            by_doc.setdefault(doc_id, ([], []))[side].append(m)
     added = corrected = deleted = unchanged = 0
-    for doc_id in doc_ids:
-        p = [m for d, m in pred if d == doc_id]
-        g = [m for d, m in gold if d == doc_id]
-        stats = metrics.correction_stats(p, g)
+    for doc_id in sorted(by_doc):
+        stats = metrics.correction_stats(*by_doc[doc_id])
         added += stats.added
         corrected += stats.corrected
         deleted += stats.deleted

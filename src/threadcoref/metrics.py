@@ -10,11 +10,9 @@ whole-corpus statistics.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import wordlists
 from .model import AnnotatedDocument, CoreferenceChain, Mention, mention_text
@@ -146,17 +144,119 @@ def phi4(a: frozenset, b: frozenset) -> float:
     return 2.0 * len(a & b) / (len(a) + len(b))
 
 
+def _overlap_rows(k: ChainSets, r: ChainSets) -> list[dict[int, int]]:
+    """Sparse overlap counts: row i maps response index j to |K_i & R_j| > 0."""
+    membership = _membership(r)
+    rows = []
+    for chain in k:
+        row: dict[int, int] = {}
+        for m in chain:
+            j = membership.get(m)
+            if j is not None:
+                row[j] = row.get(j, 0) + 1
+        rows.append(row)
+    return rows
+
+
+def _components(rows: list[dict[int, int]]) -> Iterable[tuple[list[int], list[int]]]:
+    """Connected components of the overlap graph as sorted (key, response) indices.
+
+    Chains that overlap nothing on the other side belong to no component.
+    """
+    keys_of: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            keys_of.setdefault(j, []).append(i)
+    seen = [False] * len(rows)
+    for start, row in enumerate(rows):
+        if seen[start] or not row:
+            continue
+        seen[start] = True
+        ks, rs = [start], set()
+        stack = [start]
+        while stack:
+            for j in rows[stack.pop()]:
+                if j in rs:
+                    continue
+                rs.add(j)
+                for i in keys_of[j]:
+                    if not seen[i]:
+                        seen[i] = True
+                        ks.append(i)
+                        stack.append(i)
+        yield sorted(ks), sorted(rs)
+
+
+def _max_weight_assignment(weights: list[list[float]]) -> list[float]:
+    """Weights of a maximum-weight assignment of every row to a distinct column.
+
+    Hungarian method with shortest augmenting paths and dual potentials,
+    O(n²m) for n rows <= m columns. Among columns at the same distance a free
+    one ends the search at once, which keeps runs of zero-weight pairs cheap;
+    remaining ties go to the lowest index, so the result is deterministic.
+    """
+    n, m = len(weights), len(weights[0])
+    if n > m:
+        weights = [list(col) for col in zip(*weights)]
+        n, m = m, n
+    inf = math.inf
+    u = [0.0] * (n + 1)
+    v = [0.0] * (m + 1)
+    owner = [0] * (m + 1)  # owner[j]: 1-based row assigned to column j, 0 if free
+    way = [0] * (m + 1)
+    costs = [[0.0] + [-w for w in row] for row in weights]
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        minv = [inf] * (m + 1)
+        free = list(range(1, m + 1))
+        visited = [0]
+        while owner[j0]:
+            i0 = owner[j0]
+            row = costs[i0 - 1]
+            ui0 = u[i0]
+            delta = inf
+            j1 = 0
+            for j in free:
+                cur = row[j] - ui0 - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta or (minv[j] == delta and not owner[j]):
+                    delta = minv[j]
+                    j1 = j
+            for j in visited:
+                u[owner[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
+            free.remove(j1)
+            visited.append(j1)
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    return [weights[owner[j] - 1][j - 1] for j in range(1, m + 1) if owner[j]]
+
+
 def ceaf_e_parts(key: Iterable, response: Iterable) -> MetricParts:
+    """CEAFE parts from an exact optimal alignment, solved per overlap component.
+
+    Pairs of chains with no shared mention have phi4 = 0 and add nothing, so
+    the optimum over the whole key x response matrix is the sum of the optima
+    over the connected components of the sparse overlap graph.
+    """
     k = as_chain_sets(key)
     r = as_chain_sets(response)
-    if not k or not r:
-        return MetricParts(0.0, float(len(r)), 0.0, float(len(k)))
-    sim = np.zeros((len(k), len(r)))
-    for i, kc in enumerate(k):
-        for j, rc in enumerate(r):
-            sim[i, j] = phi4(kc, rc)
-    rows, cols = linear_sum_assignment(-sim)
-    total = float(sim[rows, cols].sum())
+    rows = _overlap_rows(k, r)
+    chosen: list[float] = []
+    for ks, rs in _components(rows):
+        weights = [
+            [2.0 * rows[i].get(j, 0) / (len(k[i]) + len(r[j])) for j in rs] for i in ks
+        ]
+        chosen.extend(_max_weight_assignment(weights))
+    total = math.fsum(chosen)
     return MetricParts(total, float(len(r)), total, float(len(k)))
 
 

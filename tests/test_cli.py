@@ -1,11 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import CORPUS10_DIR, DATA_DIR, synthetic_document
-from threadcoref.cli import main
+from threadcoref.cli import _correction_stats_keyed, main
 from threadcoref.filtering import fingerprint_message
+from threadcoref.model import Mention
 from threadcoref.serialization import read_native, write_conll, write_native
 
 
@@ -239,6 +244,30 @@ class TestCorrectionStats:
         assert stats["deleted_mentions"] == "0"
         assert stats["precision"] == "1.0000"
         assert stats["recall"] == "1.0000"
+
+    def test_documents_kept_apart(self):
+        # the same span in two documents: merged, it would read as one
+        # unchanged mention plus one added gold mention
+        span = Mention(0, 0, 0, 1)
+        shifted = Mention(0, 0, 1, 2)
+        stats = _correction_stats_keyed(
+            [("b", span), ("a", span)], [("a", span), ("b", shifted)]
+        )
+        assert (stats.unchanged, stats.corrected, stats.added, stats.deleted) == (1, 1, 0, 0)
+
+
+class TestImports:
+    def test_cli_import_loads_no_numeric_stack(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys, threadcoref, threadcoref.cli\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestUsage:

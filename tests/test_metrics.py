@@ -3,12 +3,13 @@ import random
 import pytest
 
 import oracles
-from conftest import random_key_response
+from conftest import random_key_response, random_partition
 from threadcoref.metrics import (
     CorpusStats,
     b_cubed,
     b_cubed_parts,
     ceaf_e,
+    ceaf_e_parts,
     conll_average,
     correction_stats,
     corpus_stats,
@@ -17,6 +18,7 @@ from threadcoref.metrics import (
     mention_detection_score,
     muc,
     muc_parts,
+    phi4,
     score_documents,
 )
 from threadcoref.model import (
@@ -170,6 +172,88 @@ class TestOracleAgreement:
             rng.shuffle(r)
             shuffled = conll_average(k, r)
             assert shuffled == base
+
+
+def _ceafe_case(rng: random.Random, max_mentions: int) -> tuple[list[frozenset], list[frozenset]]:
+    """Random key/response partitions over partly shared mentions.
+
+    Chains of up to four mentions cross each other, so components often hold
+    two or more chains on each side; singletons, mentions on one side only and
+    empty sides all occur.
+    """
+    n = rng.randint(1, max_mentions)
+
+    def side() -> list[frozenset]:
+        if rng.random() < 0.05:
+            return []
+        return random_partition(rng, rng.sample(range(n), rng.randint(1, n)))
+
+    return side(), side()
+
+
+def _has_crossed_component(key, response) -> bool:
+    """True if some overlapping pair has both chains overlapping a second chain."""
+    def degree(chain, others):
+        return sum(1 for o in others if chain & o)
+
+    return any(
+        k & r and degree(k, response) >= 2 and degree(r, key) >= 2
+        for k in key
+        for r in response
+    )
+
+
+class TestCeafeDifferential:
+    """CEAFE's per-component assignment against brute force and a dense solver."""
+
+    def test_small_cases_equal_brute_force(self):
+        rng = random.Random(2105)
+        crossed = singletons = empty = one_sided = 0
+        cases = 0
+        while cases < 2000:
+            key, response = _ceafe_case(rng, 10)
+            if len(key) > 6 or len(response) > 6:
+                continue
+            cases += 1
+            crossed += _has_crossed_component(key, response)
+            singletons += any(len(c) == 1 for c in key + response)
+            empty += not key or not response
+            one_sided += bool(set().union(*key) ^ set().union(*response))
+            parts = ceaf_e_parts(key, response)
+            brute = oracles.ceaf_e_best_total(key, response)
+            assert abs(parts.p_num - float(brute)) < 1e-12, (key, response)
+            assert parts.r_num == parts.p_num
+            assert (parts.p_den, parts.r_den) == (len(response), len(key))
+        assert min(crossed, singletons, empty, one_sided) >= 50
+
+    def test_larger_cases_match_dense_assignment(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(1005)
+        crossed = 0
+        for _ in range(600):
+            key, response = _ceafe_case(rng, 160)
+            key, response = key[:60], response[:60]
+            crossed += _has_crossed_component(key, response)
+            total = ceaf_e_parts(key, response).p_num
+            if not key or not response:
+                assert total == 0.0
+                continue
+            sim = [[phi4(k, r) for r in response] for k in key]
+            rows, cols = scipy_optimize.linear_sum_assignment(sim, maximize=True)
+            dense = sum(sim[i][j] for i, j in zip(rows, cols))
+            assert abs(total - dense) < 1e-9, (key, response)
+        assert crossed >= 300
+
+    def test_bit_identical_under_chain_permutation(self):
+        rng = random.Random(77)
+        for _ in range(300):
+            key, response = _ceafe_case(rng, 120)
+            base = ceaf_e_parts(key, response)
+            for _ in range(3):
+                k, r = key[:], response[:]
+                rng.shuffle(k)
+                rng.shuffle(r)
+                assert ceaf_e_parts(k, r) == base
 
 
 class TestMicroAverage:

@@ -48,9 +48,8 @@ def _raw_thread(path: Path, root: Path) -> RawThread:
     return RawThread(id=rel, text=path.read_text(encoding="utf-8", errors="replace"), source_path=rel)
 
 
-def _parse_one(args: tuple[str, str, str, Optional[str], Optional[str]]) -> str:
-    text, thread_id, source_path, separators, footers = args
-    config = ParserConfig.from_files(separators, footers)
+def _parse_one(args: tuple[str, str, str, ParserConfig]) -> str:
+    text, thread_id, source_path, config = args
     raw = RawThread(id=thread_id, text=text, source_path=source_path)
     doc = AnnotatedDocument(thread=parse_thread(raw, config))
     return serialization.write_native_string([doc])
@@ -78,12 +77,12 @@ def _load_documents(path: Path, fmt: str) -> list[AnnotatedDocument]:
     return serialization.read_native(text)
 
 
-def _parse_corpus_dir(path: Path, separators: Optional[str], footers: Optional[str], jobs: int) -> list[AnnotatedDocument]:
-    files = _iter_thread_files(path)
-    raws = [_raw_thread(p, path) for p in files]
-    payload = [(r.text, r.id, r.source_path, separators, footers) for r in raws]
-    lines = _map_jobs(_parse_one, payload, jobs)
-    return [doc for line in lines for doc in serialization.read_native(line)]
+def _parse_corpus_dir(path: Path, separators: Optional[str], footers: Optional[str], jobs: int) -> list[str]:
+    """Parse every thread file under ``path``; one native JSONL line per thread."""
+    config = ParserConfig.from_files(separators, footers)
+    raws = [_raw_thread(p, path) for p in _iter_thread_files(path)]
+    payload = [(r.text, r.id, r.source_path, config) for r in raws]
+    return _map_jobs(_parse_one, payload, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -91,16 +90,17 @@ def _parse_corpus_dir(path: Path, separators: Optional[str], footers: Optional[s
 # ---------------------------------------------------------------------------
 
 def _cmd_parse(args) -> int:
-    docs = _parse_corpus_dir(Path(args.input), args.separators, args.footers, args.jobs)
+    lines = _parse_corpus_dir(Path(args.input), args.separators, args.footers, args.jobs)
     with open(args.out, "w", encoding="utf-8") as fp:
-        serialization.write_native(docs, fp)
+        fp.writelines(lines)
     return 0
 
 
 def _cmd_filter(args) -> int:
     path = Path(args.input)
     if path.is_dir():
-        docs = _parse_corpus_dir(path, args.separators, args.footers, args.jobs)
+        lines = _parse_corpus_dir(path, args.separators, args.footers, args.jobs)
+        docs = serialization.read_native("".join(lines))
     else:
         docs = _load_documents(path, "native")
     threads = [d.thread for d in docs]
@@ -140,9 +140,9 @@ def _cmd_features(args) -> int:
     return 0
 
 
-def _resolve_one(payload: tuple[str, str]) -> str:
-    line, baseline = payload
-    doc = serialization.read_native(line)[0]
+def _resolve_one(payload: tuple[int, str, str]) -> str:
+    line_no, line, baseline = payload
+    doc = serialization.decode_line(line, line_no)
     mentions = sorted(set(doc.mentions()))
     resolver = baselines.resolve_hb1 if baseline == "hb1" else baselines.resolve_hb2
     resolution = resolver(doc.thread, mentions)
@@ -151,9 +151,9 @@ def _resolve_one(payload: tuple[str, str]) -> str:
 
 
 def _cmd_resolve(args) -> int:
-    docs = _load_documents(Path(args.input), "native")
+    text = Path(args.input).read_text(encoding="utf-8")
     payload = [
-        (serialization.write_native_string([doc]), args.baseline) for doc in docs
+        (line_no, line, args.baseline) for line_no, line in serialization.native_lines(text)
     ]
     lines = _map_jobs(_resolve_one, payload, args.jobs)
     with open(args.out, "w", encoding="utf-8") as fp:

@@ -10,10 +10,11 @@ response chain, then the lower chain id.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import wordlists
+from .metrics import overlap_rows, transpose_rows
 from .model import (
     CoreferenceChain,
     EmailThread,
@@ -28,12 +29,34 @@ class ChainAlignment:
     """Greedy maximum-overlap mapping from key chain ids to response chain ids."""
 
     pairs: tuple[tuple[int, int], ...] = ()
+    _by_key: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # reversed, so that the first pair of a repeated key id wins
+        object.__setattr__(self, "_by_key", dict(reversed(self.pairs)))
 
     def get(self, key_chain_id: int) -> Optional[int]:
-        for k, r in self.pairs:
-            if k == key_chain_id:
-                return r
-        return None
+        return self._by_key.get(key_chain_id)
+
+
+def _alignment(
+    key: Sequence[CoreferenceChain],
+    response: Sequence[CoreferenceChain],
+    rows: list[dict[int, int]],
+) -> ChainAlignment:
+    """Alignment read from overlap rows.
+
+    Ties on overlap go to the larger response chain, then the lower chain id,
+    then the earlier chain, as a scan over ``response`` in order would pick.
+    """
+    pairs = []
+    for kc, row in zip(key, rows):
+        if row:
+            best = min(
+                row, key=lambda j: (-row[j], -len(response[j]), response[j].chain_id, j)
+            )
+            pairs.append((kc.chain_id, response[best].chain_id))
+    return ChainAlignment(pairs=tuple(pairs))
 
 
 def align_chains(
@@ -44,28 +67,8 @@ def align_chains(
     Unmapped when no response chain shares a mention. Several key chains
     may map to the same response chain.
     """
-    pairs = []
-    for kc in key:
-        k_set = set(kc.mentions)
-        best: Optional[CoreferenceChain] = None
-        best_overlap = 0
-        for rc in response:
-            overlap = len(k_set & set(rc.mentions))
-            if overlap == 0:
-                continue
-            if (
-                best is None
-                or overlap > best_overlap
-                or (
-                    overlap == best_overlap
-                    and (len(rc) > len(best) or (len(rc) == len(best) and rc.chain_id < best.chain_id))
-                )
-            ):
-                best = rc
-                best_overlap = overlap
-        if best is not None:
-            pairs.append((kc.chain_id, best.chain_id))
-    return ChainAlignment(pairs=tuple(pairs))
+    rows = overlap_rows([set(c.mentions) for c in key], [set(c.mentions) for c in response])
+    return _alignment(key, response, rows)
 
 
 @dataclass(frozen=True)
@@ -118,10 +121,14 @@ def categorize_errors(
     at most one missing-reference subtype; subtype precedence is pronoun,
     then header, then other.
     """
-    key_to_resp = align_chains(key, response)
-    resp_to_key = align_chains(response, key)
-    resp_by_id = {c.chain_id: c for c in response}
-    key_by_id = {c.chain_id: c for c in key}
+    key_sets = [set(c.mentions) for c in key]
+    resp_sets = [set(c.mentions) for c in response]
+    rows = overlap_rows(key_sets, resp_sets)
+    key_to_resp = _alignment(key, response, rows)
+    resp_to_key = _alignment(response, key, transpose_rows(rows, len(response)))
+    # chain id -> position, so the aligned chain's mention set is reused
+    resp_index = {c.chain_id: j for j, c in enumerate(response)}
+    key_index = {c.chain_id: i for i, c in enumerate(key)}
 
     missing_pronoun = missing_header = missing_other = 0
     missing_chains = 0
@@ -129,12 +136,12 @@ def categorize_errors(
     decomposed = 0
     new_chains = 0
 
-    for kc in key:
+    for kc, row in zip(key, rows):
         aligned_id = key_to_resp.get(kc.chain_id)
         if aligned_id is None:
             missing_chains += 1
         else:
-            aligned = set(resp_by_id[aligned_id].mentions)
+            aligned = resp_sets[resp_index[aligned_id]]
             for m in kc.mentions:
                 if m in aligned:
                     continue
@@ -144,8 +151,7 @@ def categorize_errors(
                     missing_header += 1
                 else:
                     missing_other += 1
-        k_set = set(kc.mentions)
-        touched = sum(1 for rc in response if k_set & set(rc.mentions))
+        touched = len(row)
         if touched >= 2:
             decomposed += 1
             new_chains += touched
@@ -154,7 +160,7 @@ def categorize_errors(
         aligned_id = resp_to_key.get(rc.chain_id)
         if aligned_id is None:
             continue
-        aligned = set(key_by_id[aligned_id].mentions)
+        aligned = key_sets[key_index[aligned_id]]
         for m in rc.mentions:
             if m in aligned:
                 continue

@@ -17,6 +17,7 @@ from .model import (
     EmailMessage,
     EmailThread,
     Section,
+    Token,
     ToolkitError,
 )
 
@@ -76,11 +77,14 @@ def _shift_message(msg: EmailMessage, new_index: int, new_base: int) -> tuple[Em
     shift = new_base - old_base
     sentences = tuple(
         tuple(
-            dataclasses.replace(
-                tok,
-                message_index=new_index,
-                char_start=tok.char_start + shift,
-                char_end=tok.char_end + shift,
+            Token(
+                tok.text,
+                tok.sentence_index,
+                tok.token_index,
+                new_index,
+                tok.section,
+                tok.char_start + shift,
+                tok.char_end + shift,
             )
             for tok in sentence
         )

@@ -72,7 +72,8 @@ class ExclusionSet:
 
     @classmethod
     def from_file(cls, path) -> "ExclusionSet":
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as fp:
+            lines = fp.read().splitlines()
         return cls(frozenset(l.strip() for l in lines if l.strip()))
 
 

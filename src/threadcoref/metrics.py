@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import AbstractSet, Hashable, Iterable, Sequence
 
 from . import wordlists
 from .model import AnnotatedDocument, CoreferenceChain, Mention, mention_text
@@ -103,8 +103,10 @@ def _muc_half(chains: ChainSets, other_membership: dict) -> tuple[float, float]:
 
 
 def muc_parts(key: Iterable, response: Iterable) -> MetricParts:
-    k = as_chain_sets(key)
-    r = as_chain_sets(response)
+    return _muc(as_chain_sets(key), as_chain_sets(response))
+
+
+def _muc(k: ChainSets, r: ChainSets) -> MetricParts:
     r_num, r_den = _muc_half(k, _membership(r))
     p_num, p_den = _muc_half(r, _membership(k))
     return MetricParts(p_num, p_den, r_num, r_den)
@@ -133,8 +135,10 @@ def b_cubed(key: Iterable, response: Iterable) -> MetricScore:
 
 def b_cubed_parts(key: Iterable, response: Iterable) -> MetricParts:
     """B³: per-mention overlap ratios; unaligned mentions contribute zero."""
-    k = as_chain_sets(key)
-    r = as_chain_sets(response)
+    return _b3(as_chain_sets(key), as_chain_sets(response))
+
+
+def _b3(k: ChainSets, r: ChainSets) -> MetricParts:
     r_num, r_den = _b3_half(k, r)
     p_num, p_den = _b3_half(r, k)
     return MetricParts(p_num, p_den, r_num, r_den)
@@ -144,18 +148,33 @@ def phi4(a: frozenset, b: frozenset) -> float:
     return 2.0 * len(a & b) / (len(a) + len(b))
 
 
-def _overlap_rows(k: ChainSets, r: ChainSets) -> list[dict[int, int]]:
-    """Sparse overlap counts: row i maps response index j to |K_i & R_j| > 0."""
-    membership = _membership(r)
+def overlap_rows(k: Sequence[AbstractSet], r: Sequence[AbstractSet]) -> list[dict[int, int]]:
+    """Sparse overlap counts: row i maps response index j to |K_i & R_j| > 0.
+
+    Counts are exact intersection sizes even when a mention sits in several
+    chains of one side; the metrics and the error categorizer all read them.
+    """
+    owners: dict[Hashable, list[int]] = {}
+    for j, chain in enumerate(r):
+        for m in chain:
+            owners.setdefault(m, []).append(j)
     rows = []
     for chain in k:
         row: dict[int, int] = {}
         for m in chain:
-            j = membership.get(m)
-            if j is not None:
+            for j in owners.get(m, ()):
                 row[j] = row.get(j, 0) + 1
         rows.append(row)
     return rows
+
+
+def transpose_rows(rows: list[dict[int, int]], width: int) -> list[dict[int, int]]:
+    """The same counts seen from the other side: ``width`` rows indexed by j."""
+    cols: list[dict[int, int]] = [{} for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, n in row.items():
+            cols[j][i] = n
+    return cols
 
 
 def _components(rows: list[dict[int, int]]) -> Iterable[tuple[list[int], list[int]]]:
@@ -249,7 +268,10 @@ def ceaf_e_parts(key: Iterable, response: Iterable) -> MetricParts:
     """
     k = as_chain_sets(key)
     r = as_chain_sets(response)
-    rows = _overlap_rows(k, r)
+    return _ceaf_e(k, r, overlap_rows(k, r))
+
+
+def _ceaf_e(k: ChainSets, r: ChainSets, rows: list[dict[int, int]]) -> MetricParts:
     chosen: list[float] = []
     for ks, rs in _components(rows):
         weights = [
@@ -269,16 +291,22 @@ def _link_count(size: int) -> float:
     return size * (size - 1) / 2.0
 
 
-def _lea_half(chains: ChainSets, others: ChainSets) -> tuple[float, float]:
+def _lea_half(
+    chains: ChainSets, others: ChainSets, rows: list[dict[int, int]]
+) -> tuple[float, float]:
+    """Resolved links per chain from its overlap row: the sum of link(n_ij)."""
     num = 0.0
     den = 0.0
-    for chain in chains:
+    for chain, row in zip(chains, rows):
         den += len(chain)
         if len(chain) == 1:
-            resolved = 1.0 if any(chain <= o and len(o) == 1 for o in others) else 0.0
+            # its one mention is resolved when the chain holding it is a singleton
+            resolved = 1.0 if any(len(others[j]) == 1 for j in row) else 0.0
             links = 1.0
         else:
-            resolved = sum(_link_count(len(chain & o)) for o in others)
+            resolved = 0.0
+            for n in row.values():
+                resolved += _link_count(n)
             links = _link_count(len(chain))
         num += len(chain) * resolved / links
     return num, den
@@ -287,8 +315,12 @@ def _lea_half(chains: ChainSets, others: ChainSets) -> tuple[float, float]:
 def lea_parts(key: Iterable, response: Iterable) -> MetricParts:
     k = as_chain_sets(key)
     r = as_chain_sets(response)
-    r_num, r_den = _lea_half(k, r)
-    p_num, p_den = _lea_half(r, k)
+    return _lea(k, r, overlap_rows(k, r))
+
+
+def _lea(k: ChainSets, r: ChainSets, rows: list[dict[int, int]]) -> MetricParts:
+    r_num, r_den = _lea_half(k, r, rows)
+    p_num, p_den = _lea_half(r, k, transpose_rows(rows, len(r)))
     return MetricParts(p_num, p_den, r_num, r_den)
 
 
@@ -310,14 +342,6 @@ class ScoreReport:
     conll_avg_f1: float
 
 
-_PARTS_FUNCS = {
-    "muc": muc_parts,
-    "b3": b_cubed_parts,
-    "ceafe": ceaf_e_parts,
-    "lea": lea_parts,
-}
-
-
 def conll_average(key: Iterable, response: Iterable) -> ScoreReport:
     """All four metrics plus the unweighted mean of the MUC/B³/CEAFE F1s."""
     return score_documents([(key, response)])
@@ -329,20 +353,20 @@ def score_documents(pairs: Iterable[tuple[Iterable, Iterable]]) -> ScoreReport:
     Parts are accumulated in input order, so the reduction is deterministic
     no matter how the per-document work was scheduled.
     """
-    sums = {name: MetricParts() for name in _PARTS_FUNCS}
+    muc_sum = b3_sum = ceafe_sum = lea_sum = MetricParts()
     for key, response in pairs:
         k = as_chain_sets(key)
         r = as_chain_sets(response)
-        for name, func in _PARTS_FUNCS.items():
-            sums[name] = sums[name] + func(k, r)
-    scores = {name: parts.score() for name, parts in sums.items()}
-    avg = (scores["muc"].f1 + scores["b3"].f1 + scores["ceafe"].f1) / 3.0
+        rows = overlap_rows(k, r)
+        muc_sum = muc_sum + _muc(k, r)
+        b3_sum = b3_sum + _b3(k, r)
+        ceafe_sum = ceafe_sum + _ceaf_e(k, r, rows)
+        lea_sum = lea_sum + _lea(k, r, rows)
+    muc_score, b3_score = muc_sum.score(), b3_sum.score()
+    ceafe_score, lea_score = ceafe_sum.score(), lea_sum.score()
+    avg = (muc_score.f1 + b3_score.f1 + ceafe_score.f1) / 3.0
     return ScoreReport(
-        muc=scores["muc"],
-        b3=scores["b3"],
-        ceafe=scores["ceafe"],
-        lea=scores["lea"],
-        conll_avg_f1=avg,
+        muc=muc_score, b3=b3_score, ceafe=ceafe_score, lea=lea_score, conll_avg_f1=avg
     )
 
 

@@ -34,9 +34,13 @@ class EntityType(enum.Enum):
     DIG = "DIG"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Token:
-    """A single token with its position in the thread and raw-text offsets."""
+    """A single token with its position in the thread and raw-text offsets.
+
+    ``__init__`` is written out because it runs once per token of every
+    document read: it checks each argument once, then stores them.
+    """
 
     text: str
     sentence_index: int
@@ -46,18 +50,40 @@ class Token:
     char_start: int
     char_end: int
 
-    def __post_init__(self) -> None:
-        if not self.text:
+    def __init__(
+        self,
+        text: str,
+        sentence_index: int,
+        token_index: int,
+        message_index: int,
+        section: Section,
+        char_start: int,
+        char_end: int,
+    ) -> None:
+        if not text:
             raise ValueError("token text must be nonempty")
-        for name in ("sentence_index", "token_index", "message_index", "char_start"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.char_end <= self.char_start:
-            raise ValueError(
-                f"char_start must be < char_end, got [{self.char_start}, {self.char_end})"
-            )
-        if not isinstance(self.section, Section):
-            raise ValueError(f"section must be a Section, got {self.section!r}")
+        if not isinstance(text, str):
+            raise TypeError(f"token text must be a string, got {type(text).__name__}")
+        if sentence_index < 0:
+            raise ValueError(f"sentence_index must be nonnegative, got {sentence_index}")
+        if token_index < 0:
+            raise ValueError(f"token_index must be nonnegative, got {token_index}")
+        if message_index < 0:
+            raise ValueError(f"message_index must be nonnegative, got {message_index}")
+        if char_start < 0:
+            raise ValueError(f"char_start must be nonnegative, got {char_start}")
+        if char_end <= char_start:
+            raise ValueError(f"char_start must be < char_end, got [{char_start}, {char_end})")
+        if not isinstance(section, Section):
+            raise ValueError(f"section must be a Section, got {section!r}")
+        setattr_ = object.__setattr__
+        setattr_(self, "text", text)
+        setattr_(self, "sentence_index", sentence_index)
+        setattr_(self, "token_index", token_index)
+        setattr_(self, "message_index", message_index)
+        setattr_(self, "section", section)
+        setattr_(self, "char_start", char_start)
+        setattr_(self, "char_end", char_end)
 
 
 def _as_tuple(value):
@@ -132,13 +158,15 @@ class EmailThread:
                     f"thread {self.id}: message at position {i} has index {msg.index}"
                 )
         last_end = 0
-        for tok in self.tokens():
-            if tok.char_start < last_end:
-                raise ValueError(
-                    f"thread {self.id}: token {tok.text!r} at char {tok.char_start} "
-                    f"overlaps previous token ending at {last_end}"
-                )
-            last_end = tok.char_end
+        for msg in self.messages:
+            for sentence in msg.sentences:
+                for tok in sentence:
+                    if tok.char_start < last_end:
+                        raise ValueError(
+                            f"thread {self.id}: token {tok.text!r} at char {tok.char_start} "
+                            f"overlaps previous token ending at {last_end}"
+                        )
+                    last_end = tok.char_end
 
     def tokens(self) -> Iterator[Token]:
         for msg in self.messages:

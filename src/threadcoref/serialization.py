@@ -47,6 +47,11 @@ class NativeSchemaError(ToolkitError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
+
+    def __reduce__(self):
+        # rebuilt from both fields, so the error survives a worker process
+        return type(self), (self.path, self.message)
 
 
 # ---------------------------------------------------------------------------
@@ -339,112 +344,125 @@ def document_to_record(
     return record
 
 
-def _expect(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise NativeSchemaError(path, message)
+def _sentence_tokens(sent: list, si: int, mi: int) -> tuple[Token, ...]:
+    """Tokens of one sentence, checked item by item in schema order.
+
+    Raises ``NativeSchemaError`` naming the first bad item; its path is
+    formatted only then.
+    """
+    toks = []
+    for ti, item in enumerate(sent):
+        if not isinstance(item, list) or len(item) != 4:
+            raise NativeSchemaError(
+                f"$.messages[{mi}].sentences[{si}][{ti}]",
+                "token must be [text, section, char_start, char_end]",
+            )
+        text, code, cs, ce = item
+        try:
+            section = _CODE_SECTIONS[code]
+        except (KeyError, TypeError):
+            raise NativeSchemaError(
+                f"$.messages[{mi}].sentences[{si}][{ti}]", f"unknown section code {code!r}"
+            ) from None
+        try:
+            toks.append(Token(text, si, ti, mi, section, cs, ce))
+        except (TypeError, ValueError) as exc:
+            raise NativeSchemaError(f"$.messages[{mi}].sentences[{si}][{ti}]", str(exc)) from None
+    return tuple(toks)
+
+
+def _decode_message(rec, i: int) -> EmailMessage:
+    if not isinstance(rec, dict):
+        raise NativeSchemaError(f"$.messages[{i}]", "must be an object")
+    raw_sentences = rec.get("sentences")
+    if not isinstance(raw_sentences, list):
+        raise NativeSchemaError(f"$.messages[{i}].sentences", "must be a list")
+    date = None
+    if rec.get("date") is not None:
+        try:
+            date = datetime.fromisoformat(rec["date"])
+        except (TypeError, ValueError):
+            raise NativeSchemaError(f"$.messages[{i}].date", f"bad timestamp {rec['date']!r}") from None
+    sentences = []
+    for si, sent in enumerate(raw_sentences):
+        if not (isinstance(sent, list) and sent):
+            raise NativeSchemaError(f"$.messages[{i}].sentences[{si}]", "must be a nonempty list")
+        sentences.append(_sentence_tokens(sent, si, i))
+    try:
+        return EmailMessage(
+            index=i,
+            date=date,
+            from_addr=rec.get("from"),
+            to_addrs=tuple(rec.get("to", [])),
+            cc_addrs=tuple(rec.get("cc", [])),
+            subject=rec.get("subject"),
+            x_from=rec.get("x_from"),
+            x_to=tuple(rec.get("x_to", [])),
+            x_cc=tuple(rec.get("x_cc", [])),
+            sentences=tuple(sentences),
+        )
+    except (TypeError, ValueError) as exc:
+        raise NativeSchemaError(f"$.messages[{i}]", str(exc)) from None
+
+
+def _decode_chain(rec, ci: int) -> CoreferenceChain:
+    if not isinstance(rec, dict):
+        raise NativeSchemaError(f"$.chains[{ci}]", "must be an object")
+    if not isinstance(rec.get("id"), int):
+        raise NativeSchemaError(f"$.chains[{ci}].id", "chain id must be an int")
+    raw_mentions = rec.get("mentions")
+    if not (isinstance(raw_mentions, list) and raw_mentions):
+        raise NativeSchemaError(f"$.chains[{ci}].mentions", "must be a nonempty list")
+    mentions = []
+    for mi, item in enumerate(raw_mentions):
+        if not (isinstance(item, list) and len(item) in (4, 5)):
+            raise NativeSchemaError(
+                f"$.chains[{ci}].mentions[{mi}]",
+                "mention must be [message, sentence, start, end, entity_type?]",
+            )
+        etype = None
+        if len(item) == 5 and item[4] is not None:
+            try:
+                etype = EntityType(item[4])
+            except ValueError:
+                raise NativeSchemaError(
+                    f"$.chains[{ci}].mentions[{mi}]", f"unknown entity type {item[4]!r}"
+                ) from None
+        try:
+            mentions.append(Mention(item[0], item[1], item[2], item[3], etype))
+        except (TypeError, ValueError) as exc:
+            raise NativeSchemaError(f"$.chains[{ci}].mentions[{mi}]", str(exc)) from None
+    try:
+        return CoreferenceChain(chain_id=rec["id"], mentions=tuple(mentions))
+    except ValueError as exc:
+        raise NativeSchemaError(f"$.chains[{ci}]", str(exc)) from None
 
 
 def record_to_document(record: dict) -> AnnotatedDocument:
-    _expect(isinstance(record, dict), "$", "record must be an object")
-    _expect(isinstance(record.get("id"), str), "$.id", "thread id must be a string")
-    _expect(isinstance(record.get("messages"), list), "$.messages", "must be a list")
-    messages = []
-    for i, rec in enumerate(record["messages"]):
-        path = f"$.messages[{i}]"
-        _expect(isinstance(rec, dict), path, "must be an object")
-        _expect(isinstance(rec.get("sentences"), list), f"{path}.sentences", "must be a list")
-        date = None
-        if rec.get("date") is not None:
-            try:
-                date = datetime.fromisoformat(rec["date"])
-            except (TypeError, ValueError):
-                raise NativeSchemaError(f"{path}.date", f"bad timestamp {rec['date']!r}") from None
-        sentences = []
-        for si, sent in enumerate(rec["sentences"]):
-            spath = f"{path}.sentences[{si}]"
-            _expect(isinstance(sent, list) and sent, spath, "must be a nonempty list")
-            toks = []
-            for ti, item in enumerate(sent):
-                tpath = f"{spath}[{ti}]"
-                _expect(
-                    isinstance(item, list) and len(item) == 4, tpath,
-                    "token must be [text, section, char_start, char_end]",
-                )
-                text, code, cs, ce = item
-                _expect(code in _CODE_SECTIONS, tpath, f"unknown section code {code!r}")
-                try:
-                    toks.append(
-                        Token(
-                            text=text,
-                            sentence_index=si,
-                            token_index=ti,
-                            message_index=i,
-                            section=_CODE_SECTIONS[code],
-                            char_start=cs,
-                            char_end=ce,
-                        )
-                    )
-                except (TypeError, ValueError) as exc:
-                    raise NativeSchemaError(tpath, str(exc)) from None
-            sentences.append(tuple(toks))
-        try:
-            messages.append(
-                EmailMessage(
-                    index=i,
-                    date=date,
-                    from_addr=rec.get("from"),
-                    to_addrs=tuple(rec.get("to", [])),
-                    cc_addrs=tuple(rec.get("cc", [])),
-                    subject=rec.get("subject"),
-                    x_from=rec.get("x_from"),
-                    x_to=tuple(rec.get("x_to", [])),
-                    x_cc=tuple(rec.get("x_cc", [])),
-                    sentences=tuple(sentences),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise NativeSchemaError(path, str(exc)) from None
+    """Build a document from one decoded native record, checking its schema.
+
+    A violation raises ``NativeSchemaError`` naming the JSON path of the
+    offending value; paths are formatted only once a check has failed.
+    """
+    if not isinstance(record, dict):
+        raise NativeSchemaError("$", "record must be an object")
+    if not isinstance(record.get("id"), str):
+        raise NativeSchemaError("$.id", "thread id must be a string")
+    raw_messages = record.get("messages")
+    if not isinstance(raw_messages, list):
+        raise NativeSchemaError("$.messages", "must be a list")
+    messages = [_decode_message(rec, i) for i, rec in enumerate(raw_messages)]
     try:
         thread = EmailThread(
             id=record["id"], messages=tuple(messages), source_path=record.get("source_path")
         )
     except (TypeError, ValueError) as exc:
         raise NativeSchemaError("$", str(exc)) from None
-
-    chains = []
-    _expect(isinstance(record.get("chains", []), list), "$.chains", "must be a list")
-    for ci, rec in enumerate(record.get("chains", [])):
-        path = f"$.chains[{ci}]"
-        _expect(isinstance(rec, dict), path, "must be an object")
-        _expect(isinstance(rec.get("id"), int), f"{path}.id", "chain id must be an int")
-        _expect(
-            isinstance(rec.get("mentions"), list) and rec["mentions"],
-            f"{path}.mentions",
-            "must be a nonempty list",
-        )
-        mentions = []
-        for mi, item in enumerate(rec["mentions"]):
-            mpath = f"{path}.mentions[{mi}]"
-            _expect(
-                isinstance(item, list) and len(item) in (4, 5),
-                mpath,
-                "mention must be [message, sentence, start, end, entity_type?]",
-            )
-            etype = None
-            if len(item) == 5 and item[4] is not None:
-                try:
-                    etype = EntityType(item[4])
-                except ValueError:
-                    raise NativeSchemaError(mpath, f"unknown entity type {item[4]!r}") from None
-            try:
-                mentions.append(Mention(item[0], item[1], item[2], item[3], etype))
-            except (TypeError, ValueError) as exc:
-                raise NativeSchemaError(mpath, str(exc)) from None
-        try:
-            chains.append(CoreferenceChain(chain_id=rec["id"], mentions=tuple(mentions)))
-        except ValueError as exc:
-            raise NativeSchemaError(path, str(exc)) from None
-    return AnnotatedDocument(thread=thread, chains=tuple(chains))
+    raw_chains = record.get("chains", [])
+    if not isinstance(raw_chains, list):
+        raise NativeSchemaError("$.chains", "must be a list")
+    chains = tuple(_decode_chain(rec, ci) for ci, rec in enumerate(raw_chains))
+    return AnnotatedDocument(thread=thread, chains=chains)
 
 
 def write_native(
@@ -467,16 +485,21 @@ def write_native_string(
     return buf.getvalue()
 
 
+def native_lines(text: str) -> list[tuple[int, str]]:
+    """The nonblank lines of JSONL text, each with its 1-based line number."""
+    return [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
+def decode_line(line: str, line_no: int) -> AnnotatedDocument:
+    """Decode one JSONL line; bad JSON is reported with its line number."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise NativeSchemaError(f"line {line_no}", f"invalid JSON: {exc}") from None
+    return record_to_document(record)
+
+
 def read_native(source: IO[str] | str) -> list[AnnotatedDocument]:
     """Read JSONL records into annotated documents."""
     text = source if isinstance(source, str) else source.read()
-    docs = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise NativeSchemaError(f"line {line_no}", f"invalid JSON: {exc}") from None
-        docs.append(record_to_document(record))
-    return docs
+    return [decode_line(line, line_no) for line_no, line in native_lines(text)]

@@ -4,11 +4,32 @@ Everything here favors obviousness over speed: exact rational arithmetic,
 explicit enumeration of alignments and mention pairs, no shared code with
 threadcoref.metrics. Results are the ground truth that the fast scorers
 must reproduce.
+
+The last section keeps the straightforward implementations that faster
+package code replaced: the native record decoder with its token type, LEA by
+chain-set intersection, and the error categorizer by set intersection per
+chain pair. Differential tests require the package to agree with them. They
+share the package's unchanged helpers (chain normalization, model types).
 """
 from __future__ import annotations
 
+from datetime import datetime
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import Optional
+
+from threadcoref import errors as _errors
+from threadcoref import metrics as _metrics
+from threadcoref.model import (
+    AnnotatedDocument,
+    CoreferenceChain,
+    EmailMessage,
+    EmailThread,
+    EntityType,
+    Mention,
+    Section,
+)
+from threadcoref.serialization import NativeSchemaError
 
 
 def _norm(chains) -> list[frozenset]:
@@ -151,3 +172,268 @@ def overlap_partition_oracle(word_sets: dict) -> list[frozenset]:
             if changed:
                 break
     return sorted(groups, key=lambda g: sorted(g)[0] if g else None)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations replaced by faster package code
+# ---------------------------------------------------------------------------
+
+class ReferenceToken:
+    """The token the reference decoder builds, with the checks in their old order.
+
+    A plain class, not a dataclass: the benchmark loads this file without
+    registering it as a module, and a dataclass cannot be built there.
+    """
+
+    def __init__(self, text, sentence_index, token_index, message_index, section, char_start, char_end):
+        self.text = text
+        self.sentence_index = sentence_index
+        self.token_index = token_index
+        self.message_index = message_index
+        self.section = section
+        self.char_start = char_start
+        self.char_end = char_end
+        if not self.text:
+            raise ValueError("token text must be nonempty")
+        for name in ("sentence_index", "token_index", "message_index", "char_start"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.char_end <= self.char_start:
+            raise ValueError(
+                f"char_start must be < char_end, got [{self.char_start}, {self.char_end})"
+            )
+        if not isinstance(self.section, Section):
+            raise ValueError(f"section must be a Section, got {self.section!r}")
+
+
+_CODE_SECTIONS = {"h": Section.HEADER, "b": Section.BODY, "f": Section.FOOTER}
+
+
+def _expect(condition: bool, path: str, message: str) -> None:
+    if not condition:
+        raise NativeSchemaError(path, message)
+
+
+def record_to_document_reference(record: dict) -> AnnotatedDocument:
+    """Native record decoder that formats every path and checks item by item."""
+    _expect(isinstance(record, dict), "$", "record must be an object")
+    _expect(isinstance(record.get("id"), str), "$.id", "thread id must be a string")
+    _expect(isinstance(record.get("messages"), list), "$.messages", "must be a list")
+    messages = []
+    for i, rec in enumerate(record["messages"]):
+        path = f"$.messages[{i}]"
+        _expect(isinstance(rec, dict), path, "must be an object")
+        _expect(isinstance(rec.get("sentences"), list), f"{path}.sentences", "must be a list")
+        date = None
+        if rec.get("date") is not None:
+            try:
+                date = datetime.fromisoformat(rec["date"])
+            except (TypeError, ValueError):
+                raise NativeSchemaError(f"{path}.date", f"bad timestamp {rec['date']!r}") from None
+        sentences = []
+        for si, sent in enumerate(rec["sentences"]):
+            spath = f"{path}.sentences[{si}]"
+            _expect(isinstance(sent, list) and sent, spath, "must be a nonempty list")
+            toks = []
+            for ti, item in enumerate(sent):
+                tpath = f"{spath}[{ti}]"
+                _expect(
+                    isinstance(item, list) and len(item) == 4, tpath,
+                    "token must be [text, section, char_start, char_end]",
+                )
+                text, code, cs, ce = item
+                _expect(code in _CODE_SECTIONS, tpath, f"unknown section code {code!r}")
+                try:
+                    toks.append(
+                        ReferenceToken(
+                            text=text,
+                            sentence_index=si,
+                            token_index=ti,
+                            message_index=i,
+                            section=_CODE_SECTIONS[code],
+                            char_start=cs,
+                            char_end=ce,
+                        )
+                    )
+                except (TypeError, ValueError) as exc:
+                    raise NativeSchemaError(tpath, str(exc)) from None
+            sentences.append(tuple(toks))
+        try:
+            messages.append(
+                EmailMessage(
+                    index=i,
+                    date=date,
+                    from_addr=rec.get("from"),
+                    to_addrs=tuple(rec.get("to", [])),
+                    cc_addrs=tuple(rec.get("cc", [])),
+                    subject=rec.get("subject"),
+                    x_from=rec.get("x_from"),
+                    x_to=tuple(rec.get("x_to", [])),
+                    x_cc=tuple(rec.get("x_cc", [])),
+                    sentences=tuple(sentences),
+                )
+            )
+        except (TypeError, ValueError) as exc:
+            raise NativeSchemaError(path, str(exc)) from None
+    try:
+        thread = EmailThread(
+            id=record["id"], messages=tuple(messages), source_path=record.get("source_path")
+        )
+    except (TypeError, ValueError) as exc:
+        raise NativeSchemaError("$", str(exc)) from None
+
+    chains = []
+    _expect(isinstance(record.get("chains", []), list), "$.chains", "must be a list")
+    for ci, rec in enumerate(record.get("chains", [])):
+        path = f"$.chains[{ci}]"
+        _expect(isinstance(rec, dict), path, "must be an object")
+        _expect(isinstance(rec.get("id"), int), f"{path}.id", "chain id must be an int")
+        _expect(
+            isinstance(rec.get("mentions"), list) and rec["mentions"],
+            f"{path}.mentions",
+            "must be a nonempty list",
+        )
+        mentions = []
+        for mi, item in enumerate(rec["mentions"]):
+            mpath = f"{path}.mentions[{mi}]"
+            _expect(
+                isinstance(item, list) and len(item) in (4, 5),
+                mpath,
+                "mention must be [message, sentence, start, end, entity_type?]",
+            )
+            etype = None
+            if len(item) == 5 and item[4] is not None:
+                try:
+                    etype = EntityType(item[4])
+                except ValueError:
+                    raise NativeSchemaError(mpath, f"unknown entity type {item[4]!r}") from None
+            try:
+                mentions.append(Mention(item[0], item[1], item[2], item[3], etype))
+            except (TypeError, ValueError) as exc:
+                raise NativeSchemaError(mpath, str(exc)) from None
+        try:
+            chains.append(CoreferenceChain(chain_id=rec["id"], mentions=tuple(mentions)))
+        except ValueError as exc:
+            raise NativeSchemaError(path, str(exc)) from None
+    return AnnotatedDocument(thread=thread, chains=tuple(chains))
+
+
+def _lea_half_reference(chains, others) -> tuple[float, float]:
+    num = 0.0
+    den = 0.0
+    for chain in chains:
+        den += len(chain)
+        if len(chain) == 1:
+            resolved = 1.0 if any(chain <= o and len(o) == 1 for o in others) else 0.0
+            links = 1.0
+        else:
+            resolved = sum(_link_count(len(chain & o)) for o in others)
+            links = _link_count(len(chain))
+        num += len(chain) * resolved / links
+    return num, den
+
+
+def _link_count(size: int) -> float:
+    return size * (size - 1) / 2.0
+
+
+def lea_parts_reference(key, response) -> "_metrics.MetricParts":
+    """LEA parts by intersecting every key chain with every response chain."""
+    k = _metrics.as_chain_sets(key)
+    r = _metrics.as_chain_sets(response)
+    r_num, r_den = _lea_half_reference(k, r)
+    p_num, p_den = _lea_half_reference(r, k)
+    return _metrics.MetricParts(p_num, p_den, r_num, r_den)
+
+
+def align_chains_reference(key, response) -> tuple[tuple[int, int], ...]:
+    """Alignment pairs by a scan over every response chain per key chain."""
+    pairs = []
+    for kc in key:
+        k_set = set(kc.mentions)
+        best: Optional[CoreferenceChain] = None
+        best_overlap = 0
+        for rc in response:
+            overlap = len(k_set & set(rc.mentions))
+            if overlap == 0:
+                continue
+            if (
+                best is None
+                or overlap > best_overlap
+                or (
+                    overlap == best_overlap
+                    and (len(rc) > len(best) or (len(rc) == len(best) and rc.chain_id < best.chain_id))
+                )
+            ):
+                best = rc
+                best_overlap = overlap
+        if best is not None:
+            pairs.append((kc.chain_id, best.chain_id))
+    return tuple(pairs)
+
+
+def _lookup(pairs, key_chain_id):
+    for k, r in pairs:
+        if k == key_chain_id:
+            return r
+    return None
+
+
+def categorize_errors_reference(thread, key, response) -> "_errors.ErrorReport":
+    """Error counts with a set intersection for every key x response chain pair."""
+    key_to_resp = align_chains_reference(key, response)
+    resp_to_key = align_chains_reference(response, key)
+    resp_by_id = {c.chain_id: c for c in response}
+    key_by_id = {c.chain_id: c for c in key}
+    is_pronoun, in_header = _errors._is_pronoun_mention, _errors._in_header
+
+    missing_pronoun = missing_header = missing_other = 0
+    missing_chains = 0
+    incorrect_pronoun = incorrect_other = 0
+    decomposed = 0
+    new_chains = 0
+
+    for kc in key:
+        aligned_id = _lookup(key_to_resp, kc.chain_id)
+        if aligned_id is None:
+            missing_chains += 1
+        else:
+            aligned = set(resp_by_id[aligned_id].mentions)
+            for m in kc.mentions:
+                if m in aligned:
+                    continue
+                if is_pronoun(thread, m):
+                    missing_pronoun += 1
+                elif in_header(thread, m):
+                    missing_header += 1
+                else:
+                    missing_other += 1
+        k_set = set(kc.mentions)
+        touched = sum(1 for rc in response if k_set & set(rc.mentions))
+        if touched >= 2:
+            decomposed += 1
+            new_chains += touched
+
+    for rc in response:
+        aligned_id = _lookup(resp_to_key, rc.chain_id)
+        if aligned_id is None:
+            continue
+        aligned = set(key_by_id[aligned_id].mentions)
+        for m in rc.mentions:
+            if m in aligned:
+                continue
+            if is_pronoun(thread, m):
+                incorrect_pronoun += 1
+            else:
+                incorrect_other += 1
+
+    return _errors.ErrorReport(
+        missing_pronoun_refs=missing_pronoun,
+        missing_header_refs=missing_header,
+        missing_other_refs=missing_other,
+        missing_chains=missing_chains,
+        incorrect_pronoun_refs=incorrect_pronoun,
+        incorrect_other_refs=incorrect_other,
+        decomposed_chain_count=decomposed,
+        new_chain_count=new_chains,
+    )

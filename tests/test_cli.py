@@ -65,6 +65,20 @@ class TestParse:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_separator_file_same_bytes_under_jobs(self, tmp_path):
+        separators = tmp_path / "separators.txt"
+        separators.write_text("# marker phrases, one per line\n- Forwarded by\n", encoding="utf-8")
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"sep{jobs}.jsonl"
+            assert main(["parse", "--in", str(CORPUS10_DIR), "--out", str(out),
+                         "--separators", str(separators), "--jobs", jobs]) == 0
+            outs.append(out.read_bytes())
+        default = tmp_path / "default.jsonl"
+        main(["parse", "--in", str(CORPUS10_DIR), "--out", str(default)])
+        # without the original-message marker, fewer messages are split off
+        assert outs[0] == outs[1] != default.read_bytes()
+
 
 class TestFilter:
     def test_report_matches_construction(self, tmp_path, corpus10_threads):
@@ -156,6 +170,37 @@ class TestResolve:
         assert [d.thread.id for d in docs] == [d.thread.id for d in gold]
         for resolved, original in zip(docs, gold):
             assert {m for c in resolved.chains for m in c.mentions} == set(original.mentions())
+
+    @pytest.mark.parametrize("baseline", ["hb1", "hb2"])
+    def test_parallel_identical(self, gold_corpus, tmp_path, baseline):
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"resolved{jobs}.jsonl"
+            assert main(["resolve", "--baseline", baseline, "--in", str(gold_corpus),
+                         "--out", str(out), "--jobs", jobs]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_malformed_line_reported(self, gold_corpus, tmp_path, capsys, jobs):
+        lines = gold_corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        bad_json = tmp_path / "bad_json.jsonl"
+        bad_json.write_text("".join(lines[:2] + ["\n", "{broken\n"] + lines[2:]), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["resolve", "--baseline", "hb1", "--in", str(bad_json), "--out", str(out),
+                     "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: invalid JSON") and err.count("\n") == 1
+
+        record = json.loads(lines[1])
+        record["messages"][0]["sentences"][0][0][1] = "zz"
+        bad_schema = tmp_path / "bad_schema.jsonl"
+        bad_schema.write_text("".join(lines[:1] + [json.dumps(record) + "\n"] + lines[2:]),
+                              encoding="utf-8")
+        assert main(["resolve", "--baseline", "hb1", "--in", str(bad_schema), "--out", str(out),
+                     "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == (
+            "error: $.messages[0].sentences[0][0]: unknown section code 'zz'\n")
 
 
 class TestScore:

@@ -1,5 +1,6 @@
 import random
 
+import oracles
 from conftest import find_span, synthetic_document
 from threadcoref.errors import ErrorReport, align_chains, categorize_errors
 from threadcoref.model import CoreferenceChain, Mention
@@ -179,3 +180,47 @@ class TestStability:
         assert total.missing_pronoun_refs == 3
         assert total.new_chain_count == 2
         assert total.decomposed_chain_count == 1
+
+
+class TestOverlapRowsDifferential:
+    """Alignment and error counts from overlap rows against the pairwise-scan reference."""
+
+    def test_randomized_documents_match_reference(self):
+        rng = random.Random(907)
+        shared = repeated_ids = cases = 0
+        while cases < 60:
+            doc, mentions = synthetic_document(rng)
+            if not doc.chains:
+                continue
+            cases += 1
+            key = doc.chains
+            groups = []
+            for mention in mentions:
+                if rng.random() < 0.2:
+                    continue
+                if groups and rng.random() < 0.6:
+                    groups[rng.randrange(len(groups))].append(mention)
+                else:
+                    groups.append([mention])
+            if len(groups) >= 2 and rng.random() < 0.5:
+                # a mention in two response chains: touched counts both
+                donor, target = rng.sample(range(len(groups)), 2)
+                groups[target].append(rng.choice(groups[donor]))
+                shared += 1
+            response = chains(*groups)
+            if len(response) >= 2 and rng.random() < 0.3:
+                # a repeated chain id: lookups by id keep their first/last rules
+                response = response + (CoreferenceChain(response[0].chain_id, response[1].mentions),)
+                repeated_ids += 1
+            for k, r in ((key, response), (response, key)):
+                assert align_chains(k, r).pairs == oracles.align_chains_reference(k, r)
+            report = categorize_errors(doc.thread, key, response)
+            assert report == oracles.categorize_errors_reference(doc.thread, key, response)
+        assert shared >= 15 and repeated_ids >= 5
+
+    def test_mention_in_two_response_chains_touches_both(self, example1_thread):
+        key = chains([m(6, 0), m(6, 2)])
+        response = chains([m(6, 0), m(6, 2)], [m(6, 0)])
+        report = categorize_errors(example1_thread, key, response)
+        assert (report.decomposed_chain_count, report.new_chain_count) == (1, 2)
+        assert report == oracles.categorize_errors_reference(example1_thread, key, response)

@@ -6,6 +6,7 @@ import oracles
 from conftest import random_key_response, random_partition
 from threadcoref.metrics import (
     CorpusStats,
+    MetricParts,
     b_cubed,
     b_cubed_parts,
     ceaf_e,
@@ -15,6 +16,7 @@ from threadcoref.metrics import (
     corpus_stats,
     f1_score,
     lea,
+    lea_parts,
     mention_detection_score,
     muc,
     muc_parts,
@@ -396,3 +398,32 @@ class TestF1Helper:
 
     def test_harmonic_mean(self):
         assert f1_score(0.5, 1.0) == pytest.approx(2 / 3)
+
+
+class TestLeaDifferential:
+    """LEA from the sparse overlap rows against the chain-intersection reference."""
+
+    def test_parts_identical_to_reference(self):
+        rng = random.Random(4041)
+        singletons = empty = shared = 0
+        for _ in range(1500):
+            key, response = _ceafe_case(rng, 40)
+            if response and rng.random() < 0.2:
+                # one mention in two response chains: still exact intersections
+                mention = rng.choice(sorted(set().union(*response)))
+                j = rng.randrange(len(response))
+                response[j] = response[j] | {mention}
+                shared += sum(mention in c for c in response) >= 2
+            singletons += any(len(c) == 1 for c in key + response)
+            empty += not key or not response
+            assert lea_parts(key, response) == oracles.lea_parts_reference(key, response), (
+                key, response)
+        assert min(singletons, empty, shared) >= 50
+
+    def test_score_documents_sums_reference_parts(self):
+        rng = random.Random(4042)
+        pairs = [_ceafe_case(rng, 30) for _ in range(40)]
+        expected = MetricParts()
+        for key, response in pairs:
+            expected = expected + oracles.lea_parts_reference(key, response)
+        assert score_documents(pairs).lea == expected.score()

@@ -32,6 +32,19 @@ class TestToken:
         with pytest.raises(ValueError):
             Token("a", -1, 0, 0, Section.BODY, 0, 1)
 
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("sentence_index", ("a", -1, 0, 0, Section.BODY, 0, 1)),
+            ("token_index", ("a", 0, -1, 0, Section.BODY, 0, 1)),
+            ("message_index", ("a", 0, 0, -1, Section.BODY, 0, 1)),
+            ("char_start", ("a", 0, 0, 0, Section.BODY, -1, 1)),
+        ],
+    )
+    def test_each_index_checked_by_name(self, name, args):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -1$"):
+            Token(*args)
+
 
 class TestMention:
     def test_equality_ignores_entity_type(self):

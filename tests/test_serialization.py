@@ -1,7 +1,12 @@
+import json
 import random
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import synthetic_document
 from threadcoref.model import (
     AnnotatedDocument,
@@ -255,3 +260,167 @@ class TestAddressing:
         first_len = len(example1_thread.messages[0].sentences[0])
         with pytest.raises(ValueError):
             mention_from_absolute(example1_thread, first_len - 1, first_len)
+
+
+class TestDecoderHoles:
+    """Token fields of the wrong JSON type are schema errors at the token's path."""
+
+    def test_list_section_code_rejected(self, example1_document):
+        record = document_to_record(example1_document)
+        record["messages"][0]["sentences"][1][2][1] = ["b"]
+        with pytest.raises(NativeSchemaError) as err:
+            record_to_document(record)
+        assert err.value.path == "$.messages[0].sentences[1][2]"
+        assert "unknown section code ['b']" in str(err.value)
+
+    def test_numeric_token_text_rejected(self, example1_document):
+        record = document_to_record(example1_document)
+        record["messages"][0]["sentences"][0][3][0] = 42
+        with pytest.raises(NativeSchemaError) as err:
+            record_to_document(record)
+        assert err.value.path == "$.messages[0].sentences[0][3]"
+        assert "must be a string" in str(err.value)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=10**6),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.sampled_from(["", "h", "b", "f", "zz", "PER", "LOC", "2001-05-14T16:39:00", "x"]),
+    st.text(max_size=4),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _sites(value, path=()):
+    """Every position in a decoded JSON value, as a key/index path."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _sites(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _sites(item, path + (i,))
+
+
+def _at(record, path):
+    for step in path:
+        record = record[step]
+    return record
+
+
+def _items(record, depth, section, key, size):
+    """Lists of ``size`` elements at ``record[section][_][key][_]...``, ``depth`` steps down."""
+    return [
+        item
+        for path in _sites(record)
+        if len(path) == depth and path[0] == section and path[2] == key
+        for item in [_at(record, path)]
+        if isinstance(item, list) and len(item) >= size
+    ]
+
+
+def _mutate(data, record):
+    """Apply one drawn mutation to ``record`` in place; a mutation whose target
+    an earlier one destroyed does nothing."""
+    kind = data.draw(st.sampled_from(
+        ["replace", "replace", "replace", "delete", "invert_token", "negative_offset", "overlap",
+         "empty_sentence", "bad_date", "invert_mention", "entity_type", "token_field"]))
+    if kind in ("replace", "delete"):
+        sites = list(_sites(record))[1:]
+        if not sites:
+            return
+        path = sites[data.draw(st.integers(0, len(sites) - 1))]
+        parent = _at(record, path[:-1])
+        if kind == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_JSON_VALUES)
+        return
+    if kind in ("empty_sentence", "bad_date"):
+        messages = record.get("messages")
+        messages = [m for m in messages if isinstance(m, dict)] if isinstance(messages, list) else []
+        if not messages:
+            return
+        message = data.draw(st.sampled_from(messages))
+        if kind == "bad_date":
+            message["date"] = data.draw(st.sampled_from(["not-a-date", "2001-13-01", 17, ["2001"], ""]))
+        elif isinstance(message.get("sentences"), list) and message["sentences"]:
+            message["sentences"][data.draw(st.integers(0, len(message["sentences"]) - 1))] = []
+        return
+    if kind in ("invert_mention", "entity_type"):
+        mentions = _items(record, 4, "chains", "mentions", 4)
+        if not mentions:
+            return
+        item = data.draw(st.sampled_from(mentions))
+        if kind == "invert_mention" and all(isinstance(v, int) for v in item[2:4]):
+            item[2], item[3] = item[3] + 1, item[2]
+        elif kind == "entity_type":
+            item[4:] = [data.draw(st.sampled_from(["PER", "ORG", "XYZ", 3, None, ["PER"]]))]
+        return
+    tokens = _items(record, 5, "messages", "sentences", 4)
+    if not tokens:
+        return
+    item = data.draw(st.sampled_from(tokens))
+    if kind == "invert_token":
+        item[2], item[3] = item[3], item[2]
+    elif kind == "negative_offset":
+        item[2] = -1
+    elif kind == "overlap":
+        item[2], item[3] = 0, 1
+    else:
+        item[data.draw(st.integers(0, 3))] = data.draw(st.one_of(
+            _JSON_SCALARS, st.sampled_from([[], ["b"], {}, {"h": 1}, [1, 2], "abcd"])))
+
+
+_TOKEN_PATH = re.compile(r"^\$\.messages\[(\d+)\]\.sentences\[(\d+)\]\[(\d+)\]$")
+
+
+def _is_hole(record, path) -> bool:
+    """True if ``path`` names a token whose section code is unhashable or whose text
+    is a non-string the reference decoder accepted."""
+    match = _TOKEN_PATH.match(path)
+    if not match:
+        return False
+    mi, si, ti = map(int, match.groups())
+    item = record["messages"][mi]["sentences"][si][ti]
+    text, code = item[0], item[1]
+    return isinstance(code, (list, dict)) or (bool(text) and not isinstance(text, str))
+
+
+class TestDecoderDifferential:
+    """The decoder against the reference decoder kept in ``oracles``, on mutated fixtures."""
+
+    @pytest.fixture(scope="class")
+    def fixture_records(self, example1_document):
+        rng = random.Random(11)
+        docs = [example1_document] + [synthetic_document(rng)[0] for _ in range(2)]
+        records = [document_to_record(doc) for doc in docs]
+        records[1] = document_to_record(docs[1], features=("mi", "si"))
+        return [json.dumps(record) for record in records]
+
+    @staticmethod
+    def _outcome(decode, record):
+        try:
+            return ("document", document_to_record(decode(record)))
+        except NativeSchemaError as exc:
+            return ("error", exc.path, str(exc))
+
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_same_document_or_same_error(self, fixture_records, data):
+        record = json.loads(data.draw(st.sampled_from(fixture_records)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(data, record)
+        new = self._outcome(record_to_document, record)
+        try:
+            reference = self._outcome(oracles.record_to_document_reference, record)
+        except TypeError:
+            reference = ("crash",)
+        if new != reference:
+            assert new[0] == "error" and _is_hole(record, new[1]), (new, reference)

@@ -14,13 +14,15 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import baselines, filtering, metrics, serialization
-from .errors import ErrorReport, categorize_errors
-from .features import reverse_document
+# Only what every subcommand needs is imported here; each handler imports
+# the modules it runs, so a command loads no code it does not use.
+from . import serialization
 from .model import AnnotatedDocument, ToolkitError
-from .parsing import ParserConfig, RawThread, parse_thread
+
+if TYPE_CHECKING:
+    from .parsing import ParserConfig
 
 _METRIC_NAMES = ("muc", "b3", "ceafe", "lea")
 
@@ -43,14 +45,11 @@ def _iter_thread_files(root: Path) -> list[Path]:
     return sorted(p for p in root.rglob("*") if p.is_file())
 
 
-def _raw_thread(path: Path, root: Path) -> RawThread:
-    rel = path.name if root.is_file() else path.relative_to(root).as_posix()
-    return RawThread(id=rel, text=path.read_text(encoding="utf-8", errors="replace"), source_path=rel)
+def _parse_one(args: tuple[str, str, ParserConfig]) -> str:
+    from .parsing import RawThread, parse_thread
 
-
-def _parse_one(args: tuple[str, str, str, ParserConfig]) -> str:
-    text, thread_id, source_path, config = args
-    raw = RawThread(id=thread_id, text=text, source_path=source_path)
+    text, rel, config = args
+    raw = RawThread(id=rel, text=text, source_path=rel)
     doc = AnnotatedDocument(thread=parse_thread(raw, config))
     return serialization.write_native_string([doc])
 
@@ -79,9 +78,13 @@ def _load_documents(path: Path, fmt: str) -> list[AnnotatedDocument]:
 
 def _parse_corpus_dir(path: Path, separators: Optional[str], footers: Optional[str], jobs: int) -> list[str]:
     """Parse every thread file under ``path``; one native JSONL line per thread."""
+    from .parsing import ParserConfig
+
     config = ParserConfig.from_files(separators, footers)
-    raws = [_raw_thread(p, path) for p in _iter_thread_files(path)]
-    payload = [(r.text, r.id, r.source_path, config) for r in raws]
+    payload = []
+    for file in _iter_thread_files(path):
+        rel = file.name if path.is_file() else file.relative_to(path).as_posix()
+        payload.append((file.read_text(encoding="utf-8", errors="replace"), rel, config))
     return _map_jobs(_parse_one, payload, jobs)
 
 
@@ -97,6 +100,8 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_filter(args) -> int:
+    from . import filtering
+
     path = Path(args.input)
     if path.is_dir():
         lines = _parse_corpus_dir(path, args.separators, args.footers, args.jobs)
@@ -131,6 +136,8 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_features(args) -> int:
+    from .features import reverse_document
+
     docs = _load_documents(Path(args.input), "native")
     if args.rev:
         docs = [reverse_document(d, descending=args.direction == "descending") for d in docs]
@@ -141,6 +148,8 @@ def _cmd_features(args) -> int:
 
 
 def _resolve_one(payload: tuple[int, str, str]) -> str:
+    from . import baselines
+
     line_no, line, baseline = payload
     doc = serialization.decode_line(line, line_no)
     mentions = sorted(set(doc.mentions()))
@@ -174,6 +183,8 @@ def _pair_documents(
 
 
 def _cmd_score(args) -> int:
+    from . import metrics
+
     requested = [m.strip() for m in args.metrics.split(",") if m.strip()]
     unknown = [m for m in requested if m not in _METRIC_NAMES]
     if unknown:
@@ -212,6 +223,8 @@ _ERROR_ROWS = (
 
 
 def _cmd_errors(args) -> int:
+    from .errors import ErrorReport, categorize_errors
+
     key_docs = _load_documents(Path(args.key), args.format)
     response_docs = _load_documents(Path(args.response), args.format)
     total = ErrorReport()
@@ -224,6 +237,8 @@ def _cmd_errors(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from . import metrics
+
     docs = _load_documents(Path(args.input), "native")
     stats = metrics.corpus_stats(docs)
     rows = [
@@ -242,21 +257,17 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_correction_stats(args) -> int:
+    from . import metrics
+
     pred_docs = _load_documents(Path(args.pred), args.format)
     gold_docs = _load_documents(Path(args.gold), args.format)
-    pred_mentions = []
-    gold_mentions = []
     gold_by_id = {d.thread.id: d for d in gold_docs}
+    stats = metrics.CorrectionStats()
     for pred_doc in pred_docs:
-        if pred_doc.thread.id not in gold_by_id:
+        gold_doc = gold_by_id.get(pred_doc.thread.id)
+        if gold_doc is None:
             raise ToolkitError(f"gold file has no document {pred_doc.thread.id!r}")
-        pred_mentions.extend(
-            (pred_doc.thread.id, m) for m in set(pred_doc.mentions())
-        )
-        gold_mentions.extend(
-            (pred_doc.thread.id, m) for m in set(gold_by_id[pred_doc.thread.id].mentions())
-        )
-    stats = _correction_stats_keyed(pred_mentions, gold_mentions)
+        stats = stats + metrics.correction_stats(pred_doc.mentions(), gold_doc.mentions())
     rows = [
         ("statistic", "value"),
         ("added_mentions", str(stats.added)),
@@ -271,34 +282,6 @@ def _cmd_correction_stats(args) -> int:
     ]
     _emit_table(rows, sys.stdout, args.pretty)
     return 0
-
-
-def _correction_stats_keyed(pred, gold) -> metrics.CorrectionStats:
-    """Per-document correction stats summed over a corpus."""
-    by_doc: dict = {}
-    for side, pairs in ((0, pred), (1, gold)):
-        for doc_id, m in pairs:
-            by_doc.setdefault(doc_id, ([], []))[side].append(m)
-    added = corrected = deleted = unchanged = 0
-    for doc_id in sorted(by_doc):
-        stats = metrics.correction_stats(*by_doc[doc_id])
-        added += stats.added
-        corrected += stats.corrected
-        deleted += stats.deleted
-        unchanged += stats.unchanged
-    pred_total = unchanged + corrected + deleted
-    gold_total = unchanged + corrected + added
-    precision = (unchanged + corrected) / pred_total if pred_total else 0.0
-    recall = (unchanged + corrected) / gold_total if gold_total else 0.0
-    return metrics.CorrectionStats(
-        added=added,
-        corrected=corrected,
-        deleted=deleted,
-        unchanged=unchanged,
-        precision=precision,
-        recall=recall,
-        f1=metrics.f1_score(precision, recall),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -117,15 +117,17 @@ def muc(key: Iterable, response: Iterable) -> MetricScore:
     return muc_parts(key, response).score()
 
 
-def _b3_half(chains: ChainSets, others: ChainSets) -> tuple[float, float]:
-    membership = _membership(others)
+def _b3_half(chains: ChainSets, rows: list[dict[int, int]]) -> tuple[float, float]:
+    """Per-mention overlap ratios of one side from its overlap rows.
+
+    Each of the n_ij mentions a chain shares with chain j of the other side
+    scores n_ij / |K_i|, so the chain adds sum(n_ij²) / |K_i|.
+    """
     num = 0.0
     count = 0
-    for chain in chains:
-        for m in chain:
-            count += 1
-            other = others[membership[m]] if m in membership else frozenset()
-            num += len(chain & other) / len(chain)
+    for chain, row in zip(chains, rows):
+        count += len(chain)
+        num += sum(n * n for n in row.values()) / len(chain)
     return num, float(count)
 
 
@@ -135,12 +137,17 @@ def b_cubed(key: Iterable, response: Iterable) -> MetricScore:
 
 def b_cubed_parts(key: Iterable, response: Iterable) -> MetricParts:
     """B³: per-mention overlap ratios; unaligned mentions contribute zero."""
-    return _b3(as_chain_sets(key), as_chain_sets(response))
+    k = as_chain_sets(key)
+    r = as_chain_sets(response)
+    rows = overlap_rows(k, r)
+    return _b3(k, r, rows, transpose_rows(rows, len(r)))
 
 
-def _b3(k: ChainSets, r: ChainSets) -> MetricParts:
-    r_num, r_den = _b3_half(k, r)
-    p_num, p_den = _b3_half(r, k)
+def _b3(
+    k: ChainSets, r: ChainSets, rows: list[dict[int, int]], cols: list[dict[int, int]]
+) -> MetricParts:
+    r_num, r_den = _b3_half(k, rows)
+    p_num, p_den = _b3_half(r, cols)
     return MetricParts(p_num, p_den, r_num, r_den)
 
 
@@ -315,12 +322,15 @@ def _lea_half(
 def lea_parts(key: Iterable, response: Iterable) -> MetricParts:
     k = as_chain_sets(key)
     r = as_chain_sets(response)
-    return _lea(k, r, overlap_rows(k, r))
+    rows = overlap_rows(k, r)
+    return _lea(k, r, rows, transpose_rows(rows, len(r)))
 
 
-def _lea(k: ChainSets, r: ChainSets, rows: list[dict[int, int]]) -> MetricParts:
+def _lea(
+    k: ChainSets, r: ChainSets, rows: list[dict[int, int]], cols: list[dict[int, int]]
+) -> MetricParts:
     r_num, r_den = _lea_half(k, r, rows)
-    p_num, p_den = _lea_half(r, k, transpose_rows(rows, len(r)))
+    p_num, p_den = _lea_half(r, k, cols)
     return MetricParts(p_num, p_den, r_num, r_den)
 
 
@@ -358,10 +368,11 @@ def score_documents(pairs: Iterable[tuple[Iterable, Iterable]]) -> ScoreReport:
         k = as_chain_sets(key)
         r = as_chain_sets(response)
         rows = overlap_rows(k, r)
+        cols = transpose_rows(rows, len(r))
         muc_sum = muc_sum + _muc(k, r)
-        b3_sum = b3_sum + _b3(k, r)
+        b3_sum = b3_sum + _b3(k, r, rows, cols)
         ceafe_sum = ceafe_sum + _ceaf_e(k, r, rows)
-        lea_sum = lea_sum + _lea(k, r, rows)
+        lea_sum = lea_sum + _lea(k, r, rows, cols)
     muc_score, b3_score = muc_sum.score(), b3_sum.score()
     ceafe_score, lea_score = ceafe_sum.score(), lea_sum.score()
     avg = (muc_score.f1 + b3_score.f1 + ceafe_score.f1) / 3.0
@@ -389,15 +400,24 @@ def mention_detection_score(
 
 @dataclass(frozen=True)
 class CorrectionStats:
-    """Bookkeeping of a manual correction pass over predicted mentions."""
+    """Bookkeeping of a manual correction pass over predicted mentions.
 
-    added: int
-    corrected: int
-    deleted: int
-    unchanged: int
-    precision: float
-    recall: float
-    f1: float
+    The four counts are summable parts: add the stats of several documents
+    to get corpus totals, from which precision, recall and F1 follow.
+    """
+
+    added: int = 0
+    corrected: int = 0
+    deleted: int = 0
+    unchanged: int = 0
+
+    def __add__(self, other: "CorrectionStats") -> "CorrectionStats":
+        return CorrectionStats(
+            self.added + other.added,
+            self.corrected + other.corrected,
+            self.deleted + other.deleted,
+            self.unchanged + other.unchanged,
+        )
 
     @property
     def predicted_total(self) -> int:
@@ -406,6 +426,20 @@ class CorrectionStats:
     @property
     def gold_total(self) -> int:
         return self.unchanged + self.corrected + self.added
+
+    @property
+    def precision(self) -> float:
+        total = self.predicted_total
+        return (self.unchanged + self.corrected) / total if total else 0.0
+
+    @property
+    def recall(self) -> float:
+        total = self.gold_total
+        return (self.unchanged + self.corrected) / total if total else 0.0
+
+    @property
+    def f1(self) -> float:
+        return f1_score(self.precision, self.recall)
 
 
 def _span_overlap(a: Mention, b: Mention) -> int:
@@ -449,19 +483,11 @@ def correction_stats(
         used_gold.add(g)
         corrected += 1
 
-    deleted = len(open_pred) - corrected
-    added = len(open_gold) - corrected
-    matched = len(unchanged) + corrected
-    precision = matched / len(pred) if pred else 0.0
-    recall = matched / len(gold_set) if gold_set else 0.0
     return CorrectionStats(
-        added=added,
+        added=len(open_gold) - corrected,
         corrected=corrected,
-        deleted=deleted,
+        deleted=len(open_pred) - corrected,
         unchanged=len(unchanged),
-        precision=precision,
-        recall=recall,
-        f1=f1_score(precision, recall),
     )
 
 

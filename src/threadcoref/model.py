@@ -176,12 +176,14 @@ class EmailThread:
         return self.messages[message_index].sentences[sentence_index]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class Mention:
     """A token span referring to an entity, addressed sentence-relative.
 
     Equality and hashing use only the four location fields; the optional
     entity type never influences identity, so scorers compare spans exactly.
+    ``__init__`` is written out, as for :class:`Token`, because every chain
+    of every document read builds its mentions through it.
     """
 
     message_index: int
@@ -190,14 +192,28 @@ class Mention:
     end_token: int
     entity_type: Optional[EntityType] = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        for name in ("message_index", "sentence_index", "start_token"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.end_token < self.start_token:
-            raise ValueError(
-                f"mention span [{self.start_token}, {self.end_token}] is inverted"
-            )
+    def __init__(
+        self,
+        message_index: int,
+        sentence_index: int,
+        start_token: int,
+        end_token: int,
+        entity_type: Optional[EntityType] = None,
+    ) -> None:
+        if message_index < 0:
+            raise ValueError("message_index must be nonnegative")
+        if sentence_index < 0:
+            raise ValueError("sentence_index must be nonnegative")
+        if start_token < 0:
+            raise ValueError("start_token must be nonnegative")
+        if end_token < start_token:
+            raise ValueError(f"mention span [{start_token}, {end_token}] is inverted")
+        setattr_ = object.__setattr__
+        setattr_(self, "message_index", message_index)
+        setattr_(self, "sentence_index", sentence_index)
+        setattr_(self, "start_token", start_token)
+        setattr_(self, "end_token", end_token)
+        setattr_(self, "entity_type", entity_type)
 
     @property
     def location(self) -> tuple[int, int, int, int]:

@@ -371,6 +371,10 @@ def _sentence_tokens(sent: list, si: int, mi: int) -> tuple[Token, ...]:
     return tuple(toks)
 
 
+_TEXT_FIELDS = ("from", "subject", "x_from")
+_ADDRESS_LIST_FIELDS = ("to", "cc", "x_to", "x_cc")
+
+
 def _decode_message(rec, i: int) -> EmailMessage:
     if not isinstance(rec, dict):
         raise NativeSchemaError(f"$.messages[{i}]", "must be an object")
@@ -388,6 +392,14 @@ def _decode_message(rec, i: int) -> EmailMessage:
         if not (isinstance(sent, list) and sent):
             raise NativeSchemaError(f"$.messages[{i}].sentences[{si}]", "must be a nonempty list")
         sentences.append(_sentence_tokens(sent, si, i))
+    for name in _TEXT_FIELDS:
+        value = rec.get(name)
+        if value is not None and not isinstance(value, str):
+            raise NativeSchemaError(f"$.messages[{i}].{name}", "must be a string or null")
+    for name in _ADDRESS_LIST_FIELDS:
+        value = rec.get(name, [])
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise NativeSchemaError(f"$.messages[{i}].{name}", "must be a list of strings")
     try:
         return EmailMessage(
             index=i,

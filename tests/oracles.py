@@ -6,9 +6,9 @@ threadcoref.metrics. Results are the ground truth that the fast scorers
 must reproduce.
 
 The last section keeps the straightforward implementations that faster
-package code replaced: the native record decoder with its token type, LEA by
-chain-set intersection, and the error categorizer by set intersection per
-chain pair. Differential tests require the package to agree with them. They
+package code replaced: the native record decoder with its token type, B³ and
+LEA by chain-set intersection, and the error categorizer by set intersection
+per chain pair. Differential tests require the package to agree with them. They
 share the package's unchanged helpers (chain normalization, model types).
 """
 from __future__ import annotations
@@ -316,6 +316,29 @@ def record_to_document_reference(record: dict) -> AnnotatedDocument:
         except ValueError as exc:
             raise NativeSchemaError(path, str(exc)) from None
     return AnnotatedDocument(thread=thread, chains=tuple(chains))
+
+
+def _b3_half_reference(chains, others) -> tuple[float, float]:
+    """One role of B³ by intersecting each mention's chain with the other side's
+    chain that holds it (the last such chain, for a mention in several)."""
+    membership = {m: i for i, chain in enumerate(others) for m in chain}
+    num = 0.0
+    count = 0
+    for chain in chains:
+        for m in chain:
+            count += 1
+            other = others[membership[m]] if m in membership else frozenset()
+            num += len(chain & other) / len(chain)
+    return num, float(count)
+
+
+def b_cubed_parts_reference(key, response) -> "_metrics.MetricParts":
+    """B³ parts by one chain intersection per mention."""
+    k = _metrics.as_chain_sets(key)
+    r = _metrics.as_chain_sets(response)
+    r_num, r_den = _b3_half_reference(k, r)
+    p_num, p_den = _b3_half_reference(r, k)
+    return _metrics.MetricParts(p_num, p_den, r_num, r_den)
 
 
 def _lea_half_reference(chains, others) -> tuple[float, float]:

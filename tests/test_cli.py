@@ -3,14 +3,15 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import CORPUS10_DIR, DATA_DIR, synthetic_document
-from threadcoref.cli import _correction_stats_keyed, main
+from threadcoref.cli import main
 from threadcoref.filtering import fingerprint_message
-from threadcoref.model import Mention
+from threadcoref.model import AnnotatedDocument, CoreferenceChain, Mention
 from threadcoref.serialization import read_native, write_conll, write_native
 
 
@@ -290,15 +291,31 @@ class TestCorrectionStats:
         assert stats["precision"] == "1.0000"
         assert stats["recall"] == "1.0000"
 
-    def test_documents_kept_apart(self):
+    def test_documents_kept_apart(self, tmp_path, example1_document, capsys):
         # the same span in two documents: merged, it would read as one
         # unchanged mention plus one added gold mention
         span = Mention(0, 0, 0, 1)
         shifted = Mention(0, 0, 1, 2)
-        stats = _correction_stats_keyed(
-            [("b", span), ("a", span)], [("a", span), ("b", shifted)]
-        )
-        assert (stats.unchanged, stats.corrected, stats.added, stats.deleted) == (1, 1, 0, 0)
+
+        def write(path, chains_by_id):
+            docs = [
+                AnnotatedDocument(
+                    replace(example1_document.thread, id=doc_id),
+                    (CoreferenceChain(1, (mention,)),),
+                )
+                for doc_id, mention in chains_by_id
+            ]
+            with open(path, "w", encoding="utf-8") as fp:
+                write_native(docs, fp)
+
+        write(tmp_path / "pred.jsonl", [("b", span), ("a", span)])
+        write(tmp_path / "gold.jsonl", [("a", span), ("b", shifted)])
+        code = main(["correction-stats", "--pred", str(tmp_path / "pred.jsonl"),
+                     "--gold", str(tmp_path / "gold.jsonl")])
+        assert code == 0
+        stats = dict(line.split("\t") for line in capsys.readouterr().out.strip().splitlines()[1:])
+        assert [stats[f"{k}_mentions"] for k in ("unchanged", "corrected", "added", "deleted")] == [
+            "1", "1", "0", "0"]
 
 
 class TestImports:
@@ -313,6 +330,65 @@ class TestImports:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out.strip() == "[]"
+
+    # Every public name of the package namespace before it became lazy.
+    EXPORTED = (
+        "AnnotatedDocument", "ChainAlignment", "CoreferenceChain", "CorpusStats", "CorrectionStats",
+        "EmailMessage", "EmailThread", "EntityType", "ErrorReport", "ExclusionSet", "FeatureAnnotation",
+        "FilterCategory", "FilterConfig", "FilterVerdict", "MalformedColumn", "Mention", "MetricScore",
+        "MissingDate", "NativeSchemaError", "OverlappingIdenticalSpan", "ParserConfig", "ParticipantIndex",
+        "PronounClass", "RawThread", "Resolution", "ScoreReport", "Section", "Token", "ToolkitError",
+        "UnparseableThread", "align_chains", "b_cubed", "baselines", "build_participant_index",
+        "categorize_errors", "ceaf_e", "chain_overlapping_mentions", "conll_average", "corpus_stats",
+        "correction_stats", "errors", "features", "filter_corpus", "filtering", "fingerprint_message", "lea",
+        "mention_detection_score", "mention_text", "mention_tokens", "message_identifier", "metrics", "model",
+        "muc", "parse_thread", "parsing", "read_conll", "read_conll_documents", "read_native", "resolve_hb1",
+        "resolve_hb2", "reverse_document", "reverse_thread", "score_documents", "section_info",
+        "serialization", "validate_document", "wordlists", "write_conll", "write_conll_documents",
+        "write_native", "write_native_string",
+    )
+    HANDLER_MODULES = ("parsing", "filtering", "features", "baselines", "metrics", "errors")
+
+    @staticmethod
+    def _loaded_after(code: str, cwd: Path) -> list[str]:
+        """Package submodules loaded by running ``code`` in a fresh interpreter."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        code += "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('threadcoref.'))))"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, check=True
+        ).stdout
+        return [name.split(".", 1)[1] for name in json.loads(out)]
+
+    def test_cli_import_loads_no_handler_modules(self, tmp_path):
+        loaded = self._loaded_after("import threadcoref.cli", tmp_path)
+        assert "cli" in loaded
+        assert not set(self.HANDLER_MODULES) & set(loaded), loaded
+
+    def test_score_loads_only_what_it_runs(self, gold_corpus, tmp_path):
+        code = (
+            "import contextlib, io, threadcoref.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert threadcoref.cli.main(['score', '--key', {str(gold_corpus)!r}, "
+            f"'--response', {str(gold_corpus)!r}]) == 0"
+        )
+        loaded = self._loaded_after(code, tmp_path)
+        assert "metrics" in loaded
+        assert not {"parsing", "filtering", "baselines", "features"} & set(loaded), loaded
+
+    def test_every_exported_name_resolves(self):
+        import threadcoref
+
+        namespace: dict = {}
+        exec(f"from threadcoref import {', '.join(self.EXPORTED)}", namespace)
+        for name in self.EXPORTED:
+            assert name in threadcoref.__all__, name
+            assert namespace[name] is getattr(threadcoref, name), name
+        assert threadcoref.metrics.score_documents is threadcoref.score_documents
+        assert threadcoref.__version__ == "0.1.0"
+        assert set(self.EXPORTED) <= set(dir(threadcoref))
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            threadcoref.nonexistent
 
 
 class TestUsage:

@@ -427,3 +427,42 @@ class TestLeaDifferential:
         for key, response in pairs:
             expected = expected + oracles.lea_parts_reference(key, response)
         assert score_documents(pairs).lea == expected.score()
+
+
+class TestB3Differential:
+    """B³ from the sparse overlap rows against the per-mention intersection reference."""
+
+    @staticmethod
+    def _close(a: MetricParts, b: MetricParts) -> bool:
+        return (a.p_den, a.r_den, a.flags) == (b.p_den, b.r_den, b.flags) and all(
+            abs(x - y) <= 1e-12 * max(1.0, abs(y)) for x, y in ((a.p_num, b.p_num), (a.r_num, b.r_num))
+        )
+
+    def test_parts_match_reference(self):
+        rng = random.Random(5051)
+        singletons = empty = 0
+        for _ in range(1500):
+            key, response = _ceafe_case(rng, 40)
+            singletons += any(len(c) == 1 for c in key + response)
+            empty += not key or not response
+            got, want = b_cubed_parts(key, response), oracles.b_cubed_parts_reference(key, response)
+            assert self._close(got, want), (key, response, got, want)
+        assert min(singletons, empty) >= 50
+
+    def test_shared_mention_counts_every_intersection(self):
+        # {1, 2} against {1, 2} and {1}: mention 1 sits in both response chains
+        parts = b_cubed_parts([frozenset({1, 2})], [frozenset({1, 2}), frozenset({1})])
+        assert (parts.r_num, parts.r_den) == ((2 * 2 + 1 * 1) / 2, 2.0)
+        assert (parts.p_num, parts.p_den) == (2 * 2 / 2 + 1 * 1 / 1, 3.0)
+
+    def test_score_documents_sums_reference_parts(self):
+        rng = random.Random(5052)
+        pairs = [_ceafe_case(rng, 30) for _ in range(40)]
+        expected = MetricParts()
+        for key, response in pairs:
+            expected = expected + oracles.b_cubed_parts_reference(key, response)
+        got = score_documents(pairs).b3
+        want = expected.score()
+        assert abs(got.precision - want.precision) <= 1e-12
+        assert abs(got.recall - want.recall) <= 1e-12
+        assert got.flags == want.flags

@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from threadcoref.model import (
@@ -64,6 +67,36 @@ class TestMention:
     def test_rejects_inverted_span(self):
         with pytest.raises(ValueError):
             Mention(0, 0, 3, 2)
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("message_index", (-1, 0, 0, 0)),
+            ("sentence_index", (0, -1, 0, 0)),
+            ("start_token", (0, 0, -1, 0)),
+        ],
+    )
+    def test_each_index_checked_by_name(self, name, args):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+            Mention(*args)
+
+    def test_inverted_span_message(self):
+        with pytest.raises(ValueError, match=r"^mention span \[3, 2\] is inverted$"):
+            Mention(0, 0, 3, 2)
+
+    def test_replace_and_pickle_keep_entity_type(self):
+        mention = Mention(0, 1, 2, 3, EntityType.ORG)
+        moved = replace(mention, end_token=5)
+        assert moved.location == (0, 1, 2, 5) and moved.entity_type is EntityType.ORG
+        copy = pickle.loads(pickle.dumps(mention))
+        assert copy == mention and copy.entity_type is EntityType.ORG
+        with pytest.raises(ValueError, match="inverted"):
+            replace(mention, end_token=1)
+
+    def test_order_ignores_entity_type(self):
+        assert sorted([Mention(0, 0, 2, 2), Mention(0, 0, 1, 4, EntityType.PER)]) == [
+            Mention(0, 0, 1, 4), Mention(0, 0, 2, 2)]
+        assert not Mention(0, 0, 1, 1, EntityType.PER) < Mention(0, 0, 1, 1, EntityType.LOC)
 
 
 class TestStructuralInvariants:

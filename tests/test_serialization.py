@@ -263,7 +263,7 @@ class TestAddressing:
 
 
 class TestDecoderHoles:
-    """Token fields of the wrong JSON type are schema errors at the token's path."""
+    """Token and header fields of the wrong JSON type are schema errors at their path."""
 
     def test_list_section_code_rejected(self, example1_document):
         record = document_to_record(example1_document)
@@ -280,6 +280,36 @@ class TestDecoderHoles:
             record_to_document(record)
         assert err.value.path == "$.messages[0].sentences[0][3]"
         assert "must be a string" in str(err.value)
+
+    @pytest.mark.parametrize("field", ["from", "subject", "x_from"])
+    @pytest.mark.parametrize("value", [5, ["a@b.com"], {"a": "b"}, True])
+    def test_text_header_field_type_checked(self, example1_document, field, value):
+        record = document_to_record(example1_document)
+        record["messages"][0][field] = value
+        with pytest.raises(NativeSchemaError) as err:
+            record_to_document(record)
+        assert err.value.path == f"$.messages[0].{field}"
+        assert err.value.message == "must be a string or null"
+
+    @pytest.mark.parametrize("field", ["to", "cc", "x_to", "x_cc"])
+    @pytest.mark.parametrize("value", ["abc", 5, None, {"a": "b"}, ["a@b.com", 7], [["a@b.com"]]])
+    def test_address_list_field_type_checked(self, example1_document, field, value):
+        record = document_to_record(example1_document)
+        record["messages"][0][field] = value
+        with pytest.raises(NativeSchemaError) as err:
+            record_to_document(record)
+        assert err.value.path == f"$.messages[0].{field}"
+        assert err.value.message == "must be a list of strings"
+
+    def test_null_and_missing_header_fields_accepted(self, example1_document):
+        record = document_to_record(example1_document)
+        message = record["messages"][0]
+        message["from"] = message["subject"] = None
+        del message["x_from"], message["to"], message["x_cc"]
+        doc = record_to_document(record)
+        decoded = doc.thread.messages[0]
+        assert (decoded.from_addr, decoded.subject, decoded.x_from) == (None, None, None)
+        assert decoded.to_addrs == () and decoded.x_cc == ()
 
 
 _JSON_SCALARS = st.one_of(
@@ -379,18 +409,27 @@ def _mutate(data, record):
 
 
 _TOKEN_PATH = re.compile(r"^\$\.messages\[(\d+)\]\.sentences\[(\d+)\]\[(\d+)\]$")
+_HEADER_PATH = re.compile(r"^\$\.messages\[(\d+)\]\.(from|subject|x_from|to|cc|x_to|x_cc)$")
 
 
 def _is_hole(record, path) -> bool:
-    """True if ``path`` names a token whose section code is unhashable or whose text
-    is a non-string the reference decoder accepted."""
+    """True if ``path`` names a value the reference decoder accepted or misreported:
+    a token whose section code is unhashable or whose text is a non-string, or a
+    header field of the wrong JSON type."""
     match = _TOKEN_PATH.match(path)
-    if not match:
-        return False
-    mi, si, ti = map(int, match.groups())
-    item = record["messages"][mi]["sentences"][si][ti]
-    text, code = item[0], item[1]
-    return isinstance(code, (list, dict)) or (bool(text) and not isinstance(text, str))
+    if match:
+        mi, si, ti = map(int, match.groups())
+        item = record["messages"][mi]["sentences"][si][ti]
+        text, code = item[0], item[1]
+        return isinstance(code, (list, dict)) or (bool(text) and not isinstance(text, str))
+    match = _HEADER_PATH.match(path)
+    if match:
+        message, name = record["messages"][int(match.group(1))], match.group(2)
+        if name in ("from", "subject", "x_from"):
+            return message.get(name) is not None and not isinstance(message[name], str)
+        value = message.get(name, [])
+        return not (isinstance(value, list) and all(isinstance(v, str) for v in value))
+    return False
 
 
 class TestDecoderDifferential:

@@ -28,6 +28,7 @@ from .model import (
     EmailThread,
     Mention,
     Section,
+    mention_order,
     mention_tokens,
 )
 from .parsing import header_field_of_sentence, is_recipient_field, is_sender_field
@@ -118,7 +119,7 @@ def chain_overlapping_mentions(
     smallest mention, mentions sorted within each group, so any input
     ordering yields the same partition. Footer mentions never merge.
     """
-    order = sorted(set(mentions))
+    order = sorted(set(mentions), key=mention_order)
     uf = _UnionFind(len(order))
     by_word: dict[str, list[int]] = defaultdict(list)
     for i, mention in enumerate(order):
@@ -162,7 +163,7 @@ def build_participant_index(
     """Assign header mentions sender/recipient roles by their header line."""
     senders: dict[int, list[Mention]] = defaultdict(list)
     recipients: dict[int, list[Mention]] = defaultdict(list)
-    for mention in sorted(set(mentions)):
+    for mention in sorted(set(mentions), key=mention_order):
         if mention_pronoun_class(thread, mention) is not PronounClass.OTHER:
             continue
         tokens = mention_tokens(thread, mention)
@@ -219,7 +220,7 @@ def _resolve(
     plural_as_thread_chain: bool,
     stopwords: frozenset[str],
 ) -> Resolution:
-    order = sorted(set(mentions))
+    order = sorted(set(mentions), key=mention_order)
     index_of = {m: i for i, m in enumerate(order)}
     uf = _UnionFind(len(order))
     unresolved: list[UnresolvedPronoun] = []

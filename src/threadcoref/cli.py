@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 # Only what every subcommand needs is imported here; each handler imports
 # the modules it runs, so a command loads no code it does not use.
 from . import serialization
-from .model import AnnotatedDocument, ToolkitError
+from .model import AnnotatedDocument, ToolkitError, mention_order
 
 if TYPE_CHECKING:
     from .parsing import ParserConfig
@@ -152,7 +152,7 @@ def _resolve_one(payload: tuple[int, str, str]) -> str:
 
     line_no, line, baseline = payload
     doc = serialization.decode_line(line, line_no)
-    mentions = sorted(set(doc.mentions()))
+    mentions = sorted(set(doc.mentions()), key=mention_order)
     resolver = baselines.resolve_hb1 if baseline == "hb1" else baselines.resolve_hb2
     resolution = resolver(doc.thread, mentions)
     out = AnnotatedDocument(thread=doc.thread, chains=resolution.chains)
@@ -170,10 +170,30 @@ def _cmd_resolve(args) -> int:
     return 0
 
 
+def _documents_by_id(
+    docs: list[AnnotatedDocument], path: str, role: str
+) -> dict[str, AnnotatedDocument]:
+    by_id: dict[str, AnnotatedDocument] = {}
+    for doc in docs:
+        if doc.thread.id in by_id:
+            raise ToolkitError(f"{role} file {path} repeats document id {doc.thread.id!r}")
+        by_id[doc.thread.id] = doc
+    return by_id
+
+
 def _pair_documents(
-    key_docs: list[AnnotatedDocument], response_docs: list[AnnotatedDocument]
+    key_docs: list[AnnotatedDocument],
+    response_docs: list[AnnotatedDocument],
+    key_path: str,
+    response_path: str,
 ) -> list[tuple[AnnotatedDocument, AnnotatedDocument]]:
-    responses = {d.thread.id: d for d in response_docs}
+    """Each key document with the response document of its id.
+
+    A repeated id on either side is an error: a scorer that paired it
+    anyway would score some chains against the wrong document.
+    """
+    _documents_by_id(key_docs, key_path, "key")
+    responses = _documents_by_id(response_docs, response_path, "response")
     pairs = []
     for key_doc in key_docs:
         if key_doc.thread.id not in responses:
@@ -191,7 +211,7 @@ def _cmd_score(args) -> int:
         raise ToolkitError(f"unknown metric(s): {', '.join(unknown)}")
     key_docs = _load_documents(Path(args.key), args.format)
     response_docs = _load_documents(Path(args.response), args.format)
-    pairs = _pair_documents(key_docs, response_docs)
+    pairs = _pair_documents(key_docs, response_docs, args.key, args.response)
     report = metrics.score_documents(
         [(k.chains, r.chains) for k, r in pairs]
     )
@@ -227,8 +247,9 @@ def _cmd_errors(args) -> int:
 
     key_docs = _load_documents(Path(args.key), args.format)
     response_docs = _load_documents(Path(args.response), args.format)
+    pairs = _pair_documents(key_docs, response_docs, args.key, args.response)
     total = ErrorReport()
-    for key_doc, response_doc in _pair_documents(key_docs, response_docs):
+    for key_doc, response_doc in pairs:
         total = total + categorize_errors(key_doc.thread, key_doc.chains, response_doc.chains)
     rows = [("category", "count")]
     rows += [(label, str(getattr(total, attr))) for label, attr in _ERROR_ROWS]

@@ -19,6 +19,7 @@ from .model import (
     Section,
     Token,
     ToolkitError,
+    mention_order,
 )
 
 
@@ -125,8 +126,11 @@ def reverse_document(doc: AnnotatedDocument, descending: bool = False) -> Annota
             chain_id=chain.chain_id,
             mentions=tuple(
                 sorted(
-                    dataclasses.replace(m, message_index=perm[m.message_index])
-                    for m in chain.mentions
+                    (
+                        dataclasses.replace(m, message_index=perm[m.message_index])
+                        for m in chain.mentions
+                    ),
+                    key=mention_order,
                 )
             ),
         )

@@ -1,7 +1,8 @@
 """Core domain types for email-thread coreference documents.
 
-Everything here is an immutable value object: threads, messages and tokens
-are frozen dataclasses, so documents can be shared freely between workers.
+Everything here is an immutable value object: threads, messages, chains
+and mentions are frozen dataclasses and tokens are checked tuples, so
+documents can be shared freely between workers.
 Structural invariants that a constructor can check locally (token offsets,
 message index contiguity) raise ``ValueError`` at construction time;
 cross-object consistency of chains and mentions is reported as data by
@@ -10,9 +11,14 @@ cross-object consistency of chains and mentions is reported as data by
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterator, Optional
+from operator import attrgetter
+from typing import Iterator, NamedTuple, Optional
+
+_intern = sys.intern
+_tuple_new = tuple.__new__
 
 
 class ToolkitError(Exception):
@@ -26,6 +32,10 @@ class Section(enum.Enum):
     BODY = "body"
     FOOTER = "footer"
 
+    def __init__(self, value: str) -> None:
+        # the one-letter code of the native format: "h", "b" or "f"
+        self.code = value[0]
+
 
 class EntityType(enum.Enum):
     PER = "PER"
@@ -34,14 +44,9 @@ class EntityType(enum.Enum):
     DIG = "DIG"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Token:
-    """A single token with its position in the thread and raw-text offsets.
-
-    ``__init__`` is written out because it runs once per token of every
-    document read: it checks each argument once, then stores them.
-    """
-
+# typing.NamedTuple forbids overriding __new__ and _make, so the checks
+# live in the subclass below.
+class _TokenFields(NamedTuple):
     text: str
     sentence_index: int
     token_index: int
@@ -50,8 +55,21 @@ class Token:
     char_start: int
     char_end: int
 
-    def __init__(
-        self,
+
+class Token(_TokenFields):
+    """A single token with its position in the thread and raw-text offsets.
+
+    A checked tuple: ``__new__`` checks each argument once, then stores
+    them, because it runs once per token of every document read. An exact
+    ``str`` text is interned, so the many tokens of one word share one
+    string. ``_make``, and through it ``_replace``, runs the same checks.
+    A token equals a plain tuple of the same seven values.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
         text: str,
         sentence_index: int,
         token_index: int,
@@ -59,7 +77,7 @@ class Token:
         section: Section,
         char_start: int,
         char_end: int,
-    ) -> None:
+    ) -> Token:
         if not text:
             raise ValueError("token text must be nonempty")
         if not isinstance(text, str):
@@ -76,14 +94,16 @@ class Token:
             raise ValueError(f"char_start must be < char_end, got [{char_start}, {char_end})")
         if not isinstance(section, Section):
             raise ValueError(f"section must be a Section, got {section!r}")
-        setattr_ = object.__setattr__
-        setattr_(self, "text", text)
-        setattr_(self, "sentence_index", sentence_index)
-        setattr_(self, "token_index", token_index)
-        setattr_(self, "message_index", message_index)
-        setattr_(self, "section", section)
-        setattr_(self, "char_start", char_start)
-        setattr_(self, "char_end", char_end)
+        if type(text) is str:
+            text = _intern(text)
+        return _tuple_new(
+            cls, (text, sentence_index, token_index, message_index, section, char_start, char_end)
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> Token:
+        # namedtuple's own _make calls tuple.__new__ and would skip the checks
+        return cls(*iterable)
 
 
 def _as_tuple(value):
@@ -218,6 +238,11 @@ class Mention:
     @property
     def location(self) -> tuple[int, int, int, int]:
         return (self.message_index, self.sentence_index, self.start_token, self.end_token)
+
+
+# Sorts mentions in the order Mention's own comparisons give, but compares
+# the four location fields in C instead of calling the generated __lt__.
+mention_order = attrgetter("message_index", "sentence_index", "start_token", "end_token")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .model import (
     Section,
     Token,
     ToolkitError,
+    mention_order,
 )
 
 
@@ -171,7 +172,10 @@ def _skeleton_document(
         CoreferenceChain(
             chain_id=cid,
             mentions=tuple(
-                sorted(Mention(0, s, start, end) for (s, start, end) in spans)
+                sorted(
+                    (Mention(0, s, start, end) for (s, start, end) in spans),
+                    key=mention_order,
+                )
             ),
         )
         for cid, spans in sorted(chains.items())
@@ -277,8 +281,7 @@ def read_conll(text: str) -> AnnotatedDocument:
 # Native JSONL format
 # ---------------------------------------------------------------------------
 
-_SECTION_CODES = {Section.HEADER: "h", Section.BODY: "b", Section.FOOTER: "f"}
-_CODE_SECTIONS = {v: k for k, v in _SECTION_CODES.items()}
+_CODE_SECTIONS = {section.code: section for section in Section}
 
 
 def document_to_record(
@@ -299,7 +302,7 @@ def document_to_record(
                 "x_cc": list(msg.x_cc),
                 "sentences": [
                     [
-                        [t.text, _SECTION_CODES[t.section], t.char_start, t.char_end]
+                        [t.text, t.section.code, t.char_start, t.char_end]
                         for t in sentence
                     ]
                     for sentence in msg.sentences
@@ -337,7 +340,7 @@ def document_to_record(
             ]
         if "si" in features:
             columns["si"] = [
-                [[_SECTION_CODES[t.section] for t in sentence] for sentence in msg.sentences]
+                [[t.section.code for t in sentence] for sentence in msg.sentences]
                 for msg in thread.messages
             ]
         record["features"] = columns
@@ -499,7 +502,9 @@ def write_native_string(
 
 def native_lines(text: str) -> list[tuple[int, str]]:
     """The nonblank lines of JSONL text, each with its 1-based line number."""
-    return [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    # only "\n" ends a record: str.splitlines() would also split at U+2028,
+    # U+2029 and U+0085, which write_native leaves raw inside strings
+    return [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
 
 
 def decode_line(line: str, line_no: int) -> AnnotatedDocument:

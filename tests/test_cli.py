@@ -279,6 +279,40 @@ class TestStats:
             "average_chain_length",
         }
 
+    def test_line_separator_in_header_field(self, gold_corpus, tmp_path, capsys):
+        # write_native leaves U+2028, U+2029 and U+0085 raw inside strings
+        docs = read_native(gold_corpus.read_text(encoding="utf-8"))
+        first = docs[0].thread.messages[0]
+        first = replace(first, subject="Budget\u2028review\u2029and\x85more")
+        docs[0] = replace(docs[0], thread=replace(docs[0].thread, messages=(
+            first, *docs[0].thread.messages[1:])))
+        odd = tmp_path / "odd.jsonl"
+        with open(odd, "w", encoding="utf-8") as fp:
+            write_native(docs, fp)
+        assert main(["stats", "--in", str(gold_corpus)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["stats", "--in", str(odd)]) == 0
+        assert capsys.readouterr().out == expected
+
+
+class TestRepeatedDocumentIds:
+    @pytest.mark.parametrize("command", ["score", "errors"])
+    @pytest.mark.parametrize("side", ["key", "response"])
+    def test_repeated_id_exits_1(self, gold_corpus, tmp_path, capsys, command, side):
+        docs = read_native(gold_corpus.read_text(encoding="utf-8"))
+        repeated = tmp_path / f"{side}.jsonl"
+        with open(repeated, "w", encoding="utf-8") as fp:
+            # the first document again, without chains
+            write_native([*docs, AnnotatedDocument(docs[0].thread)], fp)
+        files = {"key": str(gold_corpus), "response": str(gold_corpus), side: str(repeated)}
+        code = main([command, "--key", files["key"], "--response", files["response"]])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {side} file {repeated} repeats document id {docs[0].thread.id!r}\n"
+        )
+
 
 class TestCorrectionStats:
     def test_identity_all_unchanged(self, gold_corpus, capsys):

@@ -1,4 +1,6 @@
+import copy
 import pickle
+import random
 from dataclasses import replace
 
 import pytest
@@ -12,6 +14,7 @@ from threadcoref.model import (
     Mention,
     Section,
     Token,
+    mention_order,
     validate_document,
 )
 
@@ -97,6 +100,56 @@ class TestMention:
         assert sorted([Mention(0, 0, 2, 2), Mention(0, 0, 1, 4, EntityType.PER)]) == [
             Mention(0, 0, 1, 4), Mention(0, 0, 2, 2)]
         assert not Mention(0, 0, 1, 1, EntityType.PER) < Mention(0, 0, 1, 1, EntityType.LOC)
+
+
+    def test_mention_order_sorts_as_mentions_compare(self):
+        rng = random.Random(5)
+        types = (None, *EntityType)
+        for _ in range(200):
+            mentions = set()
+            for _ in range(rng.randint(0, 30)):
+                start = rng.randint(0, 3)
+                mentions.add(Mention(rng.randint(0, 2), rng.randint(0, 2), start,
+                                     start + rng.randint(0, 2), rng.choice(types)))
+            assert sorted(mentions, key=mention_order) == sorted(mentions)
+
+
+class TestTupleToken:
+    def test_pickle_and_copy_round_trip(self):
+        token = tok("word", si=1, ti=2, mi=3, start=4, section=Section.HEADER)
+        for again in (pickle.loads(pickle.dumps(token)), copy.copy(token), copy.deepcopy(token)):
+            assert again == token
+            assert type(again) is Token
+
+    def test_replace_and_make_run_the_checks(self):
+        token = tok("a")
+        with pytest.raises(ValueError, match="^char_start must be nonnegative, got -1$"):
+            token._replace(char_start=-1)
+        with pytest.raises(ValueError, match="^token_index must be nonnegative, got -1$"):
+            Token._make(["a", 0, -1, 0, Section.BODY, 0, 1])
+        with pytest.raises(ValueError, match="^section must be a Section, got 'body'$"):
+            Token._make(["a", 0, 0, 0, "body", 0, 1])
+        assert token._replace(char_end=5) == tok("a", end=5)
+
+    def test_no_instance_dict(self):
+        assert not hasattr(tok("a"), "__dict__")
+
+    def test_repr_unchanged(self):
+        assert repr(tok("a")) == (
+            "Token(text='a', sentence_index=0, token_index=0, message_index=0, "
+            "section=<Section.BODY: 'body'>, char_start=0, char_end=1)"
+        )
+
+    def test_equal_texts_share_one_string(self):
+        first, second = "".join(["wo", "rd"]), "".join(["wo", "rd"])
+        assert first is not second
+        assert tok(first).text is tok(second, start=5).text
+
+    def test_equals_plain_tuple(self):
+        token = tok("a")
+        plain = ("a", 0, 0, 0, Section.BODY, 0, 1)
+        assert token == plain
+        assert hash(token) == hash(plain)
 
 
 class TestStructuralInvariants:

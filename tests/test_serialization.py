@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -221,6 +222,31 @@ class TestNativeFormat:
         import json
 
         assert record_to_document(json.loads(json.dumps(record))) == example1_document
+
+
+# Characters str.splitlines() breaks at besides "\n" and "\r"; write_native
+# leaves the first three raw in its output and escapes the others.
+LINE_BREAKING_CHARS = ("\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
+def with_header_text(doc, text):
+    first = doc.thread.messages[0]
+    first = replace(first, subject=f"Budget{text}review", to_addrs=(*first.to_addrs, f"a{text}b"))
+    thread = replace(doc.thread, messages=(first, *doc.thread.messages[1:]))
+    return replace(doc, thread=thread)
+
+
+class TestLineSeparators:
+    @pytest.mark.parametrize("char", LINE_BREAKING_CHARS, ids=lambda c: f"U+{ord(c):04X}")
+    def test_header_field_survives_round_trip(self, example1_document, char):
+        doc = with_header_text(example1_document, char)
+        text = write_native_string([doc, example1_document])
+        assert read_native(text) == [doc, example1_document]
+
+    def test_line_numbers_count_newlines_only(self, example1_document):
+        doc = with_header_text(example1_document, "".join(LINE_BREAKING_CHARS))
+        with pytest.raises(NativeSchemaError, match="^line 2: invalid JSON"):
+            read_native(write_native_string([doc]) + "{broken\n")
 
 
 class TestRandomizedRoundTrip:

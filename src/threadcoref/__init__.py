@@ -52,8 +52,11 @@ _EXPORTS = {
             "FilterCategory",
             "FilterConfig",
             "FilterVerdict",
+            "ThreadSummary",
             "filter_corpus",
+            "filter_summaries",
             "fingerprint_message",
+            "summarize_thread",
         ),
         "filtering",
     ),
@@ -104,6 +107,8 @@ _EXPORTS = {
             "MalformedColumn",
             "NativeSchemaError",
             "OverlappingIdenticalSpan",
+            "iter_conll",
+            "iter_native",
             "read_conll",
             "read_conll_documents",
             "read_native",

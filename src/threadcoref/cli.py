@@ -5,16 +5,22 @@ correction-stats. Reports are machine-parseable TSV with a fixed header
 row (--pretty aligns them for humans). Given identical inputs and
 configuration all outputs are deterministic byte for byte, including under
 --jobs parallelism: work is distributed per thread but results are reduced
-in input order.
+in input order. Every command except parse and resolve reads its input one
+document at a time, so it holds at most one document of each input file.
 
 Exit codes: 0 on success, 1 on data errors, 2 on usage errors.
 """
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
+import os
 import sys
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 # Only what every subcommand needs is imported here; each handler imports
 # the modules it runs, so a command loads no code it does not use.
@@ -22,6 +28,8 @@ from . import serialization
 from .model import AnnotatedDocument, ToolkitError, mention_order
 
 if TYPE_CHECKING:
+    from .filtering import FilterConfig, ThreadSummary
+    from .model import EmailThread
     from .parsing import ParserConfig
 
 _METRIC_NAMES = ("muc", "b3", "ceafe", "lea")
@@ -45,13 +53,22 @@ def _iter_thread_files(root: Path) -> list[Path]:
     return sorted(p for p in root.rglob("*") if p.is_file())
 
 
-def _parse_one(args: tuple[str, str, ParserConfig]) -> str:
+def _parse_text(text: str, rel: str, config: ParserConfig) -> EmailThread:
     from .parsing import RawThread, parse_thread
 
-    text, rel, config = args
-    raw = RawThread(id=rel, text=text, source_path=rel)
-    doc = AnnotatedDocument(thread=parse_thread(raw, config))
+    return parse_thread(RawThread(id=rel, text=text, source_path=rel), config)
+
+
+def _parse_one(args: tuple[str, str, ParserConfig]) -> str:
+    doc = AnnotatedDocument(thread=_parse_text(*args))
     return serialization.write_native_string([doc])
+
+
+def _summarize_one(args: tuple[str, str, ParserConfig, FilterConfig]) -> ThreadSummary:
+    from .filtering import summarize_thread
+
+    text, rel, config, filter_config = args
+    return summarize_thread(_parse_text(text, rel, config), filter_config)
 
 
 def _map_jobs(func, items: list, jobs: int) -> list:
@@ -64,28 +81,128 @@ def _map_jobs(func, items: list, jobs: int) -> list:
         return list(pool.map(func, items, chunksize=max(1, len(items) // (jobs * 4) or 1)))
 
 
-def _load_documents(path: Path, fmt: str) -> list[AnnotatedDocument]:
-    text = path.read_text(encoding="utf-8")
-    if fmt == "auto":
-        if path.suffix == ".conll" or text.lstrip().startswith("#begin"):
-            fmt = "conll"
+def _format_of(path: Path, fmt: str) -> str:
+    """``fmt``, or for "auto" the format the file's suffix or first characters show."""
+    if fmt != "auto":
+        return fmt
+    if path.suffix == ".conll":
+        return "conll"
+    head = ""
+    with open(path, encoding="utf-8") as fp:
+        while len(head) < len("#begin"):
+            chunk = fp.read(4096)
+            if not chunk:
+                break
+            head = (head + chunk).lstrip()
+    return "conll" if head.startswith("#begin") else "native"
+
+
+def _read_documents(
+    path: Path, fmt: str
+) -> Iterator[tuple[AnnotatedDocument, Callable[[], AnnotatedDocument]]]:
+    """The documents of a native or CoNLL file in file order, one at a time.
+
+    Each comes with a function that gives it again. For native input that
+    function decodes the record's line again, so a caller that sets a
+    document aside holds a line of text, not a decoded document.
+    """
+    if _format_of(path, fmt) == "conll":
+        for doc in serialization.iter_conll(path):
+            yield doc, partial(_same, doc)
+    else:
+        for line_no, line in serialization.iter_native_lines(path):
+            yield serialization.decode_line(line, line_no), partial(
+                serialization.decode_line, line, line_no
+            )
+
+
+def _same(doc: AnnotatedDocument) -> AnnotatedDocument:
+    return doc
+
+
+def _paired_documents(
+    first: tuple[str, str], second: tuple[str, str], fmt: str
+) -> Iterator[tuple[AnnotatedDocument, AnnotatedDocument]]:
+    """Each document of the first file with the document of its id in the second.
+
+    ``first`` and ``second`` are (path, role) pairs; the role names the file
+    in messages. Pairs come in the first file's order. While the ids agree,
+    which is the normal case for a response made from its key, both files
+    advance in lockstep. A second-file document read ahead of its partner
+    waits in an index by id until it is asked for. Every record of both
+    files is decoded and checked, also those no partner asks for.
+
+    A repeated id on either side is an error: a scorer that paired it
+    anyway would score some chains against the wrong document.
+    """
+    (first_path, first_role), (second_path, second_role) = first, second
+    seconds = _read_documents(Path(second_path), fmt)
+    first_ids: set[str] = set()
+    second_ids: set[str] = set()
+    ahead: dict[str, Callable[[], AnnotatedDocument]] = {}
+
+    def check_second(doc: AnnotatedDocument) -> str:
+        doc_id = doc.thread.id
+        if doc_id in second_ids:
+            raise ToolkitError(f"{second_role} file {second_path} repeats document id {doc_id!r}")
+        second_ids.add(doc_id)
+        return doc_id
+
+    for doc, _ in _read_documents(Path(first_path), fmt):
+        doc_id = doc.thread.id
+        if doc_id in first_ids:
+            raise ToolkitError(f"{first_role} file {first_path} repeats document id {doc_id!r}")
+        first_ids.add(doc_id)
+        if doc_id in ahead:
+            yield doc, ahead.pop(doc_id)()
+            continue
+        for other, again in seconds:
+            if check_second(other) == doc_id:
+                yield doc, other
+                break
+            ahead[other.thread.id] = again
         else:
-            fmt = "native"
-    if fmt == "conll":
-        return serialization.read_conll_documents(text)
-    return serialization.read_native(text)
+            raise ToolkitError(f"{second_role} file has no document {doc_id!r}")
+    for other, _ in seconds:
+        check_second(other)
 
 
-def _parse_corpus_dir(path: Path, separators: Optional[str], footers: Optional[str], jobs: int) -> list[str]:
-    """Parse every thread file under ``path``; one native JSONL line per thread."""
+@contextmanager
+def _replacing(path: str) -> Iterator[IO[str]]:
+    """A text file that takes the place of ``path`` only once the block succeeds.
+
+    A command that fails part way through its input leaves ``path`` as it
+    was. A symbolic link is followed, so the file it names is replaced. A
+    path that names no regular file, such as /dev/stdout, is written in
+    place.
+    """
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        with open(target, "w", encoding="utf-8") as fp:
+            yield fp
+        return
+    partial_out = target.with_name(f".{target.name}.{os.getpid()}.partial")
+    try:
+        with open(partial_out, "w", encoding="utf-8") as fp:
+            yield fp
+        os.replace(partial_out, target)
+    finally:
+        partial_out.unlink(missing_ok=True)
+
+
+def _parse_corpus_dir(
+    path: Path, separators: Optional[str], footers: Optional[str], jobs: int, func, *extra
+) -> list:
+    """``func`` of (text, relative path, parser config, *extra) for every
+    thread file under ``path``, in file order."""
     from .parsing import ParserConfig
 
     config = ParserConfig.from_files(separators, footers)
     payload = []
     for file in _iter_thread_files(path):
         rel = file.name if path.is_file() else file.relative_to(path).as_posix()
-        payload.append((file.read_text(encoding="utf-8", errors="replace"), rel, config))
-    return _map_jobs(_parse_one, payload, jobs)
+        payload.append((file.read_text(encoding="utf-8", errors="replace"), rel, config, *extra))
+    return _map_jobs(func, payload, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +210,8 @@ def _parse_corpus_dir(path: Path, separators: Optional[str], footers: Optional[s
 # ---------------------------------------------------------------------------
 
 def _cmd_parse(args) -> int:
-    lines = _parse_corpus_dir(Path(args.input), args.separators, args.footers, args.jobs)
-    with open(args.out, "w", encoding="utf-8") as fp:
+    lines = _parse_corpus_dir(Path(args.input), args.separators, args.footers, args.jobs, _parse_one)
+    with _replacing(args.out) as fp:
         fp.writelines(lines)
     return 0
 
@@ -102,18 +219,6 @@ def _cmd_parse(args) -> int:
 def _cmd_filter(args) -> int:
     from . import filtering
 
-    path = Path(args.input)
-    if path.is_dir():
-        lines = _parse_corpus_dir(path, args.separators, args.footers, args.jobs)
-        docs = serialization.read_native("".join(lines))
-    else:
-        docs = _load_documents(path, "native")
-    threads = [d.thread for d in docs]
-    exclusion = (
-        filtering.ExclusionSet.from_file(args.exclude_fingerprints)
-        if args.exclude_fingerprints
-        else filtering.ExclusionSet()
-    )
     config = filtering.FilterConfig(
         min_messages=args.min_messages,
         hex_min_run=args.hex_min_run,
@@ -121,14 +226,29 @@ def _cmd_filter(args) -> int:
         stopword_min_fraction=args.stopword_min_fraction,
         language_min_tokens=args.language_min_tokens,
     )
-    verdicts, report = filtering.filter_corpus(threads, exclusion, config)
+    path = Path(args.input)
+    if path.is_dir():
+        summaries = _parse_corpus_dir(
+            path, args.separators, args.footers, args.jobs, _summarize_one, config
+        )
+    else:
+        summaries = [
+            filtering.summarize_thread(doc.thread, config)
+            for _, doc in serialization.iter_native(path)
+        ]
+    exclusion = (
+        filtering.ExclusionSet.from_file(args.exclude_fingerprints)
+        if args.exclude_fingerprints
+        else filtering.ExclusionSet()
+    )
+    verdicts, report = filtering.filter_summaries(summaries, exclusion, config)
     rows = [("category", "count")]
     rows += [(cat.value, str(count)) for cat, count in report.counts]
     rows.append(("total", str(report.total)))
-    with open(args.report, "w", encoding="utf-8") as fp:
+    with _replacing(args.report) as fp:
         _emit_table(rows, fp, args.pretty)
     if args.verdicts:
-        with open(args.verdicts, "w", encoding="utf-8") as fp:
+        with _replacing(args.verdicts) as fp:
             vrows = [("thread_id", "category", "detail")]
             vrows += [(v.thread_id, v.category.value, v.detail) for v in verdicts]
             _emit_table(vrows, fp, args.pretty)
@@ -138,12 +258,13 @@ def _cmd_filter(args) -> int:
 def _cmd_features(args) -> int:
     from .features import reverse_document
 
-    docs = _load_documents(Path(args.input), "native")
-    if args.rev:
-        docs = [reverse_document(d, descending=args.direction == "descending") for d in docs]
     columns = [name for name, wanted in (("mi", args.mi), ("si", args.si)) if wanted]
-    with open(args.out, "w", encoding="utf-8") as fp:
-        serialization.write_native(docs, fp, features=columns)
+    descending = args.direction == "descending"
+    with _replacing(args.out) as fp:
+        for _, doc in serialization.iter_native(args.input):
+            if args.rev:
+                doc = reverse_document(doc, descending=descending)
+            serialization.write_native((doc,), fp, features=columns)
     return 0
 
 
@@ -165,41 +286,9 @@ def _cmd_resolve(args) -> int:
         (line_no, line, args.baseline) for line_no, line in serialization.native_lines(text)
     ]
     lines = _map_jobs(_resolve_one, payload, args.jobs)
-    with open(args.out, "w", encoding="utf-8") as fp:
+    with _replacing(args.out) as fp:
         fp.writelines(lines)
     return 0
-
-
-def _documents_by_id(
-    docs: list[AnnotatedDocument], path: str, role: str
-) -> dict[str, AnnotatedDocument]:
-    by_id: dict[str, AnnotatedDocument] = {}
-    for doc in docs:
-        if doc.thread.id in by_id:
-            raise ToolkitError(f"{role} file {path} repeats document id {doc.thread.id!r}")
-        by_id[doc.thread.id] = doc
-    return by_id
-
-
-def _pair_documents(
-    key_docs: list[AnnotatedDocument],
-    response_docs: list[AnnotatedDocument],
-    key_path: str,
-    response_path: str,
-) -> list[tuple[AnnotatedDocument, AnnotatedDocument]]:
-    """Each key document with the response document of its id.
-
-    A repeated id on either side is an error: a scorer that paired it
-    anyway would score some chains against the wrong document.
-    """
-    _documents_by_id(key_docs, key_path, "key")
-    responses = _documents_by_id(response_docs, response_path, "response")
-    pairs = []
-    for key_doc in key_docs:
-        if key_doc.thread.id not in responses:
-            raise ToolkitError(f"response file has no document {key_doc.thread.id!r}")
-        pairs.append((key_doc, responses[key_doc.thread.id]))
-    return pairs
 
 
 def _cmd_score(args) -> int:
@@ -209,12 +298,8 @@ def _cmd_score(args) -> int:
     unknown = [m for m in requested if m not in _METRIC_NAMES]
     if unknown:
         raise ToolkitError(f"unknown metric(s): {', '.join(unknown)}")
-    key_docs = _load_documents(Path(args.key), args.format)
-    response_docs = _load_documents(Path(args.response), args.format)
-    pairs = _pair_documents(key_docs, response_docs, args.key, args.response)
-    report = metrics.score_documents(
-        [(k.chains, r.chains) for k, r in pairs]
-    )
+    pairs = _paired_documents((args.key, "key"), (args.response, "response"), args.format)
+    report = metrics.score_documents((k.chains, r.chains) for k, r in pairs)
     header: list[str] = []
     values: list[str] = []
     for name in _METRIC_NAMES:
@@ -245,11 +330,10 @@ _ERROR_ROWS = (
 def _cmd_errors(args) -> int:
     from .errors import ErrorReport, categorize_errors
 
-    key_docs = _load_documents(Path(args.key), args.format)
-    response_docs = _load_documents(Path(args.response), args.format)
-    pairs = _pair_documents(key_docs, response_docs, args.key, args.response)
     total = ErrorReport()
-    for key_doc, response_doc in pairs:
+    for key_doc, response_doc in _paired_documents(
+        (args.key, "key"), (args.response, "response"), args.format
+    ):
         total = total + categorize_errors(key_doc.thread, key_doc.chains, response_doc.chains)
     rows = [("category", "count")]
     rows += [(label, str(getattr(total, attr))) for label, attr in _ERROR_ROWS]
@@ -260,8 +344,7 @@ def _cmd_errors(args) -> int:
 def _cmd_stats(args) -> int:
     from . import metrics
 
-    docs = _load_documents(Path(args.input), "native")
-    stats = metrics.corpus_stats(docs)
+    stats = metrics.corpus_stats(doc for _, doc in serialization.iter_native(args.input))
     rows = [
         ("statistic", "value"),
         ("email_threads", str(stats.thread_count)),
@@ -280,14 +363,8 @@ def _cmd_stats(args) -> int:
 def _cmd_correction_stats(args) -> int:
     from . import metrics
 
-    pred_docs = _load_documents(Path(args.pred), args.format)
-    gold_docs = _load_documents(Path(args.gold), args.format)
-    gold_by_id = {d.thread.id: d for d in gold_docs}
     stats = metrics.CorrectionStats()
-    for pred_doc in pred_docs:
-        gold_doc = gold_by_id.get(pred_doc.thread.id)
-        if gold_doc is None:
-            raise ToolkitError(f"gold file has no document {pred_doc.thread.id!r}")
+    for pred_doc, gold_doc in _paired_documents((args.pred, "pred"), (args.gold, "gold"), args.format):
         stats = stats + metrics.correction_stats(pred_doc.mentions(), gold_doc.mentions())
     rows = [
         ("statistic", "value"),
@@ -330,17 +407,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, jobs=False):
         p.add_argument("--pretty", action="store_true", help="align output for humans")
-        p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+        if jobs:
+            p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
 
     p = sub.add_parser("parse", help="parse thread files into native records")
     p.add_argument("--in", dest="input", required=True, help="thread file or directory")
     p.add_argument("--out", required=True, help="output JSONL path")
     p.add_argument("--separators", help="separator marker phrases, one per line")
     p.add_argument("--footers", help="footer marker phrases, one per line")
-    add_common(p)
-    p.set_defaults(func=_cmd_parse)
+    add_common(p, jobs=True)
+    p.set_defaults(func=_cmd_parse, uses=("parsing",))
 
     p = sub.add_parser("filter", help="classify threads into filtering categories")
     p.add_argument("--in", dest="input", required=True, help="thread directory or JSONL")
@@ -354,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hex-min-fraction", type=_positive_float, default=0.95)
     p.add_argument("--stopword-min-fraction", type=_positive_float, default=0.02)
     p.add_argument("--language-min-tokens", type=_positive_int, default=50)
-    add_common(p)
-    p.set_defaults(func=_cmd_filter)
+    add_common(p, jobs=True)
+    p.set_defaults(func=_cmd_filter, uses=("filtering",))
 
     p = sub.add_parser("features", help="add MI/SI columns and/or reorder by date")
     p.add_argument("--in", dest="input", required=True, help="native JSONL input")
@@ -370,15 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="date order used by --rev",
     )
     add_common(p)
-    p.set_defaults(func=_cmd_features)
+    p.set_defaults(func=_cmd_features, uses=("features",))
 
     p = sub.add_parser("resolve", help="run a header baseline on gold mentions")
     p.add_argument("--baseline", choices=("hb1", "hb2"), required=True)
     p.add_argument("--mentions", choices=("gold",), default="gold")
     p.add_argument("--in", dest="input", required=True, help="native JSONL with gold chains")
     p.add_argument("--out", required=True, help="native JSONL with predicted chains")
-    add_common(p)
-    p.set_defaults(func=_cmd_resolve)
+    add_common(p, jobs=True)
+    p.set_defaults(func=_cmd_resolve, uses=("baselines",))
 
     p = sub.add_parser("score", help="score response chains against key chains")
     p.add_argument("--key", required=True)
@@ -386,41 +464,74 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default="muc,b3,ceafe,lea")
     p.add_argument("--format", choices=("auto", "conll", "native"), default="auto")
     add_common(p)
-    p.set_defaults(func=_cmd_score)
+    p.set_defaults(func=_cmd_score, uses=("metrics",))
 
     p = sub.add_parser("errors", help="categorize prediction errors")
     p.add_argument("--key", required=True)
     p.add_argument("--response", required=True)
     p.add_argument("--format", choices=("auto", "conll", "native"), default="auto")
     add_common(p)
-    p.set_defaults(func=_cmd_errors)
+    p.set_defaults(func=_cmd_errors, uses=("errors",))
 
     p = sub.add_parser("stats", help="corpus statistics over native records")
     p.add_argument("--in", dest="input", required=True)
     add_common(p)
-    p.set_defaults(func=_cmd_stats)
+    p.set_defaults(func=_cmd_stats, uses=("metrics",))
 
     p = sub.add_parser("correction-stats", help="manual-correction bookkeeping")
     p.add_argument("--pred", required=True, help="predicted mentions (native JSONL)")
     p.add_argument("--gold", required=True, help="corrected gold mentions (native JSONL)")
     p.add_argument("--format", choices=("auto", "conll", "native"), default="auto")
     add_common(p)
-    p.set_defaults(func=_cmd_correction_stats)
+    p.set_defaults(func=_cmd_correction_stats, uses=("metrics",))
 
     return parser
+
+
+# Gen-0 collection threshold while a command runs (CPython's default is 700).
+_GC_GEN0_THRESHOLD = 100_000
+
+
+@contextmanager
+def _collector_policy() -> Iterator[None]:
+    """Run a command with fewer cyclic-GC passes; the collector's state is restored after.
+
+    A command allocates millions of tuples, strings and frozen dataclasses
+    that reference counting frees, yet every 700 net allocations would start
+    a pass that walks the objects still alive. So the objects alive at the
+    start (modules, the parsed arguments) are frozen out of the collector's
+    view, and gen-0 passes come every 100,000 allocations. The collector
+    stays on. Objects a caller froze before stay frozen: freezing is skipped
+    then, because unfreezing on return would release them too.
+    """
+    threshold = gc.get_threshold()
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    gc.set_threshold(_GC_GEN0_THRESHOLD, *threshold[1:])
+    try:
+        yield
+    finally:
+        gc.set_threshold(*threshold)
+        if freeze:
+            gc.unfreeze()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # the handler's own imports, loaded before the collector policy freezes what is alive
+    for name in args.uses:
+        importlib.import_module(f"{__package__}.{name}")
+    with _collector_policy():
+        try:
+            return args.func(args)
+        except ToolkitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except FileNotFoundError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

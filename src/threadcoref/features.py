@@ -8,7 +8,6 @@ and token offsets, and can carry an attached annotation along consistently.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .model import (
@@ -16,6 +15,7 @@ from .model import (
     CoreferenceChain,
     EmailMessage,
     EmailThread,
+    Mention,
     Section,
     Token,
     ToolkitError,
@@ -69,11 +69,29 @@ def date_permutation(thread: EmailThread, descending: bool = False) -> list[int]
     return perm
 
 
+def _moved_message(
+    msg: EmailMessage, index: int, sentences: tuple[tuple[Token, ...], ...]
+) -> EmailMessage:
+    """``msg`` with a new index and new sentences; the header fields carry over."""
+    return EmailMessage(
+        index=index,
+        date=msg.date,
+        from_addr=msg.from_addr,
+        to_addrs=msg.to_addrs,
+        cc_addrs=msg.cc_addrs,
+        subject=msg.subject,
+        x_from=msg.x_from,
+        x_to=msg.x_to,
+        x_cc=msg.x_cc,
+        sentences=sentences,
+    )
+
+
 def _shift_message(msg: EmailMessage, new_index: int, new_base: int) -> tuple[EmailMessage, int]:
     """Renumber a message and shift its token offsets to start at new_base."""
     tokens = list(msg.tokens())
     if not tokens:
-        return dataclasses.replace(msg, index=new_index), new_base
+        return _moved_message(msg, new_index, msg.sentences), new_base
     old_base = tokens[0].char_start
     shift = new_base - old_base
     sentences = tuple(
@@ -92,7 +110,7 @@ def _shift_message(msg: EmailMessage, new_index: int, new_base: int) -> tuple[Em
         for sentence in msg.sentences
     )
     next_base = tokens[-1].char_end + shift + 1
-    return dataclasses.replace(msg, index=new_index, sentences=sentences), next_base
+    return _moved_message(msg, new_index, sentences), next_base
 
 
 def reverse_thread(thread: EmailThread, descending: bool = False) -> EmailThread:
@@ -127,7 +145,13 @@ def reverse_document(doc: AnnotatedDocument, descending: bool = False) -> Annota
             mentions=tuple(
                 sorted(
                     (
-                        dataclasses.replace(m, message_index=perm[m.message_index])
+                        Mention(
+                            perm[m.message_index],
+                            m.sentence_index,
+                            m.start_token,
+                            m.end_token,
+                            m.entity_type,
+                        )
                         for m in chain.mentions
                     ),
                     key=mention_order,

@@ -10,7 +10,9 @@ verdict under a fixed precedence:
 
 All detectors are pure functions of thread content; duplicate detection
 additionally needs a read-only fingerprint index built over the whole
-candidate set in a single pass.
+candidate set in a single pass. Classification reads a small
+``ThreadSummary`` of each thread, so a caller can read threads one at a
+time and keep only their summaries.
 """
 from __future__ import annotations
 
@@ -141,6 +143,21 @@ def _is_submultiset(small: Counter, big: Counter) -> bool:
     return all(big[key] >= count for key, count in small.items())
 
 
+def _is_contained(thread_id: str, own: Counter, corpus_index: Mapping[str, Counter]) -> bool:
+    for other_id, other in corpus_index.items():
+        if other_id == thread_id:
+            continue
+        if not _is_submultiset(own, other):
+            continue
+        if _is_submultiset(other, own):
+            # identical: break the tie by id
+            if thread_id > other_id:
+                return True
+        else:
+            return True
+    return False
+
+
 def detect_duplicate(
     thread: EmailThread, corpus_index: Mapping[str, Counter]
 ) -> bool:
@@ -153,18 +170,7 @@ def detect_duplicate(
     own = corpus_index.get(thread.id)
     if own is None:
         own = thread_fingerprints(thread)
-    for other_id, other in corpus_index.items():
-        if other_id == thread.id:
-            continue
-        if not _is_submultiset(own, other):
-            continue
-        if _is_submultiset(other, own):
-            # identical: break the tie by id
-            if thread.id > other_id:
-                return True
-        else:
-            return True
-    return False
+    return _is_contained(thread.id, own, corpus_index)
 
 
 def detect_no_content(thread: EmailThread) -> bool:
@@ -216,9 +222,13 @@ def detect_non_english(
 def in_excluded_directory(
     thread: EmailThread, config: FilterConfig = DEFAULT_FILTER_CONFIG
 ) -> bool:
-    if not thread.source_path:
+    return _in_excluded_directory(thread.source_path, config)
+
+
+def _in_excluded_directory(source_path: Optional[str], config: FilterConfig) -> bool:
+    if not source_path:
         return False
-    parts = PurePath(thread.source_path).parts[:-1]
+    parts = PurePath(source_path).parts[:-1]
     return any(p in config.excluded_directories for p in parts)
 
 
@@ -237,35 +247,84 @@ class FilterReport:
         return dict(self.counts).get(category, 0)
 
 
+@dataclass(frozen=True)
+class ThreadSummary:
+    """What classification needs of one thread, so the thread itself can go.
+
+    ``content`` is the first of the content checks (no content, inline
+    attachment, non-English, in precedence order) that rejects the thread,
+    or None; it depends on the ``FilterConfig`` the summary was made with.
+    """
+
+    id: str
+    source_path: Optional[str]
+    fingerprints: Counter
+    message_count: int
+    content: Optional[FilterCategory]
+
+
+_CONTENT_DETAILS = {
+    FilterCategory.NO_CONTENT: "over half of messages have no body",
+    FilterCategory.INVALID_ATTACHMENT: "inline hex attachment",
+    FilterCategory.NON_ENGLISH: "stopword hit rate below threshold",
+}
+
+
+def summarize_thread(
+    thread: EmailThread, config: FilterConfig = DEFAULT_FILTER_CONFIG
+) -> ThreadSummary:
+    if detect_no_content(thread):
+        content = FilterCategory.NO_CONTENT
+    elif detect_invalid_attachment(thread, config):
+        content = FilterCategory.INVALID_ATTACHMENT
+    elif detect_non_english(thread, config):
+        content = FilterCategory.NON_ENGLISH
+    else:
+        content = None
+    return ThreadSummary(
+        id=thread.id,
+        source_path=thread.source_path,
+        fingerprints=thread_fingerprints(thread),
+        message_count=len(thread.messages),
+        content=content,
+    )
+
+
+def _classify(
+    summary: ThreadSummary,
+    corpus_index: Mapping[str, Counter],
+    exclusion: ExclusionSet,
+    config: FilterConfig,
+) -> FilterVerdict:
+    own = corpus_index.get(summary.id) or summary.fingerprints
+    if exclusion.fingerprints:
+        overlap = len(set(own) & exclusion.fingerprints)
+        if overlap:
+            return FilterVerdict(
+                summary.id,
+                FilterCategory.EXCLUSION_OVERLAP,
+                f"{overlap} message(s) overlap the exclusion set",
+            )
+    if _is_contained(summary.id, own, corpus_index):
+        return FilterVerdict(summary.id, FilterCategory.DUPLICATE, "contained in another thread")
+    if summary.content is not None:
+        return FilterVerdict(summary.id, summary.content, _CONTENT_DETAILS[summary.content])
+    if summary.message_count < config.min_messages:
+        return FilterVerdict(
+            summary.id,
+            FilterCategory.TOO_SHORT,
+            f"{summary.message_count} message(s), need {config.min_messages}",
+        )
+    return FilterVerdict(summary.id, FilterCategory.ACCEPTED, "")
+
+
 def classify_thread(
     thread: EmailThread,
     corpus_index: Mapping[str, Counter],
     exclusion: ExclusionSet,
     config: FilterConfig = DEFAULT_FILTER_CONFIG,
 ) -> FilterVerdict:
-    own = corpus_index.get(thread.id) or thread_fingerprints(thread)
-    if exclusion.fingerprints and set(own) & exclusion.fingerprints:
-        overlap = len(set(own) & exclusion.fingerprints)
-        return FilterVerdict(
-            thread.id,
-            FilterCategory.EXCLUSION_OVERLAP,
-            f"{overlap} message(s) overlap the exclusion set",
-        )
-    if detect_duplicate(thread, corpus_index):
-        return FilterVerdict(thread.id, FilterCategory.DUPLICATE, "contained in another thread")
-    if detect_no_content(thread):
-        return FilterVerdict(thread.id, FilterCategory.NO_CONTENT, "over half of messages have no body")
-    if detect_invalid_attachment(thread, config):
-        return FilterVerdict(thread.id, FilterCategory.INVALID_ATTACHMENT, "inline hex attachment")
-    if detect_non_english(thread, config):
-        return FilterVerdict(thread.id, FilterCategory.NON_ENGLISH, "stopword hit rate below threshold")
-    if not is_valid_length(thread, config):
-        return FilterVerdict(
-            thread.id,
-            FilterCategory.TOO_SHORT,
-            f"{len(thread.messages)} message(s), need {config.min_messages}",
-        )
-    return FilterVerdict(thread.id, FilterCategory.ACCEPTED, "")
+    return _classify(summarize_thread(thread, config), corpus_index, exclusion, config)
 
 
 def filter_corpus(
@@ -278,10 +337,19 @@ def filter_corpus(
     Threads stored under excluded directories are dropped before
     classification and appear only in the report's dropped count.
     """
-    candidates = [t for t in threads if not in_excluded_directory(t, config)]
-    dropped = len(threads) - len(candidates)
-    index = build_corpus_index(candidates)
-    verdicts = [classify_thread(t, index, exclusion, config) for t in candidates]
+    return filter_summaries([summarize_thread(t, config) for t in threads], exclusion, config)
+
+
+def filter_summaries(
+    summaries: Sequence[ThreadSummary],
+    exclusion: ExclusionSet = ExclusionSet(),
+    config: FilterConfig = DEFAULT_FILTER_CONFIG,
+) -> tuple[list[FilterVerdict], FilterReport]:
+    """``filter_corpus`` over thread summaries made with the same ``config``."""
+    candidates = [s for s in summaries if not _in_excluded_directory(s.source_path, config)]
+    dropped = len(summaries) - len(candidates)
+    index = {s.id: s.fingerprints for s in candidates}
+    verdicts = [_classify(s, index, exclusion, config) for s in candidates]
     tally = Counter(v.category for v in verdicts)
     report = FilterReport(
         counts=tuple((cat, tally.get(cat, 0)) for cat in REPORT_ORDER),

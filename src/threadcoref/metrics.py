@@ -33,8 +33,17 @@ def as_chain_sets(chains: Iterable) -> list[frozenset]:
         else:
             out.append(frozenset(chain))
     out = [c for c in out if c]
-    out.sort(key=lambda c: (len(c), sorted(map(repr, c))))
+    out.sort(key=_chain_order)
     return out
+
+
+def _chain_order(chain: frozenset) -> tuple[int, list]:
+    """A sort key that ignores the order of a chain's members: its size, then
+    its members' keys sorted. A mention is keyed by its location, any other
+    hashable by its repr."""
+    return len(chain), sorted(
+        (0, m.location) if isinstance(m, Mention) else (1, repr(m)) for m in chain
+    )
 
 
 @dataclass(frozen=True)

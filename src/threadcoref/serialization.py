@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from datetime import datetime
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .model import (
     AnnotatedDocument,
@@ -185,19 +185,35 @@ def _skeleton_document(
 
 def read_conll_documents(text: str) -> list[AnnotatedDocument]:
     """Parse CoNLL column text into document skeletons (tokens + chains)."""
-    docs: list[AnnotatedDocument] = []
+    return list(iter_conll_documents(text.splitlines()))
+
+
+def iter_conll(path) -> Iterator[AnnotatedDocument]:
+    """Read a CoNLL column file one document at a time, in file order.
+
+    Lines split as ``str.splitlines`` splits the whole text, so a file reads
+    as ``read_conll_documents`` reads its text.
+    """
+    with open(path, encoding="utf-8") as fp:
+        # each "\n"-ended piece splits exactly as it does inside the whole text
+        yield from iter_conll_documents(line for chunk in fp for line in chunk.splitlines())
+
+
+def iter_conll_documents(lines: Iterable[str]) -> Iterator[AnnotatedDocument]:
+    """Parse CoNLL column lines, yielding each document at its ``#end document``."""
     doc_id: Optional[str] = None
     sentences: list[list[str]] = []
     current: list[str] = []
     chains: dict[int, list[tuple[int, int, int]]] = {}
     open_spans: dict[int, list[tuple[int, int]]] = {}
+    line_no = 0
 
     def close_sentence() -> None:
         if current:
             sentences.append(list(current))
             current.clear()
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if stripped.startswith("#begin document"):
             if doc_id is not None:
@@ -215,7 +231,7 @@ def read_conll_documents(text: str) -> list[AnnotatedDocument]:
             if any(stack for stack in open_spans.values()):
                 open_ids = sorted(cid for cid, stack in open_spans.items() if stack)
                 raise MalformedColumn(line_no, f"unclosed span(s) for chain(s) {open_ids}")
-            docs.append(_skeleton_document(doc_id, sentences, chains))
+            yield _skeleton_document(doc_id, sentences, chains)
             doc_id = None
             continue
         if stripped.startswith("#"):
@@ -265,8 +281,8 @@ def read_conll_documents(text: str) -> list[AnnotatedDocument]:
             else:
                 raise MalformedColumn(line_no, f"bad coref entry {entry!r}")
     if doc_id is not None:
-        raise MalformedColumn(len(text.splitlines()), "missing #end document")
-    return docs
+        # line_no is now the number of lines
+        raise MalformedColumn(line_no, "missing #end document")
 
 
 def read_conll(text: str) -> AnnotatedDocument:
@@ -500,11 +516,27 @@ def write_native_string(
     return buf.getvalue()
 
 
+def _nonblank_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    for line_no, line in enumerate(lines, start=1):
+        if line.strip():
+            yield line_no, line
+
+
 def native_lines(text: str) -> list[tuple[int, str]]:
     """The nonblank lines of JSONL text, each with its 1-based line number."""
     # only "\n" ends a record: str.splitlines() would also split at U+2028,
     # U+2029 and U+0085, which write_native leaves raw inside strings
-    return [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
+    return list(_nonblank_lines(text.split("\n")))
+
+
+def iter_native_lines(path) -> Iterator[tuple[int, str]]:
+    """The nonblank lines of a JSONL file, read one at a time, as ``native_lines``
+    gives them for the file's text."""
+    # a text file in universal-newline mode turns "\r\n" and "\r" into "\n",
+    # as Path.read_text does, and then ends its lines at "\n" only
+    with open(path, encoding="utf-8") as fp:
+        for line_no, line in _nonblank_lines(fp):
+            yield line_no, line[:-1] if line.endswith("\n") else line
 
 
 def decode_line(line: str, line_no: int) -> AnnotatedDocument:
@@ -514,6 +546,12 @@ def decode_line(line: str, line_no: int) -> AnnotatedDocument:
     except json.JSONDecodeError as exc:
         raise NativeSchemaError(f"line {line_no}", f"invalid JSON: {exc}") from None
     return record_to_document(record)
+
+
+def iter_native(path) -> Iterator[tuple[int, AnnotatedDocument]]:
+    """Read a native JSONL file one record at a time: (line number, document)."""
+    for line_no, line in iter_native_lines(path):
+        yield line_no, decode_line(line, line_no)
 
 
 def read_native(source: IO[str] | str) -> list[AnnotatedDocument]:

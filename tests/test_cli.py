@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -118,6 +119,17 @@ class TestFilter:
         assert vlines[0] == "thread_id\tcategory\tdetail"
         assert len(vlines) == 11
 
+    def test_directory_and_parsed_records_same_verdicts(self, parsed_corpus, tmp_path):
+        # a directory is summarized in the workers, parsed records while they are read
+        outs = []
+        for source, jobs in ((CORPUS10_DIR, "1"), (CORPUS10_DIR, "2"), (parsed_corpus, "1")):
+            report, verdicts = tmp_path / f"r{len(outs)}.tsv", tmp_path / f"v{len(outs)}.tsv"
+            assert main(["filter", "--in", str(source), "--report", str(report),
+                         "--verdicts", str(verdicts), "--jobs", jobs, "--min-messages", "2"]) == 0
+            outs.append((report.read_bytes(), verdicts.read_bytes()))
+        assert outs[0] == outs[1] == outs[2]
+        assert outs[0][1].count(b"\n") == 11
+
 
 class TestFeatures:
     def test_mi_si_columns(self, parsed_corpus, tmp_path):
@@ -218,6 +230,13 @@ class TestScore:
         assert cols["lea_f1"] == "1.0000"
         assert cols["avg_f1"] == "1.0000"
 
+    def test_auto_format_reads_conll_by_content(self, tmp_path, example1_document, capsys):
+        # the blank lines end the sniffer's first 4096-character chunk inside "#begin"
+        key = tmp_path / "k.txt"
+        key.write_text("\n" * 4093 + write_conll(example1_document), encoding="utf-8")
+        assert main(["score", "--key", str(key), "--response", str(key)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split("\t")[-1] == "1.0000"
+
     def test_metric_subset_drops_avg(self, tmp_path, example1_document, capsys):
         key = tmp_path / "k.conll"
         key.write_text(write_conll(example1_document), encoding="utf-8")
@@ -314,7 +333,216 @@ class TestRepeatedDocumentIds:
         )
 
 
+# (command, flag of the file whose order the pairs follow, flag of the other file, role names)
+PAIRING_COMMANDS = [
+    pytest.param(command, first, second, roles, id=command)
+    for command, first, second, roles in (
+        ("score", "--key", "--response", ("key", "response")),
+        ("errors", "--key", "--response", ("key", "response")),
+        ("correction-stats", "--pred", "--gold", ("pred", "gold")),
+    )
+]
+
+
+@pytest.mark.parametrize("command,first,second,roles", PAIRING_COMMANDS)
+class TestPairing:
+    """score, errors and correction-stats read both files one document at a time."""
+
+    @staticmethod
+    def _run(capsys, command, first, second, first_path, second_path):
+        code = main([command, first, str(first_path), second, str(second_path)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_other_order_pairs_by_id(self, gold_corpus, tmp_path, capsys, command, first, second, roles):
+        lines = gold_corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        moved = tmp_path / "moved.jsonl"
+        moved.write_text("".join(lines[3:] + lines[1:3][::-1] + lines[:1]), encoding="utf-8")
+        expected = self._run(capsys, command, first, second, gold_corpus, gold_corpus)
+        assert expected[0] == 0
+        assert self._run(capsys, command, first, second, gold_corpus, moved) == expected
+
+    def test_extra_malformed_record_exits_1(self, gold_corpus, tmp_path, capsys, command, first, second, roles):
+        extra = tmp_path / "extra.jsonl"
+        extra.write_text(gold_corpus.read_text(encoding="utf-8") + "{broken\n", encoding="utf-8")
+        assert self._run(capsys, command, first, second, gold_corpus, extra) == (
+            1, "", "error: line 9: invalid JSON: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n")
+
+    def test_missing_document_exits_1(self, gold_corpus, tmp_path, capsys, command, first, second, roles):
+        lines = gold_corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        missing = tmp_path / "missing.jsonl"
+        missing.write_text("".join(lines[:2] + lines[3:]), encoding="utf-8")
+        doc_id = read_native(lines[2])[0].thread.id
+        assert self._run(capsys, command, first, second, gold_corpus, missing) == (
+            1, "", f"error: {roles[1]} file has no document {doc_id!r}\n")
+
+
+class TestRemovedJobsFlag:
+    @pytest.mark.parametrize("args", [
+        ["features", "--in", "x", "--out", "y"],
+        ["score", "--key", "x", "--response", "y"],
+        ["errors", "--key", "x", "--response", "y"],
+        ["stats", "--in", "x"],
+        ["correction-stats", "--pred", "x", "--gold", "y"],
+    ], ids=lambda args: args[0])
+    def test_commands_without_workers_reject_jobs(self, args, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(args + ["--jobs", "2"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+class TestCollectorPolicy:
+    @staticmethod
+    def _state():
+        return gc.get_threshold(), gc.isenabled(), gc.get_freeze_count()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_restores_collector_state(self, gold_corpus, tmp_path, capsys, enabled):
+        saved = self._state()
+        gc.set_threshold(1234, 7, 9)
+        if not enabled:
+            gc.disable()
+        try:
+            before = self._state()
+            assert main(["stats", "--in", str(gold_corpus)]) == 0
+            assert self._state() == before
+            assert main(["stats", "--in", str(tmp_path / "absent.jsonl")]) == 1
+            assert self._state() == before
+            bad = tmp_path / "bad.jsonl"
+            bad.write_text("{broken\n", encoding="utf-8")
+            assert main(["features", "--in", str(bad), "--out", str(tmp_path / "out.jsonl")]) == 1
+            assert self._state() == before
+        finally:
+            gc.set_threshold(*saved[0])
+            gc.enable() if saved[1] else gc.disable()
+
+    def test_read_documents_hold_no_reference_cycles(self, gold_corpus, tmp_path):
+        # so what a command reads is freed by reference counting, and the
+        # collector's rarer passes leave no garbage waiting
+        from threadcoref import errors, features, filtering, metrics, serialization
+
+        conll = tmp_path / "gold.conll"
+        conll.write_text(
+            serialization.write_conll_documents(read_native(gold_corpus.read_text(encoding="utf-8"))),
+            encoding="utf-8",
+        )
+        gc.collect()
+        docs = [doc for _, doc in serialization.iter_native(gold_corpus)]
+        skeletons = list(serialization.iter_conll(conll))
+        made = (
+            metrics.score_documents((d.chains, s.chains) for d, s in zip(docs, skeletons)),
+            [errors.categorize_errors(d.thread, d.chains, d.chains) for d in docs],
+            [features.reverse_document(d) for d in docs],
+            [filtering.summarize_thread(d.thread) for d in docs],
+            metrics.corpus_stats(docs),
+        )
+        del docs, skeletons, made
+        assert gc.collect() == 0
+
+    def test_objects_frozen_by_the_caller_stay_frozen(self, gold_corpus, capsys):
+        gc.freeze()
+        try:
+            before = gc.get_freeze_count()
+            assert before > 0
+            assert main(["stats", "--in", str(gold_corpus)]) == 0
+            assert gc.get_freeze_count() == before
+        finally:
+            gc.unfreeze()
+
+
+class TestOutputReplacement:
+    def test_failure_mid_stream_leaves_output_untouched(self, gold_corpus, tmp_path, capsys):
+        lines = gold_corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines[:5] + ["{broken\n"] + lines[5:]), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        out.write_text("earlier output\n", encoding="utf-8")
+        assert main(["features", "--in", str(bad), "--out", str(out), "--mi"]) == 1
+        assert capsys.readouterr().err.startswith("error: line 6: invalid JSON")
+        assert out.read_text(encoding="utf-8") == "earlier output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "gold.jsonl", "out.jsonl"]
+
+    def test_success_replaces_output(self, gold_corpus, tmp_path):
+        out = tmp_path / "out.jsonl"
+        out.write_text("earlier output\n", encoding="utf-8")
+        assert main(["features", "--in", str(gold_corpus), "--out", str(out)]) == 0
+        assert out.read_bytes() == gold_corpus.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.jsonl", "out.jsonl"]
+
+    def test_symbolic_link_output_replaces_its_target(self, gold_corpus, tmp_path):
+        target = tmp_path / "target.jsonl"
+        target.write_text("earlier output\n", encoding="utf-8")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        assert main(["features", "--in", str(gold_corpus), "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == gold_corpus.read_bytes()
+
+    def test_output_may_be_the_input(self, gold_corpus):
+        expected = gold_corpus.read_bytes()
+        assert main(["features", "--in", str(gold_corpus), "--out", str(gold_corpus)]) == 0
+        assert gold_corpus.read_bytes() == expected
+
+
+# Starts a command and prints its peak RSS, read with os.wait4. A small
+# process of its own, because Linux counts into a child's peak the RSS of
+# the process that started it, and a test runner's RSS is large and varies.
+RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0
+print(usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+class TestBoundedMemory:
+    @staticmethod
+    def _copies(parsed: Path, copies: int, out: Path) -> Path:
+        records = [json.loads(line) for line in parsed.read_text(encoding="utf-8").splitlines()]
+        with open(out, "w", encoding="utf-8") as fp:
+            for i in range(copies):
+                for record in records:
+                    fp.write(json.dumps(dict(record, id=f"{i}/{record['id']}")) + "\n")
+        return out
+
+    @staticmethod
+    def _peak_rss(args: list[str]) -> int:
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", RSS_LAUNCHER, sys.executable, "-m", "threadcoref.cli", *args],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        return int(out)
+
+    @pytest.mark.parametrize("command", ["stats", "score"])
+    def test_peak_rss_flat_in_corpus_size(self, parsed_corpus, tmp_path, command):
+        peaks = []
+        for copies in (4, 32):
+            path = str(self._copies(parsed_corpus, copies, tmp_path / f"x{copies}.jsonl"))
+            args = ["stats", "--in", path] if command == "stats" else [
+                "score", "--key", path, "--response", path]
+            peaks.append(self._peak_rss(args))
+        # a reader that held the whole 8x corpus decoded would add 10-25 MB
+        assert peaks[1] <= 1.3 * peaks[0], peaks
+
+
 class TestCorrectionStats:
+    @pytest.mark.parametrize("side", ["pred", "gold"])
+    def test_repeated_id_exits_1(self, gold_corpus, tmp_path, capsys, side):
+        lines = gold_corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text("".join(lines + lines[4:5]), encoding="utf-8")
+        files = {"pred": str(gold_corpus), "gold": str(gold_corpus), side: str(repeated)}
+        assert main(["correction-stats", "--pred", files["pred"], "--gold", files["gold"]]) == 1
+        doc_id = read_native(lines[4])[0].thread.id
+        assert capsys.readouterr() == (
+            "", f"error: {side} file {repeated} repeats document id {doc_id!r}\n")
+
     def test_identity_all_unchanged(self, gold_corpus, capsys):
         code = main(["correction-stats", "--pred", str(gold_corpus), "--gold", str(gold_corpus)])
         assert code == 0

@@ -22,6 +22,8 @@ from threadcoref.serialization import (
     OverlappingIdenticalSpan,
     document_to_record,
     global_sentences,
+    iter_conll,
+    iter_native,
     mention_from_absolute,
     mention_to_absolute,
     read_conll,
@@ -247,6 +249,62 @@ class TestLineSeparators:
         doc = with_header_text(example1_document, "".join(LINE_BREAKING_CHARS))
         with pytest.raises(NativeSchemaError, match="^line 2: invalid JSON"):
             read_native(write_native_string([doc]) + "{broken\n")
+
+
+class TestFileReaders:
+    """The streaming file readers split a file as the text readers split its text."""
+
+    @staticmethod
+    def _read_all(reader, path):
+        items = []
+        try:
+            for item in reader(path):
+                items.append(item)
+        except MalformedColumn as exc:
+            return items, str(exc)
+        except NativeSchemaError as exc:
+            return items, str(exc)
+        return items, None
+
+    @staticmethod
+    def _read_text(reader, text):
+        try:
+            return reader(text), None
+        except (MalformedColumn, NativeSchemaError) as exc:
+            return None, str(exc)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_native_splits_on_newline_only(self, example1_document, tmp_path, newline):
+        doc = with_header_text(example1_document, "".join(LINE_BREAKING_CHARS))
+        text = write_native_string([doc, example1_document]) + "  \n\n" + '{"id":\n'
+        path = tmp_path / "odd.jsonl"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        items, error = self._read_all(iter_native, path)
+        assert items == [(1, doc), (2, example1_document)]
+        # the same message, column included, as the text reader gives
+        assert error == "line 5: invalid JSON: Expecting value: line 1 column 7 (char 6)"
+        assert self._read_text(read_native, path.read_text(encoding="utf-8")) == (None, error)
+
+    @pytest.mark.parametrize("cut", [0, 1, 15])
+    def test_conll_splits_as_splitlines(self, example1_document, tmp_path, cut):
+        doc = with_header_text(example1_document, "")
+        text = write_conll_documents([doc, example1_document])
+        # line breaks of every kind str.splitlines knows, and a final cut
+        rows = text.split("\n")
+        breaks = ["\n", "\r\n", "\r", *LINE_BREAKING_CHARS]
+        text = "".join(row + breaks[i % len(breaks)] for i, row in enumerate(rows[:-1]))
+        text = text[: len(text) - cut]
+        path = tmp_path / "odd.conll"
+        path.write_bytes(text.encode("utf-8"))
+        items, error = self._read_all(iter_conll, path)
+        expected, expected_error = self._read_text(
+            read_conll_documents, path.read_text(encoding="utf-8")
+        )
+        assert error == expected_error
+        if error is None:
+            assert items == expected and len(items) == 2
+        else:
+            assert error.startswith("line ")
 
 
 class TestRandomizedRoundTrip:

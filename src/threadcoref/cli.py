@@ -25,7 +25,7 @@ from typing import IO, TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 # Only what every subcommand needs is imported here; each handler imports
 # the modules it runs, so a command loads no code it does not use.
 from . import serialization
-from .model import AnnotatedDocument, ToolkitError, mention_order
+from .model import AnnotatedDocument, ToolkitError, mention_order, utf8_input
 
 if TYPE_CHECKING:
     from .filtering import FilterConfig, ThreadSummary
@@ -88,7 +88,7 @@ def _format_of(path: Path, fmt: str) -> str:
     if path.suffix == ".conll":
         return "conll"
     head = ""
-    with open(path, encoding="utf-8") as fp:
+    with open(path, encoding="utf-8") as fp, utf8_input(path):
         while len(head) < len("#begin"):
             chunk = fp.read(4096)
             if not chunk:
@@ -281,7 +281,8 @@ def _resolve_one(payload: tuple[int, str, str]) -> str:
 
 
 def _cmd_resolve(args) -> int:
-    text = Path(args.input).read_text(encoding="utf-8")
+    with utf8_input(args.input):
+        text = Path(args.input).read_text(encoding="utf-8")
     payload = [
         (line_no, line, args.baseline) for line_no, line in serialization.native_lines(text)
     ]
@@ -407,17 +408,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, jobs=False):
+    # only the commands that write tables take --pretty, and only those that
+    # run workers take --jobs
+    def add_pretty(p):
         p.add_argument("--pretty", action="store_true", help="align output for humans")
-        if jobs:
-            p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+
+    def add_jobs(p):
+        p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
 
     p = sub.add_parser("parse", help="parse thread files into native records")
     p.add_argument("--in", dest="input", required=True, help="thread file or directory")
     p.add_argument("--out", required=True, help="output JSONL path")
     p.add_argument("--separators", help="separator marker phrases, one per line")
     p.add_argument("--footers", help="footer marker phrases, one per line")
-    add_common(p, jobs=True)
+    add_jobs(p)
     p.set_defaults(func=_cmd_parse, uses=("parsing",))
 
     p = sub.add_parser("filter", help="classify threads into filtering categories")
@@ -432,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hex-min-fraction", type=_positive_float, default=0.95)
     p.add_argument("--stopword-min-fraction", type=_positive_float, default=0.02)
     p.add_argument("--language-min-tokens", type=_positive_int, default=50)
-    add_common(p, jobs=True)
+    add_pretty(p)
+    add_jobs(p)
     p.set_defaults(func=_cmd_filter, uses=("filtering",))
 
     p = sub.add_parser("features", help="add MI/SI columns and/or reorder by date")
@@ -447,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="ascending",
         help="date order used by --rev",
     )
-    add_common(p)
     p.set_defaults(func=_cmd_features, uses=("features",))
 
     p = sub.add_parser("resolve", help="run a header baseline on gold mentions")
@@ -455,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mentions", choices=("gold",), default="gold")
     p.add_argument("--in", dest="input", required=True, help="native JSONL with gold chains")
     p.add_argument("--out", required=True, help="native JSONL with predicted chains")
-    add_common(p, jobs=True)
+    add_jobs(p)
     p.set_defaults(func=_cmd_resolve, uses=("baselines",))
 
     p = sub.add_parser("score", help="score response chains against key chains")
@@ -463,26 +467,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--response", required=True)
     p.add_argument("--metrics", default="muc,b3,ceafe,lea")
     p.add_argument("--format", choices=("auto", "conll", "native"), default="auto")
-    add_common(p)
+    add_pretty(p)
     p.set_defaults(func=_cmd_score, uses=("metrics",))
 
     p = sub.add_parser("errors", help="categorize prediction errors")
     p.add_argument("--key", required=True)
     p.add_argument("--response", required=True)
     p.add_argument("--format", choices=("auto", "conll", "native"), default="auto")
-    add_common(p)
+    add_pretty(p)
     p.set_defaults(func=_cmd_errors, uses=("errors",))
 
     p = sub.add_parser("stats", help="corpus statistics over native records")
     p.add_argument("--in", dest="input", required=True)
-    add_common(p)
+    add_pretty(p)
     p.set_defaults(func=_cmd_stats, uses=("metrics",))
 
     p = sub.add_parser("correction-stats", help="manual-correction bookkeeping")
     p.add_argument("--pred", required=True, help="predicted mentions (native JSONL)")
     p.add_argument("--gold", required=True, help="corrected gold mentions (native JSONL)")
     p.add_argument("--format", choices=("auto", "conll", "native"), default="auto")
-    add_common(p)
+    add_pretty(p)
     p.set_defaults(func=_cmd_correction_stats, uses=("metrics",))
 
     return parser

@@ -25,7 +25,7 @@ from pathlib import PurePath
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import wordlists
-from .model import EmailMessage, EmailThread, Section
+from .model import EmailMessage, EmailThread, Section, utf8_input
 
 
 class FilterCategory(enum.Enum):
@@ -74,7 +74,7 @@ class ExclusionSet:
 
     @classmethod
     def from_file(cls, path) -> "ExclusionSet":
-        with open(path, encoding="utf-8") as fp:
+        with open(path, encoding="utf-8") as fp, utf8_input(path):
             lines = fp.read().splitlines()
         return cls(frozenset(l.strip() for l in lines if l.strip()))
 
@@ -181,8 +181,8 @@ def detect_no_content(thread: EmailThread) -> bool:
     return empty * 2 > len(thread.messages)
 
 
-_HEX_CHARS = set("0123456789abcdefABCDEF \n")
-_HEX_DIGITS = set("0123456789abcdefABCDEF")
+# maximal runs of characters that an inline hex attachment is made of
+_HEX_RUN = re.compile(r"[0-9a-fA-F \n]+")
 
 
 def detect_invalid_attachment(
@@ -190,21 +190,11 @@ def detect_invalid_attachment(
 ) -> bool:
     """True when a message body embeds a long inline-attachment hex blob."""
     for msg in thread.messages:
-        body = _body_text(msg)
-        i, n = 0, len(body)
-        while i < n:
-            if body[i] not in _HEX_CHARS:
-                i += 1
-                continue
-            j = i
-            while j < n and body[j] in _HEX_CHARS:
-                j += 1
-            run = body[i:j]
+        for run in _HEX_RUN.findall(_body_text(msg)):
             if len(run) >= config.hex_min_run:
-                digits = sum(1 for c in run if c in _HEX_DIGITS)
+                digits = len(run) - run.count(" ") - run.count("\n")
                 if digits / len(run) >= config.hex_min_fraction:
                     return True
-            i = j
     return False
 
 

@@ -6,13 +6,16 @@ documents can be shared freely between workers.
 Structural invariants that a constructor can check locally (token offsets,
 message index contiguity) raise ``ValueError`` at construction time;
 cross-object consistency of chains and mentions is reported as data by
-:func:`validate_document`.
+:func:`validate_document`. The native and CoNLL readers build each document
+in one checked pass: they check every token once as they build it, then
+assemble messages and thread without running the constructors' checks again.
 """
 from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from datetime import datetime
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional
@@ -23,6 +26,15 @@ _tuple_new = tuple.__new__
 
 class ToolkitError(Exception):
     """Base class for data errors raised by this package."""
+
+
+@contextmanager
+def utf8_input(path) -> Iterator[None]:
+    """Report text read from ``path`` that is not UTF-8 as a ``ToolkitError`` naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ToolkitError(f"{path} is not valid UTF-8: {exc.reason}") from None
 
 
 class Section(enum.Enum):
@@ -194,6 +206,27 @@ class EmailThread:
 
     def sentence(self, message_index: int, sentence_index: int) -> tuple[Token, ...]:
         return self.messages[message_index].sentences[sentence_index]
+
+
+_MESSAGE_DEFAULTS = {f.name: f.default for f in fields(EmailMessage)}
+
+
+def _assemble_thread(thread_id: str, messages, source_path: Optional[str] = None) -> EmailThread:
+    """A thread from fields that hold every invariant the constructors check,
+    set as the generated ``__init__`` sets them, without ``__post_init__``. Each
+    of ``messages`` is a dict of fields with at least ``index`` and ``sentences``."""
+    setattr_ = object.__setattr__
+    built = []
+    for values in messages:
+        message = object.__new__(EmailMessage)
+        for name, default in _MESSAGE_DEFAULTS.items():
+            setattr_(message, name, values.get(name, default))
+        built.append(message)
+    thread = object.__new__(EmailThread)
+    setattr_(thread, "id", thread_id)
+    setattr_(thread, "messages", tuple(built))
+    setattr_(thread, "source_path", source_path)
+    return thread
 
 
 @dataclass(frozen=True, order=True, slots=True, init=False)

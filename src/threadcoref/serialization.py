@@ -19,14 +19,17 @@ from typing import IO, Iterable, Iterator, Optional, Sequence
 from .model import (
     AnnotatedDocument,
     CoreferenceChain,
-    EmailMessage,
     EmailThread,
     EntityType,
     Mention,
     Section,
     Token,
     ToolkitError,
+    _assemble_thread,
+    _intern,
+    _tuple_new,
     mention_order,
+    utf8_input,
 )
 
 
@@ -148,26 +151,19 @@ def write_conll_documents(docs: Iterable[AnnotatedDocument]) -> str:
 def _skeleton_document(
     doc_id: str, sentences: list[list[str]], chains: dict[int, list[tuple[int, int, int]]]
 ) -> AnnotatedDocument:
+    # indices, nonempty words and rising offsets hold by construction, so
+    # each token is built without Token's checks
     offset = 0
+    body = Section.BODY
     token_sentences = []
     for si, words in enumerate(sentences):
         toks = []
         for ti, word in enumerate(words):
-            toks.append(
-                Token(
-                    text=word,
-                    sentence_index=si,
-                    token_index=ti,
-                    message_index=0,
-                    section=Section.BODY,
-                    char_start=offset,
-                    char_end=offset + len(word),
-                )
-            )
-            offset += len(word) + 1
+            end = offset + len(word)
+            toks.append(_tuple_new(Token, (_intern(word), si, ti, 0, body, offset, end)))
+            offset = end + 1
         token_sentences.append(tuple(toks))
-    message = EmailMessage(index=0, sentences=tuple(token_sentences))
-    thread = EmailThread(id=doc_id, messages=(message,))
+    thread = _assemble_thread(doc_id, [{"index": 0, "sentences": tuple(token_sentences)}])
     chain_objs = tuple(
         CoreferenceChain(
             chain_id=cid,
@@ -194,7 +190,7 @@ def iter_conll(path) -> Iterator[AnnotatedDocument]:
     Lines split as ``str.splitlines`` splits the whole text, so a file reads
     as ``read_conll_documents`` reads its text.
     """
-    with open(path, encoding="utf-8") as fp:
+    with open(path, encoding="utf-8") as fp, utf8_input(path):
         # each "\n"-ended piece splits exactly as it does inside the whole text
         yield from iter_conll_documents(line for chunk in fp for line in chunk.splitlines())
 
@@ -363,38 +359,54 @@ def document_to_record(
     return record
 
 
-def _sentence_tokens(sent: list, si: int, mi: int) -> tuple[Token, ...]:
-    """Tokens of one sentence, checked item by item in schema order.
+def _decode_sentences(raw_sentences: list, mi: int, last_end) -> tuple:
+    """A message's sentences of tokens, each item checked in schema order, then
+    the thread's running char_end and whether every token began at or after it.
 
-    Raises ``NativeSchemaError`` naming the first bad item; its path is
-    formatted only then.
+    A token of the exact types for which every ``Token`` check passes is built
+    directly; any other goes through ``Token``, so its error keeps its message.
+    Raises ``NativeSchemaError`` naming the first bad item.
     """
-    toks = []
-    for ti, item in enumerate(sent):
-        if not isinstance(item, list) or len(item) != 4:
-            raise NativeSchemaError(
-                f"$.messages[{mi}].sentences[{si}][{ti}]",
-                "token must be [text, section, char_start, char_end]",
-            )
-        text, code, cs, ce = item
-        try:
-            section = _CODE_SECTIONS[code]
-        except (KeyError, TypeError):
-            raise NativeSchemaError(
-                f"$.messages[{mi}].sentences[{si}][{ti}]", f"unknown section code {code!r}"
-            ) from None
-        try:
-            toks.append(Token(text, si, ti, mi, section, cs, ce))
-        except (TypeError, ValueError) as exc:
-            raise NativeSchemaError(f"$.messages[{mi}].sentences[{si}][{ti}]", str(exc)) from None
-    return tuple(toks)
+    ordered = True
+    sentences = []
+    for si, sent in enumerate(raw_sentences):
+        if not (isinstance(sent, list) and sent):
+            raise NativeSchemaError(f"$.messages[{mi}].sentences[{si}]", "must be a nonempty list")
+        toks = []
+        for ti, item in enumerate(sent):
+            if not isinstance(item, list) or len(item) != 4:
+                raise NativeSchemaError(
+                    f"$.messages[{mi}].sentences[{si}][{ti}]",
+                    "token must be [text, section, char_start, char_end]",
+                )
+            text, code, cs, ce = item
+            try:
+                section = _CODE_SECTIONS[code]
+            except (KeyError, TypeError):
+                raise NativeSchemaError(
+                    f"$.messages[{mi}].sentences[{si}][{ti}]", f"unknown section code {code!r}"
+                ) from None
+            if type(text) is str and text and type(cs) is type(ce) is int and 0 <= cs < ce:
+                toks.append(_tuple_new(Token, (_intern(text), si, ti, mi, section, cs, ce)))
+            else:
+                try:
+                    toks.append(Token(text, si, ti, mi, section, cs, ce))
+                except (TypeError, ValueError) as exc:
+                    raise NativeSchemaError(f"$.messages[{mi}].sentences[{si}][{ti}]", str(exc)) from None
+            # the comparison EmailThread makes, so a NaN offset passes here as there
+            if cs < last_end:
+                ordered = False
+            last_end = ce
+        sentences.append(tuple(toks))
+    return tuple(sentences), last_end, ordered
 
 
 _TEXT_FIELDS = ("from", "subject", "x_from")
 _ADDRESS_LIST_FIELDS = ("to", "cc", "x_to", "x_cc")
 
 
-def _decode_message(rec, i: int) -> EmailMessage:
+def _decode_message(rec, i: int, last_end) -> tuple[dict, object, bool]:
+    """Message ``i``'s fields, then what ``_decode_sentences`` gives after them."""
     if not isinstance(rec, dict):
         raise NativeSchemaError(f"$.messages[{i}]", "must be an object")
     raw_sentences = rec.get("sentences")
@@ -406,11 +418,7 @@ def _decode_message(rec, i: int) -> EmailMessage:
             date = datetime.fromisoformat(rec["date"])
         except (TypeError, ValueError):
             raise NativeSchemaError(f"$.messages[{i}].date", f"bad timestamp {rec['date']!r}") from None
-    sentences = []
-    for si, sent in enumerate(raw_sentences):
-        if not (isinstance(sent, list) and sent):
-            raise NativeSchemaError(f"$.messages[{i}].sentences[{si}]", "must be a nonempty list")
-        sentences.append(_sentence_tokens(sent, si, i))
+    sentences, last_end, ordered = _decode_sentences(raw_sentences, i, last_end)
     for name in _TEXT_FIELDS:
         value = rec.get(name)
         if value is not None and not isinstance(value, str):
@@ -419,21 +427,19 @@ def _decode_message(rec, i: int) -> EmailMessage:
         value = rec.get(name, [])
         if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
             raise NativeSchemaError(f"$.messages[{i}].{name}", "must be a list of strings")
-    try:
-        return EmailMessage(
-            index=i,
-            date=date,
-            from_addr=rec.get("from"),
-            to_addrs=tuple(rec.get("to", [])),
-            cc_addrs=tuple(rec.get("cc", [])),
-            subject=rec.get("subject"),
-            x_from=rec.get("x_from"),
-            x_to=tuple(rec.get("x_to", [])),
-            x_cc=tuple(rec.get("x_cc", [])),
-            sentences=tuple(sentences),
-        )
-    except (TypeError, ValueError) as exc:
-        raise NativeSchemaError(f"$.messages[{i}]", str(exc)) from None
+    fields = {
+        "index": i,
+        "date": date,
+        "from_addr": rec.get("from"),
+        "to_addrs": tuple(rec.get("to", [])),
+        "cc_addrs": tuple(rec.get("cc", [])),
+        "subject": rec.get("subject"),
+        "x_from": rec.get("x_from"),
+        "x_to": tuple(rec.get("x_to", [])),
+        "x_cc": tuple(rec.get("x_cc", [])),
+        "sentences": sentences,
+    }
+    return fields, last_end, ordered
 
 
 def _decode_chain(rec, ci: int) -> CoreferenceChain:
@@ -482,13 +488,19 @@ def record_to_document(record: dict) -> AnnotatedDocument:
     raw_messages = record.get("messages")
     if not isinstance(raw_messages, list):
         raise NativeSchemaError("$.messages", "must be a list")
-    messages = [_decode_message(rec, i) for i, rec in enumerate(raw_messages)]
-    try:
-        thread = EmailThread(
-            id=record["id"], messages=tuple(messages), source_path=record.get("source_path")
-        )
-    except (TypeError, ValueError) as exc:
-        raise NativeSchemaError("$", str(exc)) from None
+    messages = []
+    last_end, ordered = 0, True
+    for i, rec in enumerate(raw_messages):
+        fields, last_end, in_order = _decode_message(rec, i, last_end)
+        messages.append(fields)
+        ordered = ordered and in_order
+    thread = _assemble_thread(record["id"], messages, record.get("source_path"))
+    if not ordered:
+        # the checked constructor names the first token that overlaps
+        try:
+            thread = EmailThread(thread.id, thread.messages, thread.source_path)
+        except (TypeError, ValueError) as exc:
+            raise NativeSchemaError("$", str(exc)) from None
     raw_chains = record.get("chains", [])
     if not isinstance(raw_chains, list):
         raise NativeSchemaError("$.chains", "must be a list")
@@ -534,7 +546,7 @@ def iter_native_lines(path) -> Iterator[tuple[int, str]]:
     gives them for the file's text."""
     # a text file in universal-newline mode turns "\r\n" and "\r" into "\n",
     # as Path.read_text does, and then ends its lines at "\n" only
-    with open(path, encoding="utf-8") as fp:
+    with open(path, encoding="utf-8") as fp, utf8_input(path):
         for line_no, line in _nonblank_lines(fp):
             yield line_no, line[:-1] if line.endswith("\n") else line
 

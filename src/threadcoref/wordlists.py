@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .model import utf8_input
+
 FIRST_PERSON_SINGULAR = frozenset(["i", "me", "my", "mine", "myself"])
 
 SECOND_PERSON = frozenset(["you", "your", "yours", "yourself", "yourselves"])
@@ -80,8 +82,10 @@ EXCLUDED_DIRECTORIES = frozenset(
 
 def load_phrase_file(path: str | Path) -> tuple[str, ...]:
     """Read one casefolded phrase per line; blank lines and # comments skipped."""
+    with utf8_input(path):
+        text = Path(path).read_text(encoding="utf-8")
     phrases = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             phrases.append(line.casefold())

@@ -6,9 +6,10 @@ threadcoref.metrics. Results are the ground truth that the fast scorers
 must reproduce.
 
 The last section keeps the straightforward implementations that faster
-package code replaced: the native record decoder with its token type, B³ and
-LEA by chain-set intersection, and the error categorizer by set intersection
-per chain pair. Differential tests require the package to agree with them. They
+package code replaced: the native record decoder with its token type, the
+CoNLL document builder through the checked constructors, B³ and LEA by
+chain-set intersection, the error categorizer by set intersection per chain
+pair, and the character loop of the hex-attachment detector. Differential tests require the package to agree with them. They
 share the package's unchanged helpers (chain normalization, model types).
 """
 from __future__ import annotations
@@ -19,6 +20,7 @@ from itertools import combinations, permutations
 from typing import Optional
 
 from threadcoref import errors as _errors
+from threadcoref import filtering as _filtering
 from threadcoref import metrics as _metrics
 from threadcoref.model import (
     AnnotatedDocument,
@@ -28,6 +30,8 @@ from threadcoref.model import (
     EntityType,
     Mention,
     Section,
+    Token,
+    mention_order,
 )
 from threadcoref.serialization import NativeSchemaError
 
@@ -460,3 +464,66 @@ def categorize_errors_reference(thread, key, response) -> "_errors.ErrorReport":
         decomposed_chain_count=decomposed,
         new_chain_count=new_chains,
     )
+
+
+def skeleton_document_reference(doc_id, sentences, chains) -> AnnotatedDocument:
+    """A CoNLL document built through the checked constructors: every token by
+    ``Token``, the message and the thread by their dataclass constructors."""
+    offset = 0
+    token_sentences = []
+    for si, words in enumerate(sentences):
+        toks = []
+        for ti, word in enumerate(words):
+            toks.append(
+                Token(
+                    text=word,
+                    sentence_index=si,
+                    token_index=ti,
+                    message_index=0,
+                    section=Section.BODY,
+                    char_start=offset,
+                    char_end=offset + len(word),
+                )
+            )
+            offset += len(word) + 1
+        token_sentences.append(tuple(toks))
+    message = EmailMessage(index=0, sentences=tuple(token_sentences))
+    thread = EmailThread(id=doc_id, messages=(message,))
+    chain_objs = tuple(
+        CoreferenceChain(
+            chain_id=cid,
+            mentions=tuple(
+                sorted(
+                    (Mention(0, s, start, end) for (s, start, end) in spans),
+                    key=mention_order,
+                )
+            ),
+        )
+        for cid, spans in sorted(chains.items())
+    )
+    return AnnotatedDocument(thread=thread, chains=chain_objs)
+
+
+_HEX_CHARS = set("0123456789abcdefABCDEF \n")
+_HEX_DIGITS = set("0123456789abcdefABCDEF")
+
+
+def detect_invalid_attachment_reference(thread, config=_filtering.DEFAULT_FILTER_CONFIG) -> bool:
+    """The hex-attachment check by walking each body character by character."""
+    for msg in thread.messages:
+        body = _filtering._body_text(msg)
+        i, n = 0, len(body)
+        while i < n:
+            if body[i] not in _HEX_CHARS:
+                i += 1
+                continue
+            j = i
+            while j < n and body[j] in _HEX_CHARS:
+                j += 1
+            run = body[i:j]
+            if len(run) >= config.hex_min_run:
+                digits = sum(1 for c in run if c in _HEX_DIGITS)
+                if digits / len(run) >= config.hex_min_fraction:
+                    return True
+            i = j
+    return False

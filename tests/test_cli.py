@@ -393,6 +393,56 @@ class TestRemovedJobsFlag:
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+class TestRemovedPrettyFlag:
+    @pytest.mark.parametrize("args", [
+        ["parse", "--in", "x", "--out", "y"],
+        ["features", "--in", "x", "--out", "y"],
+        ["resolve", "--baseline", "hb1", "--in", "x", "--out", "y"],
+    ], ids=lambda args: args[0])
+    def test_jsonl_writers_reject_pretty(self, args, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(args + ["--pretty"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --pretty" in capsys.readouterr().err
+
+
+class TestInvalidUtf8:
+    """A text input that is not UTF-8 ends the command with one line naming the file."""
+
+    @pytest.mark.parametrize("args", [
+        ["stats", "--in", "{bad}"],
+        ["features", "--in", "{bad}", "--out", "{out}"],
+        ["resolve", "--baseline", "hb1", "--in", "{bad}", "--out", "{out}"],
+        ["score", "--key", "{gold}", "--response", "{bad}"],
+        ["score", "--key", "{bad}", "--response", "{gold}", "--format", "native"],
+        ["score", "--key", "{conll}", "--response", "{bad_conll}", "--format", "conll"],
+        ["errors", "--key", "{gold}", "--response", "{bad}"],
+        ["correction-stats", "--pred", "{bad}", "--gold", "{gold}"],
+        ["filter", "--in", "{bad}", "--report", "{out}"],
+        ["filter", "--in", "{gold}", "--report", "{out}", "--exclude-fingerprints", "{bad}"],
+        ["parse", "--in", str(DATA_DIR / "example1.txt"), "--out", "{out}", "--separators", "{bad}"],
+        ["parse", "--in", str(DATA_DIR / "example1.txt"), "--out", "{out}", "--footers", "{bad}"],
+    ], ids=lambda args: "-".join(a.strip("{}-") for a in args if not a.startswith("/")))
+    def test_exits_1_with_one_line(self, gold_corpus, tmp_path, capsys, example1_document, args):
+        # a valid first line, so that streaming readers fail part way through
+        first_line = gold_corpus.read_bytes().split(b"\n")[0]
+        paths = {
+            "gold": gold_corpus,
+            "bad": tmp_path / "bad.jsonl",
+            "conll": tmp_path / "key.conll",
+            "bad_conll": tmp_path / "bad.conll",
+            "out": tmp_path / "out",
+        }
+        paths["bad"].write_bytes(first_line + b'\n{"id":"a\xff"}\n')
+        paths["conll"].write_text(write_conll(example1_document), encoding="utf-8")
+        paths["bad_conll"].write_bytes(paths["conll"].read_bytes().replace(b"\t-\n", b"\t\xff\n", 1))
+        argv = [a.format(**paths) for a in args]
+        assert main(argv) == 1
+        bad = paths["bad_conll"] if "{bad_conll}" in args else paths["bad"]
+        assert capsys.readouterr().err == f"error: {bad} is not valid UTF-8: invalid start byte\n"
+        assert not paths["out"].exists()
+
+
 class TestCollectorPolicy:
     @staticmethod
     def _state():

@@ -1,5 +1,10 @@
 import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 from conftest import tiny_thread
 from threadcoref.filtering import (
     DEFAULT_FILTER_CONFIG,
@@ -124,6 +129,69 @@ class TestInvalidAttachment:
     def test_short_hex_below_threshold(self):
         blob = ["abcdef0123456789" * 6]  # 96 chars < 512
         assert not detect_invalid_attachment(body_thread("t", [blob]))
+
+
+def bodies_thread(bodies):
+    """Thread with one message per body, each body a single token, so that a
+    message's body text is exactly the given string."""
+    char = 0
+    messages = []
+    for mi, body in enumerate(bodies):
+        token = Token(body, 0, 0, mi, Section.BODY, char, char + len(body))
+        messages.append(EmailMessage(index=mi, sentences=((token,),)))
+        char += len(body) + 1
+    return EmailThread(id="hex", messages=tuple(messages))
+
+
+# pieces of a body: hex digits, the two separators a hex run may hold, and
+# characters that cut a run
+_HEX_PIECES = st.sampled_from(["0", "7", "a", "F", "deadBEEF", " ", "\n", "  \n ", "g", "x", "-", "é", "Z"])
+
+
+class TestInvalidAttachmentDifferential:
+    """The regex scan against the character loop kept in ``oracles``."""
+
+    @staticmethod
+    def _config(run, fraction):
+        return FilterConfig(hex_min_run=run, hex_min_fraction=fraction)
+
+    @pytest.mark.parametrize("run", [7, 8, 9])
+    @pytest.mark.parametrize("digits", [5, 6, 7, 8])
+    @pytest.mark.parametrize("cut", ["", "g", "\t"])
+    def test_runs_at_the_length_and_fraction_bounds(self, run, digits, cut):
+        # hex_min_run 8 and fraction 0.75: a run of 8 with 6 digits is exactly at both bounds
+        config = self._config(8, 0.75)
+        blob = "a" * digits + " " * (run - digits - 1) + "\n" * (run > digits)
+        for body in (blob, f"x{blob}x", f"{blob[:3]}{cut}{blob[3:]}", f"{blob} {cut}{blob}", " \n " * run):
+            thread = bodies_thread(["hello there", body])
+            assert detect_invalid_attachment(thread, config) == oracles.detect_invalid_attachment_reference(
+                thread, config
+            ), repr(body)
+
+    def test_both_bounds_are_inclusive(self):
+        config = self._config(8, 0.75)
+        assert detect_invalid_attachment(bodies_thread(["aaaaaa \n"]), config)
+        assert not detect_invalid_attachment(bodies_thread(["aaaaa  \n"]), config)
+        assert not detect_invalid_attachment(bodies_thread(["aaaaaa\n"]), config)
+
+    def test_whitespace_only_run_is_not_an_attachment(self):
+        config = self._config(4, 0.01)
+        thread = bodies_thread([" \n \n \n  "])
+        assert not detect_invalid_attachment(thread, config)
+        assert not oracles.detect_invalid_attachment_reference(thread, config)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bodies=st.lists(st.lists(_HEX_PIECES, min_size=1, max_size=40).map("".join), min_size=1, max_size=3),
+        run=st.integers(1, 24),
+        fraction=st.sampled_from([0.01, 0.5, 0.75, 0.8, 0.95, 1.0]),
+    )
+    def test_same_verdict_as_character_loop(self, bodies, run, fraction):
+        config = self._config(run, fraction)
+        thread = bodies_thread(bodies)
+        assert detect_invalid_attachment(thread, config) == oracles.detect_invalid_attachment_reference(
+            thread, config
+        )
 
 
 class TestNonEnglish:

@@ -1,7 +1,11 @@
+import copy
 import json
+import pickle
 import random
 import re
+import sys
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,11 +13,15 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import synthetic_document
+from threadcoref import serialization
 from threadcoref.model import (
     AnnotatedDocument,
     CoreferenceChain,
+    EmailMessage,
+    EmailThread,
     EntityType,
     Mention,
+    Token,
     validate_document,
 )
 from threadcoref.serialization import (
@@ -547,3 +555,251 @@ class TestDecoderDifferential:
             reference = ("crash",)
         if new != reference:
             assert new[0] == "error" and _is_hole(record, new[1]), (new, reference)
+
+
+def build_fields(doc):
+    """A document as nested plain values: ``vars()`` of the thread and of each
+    message, the type of each of them, and each token with its type and the
+    type of every field, so that a bool or float offset shows."""
+    thread = doc.thread
+    return (
+        type(thread),
+        {name: value for name, value in vars(thread).items() if name != "messages"},
+        [
+            (
+                type(message),
+                {name: value for name, value in vars(message).items() if name != "sentences"},
+                [[(type(t), tuple((type(v), v) for v in t)) for t in sent] for sent in message.sentences],
+            )
+            for message in thread.messages
+        ],
+        doc.chains,
+    )
+
+
+def checked_document(doc):
+    """``doc`` rebuilt by the checked constructors, every token by ``Token``."""
+    thread = doc.thread
+    messages = tuple(
+        EmailMessage(**{**vars(m), "sentences": tuple(tuple(Token(*t) for t in s) for s in m.sentences)})
+        for m in thread.messages
+    )
+    return replace(doc, thread=EmailThread(thread.id, messages, thread.source_path))
+
+
+def reference_conll(text):
+    """``read_conll_documents`` with the CoNLL document builder it replaced."""
+    with mock.patch.object(serialization, "_skeleton_document", oracles.skeleton_document_reference):
+        return read_conll_documents(text)
+
+
+@pytest.fixture(scope="module")
+def sample_documents(example1_document):
+    rng = random.Random(5)
+    return [example1_document] + [synthetic_document(rng, max_messages=5)[0] for _ in range(6)]
+
+
+class TestOnePassBuild:
+    """The readers build documents without re-running the constructors' checks;
+    what they build must be what the checked constructors build."""
+
+    def test_native_equals_checked_build(self, sample_documents):
+        for doc in sample_documents:
+            decoded = record_to_document(json.loads(json.dumps(document_to_record(doc))))
+            assert build_fields(decoded) == build_fields(doc) == build_fields(checked_document(decoded))
+
+    def test_native_header_defaults(self, example1_document):
+        record = document_to_record(example1_document)
+        record["messages"][0] = {"sentences": record["messages"][0]["sentences"]}
+        decoded = record_to_document(record).thread.messages[0]
+        expected = EmailMessage(index=0, sentences=example1_document.thread.messages[0].sentences)
+        assert vars(decoded) == vars(expected)
+
+    def test_conll_equals_checked_build(self, sample_documents):
+        text = write_conll_documents(sample_documents)
+        docs = read_conll_documents(text)
+        assert len(docs) == len(sample_documents)
+        assert [build_fields(d) for d in docs] == [build_fields(d) for d in reference_conll(text)]
+        # the skeleton message carries every header default
+        assert vars(docs[0].thread.messages[0]) == vars(
+            EmailMessage(index=0, sentences=docs[0].thread.messages[0].sentences)
+        )
+
+    def test_token_texts_are_interned(self, sample_documents):
+        native = read_native(write_native_string(sample_documents))
+        conll = read_conll_documents(write_conll_documents(sample_documents))
+        for doc in native + conll:
+            assert all(t.text is sys.intern(t.text) for t in doc.thread.tokens())
+
+    def test_valid_input_runs_no_constructor_check(self, sample_documents):
+        native = write_native_string(sample_documents)
+        conll = write_conll_documents(sample_documents)
+        checked = mock.Mock(side_effect=AssertionError("a checked constructor ran"))
+        with mock.patch.object(Token, "__new__", checked), \
+                mock.patch.object(EmailMessage, "__post_init__", checked), \
+                mock.patch.object(EmailThread, "__post_init__", checked):
+            read_native(native)
+            read_conll_documents(conll)
+        checked.assert_not_called()
+
+    def test_survives_pickling_copy_and_replace(self, sample_documents):
+        native = read_native(write_native_string(sample_documents))
+        conll = read_conll_documents(write_conll_documents(sample_documents))
+        for doc in native + conll:
+            checked = checked_document(doc)
+            for again in (pickle.loads(pickle.dumps(doc)), copy.deepcopy(doc), copy.copy(doc)):
+                assert build_fields(again) == build_fields(checked)
+            assert hash(doc.thread) == hash(checked.thread)
+            # replace runs the constructors' checks, which the built objects pass
+            assert build_fields(replace(doc, thread=replace(doc.thread))) == build_fields(checked)
+            first = doc.thread.messages[0]
+            assert replace(first, subject="x") == replace(checked.thread.messages[0], subject="x")
+            # and still reject what they rejected: a token repeated in its sentence
+            with pytest.raises(ValueError, match="carries indices"):
+                replace(first, sentences=((first.sentences[0][0],) * 2,))
+
+
+def _decoded_or_error(record):
+    """Both decoders' outcomes on a record: the document's fields, or the error."""
+    outcomes = []
+    for decode in (record_to_document, oracles.record_to_document_reference):
+        try:
+            doc = decode(json.loads(json.dumps(record)))
+        except NativeSchemaError as exc:
+            outcomes.append(("error", exc.path, str(exc)))
+        else:
+            outcomes.append(("document", document_to_record(doc)))
+    return outcomes
+
+
+def _multi_message_record(sample_documents):
+    doc = next(d for d in sample_documents if len(d.thread.messages) >= 2)
+    return document_to_record(doc)
+
+
+class TestDecoderTargeted:
+    """Values the direct token build must leave to ``Token``, and overlaps."""
+
+    @pytest.mark.parametrize("offsets", [(0.0, 1.5), (False, True), (0, 1.0), (False, 1)], ids=repr)
+    def test_float_and_bool_offsets_keep_their_type(self, example1_document, offsets):
+        record = document_to_record(example1_document)
+        first = record["messages"][0]["sentences"][0][0]
+        first[2:] = offsets
+        new, reference = _decoded_or_error(record)
+        assert new == reference and new[0] == "document"
+        token = record_to_document(record).thread.messages[0].sentences[0][0]
+        assert type(token) is Token
+        assert (type(token.char_start), type(token.char_end)) == tuple(map(type, offsets))
+        assert (token.char_start, token.char_end) == offsets
+
+    @pytest.mark.parametrize("offsets, message", [
+        ((True, True), "char_start must be < char_end, got [True, True)"),
+        ((1.5, 1.5), "char_start must be < char_end, got [1.5, 1.5)"),
+        ((-0.5, 1), "char_start must be nonnegative, got -0.5"),
+        ((True, "2"), "'<=' not supported between instances of 'str' and 'bool'"),
+        (("", 0, 1), "token text must be nonempty"),
+        ((0, 0, 1), "token text must be nonempty"),
+    ], ids=repr)
+    def test_bad_token_values_keep_their_message(self, example1_document, offsets, message):
+        record = document_to_record(example1_document)
+        token = record["messages"][0]["sentences"][0][0]
+        if len(offsets) == 3:  # text, char_start, char_end
+            token[0], token[2], token[3] = offsets
+        else:
+            token[2:] = offsets
+        new, reference = _decoded_or_error(record)
+        assert new == reference == ("error", "$.messages[0].sentences[0][0]", f"$.messages[0].sentences[0][0]: {message}")
+
+    def test_overlap_reported_after_a_later_message_error(self, sample_documents):
+        record = _multi_message_record(sample_documents)
+        first, second = record["messages"][0]["sentences"][0][:2]
+        second[2] = first[3] - 1
+        record["messages"][1]["date"] = 17
+        new, reference = _decoded_or_error(record)
+        assert new == reference == ("error", "$.messages[1].date", "$.messages[1].date: bad timestamp 17")
+        # the reference decoder does not type-check "from"; the decoder reports it
+        # where it reports the date, before the overlap
+        record["messages"][1]["date"] = None
+        record["messages"][1]["from"] = 7
+        with pytest.raises(NativeSchemaError) as err:
+            record_to_document(record)
+        assert (err.value.path, err.value.message) == ("$.messages[1].from", "must be a string or null")
+
+    @pytest.mark.parametrize("where", ["in a sentence", "across sentences", "across messages"])
+    def test_token_starting_before_the_previous_end(self, sample_documents, where):
+        record = _multi_message_record(sample_documents)
+        messages = record["messages"]
+        if where == "in a sentence":
+            before, token = messages[0]["sentences"][0][:2]
+        elif where == "across sentences":
+            before, token = messages[0]["sentences"][0][-1], messages[0]["sentences"][1][0]
+        else:
+            before, token = messages[0]["sentences"][-1][-1], messages[1]["sentences"][0][0]
+        token[2] = before[3] - 1
+        token[3] = max(token[3], token[2] + 1)
+        new, reference = _decoded_or_error(record)
+        assert new == reference
+        assert new[:2] == ("error", "$")
+        assert f"at char {before[3] - 1} overlaps previous token ending at {before[3]}" in new[2]
+
+    def test_token_starting_at_the_previous_end(self, sample_documents):
+        record = _multi_message_record(sample_documents)
+        before, token = record["messages"][0]["sentences"][-1][-1], record["messages"][1]["sentences"][0][0]
+        token[2] = before[3]
+        new, reference = _decoded_or_error(record)
+        assert new == reference and new[0] == "document"
+
+
+_CONLL_CORRUPTIONS = [
+    "-", "_", "(1)", "(2", "2)", "(1)|(2", "3)|(3)", "(0)|0)", "x", "(a)", "()", "(1|2)", "(12345)",
+]
+_CONLL_LINES = [
+    "", "   ", "#begin document (z); part 000", "#begin document z", "#end document", "# note",
+    "z\t0\t0\tword", "z 0 0 é (4)", "z\t0\t1\tx\t-\textra\t(5)",
+]
+
+
+class TestConllBuilderDifferential:
+    """The CoNLL reader against the same reader with the builder kept in ``oracles``."""
+
+    @pytest.fixture(scope="class")
+    def conll_texts(self, example1_document):
+        rng = random.Random(17)
+        docs = [example1_document] + [synthetic_document(rng)[0] for _ in range(2)]
+        return [write_conll(doc) for doc in docs] + [write_conll_documents(docs[1:])]
+
+    @staticmethod
+    def _outcome(text):
+        outcomes = []
+        for read in (read_conll_documents, reference_conll):
+            try:
+                outcomes.append(("documents", [build_fields(d) for d in read(text)]))
+            except MalformedColumn as exc:
+                outcomes.append(("error", exc.line_number, str(exc)))
+        return outcomes
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_same_documents_or_same_error(self, conll_texts, data):
+        lines = data.draw(st.sampled_from(conll_texts)).split("\n")
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, len(lines) - 1))
+            kind = data.draw(st.sampled_from(["delete", "repeat", "insert", "coref", "word"]))
+            if kind == "delete":
+                del lines[at]
+            elif kind == "repeat":
+                lines.insert(at, lines[at])
+            elif kind == "insert":
+                lines.insert(at, data.draw(st.sampled_from(_CONLL_LINES)))
+            else:
+                cols = lines[at].split("\t")
+                if len(cols) >= 5:
+                    if kind == "coref":
+                        cols[-1] = data.draw(st.sampled_from(_CONLL_CORRUPTIONS))
+                    else:
+                        cols[3] = data.draw(st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=4))
+                    lines[at] = "\t".join(cols)
+            if not lines:
+                break
+        new, reference = self._outcome("\n".join(lines))
+        assert new == reference

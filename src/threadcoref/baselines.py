@@ -64,11 +64,7 @@ def mention_pronoun_class(thread: EmailThread, mention: Mention) -> PronounClass
     return classify_pronoun(mention_tokens(thread, mention)[0].text)
 
 
-def normalize_mention_words(
-    thread: EmailThread,
-    mention: Mention,
-    stopwords: frozenset[str] = wordlists.ENGLISH_STOPWORDS,
-) -> frozenset[str]:
+def normalize_mention_words(thread: EmailThread, mention: Mention) -> frozenset[str]:
     """Word set used for overlap chaining.
 
     Casefolds, strips punctuation tokens, and drops stopwords. Email
@@ -84,7 +80,7 @@ def normalize_mention_words(
             words.update(w for w in re.split(r"[\W_]+", local) if w)
         else:
             words.update(w for w in re.split(r"[\W_]+", text) if w)
-    return frozenset(w for w in words if w not in stopwords)
+    return frozenset(w for w in words if w not in wordlists.ENGLISH_STOPWORDS)
 
 
 class _UnionFind:
@@ -108,9 +104,7 @@ class _UnionFind:
 
 
 def chain_overlapping_mentions(
-    thread: EmailThread,
-    mentions: Sequence[Mention],
-    stopwords: frozenset[str] = wordlists.ENGLISH_STOPWORDS,
+    thread: EmailThread, mentions: Sequence[Mention]
 ) -> list[tuple[Mention, ...]]:
     """Partition mentions by transitive normalized-word overlap.
 
@@ -125,7 +119,7 @@ def chain_overlapping_mentions(
     for i, mention in enumerate(order):
         if mention_tokens(thread, mention)[0].section is Section.FOOTER:
             continue
-        for word in normalize_mention_words(thread, mention, stopwords):
+        for word in normalize_mention_words(thread, mention):
             by_word[word].append(i)
     for indices in by_word.values():
         for other in indices[1:]:
@@ -155,11 +149,7 @@ class ParticipantIndex:
         return MessageParticipants()
 
 
-def build_participant_index(
-    thread: EmailThread,
-    mentions: Iterable[Mention],
-    stopwords: frozenset[str] = wordlists.ENGLISH_STOPWORDS,
-) -> ParticipantIndex:
+def build_participant_index(thread: EmailThread, mentions: Iterable[Mention]) -> ParticipantIndex:
     """Assign header mentions sender/recipient roles by their header line."""
     senders: dict[int, list[Mention]] = defaultdict(list)
     recipients: dict[int, list[Mention]] = defaultdict(list)
@@ -178,14 +168,12 @@ def build_participant_index(
 
     entries = []
     for i in range(len(thread.messages)):
-        sender_words = [
-            normalize_mention_words(thread, s, stopwords) for s in senders.get(i, [])
-        ]
+        sender_words = [normalize_mention_words(thread, s) for s in senders.get(i, [])]
         pronoun_recipients = tuple(
             r
             for r in recipients.get(i, [])
             if not any(
-                words and words == normalize_mention_words(thread, r, stopwords)
+                words and words == normalize_mention_words(thread, r)
                 for words in sender_words
             )
         )
@@ -218,7 +206,6 @@ def _resolve(
     thread: EmailThread,
     mentions: Sequence[Mention],
     plural_as_thread_chain: bool,
-    stopwords: frozenset[str],
 ) -> Resolution:
     order = sorted(set(mentions), key=mention_order)
     index_of = {m: i for i, m in enumerate(order)}
@@ -231,12 +218,12 @@ def _resolve(
     }
     non_pronominal = [m for m in order if classes[m] is PronounClass.OTHER]
 
-    for group in chain_overlapping_mentions(thread, non_pronominal, stopwords):
+    for group in chain_overlapping_mentions(thread, non_pronominal):
         first = index_of[group[0]]
         for other in group[1:]:
             uf.union(first, index_of[other])
 
-    participants = build_participant_index(thread, non_pronominal, stopwords)
+    participants = build_participant_index(thread, non_pronominal)
     for entry in participants.by_message:
         if len(entry.senders) > 1:
             first = index_of[entry.senders[0]]
@@ -289,19 +276,11 @@ def _resolve(
     return Resolution(chains=chains, unresolved=tuple(unresolved))
 
 
-def resolve_hb1(
-    thread: EmailThread,
-    mentions: Sequence[Mention],
-    stopwords: frozenset[str] = wordlists.ENGLISH_STOPWORDS,
-) -> Resolution:
+def resolve_hb1(thread: EmailThread, mentions: Sequence[Mention]) -> Resolution:
     """Variant 1: first-person plurals link to sender and recipients."""
-    return _resolve(thread, mentions, plural_as_thread_chain=False, stopwords=stopwords)
+    return _resolve(thread, mentions, plural_as_thread_chain=False)
 
 
-def resolve_hb2(
-    thread: EmailThread,
-    mentions: Sequence[Mention],
-    stopwords: frozenset[str] = wordlists.ENGLISH_STOPWORDS,
-) -> Resolution:
+def resolve_hb2(thread: EmailThread, mentions: Sequence[Mention]) -> Resolution:
     """Variant 2: first-person plurals form a single thread-level chain."""
-    return _resolve(thread, mentions, plural_as_thread_chain=True, stopwords=stopwords)
+    return _resolve(thread, mentions, plural_as_thread_chain=True)

@@ -529,7 +529,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         importlib.import_module(f"{__package__}.{name}")
     with _collector_policy():
         try:
-            return args.func(args)
+            status = args.func(args)
+            # a closed stdout shows here, not in the flush at interpreter exit
+            sys.stdout.flush()
+            return status
+        except BrokenPipeError:
+            # the reader went away: send what is still buffered to devnull, so
+            # the flush at exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         except ToolkitError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

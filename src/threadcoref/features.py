@@ -19,6 +19,9 @@ from .model import (
     Section,
     Token,
     ToolkitError,
+    _MESSAGE_DEFAULTS,
+    _assemble_thread,
+    _tuple_new,
     mention_order,
 )
 
@@ -69,48 +72,27 @@ def date_permutation(thread: EmailThread, descending: bool = False) -> list[int]
     return perm
 
 
-def _moved_message(
-    msg: EmailMessage, index: int, sentences: tuple[tuple[Token, ...], ...]
-) -> EmailMessage:
-    """``msg`` with a new index and new sentences; the header fields carry over."""
-    return EmailMessage(
-        index=index,
-        date=msg.date,
-        from_addr=msg.from_addr,
-        to_addrs=msg.to_addrs,
-        cc_addrs=msg.cc_addrs,
-        subject=msg.subject,
-        x_from=msg.x_from,
-        x_to=msg.x_to,
-        x_cc=msg.x_cc,
-        sentences=sentences,
-    )
+def _shift_message(msg: EmailMessage, new_index: int, new_base: int) -> tuple[dict, int]:
+    """The fields of ``msg`` renumbered to new_index, its token offsets shifted
+    to start at new_base, and the base for the next message.
 
-
-def _shift_message(msg: EmailMessage, new_index: int, new_base: int) -> tuple[EmailMessage, int]:
-    """Renumber a message and shift its token offsets to start at new_base."""
-    tokens = list(msg.tokens())
-    if not tokens:
-        return _moved_message(msg, new_index, msg.sentences), new_base
-    old_base = tokens[0].char_start
-    shift = new_base - old_base
-    sentences = tuple(
+    The shift keeps every token's order and length, so each token is built
+    directly. Fields are read by name: ``vars()`` would give the kept message
+    a materialized ``__dict__``.
+    """
+    moved = {name: getattr(msg, name) for name in _MESSAGE_DEFAULTS}
+    moved["index"] = new_index
+    if not msg.sentences:
+        return moved, new_base
+    shift = new_base - msg.sentences[0][0].char_start
+    moved["sentences"] = tuple(
         tuple(
-            Token(
-                tok.text,
-                tok.sentence_index,
-                tok.token_index,
-                new_index,
-                tok.section,
-                tok.char_start + shift,
-                tok.char_end + shift,
-            )
-            for tok in sentence
+            _tuple_new(Token, (text, si, ti, new_index, section, cs + shift, ce + shift))
+            for text, si, ti, _, section, cs, ce in sentence
         )
         for sentence in msg.sentences
     )
-    next_base = tokens[-1].char_end + shift + 1
-    return _moved_message(msg, new_index, sentences), next_base
+    return moved, msg.sentences[-1][-1].char_end + shift + 1
 
 
 def reverse_thread(thread: EmailThread, descending: bool = False) -> EmailThread:
@@ -128,9 +110,9 @@ def reverse_thread(thread: EmailThread, descending: bool = False) -> EmailThread
     messages = []
     base = 0
     for new_index, old_index in enumerate(order):
-        msg, base = _shift_message(thread.messages[old_index], new_index, base)
-        messages.append(msg)
-    return EmailThread(id=thread.id, messages=tuple(messages), source_path=thread.source_path)
+        moved, base = _shift_message(thread.messages[old_index], new_index, base)
+        messages.append(moved)
+    return _assemble_thread(thread.id, messages, thread.source_path)
 
 
 def reverse_document(doc: AnnotatedDocument, descending: bool = False) -> AnnotatedDocument:

@@ -308,15 +308,6 @@ def _classify(
     return FilterVerdict(summary.id, FilterCategory.ACCEPTED, "")
 
 
-def classify_thread(
-    thread: EmailThread,
-    corpus_index: Mapping[str, Counter],
-    exclusion: ExclusionSet,
-    config: FilterConfig = DEFAULT_FILTER_CONFIG,
-) -> FilterVerdict:
-    return _classify(summarize_thread(thread, config), corpus_index, exclusion, config)
-
-
 def filter_corpus(
     threads: Sequence[EmailThread],
     exclusion: ExclusionSet = ExclusionSet(),

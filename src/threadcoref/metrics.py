@@ -90,34 +90,33 @@ class MetricParts:
         return MetricScore(p, r, f1_score(p, r), tuple(dict.fromkeys(flags)))
 
 
-def _membership(chains: ChainSets) -> dict[Hashable, int]:
-    return {m: i for i, chain in enumerate(chains) for m in chain}
+def _muc_half(chains: ChainSets, rows: list[dict[int, int]]) -> tuple[float, float]:
+    """Link-based numerator/denominator for one role of MUC, from its overlap rows.
 
-
-def _muc_half(chains: ChainSets, other_membership: dict) -> tuple[float, float]:
-    """Link-based numerator/denominator for one role of MUC."""
+    A chain K_i falls into one partition per chain of the other side it
+    shares mentions with, plus one per mention the other side lacks, so it
+    keeps |K_i| - len(row) - (|K_i| - sum(row)) = sum(row) - len(row) links.
+    """
     num = 0.0
     den = 0.0
-    for chain in chains:
-        partitions = set()
-        absent = 0
-        for m in chain:
-            if m in other_membership:
-                partitions.add(other_membership[m])
-            else:
-                absent += 1
-        num += len(chain) - (len(partitions) + absent)
+    for chain, row in zip(chains, rows):
+        num += sum(row.values()) - len(row)
         den += len(chain) - 1
     return num, den
 
 
 def muc_parts(key: Iterable, response: Iterable) -> MetricParts:
-    return _muc(as_chain_sets(key), as_chain_sets(response))
+    k = as_chain_sets(key)
+    r = as_chain_sets(response)
+    rows = overlap_rows(k, r)
+    return _muc(k, r, rows, transpose_rows(rows, len(r)))
 
 
-def _muc(k: ChainSets, r: ChainSets) -> MetricParts:
-    r_num, r_den = _muc_half(k, _membership(r))
-    p_num, p_den = _muc_half(r, _membership(k))
+def _muc(
+    k: ChainSets, r: ChainSets, rows: list[dict[int, int]], cols: list[dict[int, int]]
+) -> MetricParts:
+    r_num, r_den = _muc_half(k, rows)
+    p_num, p_den = _muc_half(r, cols)
     return MetricParts(p_num, p_den, r_num, r_den)
 
 
@@ -378,7 +377,7 @@ def score_documents(pairs: Iterable[tuple[Iterable, Iterable]]) -> ScoreReport:
         r = as_chain_sets(response)
         rows = overlap_rows(k, r)
         cols = transpose_rows(rows, len(r))
-        muc_sum = muc_sum + _muc(k, r)
+        muc_sum = muc_sum + _muc(k, r, rows, cols)
         b3_sum = b3_sum + _b3(k, r, rows, cols)
         ceafe_sum = ceafe_sum + _ceaf_e(k, r, rows)
         lea_sum = lea_sum + _lea(k, r, rows, cols)

@@ -6,9 +6,11 @@ documents can be shared freely between workers.
 Structural invariants that a constructor can check locally (token offsets,
 message index contiguity) raise ``ValueError`` at construction time;
 cross-object consistency of chains and mentions is reported as data by
-:func:`validate_document`. The native and CoNLL readers build each document
-in one checked pass: they check every token once as they build it, then
-assemble messages and thread without running the constructors' checks again.
+:func:`validate_document`. Every builder in the package (the native and CoNLL
+readers, the parser and the date reordering) assembles a document in one
+checked pass: each token is checked once, or holds the checks by construction,
+and messages and thread are assembled without running the constructors' checks
+again (:func:`_assemble_thread`).
 """
 from __future__ import annotations
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import wordlists
-from .model import EmailMessage, EmailThread, Section, Token, ToolkitError
+from .model import EmailThread, Section, Token, ToolkitError, _assemble_thread, _intern, _tuple_new
 
 
 class UnparseableThread(ToolkitError):
@@ -421,50 +421,24 @@ def tokenize_and_sentence_split(
                 raw_sentences.append((section, toks))
     flush_body()
 
-    sentences = []
-    for si, (section, toks) in enumerate(raw_sentences):
-        sentences.append(
-            tuple(
-                Token(
-                    text=t,
-                    sentence_index=si,
-                    token_index=ti,
-                    message_index=message_index,
-                    section=section,
-                    char_start=cs,
-                    char_end=ce,
-                )
-                for ti, (t, cs, ce) in enumerate(toks)
-            )
-        )
-    return tuple(sentences)
-
-
-def parse_message(
-    slice_text: str,
-    slice_offset: int,
-    index: int,
-    config: ParserConfig = DEFAULT_CONFIG,
-) -> EmailMessage:
-    header = parse_header(slice_text, config)
-    line_sections = assign_sections(slice_text, config)
-    sentences = tokenize_and_sentence_split(
-        slice_text,
-        sections=line_sections,
-        message_index=index,
-        base_offset=slice_offset,
+    # texts are nonempty strings, indices count from 0 and offsets rise, so
+    # with these argument types every Token check holds and each token is
+    # built directly; any other argument goes through Token and its checks
+    direct = (
+        type(message_index) is int
+        and message_index >= 0
+        and type(base_offset) is int
+        and base_offset >= 0
+        and all(isinstance(section, Section) for section in sections)
     )
-    return EmailMessage(
-        index=index,
-        date=header.date,
-        from_addr=header.from_addr,
-        to_addrs=header.to_addrs,
-        cc_addrs=header.cc_addrs,
-        subject=header.subject,
-        x_from=header.x_from,
-        x_to=header.x_to,
-        x_cc=header.x_cc,
-        sentences=sentences,
+    return tuple(
+        tuple(
+            _tuple_new(Token, (_intern(t), si, ti, message_index, section, cs, ce))
+            if direct
+            else Token(t, si, ti, message_index, section, cs, ce)
+            for ti, (t, cs, ce) in enumerate(toks)
+        )
+        for si, (section, toks) in enumerate(raw_sentences)
     )
 
 
@@ -473,14 +447,20 @@ def parse_thread(raw: RawThread, config: ParserConfig = DEFAULT_CONFIG) -> Email
 
     Message indices follow file order, which for quoted threads is most
     recent first. Deterministic: parsing the same bytes twice yields
-    structurally equal threads.
+    structurally equal threads. Slices are disjoint and in file order, so the
+    thread holds every invariant the constructors check and is assembled
+    without running them again.
     """
-    slices = split_messages(raw, config)
-    messages = [
-        parse_message(text, offset, i, config)
-        for i, (text, offset) in enumerate(slices)
-    ]
-    return EmailThread(id=raw.id, messages=tuple(messages), source_path=raw.source_path)
+    messages = []
+    for i, (text, offset) in enumerate(split_messages(raw, config)):
+        sentences = tokenize_and_sentence_split(
+            text,
+            sections=assign_sections(text, config),
+            message_index=i,
+            base_offset=offset,
+        )
+        messages.append({**vars(parse_header(text, config)), "index": i, "sentences": sentences})
+    return _assemble_thread(raw.id, messages, raw.source_path)
 
 
 def header_field_of_sentence(sentence: Sequence[Token]) -> Optional[str]:

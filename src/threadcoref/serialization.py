@@ -514,7 +514,7 @@ def write_native(
     """Write one JSON record per line; key order is fixed for determinism."""
     for doc in docs:
         record = document_to_record(doc, features=features)
-        fp.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
+        fp.write(json.dumps(record, ensure_ascii=False, allow_nan=False, separators=(",", ":")))
         fp.write("\n")
 
 
@@ -551,11 +551,16 @@ def iter_native_lines(path) -> Iterator[tuple[int, str]]:
             yield line_no, line[:-1] if line.endswith("\n") else line
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def decode_line(line: str, line_no: int) -> AnnotatedDocument:
-    """Decode one JSONL line; bad JSON is reported with its line number."""
+    """Decode one JSONL line; bad JSON, NaN and Infinity included, is reported
+    with its line number."""
     try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
+        record = json.loads(line, parse_constant=_reject_constant)
+    except ValueError as exc:
         raise NativeSchemaError(f"line {line_no}", f"invalid JSON: {exc}") from None
     return record_to_document(record)
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from pathlib import Path
@@ -116,6 +117,36 @@ def tiny_thread(
             )
         )
     return EmailThread(id=thread_id, messages=tuple(messages))
+
+
+def build_fields(doc):
+    """A document as nested plain values: ``vars()`` of the thread and of each
+    message, the type of each of them, and each token with its type and the
+    type of every field, so that a bool or float offset shows."""
+    thread = doc.thread
+    return (
+        type(thread),
+        {name: value for name, value in vars(thread).items() if name != "messages"},
+        [
+            (
+                type(message),
+                {name: value for name, value in vars(message).items() if name != "sentences"},
+                [[(type(t), tuple((type(v), v) for v in t)) for t in sent] for sent in message.sentences],
+            )
+            for message in thread.messages
+        ],
+        doc.chains,
+    )
+
+
+def checked_document(doc):
+    """``doc`` rebuilt by the checked constructors, every token by ``Token``."""
+    thread = doc.thread
+    messages = tuple(
+        EmailMessage(**{**vars(m), "sentences": tuple(tuple(Token(*t) for t in s) for s in m.sentences)})
+        for m in thread.messages
+    )
+    return replace(doc, thread=EmailThread(thread.id, messages, thread.source_path))
 
 
 # ---------------------------------------------------------------------------

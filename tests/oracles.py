@@ -322,6 +322,35 @@ def record_to_document_reference(record: dict) -> AnnotatedDocument:
     return AnnotatedDocument(thread=thread, chains=tuple(chains))
 
 
+def _muc_half_reference(chains, others) -> tuple[float, float]:
+    """One role of MUC by counting the partitions of each chain: one per chain
+    of the other side holding its mentions (the last such chain, for a mention
+    in several), plus one per mention the other side lacks."""
+    membership = {m: i for i, chain in enumerate(others) for m in chain}
+    num = 0.0
+    den = 0.0
+    for chain in chains:
+        partitions = set()
+        absent = 0
+        for m in chain:
+            if m in membership:
+                partitions.add(membership[m])
+            else:
+                absent += 1
+        num += len(chain) - (len(partitions) + absent)
+        den += len(chain) - 1
+    return num, den
+
+
+def muc_parts_reference(key, response) -> "_metrics.MetricParts":
+    """MUC parts from a mention-to-chain membership map."""
+    k = _metrics.as_chain_sets(key)
+    r = _metrics.as_chain_sets(response)
+    r_num, r_den = _muc_half_reference(k, r)
+    p_num, p_den = _muc_half_reference(r, k)
+    return _metrics.MetricParts(p_num, p_den, r_num, r_den)
+
+
 def _b3_half_reference(chains, others) -> tuple[float, float]:
     """One role of B³ by intersecting each mention's chain with the other side's
     chain that holds it (the last such chain, for a mention in several)."""

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import random
@@ -441,6 +442,91 @@ class TestInvalidUtf8:
         bad = paths["bad_conll"] if "{bad_conll}" in args else paths["bad"]
         assert capsys.readouterr().err == f"error: {bad} is not valid UTF-8: invalid start byte\n"
         assert not paths["out"].exists()
+
+
+class TestUnreadableNumbers:
+    """NaN and Infinity are not JSON, and an integer too long for int() is not
+    readable: a record holding one is rejected at its line."""
+
+    @staticmethod
+    def _nonfinite(gold_corpus, tmp_path, line: int) -> Path:
+        lines = gold_corpus.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[line - 1])
+        sentences = record["messages"][0]["sentences"]
+        sentences[0][0][2] = float("nan")
+        sentences[-1][-1][3] = float("inf")
+        lines[line - 1] = json.dumps(record)
+        path = tmp_path / "nonfinite.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("args", [
+        ["stats", "--in", "{bad}"],
+        ["features", "--in", "{bad}", "--out", "{out}", "--mi", "--si"],
+        ["score", "--key", "{gold}", "--response", "{bad}"],
+    ], ids=lambda args: args[0])
+    def test_exits_1_naming_the_line(self, gold_corpus, tmp_path, capsys, args):
+        bad = self._nonfinite(gold_corpus, tmp_path, line=2)
+        assert "NaN" in bad.read_text(encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        argv = [a.format(bad=bad, gold=gold_corpus, out=out) for a in args]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: line 2: invalid JSON: NaN is not a JSON number\n"
+        assert not out.exists()
+
+    def test_infinity_alone(self, gold_corpus, tmp_path, capsys):
+        record = json.loads(gold_corpus.read_text(encoding="utf-8").splitlines()[0])
+        record["messages"][-1]["sentences"][-1][-1][3] = float("-inf")
+        bad = tmp_path / "inf.jsonl"
+        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["stats", "--in", str(bad)]) == 1
+        assert capsys.readouterr().err == "error: line 1: invalid JSON: -Infinity is not a JSON number\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int() digit limit")
+    def test_oversized_integer(self, gold_corpus, tmp_path, capsys):
+        line = gold_corpus.read_text(encoding="utf-8").splitlines()[0]
+        bad = tmp_path / "long.jsonl"
+        bad.write_text(line.replace('"h",0,', '"h",' + "1" * 5000 + ",", 1) + "\n", encoding="utf-8")
+        assert main(["stats", "--in", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: invalid JSON: Exceeds the limit") and err.count("\n") == 1
+
+    def test_writer_refuses_nonfinite_offsets(self, gold_corpus):
+        doc = read_native(gold_corpus.read_text(encoding="utf-8"))[0]
+        last = doc.thread.messages[-1]
+        *sentences, final = last.sentences
+        final = (*final[:-1], final[-1]._replace(char_end=float("inf")))
+        # the checked constructors accept it: every comparison with inf holds
+        last = replace(last, sentences=(*sentences, final))
+        doc = replace(doc, thread=replace(doc.thread, messages=(*doc.thread.messages[:-1], last)))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_native([doc], io.StringIO())
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early ends the command quietly with exit 1."""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["stats", "score"])
+    def test_broken_pipe_exits_1_without_traceback(self, gold_corpus, command, buffered):
+        args = ["stats", "--in", str(gold_corpus)] if command == "stats" else [
+            "score", "--key", str(gold_corpus), "--response", str(gold_corpus)]
+        src = Path(__file__).resolve().parent.parent / "src"
+        # buffered, the pipe fails at the flush; unbuffered, at the first write
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=str(src), **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "threadcoref.cli", *args], stdout=write_end,
+                stderr=subprocess.PIPE, env=env, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) <= 1, proc.stderr
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 class TestCollectorPolicy:

@@ -1,9 +1,12 @@
+import pickle
 import random
+from dataclasses import replace
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
 
-from conftest import synthetic_document, tiny_thread
+from conftest import build_fields, checked_document, synthetic_document, tiny_thread
 from threadcoref.features import (
     FeatureAnnotation,
     MissingDate,
@@ -14,7 +17,15 @@ from threadcoref.features import (
     reverse_thread,
     section_info,
 )
-from threadcoref.model import AnnotatedDocument, Section, validate_document
+from threadcoref.model import (
+    AnnotatedDocument,
+    EmailMessage,
+    EmailThread,
+    Section,
+    Token,
+    validate_document,
+)
+from threadcoref.serialization import read_native, write_native_string
 
 UTC = timezone.utc
 
@@ -135,3 +146,76 @@ class TestReverseDocument:
         thread = tiny_thread([2, 1], dates=dated(8, 12))
         doc = AnnotatedDocument(thread=thread)
         assert reverse_document(doc) is doc
+
+
+class TestOnePassReorder:
+    """reverse_document assembles the reordered thread without re-running the
+    constructors' checks; it must be what the checked constructors build."""
+
+    @pytest.fixture(scope="class")
+    def documents(self):
+        rng = random.Random(31)
+        docs = [synthetic_document(rng, max_messages=5)[0] for _ in range(30)]
+        docs = [d for d in docs if len(d.thread.messages) >= 2]
+        # a thread built by the checked constructors, and documents as read back
+        docs.append(AnnotatedDocument(tiny_thread([3, 0, 2, 1], dates=dated(9, 7, 8, 6))))
+        return docs + read_native(write_native_string(docs[:5]))
+
+    @staticmethod
+    def _both_directions(doc):
+        """Reorders of ``doc`` oldest first, then back newest first."""
+        ascending = reverse_document(doc)
+        assert ascending is not doc
+        descending = reverse_document(ascending, descending=True)
+        assert descending is not ascending
+        return ascending, descending
+
+    def test_equals_checked_build(self, documents):
+        for doc in documents:
+            for out in self._both_directions(doc):
+                assert build_fields(out) == build_fields(checked_document(out))
+                assert validate_document(out) == []
+
+    def test_offsets_shift_message_by_message(self, documents):
+        # each message keeps its own spacing and starts one past the previous end
+        for doc in documents:
+            perm = date_permutation(doc.thread)
+            out = reverse_document(doc)
+            base = 0
+            for old in sorted(range(len(perm)), key=perm.__getitem__):
+                source, moved = doc.thread.messages[old], out.thread.messages[perm[old]]
+                start = source.sentences[0][0].char_start if source.sentences else 0
+                assert [(t.char_start - base, t.char_end - base) for t in moved.tokens()] == [
+                    (t.char_start - start, t.char_end - start) for t in source.tokens()]
+                base = moved.sentences[-1][-1].char_end + 1 if moved.sentences else base
+
+    def test_round_trip_restores_the_thread(self, documents):
+        # newest first, then oldest first and back: same messages, offsets shifted
+        newest_first = [
+            d for d in documents
+            if [m.date for m in d.thread.messages] == sorted((m.date for m in d.thread.messages), reverse=True)
+        ]
+        assert len(newest_first) >= 10
+        for doc in newest_first:
+            _, back = self._both_directions(doc)
+            assert [vars(m) | {"sentences": None} for m in back.thread.messages] == [
+                vars(m) | {"sentences": None} for m in doc.thread.messages]
+            assert [t[:5] for t in back.thread.tokens()] == [t[:5] for t in doc.thread.tokens()]
+
+    def test_runs_no_constructor_check(self, documents):
+        checked = mock.Mock(side_effect=AssertionError("a checked constructor ran"))
+        with mock.patch.object(Token, "__new__", checked), \
+                mock.patch.object(EmailMessage, "__post_init__", checked), \
+                mock.patch.object(EmailThread, "__post_init__", checked):
+            for doc in documents:
+                self._both_directions(doc)
+        checked.assert_not_called()
+
+    def test_survives_pickling_and_replace(self, documents):
+        for doc in documents:
+            for out in self._both_directions(doc):
+                checked = checked_document(out)
+                assert build_fields(pickle.loads(pickle.dumps(out))) == build_fields(checked)
+                assert build_fields(replace(out, thread=replace(out.thread))) == build_fields(checked)
+                first = out.thread.messages[0]
+                assert replace(first, subject="x") == replace(checked.thread.messages[0], subject="x")

@@ -466,3 +466,33 @@ class TestB3Differential:
         assert abs(got.precision - want.precision) <= 1e-12
         assert abs(got.recall - want.recall) <= 1e-12
         assert got.flags == want.flags
+
+
+class TestMucDifferential:
+    """MUC from the sparse overlap rows against the membership-map reference."""
+
+    def test_parts_identical_to_reference(self):
+        rng = random.Random(6061)
+        singletons = empty = 0
+        for _ in range(1500):
+            key, response = _ceafe_case(rng, 40)
+            singletons += any(len(c) == 1 for c in key + response)
+            empty += not key or not response
+            assert muc_parts(key, response) == oracles.muc_parts_reference(key, response), (
+                key, response)
+        assert min(singletons, empty) >= 50
+
+    def test_shared_mention_counts_in_each_chain(self):
+        # {1, 2} against {1, 2} and {1}: mention 1 sits in both response chains,
+        # so the key chain overlaps two chains holding three of its mentions
+        parts = muc_parts([frozenset({1, 2})], [frozenset({1, 2}), frozenset({1})])
+        assert (parts.r_num, parts.r_den) == (3 - 2, 1.0)
+        assert (parts.p_num, parts.p_den) == ((2 - 1) + (1 - 1), 1.0)
+
+    def test_score_documents_sums_reference_parts(self):
+        rng = random.Random(6062)
+        pairs = [_ceafe_case(rng, 30) for _ in range(40)]
+        expected = MetricParts()
+        for key, response in pairs:
+            expected = expected + oracles.muc_parts_reference(key, response)
+        assert score_documents(pairs).muc == expected.score()

@@ -1,10 +1,16 @@
+import pickle
 import random
 import re
+import sys
+from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import synthetic_raw_text
-from threadcoref.model import Section
+from conftest import CORPUS10_DIR, DATA_DIR, build_fields, checked_document, synthetic_raw_text
+from threadcoref.model import AnnotatedDocument, EmailMessage, EmailThread, Section, Token
 from threadcoref.parsing import (
     ParserConfig,
     RawThread,
@@ -240,3 +246,107 @@ class TestParseThread:
         )
         slices = split_messages(RawThread(id="t", text=text), config)
         assert len(slices) == 2
+
+
+_FIXTURE_TEXTS = [(DATA_DIR / "example1.txt").read_text(encoding="utf-8")] + [
+    path.read_text(encoding="utf-8") for path in sorted(CORPUS10_DIR.glob("*.txt"))
+]
+# pieces that move message, section and sentence boundaries, or split tokens
+_PIECES = st.sampled_from([
+    "\n", "\n\n", " ", ".", "?", "'s", "n't", "(", "\"", "a@b.com", "x",
+    SEPARATOR, "From: c@d.com\nSent: Tue, 18 Dec 2001 09:00:00 -0800\nSubject: s\n",
+    "Subject: re\n", "To: e@f.com,\n  g@h.com\n", "\nThanks,\nJohn\n", "\r\n", "\t",
+])
+
+
+def _mutated(data) -> str:
+    text = data.draw(st.sampled_from(_FIXTURE_TEXTS))
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(text)))
+        if data.draw(st.booleans()):
+            text = text[:i] + data.draw(_PIECES) + text[i:]
+        else:
+            text = text[:i] + text[i + data.draw(st.integers(1, 40)):]
+    return text
+
+
+class TestOnePassBuild:
+    """parse_thread assembles without re-running the constructors' checks; what
+    it builds must be what the checked constructors build from its fields."""
+
+    @staticmethod
+    def _checked_equal(thread: EmailThread) -> None:
+        doc = AnnotatedDocument(thread)
+        assert build_fields(doc) == build_fields(checked_document(doc))
+
+    def test_fixtures_equal_checked_build(self, example1_thread, corpus10_threads):
+        for thread in [example1_thread, *corpus10_threads]:
+            self._checked_equal(thread)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_texts_equal_checked_build(self, data):
+        text = _mutated(data)
+        try:
+            thread = parse_thread(RawThread(id="m", text=text, source_path="m.txt"))
+        except UnparseableThread:
+            return
+        self._checked_equal(thread)
+        # every message's offsets still slice back to its token texts
+        assert all(text[t.char_start:t.char_end] == t.text for t in thread.tokens())
+
+    def test_valid_input_runs_no_constructor_check(self):
+        checked = mock.Mock(side_effect=AssertionError("a checked constructor ran"))
+        with mock.patch.object(Token, "__new__", checked), \
+                mock.patch.object(EmailMessage, "__post_init__", checked), \
+                mock.patch.object(EmailThread, "__post_init__", checked):
+            threads = [parse_thread(RawThread(id=str(i), text=t)) for i, t in enumerate(_FIXTURE_TEXTS)]
+        checked.assert_not_called()
+        assert all(type(t) is Token and t.text is sys.intern(t.text)
+                   for thread in threads for t in thread.tokens())
+
+    def test_survives_pickling_and_replace(self, corpus10_threads):
+        for thread in corpus10_threads:
+            checked = checked_document(AnnotatedDocument(thread)).thread
+            again = pickle.loads(pickle.dumps(thread))
+            assert build_fields(AnnotatedDocument(again)) == build_fields(AnnotatedDocument(checked))
+            # replace runs the constructors' checks, which the parsed objects pass
+            assert replace(thread) == checked
+            first = thread.messages[0]
+            assert replace(first, subject="x") == replace(checked.messages[0], subject="x")
+            with pytest.raises(ValueError, match="carries indices"):
+                replace(first, sentences=((first.sentences[0][0],) * 2,))
+
+
+class TestTokenizerArguments:
+    """Arguments outside the direct build go through Token, with its errors."""
+
+    def test_direct_build_equals_token_build(self):
+        sentences = tokenize_and_sentence_split(
+            "Subject: hi\nWe'll go. Now?\n", sections=[Section.HEADER, Section.BODY],
+            message_index=3, base_offset=40,
+        )
+        assert sentences == tuple(tuple(Token(*t) for t in s) for s in sentences)
+        assert [(t.message_index, t.char_start) for t in sentences[1]] == [(3, 52), (3, 54), (3, 58), (3, 60)]
+
+    def test_negative_message_index(self):
+        with pytest.raises(ValueError, match=r"^message_index must be nonnegative, got -1$"):
+            tokenize_and_sentence_split("hello there.", message_index=-1)
+
+    def test_negative_base_offset(self):
+        with pytest.raises(ValueError, match=r"^char_start must be nonnegative, got -1$"):
+            tokenize_and_sentence_split("hello there.", base_offset=-1)
+        with pytest.raises(ValueError, match=r"^char_start must be nonnegative, got -0.5$"):
+            tokenize_and_sentence_split("hello", base_offset=-0.5)
+
+    def test_float_base_offset_gives_float_offsets(self):
+        (sentence,) = tokenize_and_sentence_split("hello there", base_offset=2.5)
+        assert [(t.char_start, t.char_end) for t in sentence] == [(2.5, 7.5), (8.5, 13.5)]
+
+    def test_non_section_entry(self):
+        with pytest.raises(ValueError, match=r"^section must be a Section, got 'header'$"):
+            tokenize_and_sentence_split("Subject: hi\nbody.\n", sections=["header", Section.BODY])
+        # a non-Section entry on a line without tokens builds no token
+        assert tokenize_and_sentence_split("\nbody.\n", sections=["header", Section.BODY]) == (
+            tokenize_and_sentence_split("\nbody.\n")
+        )

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import synthetic_document
+from conftest import build_fields, checked_document, synthetic_document
 from threadcoref import serialization
 from threadcoref.model import (
     AnnotatedDocument,
@@ -555,36 +555,6 @@ class TestDecoderDifferential:
             reference = ("crash",)
         if new != reference:
             assert new[0] == "error" and _is_hole(record, new[1]), (new, reference)
-
-
-def build_fields(doc):
-    """A document as nested plain values: ``vars()`` of the thread and of each
-    message, the type of each of them, and each token with its type and the
-    type of every field, so that a bool or float offset shows."""
-    thread = doc.thread
-    return (
-        type(thread),
-        {name: value for name, value in vars(thread).items() if name != "messages"},
-        [
-            (
-                type(message),
-                {name: value for name, value in vars(message).items() if name != "sentences"},
-                [[(type(t), tuple((type(v), v) for v in t)) for t in sent] for sent in message.sentences],
-            )
-            for message in thread.messages
-        ],
-        doc.chains,
-    )
-
-
-def checked_document(doc):
-    """``doc`` rebuilt by the checked constructors, every token by ``Token``."""
-    thread = doc.thread
-    messages = tuple(
-        EmailMessage(**{**vars(m), "sentences": tuple(tuple(Token(*t) for t in s) for s in m.sentences)})
-        for m in thread.messages
-    )
-    return replace(doc, thread=EmailThread(thread.id, messages, thread.source_path))
 
 
 def reference_conll(text):

@@ -5,8 +5,8 @@ correction-stats. Reports are machine-parseable TSV with a fixed header
 row (--pretty aligns them for humans). Given identical inputs and
 configuration all outputs are deterministic byte for byte, including under
 --jobs parallelism: work is distributed per thread but results are reduced
-in input order. Every command except parse and resolve reads its input one
-document at a time, so it holds at most one document of each input file.
+in input order. Every command reads its input one document at a time, and
+runs with the cyclic garbage collector off.
 
 Exit codes: 0 on success, 1 on data errors, 2 on usage errors.
 """
@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib
 import os
 import sys
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 # Only what every subcommand needs is imported here; each handler imports
 # the modules it runs, so a command loads no code it does not use.
@@ -47,10 +46,11 @@ def _emit_table(rows: Sequence[Sequence[str]], out, pretty: bool) -> None:
             out.write("\n")
 
 
-def _iter_thread_files(root: Path) -> list[Path]:
+def _iter_thread_files(root: Path) -> list[tuple[Path, str]]:
+    """Each thread file under ``root`` with its relative name, in sorted order."""
     if root.is_file():
-        return [root]
-    return sorted(p for p in root.rglob("*") if p.is_file())
+        return [(root, root.name)]
+    return [(p, p.relative_to(root).as_posix()) for p in sorted(root.rglob("*")) if p.is_file()]
 
 
 def _parse_text(text: str, rel: str, config: ParserConfig) -> EmailThread:
@@ -71,14 +71,40 @@ def _summarize_one(args: tuple[str, str, ParserConfig, FilterConfig]) -> ThreadS
     return summarize_thread(_parse_text(text, rel, config), filter_config)
 
 
-def _map_jobs(func, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    # imported here so that single-process runs never load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+def _summarize_line(args: tuple[int, str, FilterConfig]) -> ThreadSummary:
+    from .filtering import summarize_thread
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, items, chunksize=max(1, len(items) // (jobs * 4) or 1)))
+    line_no, line, filter_config = args
+    return summarize_thread(serialization.decode_line(line, line_no).thread, filter_config)
+
+
+# Items sent to a worker at a time: each chunk costs the parent's pool threads a
+# round trip, so small chunks slow a large input; a smaller input uses one worker.
+_CHUNK_SIZE = 32
+
+
+def _map_jobs(func, items: Iterable, jobs: int) -> Iterator:
+    """``func`` of each item, lazily and in input order, in ``jobs`` processes."""
+    if jobs <= 1:
+        yield from map(func, items)
+        return
+    # imported here so that single-process runs never load multiprocessing
+    from multiprocessing import Pool
+
+    # the pool reads the items in a thread of its own and would drop the partial
+    # chunk before an item that fails to be read: stop there, raise after it
+    failed: list[Exception] = []
+
+    def until_failure() -> Iterator:
+        try:
+            yield from items
+        except Exception as exc:
+            failed.append(exc)
+
+    with Pool(jobs) as pool:
+        yield from pool.imap(func, until_failure(), _CHUNK_SIZE)
+    if failed:
+        raise failed.pop()
 
 
 def _format_of(path: Path, fmt: str) -> str:
@@ -192,17 +218,17 @@ def _replacing(path: str) -> Iterator[IO[str]]:
 
 def _parse_corpus_dir(
     path: Path, separators: Optional[str], footers: Optional[str], jobs: int, func, *extra
-) -> list:
+) -> Iterator:
     """``func`` of (text, relative path, parser config, *extra) for every
-    thread file under ``path``, in file order."""
+    thread file under ``path``, in file order; each file is read as it is needed."""
     from .parsing import ParserConfig
 
     config = ParserConfig.from_files(separators, footers)
-    payload = []
-    for file in _iter_thread_files(path):
-        rel = file.name if path.is_file() else file.relative_to(path).as_posix()
-        payload.append((file.read_text(encoding="utf-8", errors="replace"), rel, config, *extra))
-    return _map_jobs(func, payload, jobs)
+    payloads = (
+        (file.read_text(encoding="utf-8", errors="replace"), rel, config, *extra)
+        for file, rel in _iter_thread_files(path)
+    )
+    return _map_jobs(func, payloads, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +254,25 @@ def _cmd_filter(args) -> int:
     )
     path = Path(args.input)
     if path.is_dir():
-        summaries = _parse_corpus_dir(
+        summarized = _parse_corpus_dir(
             path, args.separators, args.footers, args.jobs, _summarize_one, config
         )
     else:
-        summaries = [
-            filtering.summarize_thread(doc.thread, config)
-            for _, doc in serialization.iter_native(path)
-        ]
+        lines = serialization.iter_native_lines(path)
+        summarized = _map_jobs(_summarize_line, ((n, line, config) for n, line in lines), args.jobs)
+    summaries: dict[str, ThreadSummary] = {}
+    for summary in summarized:
+        # the corpus index keeps one copy per id, and no thread is compared with
+        # its own id, so the copies of a repeated id would pass as distinct
+        if summary.id in summaries:
+            raise ToolkitError(f"input file {path} repeats document id {summary.id!r}")
+        summaries[summary.id] = summary
     exclusion = (
         filtering.ExclusionSet.from_file(args.exclude_fingerprints)
         if args.exclude_fingerprints
         else filtering.ExclusionSet()
     )
-    verdicts, report = filtering.filter_summaries(summaries, exclusion, config)
+    verdicts, report = filtering.filter_summaries(list(summaries.values()), exclusion, config)
     rows = [("category", "count")]
     rows += [(cat.value, str(count)) for cat, count in report.counts]
     rows.append(("total", str(report.total)))
@@ -281,14 +312,10 @@ def _resolve_one(payload: tuple[int, str, str]) -> str:
 
 
 def _cmd_resolve(args) -> int:
-    with utf8_input(args.input):
-        text = Path(args.input).read_text(encoding="utf-8")
-    payload = [
-        (line_no, line, args.baseline) for line_no, line in serialization.native_lines(text)
-    ]
-    lines = _map_jobs(_resolve_one, payload, args.jobs)
+    lines = serialization.iter_native_lines(args.input)
+    payloads = ((line_no, line, args.baseline) for line_no, line in lines)
     with _replacing(args.out) as fp:
-        fp.writelines(lines)
+        fp.writelines(_map_jobs(_resolve_one, payloads, args.jobs))
     return 0
 
 
@@ -422,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separators", help="separator marker phrases, one per line")
     p.add_argument("--footers", help="footer marker phrases, one per line")
     add_jobs(p)
-    p.set_defaults(func=_cmd_parse, uses=("parsing",))
+    p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("filter", help="classify threads into filtering categories")
     p.add_argument("--in", dest="input", required=True, help="thread directory or JSONL")
@@ -438,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--language-min-tokens", type=_positive_int, default=50)
     add_pretty(p)
     add_jobs(p)
-    p.set_defaults(func=_cmd_filter, uses=("filtering",))
+    p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("features", help="add MI/SI columns and/or reorder by date")
     p.add_argument("--in", dest="input", required=True, help="native JSONL input")
@@ -452,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="ascending",
         help="date order used by --rev",
     )
-    p.set_defaults(func=_cmd_features, uses=("features",))
+    p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("resolve", help="run a header baseline on gold mentions")
     p.add_argument("--baseline", choices=("hb1", "hb2"), required=True)
@@ -460,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="native JSONL with gold chains")
     p.add_argument("--out", required=True, help="native JSONL with predicted chains")
     add_jobs(p)
-    p.set_defaults(func=_cmd_resolve, uses=("baselines",))
+    p.set_defaults(func=_cmd_resolve)
 
     p = sub.add_parser("score", help="score response chains against key chains")
     p.add_argument("--key", required=True)
@@ -468,82 +495,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default="muc,b3,ceafe,lea")
     p.add_argument("--format", choices=("auto", "conll", "native"), default="auto")
     add_pretty(p)
-    p.set_defaults(func=_cmd_score, uses=("metrics",))
+    p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("errors", help="categorize prediction errors")
     p.add_argument("--key", required=True)
     p.add_argument("--response", required=True)
     p.add_argument("--format", choices=("auto", "conll", "native"), default="auto")
     add_pretty(p)
-    p.set_defaults(func=_cmd_errors, uses=("errors",))
+    p.set_defaults(func=_cmd_errors)
 
     p = sub.add_parser("stats", help="corpus statistics over native records")
     p.add_argument("--in", dest="input", required=True)
     add_pretty(p)
-    p.set_defaults(func=_cmd_stats, uses=("metrics",))
+    p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("correction-stats", help="manual-correction bookkeeping")
     p.add_argument("--pred", required=True, help="predicted mentions (native JSONL)")
     p.add_argument("--gold", required=True, help="corrected gold mentions (native JSONL)")
     p.add_argument("--format", choices=("auto", "conll", "native"), default="auto")
     add_pretty(p)
-    p.set_defaults(func=_cmd_correction_stats, uses=("metrics",))
+    p.set_defaults(func=_cmd_correction_stats)
 
     return parser
-
-
-# Gen-0 collection threshold while a command runs (CPython's default is 700).
-_GC_GEN0_THRESHOLD = 100_000
-
-
-@contextmanager
-def _collector_policy() -> Iterator[None]:
-    """Run a command with fewer cyclic-GC passes; the collector's state is restored after.
-
-    A command allocates millions of tuples, strings and frozen dataclasses
-    that reference counting frees, yet every 700 net allocations would start
-    a pass that walks the objects still alive. So the objects alive at the
-    start (modules, the parsed arguments) are frozen out of the collector's
-    view, and gen-0 passes come every 100,000 allocations. The collector
-    stays on. Objects a caller froze before stay frozen: freezing is skipped
-    then, because unfreezing on return would release them too.
-    """
-    threshold = gc.get_threshold()
-    freeze = gc.get_freeze_count() == 0
-    if freeze:
-        gc.freeze()
-    gc.set_threshold(_GC_GEN0_THRESHOLD, *threshold[1:])
-    try:
-        yield
-    finally:
-        gc.set_threshold(*threshold)
-        if freeze:
-            gc.unfreeze()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the handler's own imports, loaded before the collector policy freezes what is alive
-    for name in args.uses:
-        importlib.import_module(f"{__package__}.{name}")
-    with _collector_policy():
-        try:
-            status = args.func(args)
-            # a closed stdout shows here, not in the flush at interpreter exit
-            sys.stdout.flush()
-            return status
-        except BrokenPipeError:
-            # the reader went away: send what is still buffered to devnull, so
-            # the flush at exit cannot raise again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 1
-        except ToolkitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    # what a command builds holds no reference cycle: a collector pass would only walk it
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        status = args.func(args)
+        # a closed stdout shows here, not in the flush at interpreter exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to devnull, so
+        # the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except ToolkitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

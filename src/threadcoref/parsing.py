@@ -431,13 +431,15 @@ def tokenize_and_sentence_split(
         and base_offset >= 0
         and all(isinstance(section, Section) for section in sections)
     )
+    # sentences from lists: tuple() of a generator resizes a 10-slot tuple, so a freed
+    # sentence would fill another size's free list, which only a full collection empties
     return tuple(
-        tuple(
+        tuple([
             _tuple_new(Token, (_intern(t), si, ti, message_index, section, cs, ce))
             if direct
             else Token(t, si, ti, message_index, section, cs, ce)
             for ti, (t, cs, ce) in enumerate(toks)
-        )
+        ])
         for si, (section, toks) in enumerate(raw_sentences)
     )
 

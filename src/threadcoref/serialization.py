@@ -534,16 +534,9 @@ def _nonblank_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
-def native_lines(text: str) -> list[tuple[int, str]]:
-    """The nonblank lines of JSONL text, each with its 1-based line number."""
-    # only "\n" ends a record: str.splitlines() would also split at U+2028,
-    # U+2029 and U+0085, which write_native leaves raw inside strings
-    return list(_nonblank_lines(text.split("\n")))
-
-
 def iter_native_lines(path) -> Iterator[tuple[int, str]]:
-    """The nonblank lines of a JSONL file, read one at a time, as ``native_lines``
-    gives them for the file's text."""
+    """The nonblank lines of a JSONL file, each with its 1-based line number,
+    read one at a time, as ``read_native`` splits the file's text."""
     # a text file in universal-newline mode turns "\r\n" and "\r" into "\n",
     # as Path.read_text does, and then ends its lines at "\n" only
     with open(path, encoding="utf-8") as fp, utf8_input(path):
@@ -574,4 +567,6 @@ def iter_native(path) -> Iterator[tuple[int, AnnotatedDocument]]:
 def read_native(source: IO[str] | str) -> list[AnnotatedDocument]:
     """Read JSONL records into annotated documents."""
     text = source if isinstance(source, str) else source.read()
-    return [decode_line(line, line_no) for line_no, line in native_lines(text)]
+    # only "\n" ends a record: str.splitlines() would also split at U+2028,
+    # U+2029 and U+0085, which write_native leaves raw inside strings
+    return [decode_line(line, line_no) for line_no, line in _nonblank_lines(text.split("\n"))]

@@ -131,6 +131,53 @@ class TestFilter:
         assert outs[0] == outs[1] == outs[2]
         assert outs[0][1].count(b"\n") == 11
 
+    def test_jobs_runs_workers_on_parsed_records(self, gold_corpus, tmp_path, monkeypatch):
+        from threadcoref import cli
+
+        job_counts = []
+        map_jobs = cli._map_jobs
+
+        def spy(func, items, jobs):
+            job_counts.append(jobs)
+            return map_jobs(func, items, jobs)
+
+        monkeypatch.setattr(cli, "_map_jobs", spy)
+        outs = []
+        for jobs in ("1", "2"):
+            report, verdicts = tmp_path / f"r{jobs}.tsv", tmp_path / f"v{jobs}.tsv"
+            assert main(["filter", "--in", str(gold_corpus), "--report", str(report),
+                         "--verdicts", str(verdicts), "--jobs", jobs, "--min-messages", "2"]) == 0
+            outs.append((report.read_bytes(), verdicts.read_bytes()))
+        assert job_counts == [1, 2]
+        assert outs[0] == outs[1]
+        assert outs[0][1].count(b"\n") == 9
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_repeated_document_id_exits_1(self, gold_corpus, tmp_path, capsys, jobs):
+        # the corpus index would keep one copy, and the copies are never
+        # compared with each other, so both would be accepted
+        first = gold_corpus.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text(first + first, encoding="utf-8")
+        report = tmp_path / "report.tsv"
+        assert main(["filter", "--in", str(repeated), "--report", str(report), "--jobs", jobs]) == 1
+        doc_id = json.loads(first)["id"]
+        assert capsys.readouterr().err == (
+            f"error: input file {repeated} repeats document id {doc_id!r}\n")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_malformed_line_reported(self, gold_corpus, tmp_path, capsys, jobs):
+        lines = gold_corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        bad_json = tmp_path / "bad_json.jsonl"
+        bad_json.write_text("".join(lines[:2] + ["\n", "{broken\n"] + lines[2:]), encoding="utf-8")
+        report = tmp_path / "report.tsv"
+        assert main(["filter", "--in", str(bad_json), "--report", str(report), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 4: invalid JSON: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n")
+        assert not report.exists()
+
 
 class TestFeatures:
     def test_mi_si_columns(self, parsed_corpus, tmp_path):
@@ -215,6 +262,18 @@ class TestResolve:
                      "--jobs", jobs]) == 1
         assert capsys.readouterr().err == (
             "error: $.messages[0].sentences[0][0]: unknown section code 'zz'\n")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_first_fault_reported_first(self, gold_corpus, tmp_path, capsys, jobs):
+        # a malformed record, then a byte that is not UTF-8 in the same chunk
+        # of records but past the reader's first decoded block of the file
+        lines = gold_corpus.read_bytes().splitlines(keepends=True)
+        two_faults = tmp_path / "two_faults.jsonl"
+        two_faults.write_bytes(b"".join(
+            lines[:1] + [b"{broken\n", b"\n" * 20000, b'{"id":"a\xff"}\n'] + lines[1:]))
+        assert main(["resolve", "--baseline", "hb1", "--in", str(two_faults),
+                     "--out", str(tmp_path / "out.jsonl"), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: invalid JSON")
 
 
 class TestScore:
@@ -535,7 +594,18 @@ class TestCollectorPolicy:
         return gc.get_threshold(), gc.isenabled(), gc.get_freeze_count()
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_main_restores_collector_state(self, gold_corpus, tmp_path, capsys, enabled):
+    def test_main_restores_collector_state(self, gold_corpus, tmp_path, capsys, monkeypatch, enabled):
+        from threadcoref import serialization
+
+        # whether the collector is on when the handler opens its input
+        while_running = []
+        iter_native_lines = serialization.iter_native_lines
+
+        def spy(path):
+            while_running.append(gc.isenabled())
+            return iter_native_lines(path)
+
+        monkeypatch.setattr(serialization, "iter_native_lines", spy)
         saved = self._state()
         gc.set_threshold(1234, 7, 9)
         if not enabled:
@@ -553,29 +623,49 @@ class TestCollectorPolicy:
         finally:
             gc.set_threshold(*saved[0])
             gc.enable() if saved[1] else gc.disable()
+        assert while_running == [False, False, False]
 
     def test_read_documents_hold_no_reference_cycles(self, gold_corpus, tmp_path):
-        # so what a command reads is freed by reference counting, and the
-        # collector's rarer passes leave no garbage waiting
-        from threadcoref import errors, features, filtering, metrics, serialization
+        # so what a command builds is freed by reference counting while the
+        # collector is off; it is off here too, so no automatic pass can
+        # free a cycle before the count below
+        from threadcoref import baselines, errors, features, filtering, metrics, parsing, serialization
 
         conll = tmp_path / "gold.conll"
         conll.write_text(
             serialization.write_conll_documents(read_native(gold_corpus.read_text(encoding="utf-8"))),
             encoding="utf-8",
         )
+        raws = [
+            parsing.RawThread(id=path.name, text=path.read_text(encoding="utf-8"), source_path=path.name)
+            for path in sorted(CORPUS10_DIR.glob("*.txt"))
+        ]
         gc.collect()
-        docs = [doc for _, doc in serialization.iter_native(gold_corpus)]
-        skeletons = list(serialization.iter_conll(conll))
-        made = (
-            metrics.score_documents((d.chains, s.chains) for d, s in zip(docs, skeletons)),
-            [errors.categorize_errors(d.thread, d.chains, d.chains) for d in docs],
-            [features.reverse_document(d) for d in docs],
-            [filtering.summarize_thread(d.thread) for d in docs],
-            metrics.corpus_stats(docs),
-        )
-        del docs, skeletons, made
-        assert gc.collect() == 0
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            docs = [doc for _, doc in serialization.iter_native(gold_corpus)]
+            skeletons = list(serialization.iter_conll(conll))
+            written = io.StringIO()
+            serialization.write_native(docs, written)
+            made = (
+                metrics.score_documents((d.chains, s.chains) for d, s in zip(docs, skeletons)),
+                [errors.categorize_errors(d.thread, d.chains, d.chains) for d in docs],
+                [features.reverse_document(d) for d in docs],
+                [filtering.summarize_thread(d.thread) for d in docs],
+                metrics.corpus_stats(docs),
+                [parsing.parse_thread(raw) for raw in raws],
+                [baselines.resolve_hb1(d.thread, d.mentions()) for d in docs],
+                [baselines.resolve_hb2(d.thread, d.mentions()) for d in docs],
+                [errors.align_chains(d.chains, s.chains) for d, s in zip(docs, skeletons)],
+                [metrics.correction_stats(s.mentions(), d.mentions()) for d, s in zip(docs, skeletons)],
+                serialization.write_conll_documents(docs),
+            )
+            del docs, skeletons, written, made
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_objects_frozen_by_the_caller_stay_frozen(self, gold_corpus, capsys):
         gc.freeze()
@@ -655,6 +745,14 @@ class TestBoundedMemory:
         ).stdout
         return int(out)
 
+    @staticmethod
+    def _thread_copies(copies: int, out: Path) -> Path:
+        for i in range(copies):
+            for path in CORPUS10_DIR.iterdir():
+                (out / str(i)).mkdir(parents=True, exist_ok=True)
+                (out / str(i) / path.name).write_bytes(path.read_bytes())
+        return out
+
     @pytest.mark.parametrize("command", ["stats", "score"])
     def test_peak_rss_flat_in_corpus_size(self, parsed_corpus, tmp_path, command):
         peaks = []
@@ -665,6 +763,27 @@ class TestBoundedMemory:
             peaks.append(self._peak_rss(args))
         # a reader that held the whole 8x corpus decoded would add 10-25 MB
         assert peaks[1] <= 1.3 * peaks[0], peaks
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", ["parse", "resolve"])
+    def test_peak_rss_flat_while_writing(self, parsed_corpus, tmp_path, command, jobs):
+        # 16 and 64 copies: the interpreter's table of interned strings grows
+        # once, by up to 1.4 MB, while the first few dozen copies are decoded,
+        # and the 48 added copies write more bytes than that
+        peaks, written = [], []
+        for copies in (16, 64):
+            out = tmp_path / f"out{copies}.jsonl"
+            if command == "parse":
+                source = self._thread_copies(copies, tmp_path / f"threads{copies}")
+                args = ["parse", "--in", str(source)]
+            else:
+                source = self._copies(parsed_corpus, copies, tmp_path / f"x{copies}.jsonl")
+                args = ["resolve", "--baseline", "hb1", "--in", str(source)]
+            peaks.append(self._peak_rss(args + ["--out", str(out), "--jobs", jobs]))
+            written.append(out.stat().st_size)
+        # a command that held its input and its output lines until the end
+        # would grow by more than the bytes the 48 added copies write
+        assert (peaks[1] - peaks[0]) * 1024 < written[1] - written[0], (peaks, written)
 
 
 class TestCorrectionStats:

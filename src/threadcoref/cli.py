@@ -18,6 +18,7 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -46,11 +47,33 @@ def _emit_table(rows: Sequence[Sequence[str]], out, pretty: bool) -> None:
             out.write("\n")
 
 
-def _iter_thread_files(root: Path) -> list[tuple[Path, str]]:
-    """Each thread file under ``root`` with its relative name, in sorted order."""
+def _iter_thread_files(root: Path) -> Iterator[tuple[Path, str]]:
+    """Each thread file under ``root`` with its relative name, in sorted order.
+
+    The files and the order are those of ``sorted(root.rglob("*"))``: symbolic
+    links to files are listed and symbolic links to directories are not
+    followed. The walk is lazy and reads one directory at a time, so it holds
+    the entries of the directories on the current path, not the whole tree.
+    """
     if root.is_file():
-        return [(root, root.name)]
-    return [(p, p.relative_to(root).as_posix()) for p in sorted(root.rglob("*")) if p.is_file()]
+        yield root, root.name
+    elif root.is_dir():
+        yield from _walk_directory(str(root), "")
+
+
+def _walk_directory(directory: str, prefix: str) -> Iterator[tuple[Path, str]]:
+    # a directory listed in name order, each subdirectory walked where it sorts,
+    # gives the order of sorted paths, which compare part by part
+    try:
+        with os.scandir(directory) as scan:
+            entries = sorted(scan, key=attrgetter("name"))
+    except PermissionError:  # rglob skips an unreadable directory
+        return
+    for entry in entries:
+        if entry.is_file():
+            yield Path(entry.path), prefix + entry.name
+        elif entry.is_dir(follow_symlinks=False):
+            yield from _walk_directory(entry.path, f"{prefix}{entry.name}/")
 
 
 def _parse_text(text: str, rel: str, config: ParserConfig) -> EmailThread:
@@ -198,15 +221,15 @@ def _replacing(path: str) -> Iterator[IO[str]]:
     """A text file that takes the place of ``path`` only once the block succeeds.
 
     A command that fails part way through its input leaves ``path`` as it
-    was. A symbolic link is followed, so the file it names is replaced. A
-    path that names no regular file, such as /dev/stdout, is written in
-    place.
+    was. A path that names no regular file, such as /dev/stdout, is written
+    in place. Otherwise a symbolic link is followed, so the file it names is
+    replaced.
     """
-    target = Path(os.path.realpath(path))
-    if target.exists() and not target.is_file():
-        with open(target, "w", encoding="utf-8") as fp:
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fp:
             yield fp
         return
+    target = Path(os.path.realpath(path))
     partial_out = target.with_name(f".{target.name}.{os.getpid()}.partial")
     try:
         with open(partial_out, "w", encoding="utf-8") as fp:

@@ -10,7 +10,9 @@ verdict under a fixed precedence:
 
 All detectors are pure functions of thread content; duplicate detection
 additionally needs a read-only fingerprint index built over the whole
-candidate set in a single pass. Classification reads a small
+candidate set in a single pass, and a postings index from each fingerprint
+to the threads that hold it, so a thread is checked only against the
+holders of its rarest fingerprint. Classification reads a small
 ``ThreadSummary`` of each thread, so a caller can read threads one at a
 time and keep only their summaries.
 """
@@ -93,22 +95,34 @@ class FilterConfig:
 DEFAULT_FILTER_CONFIG = FilterConfig()
 
 _SUBJECT_PREFIX_RE = re.compile(r"^\s*((re|fw|fwd)\s*:\s*)+", re.IGNORECASE)
+_WHITESPACE_RE = re.compile(r"\s+")
 
 
 def _normalized_subject(subject: Optional[str]) -> str:
     if not subject:
         return ""
-    return re.sub(r"\s+", " ", _SUBJECT_PREFIX_RE.sub("", subject)).strip().casefold()
+    return _WHITESPACE_RE.sub(" ", _SUBJECT_PREFIX_RE.sub("", subject)).strip().casefold()
 
 
-def _body_text(msg: EmailMessage) -> str:
-    """Body reconstructed from tokens: spaces within a sentence, newlines between."""
+def _message_body(msg: EmailMessage) -> tuple[list[str], str]:
+    """The texts of a message's body tokens, and its body text rebuilt from
+    them: spaces within a sentence, newlines between."""
+    words: list[str] = []
     parts = []
     for sentence in msg.sentences:
-        words = [t.text for t in sentence if t.section is Section.BODY]
-        if words:
-            parts.append(" ".join(words))
-    return "\n".join(parts)
+        sentence_words = [t.text for t in sentence if t.section is Section.BODY]
+        if sentence_words:
+            words += sentence_words
+            parts.append(" ".join(sentence_words))
+    return words, "\n".join(parts)
+
+
+def _fingerprint(msg: EmailMessage, body: str) -> str:
+    date = msg.date.strftime("%Y-%m-%d %H:%M") if msg.date else ""
+    sender = (msg.from_addr or "").casefold()
+    body = _WHITESPACE_RE.sub(" ", body).strip()
+    canonical = "\x1f".join([_normalized_subject(msg.subject), date, sender, body])
+    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
 
 
 def fingerprint_message(msg: EmailMessage) -> str:
@@ -117,11 +131,7 @@ def fingerprint_message(msg: EmailMessage) -> str:
     Canonical form: subject with Re:/Fw: prefixes stripped, date truncated
     to minutes, sender lowercased, body text with whitespace collapsed.
     """
-    date = msg.date.strftime("%Y-%m-%d %H:%M") if msg.date else ""
-    sender = (msg.from_addr or "").casefold()
-    body = re.sub(r"\s+", " ", _body_text(msg)).strip()
-    canonical = "\x1f".join([_normalized_subject(msg.subject), date, sender, body])
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
+    return _fingerprint(msg, _message_body(msg)[1])
 
 
 def thread_fingerprints(thread: EmailThread) -> Counter:
@@ -158,6 +168,29 @@ def _is_contained(thread_id: str, own: Counter, corpus_index: Mapping[str, Count
     return False
 
 
+def _postings(corpus_index: Mapping[str, Counter]) -> dict[str, dict[str, Counter]]:
+    """Per fingerprint, the threads of ``corpus_index`` that hold it, as a
+    sub-index of the same shape."""
+    postings: dict[str, dict[str, Counter]] = {}
+    for thread_id, prints in corpus_index.items():
+        for key, count in prints.items():
+            if count > 0:
+                postings.setdefault(key, {})[thread_id] = prints
+    return postings
+
+
+def _containers(
+    own: Counter, corpus_index: Mapping[str, Counter], postings: Mapping[str, Mapping[str, Counter]]
+) -> Mapping[str, Counter]:
+    """The threads that can contain ``own``: a container holds each of its
+    fingerprints, so it is among the holders of the rarest one. A multiset
+    that needs no fingerprint fits in every thread."""
+    needed = [key for key, count in own.items() if count > 0]
+    if not needed:
+        return corpus_index
+    return min((postings.get(key, {}) for key in needed), key=len)
+
+
 def detect_duplicate(
     thread: EmailThread, corpus_index: Mapping[str, Counter]
 ) -> bool:
@@ -173,24 +206,26 @@ def detect_duplicate(
     return _is_contained(thread.id, own, corpus_index)
 
 
-def detect_no_content(thread: EmailThread) -> bool:
-    """True when strictly more than half of the messages have empty bodies."""
-    if not thread.messages:
-        return False
-    empty = sum(1 for m in thread.messages if not any(m.body_tokens()))
-    return empty * 2 > len(thread.messages)
+# Message bodies, as _message_body gives them, are what the content checks read.
+_Bodies = Sequence[tuple[list[str], str]]
+
+
+def _bodies(thread: EmailThread) -> list[tuple[list[str], str]]:
+    return [_message_body(m) for m in thread.messages]
+
+
+def _is_no_content(bodies: _Bodies) -> bool:
+    empty = sum(1 for words, _ in bodies if not words)
+    return empty * 2 > len(bodies)
 
 
 # maximal runs of characters that an inline hex attachment is made of
 _HEX_RUN = re.compile(r"[0-9a-fA-F \n]+")
 
 
-def detect_invalid_attachment(
-    thread: EmailThread, config: FilterConfig = DEFAULT_FILTER_CONFIG
-) -> bool:
-    """True when a message body embeds a long inline-attachment hex blob."""
-    for msg in thread.messages:
-        for run in _HEX_RUN.findall(_body_text(msg)):
+def _has_hex_attachment(bodies: _Bodies, config: FilterConfig) -> bool:
+    for _, body in bodies:
+        for run in _HEX_RUN.findall(body):
             if len(run) >= config.hex_min_run:
                 digits = len(run) - run.count(" ") - run.count("\n")
                 if digits / len(run) >= config.hex_min_fraction:
@@ -198,15 +233,32 @@ def detect_invalid_attachment(
     return False
 
 
+def _is_non_english(bodies: _Bodies, config: FilterConfig) -> bool:
+    tokens = sum(len(words) for words, _ in bodies)
+    if tokens < config.language_min_tokens:
+        return False
+    is_stopword = config.stopwords.__contains__
+    hits = sum(sum(map(is_stopword, map(str.casefold, words))) for words, _ in bodies)
+    return hits / tokens < config.stopword_min_fraction
+
+
+def detect_no_content(thread: EmailThread) -> bool:
+    """True when strictly more than half of the messages have empty bodies."""
+    return _is_no_content(_bodies(thread))
+
+
+def detect_invalid_attachment(
+    thread: EmailThread, config: FilterConfig = DEFAULT_FILTER_CONFIG
+) -> bool:
+    """True when a message body embeds a long inline-attachment hex blob."""
+    return _has_hex_attachment(_bodies(thread), config)
+
+
 def detect_non_english(
     thread: EmailThread, config: FilterConfig = DEFAULT_FILTER_CONFIG
 ) -> bool:
     """Stopword-hit language guard; short bodies are never rejected."""
-    tokens = [t for m in thread.messages for t in m.body_tokens()]
-    if len(tokens) < config.language_min_tokens:
-        return False
-    hits = sum(1 for t in tokens if t.text.casefold() in config.stopwords)
-    return hits / len(tokens) < config.stopword_min_fraction
+    return _is_non_english(_bodies(thread), config)
 
 
 def in_excluded_directory(
@@ -263,18 +315,20 @@ _CONTENT_DETAILS = {
 def summarize_thread(
     thread: EmailThread, config: FilterConfig = DEFAULT_FILTER_CONFIG
 ) -> ThreadSummary:
-    if detect_no_content(thread):
+    """The thread's summary; each message body is rebuilt once, for every check."""
+    bodies = _bodies(thread)
+    if _is_no_content(bodies):
         content = FilterCategory.NO_CONTENT
-    elif detect_invalid_attachment(thread, config):
+    elif _has_hex_attachment(bodies, config):
         content = FilterCategory.INVALID_ATTACHMENT
-    elif detect_non_english(thread, config):
+    elif _is_non_english(bodies, config):
         content = FilterCategory.NON_ENGLISH
     else:
         content = None
     return ThreadSummary(
         id=thread.id,
         source_path=thread.source_path,
-        fingerprints=thread_fingerprints(thread),
+        fingerprints=Counter(_fingerprint(m, body) for m, (_, body) in zip(thread.messages, bodies)),
         message_count=len(thread.messages),
         content=content,
     )
@@ -283,6 +337,7 @@ def summarize_thread(
 def _classify(
     summary: ThreadSummary,
     corpus_index: Mapping[str, Counter],
+    postings: Mapping[str, Mapping[str, Counter]],
     exclusion: ExclusionSet,
     config: FilterConfig,
 ) -> FilterVerdict:
@@ -295,7 +350,7 @@ def _classify(
                 FilterCategory.EXCLUSION_OVERLAP,
                 f"{overlap} message(s) overlap the exclusion set",
             )
-    if _is_contained(summary.id, own, corpus_index):
+    if _is_contained(summary.id, own, _containers(own, corpus_index, postings)):
         return FilterVerdict(summary.id, FilterCategory.DUPLICATE, "contained in another thread")
     if summary.content is not None:
         return FilterVerdict(summary.id, summary.content, _CONTENT_DETAILS[summary.content])
@@ -330,7 +385,8 @@ def filter_summaries(
     candidates = [s for s in summaries if not _in_excluded_directory(s.source_path, config)]
     dropped = len(summaries) - len(candidates)
     index = {s.id: s.fingerprints for s in candidates}
-    verdicts = [_classify(s, index, exclusion, config) for s in candidates]
+    postings = _postings(index)
+    verdicts = [_classify(s, index, postings, exclusion, config) for s in candidates]
     tally = Counter(v.category for v in verdicts)
     report = FilterReport(
         counts=tuple((cat, tally.get(cat, 0)) for cat in REPORT_ORDER),

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime
 from email.utils import parsedate_to_datetime, parseaddr
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -93,9 +94,20 @@ def _lines_with_offsets(text: str) -> list[tuple[str, int]]:
     return lines
 
 
+@lru_cache(maxsize=16)
+def _marker_search(markers: tuple[str, ...]):
+    """``search`` of a pattern that finds any of ``markers`` as a substring.
+
+    No markers match nothing; an empty marker matches every string, as
+    ``"" in s`` does.
+    """
+    if not markers:
+        return re.compile(r"(?!)").search
+    return re.compile("|".join(map(re.escape, markers))).search
+
+
 def _is_separator(line: str, config: ParserConfig) -> bool:
-    folded = line.casefold()
-    return any(marker in folded for marker in config.separator_markers)
+    return _marker_search(config.separator_markers)(line.casefold()) is not None
 
 
 def _is_header_line(line: str) -> bool:
@@ -108,6 +120,11 @@ def _is_known_header_line(line: str) -> bool:
     return m is not None and m.group(1).casefold() in _KNOWN_FIELDS
 
 
+_FROM_FIELD_RE = re.compile(r"^from\s*:", re.IGNORECASE)
+_DATE_FIELD_RE = re.compile(r"^(date|sent)\s*:", re.IGNORECASE)
+_SUBJECT_FIELD_RE = re.compile(r"^subject\s*:", re.IGNORECASE)
+
+
 def _starts_fresh_header_block(lines: Sequence[str], i: int) -> bool:
     """A From: line opening a header run with Date:/Sent: and Subject: in it.
 
@@ -115,15 +132,15 @@ def _starts_fresh_header_block(lines: Sequence[str], i: int) -> bool:
     at 10 lines; it never extends past prose, blank lines, or separators, so
     a later message's headers cannot satisfy the check for an earlier line.
     """
-    if not re.match(r"^from\s*:", lines[i], re.IGNORECASE):
+    if not _FROM_FIELD_RE.match(lines[i]):
         return False
     run = []
     for line in lines[i : i + 10]:
         if not _is_header_line(line):
             break
         run.append(line)
-    has_date = any(re.match(r"^(date|sent)\s*:", l, re.IGNORECASE) for l in run)
-    has_subject = any(re.match(r"^subject\s*:", l, re.IGNORECASE) for l in run)
+    has_date = any(_DATE_FIELD_RE.match(l) for l in run)
+    has_subject = any(_SUBJECT_FIELD_RE.match(l) for l in run)
     return has_date and has_subject
 
 
@@ -247,9 +264,9 @@ def _header_region_end(lines: Sequence[str], config: ParserConfig) -> int:
 def _footer_region_start(
     lines: Sequence[str], header_end: int, config: ParserConfig
 ) -> int:
+    search = _marker_search(config.footer_markers)
     for j in range(header_end, len(lines)):
-        folded = lines[j].casefold()
-        if any(marker in folded for marker in config.footer_markers):
+        if search(lines[j].casefold()):
             return j
     return len(lines)
 
@@ -332,6 +349,12 @@ _TRAILING_PUNCT = set(")]}>\"“”‘’`,;:!?'")
 _CONTRACTIONS = ("'ll", "'ve", "'re", "'m", "'d", "'s", "n't")
 _CONTRACTION_RE = re.compile(r"^(.+?)(n't|'ll|'ve|'re|'m|'d|'s)$", re.IGNORECASE)
 _TERMINAL_RE = re.compile(r"^[.?!]+$")
+# A chunk of none of the characters _split_chunk acts on is one token, and
+# such a chunk with one trailing mark of _END_MARKS is two; group 1 is the
+# word and group 2 the mark. Any other chunk matches only the last branch.
+_END_MARKS = ".,;:!?"
+_SPECIAL = "".join(sorted(_LEADING_PUNCT | _TRAILING_PUNCT | {"'", ".", "@"}))
+_CHUNK_RE = re.compile(rf"([^\s{re.escape(_SPECIAL)}]+)([{re.escape(_END_MARKS)}]?)(?!\S)|\S+")
 
 
 def _split_chunk(chunk: str, start: int) -> list[tuple[str, int, int]]:
@@ -374,8 +397,17 @@ def _split_chunk(chunk: str, start: int) -> list[tuple[str, int, int]]:
 
 def _tokenize_line(line: str, line_offset: int) -> list[tuple[str, int, int]]:
     toks: list[tuple[str, int, int]] = []
-    for m in re.finditer(r"\S+", line):
-        toks.extend(_split_chunk(m.group(), line_offset + m.start()))
+    append = toks.append
+    for m in _CHUNK_RE.finditer(line):
+        word, mark = m.groups()
+        start = line_offset + m.start()
+        if word is None:
+            toks.extend(_split_chunk(m.group(), start))
+            continue
+        end = start + len(word)
+        append((word, start, end))
+        if mark:
+            append((mark, end, end + 1))
     return toks
 
 
@@ -413,7 +445,8 @@ def tokenize_and_sentence_split(
         if section is Section.BODY:
             for tok in toks:
                 body_current.append(tok)
-                if _TERMINAL_RE.match(tok[0]):
+                # only a token that ends in a terminal mark can be all terminal marks
+                if tok[0][-1] in ".?!" and _TERMINAL_RE.match(tok[0]):
                     flush_body()
         else:
             flush_body()

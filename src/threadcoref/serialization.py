@@ -359,12 +359,20 @@ def document_to_record(
     return record
 
 
+def _expect_integers(names: tuple[str, ...], values, path: str) -> None:
+    """Raise ``NativeSchemaError`` at ``path`` unless every value is an exact JSON integer."""
+    for name, value in zip(names, values):
+        if type(value) is not int:
+            raise NativeSchemaError(path, f"{name} must be an integer, got {value!r}")
+
+
 def _decode_sentences(raw_sentences: list, mi: int, last_end) -> tuple:
     """A message's sentences of tokens, each item checked in schema order, then
     the thread's running char_end and whether every token began at or after it.
 
     A token of the exact types for which every ``Token`` check passes is built
-    directly; any other goes through ``Token``, so its error keeps its message.
+    directly; any other goes through ``Token``, so its error keeps its message,
+    and offsets that ``Token`` accepts but that are not integers are rejected.
     Raises ``NativeSchemaError`` naming the first bad item.
     """
     ordered = True
@@ -393,7 +401,9 @@ def _decode_sentences(raw_sentences: list, mi: int, last_end) -> tuple:
                     toks.append(Token(text, si, ti, mi, section, cs, ce))
                 except (TypeError, ValueError) as exc:
                     raise NativeSchemaError(f"$.messages[{mi}].sentences[{si}][{ti}]", str(exc)) from None
-            # the comparison EmailThread makes, so a NaN offset passes here as there
+                # Token compares offsets, which a bool or a float also passes
+                _expect_integers(("char_start", "char_end"), (cs, ce), f"$.messages[{mi}].sentences[{si}][{ti}]")
+            # the comparison EmailThread makes
             if cs < last_end:
                 ordered = False
             last_end = ce
@@ -442,10 +452,13 @@ def _decode_message(rec, i: int, last_end) -> tuple[dict, object, bool]:
     return fields, last_end, ordered
 
 
+_MENTION_FIELDS = ("message_index", "sentence_index", "start_token", "end_token")
+
+
 def _decode_chain(rec, ci: int) -> CoreferenceChain:
     if not isinstance(rec, dict):
         raise NativeSchemaError(f"$.chains[{ci}]", "must be an object")
-    if not isinstance(rec.get("id"), int):
+    if type(rec.get("id")) is not int:
         raise NativeSchemaError(f"$.chains[{ci}].id", "chain id must be an int")
     raw_mentions = rec.get("mentions")
     if not (isinstance(raw_mentions, list) and raw_mentions):
@@ -469,6 +482,8 @@ def _decode_chain(rec, ci: int) -> CoreferenceChain:
             mentions.append(Mention(item[0], item[1], item[2], item[3], etype))
         except (TypeError, ValueError) as exc:
             raise NativeSchemaError(f"$.chains[{ci}].mentions[{mi}]", str(exc)) from None
+        if not (type(item[0]) is type(item[1]) is type(item[2]) is type(item[3]) is int):
+            _expect_integers(_MENTION_FIELDS, item, f"$.chains[{ci}].mentions[{mi}]")
     try:
         return CoreferenceChain(chain_id=rec["id"], mentions=tuple(mentions))
     except ValueError as exc:

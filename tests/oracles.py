@@ -9,11 +9,18 @@ The last section keeps the straightforward implementations that faster
 package code replaced: the native record decoder with its token type, the
 CoNLL document builder through the checked constructors, B³ and LEA by
 chain-set intersection, the error categorizer by set intersection per chain
-pair, and the character loop of the hex-attachment detector. Differential tests require the package to agree with them. They
-share the package's unchanged helpers (chain normalization, model types).
+pair, the character loop of the hex-attachment detector, the tokenizer
+that split every chunk, marker tests by substring, the thread summary that
+rebuilt each body once per check, and the duplicate check that scanned the
+whole corpus per thread. Differential tests require the package to agree
+with them. They share the package's unchanged helpers (chain
+normalization, model types, the chunk splitter).
 """
 from __future__ import annotations
 
+import hashlib
+import re
+from collections import Counter
 from datetime import datetime
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -22,6 +29,7 @@ from typing import Optional
 from threadcoref import errors as _errors
 from threadcoref import filtering as _filtering
 from threadcoref import metrics as _metrics
+from threadcoref import parsing as _parsing
 from threadcoref.model import (
     AnnotatedDocument,
     CoreferenceChain,
@@ -540,7 +548,7 @@ _HEX_DIGITS = set("0123456789abcdefABCDEF")
 def detect_invalid_attachment_reference(thread, config=_filtering.DEFAULT_FILTER_CONFIG) -> bool:
     """The hex-attachment check by walking each body character by character."""
     for msg in thread.messages:
-        body = _filtering._body_text(msg)
+        body = body_text_reference(msg)
         i, n = 0, len(body)
         while i < n:
             if body[i] not in _HEX_CHARS:
@@ -556,3 +564,131 @@ def detect_invalid_attachment_reference(thread, config=_filtering.DEFAULT_FILTER
                     return True
             i = j
     return False
+
+
+def tokenize_line_reference(line: str, line_offset: int) -> list[tuple[str, int, int]]:
+    """Every whitespace-delimited chunk through the chunk splitter."""
+    toks = []
+    for m in re.finditer(r"\S+", line):
+        toks.extend(_parsing._split_chunk(m.group(), line_offset + m.start()))
+    return toks
+
+
+def sentence_split_reference(text: str, sections=None) -> tuple[tuple[Token, ...], ...]:
+    """Sentences of checked Tokens: a body sentence ends after an all-terminal
+    token, a header or footer line is one sentence."""
+    lines = []
+    offset = 0
+    for raw in text.splitlines(keepends=True):
+        lines.append((raw.rstrip("\r\n"), offset))
+        offset += len(raw)
+    if sections is None:
+        sections = [Section.BODY] * len(lines)
+    raw_sentences = []
+    body = []
+    for (line, offset), section in zip(lines, sections):
+        toks = tokenize_line_reference(line, offset)
+        if section is Section.BODY:
+            for tok in toks:
+                body.append(tok)
+                if re.match(r"^[.?!]+$", tok[0]):
+                    raw_sentences.append((Section.BODY, body))
+                    body = []
+        else:
+            if body:
+                raw_sentences.append((Section.BODY, body))
+                body = []
+            if toks:
+                raw_sentences.append((section, toks))
+    if body:
+        raw_sentences.append((Section.BODY, body))
+    return tuple(
+        tuple(Token(t, si, ti, 0, section, cs, ce) for ti, (t, cs, ce) in enumerate(toks))
+        for si, (section, toks) in enumerate(raw_sentences)
+    )
+
+
+def has_marker_reference(line: str, markers) -> bool:
+    folded = line.casefold()
+    return any(marker in folded for marker in markers)
+
+
+def footer_region_start_reference(lines, header_end: int, markers) -> int:
+    for j in range(header_end, len(lines)):
+        if has_marker_reference(lines[j], markers):
+            return j
+    return len(lines)
+
+
+def body_text_reference(msg) -> str:
+    """Body reconstructed from tokens: spaces within a sentence, newlines between."""
+    parts = []
+    for sentence in msg.sentences:
+        words = [t.text for t in sentence if t.section is Section.BODY]
+        if words:
+            parts.append(" ".join(words))
+    return "\n".join(parts)
+
+
+def fingerprint_message_reference(msg) -> str:
+    subject = ""
+    if msg.subject:
+        stripped = re.sub(r"^\s*((re|fw|fwd)\s*:\s*)+", "", msg.subject, flags=re.IGNORECASE)
+        subject = re.sub(r"\s+", " ", stripped).strip().casefold()
+    date = msg.date.strftime("%Y-%m-%d %H:%M") if msg.date else ""
+    sender = (msg.from_addr or "").casefold()
+    body = re.sub(r"\s+", " ", body_text_reference(msg)).strip()
+    canonical = "\x1f".join([subject, date, sender, body])
+    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
+
+
+def detect_no_content_reference(thread) -> bool:
+    messages = thread.messages
+    return sum(1 for m in messages if not any(m.body_tokens())) * 2 > len(messages)
+
+
+def detect_non_english_reference(thread, config=_filtering.DEFAULT_FILTER_CONFIG) -> bool:
+    tokens = [t for m in thread.messages for t in m.body_tokens()]
+    if len(tokens) < config.language_min_tokens:
+        return False
+    hits = sum(1 for t in tokens if t.text.casefold() in config.stopwords)
+    return hits / len(tokens) < config.stopword_min_fraction
+
+
+def summarize_thread_reference(thread, config=_filtering.DEFAULT_FILTER_CONFIG):
+    """Each content check over the whole thread on its own, in precedence order."""
+    content = None
+    if detect_no_content_reference(thread):
+        content = _filtering.FilterCategory.NO_CONTENT
+    elif detect_invalid_attachment_reference(thread, config):
+        content = _filtering.FilterCategory.INVALID_ATTACHMENT
+    elif detect_non_english_reference(thread, config):
+        content = _filtering.FilterCategory.NON_ENGLISH
+    return _filtering.ThreadSummary(
+        id=thread.id,
+        source_path=thread.source_path,
+        fingerprints=Counter(fingerprint_message_reference(m) for m in thread.messages),
+        message_count=len(thread.messages),
+        content=content,
+    )
+
+
+def _submultiset_reference(small, big) -> bool:
+    return all(big[key] >= count for key, count in small.items())
+
+
+def is_duplicate_reference(thread_id, own, corpus_index) -> bool:
+    """Contained in some other thread of the index; of identical ones, the lowest id survives."""
+    for other_id, other in corpus_index.items():
+        if other_id != thread_id and _submultiset_reference(own, other):
+            if not _submultiset_reference(other, own) or thread_id > other_id:
+                return True
+    return False
+
+
+def duplicate_verdicts_reference(summaries, config=_filtering.DEFAULT_FILTER_CONFIG) -> list[bool]:
+    """Per summary outside the excluded directories, whether it is a duplicate,
+    by scanning every indexed thread."""
+    candidates = [s for s in summaries if not _filtering._in_excluded_directory(s.source_path, config)]
+    index = {s.id: s.fingerprints for s in candidates}
+    return [is_duplicate_reference(s.id, index.get(s.id) or s.fingerprints, index) for s in candidates]

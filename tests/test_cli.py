@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CORPUS10_DIR, DATA_DIR, synthetic_document
+from threadcoref import cli
 from threadcoref.cli import main
 from threadcoref.filtering import fingerprint_message
 from threadcoref.model import AnnotatedDocument, CoreferenceChain, Mention
@@ -562,6 +563,47 @@ class TestUnreadableNumbers:
             write_native([doc], io.StringIO())
 
 
+class TestNonIntegerNumbers:
+    """Offsets, mention indices and chain ids are JSON integers: a record with a
+    float or a boolean there is rejected, naming the value's path."""
+
+    @staticmethod
+    def _record(gold_corpus, tmp_path, edit) -> Path:
+        record = json.loads(gold_corpus.read_text(encoding="utf-8").splitlines()[0])
+        edit(record)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("args", [
+        ["stats", "--in", "{bad}"],
+        ["features", "--in", "{bad}", "--out", "{out}", "--mi", "--si"],
+    ], ids=lambda args: args[0])
+    def test_fractional_offset(self, gold_corpus, tmp_path, capsys, args):
+        def edit(record):
+            record["messages"][0]["sentences"][0][0][2] = 0.5
+        bad = self._record(gold_corpus, tmp_path, edit)
+        out = tmp_path / "out.jsonl"
+        assert main([a.format(bad=bad, out=out) for a in args]) == 1
+        assert capsys.readouterr().err == (
+            "error: $.messages[0].sentences[0][0]: char_start must be an integer, got 0.5\n"
+        )
+        assert not out.exists()
+
+    def test_boolean_mention_index_and_chain_id(self, gold_corpus, tmp_path, capsys):
+        def edit(record):
+            record["chains"][0]["mentions"][0][1] = True
+        assert main(["stats", "--in", str(self._record(gold_corpus, tmp_path, edit))]) == 1
+        assert capsys.readouterr().err == (
+            "error: $.chains[0].mentions[0]: sentence_index must be an integer, got True\n"
+        )
+
+        def edit(record):
+            record["chains"][0]["id"] = True
+        assert main(["stats", "--in", str(self._record(gold_corpus, tmp_path, edit))]) == 1
+        assert capsys.readouterr().err == "error: $.chains[0].id: chain id must be an int\n"
+
+
 class TestClosedStdout:
     """A reader that closes the pipe early ends the command quietly with exit 1."""
 
@@ -710,6 +752,54 @@ class TestOutputReplacement:
         expected = gold_corpus.read_bytes()
         assert main(["features", "--in", str(gold_corpus), "--out", str(gold_corpus)]) == 0
         assert gold_corpus.read_bytes() == expected
+
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_dev_stdout_into_a_pipe(self, gold_corpus):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "threadcoref.cli", "features", "--in", str(gold_corpus), "--out", "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == gold_corpus.read_bytes()
+
+
+class TestThreadFileWalk:
+    @pytest.fixture()
+    def tree(self, tmp_path):
+        root = tmp_path / "maildir"
+        for rel in ["a/b", "a-b", "a/c/d", "a/c.e", ".hidden", "z/.dot/f", "b0", "B", "é/x"]:
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(rel, encoding="utf-8")
+        (root / "empty").mkdir()
+        (root / "link-to-file").symlink_to(root / "a" / "b")
+        (root / "a" / "link-to-dir").symlink_to(root / "z", target_is_directory=True)
+        return root
+
+    def test_same_files_and_order_as_sorted_rglob(self, tree):
+        expected = [(p, p.relative_to(tree).as_posix()) for p in sorted(tree.rglob("*")) if p.is_file()]
+        assert list(cli._iter_thread_files(tree)) == expected
+        assert [rel for _, rel in expected] == [
+            ".hidden", "B", "a/b", "a/c/d", "a/c.e", "a-b", "b0", "link-to-file", "z/.dot/f", "é/x",
+        ]
+
+    def test_single_file_and_missing_input(self, tree):
+        assert list(cli._iter_thread_files(tree / "a-b")) == [(tree / "a-b", "a-b")]
+        assert list(cli._iter_thread_files(tree / "missing")) == []
+
+    def test_reads_one_directory_at_a_time(self, tree, monkeypatch):
+        scanned = []
+        scandir = os.scandir
+
+        def recording(path):
+            scanned.append(Path(path).relative_to(tree).as_posix())
+            return scandir(path)
+
+        monkeypatch.setattr(cli.os, "scandir", recording)
+        walk = cli._iter_thread_files(tree)
+        assert next(walk)[1] == ".hidden" and scanned == ["."]
+        assert next(walk)[1] == "B" and next(walk)[1] == "a/b" and scanned == [".", "a"]
 
 
 # Starts a command and prints its peak RSS, read with os.wait4. A small

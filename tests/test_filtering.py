@@ -1,11 +1,16 @@
+import random
 import re
+from collections import Counter
+from datetime import datetime
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import tiny_thread
+from conftest import synthetic_raw_text, tiny_thread
+from threadcoref import filtering
 from threadcoref.filtering import (
     DEFAULT_FILTER_CONFIG,
     ExclusionSet,
@@ -16,13 +21,17 @@ from threadcoref.filtering import (
     detect_invalid_attachment,
     detect_no_content,
     detect_non_english,
+    ThreadSummary,
     filter_corpus,
+    filter_summaries,
     fingerprint_message,
     in_excluded_directory,
     is_valid_length,
+    summarize_thread,
     thread_fingerprints,
 )
 from threadcoref.model import EmailMessage, EmailThread, Section, Token
+from threadcoref.parsing import RawThread, parse_thread
 
 
 def body_thread(thread_id, bodies, subjects=None, senders=None):
@@ -286,3 +295,166 @@ class TestPrecedence:
     def test_no_content_beats_too_short(self):
         verdicts, _ = filter_corpus([body_thread("t", [[], [], ["x"]])])
         assert verdicts[0].category is FilterCategory.NO_CONTENT
+
+
+_SUMMARY_CONFIGS = [
+    DEFAULT_FILTER_CONFIG,
+    FilterConfig(language_min_tokens=1, stopword_min_fraction=0.5, hex_min_run=4, hex_min_fraction=0.5),
+    FilterConfig(language_min_tokens=3, stopword_min_fraction=0.2, hex_min_run=2, hex_min_fraction=1.0),
+]
+_WORDS = st.sampled_from([
+    "the", "The", "AND", "of", "hello", "deadBEEF", "0123456789abcdef", "7", "a b", "x\ty", " \n ", "ß", "é",
+    "Re:", ".",
+])
+_SECTIONS = st.sampled_from([Section.BODY, Section.BODY, Section.HEADER, Section.FOOTER])
+_MESSAGES = st.lists(
+    st.tuples(
+        st.sampled_from([None, "", "Re: hi", "FW:  Fwd: Hi \t there", "hi"]),
+        st.sampled_from([None, datetime(2001, 5, 14, 16, 39, 12), datetime(1999, 1, 2, 3, 4)]),
+        st.sampled_from([None, "", "A@B.com", "a@b.com"]),
+        st.lists(st.lists(st.tuples(_WORDS, _SECTIONS), min_size=1, max_size=5), max_size=3),
+    ),
+    max_size=5,
+)
+
+
+def sectioned_thread(messages, thread_id="t"):
+    """Thread from (subject, date, sender, sentences of (word, section)) tuples;
+    a sentence may mix sections and a word may hold whitespace, as a record read
+    from a file may."""
+    char = 0
+    built = []
+    for mi, (subject, date, sender, sentences) in enumerate(messages):
+        toks = []
+        for si, sentence in enumerate(sentences):
+            toks.append([])
+            for ti, (word, section) in enumerate(sentence):
+                toks[-1].append(Token(word, si, ti, mi, section, char, char + len(word)))
+                char += len(word) + 1
+        built.append(EmailMessage(index=mi, date=date, from_addr=sender, subject=subject,
+                                  sentences=tuple(map(tuple, toks))))
+    return EmailThread(id=thread_id, messages=tuple(built))
+
+
+class TestSummaryDifferential:
+    """summarize_thread against the checks run one by one, kept in ``oracles``."""
+
+    @pytest.mark.parametrize("config", _SUMMARY_CONFIGS)
+    def test_fixture_threads(self, config, corpus10_threads, example1_thread):
+        rng = random.Random(5)
+        synthetic = [
+            parse_thread(RawThread(id=f"s{i}", text=synthetic_raw_text(rng)[0])) for i in range(20)
+        ]
+        for thread in [example1_thread, *corpus10_threads, *synthetic]:
+            assert summarize_thread(thread, config) == oracles.summarize_thread_reference(thread, config)
+
+    @settings(max_examples=400, deadline=None)
+    @given(messages=_MESSAGES, config=st.sampled_from(_SUMMARY_CONFIGS))
+    def test_generated_threads(self, messages, config):
+        thread = sectioned_thread(messages)
+        summary = summarize_thread(thread, config)
+        assert summary == oracles.summarize_thread_reference(thread, config)
+        # the public detectors read the same bodies
+        assert detect_no_content(thread) == oracles.detect_no_content_reference(thread)
+        assert detect_invalid_attachment(thread, config) == oracles.detect_invalid_attachment_reference(thread, config)
+        assert detect_non_english(thread, config) == oracles.detect_non_english_reference(thread, config)
+        assert [fingerprint_message(m) for m in thread.messages] == [
+            oracles.fingerprint_message_reference(m) for m in thread.messages
+        ]
+
+
+def _summary(thread_id, prints, source_path=None):
+    return ThreadSummary(thread_id, source_path, Counter(prints), 4, None)
+
+
+class TestDuplicateDifferential:
+    """The postings-index duplicate check against the full scan, kept in ``oracles``."""
+
+    @staticmethod
+    def _check(summaries):
+        verdicts, _ = filter_summaries(summaries)
+        kept = [s.id for s in summaries if not filtering._in_excluded_directory(s.source_path, DEFAULT_FILTER_CONFIG)]
+        assert [v.thread_id for v in verdicts] == kept
+        assert [v.category is FilterCategory.DUPLICATE for v in verdicts] == (
+            oracles.duplicate_verdicts_reference(summaries)
+        )
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data())
+    def test_same_verdicts_as_full_scan(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        summaries = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            # ids repeat, so the index keeps the last copy of a repeated id
+            thread_id = rng.choice("abcdefghij")
+            path = rng.choice([None, "u/inbox/1.", "u/sent/1."])
+            kind = rng.choice(["new", "new", "copy", "fragment", "container", "empty"]) if summaries else "new"
+            if kind == "new":
+                prints = {f"f{rng.randrange(6)}": rng.randint(0, 3) for _ in range(rng.randint(1, 4))}
+            elif kind == "empty":
+                prints = {}
+            else:
+                base = rng.choice(summaries).fingerprints
+                if kind == "copy":
+                    prints = dict(base)
+                elif kind == "fragment":
+                    prints = {key: rng.randint(0, count) for key, count in base.items() if rng.random() < 0.7}
+                else:  # contains the base, so containment chains form
+                    prints = dict(base)
+                    key = f"f{rng.randrange(8)}"
+                    prints[key] = prints.get(key, 0) + 1
+            summaries.append(_summary(thread_id, prints, path))
+        self._check(summaries)
+
+    def test_edge_cases(self):
+        self._check([_summary("a", {}), _summary("b", {}), _summary("c", {"x": 1})])
+        self._check([_summary("b", {}), _summary("a", {})])
+        # a repeated id: the index keeps the last copy, whose fingerprints are
+        # empty, so the first copy is classified by its own, which no thread holds
+        self._check([_summary("a", {"x": 1}), _summary("b", {"y": 1}), _summary("a", {})])
+        # an identical thread in an excluded directory is out of the index
+        self._check([_summary("b", {"x": 1}), _summary("a", {"x": 1}, "u/sent/1.")])
+        # a zero count needs no fingerprint
+        self._check([_summary("a", {"x": 0}), _summary("b", {"y": 1})])
+        verdicts, _ = filter_summaries([_summary("a", {"x": 1}), _summary("b", {"x": 1, "y": 1}),
+                                        _summary("c", {"x": 1, "y": 1})])
+        assert [v.category.value for v in verdicts] == ["duplicate", "accepted", "duplicate"]
+
+
+def _planted_corpus(n, seed):
+    """Mostly distinct summaries, with about a tenth each of exact copies and
+    nested fragments of earlier ones."""
+    rng = random.Random(seed)
+    summaries = []
+    for i in range(n):
+        roll = rng.random()
+        if summaries and roll < 0.1:
+            prints = rng.choice(summaries).fingerprints
+        elif summaries and roll < 0.2:
+            keys = list(rng.choice(summaries).fingerprints)
+            start = rng.randrange(len(keys))
+            prints = dict.fromkeys(keys[start : start + rng.randint(1, len(keys))], 1)
+        else:
+            prints = dict.fromkeys((f"{i}:{j}" for j in range(rng.randint(1, 6))), 1)
+        summaries.append(_summary(f"t{i:05d}", prints))
+    return summaries
+
+
+def test_duplicate_checks_grow_linearly():
+    """The exact containment checks for ten times the threads grow about tenfold,
+    where a scan of every other thread grows a hundredfold."""
+    def checks(n):
+        calls = 0
+        original = filtering._is_submultiset
+
+        def counted(small, big):
+            nonlocal calls
+            calls += 1
+            return original(small, big)
+
+        with mock.patch.object(filtering, "_is_submultiset", counted):
+            filter_summaries(_planted_corpus(n, seed=7))
+        return calls
+
+    small, large = checks(200), checks(2000)
+    assert small > 0 and large <= 12 * small, (small, large)

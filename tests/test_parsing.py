@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import CORPUS10_DIR, DATA_DIR, build_fields, checked_document, synthetic_raw_text
 from threadcoref.model import AnnotatedDocument, EmailMessage, EmailThread, Section, Token
+from threadcoref import parsing
 from threadcoref.parsing import (
     ParserConfig,
     RawThread,
@@ -350,3 +352,89 @@ class TestTokenizerArguments:
         assert tokenize_and_sentence_split("\nbody.\n", sections=["header", Section.BODY]) == (
             tokenize_and_sentence_split("\nbody.\n")
         )
+
+
+# pieces of a line: word characters, every character the chunk splitter acts
+# on, contraction suffixes, and the whitespace and line breaks of str.split
+# and str.splitlines that are not "\n"
+_LINE_PIECES = st.sampled_from(
+    list("aZé7([{<\"“”‘’`)]}>,;:!?'.@-")
+    + ["n't", "'ll", "'s", "..'s", "I'll", "don't", "x@y.com", "...", "?!", "Mr.", "e.g."]
+    + [" ", "  ", "\t", "\x0c", "\x85", "\u2028", "\xa0"]
+)
+_LINES = st.lists(_LINE_PIECES, max_size=16).map("".join)
+
+
+class TestTokenizerDifferential:
+    """The tokenizer's fast paths against splitting every chunk, kept in ``oracles``."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(line=_LINES, offset=st.integers(0, 50))
+    def test_same_tokens_as_chunk_splitter(self, line, offset):
+        assert parsing._tokenize_line(line, offset) == oracles.tokenize_line_reference(line, offset)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        lines=st.lists(_LINES, max_size=6),
+        codes=st.lists(st.sampled_from([Section.HEADER, Section.BODY, Section.BODY, Section.FOOTER]),
+                       min_size=6, max_size=6),
+    )
+    def test_same_sentences(self, lines, codes):
+        text = "\n".join(lines)
+        assert tokenize_and_sentence_split(text) == oracles.sentence_split_reference(text)
+        sections = [codes[i % len(codes)] for i in range(len(text.splitlines()))]
+        assert tokenize_and_sentence_split(text, sections=sections) == oracles.sentence_split_reference(
+            text, sections
+        )
+
+    @pytest.mark.parametrize("chunk, texts", [
+        ("word", ["word"]),
+        ("word.", ["word", "."]),
+        ("word,", ["word", ","]),
+        ("word?!", ["word", "?", "!"]),
+        ("..'s", ["..", "'s"]),
+        ("can't.", ["ca", "n't", "."]),
+        ("a@b.c.", ["a@b.c", "."]),
+    ])
+    def test_chunks(self, chunk, texts):
+        assert [t for t, _, _ in parsing._tokenize_line(chunk, 0)] == texts
+
+    def test_two_terminal_marks_end_a_sentence(self):
+        sentences = tokenize_and_sentence_split("so ..'s it here")
+        assert [[t.text for t in s] for s in sentences] == [["so", ".."], ["'s", "it", "here"]]
+
+
+_MARKERS = st.lists(
+    st.sampled_from(["", "-- forwarded", "original", ".*", "a|b", "(", "[x]", "\\", "^", "$", "?", "é", "Ab"]),
+    max_size=4,
+).map(tuple)
+
+
+class TestMarkerDifferential:
+    """Marker tests by one compiled search against substring tests, kept in ``oracles``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(markers=_MARKERS, lines=st.lists(
+        st.lists(st.sampled_from(["a", "b", "A", "É", "é", ".", "*", "|", "(", "[x]", "\\", "^", "$", "?",
+                                  "-- Forwarded", "ORIGINAL", " "]), max_size=8).map("".join),
+        max_size=6,
+    ), header_end=st.integers(0, 6))
+    def test_same_lines_match(self, markers, lines, header_end):
+        config = ParserConfig(separator_markers=markers, footer_markers=markers)
+        for line in lines:
+            assert parsing._is_separator(line, config) == oracles.has_marker_reference(line, markers)
+        assert parsing._footer_region_start(lines, header_end, config) == (
+            oracles.footer_region_start_reference(lines, header_end, markers)
+        )
+
+    def test_no_markers_match_nothing_and_an_empty_marker_matches_all(self):
+        assert not parsing._is_separator("", ParserConfig(separator_markers=()))
+        assert not parsing._is_separator("-----Original Message-----", ParserConfig(separator_markers=()))
+        assert parsing._is_separator("", ParserConfig(separator_markers=("x", "")))
+        assert parsing._footer_region_start(["a", "b"], 1, ParserConfig(footer_markers=("",))) == 1
+        assert parsing._footer_region_start(["a", "b"], 0, ParserConfig(footer_markers=())) == 2
+
+    def test_metacharacters_are_literal(self):
+        config = ParserConfig(separator_markers=("a.c", "(x|y)"))
+        assert not parsing._is_separator("abc xy", config)
+        assert parsing._is_separator("A.C", config) and parsing._is_separator("z (X|Y) z", config)

@@ -502,18 +502,33 @@ def _mutate(data, record):
 
 _TOKEN_PATH = re.compile(r"^\$\.messages\[(\d+)\]\.sentences\[(\d+)\]\[(\d+)\]$")
 _HEADER_PATH = re.compile(r"^\$\.messages\[(\d+)\]\.(from|subject|x_from|to|cc|x_to|x_cc)$")
+_MENTION_PATH = re.compile(r"^\$\.chains\[(\d+)\]\.mentions\[(\d+)\]$")
+_CHAIN_ID_PATH = re.compile(r"^\$\.chains\[(\d+)\]\.id$")
+
+
+def _not_integers(values) -> bool:
+    return any(type(v) is not int for v in values)
 
 
 def _is_hole(record, path) -> bool:
     """True if ``path`` names a value the reference decoder accepted or misreported:
-    a token whose section code is unhashable or whose text is a non-string, or a
-    header field of the wrong JSON type."""
+    a token whose section code is unhashable, whose text is a non-string or
+    whose offsets are not all JSON integers, a header field of the wrong JSON
+    type, or a mention index or chain id that is not a JSON integer."""
     match = _TOKEN_PATH.match(path)
     if match:
         mi, si, ti = map(int, match.groups())
         item = record["messages"][mi]["sentences"][si][ti]
         text, code = item[0], item[1]
-        return isinstance(code, (list, dict)) or (bool(text) and not isinstance(text, str))
+        return (isinstance(code, (list, dict)) or (bool(text) and not isinstance(text, str))
+                or _not_integers(item[2:4]))
+    match = _MENTION_PATH.match(path)
+    if match:
+        ci, mi = map(int, match.groups())
+        return _not_integers(record["chains"][ci]["mentions"][mi][:4])
+    match = _CHAIN_ID_PATH.match(path)
+    if match:
+        return _not_integers([record["chains"][int(match.group(1))]["id"]])
     match = _HEADER_PATH.match(path)
     if match:
         message, name = record["messages"][int(match.group(1))], match.group(2)
@@ -650,17 +665,36 @@ def _multi_message_record(sample_documents):
 class TestDecoderTargeted:
     """Values the direct token build must leave to ``Token``, and overlaps."""
 
-    @pytest.mark.parametrize("offsets", [(0.0, 1.5), (False, True), (0, 1.0), (False, 1)], ids=repr)
-    def test_float_and_bool_offsets_keep_their_type(self, example1_document, offsets):
+    @pytest.mark.parametrize("offsets, message", [
+        ((0.0, 1.5), "char_start must be an integer, got 0.0"),
+        ((False, True), "char_start must be an integer, got False"),
+        ((0, 1.0), "char_end must be an integer, got 1.0"),
+        ((False, 1), "char_start must be an integer, got False"),
+    ], ids=repr)
+    def test_float_and_bool_offsets_rejected(self, example1_document, offsets, message):
+        # the reference decoder accepted these: Token only compares its offsets
         record = document_to_record(example1_document)
-        first = record["messages"][0]["sentences"][0][0]
-        first[2:] = offsets
+        record["messages"][0]["sentences"][0][0][2:] = offsets
         new, reference = _decoded_or_error(record)
-        assert new == reference and new[0] == "document"
-        token = record_to_document(record).thread.messages[0].sentences[0][0]
-        assert type(token) is Token
-        assert (type(token.char_start), type(token.char_end)) == tuple(map(type, offsets))
-        assert (token.char_start, token.char_end) == offsets
+        assert reference[0] == "document"
+        assert new == ("error", "$.messages[0].sentences[0][0]", f"$.messages[0].sentences[0][0]: {message}")
+
+    @pytest.mark.parametrize("position, value, path, message", [
+        (0, True, "$.chains[0].mentions[0]", "message_index must be an integer, got True"),
+        (2, 0.5, "$.chains[0].mentions[0]", "start_token must be an integer, got 0.5"),
+        (3, 2.0, "$.chains[0].mentions[0]", "end_token must be an integer, got 2.0"),
+        ("id", True, "$.chains[0].id", "chain id must be an int"),
+        ("id", 0.0, "$.chains[0].id", "chain id must be an int"),
+    ], ids=repr)
+    def test_non_integer_mention_index_or_chain_id_rejected(self, example1_document, position, value, path, message):
+        record = document_to_record(example1_document)
+        chain = record["chains"][0]
+        if position == "id":
+            chain["id"] = value
+        else:
+            chain["mentions"][0][position] = value
+        new, _ = _decoded_or_error(record)
+        assert new == ("error", path, f"{path}: {message}")
 
     @pytest.mark.parametrize("offsets, message", [
         ((True, True), "char_start must be < char_end, got [True, True)"),

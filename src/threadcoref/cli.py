@@ -147,22 +147,22 @@ def _format_of(path: Path, fmt: str) -> str:
 
 
 def _read_documents(
-    path: Path, fmt: str
+    path: Path, fmt: str, *, thread: bool
 ) -> Iterator[tuple[AnnotatedDocument, Callable[[], AnnotatedDocument]]]:
     """The documents of a native or CoNLL file in file order, one at a time.
 
     Each comes with a function that gives it again. For native input that
     function decodes the record's line again, so a caller that sets a
-    document aside holds a line of text, not a decoded document.
+    document aside holds a line of text, not a decoded document. Every
+    record is checked; only with ``thread`` does a document hold its thread.
     """
     if _format_of(path, fmt) == "conll":
-        for doc in serialization.iter_conll(path):
+        for doc in serialization.iter_conll(path, thread=thread):
             yield doc, partial(_same, doc)
     else:
+        decode = partial(serialization.decode_line, thread=thread)
         for line_no, line in serialization.iter_native_lines(path):
-            yield serialization.decode_line(line, line_no), partial(
-                serialization.decode_line, line, line_no
-            )
+            yield decode(line, line_no), partial(decode, line, line_no)
 
 
 def _same(doc: AnnotatedDocument) -> AnnotatedDocument:
@@ -170,7 +170,7 @@ def _same(doc: AnnotatedDocument) -> AnnotatedDocument:
 
 
 def _paired_documents(
-    first: tuple[str, str], second: tuple[str, str], fmt: str
+    first: tuple[str, str], second: tuple[str, str], fmt: str, *, first_thread: bool
 ) -> Iterator[tuple[AnnotatedDocument, AnnotatedDocument]]:
     """Each document of the first file with the document of its id in the second.
 
@@ -179,13 +179,15 @@ def _paired_documents(
     which is the normal case for a response made from its key, both files
     advance in lockstep. A second-file document read ahead of its partner
     waits in an index by id until it is asked for. Every record of both
-    files is decoded and checked, also those no partner asks for.
+    files is decoded and checked, also those no partner asks for. A first-file
+    document holds its thread only if ``first_thread``, a second-file document
+    never: no command reads the thread of the file it pairs with.
 
     A repeated id on either side is an error: a scorer that paired it
     anyway would score some chains against the wrong document.
     """
     (first_path, first_role), (second_path, second_role) = first, second
-    seconds = _read_documents(Path(second_path), fmt)
+    seconds = _read_documents(Path(second_path), fmt, thread=False)
     first_ids: set[str] = set()
     second_ids: set[str] = set()
     ahead: dict[str, Callable[[], AnnotatedDocument]] = {}
@@ -197,7 +199,7 @@ def _paired_documents(
         second_ids.add(doc_id)
         return doc_id
 
-    for doc, _ in _read_documents(Path(first_path), fmt):
+    for doc, _ in _read_documents(Path(first_path), fmt, thread=first_thread):
         doc_id = doc.thread.id
         if doc_id in first_ids:
             raise ToolkitError(f"{first_role} file {first_path} repeats document id {doc_id!r}")
@@ -246,6 +248,9 @@ def _parse_corpus_dir(
     thread file under ``path``, in file order; each file is read as it is needed."""
     from .parsing import ParserConfig
 
+    if not path.exists():
+        # the walk would yield nothing, and a mistyped path would pass as an empty corpus
+        raise ToolkitError(f"input {path} does not exist")
     config = ParserConfig.from_files(separators, footers)
     payloads = (
         (file.read_text(encoding="utf-8", errors="replace"), rel, config, *extra)
@@ -349,7 +354,9 @@ def _cmd_score(args) -> int:
     unknown = [m for m in requested if m not in _METRIC_NAMES]
     if unknown:
         raise ToolkitError(f"unknown metric(s): {', '.join(unknown)}")
-    pairs = _paired_documents((args.key, "key"), (args.response, "response"), args.format)
+    pairs = _paired_documents(
+        (args.key, "key"), (args.response, "response"), args.format, first_thread=False
+    )
     report = metrics.score_documents((k.chains, r.chains) for k, r in pairs)
     header: list[str] = []
     values: list[str] = []
@@ -383,7 +390,7 @@ def _cmd_errors(args) -> int:
 
     total = ErrorReport()
     for key_doc, response_doc in _paired_documents(
-        (args.key, "key"), (args.response, "response"), args.format
+        (args.key, "key"), (args.response, "response"), args.format, first_thread=True
     ):
         total = total + categorize_errors(key_doc.thread, key_doc.chains, response_doc.chains)
     rows = [("category", "count")]
@@ -415,7 +422,8 @@ def _cmd_correction_stats(args) -> int:
     from . import metrics
 
     stats = metrics.CorrectionStats()
-    for pred_doc, gold_doc in _paired_documents((args.pred, "pred"), (args.gold, "gold"), args.format):
+    pairs = _paired_documents((args.pred, "pred"), (args.gold, "gold"), args.format, first_thread=False)
+    for pred_doc, gold_doc in pairs:
         stats = stats + metrics.correction_stats(pred_doc.mentions(), gold_doc.mentions())
     rows = [
         ("statistic", "value"),

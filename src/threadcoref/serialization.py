@@ -163,7 +163,12 @@ def _skeleton_document(
             toks.append(_tuple_new(Token, (_intern(word), si, ti, 0, body, offset, end)))
             offset = end + 1
         token_sentences.append(tuple(toks))
-    thread = _assemble_thread(doc_id, [{"index": 0, "sentences": tuple(token_sentences)}])
+    return _chains_document(doc_id, [{"index": 0, "sentences": tuple(token_sentences)}], chains)
+
+
+def _chains_document(
+    doc_id: str, messages: list, chains: dict[int, list[tuple[int, int, int]]]
+) -> AnnotatedDocument:
     chain_objs = tuple(
         CoreferenceChain(
             chain_id=cid,
@@ -176,7 +181,7 @@ def _skeleton_document(
         )
         for cid, spans in sorted(chains.items())
     )
-    return AnnotatedDocument(thread=thread, chains=chain_objs)
+    return AnnotatedDocument(thread=_assemble_thread(doc_id, messages), chains=chain_objs)
 
 
 def read_conll_documents(text: str) -> list[AnnotatedDocument]:
@@ -184,7 +189,7 @@ def read_conll_documents(text: str) -> list[AnnotatedDocument]:
     return list(iter_conll_documents(text.splitlines()))
 
 
-def iter_conll(path) -> Iterator[AnnotatedDocument]:
+def iter_conll(path, *, thread: bool = True) -> Iterator[AnnotatedDocument]:
     """Read a CoNLL column file one document at a time, in file order.
 
     Lines split as ``str.splitlines`` splits the whole text, so a file reads
@@ -192,15 +197,22 @@ def iter_conll(path) -> Iterator[AnnotatedDocument]:
     """
     with open(path, encoding="utf-8") as fp, utf8_input(path):
         # each "\n"-ended piece splits exactly as it does inside the whole text
-        yield from iter_conll_documents(line for chunk in fp for line in chunk.splitlines())
+        lines = (line for chunk in fp for line in chunk.splitlines())
+        yield from iter_conll_documents(lines, thread=thread)
 
 
-def iter_conll_documents(lines: Iterable[str]) -> Iterator[AnnotatedDocument]:
-    """Parse CoNLL column lines, yielding each document at its ``#end document``."""
+def iter_conll_documents(lines: Iterable[str], *, thread: bool = True) -> Iterator[AnnotatedDocument]:
+    """Parse CoNLL column lines, yielding each document at its ``#end document``.
+
+    Every line is checked either way; with ``thread`` false no token is built,
+    and each document's thread holds no message. A span that a document
+    holds twice, in one chain or in two, is an error at the line that closes
+    its second copy.
+    """
     doc_id: Optional[str] = None
     sentences: list[list[str]] = []
     current: list[str] = []
-    chains: dict[int, list[tuple[int, int, int]]] = {}
+    owners: dict[tuple[int, int, int], int] = {}
     open_spans: dict[int, list[tuple[int, int]]] = {}
     line_no = 0
 
@@ -218,7 +230,7 @@ def iter_conll_documents(lines: Iterable[str]) -> Iterator[AnnotatedDocument]:
                 doc_id = stripped.split("(", 1)[1].split(")", 1)[0]
             except IndexError:
                 raise MalformedColumn(line_no, "malformed #begin document line") from None
-            sentences, current, chains, open_spans = [], [], {}, {}
+            sentences, current, owners, open_spans = [], [], {}, {}
             continue
         if stripped.startswith("#end document"):
             if doc_id is None:
@@ -227,7 +239,13 @@ def iter_conll_documents(lines: Iterable[str]) -> Iterator[AnnotatedDocument]:
             if any(stack for stack in open_spans.values()):
                 open_ids = sorted(cid for cid, stack in open_spans.items() if stack)
                 raise MalformedColumn(line_no, f"unclosed span(s) for chain(s) {open_ids}")
-            yield _skeleton_document(doc_id, sentences, chains)
+            chains: dict[int, list[tuple[int, int, int]]] = {}
+            for span, cid in owners.items():
+                chains.setdefault(cid, []).append(span)
+            if thread:
+                yield _skeleton_document(doc_id, sentences, chains)
+            else:
+                yield _chains_document(doc_id, [], chains)
             doc_id = None
             continue
         if stripped.startswith("#"):
@@ -252,14 +270,14 @@ def iter_conll_documents(lines: Iterable[str]) -> Iterator[AnnotatedDocument]:
                 cid_text = entry[1:-1]
                 if not cid_text.isdigit():
                     raise MalformedColumn(line_no, f"bad coref entry {entry!r}")
-                chains.setdefault(int(cid_text), []).append(
-                    (sent_index, tok_index, tok_index)
-                )
+                cid = int(cid_text)
+                span = (sent_index, tok_index, tok_index)
             elif entry.startswith("("):
                 cid_text = entry[1:]
                 if not cid_text.isdigit():
                     raise MalformedColumn(line_no, f"bad coref entry {entry!r}")
                 open_spans.setdefault(int(cid_text), []).append((sent_index, tok_index))
+                continue
             elif entry.endswith(")"):
                 cid_text = entry[:-1]
                 if not cid_text.isdigit():
@@ -273,9 +291,16 @@ def iter_conll_documents(lines: Iterable[str]) -> Iterator[AnnotatedDocument]:
                     raise MalformedColumn(
                         line_no, f"span for chain {cid} crosses a sentence boundary"
                     )
-                chains.setdefault(cid, []).append((sent_index, open_tok, tok_index))
+                span = (sent_index, open_tok, tok_index)
             else:
                 raise MalformedColumn(line_no, f"bad coref entry {entry!r}")
+            if span in owners:
+                raise MalformedColumn(
+                    line_no,
+                    f"chain {cid}: span at sentence {span[0]}, tokens {span[1]}-{span[2]} "
+                    f"is already in chain {owners[span]}",
+                )
+            owners[span] = cid
     if doc_id is not None:
         # line_no is now the number of lines
         raise MalformedColumn(line_no, "missing #end document")
@@ -411,12 +436,37 @@ def _decode_sentences(raw_sentences: list, mi: int, last_end) -> tuple:
     return tuple(sentences), last_end, ordered
 
 
+class _NotDirect(Exception):
+    """A token that ``_decode_sentences`` would not build directly, or would
+    leave to ``EmailThread`` to report as overlapping."""
+
+
+def _check_sentences(raw_sentences: list, mi: int, last_end) -> tuple:
+    """What ``_decode_sentences`` gives, with no sentence built, for tokens that
+    all take its direct build in rising order; raises ``_NotDirect`` at any other."""
+    for sent in raw_sentences:
+        if not (isinstance(sent, list) and sent):
+            raise _NotDirect
+        for item in sent:
+            if not (isinstance(item, list) and len(item) == 4):
+                raise _NotDirect
+            text, code, cs, ce = item
+            if not (
+                type(code) is str and code in _CODE_SECTIONS
+                and type(text) is str and text
+                and type(cs) is type(ce) is int and last_end <= cs < ce
+            ):
+                raise _NotDirect
+            last_end = ce
+    return (), last_end, True
+
+
 _TEXT_FIELDS = ("from", "subject", "x_from")
 _ADDRESS_LIST_FIELDS = ("to", "cc", "x_to", "x_cc")
 
 
-def _decode_message(rec, i: int, last_end) -> tuple[dict, object, bool]:
-    """Message ``i``'s fields, then what ``_decode_sentences`` gives after them."""
+def _decode_message(rec, i: int, last_end, decode_sentences) -> tuple[dict, object, bool]:
+    """Message ``i``'s fields, then what ``decode_sentences`` gives after them."""
     if not isinstance(rec, dict):
         raise NativeSchemaError(f"$.messages[{i}]", "must be an object")
     raw_sentences = rec.get("sentences")
@@ -428,7 +478,7 @@ def _decode_message(rec, i: int, last_end) -> tuple[dict, object, bool]:
             date = datetime.fromisoformat(rec["date"])
         except (TypeError, ValueError):
             raise NativeSchemaError(f"$.messages[{i}].date", f"bad timestamp {rec['date']!r}") from None
-    sentences, last_end, ordered = _decode_sentences(raw_sentences, i, last_end)
+    sentences, last_end, ordered = decode_sentences(raw_sentences, i, last_end)
     for name in _TEXT_FIELDS:
         value = rec.get(name)
         if value is not None and not isinstance(value, str):
@@ -455,11 +505,17 @@ def _decode_message(rec, i: int, last_end) -> tuple[dict, object, bool]:
 _MENTION_FIELDS = ("message_index", "sentence_index", "start_token", "end_token")
 
 
-def _decode_chain(rec, ci: int) -> CoreferenceChain:
+def _decode_chain(rec, ci: int, chain_ids: set, owners: dict) -> CoreferenceChain:
+    """Chain ``ci``. ``chain_ids`` holds the ids of the chains before it and
+    ``owners`` maps their mention locations to their ids; both take this chain's."""
     if not isinstance(rec, dict):
         raise NativeSchemaError(f"$.chains[{ci}]", "must be an object")
-    if type(rec.get("id")) is not int:
+    chain_id = rec.get("id")
+    if type(chain_id) is not int:
         raise NativeSchemaError(f"$.chains[{ci}].id", "chain id must be an int")
+    if chain_id in chain_ids:
+        raise NativeSchemaError(f"$.chains[{ci}].id", f"chain id {chain_id} is repeated")
+    chain_ids.add(chain_id)
     raw_mentions = rec.get("mentions")
     if not (isinstance(raw_mentions, list) and raw_mentions):
         raise NativeSchemaError(f"$.chains[{ci}].mentions", "must be a nonempty list")
@@ -484,17 +540,27 @@ def _decode_chain(rec, ci: int) -> CoreferenceChain:
             raise NativeSchemaError(f"$.chains[{ci}].mentions[{mi}]", str(exc)) from None
         if not (type(item[0]) is type(item[1]) is type(item[2]) is type(item[3]) is int):
             _expect_integers(_MENTION_FIELDS, item, f"$.chains[{ci}].mentions[{mi}]")
+        location = (item[0], item[1], item[2], item[3])
+        if location in owners:
+            raise NativeSchemaError(
+                f"$.chains[{ci}].mentions[{mi}]",
+                f"mention at {location} is already in chain {owners[location]}",
+            )
+        owners[location] = chain_id
     try:
-        return CoreferenceChain(chain_id=rec["id"], mentions=tuple(mentions))
+        return CoreferenceChain(chain_id=chain_id, mentions=tuple(mentions))
     except ValueError as exc:
         raise NativeSchemaError(f"$.chains[{ci}]", str(exc)) from None
 
 
-def record_to_document(record: dict) -> AnnotatedDocument:
+def record_to_document(record: dict, *, thread: bool = True) -> AnnotatedDocument:
     """Build a document from one decoded native record, checking its schema.
 
     A violation raises ``NativeSchemaError`` naming the JSON path of the
-    offending value; paths are formatted only once a check has failed.
+    offending value; paths are formatted only once a check has failed. With
+    ``thread`` false every check still runs, but the document's thread holds
+    no message: tokens are checked, not built, and a record with any token
+    the direct build would not take is decoded in full, which reports it.
     """
     if not isinstance(record, dict):
         raise NativeSchemaError("$", "record must be an object")
@@ -505,22 +571,28 @@ def record_to_document(record: dict) -> AnnotatedDocument:
         raise NativeSchemaError("$.messages", "must be a list")
     messages = []
     last_end, ordered = 0, True
-    for i, rec in enumerate(raw_messages):
-        fields, last_end, in_order = _decode_message(rec, i, last_end)
-        messages.append(fields)
-        ordered = ordered and in_order
-    thread = _assemble_thread(record["id"], messages, record.get("source_path"))
+    decode_sentences = _decode_sentences if thread else _check_sentences
+    try:
+        for i, rec in enumerate(raw_messages):
+            fields, last_end, in_order = _decode_message(rec, i, last_end, decode_sentences)
+            messages.append(fields)
+            ordered = ordered and in_order
+    except _NotDirect:
+        return record_to_document(record)
+    built = _assemble_thread(record["id"], messages if thread else (), record.get("source_path"))
     if not ordered:
         # the checked constructor names the first token that overlaps
         try:
-            thread = EmailThread(thread.id, thread.messages, thread.source_path)
+            built = EmailThread(built.id, built.messages, built.source_path)
         except (TypeError, ValueError) as exc:
             raise NativeSchemaError("$", str(exc)) from None
     raw_chains = record.get("chains", [])
     if not isinstance(raw_chains, list):
         raise NativeSchemaError("$.chains", "must be a list")
-    chains = tuple(_decode_chain(rec, ci) for ci, rec in enumerate(raw_chains))
-    return AnnotatedDocument(thread=thread, chains=chains)
+    chain_ids: set = set()
+    owners: dict = {}
+    chains = tuple(_decode_chain(rec, ci, chain_ids, owners) for ci, rec in enumerate(raw_chains))
+    return AnnotatedDocument(thread=built, chains=chains)
 
 
 def write_native(
@@ -563,14 +635,14 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-def decode_line(line: str, line_no: int) -> AnnotatedDocument:
+def decode_line(line: str, line_no: int, *, thread: bool = True) -> AnnotatedDocument:
     """Decode one JSONL line; bad JSON, NaN and Infinity included, is reported
-    with its line number."""
+    with its line number. ``thread`` is as for ``record_to_document``."""
     try:
         record = json.loads(line, parse_constant=_reject_constant)
     except ValueError as exc:
         raise NativeSchemaError(f"line {line_no}", f"invalid JSON: {exc}") from None
-    return record_to_document(record)
+    return record_to_document(record, thread=thread)
 
 
 def iter_native(path) -> Iterator[tuple[int, AnnotatedDocument]]:

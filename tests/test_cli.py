@@ -41,6 +41,13 @@ def gold_corpus(tmp_path):
 
 
 class TestParse:
+    def test_missing_input_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        missing = tmp_path / "no-such-maildir"
+        assert main(["parse", "--in", str(missing), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: input {missing} does not exist\n")
+        assert not out.exists()
+
     def test_parses_whole_directory(self, parsed_corpus):
         docs = read_native(parsed_corpus.read_text(encoding="utf-8"))
         assert len(docs) == 10
@@ -409,34 +416,104 @@ PAIRING_COMMANDS = [
 class TestPairing:
     """score, errors and correction-stats read both files one document at a time."""
 
+    fmt = "native"
+
     @staticmethod
     def _run(capsys, command, first, second, first_path, second_path):
         code = main([command, first, str(first_path), second, str(second_path)])
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    def test_other_order_pairs_by_id(self, gold_corpus, tmp_path, capsys, command, first, second, roles):
+    def _units(self, gold_corpus, tmp_path):
+        """The gold corpus as the text of each document in ``self.fmt``, and a
+        function that writes such texts to a file of that format."""
         lines = gold_corpus.read_text(encoding="utf-8").splitlines(keepends=True)
-        moved = tmp_path / "moved.jsonl"
-        moved.write_text("".join(lines[3:] + lines[1:3][::-1] + lines[:1]), encoding="utf-8")
-        expected = self._run(capsys, command, first, second, gold_corpus, gold_corpus)
+        native = self.fmt == "native"
+        units = lines if native else [write_conll(doc) for doc in read_native("".join(lines))]
+        suffix = ".jsonl" if native else ".conll"
+
+        def write(name, texts):
+            path = tmp_path / (name + suffix)
+            path.write_text("".join(texts), encoding="utf-8")
+            return path
+
+        return units, write
+
+    def test_other_order_pairs_by_id(self, gold_corpus, tmp_path, capsys, command, first, second, roles):
+        units, write = self._units(gold_corpus, tmp_path)
+        gold = write("gold", units)
+        moved = write("moved", units[3:] + units[1:3][::-1] + units[:1])
+        expected = self._run(capsys, command, first, second, gold, gold)
         assert expected[0] == 0
-        assert self._run(capsys, command, first, second, gold_corpus, moved) == expected
+        assert self._run(capsys, command, first, second, gold, moved) == expected
 
     def test_extra_malformed_record_exits_1(self, gold_corpus, tmp_path, capsys, command, first, second, roles):
-        extra = tmp_path / "extra.jsonl"
-        extra.write_text(gold_corpus.read_text(encoding="utf-8") + "{broken\n", encoding="utf-8")
-        assert self._run(capsys, command, first, second, gold_corpus, extra) == (
-            1, "", "error: line 9: invalid JSON: Expecting property name enclosed in double quotes: "
-            "line 1 column 2 (char 1)\n")
+        units, write = self._units(gold_corpus, tmp_path)
+        if self.fmt == "native":
+            broken = "{broken\n"
+            message = "line 9: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        else:
+            broken = "#begin document (broken); part 000\nbroken\n#end document\n"
+            row = "".join(units).count("\n") + 2
+            message = f"line {row}: expected >= 5 columns, got 1"
+        gold, extra = write("gold", units), write("extra", units + [broken])
+        assert self._run(capsys, command, first, second, gold, extra) == (1, "", f"error: {message}\n")
 
     def test_missing_document_exits_1(self, gold_corpus, tmp_path, capsys, command, first, second, roles):
-        lines = gold_corpus.read_text(encoding="utf-8").splitlines(keepends=True)
-        missing = tmp_path / "missing.jsonl"
-        missing.write_text("".join(lines[:2] + lines[3:]), encoding="utf-8")
-        doc_id = read_native(lines[2])[0].thread.id
-        assert self._run(capsys, command, first, second, gold_corpus, missing) == (
+        units, write = self._units(gold_corpus, tmp_path)
+        gold, missing = write("gold", units), write("missing", units[:2] + units[3:])
+        doc_id = read_native(gold_corpus.read_text(encoding="utf-8"))[2].thread.id
+        assert self._run(capsys, command, first, second, gold, missing) == (
             1, "", f"error: {roles[1]} file has no document {doc_id!r}\n")
+
+
+class TestConllPairing(TestPairing):
+    """The same cases with both files in CoNLL columns."""
+
+    fmt = "conll"
+
+
+class TestRepeatedMentions:
+    """A mention in two chains is an error in every command that reads chains."""
+
+    @staticmethod
+    def _shared_mention(gold_corpus, tmp_path):
+        records = [json.loads(line) for line in gold_corpus.read_text(encoding="utf-8").splitlines()]
+        chains = records[0]["chains"]
+        chains[1]["mentions"].append(list(chains[0]["mentions"][0]))
+        path = tmp_path / "shared.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        location = tuple(chains[0]["mentions"][0][:4])
+        at = f"$.chains[1].mentions[{len(chains[1]['mentions']) - 1}]"
+        return path, f"error: {at}: mention at {location} is already in chain {chains[0]['id']}\n"
+
+    @pytest.mark.parametrize("command", ["score", "errors", "correction-stats", "stats", "resolve"])
+    def test_exits_1_with_one_line(self, gold_corpus, tmp_path, capsys, command):
+        shared, message = self._shared_mention(gold_corpus, tmp_path)
+        args = {
+            "score": ["--key", gold_corpus, "--response", shared],
+            "errors": ["--key", gold_corpus, "--response", shared],
+            "correction-stats": ["--pred", gold_corpus, "--gold", shared],
+            "stats": ["--in", shared],
+            "resolve": ["--baseline", "hb1", "--in", shared, "--out", tmp_path / "out.jsonl"],
+        }[command]
+        assert main([command, *map(str, args)]) == 1
+        assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("command", ["score", "errors"])
+    def test_conll_span_in_two_chains(self, gold_corpus, tmp_path, capsys, command):
+        text = write_conll(read_native(gold_corpus.read_text(encoding="utf-8"))[0])
+        lines = text.split("\n")
+        row = next(i for i, line in enumerate(lines) if line.endswith("\t-"))
+        lines[row] = lines[row][:-1] + "(900)|(901)"
+        response = tmp_path / "shared.conll"
+        response.write_text("\n".join(lines), encoding="utf-8")
+        key = tmp_path / "key.conll"
+        key.write_text(text, encoding="utf-8")
+        assert main([command, "--key", str(key), "--response", str(response)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: line {row + 1}: chain 901: span at sentence ")
+        assert err.endswith(" is already in chain 900\n") and err.count("\n") == 1
 
 
 class TestRemovedJobsFlag:
@@ -688,6 +765,8 @@ class TestCollectorPolicy:
         try:
             docs = [doc for _, doc in serialization.iter_native(gold_corpus)]
             skeletons = list(serialization.iter_conll(conll))
+            bare = [doc for pair in cli._paired_documents(
+                (str(gold_corpus), "key"), (str(conll), "response"), "auto", first_thread=False) for doc in pair]
             written = io.StringIO()
             serialization.write_native(docs, written)
             made = (
@@ -703,7 +782,7 @@ class TestCollectorPolicy:
                 [metrics.correction_stats(s.mentions(), d.mentions()) for d, s in zip(docs, skeletons)],
                 serialization.write_conll_documents(docs),
             )
-            del docs, skeletons, written, made
+            del docs, skeletons, bare, written, made
             assert gc.collect() == 0
         finally:
             if enabled:

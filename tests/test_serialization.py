@@ -28,6 +28,7 @@ from threadcoref.serialization import (
     MalformedColumn,
     NativeSchemaError,
     OverlappingIdenticalSpan,
+    decode_line,
     document_to_record,
     global_sentences,
     iter_conll,
@@ -54,6 +55,31 @@ def chain_sets(doc):
         frozenset(mention_to_absolute(doc.thread, m) for m in chain.mentions)
         for chain in doc.chains
     }
+
+
+def chain_fields(doc):
+    """Everything a threadless read keeps: id, source path, chains with entity types."""
+    chains = [(c.chain_id, [(m.location, m.entity_type) for m in c.mentions]) for c in doc.chains]
+    return doc.thread.id, doc.thread.source_path, chains
+
+
+def decode_both(record):
+    """``decode_line`` on the record's JSON line, with its thread; first checks
+    that the threadless decode gives the same error, or the same id, source
+    path and chains with a thread of no messages."""
+    line = json.dumps(record)
+    outcomes = []
+    for thread in (True, False):
+        try:
+            outcomes.append(decode_line(line, 1, thread=thread))
+        except NativeSchemaError as exc:
+            outcomes.append(exc)
+    full, bare = outcomes
+    if isinstance(full, NativeSchemaError):
+        assert (type(bare), getattr(bare, "path", None), str(bare)) == (type(full), full.path, str(full))
+        raise full
+    assert bare.thread.messages == () and chain_fields(bare) == chain_fields(full)
+    return full
 
 
 class TestWriteConll:
@@ -206,14 +232,14 @@ class TestNativeFormat:
         record = document_to_record(example1_document)
         record["messages"][0]["sentences"][0][0][1] = "zz"  # bad section code
         with pytest.raises(NativeSchemaError) as err:
-            record_to_document(record)
+            decode_both(record)
         assert "$.messages[0].sentences[0][0]" in str(err.value)
 
     def test_bad_date_rejected(self, example1_document):
         record = document_to_record(example1_document)
         record["messages"][0]["date"] = "not-a-date"
         with pytest.raises(NativeSchemaError) as err:
-            record_to_document(record)
+            decode_both(record)
         assert ".date" in str(err.value)
 
     def test_bad_json_line_rejected(self):
@@ -361,7 +387,7 @@ class TestDecoderHoles:
         record = document_to_record(example1_document)
         record["messages"][0]["sentences"][1][2][1] = ["b"]
         with pytest.raises(NativeSchemaError) as err:
-            record_to_document(record)
+            decode_both(record)
         assert err.value.path == "$.messages[0].sentences[1][2]"
         assert "unknown section code ['b']" in str(err.value)
 
@@ -369,7 +395,7 @@ class TestDecoderHoles:
         record = document_to_record(example1_document)
         record["messages"][0]["sentences"][0][3][0] = 42
         with pytest.raises(NativeSchemaError) as err:
-            record_to_document(record)
+            decode_both(record)
         assert err.value.path == "$.messages[0].sentences[0][3]"
         assert "must be a string" in str(err.value)
 
@@ -379,7 +405,7 @@ class TestDecoderHoles:
         record = document_to_record(example1_document)
         record["messages"][0][field] = value
         with pytest.raises(NativeSchemaError) as err:
-            record_to_document(record)
+            decode_both(record)
         assert err.value.path == f"$.messages[0].{field}"
         assert err.value.message == "must be a string or null"
 
@@ -389,7 +415,7 @@ class TestDecoderHoles:
         record = document_to_record(example1_document)
         record["messages"][0][field] = value
         with pytest.raises(NativeSchemaError) as err:
-            record_to_document(record)
+            decode_both(record)
         assert err.value.path == f"$.messages[0].{field}"
         assert err.value.message == "must be a list of strings"
 
@@ -398,7 +424,7 @@ class TestDecoderHoles:
         message = record["messages"][0]
         message["from"] = message["subject"] = None
         del message["x_from"], message["to"], message["x_cc"]
-        doc = record_to_document(record)
+        doc = decode_both(record)
         decoded = doc.thread.messages[0]
         assert (decoded.from_addr, decoded.subject, decoded.x_from) == (None, None, None)
         assert decoded.to_addrs == () and decoded.x_cc == ()
@@ -452,7 +478,8 @@ def _mutate(data, record):
     an earlier one destroyed does nothing."""
     kind = data.draw(st.sampled_from(
         ["replace", "replace", "replace", "delete", "invert_token", "negative_offset", "overlap",
-         "empty_sentence", "bad_date", "invert_mention", "entity_type", "token_field"]))
+         "empty_sentence", "bad_date", "invert_mention", "entity_type", "token_field",
+         "repeat_mention", "repeat_chain_id"]))
     if kind in ("replace", "delete"):
         sites = list(_sites(record))[1:]
         if not sites:
@@ -474,6 +501,19 @@ def _mutate(data, record):
             message["date"] = data.draw(st.sampled_from(["not-a-date", "2001-13-01", 17, ["2001"], ""]))
         elif isinstance(message.get("sentences"), list) and message["sentences"]:
             message["sentences"][data.draw(st.integers(0, len(message["sentences"]) - 1))] = []
+        return
+    if kind in ("repeat_mention", "repeat_chain_id"):
+        chains = record.get("chains")
+        chains = [c for c in chains if isinstance(c, dict)] if isinstance(chains, list) else []
+        if not chains:
+            return
+        source, target = data.draw(st.sampled_from(chains)), data.draw(st.sampled_from(chains))
+        if kind == "repeat_chain_id":
+            target["id"] = source.get("id")
+        elif isinstance(source.get("mentions"), list) and source["mentions"] \
+                and isinstance(target.get("mentions"), list):
+            copy_of = copy.deepcopy(data.draw(st.sampled_from(source["mentions"])))
+            target["mentions"].insert(data.draw(st.integers(0, len(target["mentions"]))), copy_of)
         return
     if kind in ("invert_mention", "entity_type"):
         mentions = _items(record, 4, "chains", "mentions", 4)
@@ -514,7 +554,8 @@ def _is_hole(record, path) -> bool:
     """True if ``path`` names a value the reference decoder accepted or misreported:
     a token whose section code is unhashable, whose text is a non-string or
     whose offsets are not all JSON integers, a header field of the wrong JSON
-    type, or a mention index or chain id that is not a JSON integer."""
+    type, a mention index or chain id that is not a JSON integer, a mention
+    location that an earlier mention holds, or a chain id an earlier chain has."""
     match = _TOKEN_PATH.match(path)
     if match:
         mi, si, ti = map(int, match.groups())
@@ -525,10 +566,15 @@ def _is_hole(record, path) -> bool:
     match = _MENTION_PATH.match(path)
     if match:
         ci, mi = map(int, match.groups())
-        return _not_integers(record["chains"][ci]["mentions"][mi][:4])
+        chains = record["chains"]
+        earlier = [m for chain in chains[:ci] for m in chain["mentions"]] + chains[ci]["mentions"][:mi]
+        location = chains[ci]["mentions"][mi][:4]
+        return _not_integers(location) or location in [m[:4] for m in earlier]
     match = _CHAIN_ID_PATH.match(path)
     if match:
-        return _not_integers([record["chains"][int(match.group(1))]["id"]])
+        ci = int(match.group(1))
+        chain_id = record["chains"][ci]["id"]
+        return _not_integers([chain_id]) or chain_id in [c["id"] for c in record["chains"][:ci]]
     match = _HEADER_PATH.match(path)
     if match:
         message, name = record["messages"][int(match.group(1))], match.group(2)
@@ -563,7 +609,7 @@ class TestDecoderDifferential:
         record = json.loads(data.draw(st.sampled_from(fixture_records)))
         for _ in range(data.draw(st.integers(1, 3))):
             _mutate(data, record)
-        new = self._outcome(record_to_document, record)
+        new = self._outcome(decode_both, record)
         try:
             reference = self._outcome(oracles.record_to_document_reference, record)
         except TypeError:
@@ -647,7 +693,7 @@ class TestOnePassBuild:
 def _decoded_or_error(record):
     """Both decoders' outcomes on a record: the document's fields, or the error."""
     outcomes = []
-    for decode in (record_to_document, oracles.record_to_document_reference):
+    for decode in (decode_both, oracles.record_to_document_reference):
         try:
             doc = decode(json.loads(json.dumps(record)))
         except NativeSchemaError as exc:
@@ -726,7 +772,7 @@ class TestDecoderTargeted:
         record["messages"][1]["date"] = None
         record["messages"][1]["from"] = 7
         with pytest.raises(NativeSchemaError) as err:
-            record_to_document(record)
+            decode_both(record)
         assert (err.value.path, err.value.message) == ("$.messages[1].from", "must be a string or null")
 
     @pytest.mark.parametrize("where", ["in a sentence", "across sentences", "across messages"])
@@ -754,8 +800,21 @@ class TestDecoderTargeted:
         assert new == reference and new[0] == "document"
 
 
+def threadless_conll_outcome(text, thread=False):
+    """What a threadless read keeps of CoNLL text: each document's id and
+    chains, or the error; with ``thread`` the same of a full read."""
+    try:
+        docs = list(serialization.iter_conll_documents(text.split("\n"), thread=thread))
+    except MalformedColumn as exc:
+        return ("error", exc.line_number, str(exc))
+    if not thread:
+        assert all(doc.thread.messages == () for doc in docs)
+    return ("documents", [chain_fields(doc) for doc in docs])
+
+
 _CONLL_CORRUPTIONS = [
     "-", "_", "(1)", "(2", "2)", "(1)|(2", "3)|(3)", "(0)|0)", "x", "(a)", "()", "(1|2)", "(12345)",
+    "(1)|(2)", "(2)|(2)",
 ]
 _CONLL_LINES = [
     "", "   ", "#begin document (z); part 000", "#begin document z", "#end document", "# note",
@@ -780,6 +839,7 @@ class TestConllBuilderDifferential:
                 outcomes.append(("documents", [build_fields(d) for d in read(text)]))
             except MalformedColumn as exc:
                 outcomes.append(("error", exc.line_number, str(exc)))
+        assert threadless_conll_outcome(text) == threadless_conll_outcome(text, thread=True)
         return outcomes
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -807,3 +867,134 @@ class TestConllBuilderDifferential:
                 break
         new, reference = self._outcome("\n".join(lines))
         assert new == reference
+
+
+def _corpus10_record(thread, rng):
+    """A record of a corpus10 thread with chains over the first tokens of its sentences."""
+    sentences = [(msg.index, si, len(sent)) for msg in thread.messages for si, sent in enumerate(msg.sentences)]
+    chains = {}
+    for mi, si, length in sentences:
+        end = rng.randrange(length)
+        etype = rng.choice([None, *EntityType])
+        chains.setdefault(rng.randrange(4), []).append(Mention(mi, si, 0, end, etype))
+    chain_objs = tuple(CoreferenceChain(cid, tuple(ms)) for cid, ms in sorted(chains.items()))
+    return document_to_record(AnnotatedDocument(thread=thread, chains=chain_objs))
+
+
+class TestThreadlessDecode:
+    """``thread=False`` checks every record as the full decode does, and keeps
+    only the id, the source path and the chains."""
+
+    @pytest.fixture(scope="class")
+    def fixture_lines(self, example1_document, corpus10_threads):
+        rng = random.Random(23)
+        records = [document_to_record(example1_document)]
+        records += [_corpus10_record(thread, rng) for thread in corpus10_threads]
+        return [json.dumps(record) for record in records]
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_same_error_or_same_chains(self, fixture_lines, data):
+        record = json.loads(data.draw(st.sampled_from(fixture_lines)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            _mutate(data, record)
+        try:
+            decode_both(record)
+        except NativeSchemaError:
+            pass
+
+    def test_fixture_records_decode(self, fixture_lines):
+        for line in fixture_lines:
+            full = decode_line(line, 1)
+            assert decode_both(json.loads(line)) == full
+            assert full.thread.messages and full.chains
+
+    def test_bad_json_line(self):
+        errors = []
+        for thread in (True, False):
+            with pytest.raises(NativeSchemaError) as err:
+                decode_line("{broken", 4, thread=thread)
+            errors.append((err.value.path, str(err.value)))
+        assert errors[0] == errors[1] and errors[0][0] == "line 4"
+
+    def test_builds_no_token(self, sample_documents):
+        native = write_native_string(sample_documents).splitlines()
+        conll = write_conll_documents(sample_documents).split("\n")
+        with mock.patch.object(serialization, "_tuple_new", side_effect=AssertionError("a token was built")), \
+                mock.patch.object(Token, "__new__", side_effect=AssertionError("a token was built")):
+            bare = [decode_line(line, n, thread=False) for n, line in enumerate(native, start=1)]
+            skeletons = list(serialization.iter_conll_documents(conll, thread=False))
+        assert [chain_fields(doc) for doc in bare] == [chain_fields(doc) for doc in sample_documents]
+        assert [doc.chains for doc in skeletons] == [doc.chains for doc in read_conll_documents("\n".join(conll))]
+        assert all(doc.thread.messages == () for doc in bare + skeletons)
+
+    def test_file_reader_passes_the_flag(self, sample_documents, tmp_path):
+        path = tmp_path / "docs.conll"
+        path.write_text(write_conll_documents(sample_documents), encoding="utf-8")
+        bare = list(iter_conll(path, thread=False))
+        assert [d.chains for d in bare] == [d.chains for d in iter_conll(path)]
+        assert all(d.thread.messages == () for d in bare)
+
+
+class TestRepeatedLocations:
+    """A mention location held twice, or a chain id used twice, is a schema error."""
+
+    def test_location_twice_in_one_chain(self, example1_document):
+        record = document_to_record(example1_document)
+        mentions = record["chains"][1]["mentions"]
+        mentions.append(list(mentions[0]))
+        location = tuple(mentions[0][:4])
+        with pytest.raises(NativeSchemaError) as err:
+            decode_both(record)
+        assert (err.value.path, err.value.message) == (
+            f"$.chains[1].mentions[{len(mentions) - 1}]", f"mention at {location} is already in chain 2")
+
+    @pytest.mark.parametrize("entity_type", [None, "PER"])
+    def test_location_in_two_chains(self, example1_document, entity_type):
+        record = document_to_record(example1_document)
+        repeated = record["chains"][0]["mentions"][2][:4] + [entity_type]
+        record["chains"][2]["mentions"].insert(0, repeated)
+        with pytest.raises(NativeSchemaError) as err:
+            decode_both(record)
+        assert (err.value.path, err.value.message) == (
+            "$.chains[2].mentions[0]", f"mention at {tuple(repeated[:4])} is already in chain 1")
+        # the reference decoder, which this check was added after, accepted it
+        assert oracles.record_to_document_reference(record).chains[2].mentions[0].location == tuple(repeated[:4])
+
+    def test_repeated_chain_id(self, example1_document):
+        record = document_to_record(example1_document)
+        record["chains"][2]["id"] = record["chains"][0]["id"]
+        with pytest.raises(NativeSchemaError) as err:
+            decode_both(record)
+        assert (err.value.path, err.value.message) == ("$.chains[2].id", "chain id 1 is repeated")
+
+    def test_thread_error_comes_first(self, example1_document):
+        record = document_to_record(example1_document)
+        record["chains"][2]["id"] = record["chains"][0]["id"]
+        record["messages"][0]["sentences"][0][0][0] = ""
+        with pytest.raises(NativeSchemaError) as err:
+            decode_both(record)
+        assert err.value.path == "$.messages[0].sentences[0][0]"
+
+    @staticmethod
+    def _conll(rows):
+        lines = ["#begin document (x); part 000"]
+        lines += [f"x\t0\t{i}\tw{i}\t{coref}" for i, coref in enumerate(rows)]
+        return lines + ["", "#end document"]
+
+    @pytest.mark.parametrize("rows, line, message", [
+        (["(1)|(2)"], 2, "chain 2: span at sentence 0, tokens 0-0 is already in chain 1"),
+        (["(1)|(1)"], 2, "chain 1: span at sentence 0, tokens 0-0 is already in chain 1"),
+        (["(1|(2", "-", "1)|2)"], 4, "chain 2: span at sentence 0, tokens 0-2 is already in chain 1"),
+        (["-", "(1|(1", "1)|1)"], 4, "chain 1: span at sentence 0, tokens 1-2 is already in chain 1"),
+    ], ids=repr)
+    @pytest.mark.parametrize("thread", [True, False])
+    def test_conll_span_in_two_chains(self, rows, line, message, thread):
+        with pytest.raises(MalformedColumn) as err:
+            list(serialization.iter_conll_documents(self._conll(rows), thread=thread))
+        assert (err.value.line_number, str(err.value)) == (line, f"line {line}: {message}")
+
+    def test_conll_distinct_spans_accepted(self):
+        doc, = serialization.iter_conll_documents(self._conll(["(1|(2)", "1)|(1)"]))
+        assert [[m.location for m in c.mentions] for c in doc.chains] == [
+            [(0, 0, 0, 1), (0, 0, 1, 1)], [(0, 0, 0, 0)]]

@@ -57,10 +57,17 @@ def feature_annotation(thread: EmailThread) -> FeatureAnnotation:
 
 
 def date_permutation(thread: EmailThread, descending: bool = False) -> list[int]:
-    """Mapping old message index -> new index under a stable date sort."""
+    """Mapping old message index -> new index under a stable date sort of
+    dates that all have a time zone or all have none; others do not compare."""
     for msg in thread.messages:
         if msg.date is None:
             raise MissingDate(msg.index)
+    zoned = [msg.date.utcoffset() is not None for msg in thread.messages]
+    if any(zoned) and not all(zoned):
+        raise ToolkitError(
+            f"message {zoned.index(True)} is dated with a time zone and message "
+            f"{zoned.index(False)} without one, so they cannot be ordered"
+        )
     order = sorted(
         range(len(thread.messages)),
         key=lambda i: thread.messages[i].date,

@@ -196,10 +196,7 @@ class EmailThread:
             for sentence in msg.sentences:
                 for tok in sentence:
                     if tok.char_start < last_end:
-                        raise ValueError(
-                            f"thread {self.id}: token {tok.text!r} at char {tok.char_start} "
-                            f"overlaps previous token ending at {last_end}"
-                        )
+                        raise ValueError(_overlap_message(self.id, tok.text, tok.char_start, last_end))
                     last_end = tok.char_end
 
     def tokens(self) -> Iterator[Token]:
@@ -208,6 +205,11 @@ class EmailThread:
 
     def sentence(self, message_index: int, sentence_index: int) -> tuple[Token, ...]:
         return self.messages[message_index].sentences[sentence_index]
+
+
+def _overlap_message(thread_id: str, text: str, char_start: int, last_end: int) -> str:
+    """What a thread reports of a token that starts before the previous one ends."""
+    return f"thread {thread_id}: token {text!r} at char {char_start} overlaps previous token ending at {last_end}"
 
 
 _MESSAGE_DEFAULTS = {f.name: f.default for f in fields(EmailMessage)}

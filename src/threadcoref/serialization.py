@@ -27,6 +27,7 @@ from .model import (
     ToolkitError,
     _assemble_thread,
     _intern,
+    _overlap_message,
     _tuple_new,
     mention_order,
     utf8_input,
@@ -46,16 +47,18 @@ class OverlappingIdenticalSpan(ToolkitError):
 
 
 class NativeSchemaError(ToolkitError):
-    """A native record violates the expected schema."""
+    """A native record violates the expected schema at JSON ``path``, on line ``line_number`` if known."""
 
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+    def __init__(self, path: str, message: str, line_number: Optional[int] = None):
+        where = f"{path}: " if line_number is None else f"line {line_number}: {path}: "
+        super().__init__(where + message)
         self.path = path
         self.message = message
+        self.line_number = line_number
 
     def __reduce__(self):
-        # rebuilt from both fields, so the error survives a worker process
-        return type(self), (self.path, self.message)
+        # rebuilt from every field, so the error survives a worker process
+        return type(self), (self.path, self.message, self.line_number)
 
 
 # ---------------------------------------------------------------------------
@@ -391,17 +394,19 @@ def _expect_integers(names: tuple[str, ...], values, path: str) -> None:
             raise NativeSchemaError(path, f"{name} must be an integer, got {value!r}")
 
 
-def _decode_sentences(raw_sentences: list, mi: int, last_end) -> tuple:
-    """A message's sentences of tokens, each item checked in schema order, then
-    the thread's running char_end and whether every token began at or after it.
+def _decode_sentences(raw_sentences: list, mi: int, last_end: int, build: bool) -> tuple:
+    """Message ``mi``'s tokens in one checked pass: its sentences (none unless
+    ``build``), each sentence's length, the running char_end, and the first
+    token that starts before the previous one ends as (text, start, previous end).
 
-    A token of the exact types for which every ``Token`` check passes is built
-    directly; any other goes through ``Token``, so its error keeps its message,
-    and offsets that ``Token`` accepts but that are not integers are rejected.
-    Raises ``NativeSchemaError`` naming the first bad item.
+    A token with a nonempty string text, a known section code and integer
+    offsets with ``last_end <= start < end`` is built directly; any other goes
+    through ``Token``, so its error keeps its message, and offsets that ``Token``
+    accepts but that are not integers are rejected.
     """
-    ordered = True
     sentences = []
+    lengths = []
+    overlap = None
     for si, sent in enumerate(raw_sentences):
         if not (isinstance(sent, list) and sent):
             raise NativeSchemaError(f"$.messages[{mi}].sentences[{si}]", "must be a nonempty list")
@@ -419,54 +424,33 @@ def _decode_sentences(raw_sentences: list, mi: int, last_end) -> tuple:
                 raise NativeSchemaError(
                     f"$.messages[{mi}].sentences[{si}][{ti}]", f"unknown section code {code!r}"
                 ) from None
-            if type(text) is str and text and type(cs) is type(ce) is int and 0 <= cs < ce:
-                toks.append(_tuple_new(Token, (_intern(text), si, ti, mi, section, cs, ce)))
+            if type(text) is str and text and type(cs) is type(ce) is int and last_end <= cs < ce:
+                if build:
+                    toks.append(_tuple_new(Token, (_intern(text), si, ti, mi, section, cs, ce)))
             else:
                 try:
-                    toks.append(Token(text, si, ti, mi, section, cs, ce))
+                    token = Token(text, si, ti, mi, section, cs, ce)
                 except (TypeError, ValueError) as exc:
                     raise NativeSchemaError(f"$.messages[{mi}].sentences[{si}][{ti}]", str(exc)) from None
                 # Token compares offsets, which a bool or a float also passes
                 _expect_integers(("char_start", "char_end"), (cs, ce), f"$.messages[{mi}].sentences[{si}][{ti}]")
-            # the comparison EmailThread makes
-            if cs < last_end:
-                ordered = False
+                if cs < last_end and overlap is None:
+                    overlap = (token.text, cs, last_end)
+                if build:
+                    toks.append(token)
             last_end = ce
-        sentences.append(tuple(toks))
-    return tuple(sentences), last_end, ordered
-
-
-class _NotDirect(Exception):
-    """A token that ``_decode_sentences`` would not build directly, or would
-    leave to ``EmailThread`` to report as overlapping."""
-
-
-def _check_sentences(raw_sentences: list, mi: int, last_end) -> tuple:
-    """What ``_decode_sentences`` gives, with no sentence built, for tokens that
-    all take its direct build in rising order; raises ``_NotDirect`` at any other."""
-    for sent in raw_sentences:
-        if not (isinstance(sent, list) and sent):
-            raise _NotDirect
-        for item in sent:
-            if not (isinstance(item, list) and len(item) == 4):
-                raise _NotDirect
-            text, code, cs, ce = item
-            if not (
-                type(code) is str and code in _CODE_SECTIONS
-                and type(text) is str and text
-                and type(cs) is type(ce) is int and last_end <= cs < ce
-            ):
-                raise _NotDirect
-            last_end = ce
-    return (), last_end, True
+        if build:
+            sentences.append(tuple(toks))
+        lengths.append(len(sent))
+    return tuple(sentences), lengths, last_end, overlap
 
 
 _TEXT_FIELDS = ("from", "subject", "x_from")
 _ADDRESS_LIST_FIELDS = ("to", "cc", "x_to", "x_cc")
 
 
-def _decode_message(rec, i: int, last_end, decode_sentences) -> tuple[dict, object, bool]:
-    """Message ``i``'s fields, then what ``decode_sentences`` gives after them."""
+def _decode_message(rec, i: int, last_end: int, build: bool) -> tuple:
+    """Message ``i``'s fields, then what ``_decode_sentences`` gives after its sentences."""
     if not isinstance(rec, dict):
         raise NativeSchemaError(f"$.messages[{i}]", "must be an object")
     raw_sentences = rec.get("sentences")
@@ -478,7 +462,7 @@ def _decode_message(rec, i: int, last_end, decode_sentences) -> tuple[dict, obje
             date = datetime.fromisoformat(rec["date"])
         except (TypeError, ValueError):
             raise NativeSchemaError(f"$.messages[{i}].date", f"bad timestamp {rec['date']!r}") from None
-    sentences, last_end, ordered = decode_sentences(raw_sentences, i, last_end)
+    sentences, lengths, last_end, overlap = _decode_sentences(raw_sentences, i, last_end, build)
     for name in _TEXT_FIELDS:
         value = rec.get(name)
         if value is not None and not isinstance(value, str):
@@ -499,15 +483,16 @@ def _decode_message(rec, i: int, last_end, decode_sentences) -> tuple[dict, obje
         "x_cc": tuple(rec.get("x_cc", [])),
         "sentences": sentences,
     }
-    return fields, last_end, ordered
+    return fields, lengths, last_end, overlap
 
 
 _MENTION_FIELDS = ("message_index", "sentence_index", "start_token", "end_token")
 
 
-def _decode_chain(rec, ci: int, chain_ids: set, owners: dict) -> CoreferenceChain:
+def _decode_chain(rec, ci: int, chain_ids: set, owners: dict, lengths: list) -> CoreferenceChain:
     """Chain ``ci``. ``chain_ids`` holds the ids of the chains before it and
-    ``owners`` maps their mention locations to their ids; both take this chain's."""
+    ``owners`` maps their mention locations to their ids; both take this chain's.
+    ``lengths`` holds each message's sentence lengths."""
     if not isinstance(rec, dict):
         raise NativeSchemaError(f"$.chains[{ci}]", "must be an object")
     chain_id = rec.get("id")
@@ -541,6 +526,9 @@ def _decode_chain(rec, ci: int, chain_ids: set, owners: dict) -> CoreferenceChai
         if not (type(item[0]) is type(item[1]) is type(item[2]) is type(item[3]) is int):
             _expect_integers(_MENTION_FIELDS, item, f"$.chains[{ci}].mentions[{mi}]")
         location = (item[0], item[1], item[2], item[3])
+        m, s, _, end = location
+        if not (m < len(lengths) and s < len(lengths[m]) and end < lengths[m][s]):
+            raise NativeSchemaError(f"$.chains[{ci}].mentions[{mi}]", f"mention at {location} addresses no token")
         if location in owners:
             raise NativeSchemaError(
                 f"$.chains[{ci}].mentions[{mi}]",
@@ -557,10 +545,10 @@ def record_to_document(record: dict, *, thread: bool = True) -> AnnotatedDocumen
     """Build a document from one decoded native record, checking its schema.
 
     A violation raises ``NativeSchemaError`` naming the JSON path of the
-    offending value; paths are formatted only once a check has failed. With
-    ``thread`` false every check still runs, but the document's thread holds
-    no message: tokens are checked, not built, and a record with any token
-    the direct build would not take is decoded in full, which reports it.
+    offending value; paths are formatted only once a check has failed. A
+    token that starts before the previous one ends is reported at ``$``,
+    after every message has decoded. With ``thread`` false every check still
+    runs, but no token is built and the document's thread holds no message.
     """
     if not isinstance(record, dict):
         raise NativeSchemaError("$", "record must be an object")
@@ -570,28 +558,22 @@ def record_to_document(record: dict, *, thread: bool = True) -> AnnotatedDocumen
     if not isinstance(raw_messages, list):
         raise NativeSchemaError("$.messages", "must be a list")
     messages = []
-    last_end, ordered = 0, True
-    decode_sentences = _decode_sentences if thread else _check_sentences
-    try:
-        for i, rec in enumerate(raw_messages):
-            fields, last_end, in_order = _decode_message(rec, i, last_end, decode_sentences)
-            messages.append(fields)
-            ordered = ordered and in_order
-    except _NotDirect:
-        return record_to_document(record)
+    lengths = []
+    last_end, overlap = 0, None
+    for i, rec in enumerate(raw_messages):
+        fields, sentence_lengths, last_end, found = _decode_message(rec, i, last_end, thread)
+        messages.append(fields)
+        lengths.append(sentence_lengths)
+        overlap = overlap or found
+    if overlap:
+        raise NativeSchemaError("$", _overlap_message(record["id"], *overlap))
     built = _assemble_thread(record["id"], messages if thread else (), record.get("source_path"))
-    if not ordered:
-        # the checked constructor names the first token that overlaps
-        try:
-            built = EmailThread(built.id, built.messages, built.source_path)
-        except (TypeError, ValueError) as exc:
-            raise NativeSchemaError("$", str(exc)) from None
     raw_chains = record.get("chains", [])
     if not isinstance(raw_chains, list):
         raise NativeSchemaError("$.chains", "must be a list")
     chain_ids: set = set()
     owners: dict = {}
-    chains = tuple(_decode_chain(rec, ci, chain_ids, owners) for ci, rec in enumerate(raw_chains))
+    chains = tuple(_decode_chain(rec, ci, chain_ids, owners, lengths) for ci, rec in enumerate(raw_chains))
     return AnnotatedDocument(thread=built, chains=chains)
 
 
@@ -636,13 +618,16 @@ def _reject_constant(name: str):
 
 
 def decode_line(line: str, line_no: int, *, thread: bool = True) -> AnnotatedDocument:
-    """Decode one JSONL line; bad JSON, NaN and Infinity included, is reported
-    with its line number. ``thread`` is as for ``record_to_document``."""
+    """Decode one JSONL line; every error, bad JSON, NaN and Infinity included,
+    names the line number. ``thread`` is as for ``record_to_document``."""
     try:
         record = json.loads(line, parse_constant=_reject_constant)
     except ValueError as exc:
         raise NativeSchemaError(f"line {line_no}", f"invalid JSON: {exc}") from None
-    return record_to_document(record, thread=thread)
+    try:
+        return record_to_document(record, thread=thread)
+    except NativeSchemaError as exc:
+        raise NativeSchemaError(exc.path, exc.message, line_no) from None
 
 
 def iter_native(path) -> Iterator[tuple[int, AnnotatedDocument]]:

@@ -212,6 +212,30 @@ class TestFeatures:
             assert dates == sorted(dates, reverse=True)
 
 
+    def test_rev_on_naive_and_aware_dates_exits_1(self, tmp_path, capsys):
+        # the quoted Outlook "Sent:" line parses without a time zone
+        thread = tmp_path / "threads" / "mixed.txt"
+        thread.parent.mkdir()
+        thread.write_text(
+            "Date: Mon, 14 May 2001 16:02:00 -0700 (PDT)\n"
+            "From: jane.doe@enron.com\nTo: john.smith@enron.com\nSubject: RE: schedule\n\n"
+            "Sounds good, I will call you tomorrow.\n\n"
+            "-----Original Message-----\n"
+            "From: Smith, John\nSent: Monday, May 14, 2001 3:10 PM\nTo: Doe, Jane\n"
+            "Subject: schedule\n\nCan you call me about the schedule?\n",
+            encoding="utf-8",
+        )
+        parsed, out = tmp_path / "parsed.jsonl", tmp_path / "rev.jsonl"
+        assert main(["parse", "--in", str(thread.parent), "--out", str(parsed)]) == 0
+        doc, = read_native(parsed.read_text(encoding="utf-8"))
+        assert [m.date.utcoffset() is None for m in doc.thread.messages] == [False, True]
+        assert main(["features", "--in", str(parsed), "--out", str(out), "--rev"]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: message 0 is dated with a time zone and message 1 without one, "
+            "so they cannot be ordered\n"))
+        assert not out.exists()
+
+
 class TestResolve:
     def test_hb2_on_example1_matches_hb1_partition(self, tmp_path, example1_document):
         src = tmp_path / "ex1.jsonl"
@@ -269,7 +293,7 @@ class TestResolve:
         assert main(["resolve", "--baseline", "hb1", "--in", str(bad_schema), "--out", str(out),
                      "--jobs", jobs]) == 1
         assert capsys.readouterr().err == (
-            "error: $.messages[0].sentences[0][0]: unknown section code 'zz'\n")
+            "error: line 2: $.messages[0].sentences[0][0]: unknown section code 'zz'\n")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_first_fault_reported_first(self, gold_corpus, tmp_path, capsys, jobs):
@@ -485,7 +509,7 @@ class TestRepeatedMentions:
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         location = tuple(chains[0]["mentions"][0][:4])
         at = f"$.chains[1].mentions[{len(chains[1]['mentions']) - 1}]"
-        return path, f"error: {at}: mention at {location} is already in chain {chains[0]['id']}\n"
+        return path, f"error: line 1: {at}: mention at {location} is already in chain {chains[0]['id']}\n"
 
     @pytest.mark.parametrize("command", ["score", "errors", "correction-stats", "stats", "resolve"])
     def test_exits_1_with_one_line(self, gold_corpus, tmp_path, capsys, command):
@@ -514,6 +538,35 @@ class TestRepeatedMentions:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: line {row + 1}: chain 901: span at sentence ")
         assert err.endswith(" is already in chain 900\n") and err.count("\n") == 1
+
+
+class TestSpanAddressesNoToken:
+    """A mention that addresses no token is an error in every command that reads chains."""
+
+    @pytest.mark.parametrize("move", ["sentence 999", "past the sentence end"])
+    @pytest.mark.parametrize("command", ["stats", "features", "resolve", "score", "errors", "correction-stats"])
+    def test_exits_1_with_one_line(self, gold_corpus, tmp_path, capsys, command, move):
+        records = [json.loads(line) for line in gold_corpus.read_text(encoding="utf-8").splitlines()]
+        mention = records[1]["chains"][0]["mentions"][0]
+        if move == "sentence 999":
+            mention[1] = 999
+        else:
+            mention[3] = len(records[1]["messages"][mention[0]]["sentences"][mention[1]])
+        stray = tmp_path / "stray.jsonl"
+        stray.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        args = {
+            "stats": ["--in", stray],
+            "features": ["--in", stray, "--out", out, "--rev"],
+            "resolve": ["--baseline", "hb1", "--in", stray, "--out", out],
+            "score": ["--key", gold_corpus, "--response", stray],
+            "errors": ["--key", stray, "--response", gold_corpus],
+            "correction-stats": ["--pred", gold_corpus, "--gold", stray],
+        }[command]
+        assert main([command, *map(str, args)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: line 2: $.chains[0].mentions[0]: mention at {tuple(mention[:4])} addresses no token\n"))
+        assert not out.exists()
 
 
 class TestRemovedJobsFlag:
@@ -663,7 +716,7 @@ class TestNonIntegerNumbers:
         out = tmp_path / "out.jsonl"
         assert main([a.format(bad=bad, out=out) for a in args]) == 1
         assert capsys.readouterr().err == (
-            "error: $.messages[0].sentences[0][0]: char_start must be an integer, got 0.5\n"
+            "error: line 1: $.messages[0].sentences[0][0]: char_start must be an integer, got 0.5\n"
         )
         assert not out.exists()
 
@@ -672,13 +725,13 @@ class TestNonIntegerNumbers:
             record["chains"][0]["mentions"][0][1] = True
         assert main(["stats", "--in", str(self._record(gold_corpus, tmp_path, edit))]) == 1
         assert capsys.readouterr().err == (
-            "error: $.chains[0].mentions[0]: sentence_index must be an integer, got True\n"
+            "error: line 1: $.chains[0].mentions[0]: sentence_index must be an integer, got True\n"
         )
 
         def edit(record):
             record["chains"][0]["id"] = True
         assert main(["stats", "--in", str(self._record(gold_corpus, tmp_path, edit))]) == 1
-        assert capsys.readouterr().err == "error: $.chains[0].id: chain id must be an int\n"
+        assert capsys.readouterr().err == "error: line 1: $.chains[0].id: chain id must be an int\n"
 
 
 class TestClosedStdout:

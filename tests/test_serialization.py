@@ -1,9 +1,11 @@
 import copy
+import io
 import json
 import pickle
 import random
 import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from unittest import mock
 
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import build_fields, checked_document, synthetic_document
-from threadcoref import serialization
+from threadcoref import cli, serialization
 from threadcoref.model import (
     AnnotatedDocument,
     CoreferenceChain,
@@ -66,18 +68,20 @@ def chain_fields(doc):
 def decode_both(record):
     """``decode_line`` on the record's JSON line, with its thread; first checks
     that the threadless decode gives the same error, or the same id, source
-    path and chains with a thread of no messages."""
+    path and chains with a thread of no messages. An error is raised as
+    ``record_to_document`` raises it, once its line number is checked."""
     line = json.dumps(record)
     outcomes = []
     for thread in (True, False):
         try:
-            outcomes.append(decode_line(line, 1, thread=thread))
+            outcomes.append(decode_line(line, 7, thread=thread))
         except NativeSchemaError as exc:
             outcomes.append(exc)
     full, bare = outcomes
     if isinstance(full, NativeSchemaError):
         assert (type(bare), getattr(bare, "path", None), str(bare)) == (type(full), full.path, str(full))
-        raise full
+        assert (full.line_number, str(full)) == (7, f"line 7: {full.path}: {full.message}")
+        raise NativeSchemaError(full.path, full.message)
     assert bare.thread.messages == () and chain_fields(bare) == chain_fields(full)
     return full
 
@@ -479,7 +483,7 @@ def _mutate(data, record):
     kind = data.draw(st.sampled_from(
         ["replace", "replace", "replace", "delete", "invert_token", "negative_offset", "overlap",
          "empty_sentence", "bad_date", "invert_mention", "entity_type", "token_field",
-         "repeat_mention", "repeat_chain_id"]))
+         "repeat_mention", "repeat_chain_id", "stray_mention"]))
     if kind in ("replace", "delete"):
         sites = list(_sites(record))[1:]
         if not sites:
@@ -515,13 +519,16 @@ def _mutate(data, record):
             copy_of = copy.deepcopy(data.draw(st.sampled_from(source["mentions"])))
             target["mentions"].insert(data.draw(st.integers(0, len(target["mentions"]))), copy_of)
         return
-    if kind in ("invert_mention", "entity_type"):
+    if kind in ("invert_mention", "entity_type", "stray_mention"):
         mentions = _items(record, 4, "chains", "mentions", 4)
         if not mentions:
             return
         item = data.draw(st.sampled_from(mentions))
         if kind == "invert_mention" and all(isinstance(v, int) for v in item[2:4]):
             item[2], item[3] = item[3] + 1, item[2]
+        elif kind == "stray_mention":
+            # to a message or sentence that does not exist, or past its sentence's end
+            item[data.draw(st.sampled_from([0, 1, 3]))] = 999
         elif kind == "entity_type":
             item[4:] = [data.draw(st.sampled_from(["PER", "ORG", "XYZ", 3, None, ["PER"]]))]
         return
@@ -550,12 +557,20 @@ def _not_integers(values) -> bool:
     return any(type(v) is not int for v in values)
 
 
+def _addresses_a_token(record, location) -> bool:
+    message, sentence, _, end = location
+    messages = record["messages"]
+    return (message < len(messages) and sentence < len(messages[message]["sentences"])
+            and end < len(messages[message]["sentences"][sentence]))
+
+
 def _is_hole(record, path) -> bool:
     """True if ``path`` names a value the reference decoder accepted or misreported:
     a token whose section code is unhashable, whose text is a non-string or
     whose offsets are not all JSON integers, a header field of the wrong JSON
     type, a mention index or chain id that is not a JSON integer, a mention
-    location that an earlier mention holds, or a chain id an earlier chain has."""
+    location that an earlier mention holds or that addresses no token, or a
+    chain id an earlier chain has."""
     match = _TOKEN_PATH.match(path)
     if match:
         mi, si, ti = map(int, match.groups())
@@ -569,7 +584,8 @@ def _is_hole(record, path) -> bool:
         chains = record["chains"]
         earlier = [m for chain in chains[:ci] for m in chain["mentions"]] + chains[ci]["mentions"][:mi]
         location = chains[ci]["mentions"][mi][:4]
-        return _not_integers(location) or location in [m[:4] for m in earlier]
+        return (_not_integers(location) or location in [m[:4] for m in earlier]
+                or not _addresses_a_token(record, location))
     match = _CHAIN_ID_PATH.match(path)
     if match:
         ci = int(match.group(1))
@@ -792,6 +808,19 @@ class TestDecoderTargeted:
         assert new[:2] == ("error", "$")
         assert f"at char {before[3] - 1} overlaps previous token ending at {before[3]}" in new[2]
 
+    @pytest.mark.parametrize("second", ["same message", "later message"])
+    def test_first_of_two_overlaps_reported(self, sample_documents, second):
+        record = _multi_message_record(sample_documents)
+        messages = record["messages"]
+        first = messages[0]["sentences"][0][1]
+        first[2] = messages[0]["sentences"][0][0][3] - 1
+        later = messages[0]["sentences"][-1] if second == "same message" else messages[1]["sentences"][0]
+        assert later[-1] is not first
+        later[-1][2:] = [0, 1]
+        new, reference = _decoded_or_error(record)
+        assert new == reference
+        assert new[:2] == ("error", "$") and f"token {first[0]!r} at char {first[2]} overlaps" in new[2]
+
     def test_token_starting_at_the_previous_end(self, sample_documents):
         record = _multi_message_record(sample_documents)
         before, token = record["messages"][0]["sentences"][-1][-1], record["messages"][1]["sentences"][0][0]
@@ -936,8 +965,55 @@ class TestThreadlessDecode:
         assert all(d.thread.messages == () for d in bare)
 
 
+class TestCommandsOnMutatedRecords:
+    """No mutated record ends a reader command in a traceback: a record the
+    reader rejects ends each with exit 1 and the reader's error on one line."""
+
+    COMMANDS = {
+        "stats": ["--in", "{bad}"],
+        "features": ["--in", "{bad}", "--out", "{out}", "--mi", "--si", "--rev"],
+        "resolve": ["--baseline", "hb1", "--in", "{bad}", "--out", "{out}"],
+        # errors reads its key with threads, the others read without
+        "errors": ["--key", "{bad}", "--response", "{good}"],
+        "score": ["--key", "{good}", "--response", "{bad}"],
+        "correction-stats": ["--pred", "{good}", "--gold", "{bad}"],
+    }
+
+    @pytest.fixture(scope="class")
+    def fixture_lines(self, corpus10_threads):
+        rng = random.Random(29)
+        return [json.dumps(_corpus10_record(thread, rng)) for thread in corpus10_threads]
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_one_error_line(self, fixture_lines, tmp_path_factory, data):
+        line = data.draw(st.sampled_from(fixture_lines))
+        record = json.loads(line)
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(data, record)
+        try:
+            decode_line(json.dumps(record), 1)
+            expected = None
+        except NativeSchemaError as exc:
+            expected = f"error: {exc}\n"
+        files = tmp_path_factory.mktemp("mutated")
+        paths = {"good": files / "good.jsonl", "bad": files / "bad.jsonl", "out": files / "out.jsonl"}
+        paths["good"].write_text(line + "\n", encoding="utf-8")
+        paths["bad"].write_text(json.dumps(record) + "\n", encoding="utf-8")
+        for command, args in self.COMMANDS.items():
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                status = cli.main([command, *(arg.format(**paths) for arg in args)])
+            if expected is not None:
+                assert (command, status, out.getvalue(), err.getvalue()) == (command, 1, "", expected)
+            elif status:
+                message = err.getvalue()
+                assert (status, message.startswith("error: "), message.count("\n")) == (1, True, 1), command
+
+
 class TestRepeatedLocations:
-    """A mention location held twice, or a chain id used twice, is a schema error."""
+    """A mention location held twice or addressing no token, or a chain id
+    used twice, is a schema error."""
 
     def test_location_twice_in_one_chain(self, example1_document):
         record = document_to_record(example1_document)
@@ -975,6 +1051,38 @@ class TestRepeatedLocations:
         with pytest.raises(NativeSchemaError) as err:
             decode_both(record)
         assert err.value.path == "$.messages[0].sentences[0][0]"
+
+    @pytest.mark.parametrize("position, value", [(0, 999), (1, 999), (3, 999), (3, "length")], ids=repr)
+    def test_span_that_addresses_no_token(self, example1_document, position, value):
+        record = document_to_record(example1_document)
+        mention = record["chains"][1]["mentions"][0]
+        length = len(record["messages"][mention[0]]["sentences"][mention[1]])
+        mention[position] = length if value == "length" else value
+        with pytest.raises(NativeSchemaError) as err:
+            decode_both(record)
+        assert (err.value.path, err.value.message) == (
+            "$.chains[1].mentions[0]", f"mention at {tuple(mention[:4])} addresses no token")
+        # the reference decoder, which this check was added after, accepted it
+        assert oracles.record_to_document_reference(record).chains[1].mentions[0].location == tuple(mention[:4])
+
+    def test_span_ending_at_the_last_token(self, example1_document):
+        record = document_to_record(example1_document)
+        mention = record["chains"][1]["mentions"][0]
+        mention[3] = len(record["messages"][mention[0]]["sentences"][mention[1]]) - 1
+        assert decode_both(record).chains[1].mentions[0].end_token == mention[3]
+
+    def test_error_names_its_line_and_survives_pickling(self, example1_document):
+        record = document_to_record(example1_document)
+        record["chains"][2]["id"] = record["chains"][0]["id"]
+        lines = ["", json.dumps(document_to_record(example1_document)), json.dumps(record)]
+        with pytest.raises(NativeSchemaError) as err:
+            read_native("\n".join(lines))
+        fields = ("$.chains[2].id", "chain id 1 is repeated", 3, "line 3: $.chains[2].id: chain id 1 is repeated")
+        for error in (err.value, pickle.loads(pickle.dumps(err.value))):
+            assert (type(error), error.path, error.message, error.line_number, str(error)) == (NativeSchemaError, *fields)
+        with pytest.raises(NativeSchemaError) as err:
+            record_to_document(record)
+        assert (err.value.line_number, str(err.value)) == (None, "$.chains[2].id: chain id 1 is repeated")
 
     @staticmethod
     def _conll(rows):

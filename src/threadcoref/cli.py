@@ -17,10 +17,9 @@ import gc
 import os
 import sys
 from contextlib import contextmanager
-from functools import partial
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 # Only what every subcommand needs is imported here; each handler imports
 # the modules it runs, so a command loads no code it does not use.
@@ -130,47 +129,25 @@ def _map_jobs(func, items: Iterable, jobs: int) -> Iterator:
         raise failed.pop()
 
 
-def _format_of(path: Path, fmt: str) -> str:
-    """``fmt``, or for "auto" the format the file's suffix or first characters show."""
-    if fmt != "auto":
-        return fmt
-    if path.suffix == ".conll":
-        return "conll"
-    head = ""
-    with open(path, encoding="utf-8") as fp, utf8_input(path):
-        while len(head) < len("#begin"):
-            chunk = fp.read(4096)
-            if not chunk:
-                break
-            head = (head + chunk).lstrip()
-    return "conll" if head.startswith("#begin") else "native"
+def _read_documents(path: Path, *, thread: bool) -> Iterator[AnnotatedDocument]:
+    """The checked documents of a native or CoNLL file in file order, one at a
+    time; only with ``thread`` does a document hold its thread.
 
-
-def _read_documents(
-    path: Path, fmt: str, *, thread: bool
-) -> Iterator[tuple[AnnotatedDocument, Callable[[], AnnotatedDocument]]]:
-    """The documents of a native or CoNLL file in file order, one at a time.
-
-    Each comes with a function that gives it again. For native input that
-    function decodes the record's line again, so a caller that sets a
-    document aside holds a line of text, not a decoded document. Every
-    record is checked; only with ``thread`` does a document hold its thread.
+    The file is CoNLL when its first nonblank line starts with ``#``, and
+    native otherwise: the CoNLL reader takes only blank and ``#`` lines
+    before ``#begin document``, and a native record is a JSON object.
     """
-    if _format_of(path, fmt) == "conll":
-        for doc in serialization.iter_conll(path, thread=thread):
-            yield doc, partial(_same, doc)
+    with open(path, encoding="utf-8") as fp, utf8_input(path):
+        head = next((line.lstrip() for line in fp if line.strip()), "")
+    if head.startswith("#"):
+        yield from serialization.iter_conll(path, thread=thread)
     else:
-        decode = partial(serialization.decode_line, thread=thread)
         for line_no, line in serialization.iter_native_lines(path):
-            yield decode(line, line_no), partial(decode, line, line_no)
-
-
-def _same(doc: AnnotatedDocument) -> AnnotatedDocument:
-    return doc
+            yield serialization.decode_line(line, line_no, thread=thread)
 
 
 def _paired_documents(
-    first: tuple[str, str], second: tuple[str, str], fmt: str, *, first_thread: bool
+    first: tuple[str, str], second: tuple[str, str], *, first_thread: bool
 ) -> Iterator[tuple[AnnotatedDocument, AnnotatedDocument]]:
     """Each document of the first file with the document of its id in the second.
 
@@ -179,18 +156,19 @@ def _paired_documents(
     which is the normal case for a response made from its key, both files
     advance in lockstep. A second-file document read ahead of its partner
     waits in an index by id until it is asked for. Every record of both
-    files is decoded and checked, also those no partner asks for. A first-file
-    document holds its thread only if ``first_thread``, a second-file document
-    never: no command reads the thread of the file it pairs with.
+    files is decoded once and checked, also those no partner asks for. A
+    first-file document holds its thread only if ``first_thread``, a
+    second-file document never: no command reads the thread of the file it
+    pairs with, so what waits in the index is small.
 
     A repeated id on either side is an error: a scorer that paired it
     anyway would score some chains against the wrong document.
     """
     (first_path, first_role), (second_path, second_role) = first, second
-    seconds = _read_documents(Path(second_path), fmt, thread=False)
+    seconds = _read_documents(Path(second_path), thread=False)
     first_ids: set[str] = set()
     second_ids: set[str] = set()
-    ahead: dict[str, Callable[[], AnnotatedDocument]] = {}
+    ahead: dict[str, AnnotatedDocument] = {}
 
     def check_second(doc: AnnotatedDocument) -> str:
         doc_id = doc.thread.id
@@ -199,22 +177,22 @@ def _paired_documents(
         second_ids.add(doc_id)
         return doc_id
 
-    for doc, _ in _read_documents(Path(first_path), fmt, thread=first_thread):
+    for doc in _read_documents(Path(first_path), thread=first_thread):
         doc_id = doc.thread.id
         if doc_id in first_ids:
             raise ToolkitError(f"{first_role} file {first_path} repeats document id {doc_id!r}")
         first_ids.add(doc_id)
         if doc_id in ahead:
-            yield doc, ahead.pop(doc_id)()
+            yield doc, ahead.pop(doc_id)
             continue
-        for other, again in seconds:
+        for other in seconds:
             if check_second(other) == doc_id:
                 yield doc, other
                 break
-            ahead[other.thread.id] = again
+            ahead[other.thread.id] = other
         else:
             raise ToolkitError(f"{second_role} file has no document {doc_id!r}")
-    for other, _ in seconds:
+    for other in seconds:
         check_second(other)
 
 
@@ -318,11 +296,10 @@ def _cmd_features(args) -> int:
     from .features import reverse_document
 
     columns = [name for name, wanted in (("mi", args.mi), ("si", args.si)) if wanted]
-    descending = args.direction == "descending"
     with _replacing(args.out) as fp:
         for _, doc in serialization.iter_native(args.input):
             if args.rev:
-                doc = reverse_document(doc, descending=descending)
+                doc = reverse_document(doc, descending=args.rev == "descending")
             serialization.write_native((doc,), fp, features=columns)
     return 0
 
@@ -354,9 +331,7 @@ def _cmd_score(args) -> int:
     unknown = [m for m in requested if m not in _METRIC_NAMES]
     if unknown:
         raise ToolkitError(f"unknown metric(s): {', '.join(unknown)}")
-    pairs = _paired_documents(
-        (args.key, "key"), (args.response, "response"), args.format, first_thread=False
-    )
+    pairs = _paired_documents((args.key, "key"), (args.response, "response"), first_thread=False)
     report = metrics.score_documents((k.chains, r.chains) for k, r in pairs)
     header: list[str] = []
     values: list[str] = []
@@ -390,7 +365,7 @@ def _cmd_errors(args) -> int:
 
     total = ErrorReport()
     for key_doc, response_doc in _paired_documents(
-        (args.key, "key"), (args.response, "response"), args.format, first_thread=True
+        (args.key, "key"), (args.response, "response"), first_thread=True
     ):
         total = total + categorize_errors(key_doc.thread, key_doc.chains, response_doc.chains)
     rows = [("category", "count")]
@@ -422,7 +397,7 @@ def _cmd_correction_stats(args) -> int:
     from . import metrics
 
     stats = metrics.CorrectionStats()
-    pairs = _paired_documents((args.pred, "pred"), (args.gold, "gold"), args.format, first_thread=False)
+    pairs = _paired_documents((args.pred, "pred"), (args.gold, "gold"), first_thread=False)
     for pred_doc, gold_doc in pairs:
         stats = stats + metrics.correction_stats(pred_doc.mentions(), gold_doc.mentions())
     rows = [
@@ -503,12 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="native JSONL output")
     p.add_argument("--mi", action="store_true", help="emit message-identifier columns")
     p.add_argument("--si", action="store_true", help="emit section-information columns")
-    p.add_argument("--rev", action="store_true", help="reorder messages by date")
     p.add_argument(
-        "--direction",
+        "--rev",
+        nargs="?",
+        const="ascending",
         choices=("ascending", "descending"),
-        default="ascending",
-        help="date order used by --rev",
+        help="reorder messages by date, ascending unless given",
     )
     p.set_defaults(func=_cmd_features)
 
@@ -524,14 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True)
     p.add_argument("--response", required=True)
     p.add_argument("--metrics", default="muc,b3,ceafe,lea")
-    p.add_argument("--format", choices=("auto", "conll", "native"), default="auto")
     add_pretty(p)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("errors", help="categorize prediction errors")
     p.add_argument("--key", required=True)
     p.add_argument("--response", required=True)
-    p.add_argument("--format", choices=("auto", "conll", "native"), default="auto")
     add_pretty(p)
     p.set_defaults(func=_cmd_errors)
 
@@ -543,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correction-stats", help="manual-correction bookkeeping")
     p.add_argument("--pred", required=True, help="predicted mentions (native JSONL)")
     p.add_argument("--gold", required=True, help="corrected gold mentions (native JSONL)")
-    p.add_argument("--format", choices=("auto", "conll", "native"), default="auto")
     add_pretty(p)
     p.set_defaults(func=_cmd_correction_stats)
 
@@ -566,10 +538,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ToolkitError, OSError) as exc:
+        # BrokenPipeError is an OSError too: the clause above must come first
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

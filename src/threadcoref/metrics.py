@@ -18,6 +18,8 @@ from . import wordlists
 from .model import AnnotatedDocument, CoreferenceChain, Mention, mention_text
 
 ChainSets = Sequence[frozenset]
+# row i of one side maps index j of the other side to |chain_i & other_j| > 0
+Rows = list[dict[int, int]]
 
 
 def as_chain_sets(chains: Iterable) -> list[frozenset]:
@@ -90,7 +92,24 @@ class MetricParts:
         return MetricScore(p, r, f1_score(p, r), tuple(dict.fromkeys(flags)))
 
 
-def _muc_half(chains: ChainSets, rows: list[dict[int, int]]) -> tuple[float, float]:
+def _overlap_table(key: Iterable, response: Iterable) -> tuple[ChainSets, ChainSets, Rows, Rows]:
+    """Both chain sets, their overlap rows, and the rows seen from the response side."""
+    k = as_chain_sets(key)
+    r = as_chain_sets(response)
+    rows = overlap_rows(k, r)
+    return k, r, rows, transpose_rows(rows, len(r))
+
+
+def _two_sided(half, k: ChainSets, r: ChainSets, rows: Rows, cols: Rows) -> MetricParts:
+    """Parts of a metric whose recall is ``half`` of the key side and whose
+    precision is ``half`` of the response side; a half takes (chains, others,
+    rows) and gives (numerator, denominator)."""
+    r_num, r_den = half(k, r, rows)
+    p_num, p_den = half(r, k, cols)
+    return MetricParts(p_num, p_den, r_num, r_den)
+
+
+def _muc_half(chains: ChainSets, others: ChainSets, rows: Rows) -> tuple[float, float]:
     """Link-based numerator/denominator for one role of MUC, from its overlap rows.
 
     A chain K_i falls into one partition per chain of the other side it
@@ -106,18 +125,7 @@ def _muc_half(chains: ChainSets, rows: list[dict[int, int]]) -> tuple[float, flo
 
 
 def muc_parts(key: Iterable, response: Iterable) -> MetricParts:
-    k = as_chain_sets(key)
-    r = as_chain_sets(response)
-    rows = overlap_rows(k, r)
-    return _muc(k, r, rows, transpose_rows(rows, len(r)))
-
-
-def _muc(
-    k: ChainSets, r: ChainSets, rows: list[dict[int, int]], cols: list[dict[int, int]]
-) -> MetricParts:
-    r_num, r_den = _muc_half(k, rows)
-    p_num, p_den = _muc_half(r, cols)
-    return MetricParts(p_num, p_den, r_num, r_den)
+    return _two_sided(_muc_half, *_overlap_table(key, response))
 
 
 def muc(key: Iterable, response: Iterable) -> MetricScore:
@@ -125,7 +133,7 @@ def muc(key: Iterable, response: Iterable) -> MetricScore:
     return muc_parts(key, response).score()
 
 
-def _b3_half(chains: ChainSets, rows: list[dict[int, int]]) -> tuple[float, float]:
+def _b3_half(chains: ChainSets, others: ChainSets, rows: Rows) -> tuple[float, float]:
     """Per-mention overlap ratios of one side from its overlap rows.
 
     Each of the n_ij mentions a chain shares with chain j of the other side
@@ -145,25 +153,14 @@ def b_cubed(key: Iterable, response: Iterable) -> MetricScore:
 
 def b_cubed_parts(key: Iterable, response: Iterable) -> MetricParts:
     """B³: per-mention overlap ratios; unaligned mentions contribute zero."""
-    k = as_chain_sets(key)
-    r = as_chain_sets(response)
-    rows = overlap_rows(k, r)
-    return _b3(k, r, rows, transpose_rows(rows, len(r)))
-
-
-def _b3(
-    k: ChainSets, r: ChainSets, rows: list[dict[int, int]], cols: list[dict[int, int]]
-) -> MetricParts:
-    r_num, r_den = _b3_half(k, rows)
-    p_num, p_den = _b3_half(r, cols)
-    return MetricParts(p_num, p_den, r_num, r_den)
+    return _two_sided(_b3_half, *_overlap_table(key, response))
 
 
 def phi4(a: frozenset, b: frozenset) -> float:
     return 2.0 * len(a & b) / (len(a) + len(b))
 
 
-def overlap_rows(k: Sequence[AbstractSet], r: Sequence[AbstractSet]) -> list[dict[int, int]]:
+def overlap_rows(k: Sequence[AbstractSet], r: Sequence[AbstractSet]) -> Rows:
     """Sparse overlap counts: row i maps response index j to |K_i & R_j| > 0.
 
     Counts are exact intersection sizes even when a mention sits in several
@@ -183,16 +180,16 @@ def overlap_rows(k: Sequence[AbstractSet], r: Sequence[AbstractSet]) -> list[dic
     return rows
 
 
-def transpose_rows(rows: list[dict[int, int]], width: int) -> list[dict[int, int]]:
+def transpose_rows(rows: Rows, width: int) -> Rows:
     """The same counts seen from the other side: ``width`` rows indexed by j."""
-    cols: list[dict[int, int]] = [{} for _ in range(width)]
+    cols: Rows = [{} for _ in range(width)]
     for i, row in enumerate(rows):
         for j, n in row.items():
             cols[j][i] = n
     return cols
 
 
-def _components(rows: list[dict[int, int]]) -> Iterable[tuple[list[int], list[int]]]:
+def _components(rows: Rows) -> Iterable[tuple[list[int], list[int]]]:
     """Connected components of the overlap graph as sorted (key, response) indices.
 
     Chains that overlap nothing on the other side belong to no component.
@@ -286,7 +283,7 @@ def ceaf_e_parts(key: Iterable, response: Iterable) -> MetricParts:
     return _ceaf_e(k, r, overlap_rows(k, r))
 
 
-def _ceaf_e(k: ChainSets, r: ChainSets, rows: list[dict[int, int]]) -> MetricParts:
+def _ceaf_e(k: ChainSets, r: ChainSets, rows: Rows) -> MetricParts:
     chosen: list[float] = []
     for ks, rs in _components(rows):
         weights = [
@@ -306,9 +303,7 @@ def _link_count(size: int) -> float:
     return size * (size - 1) / 2.0
 
 
-def _lea_half(
-    chains: ChainSets, others: ChainSets, rows: list[dict[int, int]]
-) -> tuple[float, float]:
+def _lea_half(chains: ChainSets, others: ChainSets, rows: Rows) -> tuple[float, float]:
     """Resolved links per chain from its overlap row: the sum of link(n_ij)."""
     num = 0.0
     den = 0.0
@@ -328,18 +323,7 @@ def _lea_half(
 
 
 def lea_parts(key: Iterable, response: Iterable) -> MetricParts:
-    k = as_chain_sets(key)
-    r = as_chain_sets(response)
-    rows = overlap_rows(k, r)
-    return _lea(k, r, rows, transpose_rows(rows, len(r)))
-
-
-def _lea(
-    k: ChainSets, r: ChainSets, rows: list[dict[int, int]], cols: list[dict[int, int]]
-) -> MetricParts:
-    r_num, r_den = _lea_half(k, r, rows)
-    p_num, p_den = _lea_half(r, k, cols)
-    return MetricParts(p_num, p_den, r_num, r_den)
+    return _two_sided(_lea_half, *_overlap_table(key, response))
 
 
 def lea(key: Iterable, response: Iterable) -> MetricScore:
@@ -373,14 +357,11 @@ def score_documents(pairs: Iterable[tuple[Iterable, Iterable]]) -> ScoreReport:
     """
     muc_sum = b3_sum = ceafe_sum = lea_sum = MetricParts()
     for key, response in pairs:
-        k = as_chain_sets(key)
-        r = as_chain_sets(response)
-        rows = overlap_rows(k, r)
-        cols = transpose_rows(rows, len(r))
-        muc_sum = muc_sum + _muc(k, r, rows, cols)
-        b3_sum = b3_sum + _b3(k, r, rows, cols)
+        k, r, rows, cols = _overlap_table(key, response)
+        muc_sum = muc_sum + _two_sided(_muc_half, k, r, rows, cols)
+        b3_sum = b3_sum + _two_sided(_b3_half, k, r, rows, cols)
         ceafe_sum = ceafe_sum + _ceaf_e(k, r, rows)
-        lea_sum = lea_sum + _lea(k, r, rows, cols)
+        lea_sum = lea_sum + _two_sided(_lea_half, k, r, rows, cols)
     muc_score, b3_score = muc_sum.score(), b3_sum.score()
     ceafe_score, lea_score = ceafe_sum.score(), lea_sum.score()
     avg = (muc_score.f1 + b3_score.f1 + ceafe_score.f1) / 3.0

@@ -1,8 +1,10 @@
+import argparse
 import gc
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,7 +17,7 @@ from threadcoref import cli
 from threadcoref.cli import main
 from threadcoref.filtering import fingerprint_message
 from threadcoref.model import AnnotatedDocument, CoreferenceChain, Mention
-from threadcoref.serialization import read_native, write_conll, write_native
+from threadcoref.serialization import read_native, write_conll, write_conll_documents, write_native
 
 
 @pytest.fixture()
@@ -203,10 +205,15 @@ class TestFeatures:
             dates = [m.date for m in doc.thread.messages]
             assert dates == sorted(dates)
 
+    def test_bare_rev_is_ascending(self, parsed_corpus, tmp_path):
+        bare, named = tmp_path / "bare.jsonl", tmp_path / "named.jsonl"
+        assert main(["features", "--in", str(parsed_corpus), "--out", str(bare), "--rev"]) == 0
+        assert main(["features", "--in", str(parsed_corpus), "--out", str(named), "--rev", "ascending"]) == 0
+        assert bare.read_bytes() == named.read_bytes()
+
     def test_rev_descending_flag(self, parsed_corpus, tmp_path):
         out = tmp_path / "rev.jsonl"
-        main(["features", "--in", str(parsed_corpus), "--out", str(out), "--rev",
-              "--direction", "descending"])
+        main(["features", "--in", str(parsed_corpus), "--out", str(out), "--rev", "descending"])
         for doc in read_native(out.read_text(encoding="utf-8")):
             dates = [m.date for m in doc.thread.messages]
             assert dates == sorted(dates, reverse=True)
@@ -342,6 +349,26 @@ class TestScore:
         key.write_text(write_conll(example1_document), encoding="utf-8")
         assert main(["score", "--key", str(key), "--response", str(key),
                      "--metrics", "blanc"]) == 1
+
+    def test_reversed_response_decodes_each_record_once(self, gold_corpus, tmp_path, capsys, monkeypatch):
+        from threadcoref import serialization
+
+        lines = gold_corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        reversed_path = tmp_path / "reversed.jsonl"
+        reversed_path.write_text("".join(lines[::-1]), encoding="utf-8")
+        assert main(["score", "--key", str(gold_corpus), "--response", str(gold_corpus)]) == 0
+        expected = capsys.readouterr().out
+        decoded = []
+        decode_line = serialization.decode_line
+
+        def counting(line, line_no, **kwargs):
+            decoded.append(line_no)
+            return decode_line(line, line_no, **kwargs)
+
+        monkeypatch.setattr(serialization, "decode_line", counting)
+        assert main(["score", "--key", str(gold_corpus), "--response", str(reversed_path)]) == 0
+        assert capsys.readouterr().out == expected
+        assert len(decoded) == 2 * len(lines)
 
     def test_native_key_vs_resolved_response(self, gold_corpus, tmp_path, capsys):
         out = tmp_path / "resolved.jsonl"
@@ -497,6 +524,34 @@ class TestConllPairing(TestPairing):
     fmt = "conll"
 
 
+@pytest.mark.parametrize("command,first,second,roles", PAIRING_COMMANDS)
+class TestFormatByContent:
+    """A file is CoNLL when its first nonblank line starts with "#", whatever its name."""
+
+    @staticmethod
+    def _run(capsys, command, first, second, path):
+        code = main([command, first, str(path), second, str(path)])
+        return code, *capsys.readouterr()
+
+    def test_native_file_named_conll(self, gold_corpus, tmp_path, capsys, command, first, second, roles):
+        named = tmp_path / "gold.conll"
+        named.write_bytes(gold_corpus.read_bytes())
+        expected = self._run(capsys, command, first, second, gold_corpus)
+        assert expected[0] == 0
+        assert self._run(capsys, command, first, second, named) == expected
+
+    def test_conll_file_named_txt_opening_with_a_comment(
+        self, gold_corpus, tmp_path, capsys, command, first, second, roles
+    ):
+        columns = write_conll_documents(read_native(gold_corpus.read_text(encoding="utf-8")))
+        conll, named = tmp_path / "gold.conll", tmp_path / "gold.txt"
+        conll.write_text(columns, encoding="utf-8")
+        named.write_text("\n  # exported by hand\n" + columns, encoding="utf-8")
+        expected = self._run(capsys, command, first, second, conll)
+        assert expected[0] == 0
+        assert self._run(capsys, command, first, second, named) == expected
+
+
 class TestRepeatedMentions:
     """A mention in two chains is an error in every command that reads chains."""
 
@@ -584,6 +639,23 @@ class TestRemovedJobsFlag:
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+class TestRemovedFormatFlags:
+    """The pair commands tell each file's format from its content, and
+    features takes its date order as the value of --rev."""
+
+    @pytest.mark.parametrize("args", [
+        ["score", "--key", "x", "--response", "y", "--format", "native"],
+        ["errors", "--key", "x", "--response", "y", "--format", "conll"],
+        ["correction-stats", "--pred", "x", "--gold", "y", "--format", "auto"],
+        ["features", "--in", "x", "--out", "y", "--rev", "--direction", "descending"],
+    ], ids=lambda args: args[0])
+    def test_rejected(self, args, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args[-2:])}" in capsys.readouterr().err
+
+
 class TestRemovedPrettyFlag:
     @pytest.mark.parametrize("args", [
         ["parse", "--in", "x", "--out", "y"],
@@ -605,8 +677,8 @@ class TestInvalidUtf8:
         ["features", "--in", "{bad}", "--out", "{out}"],
         ["resolve", "--baseline", "hb1", "--in", "{bad}", "--out", "{out}"],
         ["score", "--key", "{gold}", "--response", "{bad}"],
-        ["score", "--key", "{bad}", "--response", "{gold}", "--format", "native"],
-        ["score", "--key", "{conll}", "--response", "{bad_conll}", "--format", "conll"],
+        ["score", "--key", "{bad}", "--response", "{gold}"],
+        ["score", "--key", "{conll}", "--response", "{bad_conll}"],
         ["errors", "--key", "{gold}", "--response", "{bad}"],
         ["correction-stats", "--pred", "{bad}", "--gold", "{gold}"],
         ["filter", "--in", "{bad}", "--report", "{out}"],
@@ -631,6 +703,28 @@ class TestInvalidUtf8:
         assert main(argv) == 1
         bad = paths["bad_conll"] if "{bad_conll}" in args else paths["bad"]
         assert capsys.readouterr().err == f"error: {bad} is not valid UTF-8: invalid start byte\n"
+        assert not paths["out"].exists()
+
+
+class TestUnreadablePath:
+    """A directory where a file is expected ends the command with one line naming it."""
+
+    @pytest.mark.parametrize("args", [
+        ["score", "--key", "{dir}", "--response", "{gold}"],
+        ["stats", "--in", "{dir}"],
+        ["features", "--in", "{dir}", "--out", "{out}"],
+        ["resolve", "--baseline", "hb1", "--in", "{dir}", "--out", "{out}"],
+        ["correction-stats", "--pred", "{dir}", "--gold", "{gold}"],
+        ["filter", "--in", "{gold}", "--report", "{out}", "--exclude-fingerprints", "{dir}"],
+    ], ids=lambda args: args[0])
+    def test_directory_exits_1_with_one_line(self, gold_corpus, tmp_path, capsys, args):
+        paths = {"gold": gold_corpus, "dir": tmp_path / "dir", "out": tmp_path / "out"}
+        paths["dir"].mkdir()
+        assert main([a.format(**paths) for a in args]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and str(paths["dir"]) in err
         assert not paths["out"].exists()
 
 
@@ -819,7 +913,7 @@ class TestCollectorPolicy:
             docs = [doc for _, doc in serialization.iter_native(gold_corpus)]
             skeletons = list(serialization.iter_conll(conll))
             bare = [doc for pair in cli._paired_documents(
-                (str(gold_corpus), "key"), (str(conll), "response"), "auto", first_thread=False) for doc in pair]
+                (str(gold_corpus), "key"), (str(conll), "response"), first_thread=False) for doc in pair]
             written = io.StringIO()
             serialization.write_native(docs, written)
             made = (
@@ -1128,6 +1222,37 @@ class TestImports:
         assert set(self.EXPORTED) <= set(dir(threadcoref))
         with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
             threadcoref.nonexistent
+
+
+class TestReadmeSynopsis:
+    """The command synopsis in README.md names the options the parser takes."""
+
+    @staticmethod
+    def _synopsis() -> dict[str, set[str]]:
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+        flags: dict[str, set[str]] = {}
+        for line in block.splitlines():
+            words = line.split()
+            if words[:1] == ["threadcoref"]:
+                flags[words[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+        return flags
+
+    @staticmethod
+    def _subparsers() -> dict[str, argparse.ArgumentParser]:
+        actions = cli.build_parser()._actions
+        return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_every_command_listed(self):
+        assert set(self._synopsis()) == set(self._subparsers())
+
+    def test_flags_match_the_parser(self):
+        synopsis, parsers = self._synopsis(), self._subparsers()
+        for command, parser in parsers.items():
+            options = {o for a in parser._actions for o in a.option_strings}
+            required = {a.option_strings[0] for a in parser._actions if a.required}
+            assert synopsis[command] <= options, command
+            assert required <= synopsis[command], command
 
 
 class TestUsage:

@@ -31,7 +31,7 @@ from .model import (
     mention_order,
     mention_tokens,
 )
-from .parsing import header_field_of_sentence, is_recipient_field, is_sender_field
+from .parsing import RECIPIENT_FIELDS, SENDER_FIELDS, header_field_of_sentence
 
 
 class PronounClass(enum.Enum):
@@ -161,9 +161,9 @@ def build_participant_index(thread: EmailThread, mentions: Iterable[Mention]) ->
             continue
         sentence = thread.sentence(mention.message_index, mention.sentence_index)
         field = header_field_of_sentence(sentence)
-        if is_sender_field(field):
+        if field in SENDER_FIELDS:
             senders[mention.message_index].append(mention)
-        elif is_recipient_field(field):
+        elif field in RECIPIENT_FIELDS:
             recipients[mention.message_index].append(mention)
 
     entries = []

@@ -129,17 +129,19 @@ def _map_jobs(func, items: Iterable, jobs: int) -> Iterator:
         raise failed.pop()
 
 
-def _read_documents(path: Path, *, thread: bool) -> Iterator[AnnotatedDocument]:
-    """The checked documents of a native or CoNLL file in file order, one at a
-    time; only with ``thread`` does a document hold its thread.
-
-    The file is CoNLL when its first nonblank line starts with ``#``, and
-    native otherwise: the CoNLL reader takes only blank and ``#`` lines
-    before ``#begin document``, and a native record is a JSON object.
-    """
+def _file_format(path: Path) -> str:
+    """The format of ``path``: CoNLL when its first nonblank line starts with
+    ``#``, else native JSONL. The CoNLL reader takes only blank and ``#``
+    lines before ``#begin document``, and a native record is a JSON object."""
     with open(path, encoding="utf-8") as fp, utf8_input(path):
         head = next((line.lstrip() for line in fp if line.strip()), "")
-    if head.startswith("#"):
+    return "CoNLL" if head.startswith("#") else "native JSONL"
+
+
+def _read_documents(path: Path, *, thread: bool) -> Iterator[AnnotatedDocument]:
+    """The checked documents of a native or CoNLL file in file order, one at a
+    time; only with ``thread`` does a document hold its thread."""
+    if _file_format(path) == "CoNLL":
         yield from serialization.iter_conll(path, thread=thread)
     else:
         for line_no, line in serialization.iter_native_lines(path):
@@ -162,10 +164,22 @@ def _paired_documents(
     pairs with, so what waits in the index is small.
 
     A repeated id on either side is an error: a scorer that paired it
-    anyway would score some chains against the wrong document.
+    anyway would score some chains against the wrong document. So are files
+    of two formats, which address mentions differently; they are compared
+    when the second file is first read.
     """
     (first_path, first_role), (second_path, second_role) = first, second
-    seconds = _read_documents(Path(second_path), thread=False)
+
+    def read_seconds() -> Iterator[AnnotatedDocument]:
+        formats = _file_format(Path(first_path)), _file_format(Path(second_path))
+        if formats[0] != formats[1]:
+            raise ToolkitError(
+                f"{first_role} file {first_path} is {formats[0]} but {second_role} file "
+                f"{second_path} is {formats[1]}; both must be in one format"
+            )
+        yield from _read_documents(Path(second_path), thread=False)
+
+    seconds = read_seconds()
     first_ids: set[str] = set()
     second_ids: set[str] = set()
     ahead: dict[str, AnnotatedDocument] = {}
@@ -263,6 +277,8 @@ def _cmd_filter(args) -> int:
         summarized = _parse_corpus_dir(
             path, args.separators, args.footers, args.jobs, _summarize_one, config
         )
+    elif args.separators is not None or args.footers is not None:
+        raise ToolkitError(f"--separators and --footers apply to a thread directory only, not to {path}")
     else:
         lines = serialization.iter_native_lines(path)
         summarized = _map_jobs(_summarize_line, ((n, line, config) for n, line in lines), args.jobs)

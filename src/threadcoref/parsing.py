@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from email.utils import parsedate_to_datetime, parseaddr
 from functools import lru_cache
+from itertools import takewhile
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -80,8 +81,8 @@ _KNOWN_FIELDS = frozenset(
     ]
 )
 
-_SENDER_FIELDS = frozenset(["from", "x-from"])
-_RECIPIENT_FIELDS = frozenset(["to", "cc", "bcc", "x-to", "x-cc", "x-bcc"])
+SENDER_FIELDS = frozenset(["from", "x-from"])
+RECIPIENT_FIELDS = frozenset(["to", "cc", "bcc", "x-to", "x-cc", "x-bcc"])
 
 
 def _lines_with_offsets(text: str) -> list[tuple[str, int]]:
@@ -110,38 +111,24 @@ def _is_separator(line: str, config: ParserConfig) -> bool:
     return _marker_search(config.separator_markers)(line.casefold()) is not None
 
 
-def _is_header_line(line: str) -> bool:
+def _header_field(line: str) -> Optional[str]:
+    """Casefolded field name of a ``Name: value`` line, or None for any other line."""
     m = _HEADER_LINE_RE.match(line)
-    return m is not None
+    return m.group(1).casefold() if m else None
 
 
-def _is_known_header_line(line: str) -> bool:
-    m = _HEADER_LINE_RE.match(line)
-    return m is not None and m.group(1).casefold() in _KNOWN_FIELDS
-
-
-_FROM_FIELD_RE = re.compile(r"^from\s*:", re.IGNORECASE)
-_DATE_FIELD_RE = re.compile(r"^(date|sent)\s*:", re.IGNORECASE)
-_SUBJECT_FIELD_RE = re.compile(r"^subject\s*:", re.IGNORECASE)
-
-
-def _starts_fresh_header_block(lines: Sequence[str], i: int) -> bool:
+def _starts_fresh_header_block(names: Sequence[Optional[str]], i: int) -> bool:
     """A From: line opening a header run with Date:/Sent: and Subject: in it.
 
-    The run is the consecutive stretch of header lines starting at i, capped
-    at 10 lines; it never extends past prose, blank lines, or separators, so
-    a later message's headers cannot satisfy the check for an earlier line.
+    ``names`` holds the ``_header_field`` of each line. The run is the
+    consecutive stretch of header lines starting at i, capped at 10 lines; it
+    never extends past prose, blank lines, or separators, so a later
+    message's headers cannot satisfy the check for an earlier line.
     """
-    if not _FROM_FIELD_RE.match(lines[i]):
+    if names[i] != "from":
         return False
-    run = []
-    for line in lines[i : i + 10]:
-        if not _is_header_line(line):
-            break
-        run.append(line)
-    has_date = any(_DATE_FIELD_RE.match(l) for l in run)
-    has_subject = any(_SUBJECT_FIELD_RE.match(l) for l in run)
-    return has_date and has_subject
+    run = set(takewhile(lambda name: name is not None, names[i : i + 10]))
+    return ("date" in run or "sent" in run) and "subject" in run
 
 
 def split_messages(
@@ -158,13 +145,14 @@ def split_messages(
         raise UnparseableThread(f"thread {raw.id}: empty text")
     lines = _lines_with_offsets(raw.text)
     texts = [l for l, _ in lines]
-    if not any(_is_known_header_line(l) for l in texts):
+    names = [_header_field(l) for l in texts]
+    if _KNOWN_FIELDS.isdisjoint(names):
         raise UnparseableThread(f"thread {raw.id}: no header block found")
 
     boundaries = [0]
     for i in range(1, len(texts)):
         line = texts[i]
-        is_boundary = _is_separator(line, config) or _starts_fresh_header_block(texts, i)
+        is_boundary = _is_separator(line, config) or _starts_fresh_header_block(names, i)
         if not is_boundary:
             continue
         # Suppress a split when the running segment holds nothing but its
@@ -237,28 +225,43 @@ def split_address_list(value: str) -> tuple[str, ...]:
     return tuple(items)
 
 
-def _header_region_end(lines: Sequence[str], config: ParserConfig) -> int:
-    """Line index one past the leading header region of a message slice.
+def _header_block(lines: Sequence[str], config: ParserConfig) -> tuple[int, dict[str, str]]:
+    """The leading header region of a message slice: its end and its fields.
 
     The region covers leading separator/blank lines, then header lines with
-    their folded continuations. The first blank or ordinary line after a
-    header line closes it.
+    their folded continuations; the first blank or ordinary line after a
+    header line closes it, and without a header line it is empty. A
+    separator line inside it adds to no field. A repeated field joins its
+    nonempty values with ", ", and a continuation joins the field before it
+    with a space. Field names are casefolded.
     """
-    i = 0
+    start = 0
     n = len(lines)
-    while i < n and (not lines[i].strip() or _is_separator(lines[i], config)):
-        i += 1
-    saw_header = False
-    while i < n:
+    while start < n and (not lines[start].strip() or _is_separator(lines[start], config)):
+        start += 1
+    end = 0
+    fields: dict[str, str] = {}
+    current: Optional[str] = None
+    for i in range(start, n):
         line = lines[i]
-        if _is_header_line(line):
-            saw_header = True
-            i += 1
-        elif saw_header and line[:1] in (" ", "\t") and line.strip():
-            i += 1
-        else:
+        name = _header_field(line)
+        # past a header line (end > 0), a nonblank line indented by a space or tab continues it
+        if name is None and not (end and line[:1] in (" ", "\t") and line.strip()):
             break
-    return i if saw_header else 0
+        end = i + 1
+        if _is_separator(line, config):
+            continue
+        if name is None:
+            if current:
+                fields[current] = f"{fields[current]} {line.strip()}".strip()
+            continue
+        current = name
+        value = line.partition(":")[2].strip()
+        if name not in fields:
+            fields[name] = value
+        elif value:
+            fields[name] = f"{fields[name]}, {value}"
+    return end, fields
 
 
 def _footer_region_start(
@@ -280,7 +283,7 @@ def assign_sections(
     follow the pattern HEADER* BODY* FOOTER*.
     """
     lines = message_text.splitlines()
-    header_end = _header_region_end(lines, config)
+    header_end, _ = _header_block(lines, config)
     footer_start = _footer_region_start(lines, header_end, config)
     return (
         [Section.HEADER] * header_end
@@ -296,23 +299,7 @@ def parse_header(message_text: str, config: ParserConfig = DEFAULT_CONFIG) -> He
     tokens. Address lists split per split_address_list; a missing field is
     absent (None or empty tuple), never an empty string.
     """
-    lines = message_text.splitlines()
-    header_end = _header_region_end(lines, config)
-    fields: dict[str, str] = {}
-    current: Optional[str] = None
-    for line in lines[:header_end]:
-        if _is_separator(line, config) or not line.strip():
-            continue
-        m = _HEADER_LINE_RE.match(line)
-        if m:
-            current = m.group(1).casefold()
-            value = m.group(2).strip()
-            if current in fields and value:
-                fields[current] = f"{fields[current]}, {value}"
-            elif current not in fields:
-                fields[current] = value
-        elif current and line[:1] in (" ", "\t"):
-            fields[current] = (fields.get(current, "") + " " + line.strip()).strip()
+    _, fields = _header_block(message_text.splitlines(), config)
 
     date = None
     for key in ("date", "sent"):
@@ -507,11 +494,3 @@ def header_field_of_sentence(sentence: Sequence[Token]) -> Optional[str]:
     if len(sentence) >= 2 and sentence[0].section is Section.HEADER and sentence[1].text == ":":
         return sentence[0].text.casefold()
     return None
-
-
-def is_sender_field(field_name: Optional[str]) -> bool:
-    return field_name in _SENDER_FIELDS
-
-
-def is_recipient_field(field_name: Optional[str]) -> bool:
-    return field_name in _RECIPIENT_FIELDS

@@ -269,23 +269,19 @@ def iter_conll_documents(lines: Iterable[str], *, thread: bool = True) -> Iterat
         if coref == "-" or coref == "_":
             continue
         for entry in coref.split("|"):
-            if entry.startswith("(") and entry.endswith(")"):
-                cid_text = entry[1:-1]
-                if not cid_text.isdigit():
-                    raise MalformedColumn(line_no, f"bad coref entry {entry!r}")
-                cid = int(cid_text)
-                span = (sent_index, tok_index, tok_index)
-            elif entry.startswith("("):
-                cid_text = entry[1:]
-                if not cid_text.isdigit():
-                    raise MalformedColumn(line_no, f"bad coref entry {entry!r}")
-                open_spans.setdefault(int(cid_text), []).append((sent_index, tok_index))
+            opens = entry.startswith("(")
+            closes = entry.endswith(")")
+            cid_text = entry[opens : len(entry) - closes]
+            # int() also reads non-ASCII digits, and str.isdigit() passes some it cannot read
+            if not (opens or closes) or not (cid_text.isdigit() and cid_text.isascii()):
+                raise MalformedColumn(line_no, f"bad coref entry {entry!r}")
+            cid = int(cid_text)
+            if not closes:
+                open_spans.setdefault(cid, []).append((sent_index, tok_index))
                 continue
-            elif entry.endswith(")"):
-                cid_text = entry[:-1]
-                if not cid_text.isdigit():
-                    raise MalformedColumn(line_no, f"bad coref entry {entry!r}")
-                cid = int(cid_text)
+            if opens:
+                span = (sent_index, tok_index, tok_index)
+            else:
                 stack = open_spans.get(cid)
                 if not stack:
                     raise MalformedColumn(line_no, f"closing unopened span for chain {cid}")
@@ -295,8 +291,6 @@ def iter_conll_documents(lines: Iterable[str], *, thread: bool = True) -> Iterat
                         line_no, f"span for chain {cid} crosses a sentence boundary"
                     )
                 span = (sent_index, open_tok, tok_index)
-            else:
-                raise MalformedColumn(line_no, f"bad coref entry {entry!r}")
             if span in owners:
                 raise MalformedColumn(
                     line_no,

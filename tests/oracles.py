@@ -11,10 +11,12 @@ CoNLL document builder through the checked constructors, B³ and LEA by
 chain-set intersection, the error categorizer by set intersection per chain
 pair, the character loop of the hex-attachment detector, the tokenizer
 that split every chunk, marker tests by substring, the thread summary that
-rebuilt each body once per check, and the duplicate check that scanned the
-whole corpus per thread. Differential tests require the package to agree
-with them. They share the package's unchanged helpers (chain
-normalization, model types, the chunk splitter).
+rebuilt each body once per check, the duplicate check that scanned the
+whole corpus per thread, and the header grammar of separate line
+predicates read by a region walk and a second field walk. Differential
+tests require the package to agree with them. They share the package's
+unchanged helpers (chain normalization, model types, the chunk splitter,
+the marker search).
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ import hashlib
 import re
 from collections import Counter
 from datetime import datetime
+from email.utils import parsedate_to_datetime, parseaddr
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional
@@ -692,3 +695,134 @@ def duplicate_verdicts_reference(summaries, config=_filtering.DEFAULT_FILTER_CON
     candidates = [s for s in summaries if not _filtering._in_excluded_directory(s.source_path, config)]
     index = {s.id: s.fingerprints for s in candidates}
     return [is_duplicate_reference(s.id, index.get(s.id) or s.fingerprints, index) for s in candidates]
+
+
+# The header grammar as separate predicates and two walks over one region,
+# before one field-name rule and one walk replaced them.
+_HEADER_LINE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9-]*)\s*:\s?(.*)$")
+_FROM_FIELD_RE = re.compile(r"^from\s*:", re.IGNORECASE)
+_DATE_FIELD_RE = re.compile(r"^(date|sent)\s*:", re.IGNORECASE)
+_SUBJECT_FIELD_RE = re.compile(r"^subject\s*:", re.IGNORECASE)
+
+
+def _is_header_line_reference(line: str) -> bool:
+    return _HEADER_LINE_RE.match(line) is not None
+
+
+def starts_fresh_header_block_reference(lines, i: int) -> bool:
+    """A From: line opening a run of at most 10 header lines with Date:/Sent: and Subject:."""
+    if not _FROM_FIELD_RE.match(lines[i]):
+        return False
+    run = []
+    for line in lines[i : i + 10]:
+        if not _is_header_line_reference(line):
+            break
+        run.append(line)
+    has_date = any(_DATE_FIELD_RE.match(l) for l in run)
+    has_subject = any(_SUBJECT_FIELD_RE.match(l) for l in run)
+    return has_date and has_subject
+
+
+def split_messages_reference(raw, config=_parsing.DEFAULT_CONFIG) -> list[tuple[str, int]]:
+    if not raw.text.strip():
+        raise _parsing.UnparseableThread(f"thread {raw.id}: empty text")
+    lines = _parsing._lines_with_offsets(raw.text)
+    texts = [l for l, _ in lines]
+    known = (_HEADER_LINE_RE.match(l) for l in texts)
+    if not any(m is not None and m.group(1).casefold() in _parsing._KNOWN_FIELDS for m in known):
+        raise _parsing.UnparseableThread(f"thread {raw.id}: no header block found")
+    boundaries = [0]
+    for i in range(1, len(texts)):
+        line = texts[i]
+        if not (_parsing._is_separator(line, config) or starts_fresh_header_block_reference(texts, i)):
+            continue
+        segment = texts[boundaries[-1] : i]
+        if all(not l.strip() or _parsing._is_separator(l, config) for l in segment):
+            continue
+        boundaries.append(i)
+    slices = []
+    for k, start_line in enumerate(boundaries):
+        end_line = boundaries[k + 1] if k + 1 < len(boundaries) else len(lines)
+        start_char = lines[start_line][1]
+        end_char = lines[end_line][1] if end_line < len(lines) else len(raw.text)
+        slices.append((raw.text[start_char:end_char], start_char))
+    return slices
+
+
+def header_region_end_reference(lines, config=_parsing.DEFAULT_CONFIG) -> int:
+    """Leading separator/blank lines, then header lines and their folded continuations."""
+    i = 0
+    n = len(lines)
+    while i < n and (not lines[i].strip() or _parsing._is_separator(lines[i], config)):
+        i += 1
+    saw_header = False
+    while i < n:
+        line = lines[i]
+        if _is_header_line_reference(line):
+            saw_header = True
+            i += 1
+        elif saw_header and line[:1] in (" ", "\t") and line.strip():
+            i += 1
+        else:
+            break
+    return i if saw_header else 0
+
+
+def assign_sections_reference(message_text: str, config=_parsing.DEFAULT_CONFIG) -> list[Section]:
+    lines = message_text.splitlines()
+    header_end = header_region_end_reference(lines, config)
+    footer_start = footer_region_start_reference(lines, header_end, config.footer_markers)
+    return (
+        [Section.HEADER] * header_end
+        + [Section.BODY] * (footer_start - header_end)
+        + [Section.FOOTER] * (len(lines) - footer_start)
+    )
+
+
+def parse_header_reference(message_text: str, config=_parsing.DEFAULT_CONFIG) -> "_parsing.HeaderFields":
+    """The fields of the region's lines, read in a second walk over the region."""
+    lines = message_text.splitlines()
+    header_end = header_region_end_reference(lines, config)
+    fields: dict[str, str] = {}
+    current: Optional[str] = None
+    for line in lines[:header_end]:
+        if _parsing._is_separator(line, config) or not line.strip():
+            continue
+        m = _HEADER_LINE_RE.match(line)
+        if m:
+            current = m.group(1).casefold()
+            value = m.group(2).strip()
+            if current in fields and value:
+                fields[current] = f"{fields[current]}, {value}"
+            elif current not in fields:
+                fields[current] = value
+        elif current and line[:1] in (" ", "\t"):
+            fields[current] = (fields.get(current, "") + " " + line.strip()).strip()
+
+    date = None
+    for key in ("date", "sent"):
+        if key in fields:
+            try:
+                date = parsedate_to_datetime(fields[key])
+                break
+            except (TypeError, ValueError):
+                continue
+    from_addr = None
+    if fields.get("from"):
+        value = fields["from"]
+        if "<" in value:
+            _, addr = parseaddr(value)
+            from_addr = addr or value.strip()
+        else:
+            from_addr = value.strip()
+    split = _parsing.split_address_list
+    return _parsing.HeaderFields(
+        date=date,
+        from_addr=from_addr,
+        to_addrs=split(fields.get("to", "")),
+        cc_addrs=split(fields.get("cc", "")),
+        subject=fields.get("subject") or None,
+        x_from=fields.get("x-from") or None,
+        x_to=split(fields.get("x-to", "")),
+        x_cc=split(fields.get("x-cc", "")),
+    )

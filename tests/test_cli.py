@@ -176,6 +176,15 @@ class TestFilter:
             f"error: input file {repeated} repeats document id {doc_id!r}\n")
         assert not report.exists()
 
+    @pytest.mark.parametrize("flag", ["--separators", "--footers"])
+    def test_parser_flag_on_records_exits_1(self, gold_corpus, tmp_path, capsys, flag):
+        # records are parsed already: the flag would be ignored, its file never opened
+        report = tmp_path / "report.tsv"
+        assert main(["filter", "--in", str(gold_corpus), "--report", str(report), flag, "/nonexistent"]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: --separators and --footers apply to a thread directory only, not to {gold_corpus}\n"))
+        assert not report.exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_malformed_line_reported(self, gold_corpus, tmp_path, capsys, jobs):
         lines = gold_corpus.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -381,6 +390,19 @@ class TestScore:
         assert 0.0 <= float(scores["avg_f1"]) <= 1.0
 
 
+    @pytest.mark.parametrize("entry", ["(²)", "²)", "(²", "(٣)"])
+    def test_non_ascii_digit_entry_exits_1(self, tmp_path, example1_document, capsys, entry):
+        key = tmp_path / "k.conll"
+        key.write_text(write_conll(example1_document), encoding="utf-8")
+        lines = key.read_text(encoding="utf-8").split("\n")
+        row = next(i for i, line in enumerate(lines) if line.endswith("\t-"))
+        lines[row] = lines[row][:-1] + entry
+        response = tmp_path / "r.conll"
+        response.write_text("\n".join(lines), encoding="utf-8")
+        assert main(["score", "--key", str(key), "--response", str(response)]) == 1
+        assert capsys.readouterr() == ("", f"error: line {row + 1}: bad coref entry {entry!r}\n")
+
+
 class TestErrors:
     def test_zero_report_on_identity(self, gold_corpus, capsys):
         code = main(["errors", "--key", str(gold_corpus), "--response", str(gold_corpus)])
@@ -550,6 +572,37 @@ class TestFormatByContent:
         expected = self._run(capsys, command, first, second, conll)
         assert expected[0] == 0
         assert self._run(capsys, command, first, second, named) == expected
+
+
+@pytest.mark.parametrize("command,first,second,roles", PAIRING_COMMANDS)
+class TestMixedFormats:
+    """The formats address mentions differently: a mixed pair once scored low or crashed."""
+
+    @staticmethod
+    def _conll(gold_corpus, tmp_path):
+        conll = tmp_path / "gold.conll"
+        conll.write_text(write_conll_documents(read_native(gold_corpus.read_text(encoding="utf-8"))),
+                         encoding="utf-8")
+        return conll
+
+    @pytest.mark.parametrize("first_format", ["native JSONL", "CoNLL"])
+    def test_exits_1(self, gold_corpus, tmp_path, capsys, command, first, second, roles, first_format):
+        paths = {"native JSONL": gold_corpus, "CoNLL": self._conll(gold_corpus, tmp_path)}
+        second_format = "CoNLL" if first_format == "native JSONL" else "native JSONL"
+        first_path, second_path = paths[first_format], paths[second_format]
+        assert main([command, first, str(first_path), second, str(second_path)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {roles[0]} file {first_path} is {first_format} but {roles[1]} file "
+            f"{second_path} is {second_format}; both must be in one format\n"))
+
+    def test_first_file_fault_reported_first(self, gold_corpus, tmp_path, capsys, command, first, second, roles):
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("{broken\n", encoding="utf-8")
+        conll = self._conll(gold_corpus, tmp_path)
+        assert main([command, first, str(broken), second, str(conll)]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: line 1: invalid JSON: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n"))
 
 
 class TestRepeatedMentions:
@@ -912,8 +965,8 @@ class TestCollectorPolicy:
         try:
             docs = [doc for _, doc in serialization.iter_native(gold_corpus)]
             skeletons = list(serialization.iter_conll(conll))
-            bare = [doc for pair in cli._paired_documents(
-                (str(gold_corpus), "key"), (str(conll), "response"), first_thread=False) for doc in pair]
+            bare = [doc for path in (gold_corpus, conll) for pair in cli._paired_documents(
+                (str(path), "key"), (str(path), "response"), first_thread=False) for doc in pair]
             written = io.StringIO()
             serialization.write_native(docs, written)
             made = (

@@ -438,3 +438,76 @@ class TestMarkerDifferential:
         config = ParserConfig(separator_markers=("a.c", "(x|y)"))
         assert not parsing._is_separator("abc xy", config)
         assert parsing._is_separator("A.C", config) and parsing._is_separator("z (X|Y) z", config)
+
+
+# header lines of every field the grammar names, in mixed case, with and
+# without a value; "Subject:Re" has no space after its colon
+_FIELD_LINES = [
+    "From: alice.johnson@acme.com", "FROM : Bob Smith <bob.smith@acme.com>", "from:",
+    "Date: Mon, 17 Dec 2001 10:00:00 -0800 (PST)", "DATE: not a date",
+    "Sent: Mon, 17 Dec 2001 09:00:00 -0800", "sent:",
+    "Subject: RE: status", "SUBJECT:", "Subject:Re",
+    "To: bob.smith@acme.com, Smith, John", "to:", "Cc: carol@acme.com; dan@acme.com",
+    "CC: Doe, Jane", "X-From: Alice Johnson", "x-from:",
+]
+# a run of lines that only a header line can hold: what a From: line needs
+# within the run may come after the 10-line cap
+_FILLER_LINES = ["To: x@acme.com", "cc: y@acme.com", "X-From: Bob", " folded"]
+_OTHER_LINES = [
+    " folded value", "\tmore, values", "", "   ", "\t",
+    SEPARATOR, " -----Original Message-----", "----- Forwarded by Tim Belden/HOU/ECT on 05/14/2001 -----",
+    "Subject: FW: - Forwarded by Tim", "To: -----original message-----",
+    "This e-mail is confidential.", "If you are not the intended recipient",
+    "Looks good to me.", "Please comment: soon", "ſent: Mon, 17 Dec 2001 09:00:00 -0800",
+]
+_HEADER_BLOCKS = st.tuples(
+    st.sampled_from(_FIELD_LINES[:3]),
+    st.sampled_from(_FILLER_LINES),
+    st.integers(0, 12),
+    st.lists(st.sampled_from(_FIELD_LINES), max_size=3),
+).map(lambda t: [t[0], *[t[1]] * t[2], *t[3]])
+_BLOCK_LINES = st.lists(
+    st.one_of(st.sampled_from(_FIELD_LINES + _OTHER_LINES).map(lambda line: [line]), _HEADER_BLOCKS),
+    max_size=10,
+).map(lambda blocks: [line for block in blocks for line in block])
+_HEADER_CONFIGS = st.sampled_from([
+    ParserConfig(),
+    ParserConfig(separator_markers=("from:", "status"), footer_markers=("-----",)),
+])
+
+
+class TestHeaderBlockDifferential:
+    """One field-name rule and one header walk against the separate line
+    predicates and the two walks they replaced, kept in ``oracles``."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(lines=_BLOCK_LINES, newline=st.sampled_from(["\n", "\r\n"]), config=_HEADER_CONFIGS)
+    def test_same_messages_sections_and_fields(self, lines, newline, config):
+        text = newline.join(lines)
+        names = [parsing._header_field(line) for line in lines]
+        for i in range(len(lines)):
+            assert parsing._starts_fresh_header_block(names, i) == (
+                oracles.starts_fresh_header_block_reference(lines, i)
+            )
+        raw = RawThread(id="t", text=text)
+        try:
+            expected = oracles.split_messages_reference(raw, config)
+        except UnparseableThread as exc:
+            with pytest.raises(UnparseableThread, match=f"^{re.escape(str(exc))}$"):
+                split_messages(raw, config)
+            expected = [(text, 0)]
+        else:
+            assert split_messages(raw, config) == expected
+        # a separator line opens a message, so only a whole text puts one inside a header region
+        for message_text in {text, *(piece for piece, _ in expected)}:
+            assert assign_sections(message_text, config) == oracles.assign_sections_reference(message_text, config)
+            assert vars(parse_header(message_text, config)) == vars(
+                oracles.parse_header_reference(message_text, config)
+            )
+
+    def test_separator_in_the_region_adds_no_field(self):
+        text = "From: a@acme.com\nSubject: FW: - Forwarded by Tim\n continued\nTo: b@acme.com\n\nbody\n"
+        assert assign_sections(text)[:4] == [Section.HEADER] * 4
+        fields = parse_header(text)
+        assert fields.subject is None
+        assert fields.from_addr == "a@acme.com continued"

@@ -182,6 +182,17 @@ class TestReadConll:
             read_conll(text)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("entry", ["(²)", "²)", "(²", "(٣)"])
+    def test_non_ascii_digit_entry_rejected_with_line_number(self, entry):
+        # str.isdigit() holds for both, int() reads "٣" as 3 and fails on "²"
+        text = (
+            "#begin document (x); part 000\n"
+            f"x\t0\t0\thello\t(2)|{entry}\n"
+            "\n#end document\n"
+        )
+        with pytest.raises(MalformedColumn, match=f"^line 2: bad coref entry {re.escape(repr(entry))}$"):
+            read_conll(text)
+
     def test_cross_sentence_span_rejected(self):
         text = (
             "#begin document (x); part 000\n"

@@ -19,8 +19,7 @@ from __future__ import annotations
 import enum
 import re
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import wordlists
 from .model import (
@@ -128,8 +127,7 @@ def chain_overlapping_mentions(
     return [tuple(order[i] for i in sorted(idxs)) for idxs in groups]
 
 
-@dataclass(frozen=True)
-class MessageParticipants:
+class MessageParticipants(NamedTuple):
     """Sender and recipient mentions found in one message's header lines."""
 
     senders: tuple[Mention, ...] = ()
@@ -139,8 +137,7 @@ class MessageParticipants:
     pronoun_recipients: tuple[Mention, ...] = ()
 
 
-@dataclass(frozen=True)
-class ParticipantIndex:
+class ParticipantIndex(NamedTuple):
     by_message: tuple[MessageParticipants, ...] = ()
 
     def for_message(self, index: int) -> MessageParticipants:
@@ -187,8 +184,7 @@ def build_participant_index(thread: EmailThread, mentions: Iterable[Mention]) ->
     return ParticipantIndex(by_message=tuple(entries))
 
 
-@dataclass(frozen=True)
-class UnresolvedPronoun:
+class UnresolvedPronoun(NamedTuple):
     """A pronoun whose message offered no participant to link it to."""
 
     mention: Mention
@@ -196,8 +192,7 @@ class UnresolvedPronoun:
     reason: str
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     chains: tuple[CoreferenceChain, ...]
     unresolved: tuple[UnresolvedPronoun, ...] = ()
 

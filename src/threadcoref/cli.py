@@ -17,6 +17,7 @@ import gc
 import os
 import sys
 from contextlib import contextmanager
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
@@ -129,23 +130,30 @@ def _map_jobs(func, items: Iterable, jobs: int) -> Iterator:
         raise failed.pop()
 
 
-def _file_format(path: Path) -> str:
-    """The format of ``path``: CoNLL when its first nonblank line starts with
-    ``#``, else native JSONL. The CoNLL reader takes only blank and ``#``
-    lines before ``#begin document``, and a native record is a JSON object."""
+def _read_documents(path: str, *, thread: bool) -> Iterator:
+    """The format of ``path``, then its checked documents in file order, one at
+    a time; only with ``thread`` does a document hold its thread.
+
+    The format is "CoNLL" when the first nonblank line starts with ``#``, else
+    "native JSONL": the CoNLL reader takes only blank and ``#`` lines before
+    ``#begin document``, and a native record is a JSON object. The file is
+    opened once and the lines read to tell its format are read again from
+    memory, so a pipe reads as a file does.
+    """
     with open(path, encoding="utf-8") as fp, utf8_input(path):
-        head = next((line.lstrip() for line in fp if line.strip()), "")
-    return "CoNLL" if head.startswith("#") else "native JSONL"
-
-
-def _read_documents(path: Path, *, thread: bool) -> Iterator[AnnotatedDocument]:
-    """The checked documents of a native or CoNLL file in file order, one at a
-    time; only with ``thread`` does a document hold its thread."""
-    if _file_format(path) == "CoNLL":
-        yield from serialization.iter_conll(path, thread=thread)
-    else:
-        for line_no, line in serialization.iter_native_lines(path):
-            yield serialization.decode_line(line, line_no, thread=thread)
+        head = []
+        for line in fp:
+            head.append(line)
+            if line.strip():
+                break
+        lines = chain(head, fp)
+        if head and head[-1].lstrip().startswith("#"):
+            yield "CoNLL"
+            yield from serialization.stream_conll_documents(lines, thread=thread)
+        else:
+            yield "native JSONL"
+            for line_no, line in serialization.stream_native_lines(lines):
+                yield serialization.decode_line(line, line_no, thread=thread)
 
 
 def _paired_documents(
@@ -169,15 +177,18 @@ def _paired_documents(
     when the second file is first read.
     """
     (first_path, first_role), (second_path, second_role) = first, second
+    firsts = _read_documents(first_path, thread=first_thread)
+    first_format = next(firsts)
 
     def read_seconds() -> Iterator[AnnotatedDocument]:
-        formats = _file_format(Path(first_path)), _file_format(Path(second_path))
-        if formats[0] != formats[1]:
+        docs = _read_documents(second_path, thread=False)
+        second_format = next(docs)
+        if first_format != second_format:
             raise ToolkitError(
-                f"{first_role} file {first_path} is {formats[0]} but {second_role} file "
-                f"{second_path} is {formats[1]}; both must be in one format"
+                f"{first_role} file {first_path} is {first_format} but {second_role} file "
+                f"{second_path} is {second_format}; both must be in one format"
             )
-        yield from _read_documents(Path(second_path), thread=False)
+        yield from docs
 
     seconds = read_seconds()
     first_ids: set[str] = set()
@@ -191,7 +202,7 @@ def _paired_documents(
         second_ids.add(doc_id)
         return doc_id
 
-    for doc in _read_documents(Path(first_path), thread=first_thread):
+    for doc in firsts:
         doc_id = doc.thread.id
         if doc_id in first_ids:
             raise ToolkitError(f"{first_role} file {first_path} repeats document id {doc_id!r}")

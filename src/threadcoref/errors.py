@@ -10,8 +10,7 @@ response chain, then the lower chain id.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import wordlists
 from .metrics import overlap_rows, transpose_rows
@@ -24,19 +23,19 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ChainAlignment:
+class ChainAlignment(NamedTuple):
     """Greedy maximum-overlap mapping from key chain ids to response chain ids."""
 
     pairs: tuple[tuple[int, int], ...] = ()
-    _by_key: dict[int, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        # reversed, so that the first pair of a repeated key id wins
-        object.__setattr__(self, "_by_key", dict(reversed(self.pairs)))
+    def mapping(self) -> dict[int, int]:
+        """Key chain id -> response chain id; the first pair of a repeated key id wins."""
+        return dict(reversed(self.pairs))
 
     def get(self, key_chain_id: int) -> Optional[int]:
-        return self._by_key.get(key_chain_id)
+        """The response chain id of one key chain id; each call reads every pair,
+        so many lookups take ``mapping()`` once."""
+        return self.mapping().get(key_chain_id)
 
 
 def _alignment(
@@ -71,8 +70,7 @@ def align_chains(
     return _alignment(key, response, rows)
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     missing_pronoun_refs: int = 0
     missing_header_refs: int = 0
     missing_other_refs: int = 0
@@ -124,8 +122,8 @@ def categorize_errors(
     key_sets = [set(c.mentions) for c in key]
     resp_sets = [set(c.mentions) for c in response]
     rows = overlap_rows(key_sets, resp_sets)
-    key_to_resp = _alignment(key, response, rows)
-    resp_to_key = _alignment(response, key, transpose_rows(rows, len(response)))
+    key_to_resp = _alignment(key, response, rows).mapping()
+    resp_to_key = _alignment(response, key, transpose_rows(rows, len(response))).mapping()
     # chain id -> position, so the aligned chain's mention set is reused
     resp_index = {c.chain_id: j for j, c in enumerate(response)}
     key_index = {c.chain_id: i for i, c in enumerate(key)}

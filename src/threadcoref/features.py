@@ -8,7 +8,7 @@ and token offsets, and can carry an attached annotation along consistently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     AnnotatedDocument,
@@ -19,7 +19,6 @@ from .model import (
     Section,
     Token,
     ToolkitError,
-    _MESSAGE_DEFAULTS,
     _assemble_thread,
     _tuple_new,
     mention_order,
@@ -34,8 +33,7 @@ class MissingDate(ToolkitError):
         self.message_index = message_index
 
 
-@dataclass(frozen=True)
-class FeatureAnnotation:
+class FeatureAnnotation(NamedTuple):
     """Per-token MI and SI sequences in thread order."""
 
     mi: tuple[int, ...]
@@ -84,10 +82,9 @@ def _shift_message(msg: EmailMessage, new_index: int, new_base: int) -> tuple[di
     to start at new_base, and the base for the next message.
 
     The shift keeps every token's order and length, so each token is built
-    directly. Fields are read by name: ``vars()`` would give the kept message
-    a materialized ``__dict__``.
+    directly.
     """
-    moved = {name: getattr(msg, name) for name in _MESSAGE_DEFAULTS}
+    moved = msg._asdict()
     moved["index"] = new_index
     if not msg.sentences:
         return moved, new_base

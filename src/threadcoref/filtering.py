@@ -22,9 +22,8 @@ import enum
 import hashlib
 import re
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import PurePath
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import wordlists
 from .model import EmailMessage, EmailThread, Section, utf8_input
@@ -53,15 +52,13 @@ _PRECEDENCE = (
 REPORT_ORDER = _PRECEDENCE + (FilterCategory.ACCEPTED,)
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
+class FilterVerdict(NamedTuple):
     thread_id: str
     category: FilterCategory
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ExclusionSet:
+class ExclusionSet(NamedTuple):
     """Message fingerprints of a held-out corpus; overlap means rejection."""
 
     fingerprints: frozenset[str] = frozenset()
@@ -81,8 +78,7 @@ class ExclusionSet:
         return cls(frozenset(l.strip() for l in lines if l.strip()))
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(NamedTuple):
     min_messages: int = 4
     hex_min_run: int = 512
     hex_min_fraction: float = 0.95
@@ -274,8 +270,7 @@ def _in_excluded_directory(source_path: Optional[str], config: FilterConfig) -> 
     return any(p in config.excluded_directories for p in parts)
 
 
-@dataclass(frozen=True)
-class FilterReport:
+class FilterReport(NamedTuple):
     """Distribution of verdicts per category, in fixed report order."""
 
     counts: tuple[tuple[FilterCategory, int], ...] = ()
@@ -289,8 +284,7 @@ class FilterReport:
         return dict(self.counts).get(category, 0)
 
 
-@dataclass(frozen=True)
-class ThreadSummary:
+class ThreadSummary(NamedTuple):
     """What classification needs of one thread, so the thread itself can go.
 
     ``content`` is the first of the content checks (no content, inline

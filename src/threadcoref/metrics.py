@@ -11,8 +11,7 @@ whole-corpus statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import AbstractSet, Hashable, Iterable, Sequence
+from typing import AbstractSet, Hashable, Iterable, NamedTuple, Sequence
 
 from . import wordlists
 from .model import AnnotatedDocument, CoreferenceChain, Mention, mention_text
@@ -48,8 +47,7 @@ def _chain_order(chain: frozenset) -> tuple[int, list]:
     )
 
 
-@dataclass(frozen=True)
-class MetricScore:
+class MetricScore(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -62,8 +60,7 @@ def f1_score(precision: float, recall: float) -> float:
     return 0.0
 
 
-@dataclass(frozen=True)
-class MetricParts:
+class MetricParts(NamedTuple):
     """Numerator/denominator sums; add parts across documents to micro-average."""
 
     p_num: float = 0.0
@@ -335,8 +332,7 @@ def lea(key: Iterable, response: Iterable) -> MetricScore:
     return lea_parts(key, response).score()
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     muc: MetricScore
     b3: MetricScore
     ceafe: MetricScore
@@ -387,8 +383,7 @@ def mention_detection_score(
     return MetricScore(p, r, f1_score(p, r), tuple(flags))
 
 
-@dataclass(frozen=True)
-class CorrectionStats:
+class CorrectionStats(NamedTuple):
     """Bookkeeping of a manual correction pass over predicted mentions.
 
     The four counts are summable parts: add the stats of several documents
@@ -480,8 +475,7 @@ def correction_stats(
     )
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     thread_count: int
     message_count: int
     word_count: int

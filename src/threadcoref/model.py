@@ -1,8 +1,11 @@
 """Core domain types for email-thread coreference documents.
 
-Everything here is an immutable value object: threads, messages, chains
-and mentions are frozen dataclasses and tokens are checked tuples, so
-documents can be shared freely between workers.
+Everything here is an immutable value object, a named tuple: threads,
+messages, chains, mentions and tokens are checked tuples, so documents can
+be shared freely between workers and pickle as plain tuples do. A checked
+tuple is a ``typing.NamedTuple`` of its fields plus a subclass whose
+``__new__`` runs the checks; its ``_make``, and through it ``_replace``, runs
+them too.
 Structural invariants that a constructor can check locally (token offsets,
 message index contiguity) raise ``ValueError`` at construction time;
 cross-object consistency of chains and mentions is reported as data by
@@ -17,7 +20,6 @@ from __future__ import annotations
 import enum
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
 from datetime import datetime
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional
@@ -58,8 +60,14 @@ class EntityType(enum.Enum):
     DIG = "DIG"
 
 
-# typing.NamedTuple forbids overriding __new__ and _make, so the checks
-# live in the subclass below.
+def _checked_make(cls, iterable):
+    # namedtuple's own _make calls tuple.__new__ and would skip the checks;
+    # _replace builds through _make, so it runs them too
+    return cls(*iterable)
+
+
+# typing.NamedTuple forbids overriding __new__ and _make, so each checked
+# type is a NamedTuple of its fields and a subclass that holds the checks.
 class _TokenFields(NamedTuple):
     text: str
     sentence_index: int
@@ -76,8 +84,7 @@ class Token(_TokenFields):
     A checked tuple: ``__new__`` checks each argument once, then stores
     them, because it runs once per token of every document read. An exact
     ``str`` text is interned, so the many tokens of one word share one
-    string. ``_make``, and through it ``_replace``, runs the same checks.
-    A token equals a plain tuple of the same seven values.
+    string. A token equals a plain tuple of the same seven values.
     """
 
     __slots__ = ()
@@ -114,25 +121,14 @@ class Token(_TokenFields):
             cls, (text, sentence_index, token_index, message_index, section, char_start, char_end)
         )
 
-    @classmethod
-    def _make(cls, iterable) -> Token:
-        # namedtuple's own _make calls tuple.__new__ and would skip the checks
-        return cls(*iterable)
+    _make = classmethod(_checked_make)
 
 
 def _as_tuple(value):
     return value if isinstance(value, tuple) else tuple(value)
 
 
-@dataclass(frozen=True)
-class EmailMessage:
-    """One message of a thread: parsed header fields plus tokenized sentences.
-
-    ``index`` is the message's position in thread file order. Sentences hold
-    Token tuples; sentence indices run contiguously from 0 over the message
-    and every token carries ``message_index == index``.
-    """
-
+class _MessageFields(NamedTuple):
     index: int
     date: Optional[datetime] = None
     from_addr: Optional[str] = None
@@ -144,29 +140,54 @@ class EmailMessage:
     x_cc: tuple[str, ...] = ()
     sentences: tuple[tuple[Token, ...], ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
+
+class EmailMessage(_MessageFields):
+    """One message of a thread: parsed header fields plus tokenized sentences.
+
+    ``index`` is the message's position in thread file order. Sentences hold
+    Token tuples; sentence indices run contiguously from 0 over the message
+    and every token carries ``message_index == index``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        index: int,
+        date: Optional[datetime] = None,
+        from_addr: Optional[str] = None,
+        to_addrs: tuple[str, ...] = (),
+        cc_addrs: tuple[str, ...] = (),
+        subject: Optional[str] = None,
+        x_from: Optional[str] = None,
+        x_to: tuple[str, ...] = (),
+        x_cc: tuple[str, ...] = (),
+        sentences: tuple[tuple[Token, ...], ...] = (),
+    ) -> EmailMessage:
+        if index < 0:
             raise ValueError("message index must be nonnegative")
-        for name in ("to_addrs", "cc_addrs", "x_to", "x_cc"):
-            object.__setattr__(self, name, _as_tuple(getattr(self, name)))
-        object.__setattr__(
-            self, "sentences", tuple(_as_tuple(sent) for sent in self.sentences)
-        )
-        for si, sentence in enumerate(self.sentences):
+        to_addrs, cc_addrs, x_to, x_cc = map(_as_tuple, (to_addrs, cc_addrs, x_to, x_cc))
+        sentences = tuple(_as_tuple(sent) for sent in sentences)
+        for si, sentence in enumerate(sentences):
             if not sentence:
-                raise ValueError(f"message {self.index}: sentence {si} is empty")
+                raise ValueError(f"message {index}: sentence {si} is empty")
             for ti, tok in enumerate(sentence):
-                if tok.message_index != self.index:
+                if tok.message_index != index:
                     raise ValueError(
-                        f"message {self.index}: token {tok.text!r} carries "
+                        f"message {index}: token {tok.text!r} carries "
                         f"message_index {tok.message_index}"
                     )
                 if tok.sentence_index != si or tok.token_index != ti:
                     raise ValueError(
-                        f"message {self.index}: token {tok.text!r} at sentence "
+                        f"message {index}: token {tok.text!r} at sentence "
                         f"{si} position {ti} carries indices "
                         f"({tok.sentence_index}, {tok.token_index})"
                     )
+        return _tuple_new(
+            cls, (index, date, from_addr, to_addrs, cc_addrs, subject, x_from, x_to, x_cc, sentences)
+        )
+
+    _make = classmethod(_checked_make)
 
     def tokens(self) -> Iterator[Token]:
         for sentence in self.sentences:
@@ -176,28 +197,34 @@ class EmailMessage:
         return (t for t in self.tokens() if t.section is Section.BODY)
 
 
-@dataclass(frozen=True)
-class EmailThread:
-    """An ordered email conversation parsed from a single thread file."""
-
+class _ThreadFields(NamedTuple):
     id: str
     messages: tuple[EmailMessage, ...] = ()
     source_path: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "messages", _as_tuple(self.messages))
-        for i, msg in enumerate(self.messages):
+
+class EmailThread(_ThreadFields):
+    """An ordered email conversation parsed from a single thread file."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, id: str, messages: tuple[EmailMessage, ...] = (), source_path: Optional[str] = None
+    ) -> EmailThread:
+        messages = _as_tuple(messages)
+        for i, msg in enumerate(messages):
             if msg.index != i:
-                raise ValueError(
-                    f"thread {self.id}: message at position {i} has index {msg.index}"
-                )
+                raise ValueError(f"thread {id}: message at position {i} has index {msg.index}")
         last_end = 0
-        for msg in self.messages:
+        for msg in messages:
             for sentence in msg.sentences:
                 for tok in sentence:
                     if tok.char_start < last_end:
-                        raise ValueError(_overlap_message(self.id, tok.text, tok.char_start, last_end))
+                        raise ValueError(_overlap_message(id, tok.text, tok.char_start, last_end))
                     last_end = tok.char_end
+        return _tuple_new(cls, (id, messages, source_path))
+
+    _make = classmethod(_checked_make)
 
     def tokens(self) -> Iterator[Token]:
         for msg in self.messages:
@@ -212,51 +239,46 @@ def _overlap_message(thread_id: str, text: str, char_start: int, last_end: int) 
     return f"thread {thread_id}: token {text!r} at char {char_start} overlaps previous token ending at {last_end}"
 
 
-_MESSAGE_DEFAULTS = {f.name: f.default for f in fields(EmailMessage)}
+# every field of a message, in order, with its default; index has none
+_MESSAGE_DEFAULTS = {name: _MessageFields._field_defaults.get(name) for name in _MessageFields._fields}
 
 
 def _assemble_thread(thread_id: str, messages, source_path: Optional[str] = None) -> EmailThread:
     """A thread from fields that hold every invariant the constructors check,
-    set as the generated ``__init__`` sets them, without ``__post_init__``. Each
-    of ``messages`` is a dict of fields with at least ``index`` and ``sentences``."""
-    setattr_ = object.__setattr__
-    built = []
-    for values in messages:
-        message = object.__new__(EmailMessage)
-        for name, default in _MESSAGE_DEFAULTS.items():
-            setattr_(message, name, values.get(name, default))
-        built.append(message)
-    thread = object.__new__(EmailThread)
-    setattr_(thread, "id", thread_id)
-    setattr_(thread, "messages", tuple(built))
-    setattr_(thread, "source_path", source_path)
-    return thread
+    built by ``tuple.__new__``, so that no check runs again. Each of
+    ``messages`` is a dict of message fields with at least ``index`` and
+    ``sentences``; a field it lacks takes its default."""
+    built = tuple([_tuple_new(EmailMessage, (_MESSAGE_DEFAULTS | values).values()) for values in messages])
+    return _tuple_new(EmailThread, (thread_id, built, source_path))
 
 
-@dataclass(frozen=True, order=True, slots=True, init=False)
-class Mention:
-    """A token span referring to an entity, addressed sentence-relative.
-
-    Equality and hashing use only the four location fields; the optional
-    entity type never influences identity, so scorers compare spans exactly.
-    ``__init__`` is written out, as for :class:`Token`, because every chain
-    of every document read builds its mentions through it.
-    """
-
+class _MentionFields(NamedTuple):
     message_index: int
     sentence_index: int
     start_token: int
     end_token: int
-    entity_type: Optional[EntityType] = field(default=None, compare=False)
+    entity_type: Optional[EntityType] = None
 
-    def __init__(
-        self,
+
+class Mention(_MentionFields):
+    """A token span referring to an entity, addressed sentence-relative.
+
+    Equality, ordering and hashing between mentions use only the four
+    location fields, the first four of the tuple, and ``hash(m) ==
+    hash(m.location)``; the optional entity type never influences identity,
+    so scorers compare spans exactly.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
         message_index: int,
         sentence_index: int,
         start_token: int,
         end_token: int,
         entity_type: Optional[EntityType] = None,
-    ) -> None:
+    ) -> Mention:
         if message_index < 0:
             raise ValueError("message_index must be nonnegative")
         if sentence_index < 0:
@@ -265,50 +287,93 @@ class Mention:
             raise ValueError("start_token must be nonnegative")
         if end_token < start_token:
             raise ValueError(f"mention span [{start_token}, {end_token}] is inverted")
-        setattr_ = object.__setattr__
-        setattr_(self, "message_index", message_index)
-        setattr_(self, "sentence_index", sentence_index)
-        setattr_(self, "start_token", start_token)
-        setattr_(self, "end_token", end_token)
-        setattr_(self, "entity_type", entity_type)
+        return _tuple_new(cls, (message_index, sentence_index, start_token, end_token, entity_type))
+
+    _make = classmethod(_checked_make)
 
     @property
     def location(self) -> tuple[int, int, int, int]:
-        return (self.message_index, self.sentence_index, self.start_token, self.end_token)
+        return self[:4]
+
+    # tuple's own comparisons would take the entity type in: every one is
+    # replaced. A mention equals no other type, not even a plain tuple of its
+    # fields, whose hash differs from its own.
+    def __hash__(self) -> int:
+        return hash(self[:4])
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self[:4] == other[:4]
+
+    def __ne__(self, other) -> bool:
+        return other.__class__ is not self.__class__ or self[:4] != other[:4]
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self[:4] < other[:4]
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self[:4] <= other[:4]
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self[:4] > other[:4]
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self[:4] >= other[:4]
+        return NotImplemented
 
 
 # Sorts mentions in the order Mention's own comparisons give, but compares
-# the four location fields in C instead of calling the generated __lt__.
+# the four location fields in C instead of calling Mention.__lt__.
 mention_order = attrgetter("message_index", "sentence_index", "start_token", "end_token")
 
 
-@dataclass(frozen=True)
-class CoreferenceChain:
-    """A nonempty group of mentions asserted to refer to one entity."""
-
+class _ChainFields(NamedTuple):
     chain_id: int
     mentions: tuple[Mention, ...]
 
-    def __post_init__(self) -> None:
-        if self.chain_id < 0:
+
+class CoreferenceChain(_ChainFields):
+    """A nonempty group of mentions asserted to refer to one entity.
+
+    ``len()`` of a chain is its number of mentions.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, chain_id: int, mentions: tuple[Mention, ...]) -> CoreferenceChain:
+        if chain_id < 0:
             raise ValueError("chain_id must be nonnegative")
-        object.__setattr__(self, "mentions", _as_tuple(self.mentions))
-        if not self.mentions:
-            raise ValueError(f"chain {self.chain_id} has no mentions")
+        mentions = _as_tuple(mentions)
+        if not mentions:
+            raise ValueError(f"chain {chain_id} has no mentions")
+        return _tuple_new(cls, (chain_id, mentions))
+
+    _make = classmethod(_checked_make)
 
     def __len__(self) -> int:
         return len(self.mentions)
 
 
-@dataclass(frozen=True)
-class AnnotatedDocument:
-    """An email thread together with its coreference chains (key or response)."""
-
+class _DocumentFields(NamedTuple):
     thread: EmailThread
     chains: tuple[CoreferenceChain, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chains", _as_tuple(self.chains))
+
+class AnnotatedDocument(_DocumentFields):
+    """An email thread together with its coreference chains (key or response)."""
+
+    __slots__ = ()
+
+    def __new__(cls, thread: EmailThread, chains: tuple[CoreferenceChain, ...] = ()) -> AnnotatedDocument:
+        return _tuple_new(cls, (thread, _as_tuple(chains)))
+
+    _make = classmethod(_checked_make)
 
     def mentions(self) -> Iterator[Mention]:
         for chain in self.chains:

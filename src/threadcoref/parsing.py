@@ -16,13 +16,11 @@ these rules.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import datetime
-from email.utils import parsedate_to_datetime, parseaddr
 from functools import lru_cache
 from itertools import takewhile
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import wordlists
 from .model import EmailThread, Section, Token, ToolkitError, _assemble_thread, _intern, _tuple_new
@@ -32,8 +30,7 @@ class UnparseableThread(ToolkitError):
     """Raised when raw text contains no recognizable header block."""
 
 
-@dataclass(frozen=True)
-class RawThread:
+class RawThread(NamedTuple):
     """Unparsed thread file contents."""
 
     id: str
@@ -41,8 +38,7 @@ class RawThread:
     source_path: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ParserConfig:
+class ParserConfig(NamedTuple):
     """Marker phrases controlling message splitting and footer detection."""
 
     separator_markers: tuple[str, ...] = wordlists.SEPARATOR_MARKERS
@@ -174,8 +170,7 @@ def split_messages(
     return slices
 
 
-@dataclass(frozen=True)
-class HeaderFields:
+class HeaderFields(NamedTuple):
     """Best-effort header extraction; absent fields stay None/empty."""
 
     date: Optional[datetime] = None
@@ -299,6 +294,9 @@ def parse_header(message_text: str, config: ParserConfig = DEFAULT_CONFIG) -> He
     tokens. Address lists split per split_address_list; a missing field is
     absent (None or empty tuple), never an empty string.
     """
+    # imported here, so that a command that never parses a header never loads email
+    from email.utils import parsedate_to_datetime, parseaddr
+
     _, fields = _header_block(message_text.splitlines(), config)
 
     date = None
@@ -481,7 +479,7 @@ def parse_thread(raw: RawThread, config: ParserConfig = DEFAULT_CONFIG) -> Email
             message_index=i,
             base_offset=offset,
         )
-        messages.append({**vars(parse_header(text, config)), "index": i, "sentences": sentences})
+        messages.append({**parse_header(text, config)._asdict(), "index": i, "sentences": sentences})
     return _assemble_thread(raw.id, messages, raw.source_path)
 
 

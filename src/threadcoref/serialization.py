@@ -199,9 +199,13 @@ def iter_conll(path, *, thread: bool = True) -> Iterator[AnnotatedDocument]:
     as ``read_conll_documents`` reads its text.
     """
     with open(path, encoding="utf-8") as fp, utf8_input(path):
-        # each "\n"-ended piece splits exactly as it does inside the whole text
-        lines = (line for chunk in fp for line in chunk.splitlines())
-        yield from iter_conll_documents(lines, thread=thread)
+        yield from stream_conll_documents(fp, thread=thread)
+
+
+def stream_conll_documents(fp: Iterable[str], *, thread: bool = True) -> Iterator[AnnotatedDocument]:
+    """The documents of an open CoNLL text file, read from its lines as ``iter_conll`` reads them."""
+    # each "\n"-ended piece splits exactly as it does inside the whole text
+    return iter_conll_documents((line for chunk in fp for line in chunk.splitlines()), thread=thread)
 
 
 def iter_conll_documents(lines: Iterable[str], *, thread: bool = True) -> Iterator[AnnotatedDocument]:
@@ -481,12 +485,18 @@ def _decode_message(rec, i: int, last_end: int, build: bool) -> tuple:
 
 
 _MENTION_FIELDS = ("message_index", "sentence_index", "start_token", "end_token")
+_ENTITY_TYPES = {entity_type.value: entity_type for entity_type in EntityType}
 
 
 def _decode_chain(rec, ci: int, chain_ids: set, owners: dict, lengths: list) -> CoreferenceChain:
     """Chain ``ci``. ``chain_ids`` holds the ids of the chains before it and
     ``owners`` maps their mention locations to their ids; both take this chain's.
-    ``lengths`` holds each message's sentence lengths."""
+    ``lengths`` holds each message's sentence lengths.
+
+    A mention of four integers with ``0 <= start <= end``, and a chain with a
+    nonnegative id, are built directly; any other goes through ``Mention`` or
+    ``CoreferenceChain``, so its error keeps its message.
+    """
     if not isinstance(rec, dict):
         raise NativeSchemaError(f"$.chains[{ci}]", "must be an object")
     chain_id = rec.get("id")
@@ -508,19 +518,21 @@ def _decode_chain(rec, ci: int, chain_ids: set, owners: dict, lengths: list) -> 
         etype = None
         if len(item) == 5 and item[4] is not None:
             try:
-                etype = EntityType(item[4])
-            except ValueError:
+                etype = _ENTITY_TYPES[item[4]]
+            except (KeyError, TypeError):
                 raise NativeSchemaError(
                     f"$.chains[{ci}].mentions[{mi}]", f"unknown entity type {item[4]!r}"
                 ) from None
-        try:
-            mentions.append(Mention(item[0], item[1], item[2], item[3], etype))
-        except (TypeError, ValueError) as exc:
-            raise NativeSchemaError(f"$.chains[{ci}].mentions[{mi}]", str(exc)) from None
-        if not (type(item[0]) is type(item[1]) is type(item[2]) is type(item[3]) is int):
-            _expect_integers(_MENTION_FIELDS, item, f"$.chains[{ci}].mentions[{mi}]")
-        location = (item[0], item[1], item[2], item[3])
-        m, s, _, end = location
+        location = m, s, start, end = item[0], item[1], item[2], item[3]
+        if type(m) is type(s) is type(start) is type(end) is int and m >= 0 and s >= 0 and 0 <= start <= end:
+            mentions.append(_tuple_new(Mention, (m, s, start, end, etype)))
+        else:
+            try:
+                mentions.append(Mention(m, s, start, end, etype))
+            except (TypeError, ValueError) as exc:
+                raise NativeSchemaError(f"$.chains[{ci}].mentions[{mi}]", str(exc)) from None
+            # Mention compares its fields, which a bool or a float also passes
+            _expect_integers(_MENTION_FIELDS, location, f"$.chains[{ci}].mentions[{mi}]")
         if not (m < len(lengths) and s < len(lengths[m]) and end < lengths[m][s]):
             raise NativeSchemaError(f"$.chains[{ci}].mentions[{mi}]", f"mention at {location} addresses no token")
         if location in owners:
@@ -529,8 +541,10 @@ def _decode_chain(rec, ci: int, chain_ids: set, owners: dict, lengths: list) -> 
                 f"mention at {location} is already in chain {owners[location]}",
             )
         owners[location] = chain_id
+    if chain_id >= 0:
+        return _tuple_new(CoreferenceChain, (chain_id, tuple(mentions)))
     try:
-        return CoreferenceChain(chain_id=chain_id, mentions=tuple(mentions))
+        return CoreferenceChain(chain_id, mentions)
     except ValueError as exc:
         raise NativeSchemaError(f"$.chains[{ci}]", str(exc)) from None
 
@@ -600,11 +614,16 @@ def _nonblank_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 def iter_native_lines(path) -> Iterator[tuple[int, str]]:
     """The nonblank lines of a JSONL file, each with its 1-based line number,
     read one at a time, as ``read_native`` splits the file's text."""
+    with open(path, encoding="utf-8") as fp, utf8_input(path):
+        yield from stream_native_lines(fp)
+
+
+def stream_native_lines(fp: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """The nonblank lines of an open JSONL text file, numbered as ``iter_native_lines`` numbers them."""
     # a text file in universal-newline mode turns "\r\n" and "\r" into "\n",
     # as Path.read_text does, and then ends its lines at "\n" only
-    with open(path, encoding="utf-8") as fp, utf8_input(path):
-        for line_no, line in _nonblank_lines(fp):
-            yield line_no, line[:-1] if line.endswith("\n") else line
+    for line_no, line in _nonblank_lines(fp):
+        yield line_no, line[:-1] if line.endswith("\n") else line
 
 
 def _reject_constant(name: str):

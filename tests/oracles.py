@@ -508,7 +508,7 @@ def categorize_errors_reference(thread, key, response) -> "_errors.ErrorReport":
 
 def skeleton_document_reference(doc_id, sentences, chains) -> AnnotatedDocument:
     """A CoNLL document built through the checked constructors: every token by
-    ``Token``, the message and the thread by their dataclass constructors."""
+    ``Token``, the message and the thread by theirs."""
     offset = 0
     token_sentences = []
     for si, words in enumerate(sentences):

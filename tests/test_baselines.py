@@ -276,7 +276,6 @@ class TestRandomizedProperties:
     def test_rev_does_not_change_partitions(self):
         from threadcoref.features import date_permutation, reverse_document
         from threadcoref.model import AnnotatedDocument, CoreferenceChain
-        import dataclasses
 
         rng = random.Random(41)
         checked = 0
@@ -297,7 +296,7 @@ class TestRandomizedProperties:
                 base = resolver(doc.thread, mentions)
                 remapped = {
                     frozenset(
-                        dataclasses.replace(m, message_index=perm[m.message_index])
+                        m._replace(message_index=perm[m.message_index])
                         for m in c.mentions
                     )
                     for c in base.chains

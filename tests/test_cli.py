@@ -7,7 +7,6 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -443,8 +442,8 @@ class TestStats:
         # write_native leaves U+2028, U+2029 and U+0085 raw inside strings
         docs = read_native(gold_corpus.read_text(encoding="utf-8"))
         first = docs[0].thread.messages[0]
-        first = replace(first, subject="Budget\u2028review\u2029and\x85more")
-        docs[0] = replace(docs[0], thread=replace(docs[0].thread, messages=(
+        first = first._replace(subject="Budget\u2028review\u2029and\x85more")
+        docs[0] = docs[0]._replace(thread=docs[0].thread._replace(messages=(
             first, *docs[0].thread.messages[1:])))
         odd = tmp_path / "odd.jsonl"
         with open(odd, "w", encoding="utf-8") as fp:
@@ -834,8 +833,8 @@ class TestUnreadableNumbers:
         *sentences, final = last.sentences
         final = (*final[:-1], final[-1]._replace(char_end=float("inf")))
         # the checked constructors accept it: every comparison with inf holds
-        last = replace(last, sentences=(*sentences, final))
-        doc = replace(doc, thread=replace(doc.thread, messages=(*doc.thread.messages[:-1], last)))
+        last = last._replace(sentences=(*sentences, final))
+        doc = doc._replace(thread=doc.thread._replace(messages=(*doc.thread.messages[:-1], last)))
         with pytest.raises(ValueError, match="not JSON compliant"):
             write_native([doc], io.StringIO())
 
@@ -879,6 +878,30 @@ class TestNonIntegerNumbers:
             record["chains"][0]["id"] = True
         assert main(["stats", "--in", str(self._record(gold_corpus, tmp_path, edit))]) == 1
         assert capsys.readouterr().err == "error: line 1: $.chains[0].id: chain id must be an int\n"
+
+
+class TestPipedInput:
+    """A pair command reads a file that can be read only once, such as a pipe:
+    the lines read to tell its format are not lost."""
+
+    @pytest.mark.parametrize("fmt", ["native", "conll"])
+    @pytest.mark.parametrize("piped", ["--key", "--response"])
+    def test_score_reads_stdin(self, gold_corpus, tmp_path, fmt, piped):
+        path = gold_corpus
+        if fmt == "conll":
+            path = tmp_path / "gold.conll"
+            path.write_text(write_conll_documents(read_native(gold_corpus.read_text(encoding="utf-8"))),
+                            encoding="utf-8")
+        files = {"--key": str(path), "--response": str(path), piped: "/dev/stdin"}
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "threadcoref.cli", "score", *(a for o in files.items() for a in o)],
+            input=path.read_text(encoding="utf-8"), capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        header, values = proc.stdout.splitlines()
+        assert dict(zip(header.split("\t"), values.split("\t")))["avg_f1"] == "1.0000"
 
 
 class TestClosedStdout:
@@ -1186,7 +1209,7 @@ class TestCorrectionStats:
         def write(path, chains_by_id):
             docs = [
                 AnnotatedDocument(
-                    replace(example1_document.thread, id=doc_id),
+                    example1_document.thread._replace(id=doc_id),
                     (CoreferenceChain(1, (mention,)),),
                 )
                 for doc_id, mention in chains_by_id
@@ -1236,15 +1259,51 @@ class TestImports:
     HANDLER_MODULES = ("parsing", "filtering", "features", "baselines", "metrics", "errors")
 
     @staticmethod
-    def _loaded_after(code: str, cwd: Path) -> list[str]:
-        """Package submodules loaded by running ``code`` in a fresh interpreter."""
+    def _modules_after(code: str, cwd: Path) -> list[str]:
+        """Every module loaded by running ``code`` in a fresh interpreter."""
         src = Path(__file__).resolve().parent.parent / "src"
-        code += "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('threadcoref.'))))"
+        code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
         env = dict(os.environ, PYTHONPATH=str(src))
         out = subprocess.run(
             [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, check=True
         ).stdout
-        return [name.split(".", 1)[1] for name in json.loads(out)]
+        return json.loads(out)
+
+    @classmethod
+    def _loaded_after(cls, code: str, cwd: Path) -> list[str]:
+        """Package submodules loaded by running ``code`` in a fresh interpreter."""
+        return [name.split(".", 1)[1] for name in cls._modules_after(code, cwd) if name.startswith("threadcoref.")]
+
+    @staticmethod
+    def _running(*commands: list[str]) -> str:
+        """Code that runs each command through ``main``, its standard output dropped."""
+        lines = [f"    assert threadcoref.cli.main({command!r}) == 0\n" for command in commands]
+        return "import contextlib, io, threadcoref.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n" + "".join(lines)
+
+    def test_no_command_loads_dataclasses_or_inspect(self, gold_corpus, tmp_path):
+        # dataclasses loads inspect, and inspect loads ast, dis and tokenize:
+        # each command would pay for them at start-up
+        gold, parsed = str(gold_corpus), str(tmp_path / "parsed.jsonl")
+        commands = [
+            ["parse", "--in", str(CORPUS10_DIR), "--out", parsed],
+            ["filter", "--in", parsed, "--report", str(tmp_path / "report.tsv")],
+            ["features", "--in", gold, "--out", str(tmp_path / "features.jsonl"), "--mi", "--si", "--rev"],
+            ["resolve", "--baseline", "hb1", "--in", gold, "--out", str(tmp_path / "resolved.jsonl")],
+            ["score", "--key", gold, "--response", gold],
+            ["errors", "--key", gold, "--response", gold],
+            ["stats", "--in", gold],
+            ["correction-stats", "--pred", gold, "--gold", gold],
+        ]
+        for code in ("import threadcoref.cli", self._running(*commands)):
+            loaded = self._modules_after(code, tmp_path)
+            assert not {"dataclasses", "inspect"} & set(loaded), code
+
+    def test_resolve_loads_no_email(self, gold_corpus, tmp_path):
+        code = self._running(
+            ["resolve", "--baseline", "hb1", "--in", str(gold_corpus), "--out", str(tmp_path / "resolved.jsonl")])
+        loaded = self._modules_after(code, tmp_path)
+        assert "threadcoref.baselines" in loaded
+        assert not [name for name in loaded if name.split(".")[0] == "email"], loaded
 
     def test_cli_import_loads_no_handler_modules(self, tmp_path):
         loaded = self._loaded_after("import threadcoref.cli", tmp_path)

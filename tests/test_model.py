@@ -1,10 +1,15 @@
 import copy
+import operator
 import pickle
 import random
-from dataclasses import replace
+from dataclasses import field, make_dataclass
+from typing import Optional
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from threadcoref import baselines, errors, features, filtering, metrics, model, parsing
 from threadcoref.model import (
     AnnotatedDocument,
     CoreferenceChain,
@@ -60,6 +65,12 @@ class TestMention:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    def test_equals_no_plain_tuple(self):
+        mention = Mention(0, 1, 2, 3)
+        for plain in ((0, 1, 2, 3, None), mention.location):
+            assert mention != plain and plain != mention
+            assert not mention == plain and not plain == mention
+
     def test_equality_needs_all_four_location_fields(self):
         base = Mention(0, 1, 2, 3)
         assert base != Mention(1, 1, 2, 3)
@@ -89,12 +100,12 @@ class TestMention:
 
     def test_replace_and_pickle_keep_entity_type(self):
         mention = Mention(0, 1, 2, 3, EntityType.ORG)
-        moved = replace(mention, end_token=5)
+        moved = mention._replace(end_token=5)
         assert moved.location == (0, 1, 2, 5) and moved.entity_type is EntityType.ORG
         copy = pickle.loads(pickle.dumps(mention))
         assert copy == mention and copy.entity_type is EntityType.ORG
         with pytest.raises(ValueError, match="inverted"):
-            replace(mention, end_token=1)
+            mention._replace(end_token=1)
 
     def test_order_ignores_entity_type(self):
         assert sorted([Mention(0, 0, 2, 2), Mention(0, 0, 1, 4, EntityType.PER)]) == [
@@ -112,6 +123,126 @@ class TestMention:
                 mentions.add(Mention(rng.randint(0, 2), rng.randint(0, 2), start,
                                      start + rng.randint(0, 2), rng.choice(types)))
             assert sorted(mentions, key=mention_order) == sorted(mentions)
+
+
+# Mention as it was a frozen dataclass: the reference for its comparisons,
+# hash and repr; entity_type takes no part in equality, ordering or hashing.
+DataclassMention = make_dataclass(
+    "Mention",
+    [
+        ("message_index", int),
+        ("sentence_index", int),
+        ("start_token", int),
+        ("end_token", int),
+        ("entity_type", Optional[EntityType], field(default=None, compare=False)),
+    ],
+    frozen=True,
+    order=True,
+)
+
+
+@st.composite
+def mention_fields(draw):
+    start = draw(st.integers(0, 2))
+    return (draw(st.integers(0, 2)), draw(st.integers(0, 2)), start, start + draw(st.integers(0, 2)),
+            draw(st.sampled_from([None, *EntityType])))
+
+
+class TestMentionAgainstDataclass:
+    @given(st.lists(mention_fields(), min_size=2, max_size=8))
+    def test_compares_hashes_and_prints_as_the_dataclass(self, rows):
+        mentions = [Mention(*row) for row in rows]
+        references = [DataclassMention(*row) for row in rows]
+        for m, ref in zip(mentions, references):
+            assert hash(m) == hash(ref) == hash(m.location)
+            assert repr(m) == repr(ref)
+            for other, other_ref in zip(mentions, references):
+                for op in (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge):
+                    assert op(m, other) is op(ref, other_ref), (op, m, other)
+        assert [m.location for m in sorted(mentions)] == [
+            (r.message_index, r.sentence_index, r.start_token, r.end_token) for r in sorted(references)]
+        assert len(set(mentions)) == len(set(references))
+
+
+def _message(index=0, text="a"):
+    return EmailMessage(index=index, sentences=((tok(text, mi=index),),))
+
+
+# A value of each checked type, a change its constructor rejects, and the message.
+CHECKED = [
+    (Mention(0, 0, 1, 2), {"end_token": 0}, r"^mention span \[1, 0\] is inverted$"),
+    (Mention(0, 0, 1, 2), {"sentence_index": -1}, r"^sentence_index must be nonnegative$"),
+    (CoreferenceChain(3, (Mention(0, 0, 0, 0),)), {"chain_id": -1}, r"^chain_id must be nonnegative$"),
+    (CoreferenceChain(3, (Mention(0, 0, 0, 0),)), {"mentions": ()}, r"^chain 3 has no mentions$"),
+    (_message(), {"index": -1}, r"^message index must be nonnegative$"),
+    (_message(), {"sentences": ((tok("a", mi=2),),)}, r"^message 0: token 'a' carries message_index 2$"),
+    (EmailThread("t", (_message(),)), {"messages": (_message(1),)}, r"^thread t: message at position 0 has index 1$"),
+]
+
+
+class TestCheckedTuples:
+    @pytest.mark.parametrize("value, change, message", CHECKED)
+    def test_replace_and_make_raise_the_constructors_message(self, value, change, message):
+        fields = value._asdict() | change
+        with pytest.raises(ValueError, match=message):
+            type(value)(**fields)
+        with pytest.raises(ValueError, match=message):
+            value._replace(**change)
+        with pytest.raises(ValueError, match=message):
+            type(value)._make(fields.values())
+
+    def test_make_and_replace_normalize_as_the_constructor(self):
+        chain = CoreferenceChain._make([0, [Mention(0, 0, 0, 0)]])
+        assert type(chain) is CoreferenceChain and type(chain.mentions) is tuple and len(chain) == 1
+        doc = AnnotatedDocument(EmailThread("t"))._replace(chains=[chain])
+        assert type(doc) is AnnotatedDocument and doc.chains == (chain,)
+        message = _message()._replace(to_addrs=["x@y"], sentences=[[tok("b")]])
+        assert message.to_addrs == ("x@y",) and message.sentences == ((tok("b"),),)
+
+    def test_mentions_hold_no_instance_dict(self):
+        assert not hasattr(Mention(0, 0, 0, 0), "__dict__")
+
+
+def _value_types(example1_document):
+    """A value of every public value type of the package, built by the code that makes it."""
+    doc = example1_document
+    thread = doc.thread
+    mentions = sorted(set(doc.mentions()))
+    raw = parsing.RawThread(id="t", text="From: a@x.com\nSubject: s\n\nbody\n", source_path="t")
+    verdicts, report = filtering.filter_corpus([thread])
+    participants = baselines.build_participant_index(thread, mentions)
+    return [
+        thread.messages[0].sentences[0][0], thread.messages[0], thread, mentions[0], doc.chains[0], doc,
+        raw, parsing.ParserConfig(), parsing.parse_header(raw.text),
+        verdicts[0], filtering.ExclusionSet.from_threads([thread]), filtering.FilterConfig(), report,
+        filtering.summarize_thread(thread),
+        features.feature_annotation(thread),
+        participants, participants.by_message[0], baselines.resolve_hb2(thread, mentions),
+        baselines.UnresolvedPronoun(mentions[0], baselines.PronounClass.SECOND, "no recipient"),
+        metrics.muc_parts(doc.chains, doc.chains), metrics.muc(doc.chains, doc.chains),
+        metrics.score_documents([(doc.chains, doc.chains)]), metrics.correction_stats(mentions, mentions[1:]),
+        metrics.corpus_stats([doc]),
+        errors.align_chains(doc.chains, doc.chains), errors.categorize_errors(thread, doc.chains, doc.chains[1:]),
+    ]
+
+
+class TestValueTypes:
+    def test_every_value_type_pickles_round_trip(self, example1_document):
+        for value in _value_types(example1_document):
+            for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert type(again) is type(value)
+                assert again == value and again._asdict() == value._asdict()
+
+    def test_every_value_type_is_covered(self, example1_document):
+        covered = {type(value) for value in _value_types(example1_document)}
+        public = {
+            value
+            for module in (model, parsing, filtering, features, baselines, metrics, errors)
+            for name, value in vars(module).items()
+            if isinstance(value, type) and issubclass(value, tuple) and not name.startswith("_")
+            and value.__module__ == module.__name__
+        }
+        assert public == covered
 
 
 class TestTupleToken:

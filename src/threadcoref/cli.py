@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import os
 import sys
+from codecs import BOM_UTF8
 from contextlib import contextmanager
 from itertools import chain
 from operator import attrgetter
@@ -54,11 +56,12 @@ def _iter_thread_files(root: Path) -> Iterator[tuple[Path, str]]:
     links to files are listed and symbolic links to directories are not
     followed. The walk is lazy and reads one directory at a time, so it holds
     the entries of the directories on the current path, not the whole tree.
+    Any other ``root`` that exists, such as a pipe, is one thread file.
     """
-    if root.is_file():
-        yield root, root.name
-    elif root.is_dir():
+    if root.is_dir():
         yield from _walk_directory(str(root), "")
+    elif root.exists():
+        yield root, root.name
 
 
 def _walk_directory(directory: str, prefix: str) -> Iterator[tuple[Path, str]]:
@@ -130,22 +133,30 @@ def _map_jobs(func, items: Iterable, jobs: int) -> Iterator:
         raise failed.pop()
 
 
+def _read_head(fp: IO) -> list:
+    """The lines of an open file up to its first nonblank line, read from it.
+
+    A caller reads them again from this list and the rest from ``fp``, so a
+    pipe, whose lines can be read only once, reads as a file does.
+    """
+    head = []
+    for line in fp:
+        head.append(line)
+        if line.strip():
+            break
+    return head
+
+
 def _read_documents(path: str, *, thread: bool) -> Iterator:
     """The format of ``path``, then its checked documents in file order, one at
     a time; only with ``thread`` does a document hold its thread.
 
     The format is "CoNLL" when the first nonblank line starts with ``#``, else
     "native JSONL": the CoNLL reader takes only blank and ``#`` lines before
-    ``#begin document``, and a native record is a JSON object. The file is
-    opened once and the lines read to tell its format are read again from
-    memory, so a pipe reads as a file does.
+    ``#begin document``, and a native record is a JSON object.
     """
     with open(path, encoding="utf-8") as fp, utf8_input(path):
-        head = []
-        for line in fp:
-            head.append(line)
-            if line.strip():
-                break
+        head = _read_head(fp)
         lines = chain(head, fp)
         if head and head[-1].lstrip().startswith("#"):
             yield "CoNLL"
@@ -154,6 +165,35 @@ def _read_documents(path: str, *, thread: bool) -> Iterator:
             yield "native JSONL"
             for line_no, line in serialization.stream_native_lines(lines):
                 yield serialization.decode_line(line, line_no, thread=thread)
+
+
+def _read_input_file(path: Path) -> Iterator:
+    """What an input file holds, then its content, read from one open.
+
+    A file named ``*.jsonl``, a file whose first nonblank line starts with
+    ``{`` (after a byte order mark) and a file with no nonblank line hold
+    native JSONL records: "native JSONL" is yielded, then the numbered
+    nonblank lines that ``iter_native_lines`` gives. Any other file is one
+    thread file: "thread" is yielded, then its ``_thread_text``.
+    """
+    with open(path, "rb") as fp:
+        head = _read_head(fp)
+        if path.suffix == ".jsonl" or not head or head[-1].removeprefix(BOM_UTF8).lstrip().startswith(b"{"):
+            yield "native JSONL"
+            with utf8_input(path), io.TextIOWrapper(fp, encoding="utf-8") as rest:
+                # newline=None reads "\r\n" and "\r" as "\n", as the text file does
+                read = io.StringIO(b"".join(head).decode("utf-8"), newline=None)
+                yield from serialization.stream_native_lines(chain(read, rest))
+            return
+        text = _thread_text(b"".join(head) + fp.read())
+    yield "thread"
+    yield text
+
+
+def _thread_text(data: bytes) -> str:
+    """The text of a thread file's bytes: UTF-8 with invalid bytes replaced,
+    and each "\r\n" and "\r" made "\n", as a file read in text mode gives it."""
+    return data.decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _paired_documents(
@@ -256,7 +296,7 @@ def _parse_corpus_dir(
         raise ToolkitError(f"input {path} does not exist")
     config = ParserConfig.from_files(separators, footers)
     payloads = (
-        (file.read_text(encoding="utf-8", errors="replace"), rel, config, *extra)
+        (_thread_text(file.read_bytes()), rel, config, *extra)
         for file, rel in _iter_thread_files(path)
     )
     return _map_jobs(func, payloads, jobs)
@@ -288,11 +328,19 @@ def _cmd_filter(args) -> int:
         summarized = _parse_corpus_dir(
             path, args.separators, args.footers, args.jobs, _summarize_one, config
         )
-    elif args.separators is not None or args.footers is not None:
-        raise ToolkitError(f"--separators and --footers apply to a thread directory only, not to {path}")
     else:
-        lines = serialization.iter_native_lines(path)
-        summarized = _map_jobs(_summarize_line, ((n, line, config) for n, line in lines), args.jobs)
+        content = _read_input_file(path)
+        if next(content) == "thread":
+            from .parsing import ParserConfig
+
+            parser_config = ParserConfig.from_files(args.separators, args.footers)
+            summarized = [_summarize_one((next(content), path.name, parser_config, config))]
+        elif args.separators is not None or args.footers is not None:
+            raise ToolkitError(
+                f"--separators and --footers apply to thread files only, not to the JSONL file {path}"
+            )
+        else:
+            summarized = _map_jobs(_summarize_line, ((n, line, config) for n, line in content), args.jobs)
     summaries: dict[str, ThreadSummary] = {}
     for summary in summarized:
         # the corpus index keeps one copy per id, and no thread is compared with
@@ -485,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("filter", help="classify threads into filtering categories")
-    p.add_argument("--in", dest="input", required=True, help="thread directory or JSONL")
+    p.add_argument("--in", dest="input", required=True, help="thread directory, thread file or JSONL")
     p.add_argument("--exclude-fingerprints", help="file of fingerprints to exclude")
     p.add_argument("--report", required=True, help="TSV report output path")
     p.add_argument("--verdicts", help="optional per-thread verdict TSV")

@@ -6,6 +6,14 @@ separator lines ("-----Original Message-----", "Forwarded by ...") or fresh
 header blocks. All functions here are pure; threads can be parsed
 concurrently with no shared state.
 
+``parse_thread`` reads a thread in one walk over its lines: the text is
+split once, each line's field name and separator flag are computed once,
+messages are cut where those flags say, each message's header block is
+walked once for both its end and its fields, and each line is tokenized at
+its own offset in the thread. The stage functions ``split_messages``,
+``assign_sections``, ``parse_header`` and ``tokenize_and_sentence_split``
+are views over the same helpers, for one thread or one message slice.
+
 The tokenizer is deliberately simple: whitespace split, punctuation peeled
 off token edges, contraction suffixes split ("I'll" -> "I", "'ll"), email
 addresses kept whole. Sentences break at terminal punctuation in the body
@@ -18,9 +26,9 @@ from __future__ import annotations
 import re
 from datetime import datetime
 from functools import lru_cache
-from itertools import takewhile
+from itertools import accumulate, takewhile
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import wordlists
 from .model import EmailThread, Section, Token, ToolkitError, _assemble_thread, _intern, _tuple_new
@@ -66,7 +74,8 @@ class ParserConfig(NamedTuple):
 
 DEFAULT_CONFIG = ParserConfig()
 
-_HEADER_LINE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9-]*)\s*:\s?(.*)$")
+# a header line starts with its field name and a colon; a line never holds a line break
+_FIELD_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9-]*)\s*:")
 
 # Fields that prove we are looking at an email header at all.
 _KNOWN_FIELDS = frozenset(
@@ -80,15 +89,8 @@ _KNOWN_FIELDS = frozenset(
 SENDER_FIELDS = frozenset(["from", "x-from"])
 RECIPIENT_FIELDS = frozenset(["to", "cc", "bcc", "x-to", "x-cc", "x-bcc"])
 
-
-def _lines_with_offsets(text: str) -> list[tuple[str, int]]:
-    lines = []
-    offset = 0
-    for raw in text.splitlines(keepends=True):
-        line = raw.rstrip("\r\n")
-        lines.append((line, offset))
-        offset += len(raw)
-    return lines
+# str.splitlines() ends a line at "\r\n" and at each of these
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @lru_cache(maxsize=16)
@@ -103,14 +105,42 @@ def _marker_search(markers: tuple[str, ...]):
     return re.compile("|".join(map(re.escape, markers))).search
 
 
-def _is_separator(line: str, config: ParserConfig) -> bool:
-    return _marker_search(config.separator_markers)(line.casefold()) is not None
-
-
 def _header_field(line: str) -> Optional[str]:
     """Casefolded field name of a ``Name: value`` line, or None for any other line."""
-    m = _HEADER_LINE_RE.match(line)
+    m = _FIELD_NAME_RE.match(line)
     return m.group(1).casefold() if m else None
+
+
+def _line_facts(
+    lines: Iterable[str], folded: Iterable[str], config: ParserConfig
+) -> tuple[Iterator[Optional[str]], Iterator[Optional[re.Match]]]:
+    """What the grammar reads of each line: its ``_header_field``, and its
+    separator marker match, None when it holds no separator marker.
+
+    ``folded`` gives the casefolded lines, which the marker searches read.
+    Each line is read when it is asked for, so a walk that stops early
+    reads no lines past its end.
+    """
+    return map(_header_field, lines), map(_marker_search(config.separator_markers), folded)
+
+
+class _Lines(NamedTuple):
+    """The lines of a text and what the grammar reads of each line, once."""
+
+    text: list[str]  # each line as str.splitlines() gives it
+    offsets: list[int]  # where each line starts, then the length of the text
+    folded: list[str]  # each line casefolded
+    names: list[Optional[str]]  # each line's _header_field
+    separators: list[Optional[re.Match]]  # each line's separator marker match
+
+
+def _read_lines(text: str, config: ParserConfig) -> _Lines:
+    pieces = text.splitlines(keepends=True)
+    # a piece holds no line break but the one that ends it, so rstrip removes exactly that
+    lines = [piece.rstrip(_LINE_BREAKS) for piece in pieces]
+    folded = [line.casefold() for line in lines]
+    names, separators = map(list, _line_facts(lines, folded, config))
+    return _Lines(lines, [0, *accumulate(map(len, pieces))], folded, names, separators)
 
 
 def _starts_fresh_header_block(names: Sequence[Optional[str]], i: int) -> bool:
@@ -127,6 +157,92 @@ def _starts_fresh_header_block(names: Sequence[Optional[str]], i: int) -> bool:
     return ("date" in run or "sent" in run) and "subject" in run
 
 
+def _message_starts(raw: RawThread, lines: _Lines) -> list[int]:
+    """The first line of each message of a thread, in file order.
+
+    A separator line and a fresh header block open a message, unless the
+    running message holds nothing but blank and separator lines (e.g. a
+    marker immediately followed by the quoted header it announces). Raises
+    UnparseableThread when the text is blank or holds no known header line.
+    """
+    if not raw.text.strip():
+        raise UnparseableThread(f"thread {raw.id}: empty text")
+    names = lines.names
+    if _KNOWN_FIELDS.isdisjoint(names):
+        raise UnparseableThread(f"thread {raw.id}: no header block found")
+    starts = [0]
+    content = False  # the running message holds a line that is neither blank nor a separator
+    for i, (line, name, separator) in enumerate(zip(lines.text, names, lines.separators)):
+        if content and (separator or (name == "from" and _starts_fresh_header_block(names, i))):
+            starts.append(i)
+            content = False
+        if not content and not separator and line.strip():
+            content = True
+    return starts
+
+
+def _header_walk(
+    lines: Sequence[str], names: Iterable[Optional[str]], separators: Iterable[Optional[re.Match]]
+) -> tuple[int, dict[str, str]]:
+    """The header region of a message's lines: the line it ends before and its fields.
+
+    ``names`` and ``separators`` give each line's ``_line_facts``; the walk
+    reads them up to the line that closes the region. The region covers
+    leading separator/blank lines, then header lines with their folded
+    continuations; the first blank or ordinary line after a header line
+    closes it, and without a header line it is empty. A separator line
+    inside it adds to no field. A repeated field joins its nonempty values
+    with ", ", and a continuation joins the field before it with a space.
+    Field names are casefolded.
+    """
+    end = 0
+    fields: dict[str, str] = {}
+    current: Optional[str] = None
+    leading = True  # no line but separator and blank lines read yet
+    for i, (line, name, separator) in enumerate(zip(lines, names, separators)):
+        if leading:
+            if separator or not line.strip():
+                continue
+            leading = False
+        # past a header line (end > 0), a nonblank line indented by a space or tab continues it
+        if name is None and not (end and line[:1] in (" ", "\t") and line.strip()):
+            break
+        end = i + 1
+        if separator:
+            continue
+        if name is None:
+            if current:
+                fields[current] = f"{fields[current]} {line.strip()}".strip()
+            continue
+        current = name
+        value = line.partition(":")[2].strip()
+        if name not in fields:
+            fields[name] = value
+        elif value:
+            fields[name] = f"{fields[name]}, {value}"
+    return end, fields
+
+
+def _sections(count: int, header_end: int, body: Iterable[str], config: ParserConfig) -> list[Section]:
+    """Section labels of a message's ``count`` lines, whose header region ends before line ``header_end``.
+
+    ``body`` gives the casefolded lines from ``header_end`` on. The first
+    of them that holds a footer marker opens the footer region, which runs
+    to the end of the message.
+    """
+    search = _marker_search(config.footer_markers)
+    footer_start = header_end
+    for line in body:
+        if search(line):
+            break
+        footer_start += 1
+    return (
+        [Section.HEADER] * header_end
+        + [Section.BODY] * (footer_start - header_end)
+        + [Section.FOOTER] * (count - footer_start)
+    )
+
+
 def split_messages(
     raw: RawThread, config: ParserConfig = DEFAULT_CONFIG
 ) -> list[tuple[str, int]]:
@@ -137,37 +253,9 @@ def split_messages(
     offset 0. Raises UnparseableThread when the file contains no known
     header line at all.
     """
-    if not raw.text.strip():
-        raise UnparseableThread(f"thread {raw.id}: empty text")
-    lines = _lines_with_offsets(raw.text)
-    texts = [l for l, _ in lines]
-    names = [_header_field(l) for l in texts]
-    if _KNOWN_FIELDS.isdisjoint(names):
-        raise UnparseableThread(f"thread {raw.id}: no header block found")
-
-    boundaries = [0]
-    for i in range(1, len(texts)):
-        line = texts[i]
-        is_boundary = _is_separator(line, config) or _starts_fresh_header_block(names, i)
-        if not is_boundary:
-            continue
-        # Suppress a split when the running segment holds nothing but its
-        # own separator/blank lines (e.g. a marker immediately followed by
-        # the quoted header it announces).
-        segment = texts[boundaries[-1] : i]
-        if all(not l.strip() or _is_separator(l, config) for l in segment):
-            continue
-        boundaries.append(i)
-
-    slices = []
-    for k, start_line in enumerate(boundaries):
-        end_line = boundaries[k + 1] if k + 1 < len(boundaries) else len(lines)
-        start_char = lines[start_line][1]
-        end_char = (
-            lines[end_line][1] if end_line < len(lines) else len(raw.text)
-        )
-        slices.append((raw.text[start_char:end_char], start_char))
-    return slices
+    lines = _read_lines(raw.text, config)
+    bounds = [lines.offsets[i] for i in _message_starts(raw, lines)] + [len(raw.text)]
+    return [(raw.text[a:b], a) for a, b in zip(bounds, bounds[1:])]
 
 
 class HeaderFields(NamedTuple):
@@ -220,53 +308,61 @@ def split_address_list(value: str) -> tuple[str, ...]:
     return tuple(items)
 
 
-def _header_block(lines: Sequence[str], config: ParserConfig) -> tuple[int, dict[str, str]]:
-    """The leading header region of a message slice: its end and its fields.
+# the time of a 12-hour clock, as in "Sent: Monday, May 14, 2001 3:10 PM"; group 1 is AM or PM
+_MERIDIEM_RE = re.compile(r"\d:\d\d(?::\d\d)?\s*([AaPp][Mm])\b")
 
-    The region covers leading separator/blank lines, then header lines with
-    their folded continuations; the first blank or ordinary line after a
-    header line closes it, and without a header line it is empty. A
-    separator line inside it adds to no field. A repeated field joins its
-    nonempty values with ", ", and a continuation joins the field before it
-    with a space. Field names are casefolded.
+
+def _parse_date(value: str) -> Optional[datetime]:
+    """A Date:/Sent: value as a datetime, or None when it is no date.
+
+    email.utils would read an AM or PM after the time as an unknown time
+    zone and keep the hour as written, so it is cut out first and applied
+    to the hour after: 3:10 PM is 15:10 and 12:05 AM is 00:05.
     """
-    start = 0
-    n = len(lines)
-    while start < n and (not lines[start].strip() or _is_separator(lines[start], config)):
-        start += 1
-    end = 0
-    fields: dict[str, str] = {}
-    current: Optional[str] = None
-    for i in range(start, n):
-        line = lines[i]
-        name = _header_field(line)
-        # past a header line (end > 0), a nonblank line indented by a space or tab continues it
-        if name is None and not (end and line[:1] in (" ", "\t") and line.strip()):
-            break
-        end = i + 1
-        if _is_separator(line, config):
-            continue
-        if name is None:
-            if current:
-                fields[current] = f"{fields[current]} {line.strip()}".strip()
-            continue
-        current = name
-        value = line.partition(":")[2].strip()
-        if name not in fields:
-            fields[name] = value
-        elif value:
-            fields[name] = f"{fields[name]}, {value}"
-    return end, fields
+    # imported here, so that a command that never parses a header never loads email
+    from email.utils import parsedate_to_datetime
+
+    meridiem = _MERIDIEM_RE.search(value)
+    if meridiem:
+        value = value[: meridiem.start(1)] + value[meridiem.end(1) :]
+    try:
+        date = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if meridiem and 1 <= date.hour <= 12:
+        date = date.replace(hour=date.hour % 12 + (12 if meridiem.group(1)[0] in "Pp" else 0))
+    return date
 
 
-def _footer_region_start(
-    lines: Sequence[str], header_end: int, config: ParserConfig
-) -> int:
-    search = _marker_search(config.footer_markers)
-    for j in range(header_end, len(lines)):
-        if search(lines[j].casefold()):
-            return j
-    return len(lines)
+def _header_values(fields: dict[str, str]) -> dict:
+    """The message fields, as HeaderFields names them, that a header block's fields give."""
+    date = None
+    for key in ("date", "sent"):
+        if key in fields:
+            date = _parse_date(fields[key])
+            if date is not None:
+                break
+
+    from_addr = None
+    value = fields.get("from")
+    if value:
+        if "<" in value:
+            from email.utils import parseaddr
+
+            from_addr = parseaddr(value)[1] or value.strip()
+        else:
+            from_addr = value.strip()
+
+    return {
+        "date": date,
+        "from_addr": from_addr,
+        "to_addrs": split_address_list(fields.get("to", "")),
+        "cc_addrs": split_address_list(fields.get("cc", "")),
+        "subject": fields.get("subject") or None,
+        "x_from": fields.get("x-from") or None,
+        "x_to": split_address_list(fields.get("x-to", "")),
+        "x_cc": split_address_list(fields.get("x-cc", "")),
+    }
 
 
 def assign_sections(
@@ -278,13 +374,8 @@ def assign_sections(
     follow the pattern HEADER* BODY* FOOTER*.
     """
     lines = message_text.splitlines()
-    header_end, _ = _header_block(lines, config)
-    footer_start = _footer_region_start(lines, header_end, config)
-    return (
-        [Section.HEADER] * header_end
-        + [Section.BODY] * (footer_start - header_end)
-        + [Section.FOOTER] * (len(lines) - footer_start)
-    )
+    header_end, _ = _header_walk(lines, *_line_facts(lines, map(str.casefold, lines), config))
+    return _sections(len(lines), header_end, map(str.casefold, lines[header_end:]), config)
 
 
 def parse_header(message_text: str, config: ParserConfig = DEFAULT_CONFIG) -> HeaderFields:
@@ -294,39 +385,9 @@ def parse_header(message_text: str, config: ParserConfig = DEFAULT_CONFIG) -> He
     tokens. Address lists split per split_address_list; a missing field is
     absent (None or empty tuple), never an empty string.
     """
-    # imported here, so that a command that never parses a header never loads email
-    from email.utils import parsedate_to_datetime, parseaddr
-
-    _, fields = _header_block(message_text.splitlines(), config)
-
-    date = None
-    for key in ("date", "sent"):
-        if key in fields:
-            try:
-                date = parsedate_to_datetime(fields[key])
-                break
-            except (TypeError, ValueError):
-                continue
-
-    from_addr = None
-    if "from" in fields and fields["from"]:
-        value = fields["from"]
-        if "<" in value:
-            _, addr = parseaddr(value)
-            from_addr = addr or value.strip()
-        else:
-            from_addr = value.strip()
-
-    return HeaderFields(
-        date=date,
-        from_addr=from_addr,
-        to_addrs=split_address_list(fields.get("to", "")),
-        cc_addrs=split_address_list(fields.get("cc", "")),
-        subject=fields.get("subject") or None,
-        x_from=fields.get("x-from") or None,
-        x_to=split_address_list(fields.get("x-to", "")),
-        x_cc=split_address_list(fields.get("x-cc", "")),
-    )
+    lines = message_text.splitlines()
+    fields = _header_walk(lines, *_line_facts(lines, map(str.casefold, lines), config))[1]
+    return HeaderFields(**_header_values(fields))
 
 
 _LEADING_PUNCT = set("([{<\"“”‘’`")
@@ -396,6 +457,53 @@ def _tokenize_line(line: str, line_offset: int) -> list[tuple[str, int, int]]:
     return toks
 
 
+def _sentences(
+    lines: Sequence[str],
+    offsets: Sequence[int],
+    sections: Sequence[Section],
+    message_index: int,
+    direct: bool,
+) -> tuple[tuple[Token, ...], ...]:
+    """Sentences of Tokens of ``lines``, each line tokenized at its offset.
+
+    A body sentence ends after a token of terminal marks and may span
+    lines; a header or footer line is one sentence. Each token is built
+    once, without Token's checks. Unless ``direct`` says the arguments pass
+    them, every token then goes through Token, which raises what it raises.
+    """
+    sentences: list[tuple[Token, ...]] = []
+    body: list[Token] = []  # the open body sentence
+    for line, offset, section in zip(lines, offsets, sections):
+        toks = _tokenize_line(line, offset)
+        if section is Section.BODY:
+            si = len(sentences)
+            ti = len(body)
+            for t, cs, ce in toks:
+                body.append(_tuple_new(Token, (_intern(t), si, ti, message_index, section, cs, ce)))
+                ti += 1
+                # only a token that ends in a terminal mark can be all terminal marks
+                if t[-1] in ".?!" and _TERMINAL_RE.match(t):
+                    sentences.append(tuple(body))
+                    body = []
+                    si += 1
+                    ti = 0
+        else:
+            if body:
+                sentences.append(tuple(body))
+                body = []
+            if toks:
+                si = len(sentences)
+                sentences.append(tuple([
+                    _tuple_new(Token, (_intern(t), si, ti, message_index, section, cs, ce))
+                    for ti, (t, cs, ce) in enumerate(toks)
+                ]))
+    if body:
+        sentences.append(tuple(body))
+    if not direct:
+        return tuple(tuple([Token(*tok) for tok in sentence]) for sentence in sentences)
+    return tuple(sentences)
+
+
 def tokenize_and_sentence_split(
     text: str,
     *,
@@ -409,36 +517,13 @@ def tokenize_and_sentence_split(
     and footer lines become one sentence each; body sentences break after a
     terminal-punctuation token and may span lines.
     """
-    lines = _lines_with_offsets(text)
+    pieces = text.splitlines(keepends=True)
     if sections is None:
-        sections = [Section.BODY] * len(lines)
-    if len(sections) != len(lines):
+        sections = [Section.BODY] * len(pieces)
+    if len(sections) != len(pieces):
         raise ValueError(
-            f"sections length {len(sections)} != line count {len(lines)}"
+            f"sections length {len(sections)} != line count {len(pieces)}"
         )
-
-    raw_sentences: list[tuple[Section, list[tuple[str, int, int]]]] = []
-    body_current: list[tuple[str, int, int]] = []
-
-    def flush_body() -> None:
-        if body_current:
-            raw_sentences.append((Section.BODY, list(body_current)))
-            body_current.clear()
-
-    for (line, offset), section in zip(lines, sections):
-        toks = _tokenize_line(line, base_offset + offset)
-        if section is Section.BODY:
-            for tok in toks:
-                body_current.append(tok)
-                # only a token that ends in a terminal mark can be all terminal marks
-                if tok[0][-1] in ".?!" and _TERMINAL_RE.match(tok[0]):
-                    flush_body()
-        else:
-            flush_body()
-            if toks:
-                raw_sentences.append((section, toks))
-    flush_body()
-
     # texts are nonempty strings, indices count from 0 and offsets rise, so
     # with these argument types every Token check holds and each token is
     # built directly; any other argument goes through Token and its checks
@@ -449,17 +534,9 @@ def tokenize_and_sentence_split(
         and base_offset >= 0
         and all(isinstance(section, Section) for section in sections)
     )
-    # sentences from lists: tuple() of a generator resizes a 10-slot tuple, so a freed
-    # sentence would fill another size's free list, which only a full collection empties
-    return tuple(
-        tuple([
-            _tuple_new(Token, (_intern(t), si, ti, message_index, section, cs, ce))
-            if direct
-            else Token(t, si, ti, message_index, section, cs, ce)
-            for ti, (t, cs, ce) in enumerate(toks)
-        ])
-        for si, (section, toks) in enumerate(raw_sentences)
-    )
+    # trailing line-break characters make no token, so each piece is tokenized whole
+    offsets = accumulate(map(len, pieces[:-1]), initial=base_offset)
+    return _sentences(pieces, offsets, sections, message_index, direct)
 
 
 def parse_thread(raw: RawThread, config: ParserConfig = DEFAULT_CONFIG) -> EmailThread:
@@ -471,15 +548,17 @@ def parse_thread(raw: RawThread, config: ParserConfig = DEFAULT_CONFIG) -> Email
     thread holds every invariant the constructors check and is assembled
     without running them again.
     """
+    lines = _read_lines(raw.text, config)
+    starts = _message_starts(raw, lines)
     messages = []
-    for i, (text, offset) in enumerate(split_messages(raw, config)):
-        sentences = tokenize_and_sentence_split(
-            text,
-            sections=assign_sections(text, config),
-            message_index=i,
-            base_offset=offset,
-        )
-        messages.append({**parse_header(text, config)._asdict(), "index": i, "sentences": sentences})
+    for i, (start, stop) in enumerate(zip(starts, [*starts[1:], len(lines.text)])):
+        text = lines.text[start:stop]
+        header_end, fields = _header_walk(text, lines.names[start:stop], lines.separators[start:stop])
+        sections = _sections(len(text), header_end, lines.folded[start + header_end : stop], config)
+        message = _header_values(fields)
+        message["index"] = i
+        message["sentences"] = _sentences(text, lines.offsets[start:stop], sections, i, True)
+        messages.append(message)
     return _assemble_thread(raw.id, messages, raw.source_path)
 
 

@@ -12,11 +12,13 @@ chain-set intersection, the error categorizer by set intersection per chain
 pair, the character loop of the hex-attachment detector, the tokenizer
 that split every chunk, marker tests by substring, the thread summary that
 rebuilt each body once per check, the duplicate check that scanned the
-whole corpus per thread, and the header grammar of separate line
-predicates read by a region walk and a second field walk. Differential
-tests require the package to agree with them. They share the package's
-unchanged helpers (chain normalization, model types, the chunk splitter,
-the marker search).
+whole corpus per thread, the header grammar of separate line
+predicates read by a region walk and a second field walk, and the thread
+parser that ran the four stage functions one after another, each
+splitting its message slice into lines again. Differential tests require
+the package to agree with them. They share the package's unchanged
+helpers (chain normalization, model types, the chunk splitter, the
+address-list splitter).
 """
 from __future__ import annotations
 
@@ -577,20 +579,18 @@ def tokenize_line_reference(line: str, line_offset: int) -> list[tuple[str, int,
     return toks
 
 
-def sentence_split_reference(text: str, sections=None) -> tuple[tuple[Token, ...], ...]:
+def sentence_split_reference(
+    text: str, sections=None, message_index: int = 0, base_offset: int = 0
+) -> tuple[tuple[Token, ...], ...]:
     """Sentences of checked Tokens: a body sentence ends after an all-terminal
     token, a header or footer line is one sentence."""
-    lines = []
-    offset = 0
-    for raw in text.splitlines(keepends=True):
-        lines.append((raw.rstrip("\r\n"), offset))
-        offset += len(raw)
+    lines = lines_with_offsets_reference(text)
     if sections is None:
         sections = [Section.BODY] * len(lines)
     raw_sentences = []
     body = []
     for (line, offset), section in zip(lines, sections):
-        toks = tokenize_line_reference(line, offset)
+        toks = tokenize_line_reference(line, base_offset + offset)
         if section is Section.BODY:
             for tok in toks:
                 body.append(tok)
@@ -606,7 +606,7 @@ def sentence_split_reference(text: str, sections=None) -> tuple[tuple[Token, ...
     if body:
         raw_sentences.append((Section.BODY, body))
     return tuple(
-        tuple(Token(t, si, ti, 0, section, cs, ce) for ti, (t, cs, ce) in enumerate(toks))
+        tuple(Token(t, si, ti, message_index, section, cs, ce) for ti, (t, cs, ce) in enumerate(toks))
         for si, (section, toks) in enumerate(raw_sentences)
     )
 
@@ -723,10 +723,20 @@ def starts_fresh_header_block_reference(lines, i: int) -> bool:
     return has_date and has_subject
 
 
+def lines_with_offsets_reference(text: str) -> list[tuple[str, int]]:
+    """Each line of ``text`` with only its "\r" and "\n" cut off, and its offset."""
+    lines = []
+    offset = 0
+    for raw in text.splitlines(keepends=True):
+        lines.append((raw.rstrip("\r\n"), offset))
+        offset += len(raw)
+    return lines
+
+
 def split_messages_reference(raw, config=_parsing.DEFAULT_CONFIG) -> list[tuple[str, int]]:
     if not raw.text.strip():
         raise _parsing.UnparseableThread(f"thread {raw.id}: empty text")
-    lines = _parsing._lines_with_offsets(raw.text)
+    lines = lines_with_offsets_reference(raw.text)
     texts = [l for l, _ in lines]
     known = (_HEADER_LINE_RE.match(l) for l in texts)
     if not any(m is not None and m.group(1).casefold() in _parsing._KNOWN_FIELDS for m in known):
@@ -734,10 +744,12 @@ def split_messages_reference(raw, config=_parsing.DEFAULT_CONFIG) -> list[tuple[
     boundaries = [0]
     for i in range(1, len(texts)):
         line = texts[i]
-        if not (_parsing._is_separator(line, config) or starts_fresh_header_block_reference(texts, i)):
+        if not (
+            has_marker_reference(line, config.separator_markers) or starts_fresh_header_block_reference(texts, i)
+        ):
             continue
         segment = texts[boundaries[-1] : i]
-        if all(not l.strip() or _parsing._is_separator(l, config) for l in segment):
+        if all(not l.strip() or has_marker_reference(l, config.separator_markers) for l in segment):
             continue
         boundaries.append(i)
     slices = []
@@ -753,7 +765,7 @@ def header_region_end_reference(lines, config=_parsing.DEFAULT_CONFIG) -> int:
     """Leading separator/blank lines, then header lines and their folded continuations."""
     i = 0
     n = len(lines)
-    while i < n and (not lines[i].strip() or _parsing._is_separator(lines[i], config)):
+    while i < n and (not lines[i].strip() or has_marker_reference(lines[i], config.separator_markers)):
         i += 1
     saw_header = False
     while i < n:
@@ -780,13 +792,16 @@ def assign_sections_reference(message_text: str, config=_parsing.DEFAULT_CONFIG)
 
 
 def parse_header_reference(message_text: str, config=_parsing.DEFAULT_CONFIG) -> "_parsing.HeaderFields":
-    """The fields of the region's lines, read in a second walk over the region."""
+    """The fields of the region's lines, read in a second walk over the region.
+
+    The date is as email.utils reads it, which keeps the hour of a 12-hour
+    time as written; the differential tests generate no AM/PM dates."""
     lines = message_text.splitlines()
     header_end = header_region_end_reference(lines, config)
     fields: dict[str, str] = {}
     current: Optional[str] = None
     for line in lines[:header_end]:
-        if _parsing._is_separator(line, config) or not line.strip():
+        if has_marker_reference(line, config.separator_markers) or not line.strip():
             continue
         m = _HEADER_LINE_RE.match(line)
         if m:
@@ -826,3 +841,15 @@ def parse_header_reference(message_text: str, config=_parsing.DEFAULT_CONFIG) ->
         x_to=split(fields.get("x-to", "")),
         x_cc=split(fields.get("x-cc", "")),
     )
+
+
+def parse_thread_reference(raw, config=_parsing.DEFAULT_CONFIG) -> EmailThread:
+    """The stages one after another, each reading its message slice again: cut
+    the thread into slices, then label, read the header of and tokenize each
+    slice, and build the thread through the checked constructors."""
+    messages = []
+    for i, (text, offset) in enumerate(split_messages_reference(raw, config)):
+        sentences = sentence_split_reference(text, assign_sections_reference(text, config), i, offset)
+        fields = parse_header_reference(text, config)._asdict()
+        messages.append(EmailMessage(index=i, sentences=sentences, **fields))
+    return EmailThread(raw.id, tuple(messages), raw.source_path)

@@ -54,6 +54,17 @@ class TestParse:
         assert len(docs) == 10
         assert [d.thread.id for d in docs] == sorted(d.thread.id for d in docs)
 
+    def test_pipe_is_one_thread_file(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        done = subprocess.run(
+            [sys.executable, "-m", "threadcoref.cli", "parse", "--in", "/dev/stdin", "--out", str(out)],
+            input=(DATA_DIR / "example1.txt").read_bytes(), capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert done.returncode == 0, done.stderr
+        golden = (DATA_DIR / "golden" / "example1.jsonl").read_text(encoding="utf-8")
+        assert out.read_text(encoding="utf-8") == golden.replace('"example1.txt"', '"stdin"')
+
     def test_single_file(self, tmp_path):
         out = tmp_path / "one.jsonl"
         code = main(["parse", "--in", str(DATA_DIR / "example1.txt"), "--out", str(out)])
@@ -90,6 +101,24 @@ class TestParse:
         main(["parse", "--in", str(CORPUS10_DIR), "--out", str(default)])
         # without the original-message marker, fewer messages are split off
         assert outs[0] == outs[1] != default.read_bytes()
+
+
+class TestGoldenParse:
+    """parse output on the shipped fixtures, byte for byte, under both job counts.
+
+    The golden files hold the output of the parser that ran the four stage
+    functions one after another on each message slice."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("source, golden", [
+        (CORPUS10_DIR, "corpus10.jsonl"),
+        (DATA_DIR / "example1.txt", "example1.jsonl"),
+        (Path(__file__).parents[1] / "demos" / "data", "demos.jsonl"),
+    ], ids=["corpus10", "example1", "demos"])
+    def test_same_bytes(self, tmp_path, source, golden, jobs):
+        out = tmp_path / "out.jsonl"
+        assert main(["parse", "--in", str(source), "--out", str(out), "--jobs", jobs]) == 0
+        assert out.read_bytes() == (DATA_DIR / "golden" / golden).read_bytes()
 
 
 class TestFilter:
@@ -140,6 +169,68 @@ class TestFilter:
         assert outs[0] == outs[1] == outs[2]
         assert outs[0][1].count(b"\n") == 11
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_thread_file_same_verdicts_as_its_directory(self, tmp_path, jobs):
+        directory = tmp_path / "threads"
+        directory.mkdir()
+        (directory / "example1.txt").write_bytes((DATA_DIR / "example1.txt").read_bytes())
+        outs = []
+        for source in (DATA_DIR / "example1.txt", directory):
+            report, verdicts = tmp_path / f"r{len(outs)}.tsv", tmp_path / f"v{len(outs)}.tsv"
+            assert main(["filter", "--in", str(source), "--report", str(report), "--verdicts", str(verdicts),
+                         "--min-messages", "1", "--jobs", jobs]) == 0
+            outs.append((report.read_bytes(), verdicts.read_bytes()))
+        assert outs[0] == outs[1]
+        assert outs[0][1] == b"thread_id\tcategory\tdetail\nexample1.txt\taccepted\t\n"
+
+    def test_thread_file_read_as_in_a_directory(self, tmp_path):
+        # CRLF line ends, a leading blank line and invalid UTF-8 in the body, read as parse reads them
+        text = (DATA_DIR / "example1.txt").read_bytes().replace(b"\n", b"\r\n").replace(b"Gloria", b"Glo\xffria")
+        directory = tmp_path / "threads"
+        directory.mkdir()
+        thread_file = directory / "t.txt"
+        thread_file.write_bytes(b"\r\n" + text)
+        outs = []
+        # the standard input is a pipe, whose first lines can be read only once
+        for source in (thread_file, directory, "/dev/stdin"):
+            verdicts = tmp_path / f"v{len(outs)}.tsv"
+            done = subprocess.run(
+                [sys.executable, "-m", "threadcoref.cli", "filter", "--in", str(source), "--report",
+                 str(tmp_path / "r.tsv"), "--verdicts", str(verdicts), "--min-messages", "1"],
+                input=thread_file.read_bytes(), capture_output=True,
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            )
+            assert done.returncode == 0, done.stderr
+            outs.append(verdicts.read_text(encoding="utf-8"))
+        assert outs[0] == outs[1] == outs[2].replace("stdin", "t.txt")
+        assert outs[0].splitlines()[1].startswith("t.txt\taccepted")
+
+    @pytest.mark.parametrize("content", ["", "\n \r\n"])
+    def test_blank_file_is_an_empty_jsonl_file(self, tmp_path, content):
+        source = tmp_path / "empty.jsonl"
+        source.write_text(content, encoding="utf-8")
+        report = tmp_path / "r.tsv"
+        assert main(["filter", "--in", str(source), "--report", str(report)]) == 0
+        assert report.read_text().splitlines()[-1] == "total\t0"
+
+    @pytest.mark.parametrize("name, first, error", [
+        ("bom.txt", b"\xef\xbb\xbf", "error: line 1: invalid JSON: Unexpected UTF-8 BOM"),
+        ("damaged.jsonl", b"garbage\n", "error: line 1: invalid JSON: Expecting value"),
+    ])
+    def test_broken_jsonl_reports_its_record(self, gold_corpus, tmp_path, capsys, name, first, error):
+        # a byte order mark before the first record, or a ".jsonl" name, keeps a file JSONL
+        source = tmp_path / name
+        source.write_bytes(first + gold_corpus.read_bytes())
+        assert main(["filter", "--in", str(source), "--report", str(tmp_path / "r.tsv")]) == 1
+        assert capsys.readouterr().err.startswith(error)
+
+    def test_jsonl_line_numbers_count_every_line_end(self, gold_corpus, tmp_path, capsys):
+        # "\r" ends a line in a text file; the lines read to tell the format keep that count
+        source = tmp_path / "bad.jsonl"
+        source.write_bytes(b"\r\n\r" + b'{"id": 5}\n' + gold_corpus.read_bytes())
+        assert main(["filter", "--in", str(source), "--report", str(tmp_path / "r.tsv")]) == 1
+        assert capsys.readouterr().err.startswith("error: line 3: ")
+
     def test_jobs_runs_workers_on_parsed_records(self, gold_corpus, tmp_path, monkeypatch):
         from threadcoref import cli
 
@@ -181,7 +272,7 @@ class TestFilter:
         report = tmp_path / "report.tsv"
         assert main(["filter", "--in", str(gold_corpus), "--report", str(report), flag, "/nonexistent"]) == 1
         assert capsys.readouterr() == ("", (
-            f"error: --separators and --footers apply to a thread directory only, not to {gold_corpus}\n"))
+            f"error: --separators and --footers apply to thread files only, not to the JSONL file {gold_corpus}\n"))
         assert not report.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -2,6 +2,8 @@ import pickle
 import random
 import re
 import sys
+from collections import Counter
+from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import pytest
@@ -107,6 +109,27 @@ class TestParseHeader:
             "From: a@x.com\nSubject: a very\n\tlong subject line\n\nbody\n"
         )
         assert fields.subject == "a very long subject line"
+
+    @pytest.mark.parametrize("value, expected", [
+        ("Monday, May 14, 2001 3:10 PM", datetime(2001, 5, 14, 15, 10)),
+        ("Mon, 14 May 2001 12:05 AM", datetime(2001, 5, 14, 0, 5)),
+        ("Mon, 14 May 2001 12:30 pm", datetime(2001, 5, 14, 12, 30)),
+        ("Mon, 14 May 2001 3:10:22PM -0700", datetime(2001, 5, 14, 15, 10, 22, tzinfo=timezone(timedelta(hours=-7)))),
+        # no AM or PM: the hour as written
+        ("Mon, 14 May 2001 3:10:00 -0800", datetime(2001, 5, 14, 3, 10, tzinfo=timezone(timedelta(hours=-8)))),
+    ])
+    def test_12_hour_time(self, value, expected):
+        date = parse_header(f"From: a@x.com\nSent: {value}\nSubject: s\n\nx\n").date
+        assert (date, date.utcoffset()) == (expected, expected.utcoffset())
+
+    def test_12_hour_time_of_a_quoted_message(self):
+        text = TWO_MESSAGE_TEXT.replace(
+            "Mon, 17 Dec 2001 09:00:00 -0800 (PST)", "Monday, December 17, 2001 3:10 PM"
+        )
+        thread = parse_thread(RawThread(id="t", text=text))
+        assert [m.date for m in thread.messages] == [
+            datetime(2001, 12, 17, 10, tzinfo=timezone(timedelta(hours=-8))), datetime(2001, 12, 17, 15, 10),
+        ]
 
 
 class TestSplitAddressList:
@@ -409,6 +432,16 @@ _MARKERS = st.lists(
 ).map(tuple)
 
 
+def _separators(lines, config) -> list[bool]:
+    read = parsing._read_lines("".join(line + "\n" for line in lines), config)
+    return [separator is not None for separator in read.separators]
+
+
+def _footer_start(lines, header_end, config) -> int:
+    sections = parsing._sections(len(lines), header_end, map(str.casefold, lines[header_end:]), config)
+    return len(lines) - sections.count(Section.FOOTER)
+
+
 class TestMarkerDifferential:
     """Marker tests by one compiled search against substring tests, kept in ``oracles``."""
 
@@ -420,23 +453,22 @@ class TestMarkerDifferential:
     ), header_end=st.integers(0, 6))
     def test_same_lines_match(self, markers, lines, header_end):
         config = ParserConfig(separator_markers=markers, footer_markers=markers)
-        for line in lines:
-            assert parsing._is_separator(line, config) == oracles.has_marker_reference(line, markers)
-        assert parsing._footer_region_start(lines, header_end, config) == (
+        assert _separators(lines, config) == [oracles.has_marker_reference(line, markers) for line in lines]
+        assert _footer_start(lines, header_end, config) == (
             oracles.footer_region_start_reference(lines, header_end, markers)
         )
 
     def test_no_markers_match_nothing_and_an_empty_marker_matches_all(self):
-        assert not parsing._is_separator("", ParserConfig(separator_markers=()))
-        assert not parsing._is_separator("-----Original Message-----", ParserConfig(separator_markers=()))
-        assert parsing._is_separator("", ParserConfig(separator_markers=("x", "")))
-        assert parsing._footer_region_start(["a", "b"], 1, ParserConfig(footer_markers=("",))) == 1
-        assert parsing._footer_region_start(["a", "b"], 0, ParserConfig(footer_markers=())) == 2
+        assert _separators(["", "-----Original Message-----"], ParserConfig(separator_markers=())) == [
+            False, False,
+        ]
+        assert _separators([""], ParserConfig(separator_markers=("x", ""))) == [True]
+        assert _footer_start(["a", "b"], 1, ParserConfig(footer_markers=("",))) == 1
+        assert _footer_start(["a", "b"], 0, ParserConfig(footer_markers=())) == 2
 
     def test_metacharacters_are_literal(self):
         config = ParserConfig(separator_markers=("a.c", "(x|y)"))
-        assert not parsing._is_separator("abc xy", config)
-        assert parsing._is_separator("A.C", config) and parsing._is_separator("z (X|Y) z", config)
+        assert _separators(["abc xy", "A.C", "z (X|Y) z"], config) == [False, True, True]
 
 
 # header lines of every field the grammar names, in mixed case, with and
@@ -510,3 +542,69 @@ class TestHeaderBlockDifferential:
         fields = parse_header(text)
         assert fields.subject is None
         assert fields.from_addr == "a@acme.com continued"
+
+
+# what ends each line: mostly only the newline, sometimes first a character
+# that str.splitlines() ends a line at and rstrip("\r\n") keeps
+_LINE_ENDS = st.lists(st.sampled_from(["", "", "", "\x0c", "\x85", "\u2028"]), min_size=1, max_size=40)
+
+
+class TestParseThreadDifferential:
+    """The one walk of parse_thread against the four stage functions run one
+    after another, each reading its slice again, kept in ``oracles``."""
+
+    @staticmethod
+    def _same_thread(raw, config=parsing.DEFAULT_CONFIG) -> None:
+        try:
+            expected = oracles.parse_thread_reference(raw, config)
+        except UnparseableThread as exc:
+            with pytest.raises(UnparseableThread, match=f"^{re.escape(str(exc))}$"):
+                parse_thread(raw, config)
+            return
+        assert parse_thread(raw, config) == expected
+
+    @settings(max_examples=600, deadline=None)
+    @given(lines=_BLOCK_LINES, ends=_LINE_ENDS, newline=st.sampled_from(["\n", "\r\n"]), config=_HEADER_CONFIGS)
+    def test_generated_lines(self, lines, ends, newline, config):
+        text = newline.join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+        self._same_thread(RawThread(id="t", text=text, source_path="t.txt"), config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_fixtures(self, data):
+        self._same_thread(RawThread(id="m", text=_mutated(data)))
+
+    def test_fixtures(self, example1_text):
+        for i, text in enumerate([example1_text, TWO_MESSAGE_TEXT, *_FIXTURE_TEXTS]):
+            self._same_thread(RawThread(id=str(i), text=text))
+
+    def test_line_breaks_are_those_of_splitlines(self):
+        # the walk cuts exactly these off each line, so its lines are those of str.splitlines()
+        breaks = {chr(c) for c in range(0x3000) if len(f"a{chr(c)}b".splitlines()) == 2}
+        assert breaks == set(parsing._LINE_BREAKS)
+
+
+class TestOneWalk:
+    """parse_thread reads each line's field name and separator flag once."""
+
+    def test_each_line_tested_once(self):
+        real_search = parsing._marker_search
+        for text in [TWO_MESSAGE_TEXT, *_FIXTURE_TEXTS]:
+            searches = Counter()
+
+            def counting_search(markers):
+                search = real_search(markers)
+
+                def counted(line):
+                    searches[markers] += 1
+                    return search(line)
+
+                return counted
+
+            with mock.patch.object(parsing, "_header_field", wraps=parsing._header_field) as field, \
+                    mock.patch.object(parsing, "_marker_search", counting_search):
+                parse_thread(RawThread(id="t", text=text))
+            lines = len(text.splitlines())
+            assert field.call_count == lines
+            assert searches[parsing.DEFAULT_CONFIG.separator_markers] == lines
+            assert searches[parsing.DEFAULT_CONFIG.footer_markers] <= lines

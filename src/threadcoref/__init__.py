@@ -107,8 +107,6 @@ _EXPORTS = {
             "MalformedColumn",
             "NativeSchemaError",
             "OverlappingIdenticalSpan",
-            "iter_conll",
-            "iter_native",
             "read_conll",
             "read_conll_documents",
             "read_native",

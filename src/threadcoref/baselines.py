@@ -27,10 +27,25 @@ from .model import (
     EmailThread,
     Mention,
     Section,
+    Token,
     mention_order,
     mention_tokens,
 )
-from .parsing import RECIPIENT_FIELDS, SENDER_FIELDS, header_field_of_sentence
+
+# header fields whose mentions are a message's sender and its recipients
+SENDER_FIELDS = frozenset(["from", "x-from"])
+RECIPIENT_FIELDS = frozenset(["to", "cc", "bcc", "x-to", "x-cc", "x-bcc"])
+
+
+def header_field_of_sentence(sentence: Sequence[Token]) -> Optional[str]:
+    """Casefolded header field name of a header-line sentence, if any.
+
+    A header sentence tokenizes as NAME ":" VALUE...; returns NAME when the
+    sentence is a header line, else None.
+    """
+    if len(sentence) >= 2 and sentence[0].section is Section.HEADER and sentence[1].text == ":":
+        return sentence[0].text.casefold()
+    return None
 
 
 class PronounClass(enum.Enum):

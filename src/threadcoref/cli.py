@@ -49,22 +49,14 @@ def _emit_table(rows: Sequence[Sequence[str]], out, pretty: bool) -> None:
             out.write("\n")
 
 
-def _iter_thread_files(root: Path) -> Iterator[tuple[Path, str]]:
-    """Each thread file under ``root`` with its relative name, in sorted order.
-
-    The files and the order are those of ``sorted(root.rglob("*"))``: symbolic
-    links to files are listed and symbolic links to directories are not
-    followed. The walk is lazy and reads one directory at a time, so it holds
-    the entries of the directories on the current path, not the whole tree.
-    Any other ``root`` that exists, such as a pipe, is one thread file.
-    """
-    if root.is_dir():
-        yield from _walk_directory(str(root), "")
-    elif root.exists():
-        yield root, root.name
-
-
 def _walk_directory(directory: str, prefix: str) -> Iterator[tuple[Path, str]]:
+    """Each file under ``directory`` with ``prefix`` and its path under it.
+
+    The files and the order are those of ``sorted(Path(directory).rglob("*"))``:
+    symbolic links to files are listed and symbolic links to directories are
+    not followed. The walk is lazy and reads one directory at a time, so it
+    holds the entries of the directories on the current path, not the whole tree.
+    """
     # a directory listed in name order, each subdirectory walked where it sorts,
     # gives the order of sorted paths, which compare part by part
     try:
@@ -133,67 +125,90 @@ def _map_jobs(func, items: Iterable, jobs: int) -> Iterator:
         raise failed.pop()
 
 
-def _read_head(fp: IO) -> list:
-    """The lines of an open file up to its first nonblank line, read from it.
+# What an input path can hold, named as messages name it
+_DIRECTORY, _THREAD, _JSONL, _CONLL = "a thread directory", "a thread file", "native JSONL", "CoNLL"
 
-    A caller reads them again from this list and the rest from ``fp``, so a
-    pipe, whose lines can be read only once, reads as a file does.
+
+def _open_input(path: str, role: str, kinds: tuple[str, ...], *, thread: bool = True) -> Iterator:
+    """What ``path`` holds, then its content, read from one open.
+
+    A directory holds thread files. Any other path is one file, and its
+    first nonblank line, after a UTF-8 byte order mark and leading
+    whitespace, tells what it holds: ``{`` starts native JSONL and ``#``
+    CoNLL. A file with no nonblank line, or one named ``*.jsonl``, is native
+    JSONL, and any other file is one thread file. The lines read to tell
+    this are read again from memory, so a pipe reads as a file does.
+
+    The content is (text, name) pairs of thread files, in the order of
+    sorted paths; the numbered nonblank lines of native JSONL; or the
+    documents of CoNLL, which hold their threads only if ``thread``. A path
+    that holds none of ``kinds`` is an error naming the ``role``, the path
+    and what it holds.
     """
-    head = []
-    for line in fp:
-        head.append(line)
-        if line.strip():
-            break
-    return head
 
+    def checked(kind: str) -> str:
+        if kind not in kinds:
+            wanted = " or ".join(filter(None, (", ".join(kinds[:-1]), kinds[-1])))
+            raise ToolkitError(f"{role} {path} is {kind}, not {wanted}")
+        return kind
 
-def _read_documents(path: str, *, thread: bool) -> Iterator:
-    """The format of ``path``, then its checked documents in file order, one at
-    a time; only with ``thread`` does a document hold its thread.
-
-    The format is "CoNLL" when the first nonblank line starts with ``#``, else
-    "native JSONL": the CoNLL reader takes only blank and ``#`` lines before
-    ``#begin document``, and a native record is a JSON object.
-    """
-    with open(path, encoding="utf-8") as fp, utf8_input(path):
-        head = _read_head(fp)
-        lines = chain(head, fp)
-        if head and head[-1].lstrip().startswith("#"):
-            yield "CoNLL"
-            yield from serialization.stream_conll_documents(lines, thread=thread)
+    if os.path.isdir(path):
+        yield checked(_DIRECTORY)
+        for file, name in _walk_directory(path, ""):
+            yield _thread_text(file.read_bytes()), name
+        return
+    try:
+        fp = open(path, "rb")
+    except FileNotFoundError:
+        raise ToolkitError(f"{role} {path} does not exist") from None
+    with fp:
+        # read again from this list, so that a pipe reads as a file does
+        head = []
+        for line in fp:
+            head.append(line)
+            if line.strip():
+                break
+        first = head[-1].removeprefix(BOM_UTF8).lstrip() if head else b""
+        if first.startswith(b"#"):
+            kind = _CONLL
+        elif first.startswith(b"{") or not first or path.endswith(".jsonl"):
+            kind = _JSONL
         else:
-            yield "native JSONL"
-            for line_no, line in serialization.stream_native_lines(lines):
-                yield serialization.decode_line(line, line_no, thread=thread)
-
-
-def _read_input_file(path: Path) -> Iterator:
-    """What an input file holds, then its content, read from one open.
-
-    A file named ``*.jsonl``, a file whose first nonblank line starts with
-    ``{`` (after a byte order mark) and a file with no nonblank line hold
-    native JSONL records: "native JSONL" is yielded, then the numbered
-    nonblank lines that ``iter_native_lines`` gives. Any other file is one
-    thread file: "thread" is yielded, then its ``_thread_text``.
-    """
-    with open(path, "rb") as fp:
-        head = _read_head(fp)
-        if path.suffix == ".jsonl" or not head or head[-1].removeprefix(BOM_UTF8).lstrip().startswith(b"{"):
-            yield "native JSONL"
-            with utf8_input(path), io.TextIOWrapper(fp, encoding="utf-8") as rest:
-                # newline=None reads "\r\n" and "\r" as "\n", as the text file does
-                read = io.StringIO(b"".join(head).decode("utf-8"), newline=None)
-                yield from serialization.stream_native_lines(chain(read, rest))
+            kind = _THREAD
+        yield checked(kind)
+        if kind == _THREAD:
+            yield _thread_text(b"".join(head) + fp.read()), Path(path).name
             return
-        text = _thread_text(b"".join(head) + fp.read())
-    yield "thread"
-    yield text
+        with utf8_input(path), io.TextIOWrapper(fp, encoding="utf-8") as rest:
+            # newline=None reads "\r\n" and "\r" as "\n", as the rest is read
+            lines = chain(io.StringIO(b"".join(head).decode("utf-8"), newline=None), rest)
+            if kind == _CONLL:
+                yield from serialization.stream_conll_documents(lines, thread=thread)
+            else:
+                yield from serialization.stream_native_lines(lines)
 
 
 def _thread_text(data: bytes) -> str:
     """The text of a thread file's bytes: UTF-8 with invalid bytes replaced,
     and each "\r\n" and "\r" made "\n", as a file read in text mode gives it."""
     return data.decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _pair_documents(path: str, role: str, thread: bool) -> Iterator:
+    """The format of one file of a pair, then its checked documents in file
+    order; only with ``thread`` does a document hold its thread. A record
+    the file's reader rejects is an error that names the file."""
+    content = _open_input(path, f"{role} file", (_JSONL, _CONLL), thread=thread)
+    kind = next(content)
+    yield kind
+    try:
+        if kind == _CONLL:
+            yield from content
+        else:
+            for line_no, line in content:
+                yield serialization.decode_line(line, line_no, thread=thread)
+    except (serialization.NativeSchemaError, serialization.MalformedColumn) as exc:
+        raise ToolkitError(f"{role} file {path}: {exc}") from None
 
 
 def _paired_documents(
@@ -217,11 +232,11 @@ def _paired_documents(
     when the second file is first read.
     """
     (first_path, first_role), (second_path, second_role) = first, second
-    firsts = _read_documents(first_path, thread=first_thread)
+    firsts = _pair_documents(first_path, first_role, first_thread)
     first_format = next(firsts)
 
     def read_seconds() -> Iterator[AnnotatedDocument]:
-        docs = _read_documents(second_path, thread=False)
+        docs = _pair_documents(second_path, second_role, False)
         second_format = next(docs)
         if first_format != second_format:
             raise ToolkitError(
@@ -256,7 +271,7 @@ def _paired_documents(
                 break
             ahead[other.thread.id] = other
         else:
-            raise ToolkitError(f"{second_role} file has no document {doc_id!r}")
+            raise ToolkitError(f"{second_role} file {second_path} has no document {doc_id!r}")
     for other in seconds:
         check_second(other)
 
@@ -284,22 +299,15 @@ def _replacing(path: str) -> Iterator[IO[str]]:
         partial_out.unlink(missing_ok=True)
 
 
-def _parse_corpus_dir(
-    path: Path, separators: Optional[str], footers: Optional[str], jobs: int, func, *extra
+def _map_threads(
+    threads: Iterable[tuple[str, str]], separators: Optional[str], footers: Optional[str], jobs: int, func, *extra
 ) -> Iterator:
-    """``func`` of (text, relative path, parser config, *extra) for every
-    thread file under ``path``, in file order; each file is read as it is needed."""
+    """``func`` of (text, name, parser config, *extra) for each thread, lazily
+    and in input order, in ``jobs`` processes."""
     from .parsing import ParserConfig
 
-    if not path.exists():
-        # the walk would yield nothing, and a mistyped path would pass as an empty corpus
-        raise ToolkitError(f"input {path} does not exist")
     config = ParserConfig.from_files(separators, footers)
-    payloads = (
-        (_thread_text(file.read_bytes()), rel, config, *extra)
-        for file, rel in _iter_thread_files(path)
-    )
-    return _map_jobs(func, payloads, jobs)
+    return _map_jobs(func, ((text, name, config, *extra) for text, name in threads), jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +315,9 @@ def _parse_corpus_dir(
 # ---------------------------------------------------------------------------
 
 def _cmd_parse(args) -> int:
-    lines = _parse_corpus_dir(Path(args.input), args.separators, args.footers, args.jobs, _parse_one)
+    threads = _open_input(args.input, "input", (_DIRECTORY, _THREAD))
+    next(threads)
+    lines = _map_threads(threads, args.separators, args.footers, args.jobs, _parse_one)
     with _replacing(args.out) as fp:
         fp.writelines(lines)
     return 0
@@ -323,36 +333,28 @@ def _cmd_filter(args) -> int:
         stopword_min_fraction=args.stopword_min_fraction,
         language_min_tokens=args.language_min_tokens,
     )
-    path = Path(args.input)
-    if path.is_dir():
-        summarized = _parse_corpus_dir(
-            path, args.separators, args.footers, args.jobs, _summarize_one, config
-        )
-    else:
-        content = _read_input_file(path)
-        if next(content) == "thread":
-            from .parsing import ParserConfig
-
-            parser_config = ParserConfig.from_files(args.separators, args.footers)
-            summarized = [_summarize_one((next(content), path.name, parser_config, config))]
-        elif args.separators is not None or args.footers is not None:
-            raise ToolkitError(
-                f"--separators and --footers apply to thread files only, not to the JSONL file {path}"
-            )
-        else:
-            summarized = _map_jobs(_summarize_line, ((n, line, config) for n, line in content), args.jobs)
-    summaries: dict[str, ThreadSummary] = {}
-    for summary in summarized:
-        # the corpus index keeps one copy per id, and no thread is compared with
-        # its own id, so the copies of a repeated id would pass as distinct
-        if summary.id in summaries:
-            raise ToolkitError(f"input file {path} repeats document id {summary.id!r}")
-        summaries[summary.id] = summary
+    # a wrong exclusion file is an error before the corpus is read
     exclusion = (
         filtering.ExclusionSet.from_file(args.exclude_fingerprints)
         if args.exclude_fingerprints
         else filtering.ExclusionSet()
     )
+    content = _open_input(args.input, "input", (_DIRECTORY, _THREAD, _JSONL))
+    if next(content) != _JSONL:
+        summarized = _map_threads(content, args.separators, args.footers, args.jobs, _summarize_one, config)
+    elif args.separators is not None or args.footers is not None:
+        raise ToolkitError(
+            f"--separators and --footers apply to thread files only, not to the JSONL file {args.input}"
+        )
+    else:
+        summarized = _map_jobs(_summarize_line, ((n, line, config) for n, line in content), args.jobs)
+    summaries: dict[str, ThreadSummary] = {}
+    for summary in summarized:
+        # the corpus index keeps one copy per id, and no thread is compared with
+        # its own id, so the copies of a repeated id would pass as distinct
+        if summary.id in summaries:
+            raise ToolkitError(f"input file {args.input} repeats document id {summary.id!r}")
+        summaries[summary.id] = summary
     verdicts, report = filtering.filter_summaries(list(summaries.values()), exclusion, config)
     rows = [("category", "count")]
     rows += [(cat.value, str(count)) for cat, count in report.counts]
@@ -371,8 +373,11 @@ def _cmd_features(args) -> int:
     from .features import reverse_document
 
     columns = [name for name, wanted in (("mi", args.mi), ("si", args.si)) if wanted]
+    lines = _open_input(args.input, "input", (_JSONL,))
+    next(lines)
     with _replacing(args.out) as fp:
-        for _, doc in serialization.iter_native(args.input):
+        for line_no, line in lines:
+            doc = serialization.decode_line(line, line_no)
             if args.rev:
                 doc = reverse_document(doc, descending=args.rev == "descending")
             serialization.write_native((doc,), fp, features=columns)
@@ -392,7 +397,8 @@ def _resolve_one(payload: tuple[int, str, str]) -> str:
 
 
 def _cmd_resolve(args) -> int:
-    lines = serialization.iter_native_lines(args.input)
+    lines = _open_input(args.input, "input", (_JSONL,))
+    next(lines)
     payloads = ((line_no, line, args.baseline) for line_no, line in lines)
     with _replacing(args.out) as fp:
         fp.writelines(_map_jobs(_resolve_one, payloads, args.jobs))
@@ -452,7 +458,9 @@ def _cmd_errors(args) -> int:
 def _cmd_stats(args) -> int:
     from . import metrics
 
-    stats = metrics.corpus_stats(doc for _, doc in serialization.iter_native(args.input))
+    lines = _open_input(args.input, "input", (_JSONL,))
+    next(lines)
+    stats = metrics.corpus_stats(serialization.decode_line(line, line_no) for line_no, line in lines)
     rows = [
         ("statistic", "value"),
         ("email_threads", str(stats.thread_count)),

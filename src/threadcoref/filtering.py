@@ -26,7 +26,7 @@ from pathlib import PurePath
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import wordlists
-from .model import EmailMessage, EmailThread, Section, utf8_input
+from .model import EmailMessage, EmailThread, Section, ToolkitError, utf8_input
 
 
 class FilterCategory(enum.Enum):
@@ -73,9 +73,16 @@ class ExclusionSet(NamedTuple):
 
     @classmethod
     def from_file(cls, path) -> "ExclusionSet":
+        """The fingerprints of a file of one per line, as ``fingerprint_message`` writes them."""
         with open(path, encoding="utf-8") as fp, utf8_input(path):
-            lines = fp.read().splitlines()
-        return cls(frozenset(l.strip() for l in lines if l.strip()))
+            lines = [line.strip() for line in fp.read().splitlines()]
+        for line_no, line in enumerate(lines, start=1):
+            # any other file, such as a verdicts table, would pass as one that excludes nothing
+            if line and not _FINGERPRINT_RE.fullmatch(line):
+                raise ToolkitError(
+                    f"exclusion file {path}: line {line_no} is not a message fingerprint (16 lowercase hex digits)"
+                )
+        return cls(frozenset(filter(None, lines)))
 
 
 class FilterConfig(NamedTuple):
@@ -92,6 +99,8 @@ DEFAULT_FILTER_CONFIG = FilterConfig()
 
 _SUBJECT_PREFIX_RE = re.compile(r"^\s*((re|fw|fwd)\s*:\s*)+", re.IGNORECASE)
 _WHITESPACE_RE = re.compile(r"\s+")
+# what fingerprint_message writes: an 8-byte digest in hex
+_FINGERPRINT_RE = re.compile(r"[0-9a-f]{16}")
 
 
 def _normalized_subject(subject: Optional[str]) -> str:

@@ -86,9 +86,6 @@ _KNOWN_FIELDS = frozenset(
     ]
 )
 
-SENDER_FIELDS = frozenset(["from", "x-from"])
-RECIPIENT_FIELDS = frozenset(["to", "cc", "bcc", "x-to", "x-cc", "x-bcc"])
-
 # str.splitlines() ends a line at "\r\n" and at each of these
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -560,14 +557,3 @@ def parse_thread(raw: RawThread, config: ParserConfig = DEFAULT_CONFIG) -> Email
         message["sentences"] = _sentences(text, lines.offsets[start:stop], sections, i, True)
         messages.append(message)
     return _assemble_thread(raw.id, messages, raw.source_path)
-
-
-def header_field_of_sentence(sentence: Sequence[Token]) -> Optional[str]:
-    """Casefolded header field name of a header-line sentence, if any.
-
-    A header sentence tokenizes as NAME ":" VALUE...; returns NAME when the
-    sentence is a header line, else None.
-    """
-    if len(sentence) >= 2 and sentence[0].section is Section.HEADER and sentence[1].text == ":":
-        return sentence[0].text.casefold()
-    return None

@@ -30,7 +30,6 @@ from .model import (
     _overlap_message,
     _tuple_new,
     mention_order,
-    utf8_input,
 )
 
 
@@ -192,18 +191,12 @@ def read_conll_documents(text: str) -> list[AnnotatedDocument]:
     return list(iter_conll_documents(text.splitlines()))
 
 
-def iter_conll(path, *, thread: bool = True) -> Iterator[AnnotatedDocument]:
-    """Read a CoNLL column file one document at a time, in file order.
+def stream_conll_documents(fp: Iterable[str], *, thread: bool = True) -> Iterator[AnnotatedDocument]:
+    """The documents of an open CoNLL text file, one at a time, in file order.
 
     Lines split as ``str.splitlines`` splits the whole text, so a file reads
     as ``read_conll_documents`` reads its text.
     """
-    with open(path, encoding="utf-8") as fp, utf8_input(path):
-        yield from stream_conll_documents(fp, thread=thread)
-
-
-def stream_conll_documents(fp: Iterable[str], *, thread: bool = True) -> Iterator[AnnotatedDocument]:
-    """The documents of an open CoNLL text file, read from its lines as ``iter_conll`` reads them."""
     # each "\n"-ended piece splits exactly as it does inside the whole text
     return iter_conll_documents((line for chunk in fp for line in chunk.splitlines()), thread=thread)
 
@@ -605,25 +598,14 @@ def write_native_string(
     return buf.getvalue()
 
 
-def _nonblank_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    for line_no, line in enumerate(lines, start=1):
-        if line.strip():
-            yield line_no, line
-
-
-def iter_native_lines(path) -> Iterator[tuple[int, str]]:
-    """The nonblank lines of a JSONL file, each with its 1-based line number,
-    read one at a time, as ``read_native`` splits the file's text."""
-    with open(path, encoding="utf-8") as fp, utf8_input(path):
-        yield from stream_native_lines(fp)
-
-
-def stream_native_lines(fp: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """The nonblank lines of an open JSONL text file, numbered as ``iter_native_lines`` numbers them."""
+def stream_native_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """The nonblank lines of an open JSONL text file, or of a JSONL text split
+    at "\n", one at a time, each with its 1-based line number."""
     # a text file in universal-newline mode turns "\r\n" and "\r" into "\n",
     # as Path.read_text does, and then ends its lines at "\n" only
-    for line_no, line in _nonblank_lines(fp):
-        yield line_no, line[:-1] if line.endswith("\n") else line
+    for line_no, line in enumerate(lines, start=1):
+        if line.strip():
+            yield line_no, line[:-1] if line.endswith("\n") else line
 
 
 def _reject_constant(name: str):
@@ -643,15 +625,9 @@ def decode_line(line: str, line_no: int, *, thread: bool = True) -> AnnotatedDoc
         raise NativeSchemaError(exc.path, exc.message, line_no) from None
 
 
-def iter_native(path) -> Iterator[tuple[int, AnnotatedDocument]]:
-    """Read a native JSONL file one record at a time: (line number, document)."""
-    for line_no, line in iter_native_lines(path):
-        yield line_no, decode_line(line, line_no)
-
-
 def read_native(source: IO[str] | str) -> list[AnnotatedDocument]:
     """Read JSONL records into annotated documents."""
     text = source if isinstance(source, str) else source.read()
     # only "\n" ends a record: str.splitlines() would also split at U+2028,
     # U+2029 and U+0085, which write_native leaves raw inside strings
-    return [decode_line(line, line_no) for line_no, line in _nonblank_lines(text.split("\n"))]
+    return [decode_line(line, line_no) for line_no, line in stream_native_lines(text.split("\n"))]

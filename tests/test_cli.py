@@ -15,7 +15,7 @@ from conftest import CORPUS10_DIR, DATA_DIR, synthetic_document
 from threadcoref import cli
 from threadcoref.cli import main
 from threadcoref.filtering import fingerprint_message
-from threadcoref.model import AnnotatedDocument, CoreferenceChain, Mention
+from threadcoref.model import AnnotatedDocument, CoreferenceChain, Mention, ToolkitError
 from threadcoref.serialization import read_native, write_conll, write_conll_documents, write_native
 
 
@@ -266,6 +266,20 @@ class TestFilter:
             f"error: input file {repeated} repeats document id {doc_id!r}\n")
         assert not report.exists()
 
+    @pytest.mark.parametrize("kind", ["verdicts", "corpus"])
+    def test_exclusion_file_of_another_kind_exits_1(self, gold_corpus, tmp_path, capsys, kind):
+        # read as holding no fingerprint, either would exclude nothing
+        verdicts = tmp_path / "v.tsv"
+        assert main(["filter", "--in", str(gold_corpus), "--report", str(tmp_path / "r0.tsv"),
+                     "--verdicts", str(verdicts)]) == 0
+        exclusion = verdicts if kind == "verdicts" else gold_corpus
+        report = tmp_path / "report.tsv"
+        assert main(["filter", "--in", str(gold_corpus), "--report", str(report),
+                     "--exclude-fingerprints", str(exclusion)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: exclusion file {exclusion}: line 1 is not a message fingerprint (16 lowercase hex digits)\n")
+        assert not report.exists()
+
     @pytest.mark.parametrize("flag", ["--separators", "--footers"])
     def test_parser_flag_on_records_exits_1(self, gold_corpus, tmp_path, capsys, flag):
         # records are parsed already: the flag would be ignored, its file never opened
@@ -490,7 +504,7 @@ class TestScore:
         response = tmp_path / "r.conll"
         response.write_text("\n".join(lines), encoding="utf-8")
         assert main(["score", "--key", str(key), "--response", str(response)]) == 1
-        assert capsys.readouterr() == ("", f"error: line {row + 1}: bad coref entry {entry!r}\n")
+        assert capsys.readouterr() == ("", f"error: response file {response}: line {row + 1}: bad coref entry {entry!r}\n")
 
 
 class TestErrors:
@@ -620,14 +634,15 @@ class TestPairing:
             row = "".join(units).count("\n") + 2
             message = f"line {row}: expected >= 5 columns, got 1"
         gold, extra = write("gold", units), write("extra", units + [broken])
-        assert self._run(capsys, command, first, second, gold, extra) == (1, "", f"error: {message}\n")
+        assert self._run(capsys, command, first, second, gold, extra) == (
+            1, "", f"error: {roles[1]} file {extra}: {message}\n")
 
     def test_missing_document_exits_1(self, gold_corpus, tmp_path, capsys, command, first, second, roles):
         units, write = self._units(gold_corpus, tmp_path)
         gold, missing = write("gold", units), write("missing", units[:2] + units[3:])
         doc_id = read_native(gold_corpus.read_text(encoding="utf-8"))[2].thread.id
         assert self._run(capsys, command, first, second, gold, missing) == (
-            1, "", f"error: {roles[1]} file has no document {doc_id!r}\n")
+            1, "", f"error: {roles[1]} file {missing} has no document {doc_id!r}\n")
 
 
 class TestConllPairing(TestPairing):
@@ -691,8 +706,8 @@ class TestMixedFormats:
         conll = self._conll(gold_corpus, tmp_path)
         assert main([command, first, str(broken), second, str(conll)]) == 1
         assert capsys.readouterr() == ("", (
-            "error: line 1: invalid JSON: Expecting property name enclosed in double quotes: "
-            "line 1 column 2 (char 1)\n"))
+            f"error: {roles[0]} file {broken}: line 1: invalid JSON: Expecting property name enclosed in "
+            "double quotes: line 1 column 2 (char 1)\n"))
 
 
 class TestRepeatedMentions:
@@ -707,7 +722,7 @@ class TestRepeatedMentions:
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         location = tuple(chains[0]["mentions"][0][:4])
         at = f"$.chains[1].mentions[{len(chains[1]['mentions']) - 1}]"
-        return path, f"error: line 1: {at}: mention at {location} is already in chain {chains[0]['id']}\n"
+        return path, f"line 1: {at}: mention at {location} is already in chain {chains[0]['id']}"
 
     @pytest.mark.parametrize("command", ["score", "errors", "correction-stats", "stats", "resolve"])
     def test_exits_1_with_one_line(self, gold_corpus, tmp_path, capsys, command):
@@ -719,8 +734,11 @@ class TestRepeatedMentions:
             "stats": ["--in", shared],
             "resolve": ["--baseline", "hb1", "--in", shared, "--out", tmp_path / "out.jsonl"],
         }[command]
+        # a pair command names the file it read the record from
+        role = {"score": "response", "errors": "response", "correction-stats": "gold"}.get(command)
+        where = f"{role} file {shared}: " if role else ""
         assert main([command, *map(str, args)]) == 1
-        assert capsys.readouterr() == ("", message)
+        assert capsys.readouterr() == ("", f"error: {where}{message}\n")
 
     @pytest.mark.parametrize("command", ["score", "errors"])
     def test_conll_span_in_two_chains(self, gold_corpus, tmp_path, capsys, command):
@@ -734,7 +752,7 @@ class TestRepeatedMentions:
         key.write_text(text, encoding="utf-8")
         assert main([command, "--key", str(key), "--response", str(response)]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: line {row + 1}: chain 901: span at sentence ")
+        assert out == "" and err.startswith(f"error: response file {response}: line {row + 1}: chain 901: span at sentence ")
         assert err.endswith(" is already in chain 900\n") and err.count("\n") == 1
 
 
@@ -761,10 +779,105 @@ class TestSpanAddressesNoToken:
             "errors": ["--key", stray, "--response", gold_corpus],
             "correction-stats": ["--pred", gold_corpus, "--gold", stray],
         }[command]
+        # a pair command names the file it read the record from
+        role = {"score": "response", "errors": "key", "correction-stats": "gold"}.get(command)
+        where = f"{role} file {stray}: " if role else ""
         assert main([command, *map(str, args)]) == 1
         assert capsys.readouterr() == ("", (
-            f"error: line 2: $.chains[0].mentions[0]: mention at {tuple(mention[:4])} addresses no token\n"))
+            f"error: {where}line 2: $.chains[0].mentions[0]: mention at {tuple(mention[:4])} addresses no token\n"))
         assert not out.exists()
+
+
+# command -> (arguments, with {input} for the file or files read and {out}
+# for a file written; the kinds of input the command reads)
+INPUT_RULE_COMMANDS = {
+    "parse": (["--in", "{input}", "--out", "{out}"], ("a thread directory", "a thread file")),
+    "filter": (["--in", "{input}", "--report", "{out}"], ("a thread directory", "a thread file", "native JSONL")),
+    "features": (["--in", "{input}", "--out", "{out}", "--mi", "--si"], ("native JSONL",)),
+    "resolve": (["--baseline", "hb2", "--in", "{input}", "--out", "{out}"], ("native JSONL",)),
+    "stats": (["--in", "{input}"], ("native JSONL",)),
+    "score": (["--key", "{input}", "--response", "{input}"], ("native JSONL", "CoNLL")),
+    "errors": (["--key", "{input}", "--response", "{input}"], ("native JSONL", "CoNLL")),
+    "correction-stats": (["--pred", "{input}", "--gold", "{input}"], ("native JSONL", "CoNLL")),
+}
+# what each kind of input holds, as messages name it; an empty file is native JSONL
+INPUT_KINDS = {
+    "directory": "a thread directory",
+    "thread": "a thread file",
+    "jsonl": "native JSONL",
+    "conll": "CoNLL",
+    "empty": "native JSONL",
+}
+
+
+class TestOneInputRule:
+    """Every command tells what its input holds by one rule, and reads it or
+    exits 1 with one line that names the path and what it holds."""
+
+    # how a pair command names its first file, the one it reads first
+    ROLES = {"score": "key file", "errors": "key file", "correction-stats": "pred file"}
+
+    @staticmethod
+    def _inputs(gold_corpus, tmp_path) -> dict[str, Path]:
+        directory = tmp_path / "threads"
+        directory.mkdir()
+        (directory / "example1.txt").write_bytes((DATA_DIR / "example1.txt").read_bytes())
+        conll = tmp_path / "gold.conll"
+        conll.write_text(write_conll_documents(read_native(gold_corpus.read_text(encoding="utf-8"))),
+                         encoding="utf-8")
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"")
+        return {"directory": directory, "thread": DATA_DIR / "example1.txt", "jsonl": gold_corpus,
+                "conll": conll, "empty": empty}
+
+    @pytest.mark.parametrize("source", INPUT_KINDS)
+    @pytest.mark.parametrize("command", INPUT_RULE_COMMANDS)
+    def test_reads_its_kinds_and_names_any_other(self, gold_corpus, tmp_path, capsys, command, source):
+        args, kinds = INPUT_RULE_COMMANDS[command]
+        path, out = self._inputs(gold_corpus, tmp_path)[source], tmp_path / "out"
+        status = main([command, *(a.format(input=path, out=out) for a in args)])
+        captured = capsys.readouterr()
+        kind = INPUT_KINDS[source]
+        if kind in kinds:
+            assert (status, captured.err) == (0, "")
+            return
+        role = self.ROLES.get(command, "input")
+        assert (status, captured.out) == (1, "")
+        assert captured.err.startswith(f"error: {role} {path} is {kind}, not ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("accepted", [True, False], ids=["accepted", "refused"])
+    @pytest.mark.parametrize("command", INPUT_RULE_COMMANDS)
+    def test_standard_input_on_a_pipe(self, gold_corpus, tmp_path, command, accepted):
+        # a pipe is read once: the lines read to tell what it holds are read again from memory
+        args, kinds = INPUT_RULE_COMMANDS[command]
+        inputs = self._inputs(gold_corpus, tmp_path)
+        if accepted:
+            source = "thread" if command == "parse" else "jsonl"
+        else:
+            source = "jsonl" if command == "parse" else "thread" if "CoNLL" in kinds else "conll"
+        piped = inputs[source]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        runs = []
+        for path in (piped, "/dev/stdin"):
+            out = tmp_path / f"out{len(runs)}"
+            argv = [a.format(input=path, out=out) for a in args]
+            if command in ("score", "errors", "correction-stats"):
+                argv[3] = str(piped)  # the second file is a regular file
+            done = subprocess.run([sys.executable, "-m", "threadcoref.cli", command, *argv],
+                                  input=piped.read_bytes(), capture_output=True, env=env, timeout=120)
+            runs.append((done.returncode, done.stdout, done.stderr, out.read_bytes() if out.exists() else None))
+        if accepted:
+            assert (runs[0][0], runs[0][2]) == (0, b"")
+            # a thread read from a pipe is named after it
+            renamed = runs[0][3] and runs[0][3].replace(b'"example1.txt"', b'"stdin"')
+            assert runs[1] == (*runs[0][:3], renamed)
+        else:
+            role = self.ROLES.get(command, "input")
+            assert runs[1][:2] == (1, b"") and runs[1][3] is None
+            message = runs[1][2].decode()
+            assert message.startswith(f"error: {role} /dev/stdin is {INPUT_KINDS[source]}, not ")
+            assert message.count("\n") == 1
 
 
 class TestRemovedJobsFlag:
@@ -898,7 +1011,9 @@ class TestUnreadableNumbers:
         out = tmp_path / "out.jsonl"
         argv = [a.format(bad=bad, gold=gold_corpus, out=out) for a in args]
         assert main(argv) == 1
-        assert capsys.readouterr().err == "error: line 2: invalid JSON: NaN is not a JSON number\n"
+        # score names the file it read the record from
+        where = f"response file {bad}: " if args[0] == "score" else ""
+        assert capsys.readouterr().err == f"error: {where}line 2: invalid JSON: NaN is not a JSON number\n"
         assert not out.exists()
 
     def test_infinity_alone(self, gold_corpus, tmp_path, capsys):
@@ -1028,17 +1143,15 @@ class TestCollectorPolicy:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_main_restores_collector_state(self, gold_corpus, tmp_path, capsys, monkeypatch, enabled):
-        from threadcoref import serialization
-
         # whether the collector is on when the handler opens its input
         while_running = []
-        iter_native_lines = serialization.iter_native_lines
+        open_input = cli._open_input
 
-        def spy(path):
+        def spy(*args, **kwargs):
             while_running.append(gc.isenabled())
-            return iter_native_lines(path)
+            return open_input(*args, **kwargs)
 
-        monkeypatch.setattr(serialization, "iter_native_lines", spy)
+        monkeypatch.setattr(cli, "_open_input", spy)
         saved = self._state()
         gc.set_threshold(1234, 7, 9)
         if not enabled:
@@ -1077,8 +1190,10 @@ class TestCollectorPolicy:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            docs = [doc for _, doc in serialization.iter_native(gold_corpus)]
-            skeletons = list(serialization.iter_conll(conll))
+            lines = cli._open_input(str(gold_corpus), "input", (cli._JSONL,))
+            next(lines)
+            docs = [serialization.decode_line(line, line_no) for line_no, line in lines]
+            skeletons = list(cli._open_input(str(conll), "input", (cli._CONLL,)))[1:]
             bare = [doc for path in (gold_corpus, conll) for pair in cli._paired_documents(
                 (str(path), "key"), (str(path), "response"), first_thread=False) for doc in pair]
             written = io.StringIO()
@@ -1096,7 +1211,7 @@ class TestCollectorPolicy:
                 [metrics.correction_stats(s.mentions(), d.mentions()) for d, s in zip(docs, skeletons)],
                 serialization.write_conll_documents(docs),
             )
-            del docs, skeletons, bare, written, made
+            del lines, docs, skeletons, bare, written, made
             assert gc.collect() == 0
         finally:
             if enabled:
@@ -1170,16 +1285,22 @@ class TestThreadFileWalk:
         (root / "a" / "link-to-dir").symlink_to(root / "z", target_is_directory=True)
         return root
 
+    @staticmethod
+    def _threads(path):
+        return cli._open_input(str(path), "input", (cli._DIRECTORY, cli._THREAD))
+
     def test_same_files_and_order_as_sorted_rglob(self, tree):
-        expected = [(p, p.relative_to(tree).as_posix()) for p in sorted(tree.rglob("*")) if p.is_file()]
-        assert list(cli._iter_thread_files(tree)) == expected
+        expected = [(p.read_text(encoding="utf-8"), p.relative_to(tree).as_posix())
+                    for p in sorted(tree.rglob("*")) if p.is_file()]
+        assert list(self._threads(tree)) == [cli._DIRECTORY, *expected]
         assert [rel for _, rel in expected] == [
             ".hidden", "B", "a/b", "a/c/d", "a/c.e", "a-b", "b0", "link-to-file", "z/.dot/f", "é/x",
         ]
 
     def test_single_file_and_missing_input(self, tree):
-        assert list(cli._iter_thread_files(tree / "a-b")) == [(tree / "a-b", "a-b")]
-        assert list(cli._iter_thread_files(tree / "missing")) == []
+        assert list(self._threads(tree / "a-b")) == [cli._THREAD, ("a-b", "a-b")]
+        with pytest.raises(ToolkitError, match="^input .*missing does not exist$"):
+            next(self._threads(tree / "missing"))
 
     def test_reads_one_directory_at_a_time(self, tree, monkeypatch):
         scanned = []
@@ -1190,7 +1311,8 @@ class TestThreadFileWalk:
             return scandir(path)
 
         monkeypatch.setattr(cli.os, "scandir", recording)
-        walk = cli._iter_thread_files(tree)
+        walk = self._threads(tree)
+        assert next(walk) == cli._DIRECTORY and scanned == []
         assert next(walk)[1] == ".hidden" and scanned == ["."]
         assert next(walk)[1] == "B" and next(walk)[1] == "a/b" and scanned == [".", "a"]
 
@@ -1401,16 +1523,26 @@ class TestImports:
         assert "cli" in loaded
         assert not set(self.HANDLER_MODULES) & set(loaded), loaded
 
-    def test_score_loads_only_what_it_runs(self, gold_corpus, tmp_path):
-        code = (
-            "import contextlib, io, threadcoref.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert threadcoref.cli.main(['score', '--key', {str(gold_corpus)!r}, "
-            f"'--response', {str(gold_corpus)!r}]) == 0"
-        )
-        loaded = self._loaded_after(code, tmp_path)
-        assert "metrics" in loaded
-        assert not {"parsing", "filtering", "baselines", "features"} & set(loaded), loaded
+    # command -> (arguments, the handler modules it runs); each reads native
+    # JSONL, so none may load the parser or the email package
+    READERS = {
+        "score": (["--key", "{gold}", "--response", "{gold}"], {"metrics"}),
+        "errors": (["--key", "{gold}", "--response", "{gold}"], {"errors", "metrics"}),
+        "correction-stats": (["--pred", "{gold}", "--gold", "{gold}"], {"metrics"}),
+        "stats": (["--in", "{gold}"], {"metrics"}),
+        "features": (["--in", "{gold}", "--out", "{out}", "--mi", "--si", "--rev"], {"features"}),
+        "resolve": (["--baseline", "hb1", "--in", "{gold}", "--out", "{out}"], {"baselines"}),
+        "filter": (["--in", "{gold}", "--report", "{out}"], {"filtering"}),
+    }
+
+    @pytest.mark.parametrize("command", READERS)
+    def test_reader_loads_only_what_it_runs(self, gold_corpus, tmp_path, command):
+        args, runs = self.READERS[command]
+        code = self._running([command, *(a.format(gold=gold_corpus, out=tmp_path / "out") for a in args)])
+        loaded = self._modules_after(code, tmp_path)
+        package = {name.split(".", 1)[1] for name in loaded if name.startswith("threadcoref.")}
+        assert package & set(self.HANDLER_MODULES) == runs
+        assert not [name for name in loaded if name.split(".")[0] == "email"], loaded
 
     def test_every_exported_name_resolves(self):
         import threadcoref

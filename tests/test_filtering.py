@@ -30,7 +30,7 @@ from threadcoref.filtering import (
     summarize_thread,
     thread_fingerprints,
 )
-from threadcoref.model import EmailMessage, EmailThread, Section, Token
+from threadcoref.model import EmailMessage, EmailThread, Section, Token, ToolkitError
 from threadcoref.parsing import RawThread, parse_thread
 
 
@@ -84,6 +84,24 @@ class TestFingerprint:
         a = body_thread("a", [["hello"]]).messages[0]
         b = body_thread("b", [["goodbye"]]).messages[0]
         assert fingerprint_message(a) != fingerprint_message(b)
+
+
+class TestExclusionFile:
+    def test_reads_what_fingerprint_message_writes(self, example1_thread, tmp_path):
+        prints = sorted({fingerprint_message(m) for m in example1_thread.messages})
+        path = tmp_path / "exclude.txt"
+        path.write_text("\n" + "".join(f"  {p}\r\n" for p in prints) + "\n", encoding="utf-8")
+        assert ExclusionSet.from_file(path) == ExclusionSet(frozenset(prints))
+
+    @pytest.mark.parametrize("line", ["0123456789ABCDEF", "0123456789abcde", "0123456789abcdef0",
+                                      "0123456789abcdeg", "thread_id\tcategory\tdetail"])
+    def test_any_other_line_names_the_file_and_line(self, tmp_path, line):
+        path = tmp_path / "exclude.txt"
+        path.write_text("0123456789abcdef\n\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ToolkitError) as err:
+            ExclusionSet.from_file(path)
+        assert str(err.value) == (
+            f"exclusion file {path}: line 3 is not a message fingerprint (16 lowercase hex digits)")
 
 
 class TestDuplicate:

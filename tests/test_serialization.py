@@ -32,8 +32,6 @@ from threadcoref.serialization import (
     decode_line,
     document_to_record,
     global_sentences,
-    iter_conll,
-    iter_native,
     mention_from_absolute,
     mention_to_absolute,
     read_conll,
@@ -44,6 +42,21 @@ from threadcoref.serialization import (
     write_conll_documents,
     write_native_string,
 )
+
+
+def native_file(path):
+    """Each (line number, document) of a native JSONL file, read as the commands read it."""
+    content = cli._open_input(str(path), "input", (cli._JSONL,))
+    next(content)
+    for line_no, line in content:
+        yield line_no, decode_line(line, line_no)
+
+
+def conll_file(path, *, thread=True):
+    """Each document of a CoNLL file, read as the commands read it."""
+    content = cli._open_input(str(path), "input", (cli._CONLL,), thread=thread)
+    next(content)
+    yield from content
 
 
 def conll_rows(text):
@@ -327,7 +340,7 @@ class TestFileReaders:
         text = write_native_string([doc, example1_document]) + "  \n\n" + '{"id":\n'
         path = tmp_path / "odd.jsonl"
         path.write_bytes(text.replace("\n", newline).encode("utf-8"))
-        items, error = self._read_all(iter_native, path)
+        items, error = self._read_all(native_file, path)
         assert items == [(1, doc), (2, example1_document)]
         # the same message, column included, as the text reader gives
         assert error == "line 5: invalid JSON: Expecting value: line 1 column 7 (char 6)"
@@ -344,7 +357,7 @@ class TestFileReaders:
         text = text[: len(text) - cut]
         path = tmp_path / "odd.conll"
         path.write_bytes(text.encode("utf-8"))
-        items, error = self._read_all(iter_conll, path)
+        items, error = self._read_all(conll_file, path)
         expected, expected_error = self._read_text(
             read_conll_documents, path.read_text(encoding="utf-8")
         )
@@ -977,8 +990,8 @@ class TestThreadlessDecode:
     def test_file_reader_passes_the_flag(self, sample_documents, tmp_path):
         path = tmp_path / "docs.conll"
         path.write_text(write_conll_documents(sample_documents), encoding="utf-8")
-        bare = list(iter_conll(path, thread=False))
-        assert [d.chains for d in bare] == [d.chains for d in iter_conll(path)]
+        bare = list(conll_file(path, thread=False))
+        assert [d.chains for d in bare] == [d.chains for d in conll_file(path)]
         assert all(d.thread.messages == () for d in bare)
 
 
@@ -995,6 +1008,8 @@ class TestCommandsOnMutatedRecords:
         "score": ["--key", "{good}", "--response", "{bad}"],
         "correction-stats": ["--pred", "{good}", "--gold", "{bad}"],
     }
+    # a pair command names the role of the file whose record it rejects
+    PAIR_ROLES = {"errors": "key", "score": "response", "correction-stats": "gold"}
 
     @pytest.fixture(scope="class")
     def fixture_lines(self, corpus10_threads):
@@ -1012,7 +1027,7 @@ class TestCommandsOnMutatedRecords:
             decode_line(json.dumps(record), 1)
             expected = None
         except NativeSchemaError as exc:
-            expected = f"error: {exc}\n"
+            expected = exc
         files = tmp_path_factory.mktemp("mutated")
         paths = {"good": files / "good.jsonl", "bad": files / "bad.jsonl", "out": files / "out.jsonl"}
         paths["good"].write_text(line + "\n", encoding="utf-8")
@@ -1022,7 +1037,9 @@ class TestCommandsOnMutatedRecords:
             with redirect_stdout(out), redirect_stderr(err):
                 status = cli.main([command, *(arg.format(**paths) for arg in args)])
             if expected is not None:
-                assert (command, status, out.getvalue(), err.getvalue()) == (command, 1, "", expected)
+                role = self.PAIR_ROLES.get(command)
+                message = f"error: {role} file {paths['bad']}: {expected}\n" if role else f"error: {expected}\n"
+                assert (command, status, out.getvalue(), err.getvalue()) == (command, 1, "", message)
             elif status:
                 message = err.getvalue()
                 assert (status, message.startswith("error: "), message.count("\n")) == (1, True, 1), command

@@ -3,7 +3,7 @@
 The same flow is available from the command line:
 
     threadcoref parse   --in demos/data --out corpus.jsonl
-    threadcoref resolve --baseline hb1 --mentions gold --in gold.jsonl --out pred.jsonl
+    threadcoref resolve --baseline hb1 --in gold.jsonl --out pred.jsonl
     threadcoref score   --key gold.jsonl --response pred.jsonl
 """
 from pathlib import Path

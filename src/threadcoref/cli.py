@@ -20,7 +20,7 @@ import sys
 from codecs import BOM_UTF8
 from contextlib import contextmanager
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
@@ -143,13 +143,13 @@ def _open_input(path: str, role: str, kinds: tuple[str, ...], *, thread: bool = 
     sorted paths; the numbered nonblank lines of native JSONL; or the
     documents of CoNLL, which hold their threads only if ``thread``. A path
     that holds none of ``kinds`` is an error naming the ``role``, the path
-    and what it holds.
+    and what it holds, which for a file with no nonblank line is "empty".
     """
 
-    def checked(kind: str) -> str:
+    def checked(kind: str, held: Optional[str] = None) -> str:
         if kind not in kinds:
             wanted = " or ".join(filter(None, (", ".join(kinds[:-1]), kinds[-1])))
-            raise ToolkitError(f"{role} {path} is {kind}, not {wanted}")
+            raise ToolkitError(f"{role} {path} is {held or kind}, not {wanted}")
         return kind
 
     if os.path.isdir(path):
@@ -175,7 +175,7 @@ def _open_input(path: str, role: str, kinds: tuple[str, ...], *, thread: bool = 
             kind = _JSONL
         else:
             kind = _THREAD
-        yield checked(kind)
+        yield checked(kind, None if first else "empty")
         if kind == _THREAD:
             yield _thread_text(b"".join(head) + fp.read()), Path(path).name
             return
@@ -194,21 +194,38 @@ def _thread_text(data: bytes) -> str:
     return data.decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _pair_documents(path: str, role: str, thread: bool) -> Iterator:
-    """The format of one file of a pair, then its checked documents in file
-    order; only with ``thread`` does a document hold its thread. A record
-    the file's reader rejects is an error that names the file."""
-    content = _open_input(path, f"{role} file", (_JSONL, _CONLL), thread=thread)
-    kind = next(content)
-    yield kind
+def _checked(items: Iterable, role: str, path: str, id_of) -> Iterator:
+    """Each of ``items``, the records of the ``role`` file at ``path``, in order.
+
+    ``id_of`` gives a record's document id. A second record of one id is an
+    error: every score and count is summed per thread, so a copy would count
+    twice, and a pair command would score some chains against the wrong
+    document. A record the file's reader rejects, here or in a worker
+    process, is an error that names the file.
+    """
+    seen: set[str] = set()
     try:
-        if kind == _CONLL:
-            yield from content
-        else:
-            for line_no, line in content:
-                yield serialization.decode_line(line, line_no, thread=thread)
+        for item in items:
+            doc_id = id_of(item)
+            if doc_id in seen:
+                raise ToolkitError(f"{role} file {path} repeats document id {doc_id!r}")
+            seen.add(doc_id)
+            yield item
     except (serialization.NativeSchemaError, serialization.MalformedColumn) as exc:
         raise ToolkitError(f"{role} file {path}: {exc}") from None
+
+
+def _documents(path: str, role: str, kinds: tuple[str, ...], *, thread: bool = True) -> Iterator:
+    """What ``path`` holds, then its documents, checked, in file order; only
+    with ``thread`` does a document hold its thread. ``role`` names the path
+    in messages: "input" for a command's one input, "<role> file" for a file
+    of a pair."""
+    content = _open_input(path, role, kinds, thread=thread)
+    kind = next(content)
+    yield kind
+    if kind == _JSONL:
+        content = (serialization.decode_line(line, line_no, thread=thread) for line_no, line in content)
+    yield from _checked(content, role.removesuffix(" file"), path, attrgetter("thread.id"))
 
 
 def _paired_documents(
@@ -226,17 +243,15 @@ def _paired_documents(
     second-file document never: no command reads the thread of the file it
     pairs with, so what waits in the index is small.
 
-    A repeated id on either side is an error: a scorer that paired it
-    anyway would score some chains against the wrong document. So are files
-    of two formats, which address mentions differently; they are compared
-    when the second file is first read.
+    Files of two formats, which address mentions differently, are an error;
+    they are compared when the second file is first read.
     """
     (first_path, first_role), (second_path, second_role) = first, second
-    firsts = _pair_documents(first_path, first_role, first_thread)
+    firsts = _documents(first_path, f"{first_role} file", (_JSONL, _CONLL), thread=first_thread)
     first_format = next(firsts)
 
     def read_seconds() -> Iterator[AnnotatedDocument]:
-        docs = _pair_documents(second_path, second_role, False)
+        docs = _documents(second_path, f"{second_role} file", (_JSONL, _CONLL), thread=False)
         second_format = next(docs)
         if first_format != second_format:
             raise ToolkitError(
@@ -246,34 +261,21 @@ def _paired_documents(
         yield from docs
 
     seconds = read_seconds()
-    first_ids: set[str] = set()
-    second_ids: set[str] = set()
     ahead: dict[str, AnnotatedDocument] = {}
-
-    def check_second(doc: AnnotatedDocument) -> str:
-        doc_id = doc.thread.id
-        if doc_id in second_ids:
-            raise ToolkitError(f"{second_role} file {second_path} repeats document id {doc_id!r}")
-        second_ids.add(doc_id)
-        return doc_id
-
     for doc in firsts:
         doc_id = doc.thread.id
-        if doc_id in first_ids:
-            raise ToolkitError(f"{first_role} file {first_path} repeats document id {doc_id!r}")
-        first_ids.add(doc_id)
         if doc_id in ahead:
             yield doc, ahead.pop(doc_id)
             continue
         for other in seconds:
-            if check_second(other) == doc_id:
+            if other.thread.id == doc_id:
                 yield doc, other
                 break
             ahead[other.thread.id] = other
         else:
             raise ToolkitError(f"{second_role} file {second_path} has no document {doc_id!r}")
-    for other in seconds:
-        check_second(other)
+    for _ in seconds:
+        pass
 
 
 @contextmanager
@@ -326,13 +328,7 @@ def _cmd_parse(args) -> int:
 def _cmd_filter(args) -> int:
     from . import filtering
 
-    config = filtering.FilterConfig(
-        min_messages=args.min_messages,
-        hex_min_run=args.hex_min_run,
-        hex_min_fraction=args.hex_min_fraction,
-        stopword_min_fraction=args.stopword_min_fraction,
-        language_min_tokens=args.language_min_tokens,
-    )
+    config = filtering.FilterConfig(min_messages=args.min_messages)
     # a wrong exclusion file is an error before the corpus is read
     exclusion = (
         filtering.ExclusionSet.from_file(args.exclude_fingerprints)
@@ -348,14 +344,8 @@ def _cmd_filter(args) -> int:
         )
     else:
         summarized = _map_jobs(_summarize_line, ((n, line, config) for n, line in content), args.jobs)
-    summaries: dict[str, ThreadSummary] = {}
-    for summary in summarized:
-        # the corpus index keeps one copy per id, and no thread is compared with
-        # its own id, so the copies of a repeated id would pass as distinct
-        if summary.id in summaries:
-            raise ToolkitError(f"input file {args.input} repeats document id {summary.id!r}")
-        summaries[summary.id] = summary
-    verdicts, report = filtering.filter_summaries(list(summaries.values()), exclusion, config)
+    summaries = list(_checked(summarized, "input", args.input, attrgetter("id")))
+    verdicts, report = filtering.filter_summaries(summaries, exclusion, config)
     rows = [("category", "count")]
     rows += [(cat.value, str(count)) for cat, count in report.counts]
     rows.append(("total", str(report.total)))
@@ -373,18 +363,17 @@ def _cmd_features(args) -> int:
     from .features import reverse_document
 
     columns = [name for name, wanted in (("mi", args.mi), ("si", args.si)) if wanted]
-    lines = _open_input(args.input, "input", (_JSONL,))
-    next(lines)
+    docs = _documents(args.input, "input", (_JSONL,))
+    next(docs)
     with _replacing(args.out) as fp:
-        for line_no, line in lines:
-            doc = serialization.decode_line(line, line_no)
+        for doc in docs:
             if args.rev:
                 doc = reverse_document(doc, descending=args.rev == "descending")
             serialization.write_native((doc,), fp, features=columns)
     return 0
 
 
-def _resolve_one(payload: tuple[int, str, str]) -> str:
+def _resolve_one(payload: tuple[int, str, str]) -> tuple[str, str]:
     from . import baselines
 
     line_no, line, baseline = payload
@@ -393,15 +382,16 @@ def _resolve_one(payload: tuple[int, str, str]) -> str:
     resolver = baselines.resolve_hb1 if baseline == "hb1" else baselines.resolve_hb2
     resolution = resolver(doc.thread, mentions)
     out = AnnotatedDocument(thread=doc.thread, chains=resolution.chains)
-    return serialization.write_native_string([out])
+    return doc.thread.id, serialization.write_native_string([out])
 
 
 def _cmd_resolve(args) -> int:
     lines = _open_input(args.input, "input", (_JSONL,))
     next(lines)
     payloads = ((line_no, line, args.baseline) for line_no, line in lines)
+    resolved = _checked(_map_jobs(_resolve_one, payloads, args.jobs), "input", args.input, itemgetter(0))
     with _replacing(args.out) as fp:
-        fp.writelines(_map_jobs(_resolve_one, payloads, args.jobs))
+        fp.writelines(line for _, line in resolved)
     return 0
 
 
@@ -458,9 +448,9 @@ def _cmd_errors(args) -> int:
 def _cmd_stats(args) -> int:
     from . import metrics
 
-    lines = _open_input(args.input, "input", (_JSONL,))
-    next(lines)
-    stats = metrics.corpus_stats(serialization.decode_line(line, line_no) for line_no, line in lines)
+    docs = _documents(args.input, "input", (_JSONL,))
+    next(docs)
+    stats = metrics.corpus_stats(docs)
     rows = [
         ("statistic", "value"),
         ("email_threads", str(stats.thread_count)),
@@ -510,13 +500,6 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _positive_float(value: str) -> float:
-    number = float(value)
-    if number <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return number
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="threadcoref",
@@ -548,10 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separators", help="separator marker phrases, one per line")
     p.add_argument("--footers", help="footer marker phrases, one per line")
     p.add_argument("--min-messages", type=_positive_int, default=4)
-    p.add_argument("--hex-min-run", type=_positive_int, default=512)
-    p.add_argument("--hex-min-fraction", type=_positive_float, default=0.95)
-    p.add_argument("--stopword-min-fraction", type=_positive_float, default=0.02)
-    p.add_argument("--language-min-tokens", type=_positive_int, default=50)
     add_pretty(p)
     add_jobs(p)
     p.set_defaults(func=_cmd_filter)
@@ -572,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve", help="run a header baseline on gold mentions")
     p.add_argument("--baseline", choices=("hb1", "hb2"), required=True)
-    p.add_argument("--mentions", choices=("gold",), default="gold")
     p.add_argument("--in", dest="input", required=True, help="native JSONL with gold chains")
     p.add_argument("--out", required=True, help="native JSONL with predicted chains")
     add_jobs(p)

@@ -99,17 +99,9 @@ def _shift_message(msg: EmailMessage, new_index: int, new_base: int) -> tuple[di
     return moved, msg.sentences[-1][-1].char_end + shift + 1
 
 
-def reverse_thread(thread: EmailThread, descending: bool = False) -> EmailThread:
-    """Reorder messages by date (oldest first by default; ties are stable).
-
-    Message indices are renumbered 0..N-1 in the new order and token offsets
-    are shifted so the thread-level stream stays strictly increasing. The
-    multiset of messages and every token's text are preserved. Raises
-    MissingDate when any message has no parseable date.
-    """
-    perm = date_permutation(thread, descending)
-    if perm == list(range(len(perm))):
-        return thread
+def _reorder(thread: EmailThread, perm: list[int]) -> EmailThread:
+    """``thread`` with message i moved to index perm[i], and token offsets
+    shifted so the thread-level stream stays strictly increasing."""
     order = sorted(range(len(perm)), key=lambda old: perm[old])
     messages = []
     base = 0
@@ -119,12 +111,24 @@ def reverse_thread(thread: EmailThread, descending: bool = False) -> EmailThread
     return _assemble_thread(thread.id, messages, thread.source_path)
 
 
+def reverse_thread(thread: EmailThread, descending: bool = False) -> EmailThread:
+    """Reorder messages by date (oldest first by default; ties are stable).
+
+    Message indices are renumbered 0..N-1 in the new order and token offsets
+    are shifted so the thread-level stream stays strictly increasing. The
+    multiset of messages and every token's text are preserved. Raises
+    MissingDate when any message has no parseable date.
+    """
+    perm = date_permutation(thread, descending)
+    return thread if perm == list(range(len(perm))) else _reorder(thread, perm)
+
+
 def reverse_document(doc: AnnotatedDocument, descending: bool = False) -> AnnotatedDocument:
     """reverse_thread plus consistent remapping of mention message indices."""
     perm = date_permutation(doc.thread, descending)
     if perm == list(range(len(perm))):
         return doc
-    thread = reverse_thread(doc.thread, descending)
+    thread = _reorder(doc.thread, perm)
     chains = tuple(
         CoreferenceChain(
             chain_id=chain.chain_id,

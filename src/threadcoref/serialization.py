@@ -254,6 +254,9 @@ def iter_conll_documents(lines: Iterable[str], *, thread: bool = True) -> Iterat
             close_sentence()
             continue
         if doc_id is None:
+            # a byte order mark hides the "#" of the line it starts
+            if stripped.startswith("\ufeff"):
+                raise MalformedColumn(line_no, "unexpected UTF-8 byte order mark")
             raise MalformedColumn(line_no, "token row outside a document")
         cols = stripped.split()
         if len(cols) < 5:

@@ -461,8 +461,7 @@ def _run_pipeline(workdir, jobs):
     resolved = {}
     for baseline in ("hb1", "hb2"):
         target = out / f"{baseline}.jsonl"
-        assert main(["resolve", "--baseline", baseline, "--mentions", "gold",
-                     "--in", str(gold), "--out", str(target), "--jobs", str(jobs)]) == 0
+        assert main(["resolve", "--baseline", baseline, "--in", str(gold), "--out", str(target), "--jobs", str(jobs)]) == 0
         resolved[baseline] = target
 
     import contextlib

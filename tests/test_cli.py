@@ -2,6 +2,7 @@ import argparse
 import gc
 import io
 import json
+import multiprocessing
 import os
 import random
 import re
@@ -16,7 +17,9 @@ from threadcoref import cli
 from threadcoref.cli import main
 from threadcoref.filtering import fingerprint_message
 from threadcoref.model import AnnotatedDocument, CoreferenceChain, Mention, ToolkitError
-from threadcoref.serialization import read_native, write_conll, write_conll_documents, write_native
+from threadcoref.serialization import (
+    read_native, write_conll, write_conll_documents, write_native, write_native_string,
+)
 
 
 @pytest.fixture()
@@ -222,14 +225,14 @@ class TestFilter:
         source = tmp_path / name
         source.write_bytes(first + gold_corpus.read_bytes())
         assert main(["filter", "--in", str(source), "--report", str(tmp_path / "r.tsv")]) == 1
-        assert capsys.readouterr().err.startswith(error)
+        assert capsys.readouterr().err.startswith(error.replace("error: ", f"error: input file {source}: "))
 
     def test_jsonl_line_numbers_count_every_line_end(self, gold_corpus, tmp_path, capsys):
         # "\r" ends a line in a text file; the lines read to tell the format keep that count
         source = tmp_path / "bad.jsonl"
         source.write_bytes(b"\r\n\r" + b'{"id": 5}\n' + gold_corpus.read_bytes())
         assert main(["filter", "--in", str(source), "--report", str(tmp_path / "r.tsv")]) == 1
-        assert capsys.readouterr().err.startswith("error: line 3: ")
+        assert capsys.readouterr().err.startswith(f"error: input file {source}: line 3: ")
 
     def test_jobs_runs_workers_on_parsed_records(self, gold_corpus, tmp_path, monkeypatch):
         from threadcoref import cli
@@ -297,7 +300,7 @@ class TestFilter:
         report = tmp_path / "report.tsv"
         assert main(["filter", "--in", str(bad_json), "--report", str(report), "--jobs", jobs]) == 1
         assert capsys.readouterr().err == (
-            "error: line 4: invalid JSON: Expecting property name enclosed in double quotes: "
+            f"error: input file {bad_json}: line 4: invalid JSON: Expecting property name enclosed in double quotes: "
             "line 1 column 2 (char 1)\n")
         assert not report.exists()
 
@@ -363,10 +366,8 @@ class TestResolve:
             write_native([example1_document], fp)
         out1 = tmp_path / "hb1.jsonl"
         out2 = tmp_path / "hb2.jsonl"
-        assert main(["resolve", "--baseline", "hb1", "--mentions", "gold",
-                     "--in", str(src), "--out", str(out1)]) == 0
-        assert main(["resolve", "--baseline", "hb2", "--mentions", "gold",
-                     "--in", str(src), "--out", str(out2)]) == 0
+        assert main(["resolve", "--baseline", "hb1", "--in", str(src), "--out", str(out1)]) == 0
+        assert main(["resolve", "--baseline", "hb2", "--in", str(src), "--out", str(out2)]) == 0
         doc1 = read_native(out1.read_text(encoding="utf-8"))[0]
         doc2 = read_native(out2.read_text(encoding="utf-8"))[0]
         parts1 = {frozenset(c.mentions) for c in doc1.chains}
@@ -376,8 +377,7 @@ class TestResolve:
 
     def test_resolve_gold_corpus(self, gold_corpus, tmp_path):
         out = tmp_path / "resolved.jsonl"
-        assert main(["resolve", "--baseline", "hb1", "--mentions", "gold",
-                     "--in", str(gold_corpus), "--out", str(out)]) == 0
+        assert main(["resolve", "--baseline", "hb1", "--in", str(gold_corpus), "--out", str(out)]) == 0
         docs = read_native(out.read_text(encoding="utf-8"))
         gold = read_native(gold_corpus.read_text(encoding="utf-8"))
         assert [d.thread.id for d in docs] == [d.thread.id for d in gold]
@@ -403,7 +403,7 @@ class TestResolve:
         assert main(["resolve", "--baseline", "hb1", "--in", str(bad_json), "--out", str(out),
                      "--jobs", jobs]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: line 4: invalid JSON") and err.count("\n") == 1
+        assert err.startswith(f"error: input file {bad_json}: line 4: invalid JSON") and err.count("\n") == 1
 
         record = json.loads(lines[1])
         record["messages"][0]["sentences"][0][0][1] = "zz"
@@ -413,7 +413,7 @@ class TestResolve:
         assert main(["resolve", "--baseline", "hb1", "--in", str(bad_schema), "--out", str(out),
                      "--jobs", jobs]) == 1
         assert capsys.readouterr().err == (
-            "error: line 2: $.messages[0].sentences[0][0]: unknown section code 'zz'\n")
+            f"error: input file {bad_schema}: line 2: $.messages[0].sentences[0][0]: unknown section code 'zz'\n")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_first_fault_reported_first(self, gold_corpus, tmp_path, capsys, jobs):
@@ -425,7 +425,7 @@ class TestResolve:
             lines[:1] + [b"{broken\n", b"\n" * 20000, b'{"id":"a\xff"}\n'] + lines[1:]))
         assert main(["resolve", "--baseline", "hb1", "--in", str(two_faults),
                      "--out", str(tmp_path / "out.jsonl"), "--jobs", jobs]) == 1
-        assert capsys.readouterr().err.startswith("error: line 2: invalid JSON")
+        assert capsys.readouterr().err.startswith(f"error: input file {two_faults}: line 2: invalid JSON")
 
 
 class TestScore:
@@ -485,8 +485,7 @@ class TestScore:
 
     def test_native_key_vs_resolved_response(self, gold_corpus, tmp_path, capsys):
         out = tmp_path / "resolved.jsonl"
-        main(["resolve", "--baseline", "hb1", "--mentions", "gold",
-              "--in", str(gold_corpus), "--out", str(out)])
+        main(["resolve", "--baseline", "hb1", "--in", str(gold_corpus), "--out", str(out)])
         code = main(["score", "--key", str(gold_corpus), "--response", str(out)])
         assert code == 0
         header, values = capsys.readouterr().out.strip().splitlines()
@@ -587,6 +586,86 @@ PAIRING_COMMANDS = [
         ("correction-stats", "--pred", "--gold", ("pred", "gold")),
     )
 ]
+
+
+# every command that reads records: (arguments, with {doubled} for a file that
+# repeats its first record, {gold} for a valid file and {out} for an output
+# file; the role that names the doubled file; the format of both files)
+RECORD_READERS = {
+    "filter-jobs1": (["filter", "--in", "{doubled}", "--report", "{out}", "--jobs", "1"], "input", "jsonl"),
+    "filter-jobs2": (["filter", "--in", "{doubled}", "--report", "{out}", "--jobs", "2"], "input", "jsonl"),
+    "features": (["features", "--in", "{doubled}", "--out", "{out}", "--mi", "--si"], "input", "jsonl"),
+    "resolve-jobs1": (["resolve", "--baseline", "hb1", "--in", "{doubled}", "--out", "{out}", "--jobs", "1"],
+                      "input", "jsonl"),
+    "resolve-jobs2": (["resolve", "--baseline", "hb1", "--in", "{doubled}", "--out", "{out}", "--jobs", "2"],
+                      "input", "jsonl"),
+    "stats": (["stats", "--in", "{doubled}"], "input", "jsonl"),
+    "score": (["score", "--key", "{gold}", "--response", "{doubled}"], "response", "jsonl"),
+    "score-conll": (["score", "--key", "{doubled}", "--response", "{gold}"], "key", "conll"),
+    "errors": (["errors", "--key", "{doubled}", "--response", "{gold}"], "key", "jsonl"),
+    "correction-stats": (["correction-stats", "--pred", "{gold}", "--gold", "{doubled}"], "gold", "jsonl"),
+}
+
+
+class TestCheckedRecords:
+    """Every command reads its records through one check: a repeated document
+    id, or a record the reader rejects, exits 1 with one line naming the file."""
+
+    @staticmethod
+    def _files(gold_corpus, tmp_path, fmt) -> dict[str, Path]:
+        docs = read_native(gold_corpus.read_text(encoding="utf-8"))
+        units = [write_native_string([doc]) if fmt == "jsonl" else write_conll(doc) for doc in docs]
+        paths = {"gold": tmp_path / f"gold.{fmt}", "doubled": tmp_path / f"doubled.{fmt}", "out": tmp_path / "out"}
+        paths["gold"].write_text("".join(units), encoding="utf-8")
+        paths["doubled"].write_text("".join(units[:1] + units), encoding="utf-8")
+        paths["out"].write_text("earlier output\n", encoding="utf-8")
+        return paths
+
+    @pytest.mark.parametrize("run", RECORD_READERS)
+    def test_repeated_id_exits_1_with_one_line(self, gold_corpus, tmp_path, capsys, run):
+        args, role, fmt = RECORD_READERS[run]
+        paths = self._files(gold_corpus, tmp_path, fmt)
+        doc_id = read_native(gold_corpus.read_text(encoding="utf-8"))[0].thread.id
+        assert main([a.format(**paths) for a in args]) == 1
+        assert capsys.readouterr() == ("", f"error: {role} file {paths['doubled']} repeats document id {doc_id!r}\n")
+        assert paths["out"].read_text(encoding="utf-8") == "earlier output\n"
+        # the workers of a failed --jobs run are gone when main returns
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("run", [r for r in RECORD_READERS if RECORD_READERS[r][1] == "input"])
+    def test_record_error_names_the_input_file(self, gold_corpus, tmp_path, capsys, run):
+        args = RECORD_READERS[run][0]
+        lines = gold_corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines[:1] + ['{"id": 5}\n'] + lines[1:]), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([a.format(doubled=bad, out=out) for a in args]) == 1
+        assert capsys.readouterr() == ("", f"error: input file {bad}: line 2: $.id: thread id must be a string\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,first,second,roles", PAIRING_COMMANDS)
+    def test_conll_byte_order_mark_exits_1(self, gold_corpus, tmp_path, capsys, command, first, second, roles):
+        # the mark hides the "#" of "#begin document", which reads as CoNLL after it
+        conll = tmp_path / "bom.conll"
+        conll.write_bytes(b"\xef\xbb\xbf" + write_conll_documents(
+            read_native(gold_corpus.read_text(encoding="utf-8"))).encode("utf-8"))
+        assert main([command, first, str(conll), second, str(conll)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {roles[0]} file {conll}: line 1: unexpected UTF-8 byte order mark\n")
+
+    @pytest.mark.parametrize("content", [b"", b"\n \r\n", None], ids=["empty", "blank", "devnull"])
+    def test_empty_file_is_named_empty(self, tmp_path, capsys, content):
+        path = Path(os.devnull) if content is None else tmp_path / "empty.txt"
+        if content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "out.jsonl"
+        assert main(["parse", "--in", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: input {path} is empty, not a thread directory or a thread file\n")
+        assert not out.exists()
+        # a command that reads JSONL reads it as no record
+        assert main(["stats", "--in", str(path)]) == 0
+        assert "email_threads\t0\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command,first,second,roles", PAIRING_COMMANDS)
@@ -734,9 +813,9 @@ class TestRepeatedMentions:
             "stats": ["--in", shared],
             "resolve": ["--baseline", "hb1", "--in", shared, "--out", tmp_path / "out.jsonl"],
         }[command]
-        # a pair command names the file it read the record from
-        role = {"score": "response", "errors": "response", "correction-stats": "gold"}.get(command)
-        where = f"{role} file {shared}: " if role else ""
+        # every command names the file it read the record from
+        role = {"score": "response", "errors": "response", "correction-stats": "gold"}.get(command, "input")
+        where = f"{role} file {shared}: "
         assert main([command, *map(str, args)]) == 1
         assert capsys.readouterr() == ("", f"error: {where}{message}\n")
 
@@ -779,9 +858,9 @@ class TestSpanAddressesNoToken:
             "errors": ["--key", stray, "--response", gold_corpus],
             "correction-stats": ["--pred", gold_corpus, "--gold", stray],
         }[command]
-        # a pair command names the file it read the record from
-        role = {"score": "response", "errors": "key", "correction-stats": "gold"}.get(command)
-        where = f"{role} file {stray}: " if role else ""
+        # every command names the file it read the record from
+        role = {"score": "response", "errors": "key", "correction-stats": "gold"}.get(command, "input")
+        where = f"{role} file {stray}: "
         assert main([command, *map(str, args)]) == 1
         assert capsys.readouterr() == ("", (
             f"error: {where}line 2: $.chains[0].mentions[0]: mention at {tuple(mention[:4])} addresses no token\n"))
@@ -842,8 +921,10 @@ class TestOneInputRule:
             assert (status, captured.err) == (0, "")
             return
         role = self.ROLES.get(command, "input")
+        # a refused empty file is named as such, not as the JSONL it reads as
+        held = "empty" if source == "empty" else kind
         assert (status, captured.out) == (1, "")
-        assert captured.err.startswith(f"error: {role} {path} is {kind}, not ") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {role} {path} is {held}, not ") and captured.err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("accepted", [True, False], ids=["accepted", "refused"])
@@ -1011,8 +1092,8 @@ class TestUnreadableNumbers:
         out = tmp_path / "out.jsonl"
         argv = [a.format(bad=bad, gold=gold_corpus, out=out) for a in args]
         assert main(argv) == 1
-        # score names the file it read the record from
-        where = f"response file {bad}: " if args[0] == "score" else ""
+        # every command names the file it read the record from
+        where = f"{'response' if args[0] == 'score' else 'input'} file {bad}: "
         assert capsys.readouterr().err == f"error: {where}line 2: invalid JSON: NaN is not a JSON number\n"
         assert not out.exists()
 
@@ -1022,7 +1103,7 @@ class TestUnreadableNumbers:
         bad = tmp_path / "inf.jsonl"
         bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
         assert main(["stats", "--in", str(bad)]) == 1
-        assert capsys.readouterr().err == "error: line 1: invalid JSON: -Infinity is not a JSON number\n"
+        assert capsys.readouterr().err == f"error: input file {bad}: line 1: invalid JSON: -Infinity is not a JSON number\n"
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int() digit limit")
     def test_oversized_integer(self, gold_corpus, tmp_path, capsys):
@@ -1031,7 +1112,7 @@ class TestUnreadableNumbers:
         bad.write_text(line.replace('"h",0,', '"h",' + "1" * 5000 + ",", 1) + "\n", encoding="utf-8")
         assert main(["stats", "--in", str(bad)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: line 1: invalid JSON: Exceeds the limit") and err.count("\n") == 1
+        assert err.startswith(f"error: input file {bad}: line 1: invalid JSON: Exceeds the limit") and err.count("\n") == 1
 
     def test_writer_refuses_nonfinite_offsets(self, gold_corpus):
         doc = read_native(gold_corpus.read_text(encoding="utf-8"))[0]
@@ -1068,22 +1149,24 @@ class TestNonIntegerNumbers:
         out = tmp_path / "out.jsonl"
         assert main([a.format(bad=bad, out=out) for a in args]) == 1
         assert capsys.readouterr().err == (
-            "error: line 1: $.messages[0].sentences[0][0]: char_start must be an integer, got 0.5\n"
+            f"error: input file {bad}: line 1: $.messages[0].sentences[0][0]: char_start must be an integer, got 0.5\n"
         )
         assert not out.exists()
 
     def test_boolean_mention_index_and_chain_id(self, gold_corpus, tmp_path, capsys):
         def edit(record):
             record["chains"][0]["mentions"][0][1] = True
-        assert main(["stats", "--in", str(self._record(gold_corpus, tmp_path, edit))]) == 1
+        bad = self._record(gold_corpus, tmp_path, edit)
+        assert main(["stats", "--in", str(bad)]) == 1
         assert capsys.readouterr().err == (
-            "error: line 1: $.chains[0].mentions[0]: sentence_index must be an integer, got True\n"
+            f"error: input file {bad}: line 1: $.chains[0].mentions[0]: sentence_index must be an integer, got True\n"
         )
 
         def edit(record):
             record["chains"][0]["id"] = True
-        assert main(["stats", "--in", str(self._record(gold_corpus, tmp_path, edit))]) == 1
-        assert capsys.readouterr().err == "error: line 1: $.chains[0].id: chain id must be an int\n"
+        bad = self._record(gold_corpus, tmp_path, edit)
+        assert main(["stats", "--in", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: input file {bad}: line 1: $.chains[0].id: chain id must be an int\n"
 
 
 class TestPipedInput:
@@ -1236,7 +1319,7 @@ class TestOutputReplacement:
         out = tmp_path / "out.jsonl"
         out.write_text("earlier output\n", encoding="utf-8")
         assert main(["features", "--in", str(bad), "--out", str(out), "--mi"]) == 1
-        assert capsys.readouterr().err.startswith("error: line 6: invalid JSON")
+        assert capsys.readouterr().err.startswith(f"error: input file {bad}: line 6: invalid JSON")
         assert out.read_text(encoding="utf-8") == "earlier output\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "gold.jsonl", "out.jsonl"]
 

@@ -1008,8 +1008,9 @@ class TestCommandsOnMutatedRecords:
         "score": ["--key", "{good}", "--response", "{bad}"],
         "correction-stats": ["--pred", "{good}", "--gold", "{bad}"],
     }
-    # a pair command names the role of the file whose record it rejects
-    PAIR_ROLES = {"errors": "key", "score": "response", "correction-stats": "gold"}
+    # a pair command names the role of the file whose record it rejects, and
+    # a command of one input calls it "input"
+    ROLES = {"errors": "key", "score": "response", "correction-stats": "gold"}
 
     @pytest.fixture(scope="class")
     def fixture_lines(self, corpus10_threads):
@@ -1037,8 +1038,8 @@ class TestCommandsOnMutatedRecords:
             with redirect_stdout(out), redirect_stderr(err):
                 status = cli.main([command, *(arg.format(**paths) for arg in args)])
             if expected is not None:
-                role = self.PAIR_ROLES.get(command)
-                message = f"error: {role} file {paths['bad']}: {expected}\n" if role else f"error: {expected}\n"
+                role = self.ROLES.get(command, "input")
+                message = f"error: {role} file {paths['bad']}: {expected}\n"
                 assert (command, status, out.getvalue(), err.getvalue()) == (command, 1, "", message)
             elif status:
                 message = err.getvalue()

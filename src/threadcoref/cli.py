@@ -399,6 +399,8 @@ def _cmd_score(args) -> int:
     from . import metrics
 
     requested = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not requested:
+        raise ToolkitError("--metrics names no metric")
     unknown = [m for m in requested if m not in _METRIC_NAMES]
     if unknown:
         raise ToolkitError(f"unknown metric(s): {', '.join(unknown)}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from . import wordlists
-from .metrics import overlap_rows, transpose_rows
+from .metrics import member_keys, overlap_rows, transpose_rows
 from .model import (
     CoreferenceChain,
     EmailThread,
@@ -66,7 +66,8 @@ def align_chains(
     Unmapped when no response chain shares a mention. Several key chains
     may map to the same response chain.
     """
-    rows = overlap_rows([set(c.mentions) for c in key], [set(c.mentions) for c in response])
+    key_sets = [set(member_keys(c.mentions)) for c in key]
+    rows = overlap_rows(key_sets, [set(member_keys(c.mentions)) for c in response])
     return _alignment(key, response, rows)
 
 
@@ -119,8 +120,11 @@ def categorize_errors(
     at most one missing-reference subtype; subtype precedence is pronoun,
     then header, then other.
     """
-    key_sets = [set(c.mentions) for c in key]
-    resp_sets = [set(c.mentions) for c in response]
+    # mentions are compared by their keys (metrics.member_keys)
+    key_keys = [member_keys(c.mentions) for c in key]
+    resp_keys = [member_keys(c.mentions) for c in response]
+    key_sets = [set(keys) for keys in key_keys]
+    resp_sets = [set(keys) for keys in resp_keys]
     rows = overlap_rows(key_sets, resp_sets)
     key_to_resp = _alignment(key, response, rows).mapping()
     resp_to_key = _alignment(response, key, transpose_rows(rows, len(response))).mapping()
@@ -134,14 +138,14 @@ def categorize_errors(
     decomposed = 0
     new_chains = 0
 
-    for kc, row in zip(key, rows):
+    for kc, keys, row in zip(key, key_keys, rows):
         aligned_id = key_to_resp.get(kc.chain_id)
         if aligned_id is None:
             missing_chains += 1
         else:
             aligned = resp_sets[resp_index[aligned_id]]
-            for m in kc.mentions:
-                if m in aligned:
+            for m, k in zip(kc.mentions, keys):
+                if k in aligned:
                     continue
                 if _is_pronoun_mention(thread, m):
                     missing_pronoun += 1
@@ -154,13 +158,13 @@ def categorize_errors(
             decomposed += 1
             new_chains += touched
 
-    for rc in response:
+    for rc, keys in zip(response, resp_keys):
         aligned_id = resp_to_key.get(rc.chain_id)
         if aligned_id is None:
             continue
         aligned = key_sets[key_index[aligned_id]]
-        for m in rc.mentions:
-            if m in aligned:
+        for m, k in zip(rc.mentions, keys):
+            if k in aligned:
                 continue
             if _is_pronoun_mention(thread, m):
                 incorrect_pronoun += 1

@@ -11,6 +11,7 @@ whole-corpus statistics.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import AbstractSet, Hashable, Iterable, NamedTuple, Sequence
 
 from . import wordlists
@@ -21,30 +22,63 @@ ChainSets = Sequence[frozenset]
 Rows = list[dict[int, int]]
 
 
+# a mention's location, the first four of its fields, as a plain tuple
+_location = itemgetter(slice(4))
+_MENTION = {Mention}
+
+
+def member_keys(members: Iterable) -> list[tuple]:
+    """Each member's key, one plain tuple: members that are equal have equal
+    keys, and members that are not have unequal keys.
+
+    A ``Mention`` is keyed by its location, four ints that are hashed and
+    compared in C instead of through ``Mention.__eq__``; like the mention,
+    the key ignores the entity type. Any other member is keyed by the 1-tuple
+    that holds it, which equals no location, so a plain 4-tuple member still
+    matches no mention.
+    """
+    members = tuple(members)
+    if set(map(type, members)) <= _MENTION:
+        return list(map(_location, members))
+    return [m[:4] if type(m) is Mention else (m,) for m in members]
+
+
 def as_chain_sets(chains: Iterable) -> list[frozenset]:
-    """Normalize chain collections to frozensets of hashable mention ids.
+    """Normalize chain collections to frozensets of member keys (``member_keys``).
 
     Chains are put into a canonical order so that summation order, and with
     it every score, is bit-identical under any permutation of the input.
     """
     out = []
+    located = True
     for chain in chains:
-        if isinstance(chain, CoreferenceChain):
-            out.append(frozenset(chain.mentions))
+        members = tuple(chain.mentions if isinstance(chain, CoreferenceChain) else chain)
+        if set(map(type, members)) <= _MENTION:
+            keys = frozenset(map(_location, members))
         else:
-            out.append(frozenset(chain))
-    out = [c for c in out if c]
-    out.sort(key=_chain_order)
+            keys = frozenset(member_keys(members))
+            located = False
+        if keys:
+            out.append(keys)
+    out.sort(key=_location_order if located else _chain_order)
     return out
 
 
 def _chain_order(chain: frozenset) -> tuple[int, list]:
-    """A sort key that ignores the order of a chain's members: its size, then
-    its members' keys sorted. A mention is keyed by its location, any other
-    hashable by its repr."""
-    return len(chain), sorted(
-        (0, m.location) if isinstance(m, Mention) else (1, repr(m)) for m in chain
-    )
+    """A sort key of a chain of member keys that ignores their order: its
+    size, then its members sorted, a mention by its location, any other
+    member by its repr."""
+    return len(chain), sorted([(0, k) if len(k) == 4 else _other_order(k[0]) for k in chain])
+
+
+def _other_order(member) -> tuple:
+    # a Mention subclass, which equals no Mention, still sorts by its location
+    return (0, member.location) if isinstance(member, Mention) else (1, repr(member))
+
+
+def _location_order(chain: frozenset) -> tuple[int, list]:
+    """``_chain_order`` of a chain of locations alone, in the same order."""
+    return len(chain), sorted(chain)
 
 
 class MetricScore(NamedTuple):
@@ -227,6 +261,9 @@ def _max_weight_assignment(weights: list[list[float]]) -> list[float]:
     if n > m:
         weights = [list(col) for col in zip(*weights)]
         n, m = m, n
+    if n == 1:
+        # the search below would pick the same weight: the first largest
+        return [max(weights[0])]
     inf = math.inf
     u = [0.0] * (n + 1)
     v = [0.0] * (m + 1)
@@ -313,7 +350,7 @@ def _lea_half(chains: ChainSets, others: ChainSets, rows: Rows) -> tuple[float, 
         else:
             resolved = 0.0
             for n in row.values():
-                resolved += _link_count(n)
+                resolved += n * (n - 1) / 2.0  # _link_count(n) without the call
             links = _link_count(len(chain))
         num += len(chain) * resolved / links
     return num, den
@@ -426,12 +463,12 @@ class CorrectionStats(NamedTuple):
         return f1_score(self.precision, self.recall)
 
 
-def _span_overlap(a: Mention, b: Mention) -> int:
-    if (a.message_index, a.sentence_index) != (b.message_index, b.sentence_index):
+def _span_overlap(a: tuple, b: tuple) -> int:
+    """Tokens two distinct mention keys share: 0 unless both are locations in
+    one sentence (the 1-tuple key of any other member matches no 2-prefix)."""
+    if a[:2] != b[:2]:
         return 0
-    lo = max(a.start_token, b.start_token)
-    hi = min(a.end_token, b.end_token)
-    return max(0, hi - lo + 1)
+    return max(0, min(a[3], b[3]) - max(a[2], b[2]) + 1)
 
 
 def correction_stats(
@@ -440,14 +477,15 @@ def correction_stats(
     """Classify predictions against corrected gold mentions.
 
     Exact matches are unchanged; remaining predictions pair greedily with
-    overlapping unconsumed gold spans (largest overlap first) as corrected;
-    leftovers are deleted (predictions) or added (gold).
+    overlapping unconsumed gold spans (largest overlap first, then the
+    earliest locations) as corrected; leftovers are deleted (predictions) or
+    added (gold). Mentions are compared by their keys (``member_keys``).
     """
-    pred = set(predicted)
-    gold_set = set(gold)
+    pred = set(member_keys(predicted))
+    gold_set = set(member_keys(gold))
     unchanged = pred & gold_set
-    open_pred = sorted(pred - unchanged)
-    open_gold = sorted(gold_set - unchanged)
+    open_pred = pred - unchanged
+    open_gold = gold_set - unchanged
 
     pairs = []
     for p in open_pred:
@@ -457,8 +495,8 @@ def correction_stats(
                 pairs.append((-overlap, p, g))
     pairs.sort()
 
-    used_pred: set[Mention] = set()
-    used_gold: set[Mention] = set()
+    used_pred: set[tuple] = set()
+    used_gold: set[tuple] = set()
     corrected = 0
     for _, p, g in pairs:
         if p in used_pred or g in used_gold:

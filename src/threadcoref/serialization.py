@@ -12,6 +12,7 @@ types, and streamable over large corpora.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from datetime import datetime
 from typing import IO, Iterable, Iterator, Optional, Sequence
@@ -191,23 +192,33 @@ def read_conll_documents(text: str) -> list[AnnotatedDocument]:
     return list(iter_conll_documents(text.splitlines()))
 
 
+# Lines read from a CoNLL stream at a time: each batch is split in one call,
+# and memory holds one batch, not the file.
+_CONLL_BATCH_LINES = 4096
+
+
 def stream_conll_documents(fp: Iterable[str], *, thread: bool = True) -> Iterator[AnnotatedDocument]:
     """The documents of an open CoNLL text file, one at a time, in file order.
 
     Lines split as ``str.splitlines`` splits the whole text, so a file reads
     as ``read_conll_documents`` reads its text.
     """
-    # each "\n"-ended piece splits exactly as it does inside the whole text
-    return iter_conll_documents((line for chunk in fp for line in chunk.splitlines()), thread=thread)
+    # a batch of "\n"-ended lines splits exactly as it does inside the whole text
+    pieces = iter(fp)
+    batches = iter(lambda: "".join(itertools.islice(pieces, _CONLL_BATCH_LINES)).splitlines(), [])
+    return iter_conll_documents(itertools.chain.from_iterable(batches), thread=thread)
 
 
 def iter_conll_documents(lines: Iterable[str], *, thread: bool = True) -> Iterator[AnnotatedDocument]:
     """Parse CoNLL column lines, yielding each document at its ``#end document``.
 
-    Every line is checked either way; with ``thread`` false no token is built,
-    and each document's thread holds no message. A span that a document
-    holds twice, in one chain or in two, is an error at the line that closes
-    its second copy.
+    Each line is split once at whitespace: no column makes a blank line,
+    which ends a sentence; a first column that starts with "#" makes a
+    comment or a document marker; anything else is a token row. Every line
+    is checked either way; with ``thread`` false no token is built, and each
+    document's thread holds no message. A span that a document holds twice,
+    in one chain or in two, is an error at the line that closes its second
+    copy.
     """
     doc_id: Optional[str] = None
     sentences: list[list[str]] = []
@@ -216,58 +227,54 @@ def iter_conll_documents(lines: Iterable[str], *, thread: bool = True) -> Iterat
     open_spans: dict[int, list[tuple[int, int]]] = {}
     line_no = 0
 
-    def close_sentence() -> None:
-        if current:
-            sentences.append(list(current))
-            current.clear()
-
     for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if stripped.startswith("#begin document"):
-            if doc_id is not None:
-                raise MalformedColumn(line_no, "nested #begin document")
-            try:
-                doc_id = stripped.split("(", 1)[1].split(")", 1)[0]
-            except IndexError:
-                raise MalformedColumn(line_no, "malformed #begin document line") from None
-            sentences, current, owners, open_spans = [], [], {}, {}
+        cols = line.split()
+        if not cols:
+            if current:
+                sentences.append(current)
+                current = []
             continue
-        if stripped.startswith("#end document"):
-            if doc_id is None:
-                raise MalformedColumn(line_no, "#end document without #begin")
-            close_sentence()
-            if any(stack for stack in open_spans.values()):
-                open_ids = sorted(cid for cid, stack in open_spans.items() if stack)
-                raise MalformedColumn(line_no, f"unclosed span(s) for chain(s) {open_ids}")
-            chains: dict[int, list[tuple[int, int, int]]] = {}
-            for span, cid in owners.items():
-                chains.setdefault(cid, []).append(span)
-            if thread:
-                yield _skeleton_document(doc_id, sentences, chains)
-            else:
-                yield _chains_document(doc_id, [], chains)
-            doc_id = None
-            continue
-        if stripped.startswith("#"):
-            continue
-        if not stripped:
-            close_sentence()
+        if cols[0][0] == "#":
+            stripped = line.strip()
+            if stripped.startswith("#begin document"):
+                if doc_id is not None:
+                    raise MalformedColumn(line_no, "nested #begin document")
+                try:
+                    doc_id = stripped.split("(", 1)[1].split(")", 1)[0]
+                except IndexError:
+                    raise MalformedColumn(line_no, "malformed #begin document line") from None
+                sentences, current, owners, open_spans = [], [], {}, {}
+            elif stripped.startswith("#end document"):
+                if doc_id is None:
+                    raise MalformedColumn(line_no, "#end document without #begin")
+                if current:
+                    sentences.append(current)
+                    current = []
+                if any(open_spans.values()):
+                    open_ids = sorted(cid for cid, stack in open_spans.items() if stack)
+                    raise MalformedColumn(line_no, f"unclosed span(s) for chain(s) {open_ids}")
+                chains: dict[int, list[tuple[int, int, int]]] = {}
+                for span, cid in owners.items():
+                    chains.setdefault(cid, []).append(span)
+                if thread:
+                    yield _skeleton_document(doc_id, sentences, chains)
+                else:
+                    yield _chains_document(doc_id, [], chains)
+                doc_id = None
             continue
         if doc_id is None:
             # a byte order mark hides the "#" of the line it starts
-            if stripped.startswith("\ufeff"):
+            if cols[0][0] == "\ufeff":
                 raise MalformedColumn(line_no, "unexpected UTF-8 byte order mark")
             raise MalformedColumn(line_no, "token row outside a document")
-        cols = stripped.split()
         if len(cols) < 5:
             raise MalformedColumn(line_no, f"expected >= 5 columns, got {len(cols)}")
-        word = cols[3]
         coref = cols[-1]
-        sent_index = len(sentences)
         tok_index = len(current)
-        current.append(word)
+        current.append(cols[3])
         if coref == "-" or coref == "_":
             continue
+        sent_index = len(sentences)
         for entry in coref.split("|"):
             opens = entry.startswith("(")
             closes = entry.endswith(")")
@@ -388,15 +395,40 @@ def _expect_integers(names: tuple[str, ...], values, path: str) -> None:
             raise NativeSchemaError(path, f"{name} must be an integer, got {value!r}")
 
 
+# the codes as a tuple: "in" compares, so a code that is a list or a dict
+# fails the test instead of raising as a dict lookup would
+_CODES = tuple(_CODE_SECTIONS)
+
+
+def _checked_token(item, mi: int, si: int, ti: int) -> Token:
+    """The token that ``item`` holds, built through ``Token``, so that an error
+    keeps its message; offsets that ``Token`` accepts but that are not
+    integers are rejected."""
+    path = f"$.messages[{mi}].sentences[{si}][{ti}]"
+    if not isinstance(item, list) or len(item) != 4:
+        raise NativeSchemaError(path, "token must be [text, section, char_start, char_end]")
+    text, code, cs, ce = item
+    try:
+        section = _CODE_SECTIONS[code]
+    except (KeyError, TypeError):
+        raise NativeSchemaError(path, f"unknown section code {code!r}") from None
+    try:
+        token = Token(text, si, ti, mi, section, cs, ce)
+    except (TypeError, ValueError) as exc:
+        raise NativeSchemaError(path, str(exc)) from None
+    # Token compares offsets, which a bool or a float also passes
+    _expect_integers(("char_start", "char_end"), (cs, ce), path)
+    return token
+
+
 def _decode_sentences(raw_sentences: list, mi: int, last_end: int, build: bool) -> tuple:
     """Message ``mi``'s tokens in one checked pass: its sentences (none unless
     ``build``), each sentence's length, the running char_end, and the first
     token that starts before the previous one ends as (text, start, previous end).
 
     A token with a nonempty string text, a known section code and integer
-    offsets with ``last_end <= start < end`` is built directly; any other goes
-    through ``Token``, so its error keeps its message, and offsets that ``Token``
-    accepts but that are not integers are rejected.
+    offsets with ``last_end <= start < end`` is built directly, or only
+    passed without ``build``; any other goes through ``_checked_token``.
     """
     sentences = []
     lengths = []
@@ -404,37 +436,37 @@ def _decode_sentences(raw_sentences: list, mi: int, last_end: int, build: bool) 
     for si, sent in enumerate(raw_sentences):
         if not (isinstance(sent, list) and sent):
             raise NativeSchemaError(f"$.messages[{mi}].sentences[{si}]", "must be a nonempty list")
-        toks = []
-        for ti, item in enumerate(sent):
-            if not isinstance(item, list) or len(item) != 4:
-                raise NativeSchemaError(
-                    f"$.messages[{mi}].sentences[{si}][{ti}]",
-                    "token must be [text, section, char_start, char_end]",
-                )
-            text, code, cs, ce = item
-            try:
-                section = _CODE_SECTIONS[code]
-            except (KeyError, TypeError):
-                raise NativeSchemaError(
-                    f"$.messages[{mi}].sentences[{si}][{ti}]", f"unknown section code {code!r}"
-                ) from None
-            if type(text) is str and text and type(cs) is type(ce) is int and last_end <= cs < ce:
-                if build:
-                    toks.append(_tuple_new(Token, (_intern(text), si, ti, mi, section, cs, ce)))
-            else:
-                try:
-                    token = Token(text, si, ti, mi, section, cs, ce)
-                except (TypeError, ValueError) as exc:
-                    raise NativeSchemaError(f"$.messages[{mi}].sentences[{si}][{ti}]", str(exc)) from None
-                # Token compares offsets, which a bool or a float also passes
-                _expect_integers(("char_start", "char_end"), (cs, ce), f"$.messages[{mi}].sentences[{si}][{ti}]")
-                if cs < last_end and overlap is None:
-                    overlap = (token.text, cs, last_end)
-                if build:
-                    toks.append(token)
-            last_end = ce
         if build:
+            toks = []
+            for ti, item in enumerate(sent):
+                if isinstance(item, list) and len(item) == 4:
+                    text, code, cs, ce = item
+                    if (code in _CODES and type(text) is str and text and type(cs) is type(ce) is int
+                            and last_end <= cs < ce):
+                        toks.append(_tuple_new(Token, (_intern(text), si, ti, mi, _CODE_SECTIONS[code], cs, ce)))
+                        last_end = ce
+                        continue
+                token = _checked_token(item, mi, si, ti)
+                if token.char_start < last_end and overlap is None:
+                    overlap = (token.text, token.char_start, last_end)
+                toks.append(token)
+                last_end = token.char_end
             sentences.append(tuple(toks))
+        else:
+            for item in sent:
+                if isinstance(item, list) and len(item) == 4:
+                    text, code, cs, ce = item
+                    if (code in _CODES and type(text) is str and text and type(cs) is type(ce) is int
+                            and last_end <= cs < ce):
+                        last_end = ce
+                        continue
+                # a check other than the overlap fails wherever the item stands,
+                # so the first place of this very item is the one an error names
+                ti = next(i for i, other in enumerate(sent) if other is item)
+                token = _checked_token(item, mi, si, ti)
+                if token.char_start < last_end and overlap is None:
+                    overlap = (token.text, token.char_start, last_end)
+                last_end = token.char_end
         lengths.append(len(sent))
     return tuple(sentences), lengths, last_end, overlap
 

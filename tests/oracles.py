@@ -15,10 +15,13 @@ rebuilt each body once per check, the duplicate check that scanned the
 whole corpus per thread, the header grammar of separate line
 predicates read by a region walk and a second field walk, and the thread
 parser that ran the four stage functions one after another, each
-splitting its message slice into lines again. Differential tests require
-the package to agree with them. They share the package's unchanged
-helpers (chain normalization, model types, the chunk splitter, the
-address-list splitter).
+splitting its message slice into lines again, the CoNLL line reader that
+stripped every line and tested it against each marker prefix, and the
+chain sets, overlap rows, error categorizer and correction bookkeeping
+keyed by the mentions themselves rather than by their locations.
+Differential tests require the package to agree with them. They share the
+package's unchanged helpers (model types, the metric halves, the chunk
+splitter, the address-list splitter).
 """
 from __future__ import annotations
 
@@ -46,7 +49,8 @@ from threadcoref.model import (
     Token,
     mention_order,
 )
-from threadcoref.serialization import NativeSchemaError
+from threadcoref import serialization as _serialization
+from threadcoref.serialization import MalformedColumn, NativeSchemaError
 
 
 def _norm(chains) -> list[frozenset]:
@@ -335,6 +339,145 @@ def record_to_document_reference(record: dict) -> AnnotatedDocument:
     return AnnotatedDocument(thread=thread, chains=tuple(chains))
 
 
+def as_chain_sets_mention_keyed(chains) -> list[frozenset]:
+    """Chains as frozensets of their members themselves, each ``Mention``
+    compared through ``Mention.__eq__``, in canonical order."""
+    out = []
+    for chain in chains:
+        if isinstance(chain, CoreferenceChain):
+            out.append(frozenset(chain.mentions))
+        else:
+            out.append(frozenset(chain))
+    out = [c for c in out if c]
+    out.sort(key=_chain_order_mention_keyed)
+    return out
+
+
+def _chain_order_mention_keyed(chain: frozenset) -> tuple[int, list]:
+    return len(chain), sorted(
+        (0, m.location) if isinstance(m, Mention) else (1, repr(m)) for m in chain
+    )
+
+
+def overlap_rows_mention_keyed(k, r) -> list[dict[int, int]]:
+    """Overlap rows with the members themselves as dict keys."""
+    owners: dict = {}
+    for j, chain in enumerate(r):
+        for m in chain:
+            owners.setdefault(m, []).append(j)
+    rows = []
+    for chain in k:
+        row: dict[int, int] = {}
+        for m in chain:
+            for j in owners.get(m, ()):
+                row[j] = row.get(j, 0) + 1
+        rows.append(row)
+    return rows
+
+
+def metric_parts_mention_keyed(key, response) -> tuple:
+    """(MUC, B³, CEAFE, LEA) parts from the package's halves over the
+    mention-keyed chain sets and overlap rows."""
+    k = as_chain_sets_mention_keyed(key)
+    r = as_chain_sets_mention_keyed(response)
+    rows = overlap_rows_mention_keyed(k, r)
+    table = (k, r, rows, _metrics.transpose_rows(rows, len(r)))
+    return (
+        _metrics._two_sided(_metrics._muc_half, *table),
+        _metrics._two_sided(_metrics._b3_half, *table),
+        _metrics._ceaf_e(k, r, rows),
+        _metrics._two_sided(_metrics._lea_half, *table),
+    )
+
+
+def align_chains_mention_keyed(key, response) -> "_errors.ChainAlignment":
+    rows = overlap_rows_mention_keyed([set(c.mentions) for c in key], [set(c.mentions) for c in response])
+    return _errors._alignment(key, response, rows)
+
+
+def categorize_errors_mention_keyed(thread, key, response) -> "_errors.ErrorReport":
+    """The error categorizer over overlap rows, with mention sets."""
+    key_sets = [set(c.mentions) for c in key]
+    resp_sets = [set(c.mentions) for c in response]
+    rows = overlap_rows_mention_keyed(key_sets, resp_sets)
+    key_to_resp = _errors._alignment(key, response, rows).mapping()
+    resp_to_key = _errors._alignment(response, key, _metrics.transpose_rows(rows, len(response))).mapping()
+    resp_index = {c.chain_id: j for j, c in enumerate(response)}
+    key_index = {c.chain_id: i for i, c in enumerate(key)}
+    is_pronoun, in_header = _errors._is_pronoun_mention, _errors._in_header
+    counts = dict.fromkeys(_errors.ErrorReport._fields, 0)
+    for kc, row in zip(key, rows):
+        aligned_id = key_to_resp.get(kc.chain_id)
+        if aligned_id is None:
+            counts["missing_chains"] += 1
+        else:
+            aligned = resp_sets[resp_index[aligned_id]]
+            for m in kc.mentions:
+                if m in aligned:
+                    continue
+                if is_pronoun(thread, m):
+                    counts["missing_pronoun_refs"] += 1
+                elif in_header(thread, m):
+                    counts["missing_header_refs"] += 1
+                else:
+                    counts["missing_other_refs"] += 1
+        if len(row) >= 2:
+            counts["decomposed_chain_count"] += 1
+            counts["new_chain_count"] += len(row)
+    for rc in response:
+        aligned_id = resp_to_key.get(rc.chain_id)
+        if aligned_id is None:
+            continue
+        aligned = key_sets[key_index[aligned_id]]
+        for m in rc.mentions:
+            if m in aligned:
+                continue
+            if is_pronoun(thread, m):
+                counts["incorrect_pronoun_refs"] += 1
+            else:
+                counts["incorrect_other_refs"] += 1
+    return _errors.ErrorReport(**counts)
+
+
+def _span_overlap_mention_keyed(a: Mention, b: Mention) -> int:
+    if (a.message_index, a.sentence_index) != (b.message_index, b.sentence_index):
+        return 0
+    lo = max(a.start_token, b.start_token)
+    hi = min(a.end_token, b.end_token)
+    return max(0, hi - lo + 1)
+
+
+def correction_stats_mention_keyed(predicted, gold) -> "_metrics.CorrectionStats":
+    """Correction bookkeeping with mention sets, sorted by ``Mention.__lt__``."""
+    pred = set(predicted)
+    gold_set = set(gold)
+    unchanged = pred & gold_set
+    open_pred = sorted(pred - unchanged)
+    open_gold = sorted(gold_set - unchanged)
+    pairs = []
+    for p in open_pred:
+        for g in open_gold:
+            overlap = _span_overlap_mention_keyed(p, g)
+            if overlap > 0:
+                pairs.append((-overlap, p, g))
+    pairs.sort()
+    used_pred: set = set()
+    used_gold: set = set()
+    corrected = 0
+    for _, p, g in pairs:
+        if p in used_pred or g in used_gold:
+            continue
+        used_pred.add(p)
+        used_gold.add(g)
+        corrected += 1
+    return _metrics.CorrectionStats(
+        added=len(open_gold) - corrected,
+        corrected=corrected,
+        deleted=len(open_pred) - corrected,
+        unchanged=len(unchanged),
+    )
+
+
 def _muc_half_reference(chains, others) -> tuple[float, float]:
     """One role of MUC by counting the partitions of each chain: one per chain
     of the other side holding its mentions (the last such chain, for a mention
@@ -357,8 +500,8 @@ def _muc_half_reference(chains, others) -> tuple[float, float]:
 
 def muc_parts_reference(key, response) -> "_metrics.MetricParts":
     """MUC parts from a mention-to-chain membership map."""
-    k = _metrics.as_chain_sets(key)
-    r = _metrics.as_chain_sets(response)
+    k = as_chain_sets_mention_keyed(key)
+    r = as_chain_sets_mention_keyed(response)
     r_num, r_den = _muc_half_reference(k, r)
     p_num, p_den = _muc_half_reference(r, k)
     return _metrics.MetricParts(p_num, p_den, r_num, r_den)
@@ -380,8 +523,8 @@ def _b3_half_reference(chains, others) -> tuple[float, float]:
 
 def b_cubed_parts_reference(key, response) -> "_metrics.MetricParts":
     """B³ parts by one chain intersection per mention."""
-    k = _metrics.as_chain_sets(key)
-    r = _metrics.as_chain_sets(response)
+    k = as_chain_sets_mention_keyed(key)
+    r = as_chain_sets_mention_keyed(response)
     r_num, r_den = _b3_half_reference(k, r)
     p_num, p_den = _b3_half_reference(r, k)
     return _metrics.MetricParts(p_num, p_den, r_num, r_den)
@@ -408,8 +551,8 @@ def _link_count(size: int) -> float:
 
 def lea_parts_reference(key, response) -> "_metrics.MetricParts":
     """LEA parts by intersecting every key chain with every response chain."""
-    k = _metrics.as_chain_sets(key)
-    r = _metrics.as_chain_sets(response)
+    k = as_chain_sets_mention_keyed(key)
+    r = as_chain_sets_mention_keyed(response)
     r_num, r_den = _lea_half_reference(k, r)
     p_num, p_den = _lea_half_reference(r, k)
     return _metrics.MetricParts(p_num, p_den, r_num, r_den)
@@ -544,6 +687,109 @@ def skeleton_document_reference(doc_id, sentences, chains) -> AnnotatedDocument:
         for cid, spans in sorted(chains.items())
     )
     return AnnotatedDocument(thread=thread, chains=chain_objs)
+
+
+def iter_conll_documents_reference(lines, *, thread: bool = True):
+    """The CoNLL line reader that strips every line and tests it against each
+    marker prefix in turn, yielding each document at its ``#end document``.
+
+    Every line is checked either way; with ``thread`` false no token is built,
+    and each document's thread holds no message. A span that a document
+    holds twice, in one chain or in two, is an error at the line that closes
+    its second copy.
+    """
+    doc_id: Optional[str] = None
+    sentences: list[list[str]] = []
+    current: list[str] = []
+    owners: dict[tuple[int, int, int], int] = {}
+    open_spans: dict[int, list[tuple[int, int]]] = {}
+    line_no = 0
+
+    def close_sentence() -> None:
+        if current:
+            sentences.append(list(current))
+            current.clear()
+
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if stripped.startswith("#begin document"):
+            if doc_id is not None:
+                raise MalformedColumn(line_no, "nested #begin document")
+            try:
+                doc_id = stripped.split("(", 1)[1].split(")", 1)[0]
+            except IndexError:
+                raise MalformedColumn(line_no, "malformed #begin document line") from None
+            sentences, current, owners, open_spans = [], [], {}, {}
+            continue
+        if stripped.startswith("#end document"):
+            if doc_id is None:
+                raise MalformedColumn(line_no, "#end document without #begin")
+            close_sentence()
+            if any(stack for stack in open_spans.values()):
+                open_ids = sorted(cid for cid, stack in open_spans.items() if stack)
+                raise MalformedColumn(line_no, f"unclosed span(s) for chain(s) {open_ids}")
+            chains: dict[int, list[tuple[int, int, int]]] = {}
+            for span, cid in owners.items():
+                chains.setdefault(cid, []).append(span)
+            if thread:
+                yield _serialization._skeleton_document(doc_id, sentences, chains)
+            else:
+                yield _serialization._chains_document(doc_id, [], chains)
+            doc_id = None
+            continue
+        if stripped.startswith("#"):
+            continue
+        if not stripped:
+            close_sentence()
+            continue
+        if doc_id is None:
+            # a byte order mark hides the "#" of the line it starts
+            if stripped.startswith("\ufeff"):
+                raise MalformedColumn(line_no, "unexpected UTF-8 byte order mark")
+            raise MalformedColumn(line_no, "token row outside a document")
+        cols = stripped.split()
+        if len(cols) < 5:
+            raise MalformedColumn(line_no, f"expected >= 5 columns, got {len(cols)}")
+        word = cols[3]
+        coref = cols[-1]
+        sent_index = len(sentences)
+        tok_index = len(current)
+        current.append(word)
+        if coref == "-" or coref == "_":
+            continue
+        for entry in coref.split("|"):
+            opens = entry.startswith("(")
+            closes = entry.endswith(")")
+            cid_text = entry[opens : len(entry) - closes]
+            # int() also reads non-ASCII digits, and str.isdigit() passes some it cannot read
+            if not (opens or closes) or not (cid_text.isdigit() and cid_text.isascii()):
+                raise MalformedColumn(line_no, f"bad coref entry {entry!r}")
+            cid = int(cid_text)
+            if not closes:
+                open_spans.setdefault(cid, []).append((sent_index, tok_index))
+                continue
+            if opens:
+                span = (sent_index, tok_index, tok_index)
+            else:
+                stack = open_spans.get(cid)
+                if not stack:
+                    raise MalformedColumn(line_no, f"closing unopened span for chain {cid}")
+                open_sent, open_tok = stack.pop()
+                if open_sent != sent_index:
+                    raise MalformedColumn(
+                        line_no, f"span for chain {cid} crosses a sentence boundary"
+                    )
+                span = (sent_index, open_tok, tok_index)
+            if span in owners:
+                raise MalformedColumn(
+                    line_no,
+                    f"chain {cid}: span at sentence {span[0]}, tokens {span[1]}-{span[2]} "
+                    f"is already in chain {owners[span]}",
+                )
+            owners[span] = cid
+    if doc_id is not None:
+        # line_no is now the number of lines
+        raise MalformedColumn(line_no, "missing #end document")
 
 
 _HEX_CHARS = set("0123456789abcdefABCDEF \n")

@@ -463,6 +463,15 @@ class TestScore:
         assert main(["score", "--key", str(key), "--response", str(key),
                      "--metrics", "blanc"]) == 1
 
+    @pytest.mark.parametrize("names", [",", "", " , ,"])
+    def test_no_metric_exits_1_before_reading(self, tmp_path, names, capsys):
+        # neither file exists: the option is refused before either is opened
+        missing = str(tmp_path / "missing.jsonl")
+        assert main(["score", "--key", missing, "--response", missing, "--metrics", names]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --metrics names no metric\n"
+
     def test_reversed_response_decodes_each_record_once(self, gold_corpus, tmp_path, capsys, monkeypatch):
         from threadcoref import serialization
 
@@ -1441,11 +1450,16 @@ class TestBoundedMemory:
                 (out / str(i) / path.name).write_bytes(path.read_bytes())
         return out
 
-    @pytest.mark.parametrize("command", ["stats", "score"])
+    @pytest.mark.parametrize("command", ["stats", "score", "score-conll"])
     def test_peak_rss_flat_in_corpus_size(self, parsed_corpus, tmp_path, command):
         peaks = []
         for copies in (4, 32):
-            path = str(self._copies(parsed_corpus, copies, tmp_path / f"x{copies}.jsonl"))
+            path = self._copies(parsed_corpus, copies, tmp_path / f"x{copies}.jsonl")
+            if command == "score-conll":
+                conll = path.with_suffix(".conll")
+                conll.write_text(write_conll_documents(read_native(path.read_text(encoding="utf-8"))), encoding="utf-8")
+                path = conll
+            path = str(path)
             args = ["stats", "--in", path] if command == "stats" else [
                 "score", "--key", path, "--response", path]
             peaks.append(self._peak_rss(args))

@@ -3,7 +3,7 @@ import random
 import oracles
 from conftest import find_span, synthetic_document
 from threadcoref.errors import ErrorReport, align_chains, categorize_errors
-from threadcoref.model import CoreferenceChain, Mention
+from threadcoref.model import CoreferenceChain, EntityType, Mention
 
 
 def chains(*groups, start_id=0):
@@ -224,3 +224,53 @@ class TestOverlapRowsDifferential:
         report = categorize_errors(example1_thread, key, response)
         assert (report.decomposed_chain_count, report.new_chain_count) == (1, 2)
         assert report == oracles.categorize_errors_reference(example1_thread, key, response)
+
+
+def _outcome(func, *args) -> str:
+    try:
+        return repr(func(*args))
+    except Exception as exc:  # the same failure counts as the same outcome
+        return type(exc).__name__
+
+
+class TestLocationKeyDifferential:
+    """Alignment and error counts keyed by location against the same code
+    keyed by the mentions themselves (kept in ``oracles``)."""
+
+    def test_randomized_documents_identical(self):
+        rng = random.Random(1934)
+        twins = tuples = cases = 0
+        while cases < 150:
+            doc, mentions = synthetic_document(rng)
+            if not doc.chains:
+                continue
+            cases += 1
+            groups = []
+            for mention in mentions:
+                if rng.random() < 0.15:
+                    continue
+                if rng.random() < 0.3:
+                    # the same location with another entity type
+                    other = rng.choice([t for t in (None, *EntityType) if t is not mention.entity_type])
+                    mention = mention._replace(entity_type=other)
+                    twins += 1
+                if groups and rng.random() < 0.6:
+                    groups[rng.randrange(len(groups))].append(mention)
+                else:
+                    groups.append([mention])
+            key = [CoreferenceChain(c.chain_id, tuple(rng.sample(c.mentions, len(c.mentions)))) for c in doc.chains]
+            response = [CoreferenceChain(i, tuple(g)) for i, g in enumerate(groups)]
+            if response and rng.random() < 0.3:
+                # a plain tuple of a location in both sides' chains matches no mention
+                location = rng.choice(mentions).location
+                i, j = rng.randrange(len(key)), rng.randrange(len(response))
+                key[i] = key[i]._replace(mentions=key[i].mentions + (location,))
+                response[j] = response[j]._replace(mentions=(location,) + response[j].mentions)
+                tuples += 1
+            rng.shuffle(key)
+            rng.shuffle(response)
+            for k, r in ((key, response), (response, key)):
+                assert repr(align_chains(k, r)) == repr(oracles.align_chains_mention_keyed(k, r))
+                assert _outcome(categorize_errors, doc.thread, k, r) == _outcome(
+                    oracles.categorize_errors_mention_keyed, doc.thread, k, r)
+        assert twins >= 100 and tuples >= 20

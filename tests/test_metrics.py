@@ -7,6 +7,7 @@ from conftest import random_key_response, random_partition
 from threadcoref.metrics import (
     CorpusStats,
     MetricParts,
+    as_chain_sets,
     b_cubed,
     b_cubed_parts,
     ceaf_e,
@@ -17,6 +18,7 @@ from threadcoref.metrics import (
     f1_score,
     lea,
     lea_parts,
+    member_keys,
     mention_detection_score,
     muc,
     muc_parts,
@@ -26,6 +28,7 @@ from threadcoref.metrics import (
 from threadcoref.model import (
     AnnotatedDocument,
     CoreferenceChain,
+    EntityType,
     Mention,
     Section,
     Token,
@@ -496,3 +499,101 @@ class TestMucDifferential:
         for key, response in pairs:
             expected = expected + oracles.muc_parts_reference(key, response)
         assert score_documents(pairs).muc == expected.score()
+
+
+class _SubMention(Mention):
+    """A Mention subclass: it equals no Mention, and sorts by its location."""
+
+    __slots__ = ()
+
+
+# every kind of member the scorers take besides a mention: equal numbers of
+# three types, strings, a 1-tuple, and plain tuples of mention locations
+_OTHER_MEMBERS = (0, 1, 1.0, True, "a", "b", ("a",), None, (0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 2))
+_ENTITY_TYPES = (None, *EntityType)
+
+
+def _random_member(rng: random.Random):
+    loc = (rng.randrange(2), rng.randrange(2), rng.randrange(3), 0)
+    loc = loc[:3] + (loc[2] + rng.randrange(2),)
+    roll = rng.random()
+    if roll < 0.65:
+        # two sides often hold one location with different entity types
+        return Mention(*loc, rng.choice(_ENTITY_TYPES))
+    if roll < 0.8:
+        return loc
+    if roll < 0.85:
+        return _SubMention(*loc)
+    return rng.choice(_OTHER_MEMBERS)
+
+
+def _random_chains(rng: random.Random, chain_ids) -> list:
+    """Chains of random members, each a CoreferenceChain, a set, a frozenset or a list."""
+    out = []
+    for _ in range(rng.randrange(6)):
+        members = [_random_member(rng) for _ in range(rng.randint(1, 5))]
+        shape = rng.randrange(4)
+        if shape == 0:
+            out.append(CoreferenceChain(next(chain_ids), tuple(members)))
+        else:
+            out.append((set, frozenset, list)[shape - 1](members))
+    rng.shuffle(out)
+    return out
+
+
+def _outcome(func, *args) -> str:
+    try:
+        return repr(func(*args))
+    except Exception as exc:  # the same failure counts as the same outcome
+        return type(exc).__name__
+
+
+class TestLocationKeyDifferential:
+    """The scorers, keyed by location, against the same scorers keyed by the
+    mentions themselves (kept in ``oracles``): every part bit for bit."""
+
+    def test_metric_parts_identical(self):
+        rng = random.Random(1931)
+        seen = dict.fromkeys(("twins", "tuples", "others", "sub"), 0)
+        for _ in range(2000):
+            ids = iter(range(100))
+            key, response = _random_chains(rng, ids), _random_chains(rng, ids)
+            members = [m for c in key + response for m in (c.mentions if isinstance(c, CoreferenceChain) else c)]
+            mentions = [m for m in members if type(m) is Mention]
+            seen["twins"] += len({m.location for m in mentions}) < len({(m.location, m.entity_type) for m in mentions})
+            seen["tuples"] += any(type(m) is tuple and len(m) == 4 for m in members)
+            seen["others"] += any(not isinstance(m, tuple) for m in members)
+            seen["sub"] += any(type(m) is _SubMention for m in members)
+            want = oracles.metric_parts_mention_keyed(key, response)
+            got = (muc_parts(key, response), b_cubed_parts(key, response), ceaf_e_parts(key, response),
+                   lea_parts(key, response))
+            assert repr(got) == repr(want), (key, response)
+            # the chains come in the order the mention-keyed sets come in
+            assert as_chain_sets(key) == [
+                frozenset(member_keys(c)) for c in oracles.as_chain_sets_mention_keyed(key)]
+        assert min(seen.values()) >= 100, seen
+
+    def test_score_documents_identical(self):
+        rng = random.Random(1932)
+        pairs = [(_random_chains(rng, iter(range(50))), _random_chains(rng, iter(range(50, 100)))) for _ in range(200)]
+        sums = [MetricParts()] * 4
+        for key, response in pairs:
+            sums = [a + b for a, b in zip(sums, oracles.metric_parts_mention_keyed(key, response))]
+        report = score_documents(pairs)
+        assert repr((report.muc, report.b3, report.ceafe, report.lea)) == repr(tuple(s.score() for s in sums))
+
+    def test_correction_stats_identical(self):
+        rng = random.Random(1933)
+        compared = 0
+        for _ in range(3000):
+            predicted = [_random_member(rng) for _ in range(rng.randrange(8))]
+            gold = [_random_member(rng) for _ in range(rng.randrange(8))]
+            if rng.random() < 0.5:
+                # mentions alone: every case pairs and sorts
+                predicted = [m for m in predicted if type(m) is Mention]
+                gold = [m for m in gold if type(m) is Mention]
+            want = _outcome(oracles.correction_stats_mention_keyed, predicted, gold)
+            if want.startswith("CorrectionStats("):
+                compared += 1
+                assert _outcome(correction_stats, iter(predicted), iter(gold)) == want, (predicted, gold)
+        assert compared >= 1500

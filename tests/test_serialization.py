@@ -921,6 +921,94 @@ class TestConllBuilderDifferential:
         assert new == reference
 
 
+# characters that str.split and str.strip take for whitespace but that
+# str.splitlines does not take for a line break
+_INLINE_SPACES = tuple(c for c in map(chr, range(0x3001)) if c.isspace() and len(f"a{c}a".splitlines()) == 1)
+_LINE_BREAKS = ("\n", "\r\n", "\r", *LINE_BREAKING_CHARS)
+_READER_LINES = [
+    "", "# note", "#", "#end", "#begin document (z); part 000", "#begin document z", "#begin document (",
+    "#end document", "  #end document", "\t#begin document (y); part 000", "\ufeff#begin document (b); part 000",
+    "\ufeff", "z", "z 0 0", "z\t0\t0\tword", "z 0 0 é (4)", "z\t0\t1\tx\t-\textra\t(5)", "z\t0\t2\tw\t(6",
+    "z\t0\t3\tw\t6)", "z\t0\t4\tw\t(7|(7", "z\t0\t5\tw\t7)|7)",
+]
+_READER_COREFS = [*_CONLL_CORRUPTIONS, "(1|(1", "1)|1)", "(1)|(1)", "(3|3)", "(9", "9)", "(1)|2)"]
+
+
+def _reader_outcome(docs):
+    """The repr of each document read, then the error's line and message, if any."""
+    got = []
+    try:
+        for doc in docs:
+            got.append(repr(doc))
+    except MalformedColumn as exc:
+        return got, exc.line_number, str(exc)
+    return got, None, None
+
+
+class TestConllReaderDifferential:
+    """The CoNLL line reader against the one that stripped and prefix-tested
+    every line, kept in ``oracles``: on mutated text, in both ``thread``
+    modes, the same documents or the same line and message, also through the
+    stream reader with its batches ending at any line."""
+
+    @pytest.fixture(scope="class")
+    def conll_texts(self, example1_document):
+        rng = random.Random(23)
+        docs = [example1_document] + [synthetic_document(rng)[0] for _ in range(2)]
+        return [write_conll(doc) for doc in docs] + [write_conll_documents(docs[1:])]
+
+    @staticmethod
+    def _mutated(data, lines):
+        for _ in range(data.draw(st.integers(0, 4))):
+            if not lines:
+                break
+            at = data.draw(st.integers(0, len(lines) - 1))
+            kind = data.draw(st.sampled_from(
+                ["delete", "repeat", "insert", "blank", "coref", "word", "columns", "spaces", "cut"]))
+            if kind == "delete":
+                del lines[at]
+            elif kind == "repeat":
+                lines.insert(at, lines[at])
+            elif kind == "insert":
+                lines.insert(at, data.draw(st.sampled_from(_READER_LINES)))
+            elif kind == "blank":
+                lines.insert(at, "".join(data.draw(st.lists(st.sampled_from(_INLINE_SPACES), max_size=3))))
+            elif kind == "cut":
+                del lines[at:]
+            elif kind == "spaces":
+                # columns, or a marker line, apart or led by any whitespace
+                space = data.draw(st.sampled_from(_INLINE_SPACES))
+                lines[at] = space + lines[at].replace("\t", space)
+            else:
+                cols = lines[at].split("\t")
+                if len(cols) >= 5:
+                    if kind == "coref":
+                        cols[-1] = data.draw(st.sampled_from(_READER_COREFS))
+                    elif kind == "columns":
+                        del cols[data.draw(st.integers(1, 4)):]
+                    else:
+                        cols[3] = data.draw(st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=4))
+                    lines[at] = "\t".join(cols)
+        breaks = data.draw(st.lists(st.sampled_from(_LINE_BREAKS), min_size=1, max_size=4))
+        text = "".join(line + breaks[i % len(breaks)] for i, line in enumerate(lines))
+        if data.draw(st.booleans()):
+            text = text[: len(text) - len(breaks[(len(lines) - 1) % len(breaks)])]
+        return ("\ufeff" if data.draw(st.integers(0, 9)) == 0 else "") + text
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_same_documents_or_same_error(self, conll_texts, data):
+        text = self._mutated(data, data.draw(st.sampled_from(conll_texts)).split("\n"))
+        batch = data.draw(st.sampled_from([1, 2, 3, 5, serialization._CONLL_BATCH_LINES]))
+        for thread in (True, False):
+            reference = _reader_outcome(oracles.iter_conll_documents_reference(text.splitlines(), thread=thread))
+            assert _reader_outcome(serialization.iter_conll_documents(text.splitlines(), thread=thread)) == reference
+            with mock.patch.object(serialization, "_CONLL_BATCH_LINES", batch):
+                # a text file's lines, and pieces that end at any line break
+                for pieces in (io.StringIO(text, newline=None), text.splitlines(keepends=True)):
+                    assert _reader_outcome(serialization.stream_conll_documents(pieces, thread=thread)) == reference
+
+
 def _corpus10_record(thread, rng):
     """A record of a corpus10 thread with chains over the first tokens of its sentences."""
     sentences = [(msg.index, si, len(sent)) for msg in thread.messages for si, sent in enumerate(msg.sentences)]

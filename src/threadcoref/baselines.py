@@ -13,6 +13,15 @@ a partition of the mention set into chains:
 Footer mentions never participate in chaining. Messages without header
 participants leave their pronouns unresolved; those are recorded, not
 fatal.
+
+A resolver call looks each mention up once. It sorts the distinct mention
+locations into canonical order (of a location given twice, the first
+mention is kept, as ``set`` keeps it) and builds one fact table over those
+positions: each mention's first-token section, pronoun class, normalized
+word set and header field. Word sets come from a cache of token text to
+words that lives for that one call. The overlap, participant and pronoun
+stages read the table and join integer positions in one union-find; the
+public stage functions build the same table and run the same stage code.
 """
 from __future__ import annotations
 
@@ -78,6 +87,29 @@ def mention_pronoun_class(thread: EmailThread, mention: Mention) -> PronounClass
     return classify_pronoun(mention_tokens(thread, mention)[0].text)
 
 
+# one compiled split for every token text; the empty string is what a split
+# leaves before a leading or after a trailing separator
+_NON_WORD = re.compile(r"[\W_]+")
+_DROPPED_WORDS = wordlists.ENGLISH_STOPWORDS | {""}
+
+
+def _text_words(text: str, cache: dict[str, frozenset[str]]) -> frozenset[str]:
+    """Normalized words of one token text, taken from or added to ``cache``."""
+    words = cache.get(text)
+    if words is None:
+        folded = text.casefold()
+        if "@" in folded:
+            folded = folded.split("@", 1)[0]
+        words = cache[text] = frozenset(_NON_WORD.split(folded)) - _DROPPED_WORDS
+    return words
+
+
+def _span_words(tokens: Sequence[Token], cache: dict[str, frozenset[str]]) -> frozenset[str]:
+    if len(tokens) == 1:
+        return _text_words(tokens[0].text, cache)
+    return frozenset().union(*[_text_words(tok.text, cache) for tok in tokens])
+
+
 def normalize_mention_words(thread: EmailThread, mention: Mention) -> frozenset[str]:
     """Word set used for overlap chaining.
 
@@ -86,15 +118,7 @@ def normalize_mention_words(thread: EmailThread, mention: Mention) -> frozenset[
     are shared by most addresses in a corpus and would chain unrelated
     participants together.
     """
-    words: set[str] = set()
-    for tok in mention_tokens(thread, mention):
-        text = tok.text.casefold()
-        if "@" in text:
-            local = text.split("@", 1)[0]
-            words.update(w for w in re.split(r"[\W_]+", local) if w)
-        else:
-            words.update(w for w in re.split(r"[\W_]+", text) if w)
-    return frozenset(w for w in words if w not in wordlists.ENGLISH_STOPWORDS)
+    return _span_words(mention_tokens(thread, mention), {})
 
 
 class _UnionFind:
@@ -111,10 +135,75 @@ class _UnionFind:
         self.parent[self.find(x)] = self.find(y)
 
     def groups(self) -> dict[int, list[int]]:
+        """Members of each set by root. Members ascend, and sets come in the
+        order of their smallest member, because ``i`` ascends here."""
         out: dict[int, list[int]] = defaultdict(list)
         for i in range(len(self.parent)):
             out[self.find(i)].append(i)
         return out
+
+
+class _MentionFacts(NamedTuple):
+    """What the resolver stages read of each distinct mention location.
+
+    Position ``p`` is the ``p``-th location in canonical order; every list
+    is indexed by position. ``words[p]`` is None for a footer mention, which
+    never chains; ``fields[p]`` is the header field of the sentence of a
+    mention whose first token is a header token, else None.
+    """
+
+    order: list[Mention]
+    sections: list[Section]
+    classes: list[PronounClass]
+    words: list[Optional[frozenset[str]]]
+    fields: list[Optional[str]]
+
+
+def _mention_facts(thread: EmailThread, mentions: Iterable[Mention]) -> _MentionFacts:
+    """The fact table of ``mentions``, each location looked up once.
+
+    Canonical order sorts the distinct locations; of a repeated location the
+    mention given first is kept, as ``set`` keeps it. Raises IndexError for
+    a span that addresses no token.
+    """
+    given = list(mentions)
+    given.reverse()
+    by_location = dict(zip(map(mention_order, given), given))
+    order = [by_location[location] for location in sorted(by_location)]
+    messages = thread.messages
+    cache: dict[str, frozenset[str]] = {}
+    sections: list[Section] = []
+    classes: list[PronounClass] = []
+    words: list[Optional[frozenset[str]]] = []
+    fields: list[Optional[str]] = []
+    last_sentence, field = None, None
+    for mention in order:
+        mi, si, start, end, _ = mention
+        sentence = messages[mi].sentences[si]
+        if end >= len(sentence):
+            raise IndexError(f"mention {mention.location} exceeds sentence length {len(sentence)}")
+        # the mentions of one sentence are adjacent, so a sentence's header
+        # field is read once
+        if sentence is not last_sentence:
+            last_sentence, field = sentence, header_field_of_sentence(sentence)
+        tokens = sentence[start : end + 1]
+        section = tokens[0].section
+        sections.append(section)
+        classes.append(classify_pronoun(tokens[0].text) if start == end else PronounClass.OTHER)
+        words.append(None if section is Section.FOOTER else _span_words(tokens, cache))
+        fields.append(field if section is Section.HEADER else None)
+    return _MentionFacts(order, sections, classes, words, fields)
+
+
+def _chain_overlaps(uf: _UnionFind, words: list[Optional[frozenset[str]]], positions: Iterable[int]) -> None:
+    """Join positions that share a normalized word, each to the first
+    position that holds the word."""
+    first_with: dict[str, int] = {}
+    for p in positions:
+        for word in words[p]:
+            q = first_with.setdefault(word, p)
+            if q != p:
+                uf.union(p, q)
 
 
 def chain_overlapping_mentions(
@@ -122,24 +211,15 @@ def chain_overlapping_mentions(
 ) -> list[tuple[Mention, ...]]:
     """Partition mentions by transitive normalized-word overlap.
 
-    Merging is closed under transitivity (union-find over an inverted
-    word index), and the output is canonical: groups ordered by their
-    smallest mention, mentions sorted within each group, so any input
+    Merging is closed under transitivity (union-find over the first
+    position of each word), and the output is canonical: groups ordered by
+    their smallest mention, mentions sorted within each group, so any input
     ordering yields the same partition. Footer mentions never merge.
     """
-    order = sorted(set(mentions), key=mention_order)
-    uf = _UnionFind(len(order))
-    by_word: dict[str, list[int]] = defaultdict(list)
-    for i, mention in enumerate(order):
-        if mention_tokens(thread, mention)[0].section is Section.FOOTER:
-            continue
-        for word in normalize_mention_words(thread, mention):
-            by_word[word].append(i)
-    for indices in by_word.values():
-        for other in indices[1:]:
-            uf.union(indices[0], other)
-    groups = sorted(uf.groups().values(), key=lambda idxs: min(idxs))
-    return [tuple(order[i] for i in sorted(idxs)) for idxs in groups]
+    facts = _mention_facts(thread, mentions)
+    uf = _UnionFind(len(facts.order))
+    _chain_overlaps(uf, facts.words, [p for p, words in enumerate(facts.words) if words is not None])
+    return [tuple([facts.order[p] for p in group]) for group in uf.groups().values()]
 
 
 class MessageParticipants(NamedTuple):
@@ -161,42 +241,40 @@ class ParticipantIndex(NamedTuple):
         return MessageParticipants()
 
 
+def _participants(facts: _MentionFacts, message_count: int) -> tuple[list[list[int]], ...]:
+    """Per message, the positions of its senders, its recipients and its
+    pronoun recipients: non-pronominal header mentions, by header line."""
+    senders: list[list[int]] = [[] for _ in range(message_count)]
+    recipients: list[list[int]] = [[] for _ in range(message_count)]
+    order, classes, words = facts.order, facts.classes, facts.words
+    for p, field in enumerate(facts.fields):
+        if field is None or classes[p] is not PronounClass.OTHER:
+            continue
+        if field in SENDER_FIELDS:
+            senders[order[p].message_index].append(p)
+        elif field in RECIPIENT_FIELDS:
+            recipients[order[p].message_index].append(p)
+    pronoun_recipients = [
+        [r for r in rs if not any(words[s] and words[s] == words[r] for s in ss)]
+        for ss, rs in zip(senders, recipients)
+    ]
+    return senders, recipients, pronoun_recipients
+
+
 def build_participant_index(thread: EmailThread, mentions: Iterable[Mention]) -> ParticipantIndex:
     """Assign header mentions sender/recipient roles by their header line."""
-    senders: dict[int, list[Mention]] = defaultdict(list)
-    recipients: dict[int, list[Mention]] = defaultdict(list)
-    for mention in sorted(set(mentions), key=mention_order):
-        if mention_pronoun_class(thread, mention) is not PronounClass.OTHER:
-            continue
-        tokens = mention_tokens(thread, mention)
-        if tokens[0].section is not Section.HEADER:
-            continue
-        sentence = thread.sentence(mention.message_index, mention.sentence_index)
-        field = header_field_of_sentence(sentence)
-        if field in SENDER_FIELDS:
-            senders[mention.message_index].append(mention)
-        elif field in RECIPIENT_FIELDS:
-            recipients[mention.message_index].append(mention)
-
-    entries = []
-    for i in range(len(thread.messages)):
-        sender_words = [normalize_mention_words(thread, s) for s in senders.get(i, [])]
-        pronoun_recipients = tuple(
-            r
-            for r in recipients.get(i, [])
-            if not any(
-                words and words == normalize_mention_words(thread, r)
-                for words in sender_words
-            )
-        )
-        entries.append(
+    facts = _mention_facts(thread, mentions)
+    order = facts.order
+    return ParticipantIndex(
+        by_message=tuple(
             MessageParticipants(
-                senders=tuple(senders.get(i, [])),
-                recipients=tuple(recipients.get(i, [])),
-                pronoun_recipients=pronoun_recipients,
+                senders=tuple([order[p] for p in ss]),
+                recipients=tuple([order[p] for p in rs]),
+                pronoun_recipients=tuple([order[p] for p in prs]),
             )
+            for ss, rs, prs in zip(*_participants(facts, len(thread.messages)))
         )
-    return ParticipantIndex(by_message=tuple(entries))
+    )
 
 
 class UnresolvedPronoun(NamedTuple):
@@ -214,83 +292,53 @@ class Resolution(NamedTuple):
 
 def _resolve(
     thread: EmailThread,
-    mentions: Sequence[Mention],
+    mentions: Iterable[Mention],
     plural_as_thread_chain: bool,
 ) -> Resolution:
-    order = sorted(set(mentions), key=mention_order)
-    index_of = {m: i for i, m in enumerate(order)}
+    facts = _mention_facts(thread, mentions)
+    order, sections, classes, words = facts.order, facts.sections, facts.classes, facts.words
     uf = _UnionFind(len(order))
+    _chain_overlaps(
+        uf, words, [p for p, pclass in enumerate(classes) if pclass is PronounClass.OTHER and words[p] is not None]
+    )
+    senders, _, pronoun_recipients = _participants(facts, len(thread.messages))
+    for aliases in senders:
+        for alias in aliases[1:]:
+            uf.union(aliases[0], alias)
+
     unresolved: list[UnresolvedPronoun] = []
-
-    classes = {m: mention_pronoun_class(thread, m) for m in order}
-    in_footer = {
-        m: mention_tokens(thread, m)[0].section is Section.FOOTER for m in order
-    }
-    non_pronominal = [m for m in order if classes[m] is PronounClass.OTHER]
-
-    for group in chain_overlapping_mentions(thread, non_pronominal):
-        first = index_of[group[0]]
-        for other in group[1:]:
-            uf.union(first, index_of[other])
-
-    participants = build_participant_index(thread, non_pronominal)
-    for entry in participants.by_message:
-        if len(entry.senders) > 1:
-            first = index_of[entry.senders[0]]
-            for alias in entry.senders[1:]:
-                uf.union(first, index_of[alias])
-
     plural_root: Optional[int] = None
-    for mention in order:
-        pclass = classes[mention]
-        if pclass is PronounClass.OTHER or in_footer[mention]:
+    for p, pclass in enumerate(classes):
+        if pclass is PronounClass.OTHER or sections[p] is Section.FOOTER:
             continue
-        entry = participants.for_message(mention.message_index)
-        mi = index_of[mention]
+        mi = order[p].message_index
         if pclass is PronounClass.FIRST_SINGULAR:
-            if entry.senders:
-                uf.union(mi, index_of[entry.senders[0]])
-            else:
-                unresolved.append(
-                    UnresolvedPronoun(mention, pclass, "no sender mention in message header")
-                )
+            targets, reason = senders[mi][:1], "no sender mention in message header"
         elif pclass is PronounClass.SECOND:
-            if entry.pronoun_recipients:
-                for r in entry.pronoun_recipients:
-                    uf.union(mi, index_of[r])
-            else:
-                unresolved.append(
-                    UnresolvedPronoun(mention, pclass, "no recipient mention in message header")
-                )
-        elif pclass is PronounClass.FIRST_PLURAL:
-            if plural_as_thread_chain:
-                if plural_root is None:
-                    plural_root = mi
-                else:
-                    uf.union(mi, plural_root)
-            else:
-                targets = list(entry.senders) + list(entry.pronoun_recipients)
-                if targets:
-                    for t in targets:
-                        uf.union(mi, index_of[t])
-                else:
-                    unresolved.append(
-                        UnresolvedPronoun(mention, pclass, "no participant mention in message header")
-                    )
+            targets, reason = pronoun_recipients[mi], "no recipient mention in message header"
+        elif plural_as_thread_chain:
+            if plural_root is None:
+                plural_root = p
+            targets, reason = [plural_root], ""
+        else:
+            targets, reason = senders[mi] + pronoun_recipients[mi], "no participant mention in message header"
+        if not targets:
+            unresolved.append(UnresolvedPronoun(order[p], pclass, reason))
+        for target in targets:
+            uf.union(p, target)
 
-    groups = sorted(uf.groups().values(), key=lambda idxs: min(idxs))
     chains = tuple(
-        CoreferenceChain(chain_id=cid, mentions=tuple(order[i] for i in sorted(idxs)))
-        for cid, idxs in enumerate(groups)
+        CoreferenceChain(chain_id=cid, mentions=tuple([order[p] for p in group]))
+        for cid, group in enumerate(uf.groups().values())
     )
     return Resolution(chains=chains, unresolved=tuple(unresolved))
 
 
-def resolve_hb1(thread: EmailThread, mentions: Sequence[Mention]) -> Resolution:
+def resolve_hb1(thread: EmailThread, mentions: Iterable[Mention]) -> Resolution:
     """Variant 1: first-person plurals link to sender and recipients."""
     return _resolve(thread, mentions, plural_as_thread_chain=False)
 
 
-def resolve_hb2(thread: EmailThread, mentions: Sequence[Mention]) -> Resolution:
+def resolve_hb2(thread: EmailThread, mentions: Iterable[Mention]) -> Resolution:
     """Variant 2: first-person plurals form a single thread-level chain."""
     return _resolve(thread, mentions, plural_as_thread_chain=True)

@@ -27,7 +27,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 # Only what every subcommand needs is imported here; each handler imports
 # the modules it runs, so a command loads no code it does not use.
 from . import serialization
-from .model import AnnotatedDocument, ToolkitError, mention_order, utf8_input
+from .model import AnnotatedDocument, ToolkitError, utf8_input
 
 if TYPE_CHECKING:
     from .filtering import FilterConfig, ThreadSummary
@@ -378,9 +378,8 @@ def _resolve_one(payload: tuple[int, str, str]) -> tuple[str, str]:
 
     line_no, line, baseline = payload
     doc = serialization.decode_line(line, line_no)
-    mentions = sorted(set(doc.mentions()), key=mention_order)
     resolver = baselines.resolve_hb1 if baseline == "hb1" else baselines.resolve_hb2
-    resolution = resolver(doc.thread, mentions)
+    resolution = resolver(doc.thread, doc.mentions())
     out = AnnotatedDocument(thread=doc.thread, chains=resolution.chains)
     return doc.thread.id, serialization.write_native_string([out])
 

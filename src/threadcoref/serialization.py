@@ -47,18 +47,24 @@ class OverlappingIdenticalSpan(ToolkitError):
 
 
 class NativeSchemaError(ToolkitError):
-    """A native record violates the expected schema at JSON ``path``, on line ``line_number`` if known."""
+    """A native record violates the expected schema at JSON ``path``, on line
+    ``line_number`` and in the document of id ``document_id`` if known."""
 
-    def __init__(self, path: str, message: str, line_number: Optional[int] = None):
-        where = f"{path}: " if line_number is None else f"line {line_number}: {path}: "
-        super().__init__(where + message)
+    def __init__(
+        self, path: str, message: str, line_number: Optional[int] = None, document_id: Optional[str] = None
+    ):
+        where = "" if line_number is None else f"line {line_number}: "
+        if document_id is not None:
+            where += f"document {document_id!r}: "
+        super().__init__(f"{where}{path}: {message}")
         self.path = path
         self.message = message
         self.line_number = line_number
+        self.document_id = document_id
 
     def __reduce__(self):
         # rebuilt from every field, so the error survives a worker process
-        return type(self), (self.path, self.message, self.line_number)
+        return type(self), (self.path, self.message, self.line_number, self.document_id)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +655,8 @@ def _reject_constant(name: str):
 
 def decode_line(line: str, line_no: int, *, thread: bool = True) -> AnnotatedDocument:
     """Decode one JSONL line; every error, bad JSON, NaN and Infinity included,
-    names the line number. ``thread`` is as for ``record_to_document``."""
+    names the line number, and an error in a record whose id is a string
+    names the document too. ``thread`` is as for ``record_to_document``."""
     try:
         record = json.loads(line, parse_constant=_reject_constant)
     except ValueError as exc:
@@ -657,7 +664,8 @@ def decode_line(line: str, line_no: int, *, thread: bool = True) -> AnnotatedDoc
     try:
         return record_to_document(record, thread=thread)
     except NativeSchemaError as exc:
-        raise NativeSchemaError(exc.path, exc.message, line_no) from None
+        doc_id = record.get("id") if isinstance(record, dict) else None
+        raise NativeSchemaError(exc.path, exc.message, line_no, doc_id if isinstance(doc_id, str) else None) from None
 
 
 def read_native(source: IO[str] | str) -> list[AnnotatedDocument]:

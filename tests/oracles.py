@@ -27,17 +27,19 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from datetime import datetime
 from email.utils import parsedate_to_datetime, parseaddr
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional
 
+from threadcoref import baselines as _baselines
 from threadcoref import errors as _errors
 from threadcoref import filtering as _filtering
 from threadcoref import metrics as _metrics
 from threadcoref import parsing as _parsing
+from threadcoref import wordlists as _wordlists
 from threadcoref.model import (
     AnnotatedDocument,
     CoreferenceChain,
@@ -48,6 +50,7 @@ from threadcoref.model import (
     Section,
     Token,
     mention_order,
+    mention_tokens,
 )
 from threadcoref import serialization as _serialization
 from threadcoref.serialization import MalformedColumn, NativeSchemaError
@@ -1099,3 +1102,142 @@ def parse_thread_reference(raw, config=_parsing.DEFAULT_CONFIG) -> EmailThread:
         fields = parse_header_reference(text, config)._asdict()
         messages.append(EmailMessage(index=i, sentences=sentences, **fields))
     return EmailThread(raw.id, tuple(messages), raw.source_path)
+
+
+def _normalize_mention_words_reference(thread, mention) -> frozenset[str]:
+    words: set[str] = set()
+    for tok in mention_tokens(thread, mention):
+        text = tok.text.casefold()
+        if "@" in text:
+            local = text.split("@", 1)[0]
+            words.update(w for w in re.split(r"[\W_]+", local) if w)
+        else:
+            words.update(w for w in re.split(r"[\W_]+", text) if w)
+    return frozenset(w for w in words if w not in _wordlists.ENGLISH_STOPWORDS)
+
+
+def _chain_overlapping_mentions_reference(thread, mentions) -> list[tuple[Mention, ...]]:
+    order = sorted(set(mentions), key=mention_order)
+    uf = _baselines._UnionFind(len(order))
+    by_word: dict[str, list[int]] = defaultdict(list)
+    for i, mention in enumerate(order):
+        if mention_tokens(thread, mention)[0].section is Section.FOOTER:
+            continue
+        for word in _normalize_mention_words_reference(thread, mention):
+            by_word[word].append(i)
+    for indices in by_word.values():
+        for other in indices[1:]:
+            uf.union(indices[0], other)
+    groups = sorted(uf.groups().values(), key=lambda idxs: min(idxs))
+    return [tuple(order[i] for i in sorted(idxs)) for idxs in groups]
+
+
+def _build_participant_index_reference(thread, mentions) -> "_baselines.ParticipantIndex":
+    senders: dict[int, list[Mention]] = defaultdict(list)
+    recipients: dict[int, list[Mention]] = defaultdict(list)
+    for mention in sorted(set(mentions), key=mention_order):
+        if _baselines.mention_pronoun_class(thread, mention) is not _baselines.PronounClass.OTHER:
+            continue
+        tokens = mention_tokens(thread, mention)
+        if tokens[0].section is not Section.HEADER:
+            continue
+        sentence = thread.sentence(mention.message_index, mention.sentence_index)
+        field = _baselines.header_field_of_sentence(sentence)
+        if field in _baselines.SENDER_FIELDS:
+            senders[mention.message_index].append(mention)
+        elif field in _baselines.RECIPIENT_FIELDS:
+            recipients[mention.message_index].append(mention)
+
+    entries = []
+    for i in range(len(thread.messages)):
+        sender_words = [_normalize_mention_words_reference(thread, s) for s in senders.get(i, [])]
+        pronoun_recipients = tuple(
+            r
+            for r in recipients.get(i, [])
+            if not any(
+                words and words == _normalize_mention_words_reference(thread, r)
+                for words in sender_words
+            )
+        )
+        entries.append(
+            _baselines.MessageParticipants(
+                senders=tuple(senders.get(i, [])),
+                recipients=tuple(recipients.get(i, [])),
+                pronoun_recipients=pronoun_recipients,
+            )
+        )
+    return _baselines.ParticipantIndex(by_message=tuple(entries))
+
+
+def resolve_reference(thread, mentions, plural_as_thread_chain: bool) -> "_baselines.Resolution":
+    """The header baselines stage after stage: overlap chaining, the
+    participant index, then pronoun linking, each sorting and deduplicating
+    the mentions through their hash and looking their tokens up again."""
+    PronounClass, UnresolvedPronoun = _baselines.PronounClass, _baselines.UnresolvedPronoun
+    order = sorted(set(mentions), key=mention_order)
+    index_of = {m: i for i, m in enumerate(order)}
+    uf = _baselines._UnionFind(len(order))
+    unresolved: list = []
+
+    classes = {m: _baselines.mention_pronoun_class(thread, m) for m in order}
+    in_footer = {
+        m: mention_tokens(thread, m)[0].section is Section.FOOTER for m in order
+    }
+    non_pronominal = [m for m in order if classes[m] is PronounClass.OTHER]
+
+    for group in _chain_overlapping_mentions_reference(thread, non_pronominal):
+        first = index_of[group[0]]
+        for other in group[1:]:
+            uf.union(first, index_of[other])
+
+    participants = _build_participant_index_reference(thread, non_pronominal)
+    for entry in participants.by_message:
+        if len(entry.senders) > 1:
+            first = index_of[entry.senders[0]]
+            for alias in entry.senders[1:]:
+                uf.union(first, index_of[alias])
+
+    plural_root: Optional[int] = None
+    for mention in order:
+        pclass = classes[mention]
+        if pclass is PronounClass.OTHER or in_footer[mention]:
+            continue
+        entry = participants.for_message(mention.message_index)
+        mi = index_of[mention]
+        if pclass is PronounClass.FIRST_SINGULAR:
+            if entry.senders:
+                uf.union(mi, index_of[entry.senders[0]])
+            else:
+                unresolved.append(
+                    UnresolvedPronoun(mention, pclass, "no sender mention in message header")
+                )
+        elif pclass is PronounClass.SECOND:
+            if entry.pronoun_recipients:
+                for r in entry.pronoun_recipients:
+                    uf.union(mi, index_of[r])
+            else:
+                unresolved.append(
+                    UnresolvedPronoun(mention, pclass, "no recipient mention in message header")
+                )
+        elif pclass is PronounClass.FIRST_PLURAL:
+            if plural_as_thread_chain:
+                if plural_root is None:
+                    plural_root = mi
+                else:
+                    uf.union(mi, plural_root)
+            else:
+                targets = list(entry.senders) + list(entry.pronoun_recipients)
+                if targets:
+                    for t in targets:
+                        uf.union(mi, index_of[t])
+                else:
+                    unresolved.append(
+                        UnresolvedPronoun(mention, pclass, "no participant mention in message header")
+                    )
+
+    groups = sorted(uf.groups().values(), key=lambda idxs: min(idxs))
+    chains = tuple(
+        CoreferenceChain(chain_id=cid, mentions=tuple(order[i] for i in sorted(idxs)))
+        for cid, idxs in enumerate(groups)
+    )
+    return _baselines.Resolution(chains=chains, unresolved=tuple(unresolved))

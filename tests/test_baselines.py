@@ -1,7 +1,10 @@
 import random
+import re
 
-from conftest import find_span, synthetic_document
-from oracles import overlap_partition_oracle
+import pytest
+
+from conftest import derive_mentions, find_span, synthetic_document
+from oracles import overlap_partition_oracle, resolve_reference
 from threadcoref.baselines import (
     PronounClass,
     build_participant_index,
@@ -12,7 +15,7 @@ from threadcoref.baselines import (
     resolve_hb1,
     resolve_hb2,
 )
-from threadcoref.model import Mention, Section, mention_text
+from threadcoref.model import EntityType, Mention, Section, mention_text
 from threadcoref.parsing import RawThread, parse_thread
 
 
@@ -327,3 +330,109 @@ class TestRandomizedProperties:
                     mention_text(doc.thread, m).casefold() in plural_words
                     for m in plural_chains[0].mentions
                 )
+
+
+def as_plain(resolution):
+    """A resolution as plain tuples, so that entity types count too:
+    ``Mention`` equality looks at the location only."""
+    return (
+        [(c.chain_id, [tuple(m) for m in c.mentions]) for c in resolution.chains],
+        [(tuple(u.mention), u.pronoun_class, u.reason) for u in resolution.unresolved],
+    )
+
+
+def assert_matches_reference(thread, mentions):
+    """hb1 and hb2 give the reference resolver's chains, chain ids, mention
+    order, entity types and unresolved pronouns, from a list and from a
+    generator."""
+    mentions = list(mentions)
+    for resolver, plural in ((resolve_hb1, False), (resolve_hb2, True)):
+        expected = as_plain(resolve_reference(thread, mentions, plural))
+        assert as_plain(resolver(thread, mentions)) == expected
+        assert as_plain(resolver(thread, (m for m in mentions))) == expected
+
+
+def every_token(thread):
+    return [Mention(t.message_index, t.sentence_index, t.token_index, t.token_index) for t in thread.tokens()]
+
+
+def spans_of(thread, words):
+    """Every span whose token texts are ``words``."""
+    n = len(words)
+    return [
+        Mention(t.message_index, t.sentence_index, t.token_index, t.token_index + n - 1)
+        for t in thread.tokens()
+        if [u.text for u in thread.sentence(t.message_index, t.sentence_index)[t.token_index:t.token_index + n]] == words
+    ]
+
+
+EDGE_THREADS = {
+    # a footer pronoun, and a footer name that shares its words with a body name
+    "footer": (
+        "From: alice.johnson@acme.com\nTo: bob.smith@acme.com\nSubject: s\n\n"
+        "I sent the Falcon Venture report to you.\n\n"
+        "This e-mail is confidential. If you are not the Falcon Venture recipient, we ask that I be told.\n",
+        [["alice.johnson@acme.com"], ["bob.smith@acme.com"], ["Falcon", "Venture"], ["you"], ["we"], ["I"]],
+    ),
+    # an address next to the name it spells, a recipient who is also the
+    # sender, and two senders of one message whose words differ
+    "participants": (
+        "From: mark.taylor@enron.com\nX-From: Mark Taylor\n"
+        "To: mark.taylor@enron.com, sara.shackleton@enron.com\nX-To: Mark Taylor, Sara Shackleton\n"
+        "Subject: s\n\nMark Taylor and I will call you. We agree.\n\n"
+        "-----Original Message-----\n"
+        "From: sara.shackleton@enron.com\nX-From: Legal Desk\nSent: Mon, 17 Dec 2001 10:00:00 -0800\n"
+        "To: mark.taylor@enron.com\nSubject: s\n\nCan you sign? We wait. I am Sara.\n",
+        [["mark.taylor@enron.com"], ["sara.shackleton@enron.com"], ["Mark", "Taylor"], ["Sara", "Shackleton"],
+         ["Legal", "Desk"], ["you"], ["We"], ["I"]],
+    ),
+}
+
+
+class TestMatchesReference:
+    """The one-pass resolver against the stage-by-stage reference it replaced."""
+
+    def test_example1(self, example1_thread, example1_mentions):
+        assert_matches_reference(example1_thread, example1_mentions.values())
+
+    def test_corpus10(self, corpus10_threads):
+        for thread in corpus10_threads:
+            assert_matches_reference(thread, derive_mentions(thread))
+            assert_matches_reference(thread, every_token(thread))
+
+    def test_synthetic_documents(self):
+        rng = random.Random(17)
+        for _ in range(80):
+            doc, mentions = synthetic_document(rng, include_plural=rng.random() < 0.5)
+            rng.shuffle(mentions)
+            assert_matches_reference(doc.thread, mentions)
+            assert_matches_reference(doc.thread, list(doc.mentions()))
+
+    @pytest.mark.parametrize("name", sorted(EDGE_THREADS))
+    def test_edge_threads(self, name):
+        text, spans = EDGE_THREADS[name]
+        thread = parse(text)
+        named = [mention for words in spans for mention in spans_of(thread, words)]
+        mentions = named + every_token(thread)
+        random.Random(5).shuffle(mentions)
+        assert_matches_reference(thread, named)
+        assert_matches_reference(thread, mentions)
+
+    def test_repeated_locations_keep_the_first(self, example1_thread, example1_mentions):
+        m = example1_mentions
+        first = m["crestone"]._replace(entity_type=EntityType.ORG)
+        again = m["crestone"]._replace(entity_type=EntityType.LOC)
+        mentions = [m["you"], first, m["from_email"], again, m["i"], m["x_from"], m["you"], m["to_email"]]
+        assert_matches_reference(example1_thread, mentions)
+        for resolver in (resolve_hb1, resolve_hb2):
+            kept = [x for c in resolver(example1_thread, mentions).chains for x in c.mentions if x == first]
+            assert [x.entity_type for x in kept] == [EntityType.ORG]
+
+    def test_span_past_its_sentence_end(self, example1_thread, example1_mentions):
+        i = example1_mentions["i"]
+        length = len(example1_thread.sentence(i.message_index, i.sentence_index))
+        past = i._replace(start_token=length - 1, end_token=length)
+        message = re.escape(f"mention {past.location} exceeds sentence length {length}")
+        for resolver in (resolve_hb1, resolve_hb2, lambda thread, ms: resolve_reference(thread, ms, False)):
+            with pytest.raises(IndexError, match=message):
+                resolver(example1_thread, [example1_mentions["crestone"], past])

@@ -413,7 +413,8 @@ class TestResolve:
         assert main(["resolve", "--baseline", "hb1", "--in", str(bad_schema), "--out", str(out),
                      "--jobs", jobs]) == 1
         assert capsys.readouterr().err == (
-            f"error: input file {bad_schema}: line 2: $.messages[0].sentences[0][0]: unknown section code 'zz'\n")
+            f"error: input file {bad_schema}: line 2: document {record['id']!r}: "
+            "$.messages[0].sentences[0][0]: unknown section code 'zz'\n")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_first_fault_reported_first(self, gold_corpus, tmp_path, capsys, jobs):
@@ -810,7 +811,8 @@ class TestRepeatedMentions:
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         location = tuple(chains[0]["mentions"][0][:4])
         at = f"$.chains[1].mentions[{len(chains[1]['mentions']) - 1}]"
-        return path, f"line 1: {at}: mention at {location} is already in chain {chains[0]['id']}"
+        return path, (f"line 1: document {records[0]['id']!r}: {at}: "
+                      f"mention at {location} is already in chain {chains[0]['id']}")
 
     @pytest.mark.parametrize("command", ["score", "errors", "correction-stats", "stats", "resolve"])
     def test_exits_1_with_one_line(self, gold_corpus, tmp_path, capsys, command):
@@ -872,7 +874,8 @@ class TestSpanAddressesNoToken:
         where = f"{role} file {stray}: "
         assert main([command, *map(str, args)]) == 1
         assert capsys.readouterr() == ("", (
-            f"error: {where}line 2: $.chains[0].mentions[0]: mention at {tuple(mention[:4])} addresses no token\n"))
+            f"error: {where}line 2: document {records[1]['id']!r}: "
+            f"$.chains[0].mentions[0]: mention at {tuple(mention[:4])} addresses no token\n"))
         assert not out.exists()
 
 
@@ -1140,12 +1143,12 @@ class TestNonIntegerNumbers:
     float or a boolean there is rejected, naming the value's path."""
 
     @staticmethod
-    def _record(gold_corpus, tmp_path, edit) -> Path:
+    def _record(gold_corpus, tmp_path, edit) -> tuple[Path, str]:
         record = json.loads(gold_corpus.read_text(encoding="utf-8").splitlines()[0])
         edit(record)
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        return path
+        return path, f"line 1: document {record['id']!r}"
 
     @pytest.mark.parametrize("args", [
         ["stats", "--in", "{bad}"],
@@ -1154,28 +1157,28 @@ class TestNonIntegerNumbers:
     def test_fractional_offset(self, gold_corpus, tmp_path, capsys, args):
         def edit(record):
             record["messages"][0]["sentences"][0][0][2] = 0.5
-        bad = self._record(gold_corpus, tmp_path, edit)
+        bad, where = self._record(gold_corpus, tmp_path, edit)
         out = tmp_path / "out.jsonl"
         assert main([a.format(bad=bad, out=out) for a in args]) == 1
         assert capsys.readouterr().err == (
-            f"error: input file {bad}: line 1: $.messages[0].sentences[0][0]: char_start must be an integer, got 0.5\n"
+            f"error: input file {bad}: {where}: $.messages[0].sentences[0][0]: char_start must be an integer, got 0.5\n"
         )
         assert not out.exists()
 
     def test_boolean_mention_index_and_chain_id(self, gold_corpus, tmp_path, capsys):
         def edit(record):
             record["chains"][0]["mentions"][0][1] = True
-        bad = self._record(gold_corpus, tmp_path, edit)
+        bad, where = self._record(gold_corpus, tmp_path, edit)
         assert main(["stats", "--in", str(bad)]) == 1
         assert capsys.readouterr().err == (
-            f"error: input file {bad}: line 1: $.chains[0].mentions[0]: sentence_index must be an integer, got True\n"
+            f"error: input file {bad}: {where}: $.chains[0].mentions[0]: sentence_index must be an integer, got True\n"
         )
 
         def edit(record):
             record["chains"][0]["id"] = True
-        bad = self._record(gold_corpus, tmp_path, edit)
+        bad, where = self._record(gold_corpus, tmp_path, edit)
         assert main(["stats", "--in", str(bad)]) == 1
-        assert capsys.readouterr().err == f"error: input file {bad}: line 1: $.chains[0].id: chain id must be an int\n"
+        assert capsys.readouterr().err == f"error: input file {bad}: {where}: $.chains[0].id: chain id must be an int\n"
 
 
 class TestPipedInput:
@@ -1433,6 +1436,26 @@ class TestBoundedMemory:
         return out
 
     @staticmethod
+    def _word_copies(gold: Path, copies: int, out: Path) -> Path:
+        """Copies in which every word token is a text of its own, so that a
+        cache of words kept from one document to the next grows with the
+        corpus. A sentence's first two tokens are kept, so header lines keep
+        their field names."""
+        lines = gold.read_text(encoding="utf-8").splitlines()
+        with open(out, "w", encoding="utf-8") as fp:
+            for i in range(copies):
+                for line in lines:
+                    record = json.loads(line)
+                    record["id"] = f"{i}/{record['id']}"
+                    for message in record["messages"]:
+                        for sentence in message["sentences"]:
+                            for token in sentence[2:]:
+                                if token[0].isalpha():
+                                    token[0] += f"v{i}o{token[2]}"
+                    fp.write(json.dumps(record) + "\n")
+        return out
+
+    @staticmethod
     def _peak_rss(args: list[str]) -> int:
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -1450,18 +1473,25 @@ class TestBoundedMemory:
                 (out / str(i) / path.name).write_bytes(path.read_bytes())
         return out
 
-    @pytest.mark.parametrize("command", ["stats", "score", "score-conll"])
-    def test_peak_rss_flat_in_corpus_size(self, parsed_corpus, tmp_path, command):
+    @pytest.mark.parametrize("command", ["stats", "score", "score-conll", "resolve"])
+    def test_peak_rss_flat_in_corpus_size(self, parsed_corpus, gold_corpus, tmp_path, command):
         peaks = []
-        for copies in (4, 32):
-            path = self._copies(parsed_corpus, copies, tmp_path / f"x{copies}.jsonl")
+        # a word cache that outlived each document would hold about 11 MB
+        # more at 128 copies; at 32 it would stay under the bound
+        for copies in (4, 128) if command == "resolve" else (4, 32):
+            if command == "resolve":
+                path = self._word_copies(gold_corpus, copies, tmp_path / f"x{copies}.jsonl")
+            else:
+                path = self._copies(parsed_corpus, copies, tmp_path / f"x{copies}.jsonl")
             if command == "score-conll":
                 conll = path.with_suffix(".conll")
                 conll.write_text(write_conll_documents(read_native(path.read_text(encoding="utf-8"))), encoding="utf-8")
                 path = conll
             path = str(path)
-            args = ["stats", "--in", path] if command == "stats" else [
-                "score", "--key", path, "--response", path]
+            args = {
+                "stats": ["stats", "--in", path],
+                "resolve": ["resolve", "--baseline", "hb2", "--in", path, "--out", str(tmp_path / "resolved.jsonl")],
+            }.get(command, ["score", "--key", path, "--response", path])
             peaks.append(self._peak_rss(args))
         # a reader that held the whole 8x corpus decoded would add 10-25 MB
         assert peaks[1] <= 1.3 * peaks[0], peaks

@@ -81,7 +81,8 @@ def decode_both(record):
     """``decode_line`` on the record's JSON line, with its thread; first checks
     that the threadless decode gives the same error, or the same id, source
     path and chains with a thread of no messages. An error is raised as
-    ``record_to_document`` raises it, once its line number is checked."""
+    ``record_to_document`` raises it, once its line number and document id,
+    named when the record's id is a string, are checked."""
     line = json.dumps(record)
     outcomes = []
     for thread in (True, False):
@@ -92,7 +93,10 @@ def decode_both(record):
     full, bare = outcomes
     if isinstance(full, NativeSchemaError):
         assert (type(bare), getattr(bare, "path", None), str(bare)) == (type(full), full.path, str(full))
-        assert (full.line_number, str(full)) == (7, f"line 7: {full.path}: {full.message}")
+        doc_id = record.get("id") if isinstance(record, dict) and isinstance(record.get("id"), str) else None
+        where = "" if doc_id is None else f"document {doc_id!r}: "
+        assert (full.line_number, full.document_id, str(full)) == (
+            7, doc_id, f"line 7: {where}{full.path}: {full.message}")
         raise NativeSchemaError(full.path, full.message)
     assert bare.thread.messages == () and chain_fields(bare) == chain_fields(full)
     return full
@@ -1200,12 +1204,25 @@ class TestRepeatedLocations:
         lines = ["", json.dumps(document_to_record(example1_document)), json.dumps(record)]
         with pytest.raises(NativeSchemaError) as err:
             read_native("\n".join(lines))
-        fields = ("$.chains[2].id", "chain id 1 is repeated", 3, "line 3: $.chains[2].id: chain id 1 is repeated")
+        fields = ("$.chains[2].id", "chain id 1 is repeated", 3, "example1",
+                  "line 3: document 'example1': $.chains[2].id: chain id 1 is repeated")
         for error in (err.value, pickle.loads(pickle.dumps(err.value))):
-            assert (type(error), error.path, error.message, error.line_number, str(error)) == (NativeSchemaError, *fields)
+            assert (type(error), error.path, error.message, error.line_number, error.document_id, str(error)) == (
+                NativeSchemaError, *fields)
         with pytest.raises(NativeSchemaError) as err:
             record_to_document(record)
-        assert (err.value.line_number, str(err.value)) == (None, "$.chains[2].id: chain id 1 is repeated")
+        assert (err.value.line_number, err.value.document_id, str(err.value)) == (
+            None, None, "$.chains[2].id: chain id 1 is repeated")
+
+    @pytest.mark.parametrize("record, message", [
+        ({"id": 5, "messages": []}, "line 1: $.id: thread id must be a string"),
+        ({"id": "abc", "messages": {}}, "line 1: document 'abc': $.messages: must be a list"),
+        ([], "line 1: $: record must be an object"),
+    ], ids=["id not a string", "id read", "not an object"])
+    def test_document_named_once_its_id_is_read(self, record, message):
+        with pytest.raises(NativeSchemaError) as err:
+            read_native(json.dumps(record))
+        assert str(err.value) == message
 
     @staticmethod
     def _conll(rows):

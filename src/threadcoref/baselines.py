@@ -22,13 +22,17 @@ word set and header field. Word sets come from a cache of token text to
 words that lives for that one call. The overlap, participant and pronoun
 stages read the table and join integer positions in one union-find; the
 public stage functions build the same table and run the same stage code.
+The table reads tokens through a function of (message index, sentence
+index), asked once per sentence that holds a mention: the public functions
+pass the thread's sentences, and ``resolve`` passes the tokens of one
+sentence of a checked record, built when asked for.
 """
 from __future__ import annotations
 
 import enum
 import re
 from collections import defaultdict
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import wordlists
 from .model import (
@@ -159,33 +163,37 @@ class _MentionFacts(NamedTuple):
     fields: list[Optional[str]]
 
 
-def _mention_facts(thread: EmailThread, mentions: Iterable[Mention]) -> _MentionFacts:
+# the tokens of sentence (message index, sentence index) of a thread
+_SentenceOf = Callable[[int, int], Sequence[Token]]
+
+
+def _mention_facts(sentence_of: _SentenceOf, mentions: Iterable[Mention]) -> _MentionFacts:
     """The fact table of ``mentions``, each location looked up once.
 
     Canonical order sorts the distinct locations; of a repeated location the
-    mention given first is kept, as ``set`` keeps it. Raises IndexError for
-    a span that addresses no token.
+    mention given first is kept, as ``set`` keeps it. ``sentence_of`` is
+    asked once for each sentence that holds a mention. Raises IndexError
+    for a span that addresses no token.
     """
     given = list(mentions)
     given.reverse()
     by_location = dict(zip(map(mention_order, given), given))
     order = [by_location[location] for location in sorted(by_location)]
-    messages = thread.messages
     cache: dict[str, frozenset[str]] = {}
     sections: list[Section] = []
     classes: list[PronounClass] = []
     words: list[Optional[frozenset[str]]] = []
     fields: list[Optional[str]] = []
-    last_sentence, field = None, None
+    last = None
     for mention in order:
         mi, si, start, end, _ = mention
-        sentence = messages[mi].sentences[si]
+        # the mentions of one sentence are adjacent, so a sentence and its
+        # header field are looked up once
+        if (mi, si) != last:
+            last, sentence = (mi, si), sentence_of(mi, si)
+            field = header_field_of_sentence(sentence)
         if end >= len(sentence):
             raise IndexError(f"mention {mention.location} exceeds sentence length {len(sentence)}")
-        # the mentions of one sentence are adjacent, so a sentence's header
-        # field is read once
-        if sentence is not last_sentence:
-            last_sentence, field = sentence, header_field_of_sentence(sentence)
         tokens = sentence[start : end + 1]
         section = tokens[0].section
         sections.append(section)
@@ -216,7 +224,7 @@ def chain_overlapping_mentions(
     their smallest mention, mentions sorted within each group, so any input
     ordering yields the same partition. Footer mentions never merge.
     """
-    facts = _mention_facts(thread, mentions)
+    facts = _mention_facts(thread.sentence, mentions)
     uf = _UnionFind(len(facts.order))
     _chain_overlaps(uf, facts.words, [p for p, words in enumerate(facts.words) if words is not None])
     return [tuple([facts.order[p] for p in group]) for group in uf.groups().values()]
@@ -263,7 +271,7 @@ def _participants(facts: _MentionFacts, message_count: int) -> tuple[list[list[i
 
 def build_participant_index(thread: EmailThread, mentions: Iterable[Mention]) -> ParticipantIndex:
     """Assign header mentions sender/recipient roles by their header line."""
-    facts = _mention_facts(thread, mentions)
+    facts = _mention_facts(thread.sentence, mentions)
     order = facts.order
     return ParticipantIndex(
         by_message=tuple(
@@ -291,17 +299,21 @@ class Resolution(NamedTuple):
 
 
 def _resolve(
-    thread: EmailThread,
+    sentence_of: _SentenceOf,
+    message_count: int,
     mentions: Iterable[Mention],
     plural_as_thread_chain: bool,
 ) -> Resolution:
-    facts = _mention_facts(thread, mentions)
+    """The resolver behind ``resolve_hb1`` (``plural_as_thread_chain`` false)
+    and ``resolve_hb2`` (true), over a thread of ``message_count`` messages
+    whose sentences ``sentence_of`` gives, each asked for at most once."""
+    facts = _mention_facts(sentence_of, mentions)
     order, sections, classes, words = facts.order, facts.sections, facts.classes, facts.words
     uf = _UnionFind(len(order))
     _chain_overlaps(
         uf, words, [p for p, pclass in enumerate(classes) if pclass is PronounClass.OTHER and words[p] is not None]
     )
-    senders, _, pronoun_recipients = _participants(facts, len(thread.messages))
+    senders, _, pronoun_recipients = _participants(facts, message_count)
     for aliases in senders:
         for alias in aliases[1:]:
             uf.union(aliases[0], alias)
@@ -336,9 +348,9 @@ def _resolve(
 
 def resolve_hb1(thread: EmailThread, mentions: Iterable[Mention]) -> Resolution:
     """Variant 1: first-person plurals link to sender and recipients."""
-    return _resolve(thread, mentions, plural_as_thread_chain=False)
+    return _resolve(thread.sentence, len(thread.messages), mentions, plural_as_thread_chain=False)
 
 
 def resolve_hb2(thread: EmailThread, mentions: Iterable[Mention]) -> Resolution:
     """Variant 2: first-person plurals form a single thread-level chain."""
-    return _resolve(thread, mentions, plural_as_thread_chain=True)
+    return _resolve(thread.sentence, len(thread.messages), mentions, plural_as_thread_chain=True)

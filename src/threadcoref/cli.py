@@ -101,12 +101,25 @@ def _summarize_line(args: tuple[int, str, FilterConfig]) -> ThreadSummary:
 _CHUNK_SIZE = 32
 
 
+def _outcome(func, item) -> tuple:
+    """(``func(item)``, None), or (None, the exception it raised)."""
+    try:
+        return func(item), None
+    except Exception as exc:
+        return None, exc
+
+
 def _map_jobs(func, items: Iterable, jobs: int) -> Iterator:
-    """``func`` of each item, lazily and in input order, in ``jobs`` processes."""
+    """``func`` of each item, lazily and in input order, in ``jobs`` processes.
+
+    An item's exception is raised where its result would come, after the
+    results of the items before it, as in one process.
+    """
     if jobs <= 1:
         yield from map(func, items)
         return
     # imported here so that single-process runs never load multiprocessing
+    from functools import partial
     from multiprocessing import Pool
 
     # the pool reads the items in a thread of its own and would drop the partial
@@ -119,8 +132,13 @@ def _map_jobs(func, items: Iterable, jobs: int) -> Iterator:
         except Exception as exc:
             failed.append(exc)
 
+    # a worker runs a chunk as one call, which an exception would end for the
+    # whole chunk, so each item's exception comes back as its outcome
     with Pool(jobs) as pool:
-        yield from pool.imap(func, until_failure(), _CHUNK_SIZE)
+        for result, exc in pool.imap(partial(_outcome, func), until_failure(), _CHUNK_SIZE):
+            if exc is not None:
+                raise exc
+            yield result
     if failed:
         raise failed.pop()
 
@@ -374,14 +392,19 @@ def _cmd_features(args) -> int:
 
 
 def _resolve_one(payload: tuple[int, str, str]) -> tuple[str, str]:
-    from . import baselines
+    """The id and output line of one input line: the record is checked in
+    full, but only the sentences that hold a mention build their tokens."""
+    from .baselines import _resolve
 
     line_no, line, baseline = payload
-    doc = serialization.decode_line(line, line_no)
-    resolver = baselines.resolve_hb1 if baseline == "hb1" else baselines.resolve_hb2
-    resolution = resolver(doc.thread, doc.mentions())
-    out = AnnotatedDocument(thread=doc.thread, chains=resolution.chains)
-    return doc.thread.id, serialization.write_native_string([out])
+    record, doc = serialization.decode_record(line, line_no)
+    resolution = _resolve(
+        lambda mi, si: serialization.record_sentence(record, mi, si),
+        len(record["messages"]),
+        doc.mentions(),
+        plural_as_thread_chain=baseline == "hb2",
+    )
+    return doc.thread.id, serialization.replace_chains(line, record, resolution.chains)
 
 
 def _cmd_resolve(args) -> int:
@@ -449,9 +472,11 @@ def _cmd_errors(args) -> int:
 def _cmd_stats(args) -> int:
     from . import metrics
 
-    docs = _documents(args.input, "input", (_JSONL,))
-    next(docs)
-    stats = metrics.corpus_stats(docs)
+    lines = _open_input(args.input, "input", (_JSONL,))
+    next(lines)
+    records = (serialization.decode_record(line, line_no) for line_no, line in lines)
+    checked = _checked(records, "input", args.input, lambda pair: pair[1].thread.id)
+    stats = metrics.tally_corpus(serialization.record_counts(record, doc) for record, doc in checked)
     rows = [
         ("statistic", "value"),
         ("email_threads", str(stats.thread_count)),

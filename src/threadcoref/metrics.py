@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import AbstractSet, Hashable, Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from . import wordlists
-from .model import AnnotatedDocument, CoreferenceChain, Mention, mention_text
+from .model import AnnotatedDocument, CoreferenceChain, Mention
 
 ChainSets = Sequence[frozenset]
 # row i of one side maps index j of the other side to |chain_i & other_j| > 0
@@ -524,23 +524,42 @@ class CorpusStats(NamedTuple):
     average_chain_length: float
 
 
+# per document: its message count, its word count, its chains, and the text
+# of the token at (message index, sentence index, token index)
+DocumentCounts = tuple[int, int, Sequence[CoreferenceChain], Callable[[int, int, int], str]]
+
+
 def corpus_stats(documents: Iterable[AnnotatedDocument]) -> CorpusStats:
     """Aggregate corpus statistics over annotated documents."""
+    return tally_corpus(
+        (
+            len(doc.thread.messages),
+            sum(len(sentence) for msg in doc.thread.messages for sentence in msg.sentences),
+            doc.chains,
+            lambda mi, si, ti, thread=doc.thread: thread.sentence(mi, si)[ti].text,
+        )
+        for doc in documents
+    )
+
+
+def tally_corpus(documents: Iterable[DocumentCounts]) -> CorpusStats:
+    """Aggregate corpus statistics over the counts of each document.
+
+    A single-token mention is a pronoun when its casefolded text is in
+    ``wordlists.ALL_PRONOUNS``; multi-token mentions never are.
+    """
     threads = messages = words = chains = mentions = pronouns = 0
     longest = 0
-    for doc in documents:
+    for message_count, word_count, doc_chains, token_text in documents:
         threads += 1
-        messages += len(doc.thread.messages)
-        words += sum(1 for _ in doc.thread.tokens())
-        for chain in doc.chains:
+        messages += message_count
+        words += word_count
+        for chain in doc_chains:
             chains += 1
             mentions += len(chain)
             longest = max(longest, len(chain))
-            for m in chain.mentions:
-                if (
-                    m.start_token == m.end_token
-                    and mention_text(doc.thread, m).casefold() in wordlists.ALL_PRONOUNS
-                ):
+            for mi, si, start, end, _ in chain.mentions:
+                if start == end and token_text(mi, si, start).casefold() in wordlists.ALL_PRONOUNS:
                     pronouns += 1
     average = mentions / chains if chains else 0.0
     return CorpusStats(

@@ -309,22 +309,33 @@ def split_address_list(value: str) -> tuple[str, ...]:
 _MERIDIEM_RE = re.compile(r"\d:\d\d(?::\d\d)?\s*([AaPp][Mm])\b")
 
 
+# Lotus Notes dates, as in "Date: 05/15/2001 08:55 AM", which email.utils cannot read
+_NOTES_DATE_FORMATS = ("%m/%d/%Y %I:%M %p", "%m/%d/%Y %I:%M:%S %p")
+
+
 def _parse_date(value: str) -> Optional[datetime]:
     """A Date:/Sent: value as a datetime, or None when it is no date.
 
     email.utils would read an AM or PM after the time as an unknown time
     zone and keep the hour as written, so it is cut out first and applied
-    to the hour after: 3:10 PM is 15:10 and 12:05 AM is 00:05.
+    to the hour after: 3:10 PM is 15:10 and 12:05 AM is 00:05. A value that
+    email.utils cannot read is tried as a Lotus Notes date, month first.
     """
     # imported here, so that a command that never parses a header never loads email
     from email.utils import parsedate_to_datetime
 
     meridiem = _MERIDIEM_RE.search(value)
+    given = value
     if meridiem:
         value = value[: meridiem.start(1)] + value[meridiem.end(1) :]
     try:
         date = parsedate_to_datetime(value)
     except (TypeError, ValueError):
+        for notes_format in _NOTES_DATE_FORMATS:
+            try:
+                return datetime.strptime(given.strip(), notes_format)
+            except ValueError:
+                pass
         return None
     if meridiem and 1 <= date.hour <= 12:
         date = date.replace(hour=date.hour % 12 + (12 if meridiem.group(1)[0] in "Pp" else 0))

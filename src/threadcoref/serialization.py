@@ -331,6 +331,25 @@ def read_conll(text: str) -> AnnotatedDocument:
 _CODE_SECTIONS = {section.code: section for section in Section}
 
 
+def _chain_records(chains: Iterable[CoreferenceChain]) -> list:
+    return [
+        {
+            "id": chain.chain_id,
+            "mentions": [
+                [
+                    m.message_index,
+                    m.sentence_index,
+                    m.start_token,
+                    m.end_token,
+                    m.entity_type.value if m.entity_type else None,
+                ]
+                for m in chain.mentions
+            ],
+        }
+        for chain in chains
+    ]
+
+
 def document_to_record(
     doc: AnnotatedDocument, features: Sequence[str] = ()
 ) -> dict:
@@ -356,27 +375,11 @@ def document_to_record(
                 ],
             }
         )
-    chains = [
-        {
-            "id": chain.chain_id,
-            "mentions": [
-                [
-                    m.message_index,
-                    m.sentence_index,
-                    m.start_token,
-                    m.end_token,
-                    m.entity_type.value if m.entity_type else None,
-                ]
-                for m in chain.mentions
-            ],
-        }
-        for chain in doc.chains
-    ]
     record = {
         "id": thread.id,
         "source_path": thread.source_path,
         "messages": messages,
-        "chains": chains,
+        "chains": _chain_records(doc.chains),
     }
     if features:
         columns = {}
@@ -619,13 +622,17 @@ def record_to_document(record: dict, *, thread: bool = True) -> AnnotatedDocumen
     return AnnotatedDocument(thread=built, chains=chains)
 
 
+def _encode(value) -> str:
+    """``value`` as write_native writes it: compact, and non-ASCII kept raw."""
+    return json.dumps(value, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+
+
 def write_native(
     docs: Iterable[AnnotatedDocument], fp: IO[str], features: Sequence[str] = ()
 ) -> None:
     """Write one JSON record per line; key order is fixed for determinism."""
     for doc in docs:
-        record = document_to_record(doc, features=features)
-        fp.write(json.dumps(record, ensure_ascii=False, allow_nan=False, separators=(",", ":")))
+        fp.write(_encode(document_to_record(doc, features=features)))
         fp.write("\n")
 
 
@@ -653,19 +660,94 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-def decode_line(line: str, line_no: int, *, thread: bool = True) -> AnnotatedDocument:
-    """Decode one JSONL line; every error, bad JSON, NaN and Infinity included,
-    names the line number, and an error in a record whose id is a string
-    names the document too. ``thread`` is as for ``record_to_document``."""
+def decode_record(line: str, line_no: int, *, thread: bool = False) -> tuple[dict, AnnotatedDocument]:
+    """Decode one JSONL line into its parsed JSON record and its document.
+
+    Every error, bad JSON, NaN and Infinity included, names the line number,
+    and an error in a record whose id is a string names the document too.
+    ``thread`` is as for ``record_to_document``: without it every check
+    still runs, and ``record_sentence`` builds the tokens of any one
+    sentence of the returned record.
+    """
     try:
         record = json.loads(line, parse_constant=_reject_constant)
     except ValueError as exc:
         raise NativeSchemaError(f"line {line_no}", f"invalid JSON: {exc}") from None
     try:
-        return record_to_document(record, thread=thread)
+        return record, record_to_document(record, thread=thread)
     except NativeSchemaError as exc:
         doc_id = record.get("id") if isinstance(record, dict) else None
         raise NativeSchemaError(exc.path, exc.message, line_no, doc_id if isinstance(doc_id, str) else None) from None
+
+
+def decode_line(line: str, line_no: int, *, thread: bool = True) -> AnnotatedDocument:
+    """The document of one JSONL line, decoded and checked as ``decode_record`` does."""
+    return decode_record(line, line_no, thread=thread)[1]
+
+
+def record_sentence(record: dict, message_index: int, sentence_index: int) -> tuple[Token, ...]:
+    """The tokens of one sentence of a record that ``record_to_document`` has
+    checked, the same tokens a full decode builds. Each token of a checked
+    record is a list of a nonempty text, a section code and integer offsets,
+    so each is built directly."""
+    sentence = record["messages"][message_index]["sentences"][sentence_index]
+    return tuple([
+        _tuple_new(Token, (_intern(text), sentence_index, ti, message_index, _CODE_SECTIONS[code], cs, ce))
+        for ti, (text, code, cs, ce) in enumerate(sentence)
+    ])
+
+
+def record_counts(record: dict, doc: AnnotatedDocument) -> tuple:
+    """What ``metrics.tally_corpus`` counts of a record that ``decode_record``
+    gave with its document: the message count, the word count, the chains,
+    and the text of the token at (message, sentence, token index), each read
+    from the JSON without building a token."""
+    messages = record["messages"]
+    words = sum([len(sentence) for message in messages for sentence in message["sentences"]])
+    return len(messages), words, doc.chains, lambda mi, si, ti: messages[mi]["sentences"][si][ti][0]
+
+
+_NATIVE_KEYS = ("id", "source_path", "messages", "chains")
+_CHAINS_KEY = ',"chains":'
+
+
+def replace_chains(line: str, record: dict, chains: Sequence[CoreferenceChain]) -> str:
+    """The output line of a checked input ``line``, whose parsed JSON is
+    ``record``, with its chains replaced by ``chains`` and no features.
+
+    The new chains are spliced into the input: the line up to its top-level
+    ``,"chains":``, then the encoded chains, then ``}``. This holds when the
+    record's keys are those ``write_native`` writes, in its order, with an
+    optional ``features`` last, and the line starts with the bytes that
+    ``write_native`` gives for its ``id`` and ``source_path``; the messages
+    are then kept byte for byte as given. The last ``,"chains":`` of the line
+    is the top-level one when what follows it, read after a ``{``, is one
+    JSON object: a key nested deeper would leave a bracket unclosed or one
+    closed too many. Any other record is decoded in full and written by
+    ``write_native``. Deciding this encodes no message.
+    """
+    cut = _chains_key_at(line, record)
+    if cut < 0:
+        doc = record_to_document(record)
+        return write_native_string([AnnotatedDocument(thread=doc.thread, chains=chains)])
+    return f"{line[:cut]}{_CHAINS_KEY}{_encode(_chain_records(chains))}}}\n"
+
+
+def _chains_key_at(line: str, record: dict) -> int:
+    """Where the top-level ``,"chains":`` of ``line`` starts if the splice
+    rule of ``replace_chains`` holds, else -1."""
+    keys = tuple(record)
+    if keys != _NATIVE_KEYS and keys != (*_NATIVE_KEYS, "features"):
+        return -1
+    prefix = f'{{"id":{_encode(record["id"])},"source_path":{_encode(record["source_path"])},"messages":'
+    cut = line.rfind(_CHAINS_KEY)
+    if cut < len(prefix) or not line.startswith(prefix):
+        return -1
+    try:
+        json.loads("{" + line[cut + 1 :])
+    except ValueError:
+        return -1
+    return cut
 
 
 def read_native(source: IO[str] | str) -> list[AnnotatedDocument]:

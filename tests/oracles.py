@@ -18,7 +18,8 @@ parser that ran the four stage functions one after another, each
 splitting its message slice into lines again, the CoNLL line reader that
 stripped every line and tested it against each marker prefix, and the
 chain sets, overlap rows, error categorizer and correction bookkeeping
-keyed by the mentions themselves rather than by their locations.
+keyed by the mentions themselves rather than by their locations, and the
+``resolve`` line that decoded and re-encoded the whole record.
 Differential tests require the package to agree with them. They share the
 package's unchanged helpers (model types, the metric halves, the chunk
 splitter, the address-list splitter).
@@ -1241,3 +1242,12 @@ def resolve_reference(thread, mentions, plural_as_thread_chain: bool) -> "_basel
         for cid, idxs in enumerate(groups)
     )
     return _baselines.Resolution(chains=chains, unresolved=tuple(unresolved))
+
+
+def resolve_line_reference(line: str, line_no: int, baseline: str) -> str:
+    """The output line of ``resolve`` for one input line, by a full decode,
+    the public resolver and a full re-encode."""
+    doc = _serialization.decode_line(line, line_no)
+    resolver = _baselines.resolve_hb1 if baseline == "hb1" else _baselines.resolve_hb2
+    chains = resolver(doc.thread, doc.mentions()).chains
+    return _serialization.write_native_string([AnnotatedDocument(thread=doc.thread, chains=chains)])

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import gc
 import io
 import json
@@ -12,11 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS10_DIR, DATA_DIR, synthetic_document
-from threadcoref import cli
+import oracles
+from conftest import CORPUS10_DIR, DATA_DIR, derive_mentions, synthetic_document
+from threadcoref import cli, serialization
 from threadcoref.cli import main
 from threadcoref.filtering import fingerprint_message
-from threadcoref.model import AnnotatedDocument, CoreferenceChain, Mention, ToolkitError
+from threadcoref.metrics import corpus_stats
+from threadcoref.model import AnnotatedDocument, CoreferenceChain, Mention, ToolkitError, mention_text
 from threadcoref.serialization import (
     read_native, write_conll, write_conll_documents, write_native, write_native_string,
 )
@@ -427,6 +430,207 @@ class TestResolve:
         assert main(["resolve", "--baseline", "hb1", "--in", str(two_faults),
                      "--out", str(tmp_path / "out.jsonl"), "--jobs", jobs]) == 1
         assert capsys.readouterr().err.startswith(f"error: input file {two_faults}: line 2: invalid JSON")
+
+
+def _corpus10_gold(threads) -> list[AnnotatedDocument]:
+    """corpus10 with the mentions that derive_mentions finds, chained by their casefolded text."""
+    docs = []
+    for thread in threads:
+        by_text: dict[str, list[Mention]] = {}
+        for mention in derive_mentions(thread):
+            by_text.setdefault(mention_text(thread, mention).casefold(), []).append(mention)
+        chains = tuple(CoreferenceChain(cid, tuple(ms)) for cid, ms in enumerate(by_text.values()))
+        docs.append(AnnotatedDocument(thread, chains))
+    return docs
+
+
+@pytest.fixture(scope="module")
+def resolve_sources(tmp_path_factory, corpus10_threads, example1_document) -> dict[str, Path]:
+    """Native files that resolve reads: gold corpora, the golden parser
+    outputs and generated mail of both benchmark workloads."""
+    root = tmp_path_factory.mktemp("resolve_sources")
+    sources = {name: DATA_DIR / "golden" / f"{name}.jsonl" for name in ("corpus10", "demos", "example1")}
+    for name, docs in (("corpus10-gold", _corpus10_gold(corpus10_threads)), ("example1-gold", [example1_document])):
+        sources[name] = root / f"{name}.jsonl"
+        sources[name].write_text(write_native_string(docs), encoding="utf-8")
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import generate
+    finally:
+        sys.path.pop(0)
+    for workload in ("mail_wide", "mail_long"):
+        generate.generate(workload, 1, root / workload, 0.2)
+        sources[workload] = root / workload / "gold.jsonl"
+    return sources
+
+
+def _reference_output(path: Path, baseline: str) -> str:
+    lines = serialization.stream_native_lines(path.read_text(encoding="utf-8").split("\n"))
+    return "".join(oracles.resolve_line_reference(line, line_no, baseline) for line_no, line in lines)
+
+
+def _resolve_text(tmp_path: Path, text: str, baseline: str = "hb1") -> str:
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    src.write_text(text, encoding="utf-8")
+    assert main(["resolve", "--baseline", baseline, "--in", str(src), "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+class TestResolveSplice:
+    """resolve writes the bytes of a full decode, resolve and re-encode of each
+    record, though it builds only the sentences that hold a mention and
+    splices the new chains into the input line."""
+
+    SOURCES = ["corpus10-gold", "example1-gold", "corpus10", "demos", "example1", "mail_wide", "mail_long"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("baseline", ["hb1", "hb2"])
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_same_bytes_as_the_reference(self, resolve_sources, tmp_path, source, baseline, jobs):
+        path = resolve_sources[source]
+        out = tmp_path / "out.jsonl"
+        assert main(["resolve", "--baseline", baseline, "--in", str(path), "--out", str(out), "--jobs", jobs]) == 0
+        assert out.read_text(encoding="utf-8") == _reference_output(path, baseline)
+
+    @pytest.mark.parametrize("baseline", ["hb1", "hb2"])
+    def test_input_with_features(self, resolve_sources, tmp_path, baseline):
+        featured = tmp_path / "features.jsonl"
+        gold = resolve_sources["mail_wide"]
+        assert main(["features", "--in", str(gold), "--out", str(featured), "--mi", "--si", "--rev"]) == 0
+        assert '"features":{"mi":' in featured.read_text(encoding="utf-8")
+        out = _resolve_text(tmp_path, featured.read_text(encoding="utf-8"), baseline)
+        assert out == _reference_output(featured, baseline)
+        assert '"features"' not in out
+
+    def test_builds_only_the_sentences_that_hold_a_mention(self, resolve_sources, tmp_path, monkeypatch):
+        built = []
+        record_sentence = serialization.record_sentence
+        monkeypatch.setattr(serialization, "record_sentence",
+                            lambda record, mi, si: built.append((record["id"], mi, si)) or record_sentence(record, mi, si))
+        path = resolve_sources["mail_wide"]
+        _resolve_text(tmp_path, path.read_text(encoding="utf-8"))
+        docs = read_native(path.read_text(encoding="utf-8"))
+        held = sorted({(d.thread.id, m.message_index, m.sentence_index) for d in docs for m in d.mentions()})
+        assert sorted(built) == held
+        assert len(built) < sum(len(msg.sentences) for d in docs for msg in d.thread.messages)
+
+    @staticmethod
+    def _variants(record: dict) -> dict[str, str]:
+        """One record written in ways write_native does not write it."""
+        compact = {"ensure_ascii": False, "separators": (",", ":")}
+        head = (f'{{"id":{json.dumps(record["id"], ensure_ascii=False)},'
+                f'"source_path":{json.dumps(record["source_path"], ensure_ascii=False)},"messages":')
+        chains = json.dumps(record["chains"], **compact)
+        messages = record["messages"]
+        spelled = [dict(m, date=m["date"] and m["date"].replace("T", " ")) for m in messages]
+        bare = [{k: v for k, v in m.items() if k not in ("cc", "x_cc") or v} for m in messages]
+        nested = [dict(m, extra={"a": 1, "chains": [1]}) for m in messages]
+        return {
+            "default-separators": json.dumps(record),
+            "escaped-messages": head + json.dumps(messages, separators=(",", ":")) + ',"chains":' + chains + "}",
+            "spaced-messages": head + json.dumps(messages, ensure_ascii=False) + ',"chains":' + chains + "}",
+            "other-date-spelling": head + json.dumps(spelled, **compact) + ',"chains":' + chains + "}",
+            "absent-address-lists": head + json.dumps(bare, **compact) + ',"chains":' + chains + "}",
+            "escaped-id-and-path": (f'{{"id":{json.dumps(record["id"])},"source_path":{json.dumps(record["source_path"])},'
+                                    f'"messages":{json.dumps(messages, **compact)},"chains":{chains}}}'),
+            "other-key-order": json.dumps({k: record[k] for k in ("chains", "messages", "source_path", "id")}, **compact),
+            "absent-source-path": json.dumps({k: v for k, v in record.items() if k != "source_path"}, **compact),
+            "chains-key-in-messages": head + json.dumps(nested, **compact) + ',"chains":' + chains + "}",
+            "chains-key-in-chains": json.dumps(
+                dict(record, chains=[dict(c, chains=1) for c in record["chains"]]), **compact),
+            "chains-key-in-features": json.dumps(dict(record, features={"x": {"y": 1, "chains": []}}), **compact),
+            "spaced-top-level-chains": head + json.dumps(nested, **compact) + ' ,  "chains" : ' + chains + " } ",
+        }
+
+    @pytest.mark.parametrize("baseline", ["hb1", "hb2"])
+    def test_other_spellings_decode_to_the_reference_documents(self, gold_corpus, tmp_path, baseline):
+        records = [json.loads(line) for line in gold_corpus.read_text(encoding="utf-8").splitlines()]
+        records[0]["id"] = "café   \"quoted\""
+        records[0]["source_path"] = "dir/café.txt"
+        for record in records:
+            record["messages"][0]["subject"] = "Réunion\u2029"
+            record["messages"][0]["sentences"][0][0][0] = "naïve"
+        for name in self._variants(records[0]):
+            text = "".join(self._variants(r)[name] + "\n" for r in records)
+            src = tmp_path / f"{name}.jsonl"
+            src.write_text(text, encoding="utf-8")
+            out = _resolve_text(tmp_path, text, baseline)
+            reference = _reference_output(src, baseline)
+            assert read_native(out) == read_native(reference), name
+            if name in ("escaped-messages", "spaced-messages", "other-date-spelling", "absent-address-lists",
+                        "chains-key-in-messages"):
+                # a canonical top level keeps the messages as given
+                assert out != reference, name
+            else:
+                assert out == reference, name
+
+    def test_stats_count_as_corpus_stats(self, resolve_sources, capsys):
+        for name, path in resolve_sources.items():
+            assert main(["stats", "--in", str(path)]) == 0
+            got = dict(line.split("\t") for line in capsys.readouterr().out.splitlines()[1:])
+            want = corpus_stats(read_native(path.read_text(encoding="utf-8")))
+            assert got == {
+                "email_threads": str(want.thread_count), "email_messages": str(want.message_count),
+                "words": str(want.word_count), "coreference_chains": str(want.chain_count),
+                "annotated_mentions": str(want.mention_count), "annotated_pronouns": str(want.pronoun_count),
+                "longest_chain_length": str(want.longest_chain),
+                "average_chain_length": f"{want.average_chain_length:.4f}",
+            }, name
+
+
+class TestFirstFault:
+    """A good record, then bad ones: resolve and stats stop at the first bad
+    record with the one line that names its file, line and document."""
+
+    @staticmethod
+    def _faults(gold_corpus) -> tuple[str, dict[str, tuple[str, str]]]:
+        lines = gold_corpus.read_text(encoding="utf-8").splitlines()
+        good, record = lines[0], json.loads(lines[1])
+        doc_id = record["id"]
+        overlap = copy.deepcopy(record)
+        token = overlap["messages"][0]["sentences"][0][1]
+        token[2] = overlap["messages"][0]["sentences"][0][0][3] - 1
+        stray = copy.deepcopy(record)
+        stray["chains"][0]["mentions"][0][3] = len(stray["messages"][0]["sentences"][0]) + 5
+        stray["chains"][0]["mentions"][0][:3] = [0, 0, 0]
+        repeated = copy.deepcopy(record)
+        first = repeated["chains"][0]
+        first["mentions"].append(list(first["mentions"][0]))
+        at = f"$.chains[0].mentions[{len(first['mentions']) - 1}]"
+        faults = {
+            "token overlap": (json.dumps(overlap), (
+                f"line 2: document {doc_id!r}: $: thread {doc_id}: token {token[0]!r} at char {token[2]} "
+                f"overlaps previous token ending at {token[2] + 1}")),
+            "mention addresses no token": (json.dumps(stray), (
+                f"line 2: document {doc_id!r}: $.chains[0].mentions[0]: "
+                f"mention at {tuple(stray['chains'][0]['mentions'][0][:4])} addresses no token")),
+            "mention repeated in its chain": (json.dumps(repeated), (
+                f"line 2: document {doc_id!r}: {at}: mention at {tuple(first['mentions'][0][:4])} "
+                f"is already in chain {first['id']}")),
+            "repeated id": (good, f"repeats document id {json.loads(good)['id']!r}"),
+        }
+        return good, faults
+
+    @pytest.mark.parametrize("fault", ["token overlap", "mention addresses no token",
+                                       "mention repeated in its chain", "repeated id"])
+    @pytest.mark.parametrize("run", ["resolve-jobs1", "resolve-jobs2", "stats"])
+    def test_exits_1_naming_the_first_fault(self, gold_corpus, tmp_path, capsys, fault, run):
+        good, faults = self._faults(gold_corpus)
+        # the named fault first, then every other
+        bad = [faults[fault][0]] + [line for name, (line, _) in faults.items() if name != fault]
+        path = tmp_path / "faults.jsonl"
+        path.write_text("\n".join([good, *bad]) + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        args = {
+            "resolve-jobs1": ["resolve", "--baseline", "hb1", "--in", str(path), "--out", str(out), "--jobs", "1"],
+            "resolve-jobs2": ["resolve", "--baseline", "hb2", "--in", str(path), "--out", str(out), "--jobs", "2"],
+            "stats": ["stats", "--in", str(path)],
+        }[run]
+        assert main(args) == 1
+        message = faults[fault][1]
+        where = f"input file {path} " if fault == "repeated id" else f"input file {path}: "
+        assert capsys.readouterr() == ("", f"error: {where}{message}\n")
+        assert not out.exists()
 
 
 class TestScore:

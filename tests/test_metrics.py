@@ -386,6 +386,11 @@ class TestCorpusStats:
         assert stats.average_chain_length == pytest.approx(2.0)
         assert stats.pronoun_count == 1  # just "I"
 
+    def test_multi_token_mention_is_never_a_pronoun(self):
+        doc = self.make_doc()
+        doc = doc._replace(chains=(*doc.chains, CoreferenceChain(2, (Mention(0, 0, 0, 1),))))
+        assert corpus_stats([doc]).pronoun_count == 1  # "I saw" starts with "I"
+
     def test_empty_corpus(self):
         stats = corpus_stats([])
         assert stats == CorpusStats(0, 0, 0, 0, 0, 0, 0, 0.0)

@@ -122,6 +122,31 @@ class TestParseHeader:
         date = parse_header(f"From: a@x.com\nSent: {value}\nSubject: s\n\nx\n").date
         assert (date, date.utcoffset()) == (expected, expected.utcoffset())
 
+    @pytest.mark.parametrize("value, expected", [
+        ("05/15/2001 08:55 AM", datetime(2001, 5, 15, 8, 55)),
+        ("05/15/2001 08:55:30 PM", datetime(2001, 5, 15, 20, 55, 30)),
+        ("05/15/2001 12:05 AM", datetime(2001, 5, 15, 0, 5)),
+        ("05/15/2001 12:05 PM", datetime(2001, 5, 15, 12, 5)),
+        ("05/15/2001 12:05:09 am", datetime(2001, 5, 15, 0, 5, 9)),
+        # a Notes date names no month 13 and always has AM or PM
+        ("13/15/2001 08:55 AM", None),
+        ("05/15/2001 08:55", None),
+    ])
+    def test_lotus_notes_date(self, value, expected):
+        assert parsing._parse_date(value) == expected
+        assert parse_header(f"From: a@x.com\nDate: {value}\nSubject: s\n\nx\n").date == expected
+
+    def test_rfc_date_does_not_try_notes_formats(self, monkeypatch):
+        class NoStrptime(datetime):
+            @classmethod
+            def strptime(cls, *args):
+                raise AssertionError("a Notes format was tried")
+
+        monkeypatch.setattr(parsing, "datetime", NoStrptime)
+        assert parsing._parse_date("Mon, 14 May 2001 3:10 PM") == datetime(2001, 5, 14, 15, 10)
+        with pytest.raises(AssertionError):
+            parsing._parse_date("05/15/2001 08:55 AM")
+
     def test_12_hour_time_of_a_quoted_message(self):
         text = TWO_MESSAGE_TEXT.replace(
             "Mon, 17 Dec 2001 09:00:00 -0800 (PST)", "Monday, December 17, 2001 3:10 PM"

@@ -5,7 +5,7 @@ import pickle
 import random
 import re
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
@@ -1061,10 +1061,10 @@ class TestThreadlessDecode:
             errors.append((err.value.path, str(err.value)))
         assert errors[0] == errors[1] and errors[0][0] == "line 4"
 
-    def test_builds_no_token(self, sample_documents):
-        native = write_native_string(sample_documents).splitlines()
-        conll = write_conll_documents(sample_documents).split("\n")
-
+    @staticmethod
+    @contextmanager
+    def _no_token():
+        """Fails the block at the first token built, either way one can be."""
         def no_token(cls, values):
             # mentions and chains are built by tuple.__new__ too, and must be
             if cls is Token:
@@ -1073,11 +1073,36 @@ class TestThreadlessDecode:
 
         with mock.patch.object(serialization, "_tuple_new", no_token), \
                 mock.patch.object(Token, "__new__", side_effect=AssertionError("a token was built")):
+            yield
+
+    def test_builds_no_token(self, sample_documents):
+        native = write_native_string(sample_documents).splitlines()
+        conll = write_conll_documents(sample_documents).split("\n")
+
+        with self._no_token():
             bare = [decode_line(line, n, thread=False) for n, line in enumerate(native, start=1)]
             skeletons = list(serialization.iter_conll_documents(conll, thread=False))
         assert [chain_fields(doc) for doc in bare] == [chain_fields(doc) for doc in sample_documents]
         assert [doc.chains for doc in skeletons] == [doc.chains for doc in read_conll_documents("\n".join(conll))]
         assert all(doc.thread.messages == () for doc in bare + skeletons)
+
+    def test_record_sentence_builds_the_tokens_of_a_full_decode(self, fixture_lines):
+        for line_no, line in enumerate(fixture_lines, start=1):
+            record, bare = serialization.decode_record(line, line_no)
+            full = decode_line(line, line_no)
+            assert bare.thread.messages == () and bare.chains == full.chains
+            for msg in full.thread.messages:
+                for si, sentence in enumerate(msg.sentences):
+                    built = serialization.record_sentence(record, msg.index, si)
+                    assert built == sentence and all(type(token) is Token for token in built)
+                    assert all(a.text is b.text for a, b in zip(built, sentence))
+
+    def test_stats_builds_no_token(self, sample_documents, tmp_path, capsys):
+        path = tmp_path / "docs.jsonl"
+        path.write_text(write_native_string(sample_documents), encoding="utf-8")
+        with self._no_token():
+            assert cli.main(["stats", "--in", str(path)]) == 0
+        assert f"email_threads\t{len(sample_documents)}\n" in capsys.readouterr().out
 
     def test_file_reader_passes_the_flag(self, sample_documents, tmp_path):
         path = tmp_path / "docs.conll"

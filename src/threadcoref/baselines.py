@@ -19,7 +19,8 @@ locations into canonical order (of a location given twice, the first
 mention is kept, as ``set`` keeps it) and builds one fact table over those
 positions: each mention's first-token section, pronoun class, normalized
 word set and header field. Word sets come from a cache of token text to
-words that lives for that one call. The overlap, participant and pronoun
+words that lives for that one call, and are read nowhere else: no public
+function gives one mention's words. The overlap, participant and pronoun
 stages read the table and join integer positions in one union-find; the
 public stage functions build the same table and run the same stage code.
 The table reads tokens through a function of (message index, sentence
@@ -98,7 +99,13 @@ _DROPPED_WORDS = wordlists.ENGLISH_STOPWORDS | {""}
 
 
 def _text_words(text: str, cache: dict[str, frozenset[str]]) -> frozenset[str]:
-    """Normalized words of one token text, taken from or added to ``cache``."""
+    """Normalized words of one token text, taken from or added to ``cache``.
+
+    Casefolds, splits at non-word characters and drops stopwords. An email
+    address contributes the words of its local part only: domain words are
+    shared by most addresses in a corpus and would chain unrelated
+    participants together.
+    """
     words = cache.get(text)
     if words is None:
         folded = text.casefold()
@@ -109,20 +116,10 @@ def _text_words(text: str, cache: dict[str, frozenset[str]]) -> frozenset[str]:
 
 
 def _span_words(tokens: Sequence[Token], cache: dict[str, frozenset[str]]) -> frozenset[str]:
+    """The word set of a mention's tokens, which overlap chaining compares."""
     if len(tokens) == 1:
         return _text_words(tokens[0].text, cache)
     return frozenset().union(*[_text_words(tok.text, cache) for tok in tokens])
-
-
-def normalize_mention_words(thread: EmailThread, mention: Mention) -> frozenset[str]:
-    """Word set used for overlap chaining.
-
-    Casefolds, strips punctuation tokens, and drops stopwords. Email
-    addresses contribute the words of their local part only: domain words
-    are shared by most addresses in a corpus and would chain unrelated
-    participants together.
-    """
-    return _span_words(mention_tokens(thread, mention), {})
 
 
 class _UnionFind:

@@ -386,7 +386,10 @@ def _cmd_features(args) -> int:
     with _replacing(args.out) as fp:
         for doc in docs:
             if args.rev:
-                doc = reverse_document(doc, descending=args.rev == "descending")
+                try:
+                    doc = reverse_document(doc)
+                except ToolkitError as exc:
+                    raise ToolkitError(f"input file {args.input}: document {doc.thread.id!r}: {exc}") from None
             serialization.write_native((doc,), fp, features=columns)
     return 0
 
@@ -566,13 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="native JSONL output")
     p.add_argument("--mi", action="store_true", help="emit message-identifier columns")
     p.add_argument("--si", action="store_true", help="emit section-information columns")
-    p.add_argument(
-        "--rev",
-        nargs="?",
-        const="ascending",
-        choices=("ascending", "descending"),
-        help="reorder messages by date, ascending unless given",
-    )
+    p.add_argument("--rev", action="store_true", help="reorder messages by date, oldest first")
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("resolve", help="run a header baseline on gold mentions")

@@ -10,7 +10,7 @@ response chain, then the lower chain id.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from . import wordlists
 from .metrics import member_keys, overlap_rows, transpose_rows
@@ -31,11 +31,6 @@ class ChainAlignment(NamedTuple):
     def mapping(self) -> dict[int, int]:
         """Key chain id -> response chain id; the first pair of a repeated key id wins."""
         return dict(reversed(self.pairs))
-
-    def get(self, key_chain_id: int) -> Optional[int]:
-        """The response chain id of one key chain id; each call reads every pair,
-        so many lookups take ``mapping()`` once."""
-        return self.mapping().get(key_chain_id)
 
 
 def _alignment(

@@ -54,7 +54,7 @@ def feature_annotation(thread: EmailThread) -> FeatureAnnotation:
     return FeatureAnnotation(mi=message_identifier(thread), si=section_info(thread))
 
 
-def date_permutation(thread: EmailThread, descending: bool = False) -> list[int]:
+def date_permutation(thread: EmailThread) -> list[int]:
     """Mapping old message index -> new index under a stable date sort of
     dates that all have a time zone or all have none; others do not compare."""
     for msg in thread.messages:
@@ -66,11 +66,7 @@ def date_permutation(thread: EmailThread, descending: bool = False) -> list[int]
             f"message {zoned.index(True)} is dated with a time zone and message "
             f"{zoned.index(False)} without one, so they cannot be ordered"
         )
-    order = sorted(
-        range(len(thread.messages)),
-        key=lambda i: thread.messages[i].date,
-        reverse=descending,
-    )
+    order = sorted(range(len(thread.messages)), key=lambda i: thread.messages[i].date)
     perm = [0] * len(order)
     for new_index, old_index in enumerate(order):
         perm[old_index] = new_index
@@ -111,21 +107,21 @@ def _reorder(thread: EmailThread, perm: list[int]) -> EmailThread:
     return _assemble_thread(thread.id, messages, thread.source_path)
 
 
-def reverse_thread(thread: EmailThread, descending: bool = False) -> EmailThread:
-    """Reorder messages by date (oldest first by default; ties are stable).
+def reverse_thread(thread: EmailThread) -> EmailThread:
+    """Reorder messages by date, oldest first; ties keep their order.
 
     Message indices are renumbered 0..N-1 in the new order and token offsets
     are shifted so the thread-level stream stays strictly increasing. The
     multiset of messages and every token's text are preserved. Raises
     MissingDate when any message has no parseable date.
     """
-    perm = date_permutation(thread, descending)
+    perm = date_permutation(thread)
     return thread if perm == list(range(len(perm))) else _reorder(thread, perm)
 
 
-def reverse_document(doc: AnnotatedDocument, descending: bool = False) -> AnnotatedDocument:
+def reverse_document(doc: AnnotatedDocument) -> AnnotatedDocument:
     """reverse_thread plus consistent remapping of mention message indices."""
-    perm = date_permutation(doc.thread, descending)
+    perm = date_permutation(doc.thread)
     if perm == list(range(len(perm))):
         return doc
     thread = _reorder(doc.thread, perm)

@@ -8,13 +8,16 @@ verdict under a fixed precedence:
     EXCLUSION_OVERLAP > DUPLICATE > NO_CONTENT > INVALID_ATTACHMENT
     > NON_ENGLISH > TOO_SHORT > ACCEPTED
 
-All detectors are pure functions of thread content; duplicate detection
-additionally needs a read-only fingerprint index built over the whole
-candidate set in a single pass, and a postings index from each fingerprint
-to the threads that hold it, so a thread is checked only against the
-holders of its rarest fingerprint. Classification reads a small
-``ThreadSummary`` of each thread, so a caller can read threads one at a
-time and keep only their summaries.
+Classification reads a small ``ThreadSummary`` of each thread, so a caller
+can read threads one at a time and keep only their summaries.
+``summarize_thread`` rebuilds each message body once and runs the content
+checks (no content, inline attachment, non-English) over those bodies;
+they have no public entry point of their own. Duplicate detection needs a
+read-only fingerprint index built over the whole candidate set in a single
+pass, and a postings index from each fingerprint to the threads that hold
+it, so a thread is checked only against the holders of its rarest
+fingerprint. ``filter_summaries`` applies the directory rule, the length
+rule and the precedence.
 """
 from __future__ import annotations
 
@@ -139,19 +142,9 @@ def fingerprint_message(msg: EmailMessage) -> str:
     return _fingerprint(msg, _message_body(msg)[1])
 
 
-def thread_fingerprints(thread: EmailThread) -> Counter:
-    return Counter(fingerprint_message(m) for m in thread.messages)
-
-
 def build_corpus_index(threads: Iterable[EmailThread]) -> dict[str, Counter]:
     """Fingerprint multiset per thread id, for duplicate detection."""
-    return {t.id: thread_fingerprints(t) for t in threads}
-
-
-def is_valid_length(
-    thread: EmailThread, config: FilterConfig = DEFAULT_FILTER_CONFIG
-) -> bool:
-    return len(thread.messages) >= config.min_messages
+    return {t.id: Counter(map(fingerprint_message, t.messages)) for t in threads}
 
 
 def _is_submultiset(small: Counter, big: Counter) -> bool:
@@ -207,7 +200,7 @@ def detect_duplicate(
     """
     own = corpus_index.get(thread.id)
     if own is None:
-        own = thread_fingerprints(thread)
+        own = Counter(map(fingerprint_message, thread.messages))
     return _is_contained(thread.id, own, corpus_index)
 
 
@@ -215,11 +208,8 @@ def detect_duplicate(
 _Bodies = Sequence[tuple[list[str], str]]
 
 
-def _bodies(thread: EmailThread) -> list[tuple[list[str], str]]:
-    return [_message_body(m) for m in thread.messages]
-
-
 def _is_no_content(bodies: _Bodies) -> bool:
+    """True when strictly more than half of the messages have empty bodies."""
     empty = sum(1 for words, _ in bodies if not words)
     return empty * 2 > len(bodies)
 
@@ -229,6 +219,7 @@ _HEX_RUN = re.compile(r"[0-9a-fA-F \n]+")
 
 
 def _has_hex_attachment(bodies: _Bodies, config: FilterConfig) -> bool:
+    """True when a message body embeds a long inline-attachment hex blob."""
     for _, body in bodies:
         for run in _HEX_RUN.findall(body):
             if len(run) >= config.hex_min_run:
@@ -239,37 +230,13 @@ def _has_hex_attachment(bodies: _Bodies, config: FilterConfig) -> bool:
 
 
 def _is_non_english(bodies: _Bodies, config: FilterConfig) -> bool:
+    """Stopword-hit language guard; short bodies are never rejected."""
     tokens = sum(len(words) for words, _ in bodies)
     if tokens < config.language_min_tokens:
         return False
     is_stopword = config.stopwords.__contains__
     hits = sum(sum(map(is_stopword, map(str.casefold, words))) for words, _ in bodies)
     return hits / tokens < config.stopword_min_fraction
-
-
-def detect_no_content(thread: EmailThread) -> bool:
-    """True when strictly more than half of the messages have empty bodies."""
-    return _is_no_content(_bodies(thread))
-
-
-def detect_invalid_attachment(
-    thread: EmailThread, config: FilterConfig = DEFAULT_FILTER_CONFIG
-) -> bool:
-    """True when a message body embeds a long inline-attachment hex blob."""
-    return _has_hex_attachment(_bodies(thread), config)
-
-
-def detect_non_english(
-    thread: EmailThread, config: FilterConfig = DEFAULT_FILTER_CONFIG
-) -> bool:
-    """Stopword-hit language guard; short bodies are never rejected."""
-    return _is_non_english(_bodies(thread), config)
-
-
-def in_excluded_directory(
-    thread: EmailThread, config: FilterConfig = DEFAULT_FILTER_CONFIG
-) -> bool:
-    return _in_excluded_directory(thread.source_path, config)
 
 
 def _in_excluded_directory(source_path: Optional[str], config: FilterConfig) -> bool:
@@ -319,7 +286,7 @@ def summarize_thread(
     thread: EmailThread, config: FilterConfig = DEFAULT_FILTER_CONFIG
 ) -> ThreadSummary:
     """The thread's summary; each message body is rebuilt once, for every check."""
-    bodies = _bodies(thread)
+    bodies = [_message_body(m) for m in thread.messages]
     if _is_no_content(bodies):
         content = FilterCategory.NO_CONTENT
     elif _has_hex_attachment(bodies, config):

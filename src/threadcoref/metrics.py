@@ -187,10 +187,6 @@ def b_cubed_parts(key: Iterable, response: Iterable) -> MetricParts:
     return _two_sided(_b3_half, *_overlap_table(key, response))
 
 
-def phi4(a: frozenset, b: frozenset) -> float:
-    return 2.0 * len(a & b) / (len(a) + len(b))
-
-
 def overlap_rows(k: Sequence[AbstractSet], r: Sequence[AbstractSet]) -> Rows:
     """Sparse overlap counts: row i maps response index j to |K_i & R_j| > 0.
 
@@ -308,6 +304,7 @@ def _max_weight_assignment(weights: list[list[float]]) -> list[float]:
 def ceaf_e_parts(key: Iterable, response: Iterable) -> MetricParts:
     """CEAFE parts from an exact optimal alignment, solved per overlap component.
 
+    A key chain K and a response chain R score phi4 = 2|K & R| / (|K| + |R|).
     Pairs of chains with no shared mention have phi4 = 0 and add nothing, so
     the optimum over the whole key x response matrix is the sum of the optima
     over the connected components of the sparse overlap graph.

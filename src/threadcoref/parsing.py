@@ -10,9 +10,10 @@ concurrently with no shared state.
 split once, each line's field name and separator flag are computed once,
 messages are cut where those flags say, each message's header block is
 walked once for both its end and its fields, and each line is tokenized at
-its own offset in the thread. The stage functions ``split_messages``,
-``assign_sections``, ``parse_header`` and ``tokenize_and_sentence_split``
-are views over the same helpers, for one thread or one message slice.
+its own offset in the thread. Per-line section labels exist only inside
+that walk. The stage functions ``split_messages``, ``parse_header`` and
+``tokenize_and_sentence_split`` are views over the same helpers, for one
+thread or one message slice.
 
 The tokenizer is deliberately simple: whitespace split, punctuation peeled
 off token edges, contraction suffixes split ("I'll" -> "I", "'ll"), email
@@ -371,19 +372,6 @@ def _header_values(fields: dict[str, str]) -> dict:
         "x_to": split_address_list(fields.get("x-to", "")),
         "x_cc": split_address_list(fields.get("x-cc", "")),
     }
-
-
-def assign_sections(
-    message_text: str, config: ParserConfig = DEFAULT_CONFIG
-) -> list[Section]:
-    """Per-line section labels for one message slice.
-
-    Tokens inherit the label of their line, so per-message labels always
-    follow the pattern HEADER* BODY* FOOTER*.
-    """
-    lines = message_text.splitlines()
-    header_end, _ = _header_walk(lines, *_line_facts(lines, map(str.casefold, lines), config))
-    return _sections(len(lines), header_end, map(str.casefold, lines[header_end:]), config)
 
 
 def parse_header(message_text: str, config: ParserConfig = DEFAULT_CONFIG) -> HeaderFields:

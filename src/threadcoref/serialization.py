@@ -80,38 +80,24 @@ def global_sentences(thread: EmailThread) -> list[tuple[int, int, tuple[Token, .
     return out
 
 
-def mention_to_absolute(thread: EmailThread, mention: Mention) -> tuple[int, int]:
-    """Inclusive absolute token indices of a mention in the flattened stream."""
-    base = 0
-    for mi, si, sentence in global_sentences(thread):
-        if (mi, si) == (mention.message_index, mention.sentence_index):
-            return base + mention.start_token, base + mention.end_token
-        base += len(sentence)
-    raise ValueError(f"mention {mention.location} addresses no sentence in thread")
-
-
-def mention_from_absolute(
-    thread: EmailThread, start: int, end: int, entity_type: Optional[EntityType] = None
-) -> Mention:
-    """Inverse of mention_to_absolute; the span must stay inside one sentence."""
-    base = 0
-    for mi, si, sentence in global_sentences(thread):
-        if start < base + len(sentence):
-            if end >= base + len(sentence) or start < base:
-                raise ValueError(
-                    f"absolute span [{start}, {end}] crosses a sentence boundary"
-                )
-            return Mention(mi, si, start - base, end - base, entity_type)
-        base += len(sentence)
-    raise ValueError(f"absolute span [{start}, {end}] exceeds document length")
-
-
 # ---------------------------------------------------------------------------
 # CoNLL column format
 # ---------------------------------------------------------------------------
 
 def write_conll(doc: AnnotatedDocument) -> str:
-    """Serialize one document to CoNLL coreference columns."""
+    """Serialize one document to CoNLL coreference columns.
+
+    The document id is the first column of every row and sits between the
+    parentheses of the ``#begin document`` line, so an id that is empty or
+    holds whitespace, a ``)`` or a leading ``#`` would read back as another
+    document. Such an id is an error.
+    """
+    doc_id = doc.thread.id
+    if doc_id.split() != [doc_id] or doc_id.startswith("#") or ")" in doc_id:
+        raise ToolkitError(
+            f"document id {doc_id!r} cannot be written to CoNLL: an id there must be nonempty "
+            "and hold no whitespace, no ')' and no leading '#'"
+        )
     sentences = global_sentences(doc.thread)
     sent_pos = {(mi, si): g for g, (mi, si, _) in enumerate(sentences)}
 
@@ -136,7 +122,7 @@ def write_conll(doc: AnnotatedDocument) -> str:
                 starts.setdefault((g, m.start_token), []).append((m.end_token, chain.chain_id))
                 ends.setdefault((g, m.end_token), []).append((m.start_token, chain.chain_id))
 
-    lines = [f"#begin document ({doc.thread.id}); part 000"]
+    lines = [f"#begin document ({doc_id}); part 000"]
     for g, (_, _, sentence) in enumerate(sentences):
         for ti, token in enumerate(sentence):
             entries = []
@@ -147,7 +133,7 @@ def write_conll(doc: AnnotatedDocument) -> str:
             for start_tok, cid in sorted(ends.get((g, ti), []), key=lambda x: (-x[0], x[1])):
                 entries.append(f"{cid})")
             coref = "|".join(entries) if entries else "-"
-            lines.append(f"{doc.thread.id}\t0\t{ti}\t{token.text}\t{coref}")
+            lines.append(f"{doc_id}\t0\t{ti}\t{token.text}\t{coref}")
         lines.append("")
     lines.append("#end document")
     return "\n".join(lines) + "\n"
@@ -245,10 +231,11 @@ def iter_conll_documents(lines: Iterable[str], *, thread: bool = True) -> Iterat
             if stripped.startswith("#begin document"):
                 if doc_id is not None:
                     raise MalformedColumn(line_no, "nested #begin document")
-                try:
-                    doc_id = stripped.split("(", 1)[1].split(")", 1)[0]
-                except IndexError:
-                    raise MalformedColumn(line_no, "malformed #begin document line") from None
+                # the id is what the parentheses hold, and both must be there
+                _, opened, rest = stripped.partition("(")
+                doc_id, closed, _ = rest.partition(")")
+                if not (opened and closed):
+                    raise MalformedColumn(line_no, "malformed #begin document line")
                 sentences, current, owners, open_spans = [], [], {}, {}
             elif stripped.startswith("#end document"):
                 if doc_id is None:

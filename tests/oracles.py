@@ -23,6 +23,9 @@ keyed by the mentions themselves rather than by their locations, and the
 Differential tests require the package to agree with them. They share the
 package's unchanged helpers (model types, the metric halves, the chunk
 splitter, the address-list splitter).
+
+At the end are test helpers that the package does not need: absolute
+token addresses of mentions, which tests compare across a CoNLL round trip.
 """
 from __future__ import annotations
 
@@ -719,10 +722,9 @@ def iter_conll_documents_reference(lines, *, thread: bool = True):
         if stripped.startswith("#begin document"):
             if doc_id is not None:
                 raise MalformedColumn(line_no, "nested #begin document")
-            try:
-                doc_id = stripped.split("(", 1)[1].split(")", 1)[0]
-            except IndexError:
-                raise MalformedColumn(line_no, "malformed #begin document line") from None
+            if "(" not in stripped or ")" not in stripped.split("(", 1)[1]:
+                raise MalformedColumn(line_no, "malformed #begin document line")
+            doc_id = stripped.split("(", 1)[1].split(")", 1)[0]
             sentences, current, owners, open_spans = [], [], {}, {}
             continue
         if stripped.startswith("#end document"):
@@ -1251,3 +1253,30 @@ def resolve_line_reference(line: str, line_no: int, baseline: str) -> str:
     resolver = _baselines.resolve_hb1 if baseline == "hb1" else _baselines.resolve_hb2
     chains = resolver(doc.thread, doc.mentions()).chains
     return _serialization.write_native_string([AnnotatedDocument(thread=doc.thread, chains=chains)])
+
+
+# ---------------------------------------------------------------------------
+# Test helpers: absolute token addresses, which survive the single-message
+# skeleton a CoNLL read builds
+# ---------------------------------------------------------------------------
+
+def mention_to_absolute(thread, mention) -> tuple[int, int]:
+    """Inclusive absolute token indices of a mention in the flattened stream."""
+    base = 0
+    for mi, si, sentence in _serialization.global_sentences(thread):
+        if (mi, si) == (mention.message_index, mention.sentence_index):
+            return base + mention.start_token, base + mention.end_token
+        base += len(sentence)
+    raise ValueError(f"mention {mention.location} addresses no sentence in thread")
+
+
+def mention_from_absolute(thread, start: int, end: int, entity_type=None) -> Mention:
+    """Inverse of mention_to_absolute; the span must stay inside one sentence."""
+    base = 0
+    for mi, si, sentence in _serialization.global_sentences(thread):
+        if start < base + len(sentence):
+            if end >= base + len(sentence) or start < base:
+                raise ValueError(f"absolute span [{start}, {end}] crosses a sentence boundary")
+            return Mention(mi, si, start - base, end - base, entity_type)
+        base += len(sentence)
+    raise ValueError(f"absolute span [{start}, {end}] exceeds document length")

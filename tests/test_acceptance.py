@@ -19,7 +19,7 @@ from conftest import (
     synthetic_document,
     tiny_thread,
 )
-from threadcoref.baselines import chain_overlapping_mentions, normalize_mention_words, resolve_hb1, resolve_hb2
+from threadcoref.baselines import chain_overlapping_mentions, resolve_hb1, resolve_hb2
 from threadcoref.cli import main
 from threadcoref.errors import ErrorReport, categorize_errors
 from threadcoref.features import message_identifier, reverse_document, reverse_thread, section_info
@@ -242,7 +242,7 @@ def test_criterion_5_baseline_properties():
                     if next(iter([thread.messages[m.message_index]
                                   .sentences[m.sentence_index][m.start_token].section]))
                     is Section.FOOTER
-                    else normalize_mention_words(thread, m)
+                    else oracles._normalize_mention_words_reference(thread, m)
                 )
                 for m in sorted(set(non_pronominal))
             }
@@ -342,7 +342,7 @@ def _strict_conll_check(text):
 
 def test_criterion_7_serialization_round_trips():
     with criterion(7, "read-write identity and column-format acceptance"):
-        from threadcoref.serialization import mention_to_absolute
+        from oracles import mention_to_absolute
 
         rng = random.Random(515)
         for _ in range(100):

@@ -3,15 +3,16 @@ import re
 
 import pytest
 
+import oracles
 from conftest import derive_mentions, find_span, synthetic_document
 from oracles import overlap_partition_oracle, resolve_reference
 from threadcoref.baselines import (
     PronounClass,
+    _mention_facts,
     build_participant_index,
     chain_overlapping_mentions,
     classify_pronoun,
     mention_pronoun_class,
-    normalize_mention_words,
     resolve_hb1,
     resolve_hb2,
 )
@@ -49,18 +50,44 @@ class TestPronounClass:
         )
 
 
+def mention_words(thread, mention):
+    """The word set that the resolver's fact table holds for one mention,
+    checked against the reference normalization."""
+    words = _mention_facts(thread.sentence, [mention]).words[0]
+    assert words == oracles._normalize_mention_words_reference(thread, mention)
+    return words
+
+
 class TestNormalization:
+    """Word sets as the resolver's fact table holds them."""
+
     def test_email_local_part_words(self, example1_thread, example1_mentions):
-        words = normalize_mention_words(example1_thread, example1_mentions["from_email"])
-        assert words == {"g", "barkowsky"}
+        assert mention_words(example1_thread, example1_mentions["from_email"]) == {"g", "barkowsky"}
 
     def test_display_name_words(self, example1_thread, example1_mentions):
-        words = normalize_mention_words(example1_thread, example1_mentions["x_from"])
-        assert words == {"barkowsky", "gloria", "g"}
+        assert mention_words(example1_thread, example1_mentions["x_from"]) == {"barkowsky", "gloria", "g"}
 
     def test_stopwords_dropped(self, example1_thread, example1_mentions):
-        words = normalize_mention_words(example1_thread, example1_mentions["crestone"])
-        assert words == {"crestone", "lost", "creek"}
+        assert mention_words(example1_thread, example1_mentions["crestone"]) == {"crestone", "lost", "creek"}
+
+    def test_every_mention_matches_reference(self, corpus10_threads, example1_thread, example1_mentions):
+        # one table over many mentions shares its word cache across them;
+        # a footer mention never chains, so the table holds no words for it
+        cases = [(example1_thread, list(example1_mentions.values()))]
+        cases += [(thread, derive_mentions(thread) + every_token(thread)) for thread in corpus10_threads]
+        cases += [(parse(text), every_token(parse(text))) for text, _ in EDGE_THREADS.values()]
+        rng = random.Random(29)
+        cases += [(doc.thread, mentions) for doc, mentions in (synthetic_document(rng) for _ in range(20))]
+        footers = 0
+        for thread, mentions in cases:
+            facts = _mention_facts(thread.sentence, mentions)
+            for mention, section, words in zip(facts.order, facts.sections, facts.words):
+                if section is Section.FOOTER:
+                    footers += 1
+                    assert words is None
+                else:
+                    assert words == oracles._normalize_mention_words_reference(thread, mention), mention
+        assert footers > 0
 
 
 class TestParticipantIndex:
@@ -121,7 +148,7 @@ class TestOverlapChaining:
         a = find_span(thread, ["Falcon", "Venture"])
         b = find_span(thread, ["Venture", "Capital", "Group"])
         c = find_span(thread, ["Capital", "Desk"])
-        words = {m: normalize_mention_words(thread, m) for m in (a, b, c)}
+        words = {m: mention_words(thread, m) for m in (a, b, c)}
         assert words[a] & words[c] == set()
         groups = chain_overlapping_mentions(thread, [a, b, c])
         assert {frozenset(g) for g in groups} == {frozenset({a, b, c})}

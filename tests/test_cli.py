@@ -1,4 +1,5 @@
 import argparse
+import ast
 import copy
 import gc
 import io
@@ -17,6 +18,7 @@ import oracles
 from conftest import CORPUS10_DIR, DATA_DIR, derive_mentions, synthetic_document
 from threadcoref import cli, serialization
 from threadcoref.cli import main
+from threadcoref.features import reverse_document
 from threadcoref.filtering import fingerprint_message
 from threadcoref.metrics import corpus_stats
 from threadcoref.model import AnnotatedDocument, CoreferenceChain, Mention, ToolkitError, mention_text
@@ -324,18 +326,36 @@ class TestFeatures:
             dates = [m.date for m in doc.thread.messages]
             assert dates == sorted(dates)
 
-    def test_bare_rev_is_ascending(self, parsed_corpus, tmp_path):
-        bare, named = tmp_path / "bare.jsonl", tmp_path / "named.jsonl"
-        assert main(["features", "--in", str(parsed_corpus), "--out", str(bare), "--rev"]) == 0
-        assert main(["features", "--in", str(parsed_corpus), "--out", str(named), "--rev", "ascending"]) == 0
-        assert bare.read_bytes() == named.read_bytes()
-
-    def test_rev_descending_flag(self, parsed_corpus, tmp_path):
+    def test_bare_rev_is_ascending(self, parsed_corpus, tmp_path, capsys):
+        # --rev is a flag: oldest first is its one order, and it takes no value
         out = tmp_path / "rev.jsonl"
-        main(["features", "--in", str(parsed_corpus), "--out", str(out), "--rev", "descending"])
-        for doc in read_native(out.read_text(encoding="utf-8")):
-            dates = [m.date for m in doc.thread.messages]
-            assert dates == sorted(dates, reverse=True)
+        assert main(["features", "--in", str(parsed_corpus), "--out", str(out), "--rev"]) == 0
+        docs = read_native(parsed_corpus.read_text(encoding="utf-8"))
+        assert out.read_text(encoding="utf-8") == write_native_string([reverse_document(d) for d in docs])
+        for value in ("ascending", "descending"):
+            with pytest.raises(SystemExit) as err:
+                main(["features", "--in", str(parsed_corpus), "--out", str(out), "--rev", value])
+            assert err.value.code == 2
+            assert f"unrecognized arguments: {value}\n" in capsys.readouterr().err
+
+    def test_rev_error_names_file_and_document(self, tmp_path, capsys):
+        # the quoted message has no Date or Sent line
+        thread = tmp_path / "threads" / "undated.txt"
+        thread.parent.mkdir()
+        thread.write_text(
+            "Date: Mon, 14 May 2001 16:02:00 -0700 (PDT)\n"
+            "From: jane.doe@enron.com\nTo: john.smith@enron.com\nSubject: RE: schedule\n\n"
+            "Sounds good.\n\n"
+            "-----Original Message-----\n"
+            "From: john.smith@enron.com\nTo: jane.doe@enron.com\nSubject: schedule\n\nCan you call me?\n",
+            encoding="utf-8",
+        )
+        parsed, out = tmp_path / "parsed.jsonl", tmp_path / "rev.jsonl"
+        assert main(["parse", "--in", str(thread.parent), "--out", str(parsed)]) == 0
+        assert main(["features", "--in", str(parsed), "--out", str(out), "--mi", "--rev"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: input file {parsed}: document 'undated.txt': message 1 has no parseable date\n")
+        assert not out.exists()
 
 
     def test_rev_on_naive_and_aware_dates_exits_1(self, tmp_path, capsys):
@@ -357,8 +377,8 @@ class TestFeatures:
         assert [m.date.utcoffset() is None for m in doc.thread.messages] == [False, True]
         assert main(["features", "--in", str(parsed), "--out", str(out), "--rev"]) == 1
         assert capsys.readouterr() == ("", (
-            "error: message 0 is dated with a time zone and message 1 without one, "
-            "so they cannot be ordered\n"))
+            f"error: input file {parsed}: document 'mixed.txt': message 0 is dated with a time zone "
+            "and message 1 without one, so they cannot be ordered\n"))
         assert not out.exists()
 
 
@@ -1194,7 +1214,7 @@ class TestRemovedJobsFlag:
 
 class TestRemovedFormatFlags:
     """The pair commands tell each file's format from its content, and
-    features takes its date order as the value of --rev."""
+    features --rev is a flag with one order."""
 
     @pytest.mark.parametrize("args", [
         ["score", "--key", "x", "--response", "y", "--format", "native"],
@@ -1888,6 +1908,79 @@ class TestImports:
         assert set(self.EXPORTED) <= set(dir(threadcoref))
         with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
             threadcoref.nonexistent
+
+
+class TestPublicSurface:
+    """Each public top-level function and class of the package has a caller
+    besides the tests: the package itself, the benchmark, the demos or CI,
+    or it is a name the package exports. A name that only tests call is a
+    second entry point that nothing runs."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+    CALLER_DIRS = ("src", "perfbench", "demos")
+
+    @staticmethod
+    def _public_definitions(path: Path) -> list[str]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return [
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ]
+
+    @classmethod
+    def _referenced(cls, root: Path) -> set[str]:
+        """Every name that code outside the tests under ``root`` uses: a name
+        or attribute it reads, a name it imports, a string constant that
+        equals a name (the benchmark looks functions up by name), and each
+        word of the CI files."""
+        names: set[str] = set()
+        for top in cls.CALLER_DIRS:
+            for path in (root / top).rglob("*.py"):
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                    if isinstance(node, ast.Name):
+                        names.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        names.add(node.attr)
+                    elif isinstance(node, ast.alias):
+                        names.add(node.name.rsplit(".", 1)[-1])
+                    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                        names.add(node.value)
+        for path in (root / ".github").rglob("*"):
+            if path.is_file():
+                names.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+        return names
+
+    def test_every_public_name_has_a_caller_besides_the_tests(self):
+        import threadcoref
+
+        allowed = self._referenced(self.ROOT) | set(threadcoref._EXPORTS)
+        modules = sorted((self.ROOT / "src" / "threadcoref").glob("*.py"))
+        assert len(modules) >= 10
+        unused = [
+            f"{path.stem}.{name}" for path in modules for name in self._public_definitions(path) if name not in allowed
+        ]
+        assert unused == []
+
+    def test_finds_a_name_only_tests_call(self, tmp_path):
+        # a caller in each place counts, a mention in a docstring or a comment does not
+        files = {
+            "src/module.py": (
+                'def unused_view():\n    """unused_view is mentioned here."""\n\n\n# unused_view\n'
+                "def used_in_demo():\n    return 1\n\n\nclass LookedUp:\n    pass\n\n\n"
+                "def used_in_ci():\n    return used_in_package()\n\n\ndef used_in_package():\n    return 2\n"
+            ),
+            "demos/demo.py": "from module import used_in_demo\n\nused_in_demo()\n",
+            "perfbench/layers.py": 'TRACED = ("LookedUp",)\n',
+            ".github/workflows/ci.yml": "run: python -c 'import module; module.used_in_ci()'\n",
+            "tests/test_module.py": "from module import unused_view\n\nunused_view()\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        definitions = self._public_definitions(tmp_path / "src" / "module.py")
+        assert len(definitions) == 5
+        referenced = self._referenced(tmp_path)
+        assert [name for name in definitions if name not in referenced] == ["unused_view"]
 
 
 class TestReadmeSynopsis:

@@ -26,22 +26,22 @@ class TestAlignChains:
     def test_maximum_overlap_wins(self):
         key = chains([m(0, 0), m(0, 1), m(0, 2)])
         response = chains([m(0, 0), m(0, 1)], [m(0, 2)])
-        assert align_chains(key, response).get(0) == 0
+        assert align_chains(key, response).mapping().get(0) == 0
 
     def test_disjoint_chain_unmapped(self):
         key = chains([m(0, 0)])
         response = chains([m(9, 9)])
-        assert align_chains(key, response).get(0) is None
+        assert align_chains(key, response).mapping().get(0) is None
 
     def test_tie_prefers_larger_response_chain(self):
         key = chains([m(0, 0), m(0, 5)])
         response = chains([m(0, 0)], [m(0, 5), m(0, 6), m(0, 7)])
-        assert align_chains(key, response).get(0) == 1
+        assert align_chains(key, response).mapping().get(0) == 1
 
     def test_tie_then_lower_chain_id(self):
         key = chains([m(0, 0), m(0, 5)])
         response = chains([m(0, 0), m(0, 8)], [m(0, 5), m(0, 9)], start_id=4)
-        assert align_chains(key, response).get(0) == 4
+        assert align_chains(key, response).mapping().get(0) == 4
 
 
 class TestCategorizeErrorsAbstractSpans:

@@ -78,11 +78,6 @@ class TestReverseThread:
         once = reverse_thread(thread)
         assert reverse_thread(once) == once
 
-    def test_descending_flag(self):
-        thread = tiny_thread([2, 1], dates=dated(9, 15))
-        out = reverse_thread(thread, descending=True)
-        assert [m.date.hour for m in out.messages] == [15, 9]
-
     def test_stable_on_ties(self):
         same = dated(10, 10, 10)
         thread = tiny_thread([1, 1, 1], dates=same)
@@ -147,6 +142,14 @@ class TestReverseDocument:
         assert reverse_document(doc) is doc
 
 
+def mirrored(doc, pivot):
+    """``doc`` with each message date d moved to 2 * pivot - d, so that the
+    oldest-first order of the result is the newest-first order of ``doc``,
+    ties kept in place; mirroring twice about one pivot restores the dates."""
+    messages = tuple(m._replace(date=pivot + (pivot - m.date)) for m in doc.thread.messages)
+    return doc._replace(thread=doc.thread._replace(messages=messages))
+
+
 class TestOnePassReorder:
     """reverse_document assembles the reordered thread without re-running the
     constructors' checks; it must be what the checked constructors build."""
@@ -162,11 +165,13 @@ class TestOnePassReorder:
 
     @staticmethod
     def _both_directions(doc):
-        """Reorders of ``doc`` oldest first, then back newest first."""
+        """Reorders of ``doc`` oldest first, then of that reorder with its
+        dates mirrored, which puts it back newest first."""
         ascending = reverse_document(doc)
         assert ascending is not doc
-        descending = reverse_document(ascending, descending=True)
-        assert descending is not ascending
+        newest_first = mirrored(ascending, ascending.thread.messages[0].date)
+        descending = reverse_document(newest_first)
+        assert descending is not newest_first
         return ascending, descending
 
     def test_equals_checked_build(self, documents):
@@ -196,18 +201,24 @@ class TestOnePassReorder:
         ]
         assert len(newest_first) >= 10
         for doc in newest_first:
-            _, back = self._both_directions(doc)
+            pivot = doc.thread.messages[0].date
+            back = mirrored(reverse_document(mirrored(reverse_document(doc), pivot)), pivot)
             assert [m._asdict() | {"sentences": None} for m in back.thread.messages] == [
                 m._asdict() | {"sentences": None} for m in doc.thread.messages]
             assert [t[:5] for t in back.thread.tokens()] == [t[:5] for t in doc.thread.tokens()]
 
     def test_runs_no_constructor_check(self, documents):
+        # the newest-first inputs are built, through the checks, beforehand
+        inputs = [*documents]
+        for doc in documents:
+            ascending = reverse_document(doc)
+            inputs.append(mirrored(ascending, ascending.thread.messages[0].date))
         checked = mock.Mock(side_effect=AssertionError("a checked constructor ran"))
         with mock.patch.object(Token, "__new__", checked), \
                 mock.patch.object(EmailMessage, "__new__", checked), \
                 mock.patch.object(EmailThread, "__new__", checked):
-            for doc in documents:
-                self._both_directions(doc)
+            for doc in inputs:
+                assert reverse_document(doc) is not doc
         checked.assert_not_called()
 
     def test_survives_pickling_and_replace(self, documents):

@@ -18,17 +18,11 @@ from threadcoref.filtering import (
     FilterConfig,
     build_corpus_index,
     detect_duplicate,
-    detect_invalid_attachment,
-    detect_no_content,
-    detect_non_english,
     ThreadSummary,
     filter_corpus,
     filter_summaries,
     fingerprint_message,
-    in_excluded_directory,
-    is_valid_length,
     summarize_thread,
-    thread_fingerprints,
 )
 from threadcoref.model import EmailMessage, EmailThread, Section, Token, ToolkitError
 from threadcoref.parsing import RawThread, parse_thread
@@ -53,6 +47,22 @@ def body_thread(thread_id, bodies, subjects=None, senders=None):
         )
         char += 1
     return EmailThread(id=thread_id, messages=tuple(messages))
+
+
+def content_verdict(thread, config=DEFAULT_FILTER_CONFIG):
+    """The content check that rejects ``thread``, or None, as its summary
+    holds it; checked against the checks run one by one in ``oracles``."""
+    content = summarize_thread(thread, config).content
+    assert content is oracles.summarize_thread_reference(thread, config).content
+    return content
+
+
+def is_valid_length(thread):
+    """Whether the length rule keeps ``thread``: its summary, content checks
+    aside, is not too short."""
+    summary = summarize_thread(thread)._replace(content=None)
+    verdicts, _ = filter_summaries([summary])
+    return verdicts[0].category is not FilterCategory.TOO_SHORT
 
 
 class TestValidLength:
@@ -136,26 +146,26 @@ class TestDuplicate:
 
 class TestNoContent:
     def test_three_of_four_empty(self):
-        assert detect_no_content(body_thread("t", [["hi"], [], [], []]))
+        assert content_verdict(body_thread("t", [["hi"], [], [], []])) is FilterCategory.NO_CONTENT
 
     def test_exactly_half_empty_is_kept(self):
-        assert not detect_no_content(body_thread("t", [["hi"], ["yo"], [], []]))
+        assert content_verdict(body_thread("t", [["hi"], ["yo"], [], []])) is None
 
     def test_all_nonempty(self):
-        assert not detect_no_content(body_thread("t", [["a"], ["b"], ["c"], ["d"]]))
+        assert content_verdict(body_thread("t", [["a"], ["b"], ["c"], ["d"]])) is None
 
 
 class TestInvalidAttachment:
     def test_long_hex_blob(self):
         blob = ["abcdef0123456789" * 8 for _ in range(8)]  # 8 tokens x 128 chars
-        assert detect_invalid_attachment(body_thread("t", [["intro"] + blob]))
+        assert content_verdict(body_thread("t", [["intro"] + blob])) is FilterCategory.INVALID_ATTACHMENT
 
     def test_prose_is_fine(self, example1_thread):
-        assert not detect_invalid_attachment(example1_thread)
+        assert content_verdict(example1_thread) is None
 
     def test_short_hex_below_threshold(self):
         blob = ["abcdef0123456789" * 6]  # 96 chars < 512
-        assert not detect_invalid_attachment(body_thread("t", [blob]))
+        assert content_verdict(body_thread("t", [blob])) is None
 
 
 def bodies_thread(bodies):
@@ -175,6 +185,13 @@ def bodies_thread(bodies):
 _HEX_PIECES = st.sampled_from(["0", "7", "a", "F", "deadBEEF", " ", "\n", "  \n ", "g", "x", "-", "é", "Z"])
 
 
+def has_attachment(thread, config):
+    """Whether the summary of ``thread``, none of whose messages has an empty
+    body, rejects it for an inline attachment."""
+    assert not oracles.detect_no_content_reference(thread)
+    return summarize_thread(thread, config).content is FilterCategory.INVALID_ATTACHMENT
+
+
 class TestInvalidAttachmentDifferential:
     """The regex scan against the character loop kept in ``oracles``."""
 
@@ -191,20 +208,20 @@ class TestInvalidAttachmentDifferential:
         blob = "a" * digits + " " * (run - digits - 1) + "\n" * (run > digits)
         for body in (blob, f"x{blob}x", f"{blob[:3]}{cut}{blob[3:]}", f"{blob} {cut}{blob}", " \n " * run):
             thread = bodies_thread(["hello there", body])
-            assert detect_invalid_attachment(thread, config) == oracles.detect_invalid_attachment_reference(
+            assert has_attachment(thread, config) == oracles.detect_invalid_attachment_reference(
                 thread, config
             ), repr(body)
 
     def test_both_bounds_are_inclusive(self):
         config = self._config(8, 0.75)
-        assert detect_invalid_attachment(bodies_thread(["aaaaaa \n"]), config)
-        assert not detect_invalid_attachment(bodies_thread(["aaaaa  \n"]), config)
-        assert not detect_invalid_attachment(bodies_thread(["aaaaaa\n"]), config)
+        assert has_attachment(bodies_thread(["aaaaaa \n"]), config)
+        assert not has_attachment(bodies_thread(["aaaaa  \n"]), config)
+        assert not has_attachment(bodies_thread(["aaaaaa\n"]), config)
 
     def test_whitespace_only_run_is_not_an_attachment(self):
         config = self._config(4, 0.01)
         thread = bodies_thread([" \n \n \n  "])
-        assert not detect_invalid_attachment(thread, config)
+        assert not has_attachment(thread, config)
         assert not oracles.detect_invalid_attachment_reference(thread, config)
 
     @settings(max_examples=300, deadline=None)
@@ -216,7 +233,7 @@ class TestInvalidAttachmentDifferential:
     def test_same_verdict_as_character_loop(self, bodies, run, fraction):
         config = self._config(run, fraction)
         thread = bodies_thread(bodies)
-        assert detect_invalid_attachment(thread, config) == oracles.detect_invalid_attachment_reference(
+        assert has_attachment(thread, config) == oracles.detect_invalid_attachment_reference(
             thread, config
         )
 
@@ -224,15 +241,22 @@ class TestInvalidAttachmentDifferential:
 class TestNonEnglish:
     def test_english_email(self, corpus10_threads):
         alpha = next(t for t in corpus10_threads if t.id == "alpha.txt")
-        assert not detect_non_english(alpha)
+        assert content_verdict(alpha) is None
 
     def test_spanish_fixture(self, corpus10_threads):
         golf = next(t for t in corpus10_threads if t.id == "golf.txt")
-        assert detect_non_english(golf)
+        assert content_verdict(golf) is FilterCategory.NON_ENGLISH
 
     def test_short_body_never_rejected(self):
         words = "estimado colega saludos cordiales desde oficina".split()
-        assert not detect_non_english(body_thread("t", [words]))
+        assert content_verdict(body_thread("t", [words])) is None
+
+
+def in_excluded_directory(thread):
+    """Whether filtering drops ``thread`` for its directory, before any verdict."""
+    verdicts, report = filter_corpus([thread])
+    assert report.dropped_directories == 1 - len(verdicts)
+    return report.dropped_directories == 1
 
 
 class TestDirectoryExclusion:
@@ -304,7 +328,7 @@ class TestPrecedence:
     def test_exclusion_beats_duplicate(self):
         a = body_thread("a", [["one"], ["two"]])
         b = body_thread("b", [["one"], ["two"]])
-        exclusion = ExclusionSet(frozenset(thread_fingerprints(b)))
+        exclusion = ExclusionSet(frozenset(summarize_thread(b).fingerprints))
         verdicts, _ = filter_corpus([a, b], exclusion)
         cats = {v.thread_id: v.category for v in verdicts}
         assert cats["a"] is FilterCategory.EXCLUSION_OVERLAP
@@ -372,10 +396,6 @@ class TestSummaryDifferential:
         thread = sectioned_thread(messages)
         summary = summarize_thread(thread, config)
         assert summary == oracles.summarize_thread_reference(thread, config)
-        # the public detectors read the same bodies
-        assert detect_no_content(thread) == oracles.detect_no_content_reference(thread)
-        assert detect_invalid_attachment(thread, config) == oracles.detect_invalid_attachment_reference(thread, config)
-        assert detect_non_english(thread, config) == oracles.detect_non_english_reference(thread, config)
         assert [fingerprint_message(m) for m in thread.messages] == [
             oracles.fingerprint_message_reference(m) for m in thread.messages
         ]

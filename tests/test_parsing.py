@@ -18,7 +18,6 @@ from threadcoref.parsing import (
     ParserConfig,
     RawThread,
     UnparseableThread,
-    assign_sections,
     parse_header,
     parse_thread,
     split_address_list,
@@ -210,6 +209,21 @@ class TestTokenizer:
                 assert text[tok.char_start : tok.char_end] == tok.text
 
 
+def token_sections_reference(raw, config=parsing.DEFAULT_CONFIG):
+    """The section of each token of the thread, in thread order, as
+    ``oracles.assign_sections_reference`` labels its line in its message slice."""
+    sections = []
+    for text, _ in oracles.split_messages_reference(raw, config):
+        lines = oracles.lines_with_offsets_reference(text)
+        for (line, _), label in zip(lines, oracles.assign_sections_reference(text, config), strict=True):
+            sections += [label] * len(oracles.tokenize_line_reference(line, 0))
+    return sections
+
+
+def assert_sections_match_reference(raw, config=parsing.DEFAULT_CONFIG):
+    assert [t.section for t in parse_thread(raw, config).tokens()] == token_sections_reference(raw, config)
+
+
 class TestSections:
     def test_subject_line_tokens_are_header(self, example1_thread):
         subject_sentence = example1_thread.messages[0].sentences[3]
@@ -226,10 +240,11 @@ class TestSections:
             "This e-mail is confidential and may not be redistributed.\n"
             "Please notify the sender of any error.\n"
         )
-        labels = assign_sections(text)
-        lines = text.splitlines()
-        footer_lines = [l for l, s in zip(lines, labels) if s is Section.FOOTER]
-        assert footer_lines == lines[-2:]
+        raw = RawThread(id="t", text=text)
+        assert_sections_match_reference(raw)
+        footer_start = text.index("This e-mail")
+        tokens = list(parse_thread(raw).tokens())
+        assert [t.section is Section.FOOTER for t in tokens] == [t.char_start >= footer_start for t in tokens]
 
     def test_sections_are_contiguous_per_message(self, corpus10_threads):
         order = {Section.HEADER: "h", Section.BODY: "b", Section.FOOTER: "f"}
@@ -554,16 +569,17 @@ class TestHeaderBlockDifferential:
             expected = [(text, 0)]
         else:
             assert split_messages(raw, config) == expected
+            assert_sections_match_reference(raw, config)
         # a separator line opens a message, so only a whole text puts one inside a header region
         for message_text in {text, *(piece for piece, _ in expected)}:
-            assert assign_sections(message_text, config) == oracles.assign_sections_reference(message_text, config)
             assert parse_header(message_text, config)._asdict() == (
                 oracles.parse_header_reference(message_text, config)._asdict()
             )
 
     def test_separator_in_the_region_adds_no_field(self):
         text = "From: a@acme.com\nSubject: FW: - Forwarded by Tim\n continued\nTo: b@acme.com\n\nbody\n"
-        assert assign_sections(text)[:4] == [Section.HEADER] * 4
+        # as a thread, the separator line opens a second message
+        assert_sections_match_reference(RawThread(id="t", text=text))
         fields = parse_header(text)
         assert fields.subject is None
         assert fields.from_addr == "a@acme.com continued"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import build_fields, checked_document, synthetic_document
+from oracles import mention_from_absolute, mention_to_absolute
 from threadcoref import cli, serialization
 from threadcoref.model import (
     AnnotatedDocument,
@@ -23,6 +24,7 @@ from threadcoref.model import (
     EntityType,
     Mention,
     Token,
+    ToolkitError,
     validate_document,
 )
 from threadcoref.serialization import (
@@ -32,8 +34,6 @@ from threadcoref.serialization import (
     decode_line,
     document_to_record,
     global_sentences,
-    mention_from_absolute,
-    mention_to_absolute,
     read_conll,
     read_conll_documents,
     read_native,
@@ -158,6 +158,25 @@ class TestWriteConll:
         with pytest.raises(OverlappingIdenticalSpan):
             write_conll(doc)
 
+    # whitespace splits the id column, a leading "#" makes every row a
+    # comment and ")" ends the id on the #begin document line
+    @pytest.mark.parametrize("doc_id", ["a b/x.txt", "#x.txt", "abc)", "a\tb", "a\u2028b", "a\x1cb", "a\u00a0b", ""])
+    def test_id_that_cannot_read_back_rejected(self, example1_document, doc_id):
+        doc = example1_document._replace(thread=example1_document.thread._replace(id=doc_id))
+        message = f"^document id {re.escape(repr(doc_id))} cannot be written to CoNLL: "
+        with pytest.raises(ToolkitError, match=message):
+            write_conll(doc)
+        with pytest.raises(ToolkitError, match=message):
+            write_conll_documents([example1_document, doc])
+
+    @pytest.mark.parametrize("doc_id", ["a(b", "x#", "x.txt#", "ü.txt", "u01/inbox/3.", "a;b", "(x"])
+    def test_other_ids_round_trip(self, example1_document, doc_id):
+        doc = example1_document._replace(thread=example1_document.thread._replace(id=doc_id))
+        back = read_conll(write_conll(doc))
+        assert back.thread.id == doc_id
+        assert [t.text for t in back.thread.tokens()] == [t.text for t in doc.thread.tokens()]
+        assert chain_sets(back) == chain_sets(doc)
+
 
 class TestReadConll:
     def test_round_trip_example1(self, example1_document):
@@ -223,6 +242,14 @@ class TestReadConll:
     def test_missing_end_rejected(self):
         with pytest.raises(MalformedColumn):
             read_conll("#begin document (x); part 000\nx\t0\t0\ta\t-\n")
+
+    @pytest.mark.parametrize("begin", ["#begin document (abc; part 000", "#begin document (", "#begin document abc",
+                                       "#begin document abc); part 000"])
+    def test_begin_line_must_enclose_the_id(self, begin):
+        text = f"{begin}\nabc\t0\t0\thello\t(1)\n\n#end document\n"
+        for reader in (serialization.iter_conll_documents, oracles.iter_conll_documents_reference):
+            with pytest.raises(MalformedColumn, match="^line 1: malformed #begin document line$"):
+                list(reader(text.splitlines()))
 
     def test_multiple_documents(self, example1_document):
         text = write_conll_documents([example1_document, example1_document])
@@ -931,6 +958,7 @@ _INLINE_SPACES = tuple(c for c in map(chr, range(0x3001)) if c.isspace() and len
 _LINE_BREAKS = ("\n", "\r\n", "\r", *LINE_BREAKING_CHARS)
 _READER_LINES = [
     "", "# note", "#", "#end", "#begin document (z); part 000", "#begin document z", "#begin document (",
+    "#begin document (z; part 000", "#begin document ()",
     "#end document", "  #end document", "\t#begin document (y); part 000", "\ufeff#begin document (b); part 000",
     "\ufeff", "z", "z 0 0", "z\t0\t0\tword", "z 0 0 é (4)", "z\t0\t1\tx\t-\textra\t(5)", "z\t0\t2\tw\t(6",
     "z\t0\t3\tw\t6)", "z\t0\t4\tw\t(7|(7", "z\t0\t5\tw\t7)|7)",

@@ -90,10 +90,10 @@ def _summarize_one(args: tuple[str, str, ParserConfig, FilterConfig]) -> ThreadS
 
 
 def _summarize_line(args: tuple[int, str, FilterConfig]) -> ThreadSummary:
-    from .filtering import summarize_thread
+    from .filtering import summarize_record
 
     line_no, line, filter_config = args
-    return summarize_thread(serialization.decode_line(line, line_no).thread, filter_config)
+    return summarize_record(serialization.decode_record(line, line_no)[0], filter_config)
 
 
 # Items sent to a worker at a time: each chunk costs the parent's pool threads a
@@ -233,33 +233,40 @@ def _checked(items: Iterable, role: str, path: str, id_of) -> Iterator:
         raise ToolkitError(f"{role} file {path}: {exc}") from None
 
 
-def _documents(path: str, role: str, kinds: tuple[str, ...], *, thread: bool = True) -> Iterator:
-    """What ``path`` holds, then its documents, checked, in file order; only
-    with ``thread`` does a document hold its thread. ``role`` names the path
-    in messages: "input" for a command's one input, "<role> file" for a file
-    of a pair."""
+def _documents(path: str, role: str, kinds: tuple[str, ...], *, thread: bool = False) -> Iterator:
+    """What ``path`` holds, then (record, document) for each of its
+    documents, checked, in file order. ``record`` is the parsed JSON of a
+    native record, whose document holds no thread, or None for a CoNLL
+    document, which holds its skeleton thread only with ``thread``. ``role``
+    names the path in messages: "input" for a command's one input, "<role>
+    file" for a file of a pair."""
     content = _open_input(path, role, kinds, thread=thread)
     kind = next(content)
     yield kind
     if kind == _JSONL:
-        content = (serialization.decode_line(line, line_no, thread=thread) for line_no, line in content)
-    yield from _checked(content, role.removesuffix(" file"), path, attrgetter("thread.id"))
+        content = (serialization.decode_record(line, line_no) for line_no, line in content)
+    else:
+        content = ((None, doc) for doc in content)
+    yield from _checked(content, role.removesuffix(" file"), path, lambda item: item[1].thread.id)
 
 
 def _paired_documents(
     first: tuple[str, str], second: tuple[str, str], *, first_thread: bool
-) -> Iterator[tuple[AnnotatedDocument, AnnotatedDocument]]:
-    """Each document of the first file with the document of its id in the second.
+) -> Iterator[tuple[Optional[dict], AnnotatedDocument, AnnotatedDocument]]:
+    """Each document of the first file with the document of its id in the
+    second, as (first record, first document, second document).
 
     ``first`` and ``second`` are (path, role) pairs; the role names the file
     in messages. Pairs come in the first file's order. While the ids agree,
     which is the normal case for a response made from its key, both files
     advance in lockstep. A second-file document read ahead of its partner
     waits in an index by id until it is asked for. Every record of both
-    files is decoded once and checked, also those no partner asks for. A
-    first-file document holds its thread only if ``first_thread``, a
-    second-file document never: no command reads the thread of the file it
-    pairs with, so what waits in the index is small.
+    files is decoded once and checked, also those no partner asks for. No
+    document of a native file holds its thread, and the first record is its
+    parsed JSON, which holds the tokens; a CoNLL document of the first file
+    holds its skeleton thread only if ``first_thread``, with None for its
+    record. No command reads the thread of the file it pairs with, so what
+    waits in the index is small.
 
     Files of two formats, which address mentions differently, are an error;
     they are compared when the second file is first read.
@@ -269,25 +276,26 @@ def _paired_documents(
     first_format = next(firsts)
 
     def read_seconds() -> Iterator[AnnotatedDocument]:
-        docs = _documents(second_path, f"{second_role} file", (_JSONL, _CONLL), thread=False)
+        docs = _documents(second_path, f"{second_role} file", (_JSONL, _CONLL))
         second_format = next(docs)
         if first_format != second_format:
             raise ToolkitError(
                 f"{first_role} file {first_path} is {first_format} but {second_role} file "
                 f"{second_path} is {second_format}; both must be in one format"
             )
-        yield from docs
+        for _, doc in docs:
+            yield doc
 
     seconds = read_seconds()
     ahead: dict[str, AnnotatedDocument] = {}
-    for doc in firsts:
+    for record, doc in firsts:
         doc_id = doc.thread.id
         if doc_id in ahead:
-            yield doc, ahead.pop(doc_id)
+            yield record, doc, ahead.pop(doc_id)
             continue
         for other in seconds:
             if other.thread.id == doc_id:
-                yield doc, other
+                yield record, doc, other
                 break
             ahead[other.thread.id] = other
         else:
@@ -378,19 +386,19 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    from .features import reverse_document
+    from .features import MissingDate, features_line
 
     columns = [name for name, wanted in (("mi", args.mi), ("si", args.si)) if wanted]
-    docs = _documents(args.input, "input", (_JSONL,))
-    next(docs)
+    lines = _open_input(args.input, "input", (_JSONL,))
+    next(lines)
+    # a record's id is checked before its dates are read
+    records = ((line, *serialization.decode_record(line, line_no)) for line_no, line in lines)
     with _replacing(args.out) as fp:
-        for doc in docs:
-            if args.rev:
-                try:
-                    doc = reverse_document(doc)
-                except ToolkitError as exc:
-                    raise ToolkitError(f"input file {args.input}: document {doc.thread.id!r}: {exc}") from None
-            serialization.write_native((doc,), fp, features=columns)
+        for line, record, doc in _checked(records, "input", args.input, lambda item: item[2].thread.id):
+            try:
+                fp.write(features_line(line, record, doc.chains, columns, args.rev))
+            except MissingDate as exc:
+                raise ToolkitError(f"input file {args.input}: document {doc.thread.id!r}: {exc}") from None
     return 0
 
 
@@ -430,7 +438,7 @@ def _cmd_score(args) -> int:
     if unknown:
         raise ToolkitError(f"unknown metric(s): {', '.join(unknown)}")
     pairs = _paired_documents((args.key, "key"), (args.response, "response"), first_thread=False)
-    report = metrics.score_documents((k.chains, r.chains) for k, r in pairs)
+    report = metrics.score_documents((k.chains, r.chains) for _, k, r in pairs)
     header: list[str] = []
     values: list[str] = []
     for name in _METRIC_NAMES:
@@ -459,13 +467,17 @@ _ERROR_ROWS = (
 
 
 def _cmd_errors(args) -> int:
-    from .errors import ErrorReport, categorize_errors
+    from .errors import ErrorReport, _categorize, categorize_errors
 
     total = ErrorReport()
-    for key_doc, response_doc in _paired_documents(
+    for record, key_doc, response_doc in _paired_documents(
         (args.key, "key"), (args.response, "response"), first_thread=True
     ):
-        total = total + categorize_errors(key_doc.thread, key_doc.chains, response_doc.chains)
+        if record is None:
+            total = total + categorize_errors(key_doc.thread, key_doc.chains, response_doc.chains)
+        else:
+            lookup = serialization.record_first_token(record)
+            total = total + _categorize(lookup, key_doc.chains, response_doc.chains)
     rows = [("category", "count")]
     rows += [(label, str(getattr(total, attr))) for label, attr in _ERROR_ROWS]
     _emit_table(rows, sys.stdout, args.pretty)
@@ -500,7 +512,7 @@ def _cmd_correction_stats(args) -> int:
 
     stats = metrics.CorrectionStats()
     pairs = _paired_documents((args.pred, "pred"), (args.gold, "gold"), first_thread=False)
-    for pred_doc, gold_doc in pairs:
+    for _, pred_doc, gold_doc in pairs:
         stats = stats + metrics.correction_stats(pred_doc.mentions(), gold_doc.mentions())
     rows = [
         ("statistic", "value"),

@@ -10,7 +10,7 @@ response chain, then the lower chain id.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import wordlists
 from .metrics import member_keys, overlap_rows, transpose_rows
@@ -93,17 +93,6 @@ class ErrorReport(NamedTuple):
         return self == ErrorReport()
 
 
-def _is_pronoun_mention(thread: EmailThread, mention: Mention) -> bool:
-    if mention.start_token != mention.end_token:
-        return False
-    word = mention_tokens(thread, mention)[0].text.casefold()
-    return word in wordlists.ALL_PRONOUNS
-
-
-def _in_header(thread: EmailThread, mention: Mention) -> bool:
-    return mention_tokens(thread, mention)[0].section is Section.HEADER
-
-
 def categorize_errors(
     thread: EmailThread,
     key: Sequence[CoreferenceChain],
@@ -115,6 +104,28 @@ def categorize_errors(
     at most one missing-reference subtype; subtype precedence is pronoun,
     then header, then other.
     """
+
+    def first_token(mention: Mention) -> tuple[str, str]:
+        token = mention_tokens(thread, mention)[0]
+        return token.text, token.section.code
+
+    return _categorize(first_token, key, response)
+
+
+_HEADER = Section.HEADER.code
+
+
+def _categorize(
+    lookup: Callable[[Mention], Sequence],
+    key: Sequence[CoreferenceChain],
+    response: Sequence[CoreferenceChain],
+) -> ErrorReport:
+    """``categorize_errors`` of a document whose mention's first token has
+    the text ``lookup(mention)[0]`` and the section code ``lookup(mention)[1]``."""
+
+    def is_pronoun(mention: Mention) -> bool:
+        return mention.start_token == mention.end_token and lookup(mention)[0].casefold() in wordlists.ALL_PRONOUNS
+
     # mentions are compared by their keys (metrics.member_keys)
     key_keys = [member_keys(c.mentions) for c in key]
     resp_keys = [member_keys(c.mentions) for c in response]
@@ -142,9 +153,9 @@ def categorize_errors(
             for m, k in zip(kc.mentions, keys):
                 if k in aligned:
                     continue
-                if _is_pronoun_mention(thread, m):
+                if is_pronoun(m):
                     missing_pronoun += 1
-                elif _in_header(thread, m):
+                elif lookup(m)[1] == _HEADER:
                     missing_header += 1
                 else:
                     missing_other += 1
@@ -161,7 +172,7 @@ def categorize_errors(
         for m, k in zip(rc.mentions, keys):
             if k in aligned:
                 continue
-            if _is_pronoun_mention(thread, m):
+            if is_pronoun(m):
                 incorrect_pronoun += 1
             else:
                 incorrect_other += 1

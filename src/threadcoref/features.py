@@ -5,11 +5,14 @@ section label of each token (SI), and temporal reordering of the thread's
 messages (REV). MI and SI are pure projections of the token stream; REV
 rebuilds the thread with messages sorted by date, remapping message indices
 and token offsets, and can carry an attached annotation along consistently.
+``features_line`` does the same to a checked native record, from its JSON.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from datetime import datetime, timezone
+from typing import NamedTuple, Optional, Sequence
 
+from . import serialization
 from .model import (
     AnnotatedDocument,
     CoreferenceChain,
@@ -55,18 +58,25 @@ def feature_annotation(thread: EmailThread) -> FeatureAnnotation:
 
 
 def date_permutation(thread: EmailThread) -> list[int]:
-    """Mapping old message index -> new index under a stable date sort of
-    dates that all have a time zone or all have none; others do not compare."""
-    for msg in thread.messages:
-        if msg.date is None:
-            raise MissingDate(msg.index)
-    zoned = [msg.date.utcoffset() is not None for msg in thread.messages]
-    if any(zoned) and not all(zoned):
-        raise ToolkitError(
-            f"message {zoned.index(True)} is dated with a time zone and message "
-            f"{zoned.index(False)} without one, so they cannot be ordered"
-        )
-    order = sorted(range(len(thread.messages)), key=lambda i: thread.messages[i].date)
+    """Mapping old message index -> new index under a stable date sort.
+
+    A date without a time zone is ordered as if it had the UTC offset of the
+    thread's first message dated with one; the dates themselves do not change.
+    """
+    return _date_permutation([msg.date for msg in thread.messages])
+
+
+def _date_permutation(dates: Sequence[Optional[datetime]]) -> list[int]:
+    """``date_permutation`` of the messages dated ``dates``."""
+    for index, date in enumerate(dates):
+        if date is None:
+            raise MissingDate(index)
+    offsets = [date.utcoffset() for date in dates]
+    first = next((offset for offset in offsets if offset is not None), None)
+    if first is not None:
+        zone = timezone(first)
+        dates = [date.replace(tzinfo=zone) if offset is None else date for date, offset in zip(dates, offsets)]
+    order = sorted(range(len(dates)), key=dates.__getitem__)
     perm = [0] * len(order)
     for new_index, old_index in enumerate(order):
         perm[old_index] = new_index
@@ -119,31 +129,40 @@ def reverse_thread(thread: EmailThread) -> EmailThread:
     return thread if perm == list(range(len(perm))) else _reorder(thread, perm)
 
 
+def _moved_chains(chains: Sequence[CoreferenceChain], perm: list[int]) -> tuple[CoreferenceChain, ...]:
+    """``chains`` with each mention moved to message perm[i] from message i,
+    and each chain's mentions sorted again. A chain keeps its id and its
+    mention count, and a mention its other fields, so each is built directly."""
+    return tuple(
+        _tuple_new(CoreferenceChain, (
+            chain.chain_id,
+            tuple(sorted((_tuple_new(Mention, (perm[m[0]], *m[1:])) for m in chain.mentions), key=mention_order)),
+        ))
+        for chain in chains
+    )
+
+
 def reverse_document(doc: AnnotatedDocument) -> AnnotatedDocument:
     """reverse_thread plus consistent remapping of mention message indices."""
     perm = date_permutation(doc.thread)
     if perm == list(range(len(perm))):
         return doc
-    thread = _reorder(doc.thread, perm)
-    chains = tuple(
-        CoreferenceChain(
-            chain_id=chain.chain_id,
-            mentions=tuple(
-                sorted(
-                    (
-                        Mention(
-                            perm[m.message_index],
-                            m.sentence_index,
-                            m.start_token,
-                            m.end_token,
-                            m.entity_type,
-                        )
-                        for m in chain.mentions
-                    ),
-                    key=mention_order,
-                )
-            ),
-        )
-        for chain in doc.chains
-    )
-    return AnnotatedDocument(thread=thread, chains=chains)
+    return AnnotatedDocument(thread=_reorder(doc.thread, perm), chains=_moved_chains(doc.chains, perm))
+
+
+def features_line(line: str, record: dict, chains: Sequence[CoreferenceChain], features: Sequence[str], rev: bool) -> str:
+    """The output line of the ``features`` command for a checked native
+    ``line``, whose parsed JSON is ``record`` and whose chains are ``chains``.
+
+    It is what ``write_native`` writes, with the ``features`` columns, of the
+    document the line decodes to, after ``reverse_document`` with ``rev``,
+    except that a line that needs no reordering keeps its messages as given
+    where ``serialization.replace_chains`` can splice it. It is written from
+    the record's JSON, and no token is built.
+    """
+    if rev:
+        perm = _date_permutation(serialization.record_dates(record))
+        if perm != list(range(len(perm))):
+            order = sorted(range(len(perm)), key=perm.__getitem__)
+            return serialization.replace_chains(line, record, _moved_chains(chains, perm), features, order)
+    return serialization.replace_chains(line, record, chains, features)

@@ -12,11 +12,12 @@ Classification reads a small ``ThreadSummary`` of each thread, so a caller
 can read threads one at a time and keep only their summaries.
 ``summarize_thread`` rebuilds each message body once and runs the content
 checks (no content, inline attachment, non-English) over those bodies;
-they have no public entry point of their own. Duplicate detection needs a
-read-only fingerprint index built over the whole candidate set in a single
-pass, and a postings index from each fingerprint to the threads that hold
-it, so a thread is checked only against the holders of its rarest
-fingerprint. ``filter_summaries`` applies the directory rule, the length
+they have no public entry point of their own. ``summarize_record`` does the
+same from a checked native record's JSON, through the same summarizer.
+Duplicate detection needs a read-only fingerprint index built over the
+whole candidate set in a single pass, and a postings index from each
+fingerprint to the threads that hold it, so a thread is checked only
+against the holders of its rarest fingerprint. ``filter_summaries`` applies the directory rule, the length
 rule and the precedence.
 """
 from __future__ import annotations
@@ -25,10 +26,11 @@ import enum
 import hashlib
 import re
 from collections import Counter
+from datetime import datetime
 from pathlib import PurePath
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from . import wordlists
+from . import serialization, wordlists
 from .model import EmailMessage, EmailThread, Section, ToolkitError, utf8_input
 
 
@@ -112,24 +114,27 @@ def _normalized_subject(subject: Optional[str]) -> str:
     return _WHITESPACE_RE.sub(" ", _SUBJECT_PREFIX_RE.sub("", subject)).strip().casefold()
 
 
-def _message_body(msg: EmailMessage) -> tuple[list[str], str]:
-    """The texts of a message's body tokens, and its body text rebuilt from
-    them: spaces within a sentence, newlines between."""
+def _body(sentences: Iterable[list[str]]) -> tuple[list[str], str]:
+    """The texts of a message's body tokens, given a list per sentence, and
+    its body text rebuilt from them: spaces within a sentence, newlines
+    between."""
     words: list[str] = []
     parts = []
-    for sentence in msg.sentences:
-        sentence_words = [t.text for t in sentence if t.section is Section.BODY]
+    for sentence_words in sentences:
         if sentence_words:
             words += sentence_words
             parts.append(" ".join(sentence_words))
     return words, "\n".join(parts)
 
 
-def _fingerprint(msg: EmailMessage, body: str) -> str:
-    date = msg.date.strftime("%Y-%m-%d %H:%M") if msg.date else ""
-    sender = (msg.from_addr or "").casefold()
+def _message_body(msg: EmailMessage) -> tuple[list[str], str]:
+    return _body([t.text for t in sentence if t.section is Section.BODY] for sentence in msg.sentences)
+
+
+def _fingerprint(date: Optional[datetime], sender: Optional[str], subject: Optional[str], body: str) -> str:
+    minute = date.strftime("%Y-%m-%d %H:%M") if date else ""
     body = _WHITESPACE_RE.sub(" ", body).strip()
-    canonical = "\x1f".join([_normalized_subject(msg.subject), date, sender, body])
+    canonical = "\x1f".join([_normalized_subject(subject), minute, (sender or "").casefold(), body])
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=8).hexdigest()
 
 
@@ -139,7 +144,7 @@ def fingerprint_message(msg: EmailMessage) -> str:
     Canonical form: subject with Re:/Fw: prefixes stripped, date truncated
     to minutes, sender lowercased, body text with whitespace collapsed.
     """
-    return _fingerprint(msg, _message_body(msg)[1])
+    return _fingerprint(msg.date, msg.from_addr, msg.subject, _message_body(msg)[1])
 
 
 def build_corpus_index(threads: Iterable[EmailThread]) -> dict[str, Counter]:
@@ -204,7 +209,7 @@ def detect_duplicate(
     return _is_contained(thread.id, own, corpus_index)
 
 
-# Message bodies, as _message_body gives them, are what the content checks read.
+# Message bodies, as _body gives them, are what the content checks read.
 _Bodies = Sequence[tuple[list[str], str]]
 
 
@@ -286,7 +291,28 @@ def summarize_thread(
     thread: EmailThread, config: FilterConfig = DEFAULT_FILTER_CONFIG
 ) -> ThreadSummary:
     """The thread's summary; each message body is rebuilt once, for every check."""
-    bodies = [_message_body(m) for m in thread.messages]
+    messages = [(m.date, m.from_addr, m.subject, _message_body(m)) for m in thread.messages]
+    return _summarize(thread.id, thread.source_path, messages, config)
+
+
+def summarize_record(record: dict, config: FilterConfig = DEFAULT_FILTER_CONFIG) -> ThreadSummary:
+    """``summarize_thread`` of the thread of a native record that
+    ``serialization.decode_record`` checked, read from its JSON: the date,
+    sender, subject and body token texts of each message. No token is built."""
+    body = Section.BODY.code
+    messages = [
+        (date, m.get("from"), m.get("subject"), _body([t[0] for t in s if t[1] == body] for s in m["sentences"]))
+        for date, m in zip(serialization.record_dates(record), record["messages"])
+    ]
+    return _summarize(record["id"], record.get("source_path"), messages, config)
+
+
+def _summarize(
+    thread_id: str, source_path: Optional[str], messages: Sequence[tuple], config: FilterConfig
+) -> ThreadSummary:
+    """The summary of a thread whose messages are given as (date, sender,
+    subject, body as ``_body`` gives it)."""
+    bodies = [body for *_, body in messages]
     if _is_no_content(bodies):
         content = FilterCategory.NO_CONTENT
     elif _has_hex_attachment(bodies, config):
@@ -296,10 +322,10 @@ def summarize_thread(
     else:
         content = None
     return ThreadSummary(
-        id=thread.id,
-        source_path=thread.source_path,
-        fingerprints=Counter(_fingerprint(m, body) for m, (_, body) in zip(thread.messages, bodies)),
-        message_count=len(thread.messages),
+        id=thread_id,
+        source_path=source_path,
+        fingerprints=Counter(_fingerprint(date, sender, subject, text) for date, sender, subject, (_, text) in messages),
+        message_count=len(messages),
         content=content,
     )
 

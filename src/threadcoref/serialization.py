@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from datetime import datetime
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
 
 from .model import (
     AnnotatedDocument,
@@ -90,7 +90,9 @@ def write_conll(doc: AnnotatedDocument) -> str:
     The document id is the first column of every row and sits between the
     parentheses of the ``#begin document`` line, so an id that is empty or
     holds whitespace, a ``)`` or a leading ``#`` would read back as another
-    document. Such an id is an error.
+    document. A token text is the fourth column, so one that holds
+    whitespace, as ``str.split`` counts it, would read back cut short or
+    split its row. Such an id or text is an error.
     """
     doc_id = doc.thread.id
     if doc_id.split() != [doc_id] or doc_id.startswith("#") or ")" in doc_id:
@@ -125,6 +127,12 @@ def write_conll(doc: AnnotatedDocument) -> str:
     lines = [f"#begin document ({doc_id}); part 000"]
     for g, (_, _, sentence) in enumerate(sentences):
         for ti, token in enumerate(sentence):
+            if token.text.split() != [token.text]:
+                raise ToolkitError(
+                    f"document {doc_id!r}: token {token.text!r} at message {token.message_index}, sentence "
+                    f"{token.sentence_index}, token {ti} cannot be written to CoNLL: a token there must hold "
+                    "no whitespace"
+                )
             entries = []
             for end_tok, cid in sorted(starts.get((g, ti), []), key=lambda x: (-x[0], x[1])):
                 entries.append(f"({cid}")
@@ -369,19 +377,21 @@ def document_to_record(
         "chains": _chain_records(doc.chains),
     }
     if features:
-        columns = {}
-        if "mi" in features:
-            columns["mi"] = [
-                [[t.message_index for t in sentence] for sentence in msg.sentences]
-                for msg in thread.messages
-            ]
-        if "si" in features:
-            columns["si"] = [
-                [[t.section.code for t in sentence] for sentence in msg.sentences]
-                for msg in thread.messages
-            ]
-        record["features"] = columns
+        codes = [[[t.section.code for t in sentence] for sentence in msg.sentences] for msg in thread.messages]
+        record["features"] = _feature_columns(codes, features)
     return record
+
+
+def _feature_columns(codes: list, features: Sequence[str]) -> dict:
+    """The ``features`` value of a record whose tokens have the section
+    ``codes``, a list per message of a list per sentence: each token's
+    message index (``mi``) and section code (``si``), as ``features`` asks."""
+    columns = {}
+    if "mi" in features:
+        columns["mi"] = [[[mi] * len(sentence) for sentence in message] for mi, message in enumerate(codes)]
+    if "si" in features:
+        columns["si"] = codes
+    return columns
 
 
 def _expect_integers(names: tuple[str, ...], values, path: str) -> None:
@@ -694,30 +704,108 @@ def record_counts(record: dict, doc: AnnotatedDocument) -> tuple:
     return len(messages), words, doc.chains, lambda mi, si, ti: messages[mi]["sentences"][si][ti][0]
 
 
+def record_first_token(record: dict) -> Callable[[Mention], list]:
+    """A function that gives the first token of a mention of a record that
+    ``decode_record`` checked, as the JSON holds it: a list of its text, its
+    section code and its offsets. No token is built."""
+    messages = record["messages"]
+    return lambda mention: messages[mention[0]]["sentences"][mention[1]][mention[2]]
+
+
 _NATIVE_KEYS = ("id", "source_path", "messages", "chains")
 _CHAINS_KEY = ',"chains":'
 
 
-def replace_chains(line: str, record: dict, chains: Sequence[CoreferenceChain]) -> str:
+def replace_chains(
+    line: str,
+    record: dict,
+    chains: Sequence[CoreferenceChain],
+    features: Sequence[str] = (),
+    order: Optional[Sequence[int]] = None,
+) -> str:
     """The output line of a checked input ``line``, whose parsed JSON is
-    ``record``, with its chains replaced by ``chains`` and no features.
+    ``record``, with its chains replaced by ``chains`` and the ``features``
+    columns that ``write_native`` writes; with ``order``, the old indices of
+    the messages in their new order, the messages are moved too.
 
-    The new chains are spliced into the input: the line up to its top-level
-    ``,"chains":``, then the encoded chains, then ``}``. This holds when the
-    record's keys are those ``write_native`` writes, in its order, with an
-    optional ``features`` last, and the line starts with the bytes that
-    ``write_native`` gives for its ``id`` and ``source_path``; the messages
-    are then kept byte for byte as given. The last ``,"chains":`` of the line
-    is the top-level one when what follows it, read after a ``{``, is one
-    JSON object: a key nested deeper would leave a bracket unclosed or one
-    closed too many. Any other record is decoded in full and written by
-    ``write_native``. Deciding this encodes no message.
+    Without ``order``, the new chains are spliced into the input: the line up
+    to its top-level ``,"chains":``, then the encoded chains and features,
+    then ``}``. This holds when the record's keys are those ``write_native``
+    writes, in its order, with an optional ``features`` last, and the line
+    starts with the bytes that ``write_native`` gives for its ``id`` and
+    ``source_path``; the messages are then kept byte for byte as given. The
+    last ``,"chains":`` of the line is the top-level one when what follows
+    it, read after a ``{``, is one JSON object: a key nested deeper would
+    leave a bracket unclosed or one closed too many. Deciding this encodes no
+    message. Any other record, and every record with ``order``, is written
+    from its checked JSON as ``write_native`` writes the document it decodes
+    to (``_record_messages``), and no token is built either way.
     """
-    cut = _chains_key_at(line, record)
-    if cut < 0:
-        doc = record_to_document(record)
-        return write_native_string([AnnotatedDocument(thread=doc.thread, chains=chains)])
-    return f"{line[:cut]}{_CHAINS_KEY}{_encode(_chain_records(chains))}}}\n"
+    if order is None and (cut := _chains_key_at(line, record)) >= 0:
+        tail = f',"features":{_encode(_feature_columns(_record_codes(record["messages"]), features))}' if features else ""
+        return f"{line[:cut]}{_CHAINS_KEY}{_encode(_chain_records(chains))}{tail}}}\n"
+    messages = _record_messages(record["messages"], order)
+    out = {
+        "id": record["id"],
+        "source_path": record.get("source_path"),
+        "messages": messages,
+        "chains": _chain_records(chains),
+    }
+    if features:
+        out["features"] = _feature_columns(_record_codes(messages), features)
+    return _encode(out) + "\n"
+
+
+def _record_codes(messages: list) -> list:
+    """The section codes of a checked record's tokens, a list per message of a list per sentence."""
+    return [[[token[1] for token in sentence] for sentence in message["sentences"]] for message in messages]
+
+
+def _message_date(message: dict) -> Optional[datetime]:
+    date = message.get("date")
+    return None if date is None else datetime.fromisoformat(date)
+
+
+def record_dates(record: dict) -> list[Optional[datetime]]:
+    """The date of each message of a checked record, or None where it has none."""
+    return [_message_date(message) for message in record["messages"]]
+
+
+def _record_messages(messages: list, order: Optional[Sequence[int]]) -> list:
+    """The messages of a checked record as ``document_to_record`` writes the
+    messages it decodes to, in ``order`` if given.
+
+    The JSON already holds each token as ``document_to_record`` writes it, a
+    list of its text, section code and integer offsets, so sentences are
+    kept as they are. A date is written in ``isoformat``. Moved messages have
+    their token offsets shifted as ``features.reverse_thread`` shifts them:
+    each message's by one constant, so that it starts one past the end of
+    the message before it, or at 0; a token list is made anew only where
+    that constant is not 0.
+    """
+    out = []
+    base = 0
+    for old in range(len(messages)) if order is None else order:
+        message = messages[old]
+        sentences = message["sentences"]
+        if order is not None and sentences:
+            shift = base - sentences[0][0][2]
+            base = sentences[-1][-1][3] + shift + 1
+            if shift:
+                sentences = [[[text, code, cs + shift, ce + shift] for text, code, cs, ce in s] for s in sentences]
+        date = _message_date(message)
+        out.append({
+            "date": None if date is None else date.isoformat(),
+            "from": message.get("from"),
+            "to": message.get("to", []),
+            "cc": message.get("cc", []),
+            "subject": message.get("subject"),
+            "x_from": message.get("x_from"),
+            "x_to": message.get("x_to", []),
+            "x_cc": message.get("x_cc", []),
+            "sentences": sentences,
+        })
+    return out
 
 
 def _chains_key_at(line: str, record: dict) -> int:

@@ -18,8 +18,9 @@ parser that ran the four stage functions one after another, each
 splitting its message slice into lines again, the CoNLL line reader that
 stripped every line and tested it against each marker prefix, and the
 chain sets, overlap rows, error categorizer and correction bookkeeping
-keyed by the mentions themselves rather than by their locations, and the
-``resolve`` line that decoded and re-encoded the whole record.
+keyed by the mentions themselves rather than by their locations, the
+``resolve`` and ``features`` lines that decoded and re-encoded the whole
+record, and the ``errors`` report over fully decoded key threads.
 Differential tests require the package to agree with them. They share the
 package's unchanged helpers (model types, the metric halves, the chunk
 splitter, the address-list splitter).
@@ -402,6 +403,17 @@ def align_chains_mention_keyed(key, response) -> "_errors.ChainAlignment":
     return _errors._alignment(key, response, rows)
 
 
+def _is_pronoun_mention_reference(thread, mention) -> bool:
+    """A single-token mention whose token's casefolded text is a pronoun, read from the thread's tokens."""
+    if mention.start_token != mention.end_token:
+        return False
+    return mention_tokens(thread, mention)[0].text.casefold() in _wordlists.ALL_PRONOUNS
+
+
+def _in_header_reference(thread, mention) -> bool:
+    return mention_tokens(thread, mention)[0].section is Section.HEADER
+
+
 def categorize_errors_mention_keyed(thread, key, response) -> "_errors.ErrorReport":
     """The error categorizer over overlap rows, with mention sets."""
     key_sets = [set(c.mentions) for c in key]
@@ -411,7 +423,7 @@ def categorize_errors_mention_keyed(thread, key, response) -> "_errors.ErrorRepo
     resp_to_key = _errors._alignment(response, key, _metrics.transpose_rows(rows, len(response))).mapping()
     resp_index = {c.chain_id: j for j, c in enumerate(response)}
     key_index = {c.chain_id: i for i, c in enumerate(key)}
-    is_pronoun, in_header = _errors._is_pronoun_mention, _errors._in_header
+    is_pronoun, in_header = _is_pronoun_mention_reference, _in_header_reference
     counts = dict.fromkeys(_errors.ErrorReport._fields, 0)
     for kc, row in zip(key, rows):
         aligned_id = key_to_resp.get(kc.chain_id)
@@ -604,7 +616,7 @@ def categorize_errors_reference(thread, key, response) -> "_errors.ErrorReport":
     resp_to_key = align_chains_reference(response, key)
     resp_by_id = {c.chain_id: c for c in response}
     key_by_id = {c.chain_id: c for c in key}
-    is_pronoun, in_header = _errors._is_pronoun_mention, _errors._in_header
+    is_pronoun, in_header = _is_pronoun_mention_reference, _in_header_reference
 
     missing_pronoun = missing_header = missing_other = 0
     missing_chains = 0
@@ -1253,6 +1265,30 @@ def resolve_line_reference(line: str, line_no: int, baseline: str) -> str:
     resolver = _baselines.resolve_hb1 if baseline == "hb1" else _baselines.resolve_hb2
     chains = resolver(doc.thread, doc.mentions()).chains
     return _serialization.write_native_string([AnnotatedDocument(thread=doc.thread, chains=chains)])
+
+
+def features_line_reference(line: str, line_no: int, features=(), rev: bool = False) -> str:
+    """The output line of ``features`` for one input line, by a full decode,
+    ``reverse_document`` with ``rev``, and a full re-encode."""
+    # imported here: perfbench/checks.py loads this file, and its process
+    # should load no module that its checks do not run
+    from threadcoref.features import reverse_document
+
+    doc = _serialization.decode_line(line, line_no)
+    if rev:
+        doc = reverse_document(doc)
+    return _serialization.write_native_string([doc], features=features)
+
+
+def errors_report_reference(key_lines, response_lines) -> "_errors.ErrorReport":
+    """The summed error report of ``errors`` on two native files given as
+    lines, by ``categorize_errors`` on the key's fully decoded threads."""
+    key = _serialization.read_native("\n".join(key_lines))
+    response = {doc.thread.id: doc for doc in _serialization.read_native("\n".join(response_lines))}
+    total = _errors.ErrorReport()
+    for doc in key:
+        total = total + _errors.categorize_errors(doc.thread, doc.chains, response[doc.thread.id].chains)
+    return total
 
 
 # ---------------------------------------------------------------------------

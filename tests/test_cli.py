@@ -18,7 +18,7 @@ import oracles
 from conftest import CORPUS10_DIR, DATA_DIR, derive_mentions, synthetic_document
 from threadcoref import cli, serialization
 from threadcoref.cli import main
-from threadcoref.features import reverse_document
+from threadcoref.features import message_identifier, reverse_document, section_info
 from threadcoref.filtering import fingerprint_message
 from threadcoref.metrics import corpus_stats
 from threadcoref.model import AnnotatedDocument, CoreferenceChain, Mention, ToolkitError, mention_text
@@ -358,8 +358,26 @@ class TestFeatures:
         assert not out.exists()
 
 
-    def test_rev_on_naive_and_aware_dates_exits_1(self, tmp_path, capsys):
-        # the quoted Outlook "Sent:" line parses without a time zone
+    def test_repeated_id_fails_before_its_dates(self, gold_corpus, tmp_path, capsys):
+        # the second line repeats the first one's id and has a message without a date
+        lines = gold_corpus.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        record["messages"][-1]["date"] = None
+        path, out = tmp_path / "faults.jsonl", tmp_path / "out.jsonl"
+        path.write_text("\n".join([lines[0], json.dumps(record), *lines[1:]]) + "\n", encoding="utf-8")
+        assert main(["features", "--in", str(path), "--out", str(out), "--rev"]) == 1
+        assert capsys.readouterr() == ("", f"error: input file {path} repeats document id {record['id']!r}\n")
+        # alone, the undated message is the fault
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["features", "--in", str(path), "--out", str(out), "--rev"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: input file {path}: document {record['id']!r}: "
+            f"message {len(record['messages']) - 1} has no parseable date\n")
+        assert not out.exists()
+
+    def test_rev_orders_naive_dates_at_the_first_zone(self, tmp_path, capsys):
+        # the quoted Outlook "Sent:" line parses without a time zone: it is
+        # ordered at the -0700 of the first message, so 15:10 comes before 16:02
         thread = tmp_path / "threads" / "mixed.txt"
         thread.parent.mkdir()
         thread.write_text(
@@ -375,11 +393,13 @@ class TestFeatures:
         assert main(["parse", "--in", str(thread.parent), "--out", str(parsed)]) == 0
         doc, = read_native(parsed.read_text(encoding="utf-8"))
         assert [m.date.utcoffset() is None for m in doc.thread.messages] == [False, True]
-        assert main(["features", "--in", str(parsed), "--out", str(out), "--rev"]) == 1
-        assert capsys.readouterr() == ("", (
-            f"error: input file {parsed}: document 'mixed.txt': message 0 is dated with a time zone "
-            "and message 1 without one, so they cannot be ordered\n"))
-        assert not out.exists()
+        assert main(["features", "--in", str(parsed), "--out", str(out), "--mi", "--si", "--rev"]) == 0
+        assert capsys.readouterr() == ("", "")
+        record = json.loads(out.read_text(encoding="utf-8"))
+        # the dates are written as they were read
+        assert [m["date"] for m in record["messages"]] == ["2001-05-14T15:10:00", "2001-05-14T16:02:00-07:00"]
+        assert [m["from"] for m in record["messages"]] == ["Smith, John", "jane.doe@enron.com"]
+        assert out.read_text(encoding="utf-8") == write_native_string([reverse_document(doc)], features=("mi", "si"))
 
 
 class TestResolve:
@@ -598,9 +618,139 @@ class TestResolveSplice:
             }, name
 
 
+def _features_reference(path: Path, flags: list[str]) -> str:
+    lines = serialization.stream_native_lines(path.read_text(encoding="utf-8").split("\n"))
+    columns = [name for name in ("mi", "si") if f"--{name}" in flags]
+    return "".join(oracles.features_line_reference(line, n, columns, "--rev" in flags) for n, line in lines)
+
+
+class TestFeaturesFromRecords:
+    """features writes the bytes of a full decode, reverse_document and
+    write_native of each record, though it builds no token: a record that
+    keeps its order is spliced, and any other is written from its JSON."""
+
+    FLAGS = {
+        "mi-si-rev": ["--mi", "--si", "--rev"],
+        "mi-si": ["--mi", "--si"],
+        "bare": [],
+        "si-rev": ["--si", "--rev"],
+        "mi": ["--mi"],
+    }
+
+    @pytest.mark.parametrize("flags", FLAGS)
+    @pytest.mark.parametrize("source", TestResolveSplice.SOURCES)
+    def test_same_bytes_as_the_reference(self, resolve_sources, tmp_path, source, flags):
+        path, out = resolve_sources[source], tmp_path / "out.jsonl"
+        assert main(["features", "--in", str(path), "--out", str(out), *self.FLAGS[flags]]) == 0
+        assert out.read_text(encoding="utf-8") == _features_reference(path, self.FLAGS[flags])
+
+    def test_columns_are_each_tokens_message_and_section(self, resolve_sources, tmp_path):
+        path, out = resolve_sources["mail_wide"], tmp_path / "out.jsonl"
+        assert main(["features", "--in", str(path), "--out", str(out), "--mi", "--si", "--rev"]) == 0
+        written = out.read_text(encoding="utf-8").splitlines()
+        for line, doc in zip(written, read_native("\n".join(written))):
+            columns = json.loads(line)["features"]
+            flat = {name: [v for message in columns[name] for sentence in message for v in sentence] for name in columns}
+            assert flat["mi"] == list(message_identifier(doc.thread))
+            assert flat["si"] == [section.code for section in section_info(doc.thread)]
+
+    def test_workloads_reorder_and_splice(self, resolve_sources):
+        # both ways of writing a record run on the generated mail
+        ways = set()
+        for source in ("mail_wide", "mail_long"):
+            text = resolve_sources[source].read_text(encoding="utf-8")
+            for line_no, line in serialization.stream_native_lines(text.split("\n")):
+                doc = serialization.decode_line(line, line_no)
+                ways.add(reverse_document(doc) is doc)
+        assert ways == {True, False}
+
+    @pytest.mark.parametrize("flags", ["mi-si-rev", "mi-si"])
+    def test_other_spellings(self, gold_corpus, tmp_path, flags):
+        records = [json.loads(line) for line in gold_corpus.read_text(encoding="utf-8").splitlines()]
+        records[0]["id"] = "café   \"quoted\""
+        records[0]["source_path"] = "dir/café.txt"
+        for record in records:
+            record["messages"][0]["subject"] = "Réunion\u2029"
+            record["messages"][0]["sentences"][0][0][0] = "naïve"
+        args = self.FLAGS[flags]
+        reordered = {
+            record["id"] for record in records
+            if "--rev" in args and (doc := serialization.record_to_document(record)) is not reverse_document(doc)
+        }
+        assert reordered or "--rev" not in args
+        for name in TestResolveSplice._variants(records[0]):
+            variants = [TestResolveSplice._variants(r)[name] for r in records]
+            src, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.out.jsonl"
+            src.write_text("".join(line + "\n" for line in variants), encoding="utf-8")
+            assert main(["features", "--in", str(src), "--out", str(out), *args]) == 0
+            # the subject holds U+2029, which str.splitlines would split at
+            got = out.read_text(encoding="utf-8").split("\n")
+            want = _features_reference(src, args).split("\n")
+            assert read_native("\n".join(got)) == read_native("\n".join(want)), name
+            for record, got_line, want_line in zip(records, got, want):
+                if name in ("escaped-messages", "spaced-messages", "other-date-spelling", "absent-address-lists",
+                            "chains-key-in-messages") and record["id"] not in reordered:
+                    # a canonical top level keeps the messages as given
+                    assert got_line != want_line, name
+                else:
+                    assert got_line == want_line, name
+
+
+class TestErrorsFromRecords:
+    """errors reads the key's tokens from its records' JSON, and counts what
+    categorize_errors counts on the key's full threads."""
+
+    @pytest.mark.parametrize("source", ["mail_wide", "mail_long", "corpus10-gold"])
+    def test_same_report_as_full_threads(self, resolve_sources, tmp_path, capsys, source):
+        key = resolve_sources[source]
+        response = key.parent / "response.jsonl"
+        if not response.exists():
+            response = tmp_path / "response.jsonl"
+            assert main(["resolve", "--baseline", "hb2", "--in", str(key), "--out", str(response)]) == 0
+        for first, second in ((key, response), (response, key)):
+            assert main(["errors", "--key", str(first), "--response", str(second)]) == 0
+            want = oracles.errors_report_reference(*(p.read_text(encoding="utf-8").splitlines() for p in (first, second)))
+            assert not want.is_zero
+            rows = [("category", "count"), *((label, str(getattr(want, attr))) for label, attr in cli._ERROR_ROWS)]
+            assert capsys.readouterr().out == "".join("\t".join(row) + "\n" for row in rows)
+
+
+    def test_section_read_at_the_first_token(self, tmp_path, capsys):
+        # a missing mention that starts in a header line and ends in the body is a header reference
+        record = {"id": "t", "source_path": None, "messages": [{"date": None, "sentences": [
+            [["From", "h", 0, 4], ["Bob", "b", 5, 8]], [["he", "b", 9, 11]], [["it", "b", 12, 14]]]}],
+            "chains": [{"id": 0, "mentions": [[0, 0, 0, 1], [0, 1, 0, 0], [0, 2, 0, 0]]}]}
+        response = dict(record, chains=[{"id": 0, "mentions": [[0, 1, 0, 0], [0, 2, 0, 0]]}])
+        key_path, response_path = tmp_path / "key.jsonl", tmp_path / "response.jsonl"
+        key_path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        response_path.write_text(json.dumps(response) + "\n", encoding="utf-8")
+        assert main(["errors", "--key", str(key_path), "--response", str(response_path)]) == 0
+        out = capsys.readouterr().out
+        assert "missing_header_references\t1\n" in out and "other_missing_references\t0\n" in out
+        want = oracles.errors_report_reference([json.dumps(record)], [json.dumps(response)])
+        assert want.missing_header_refs == 1
+
+
+class TestFilterFromRecords:
+    """filter gives a JSONL file of parsed threads the verdicts of their thread files."""
+
+    @pytest.mark.parametrize("workload", ["mail_wide", "mail_long"])
+    def test_same_verdicts_as_the_directory(self, resolve_sources, tmp_path, workload):
+        work = resolve_sources[workload].parent
+        parsed = tmp_path / "parsed.jsonl"
+        assert main(["parse", "--in", str(work / "threads"), "--out", str(parsed)]) == 0
+        outs = []
+        for source, jobs in ((work / "threads", "2"), (parsed, "1"), (parsed, "2")):
+            report, verdicts = tmp_path / f"r{len(outs)}.tsv", tmp_path / f"v{len(outs)}.tsv"
+            assert main(["filter", "--in", str(source), "--exclude-fingerprints", str(work / "exclude.txt"),
+                         "--report", str(report), "--verdicts", str(verdicts), "--jobs", jobs]) == 0
+            outs.append((report.read_bytes(), verdicts.read_bytes()))
+        assert outs[0] == outs[1] == outs[2]
+
+
 class TestFirstFault:
-    """A good record, then bad ones: resolve and stats stop at the first bad
-    record with the one line that names its file, line and document."""
+    """A good record, then bad ones: resolve, stats and features stop at the
+    first bad record with the one line that names its file, line and document."""
 
     @staticmethod
     def _faults(gold_corpus) -> tuple[str, dict[str, tuple[str, str]]]:
@@ -633,7 +783,7 @@ class TestFirstFault:
 
     @pytest.mark.parametrize("fault", ["token overlap", "mention addresses no token",
                                        "mention repeated in its chain", "repeated id"])
-    @pytest.mark.parametrize("run", ["resolve-jobs1", "resolve-jobs2", "stats"])
+    @pytest.mark.parametrize("run", ["resolve-jobs1", "resolve-jobs2", "stats", "features"])
     def test_exits_1_naming_the_first_fault(self, gold_corpus, tmp_path, capsys, fault, run):
         good, faults = self._faults(gold_corpus)
         # the named fault first, then every other
@@ -645,6 +795,7 @@ class TestFirstFault:
             "resolve-jobs1": ["resolve", "--baseline", "hb1", "--in", str(path), "--out", str(out), "--jobs", "1"],
             "resolve-jobs2": ["resolve", "--baseline", "hb2", "--in", str(path), "--out", str(out), "--jobs", "2"],
             "stats": ["stats", "--in", str(path)],
+            "features": ["features", "--in", str(path), "--out", str(out), "--mi", "--si", "--rev"],
         }[run]
         assert main(args) == 1
         message = faults[fault][1]
@@ -706,13 +857,13 @@ class TestScore:
         assert main(["score", "--key", str(gold_corpus), "--response", str(gold_corpus)]) == 0
         expected = capsys.readouterr().out
         decoded = []
-        decode_line = serialization.decode_line
+        decode_record = serialization.decode_record
 
         def counting(line, line_no, **kwargs):
             decoded.append(line_no)
-            return decode_line(line, line_no, **kwargs)
+            return decode_record(line, line_no, **kwargs)
 
-        monkeypatch.setattr(serialization, "decode_line", counting)
+        monkeypatch.setattr(serialization, "decode_record", counting)
         assert main(["score", "--key", str(gold_corpus), "--response", str(reversed_path)]) == 0
         assert capsys.readouterr().out == expected
         assert len(decoded) == 2 * len(lines)
@@ -1697,7 +1848,7 @@ class TestBoundedMemory:
                 (out / str(i) / path.name).write_bytes(path.read_bytes())
         return out
 
-    @pytest.mark.parametrize("command", ["stats", "score", "score-conll", "resolve"])
+    @pytest.mark.parametrize("command", ["stats", "score", "score-conll", "resolve", "features", "errors"])
     def test_peak_rss_flat_in_corpus_size(self, parsed_corpus, gold_corpus, tmp_path, command):
         peaks = []
         # a word cache that outlived each document would hold about 11 MB
@@ -1715,13 +1866,16 @@ class TestBoundedMemory:
             args = {
                 "stats": ["stats", "--in", path],
                 "resolve": ["resolve", "--baseline", "hb2", "--in", path, "--out", str(tmp_path / "resolved.jsonl")],
+                "features": ["features", "--in", path, "--out", str(tmp_path / "features.jsonl"), "--mi", "--si", "--rev"],
+                "errors": ["errors", "--key", path, "--response", path],
             }.get(command, ["score", "--key", path, "--response", path])
             peaks.append(self._peak_rss(args))
         # a reader that held the whole 8x corpus decoded would add 10-25 MB
         assert peaks[1] <= 1.3 * peaks[0], peaks
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("command", ["parse", "resolve"])
+    @pytest.mark.parametrize("command, jobs", [
+        ("parse", "1"), ("parse", "2"), ("resolve", "1"), ("resolve", "2"), pytest.param("features", None, id="features"),
+    ])
     def test_peak_rss_flat_while_writing(self, parsed_corpus, tmp_path, command, jobs):
         # 16 and 64 copies: the interpreter's table of interned strings grows
         # once, by up to 1.4 MB, while the first few dozen copies are decoded,
@@ -1732,10 +1886,13 @@ class TestBoundedMemory:
             if command == "parse":
                 source = self._thread_copies(copies, tmp_path / f"threads{copies}")
                 args = ["parse", "--in", str(source)]
-            else:
+            elif command == "resolve":
                 source = self._copies(parsed_corpus, copies, tmp_path / f"x{copies}.jsonl")
                 args = ["resolve", "--baseline", "hb1", "--in", str(source)]
-            peaks.append(self._peak_rss(args + ["--out", str(out), "--jobs", jobs]))
+            else:
+                source = self._copies(parsed_corpus, copies, tmp_path / f"x{copies}.jsonl")
+                args = ["features", "--in", str(source), "--mi", "--si", "--rev"]
+            peaks.append(self._peak_rss(args + ["--out", str(out)] + (["--jobs", jobs] if jobs else [])))
             written.append(out.stat().st_size)
         # a command that held its input and its output lines until the end
         # would grow by more than the bytes the 48 added copies write

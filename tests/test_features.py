@@ -1,6 +1,6 @@
 import pickle
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import pytest
@@ -88,6 +88,21 @@ class TestReverseThread:
         with pytest.raises(MissingDate) as err:
             reverse_thread(thread)
         assert err.value.message_index == 0
+
+    def test_naive_dates_ordered_at_the_first_zone(self):
+        plus2 = timezone(timedelta(hours=2))
+        naive = datetime(2001, 12, 17, 9, 30)
+        # 09:30 at +02:00, the first zone, is 07:30 UTC: before 08:00 and 07:45 UTC;
+        # at the +00:00 of the third message it would come last
+        dates = [naive, datetime(2001, 12, 17, 10, 0, tzinfo=plus2), datetime(2001, 12, 17, 7, 45, tzinfo=UTC)]
+        thread = tiny_thread([1, 1, 1], dates=dates)
+        assert date_permutation(thread) == [0, 2, 1]
+        out = reverse_thread(thread)
+        assert [m.date for m in out.messages] == [dates[0], dates[2], dates[1]]
+        # ties with an aware date keep their order, and all-naive threads compare as they are
+        assert date_permutation(tiny_thread([1, 1], dates=[datetime(2001, 12, 17, 10), dates[1]])) == [0, 1]
+        assert date_permutation(tiny_thread([1, 1], dates=[dates[1], datetime(2001, 12, 17, 10)])) == [0, 1]
+        assert date_permutation(tiny_thread([1, 1], dates=[naive, naive.replace(hour=8)])) == [1, 0]
 
     def test_preserves_token_multiset_and_counts(self):
         thread = tiny_thread([2, 4, 3], dates=dated(15, 12, 9))

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 import oracles
 from conftest import build_fields, checked_document, synthetic_document
 from oracles import mention_from_absolute, mention_to_absolute
-from threadcoref import cli, serialization
+from threadcoref import cli, features, serialization
+from threadcoref.features import reverse_document
+from threadcoref.filtering import filter_corpus
 from threadcoref.model import (
     AnnotatedDocument,
     CoreferenceChain,
@@ -164,6 +166,20 @@ class TestWriteConll:
     def test_id_that_cannot_read_back_rejected(self, example1_document, doc_id):
         doc = example1_document._replace(thread=example1_document.thread._replace(id=doc_id))
         message = f"^document id {re.escape(repr(doc_id))} cannot be written to CoNLL: "
+        with pytest.raises(ToolkitError, match=message):
+            write_conll(doc)
+        with pytest.raises(ToolkitError, match=message):
+            write_conll_documents([example1_document, doc])
+
+    # the native reader takes any nonempty token text; in CoNLL "a b" would
+    # read back as "a", and a line break would split its row
+    @pytest.mark.parametrize("text", ["a b", " a", "a\t", "a\u2028b", "a\x1cb", "a\u00a0b", "a\nb"])
+    def test_token_that_cannot_read_back_rejected(self, example1_document, text):
+        record = document_to_record(example1_document)
+        record["messages"][0]["sentences"][2][1][0] = text
+        doc = decode_line(json.dumps(record), 1)
+        message = (f"^document 'example1': token {re.escape(repr(text))} at message 0, sentence 2, token 1 "
+                   "cannot be written to CoNLL: a token there must hold no whitespace$")
         with pytest.raises(ToolkitError, match=message):
             write_conll(doc)
         with pytest.raises(ToolkitError, match=message):
@@ -1100,6 +1116,7 @@ class TestThreadlessDecode:
             return tuple.__new__(cls, values)
 
         with mock.patch.object(serialization, "_tuple_new", no_token), \
+                mock.patch.object(features, "_tuple_new", no_token), \
                 mock.patch.object(Token, "__new__", side_effect=AssertionError("a token was built")):
             yield
 
@@ -1132,6 +1149,42 @@ class TestThreadlessDecode:
             assert cli.main(["stats", "--in", str(path)]) == 0
         assert f"email_threads\t{len(sample_documents)}\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args", [
+        ["features", "--in", "{docs}", "--out", "{out}", "--mi", "--si", "--rev"],
+        ["features", "--in", "{docs}", "--out", "{out}", "--si"],
+        ["errors", "--key", "{docs}", "--response", "{resolved}"],
+        ["filter", "--in", "{docs}", "--report", "{out}", "--verdicts", "{verdicts}"],
+    ], ids=["features-rev", "features", "errors", "filter"])
+    def test_reader_builds_no_token(self, sample_documents, tmp_path, capsys, args):
+        paths = {name: tmp_path / f"{name}.jsonl" for name in ("docs", "resolved", "out", "verdicts")}
+        paths["docs"].write_text(write_native_string(sample_documents), encoding="utf-8")
+        assert cli.main(["resolve", "--baseline", "hb2", "--in", str(paths["docs"]), "--out", str(paths["resolved"])]) == 0
+        argv = [arg.format(**paths) for arg in args]
+
+        def run() -> tuple[str, str]:
+            assert cli.main(argv) == 0
+            return capsys.readouterr().out, paths["out"].read_text(encoding="utf-8") if "{out}" in args else ""
+
+        want = run()
+        with self._no_token():
+            assert run() == want
+        # the rows are those of a full decode
+        docs = read_native(paths["docs"].read_text(encoding="utf-8"))
+        if args[0] == "features":
+            columns = [name for name in ("mi", "si") if f"--{name}" in args]
+            assert want[1] == write_native_string(
+                [reverse_document(d) if "--rev" in args else d for d in docs], features=columns)
+            assert "--rev" not in args or want[1] != write_native_string(docs, features=columns)
+        elif args[0] == "errors":
+            resolved = paths["resolved"].read_text(encoding="utf-8").splitlines()
+            report = oracles.errors_report_reference(paths["docs"].read_text(encoding="utf-8").splitlines(), resolved)
+            rows = ["category\tcount"] + [f"{label}\t{getattr(report, attr)}" for label, attr in cli._ERROR_ROWS]
+            assert want[0] == "\n".join(rows) + "\n" and not report.is_zero
+        else:
+            verdicts, _ = filter_corpus([d.thread for d in docs])
+            assert paths["verdicts"].read_text(encoding="utf-8").splitlines()[1:] == [
+                f"{v.thread_id}\t{v.category.value}\t{v.detail}" for v in verdicts]
+
     def test_file_reader_passes_the_flag(self, sample_documents, tmp_path):
         path = tmp_path / "docs.conll"
         path.write_text(write_conll_documents(sample_documents), encoding="utf-8")
@@ -1148,7 +1201,7 @@ class TestCommandsOnMutatedRecords:
         "stats": ["--in", "{bad}"],
         "features": ["--in", "{bad}", "--out", "{out}", "--mi", "--si", "--rev"],
         "resolve": ["--baseline", "hb1", "--in", "{bad}", "--out", "{out}"],
-        # errors reads its key with threads, the others read without
+        # errors reads its key's tokens from the record's JSON, the others read no token
         "errors": ["--key", "{bad}", "--response", "{good}"],
         "score": ["--key", "{good}", "--response", "{bad}"],
         "correction-stats": ["--pred", "{good}", "--gold", "{bad}"],

@@ -233,73 +233,94 @@ def _checked(items: Iterable, role: str, path: str, id_of) -> Iterator:
         raise ToolkitError(f"{role} file {path}: {exc}") from None
 
 
-def _documents(path: str, role: str, kinds: tuple[str, ...], *, thread: bool = False) -> Iterator:
-    """What ``path`` holds, then (record, document) for each of its
-    documents, checked, in file order. ``record`` is the parsed JSON of a
-    native record, whose document holds no thread, or None for a CoNLL
+def _documents(path: str, role: str, kinds: tuple[str, ...], decode, *, thread: bool = False) -> Iterator:
+    """What ``path`` holds, then each of its documents, checked, in file
+    order: ``decode(line, line_no)`` of a native record, a tuple that holds
+    its threadless document second, or (None, document, None) of a CoNLL
     document, which holds its skeleton thread only with ``thread``. ``role``
-    names the path in messages: "input" for a command's one input, "<role>
-    file" for a file of a pair."""
+    names the path in messages: "<role> file"."""
     content = _open_input(path, role, kinds, thread=thread)
     kind = next(content)
     yield kind
     if kind == _JSONL:
-        content = (serialization.decode_record(line, line_no) for line_no, line in content)
+        content = (decode(line, line_no) for line_no, line in content)
     else:
-        content = ((None, doc) for doc in content)
+        content = ((None, doc, None) for doc in content)
     yield from _checked(content, role.removesuffix(" file"), path, lambda item: item[1].thread.id)
 
 
 def _paired_documents(
     first: tuple[str, str], second: tuple[str, str], *, first_thread: bool
-) -> Iterator[tuple[Optional[dict], AnnotatedDocument, AnnotatedDocument]]:
+) -> Iterator[tuple[tuple, tuple]]:
     """Each document of the first file with the document of its id in the
-    second, as (first record, first document, second document).
+    second, as ((record, document, sentence lengths), (line number, document)).
 
     ``first`` and ``second`` are (path, role) pairs; the role names the file
     in messages. Pairs come in the first file's order. While the ids agree,
     which is the normal case for a response made from its key, both files
     advance in lockstep. A second-file document read ahead of its partner
     waits in an index by id until it is asked for. Every record of both
-    files is decoded once and checked, also those no partner asks for. No
-    document of a native file holds its thread, and the first record is its
-    parsed JSON, which holds the tokens; a CoNLL document of the first file
-    holds its skeleton thread only if ``first_thread``, with None for its
-    record. No command reads the thread of the file it pairs with, so what
-    waits in the index is small.
+    files is checked once, also those no partner asks for. No document of a
+    native file holds its thread; the first record is its parsed JSON, which
+    holds the tokens, and the lengths are its messages' lists of sentence
+    lengths. A CoNLL document of the first file holds its skeleton thread
+    only if ``first_thread``, with None for its record and lengths, and a
+    CoNLL document of the second file has None for its line number. No
+    command reads the thread of the file it pairs with, so what waits in the
+    index is small.
+
+    While the files are in step, with nothing in the index, a native line of
+    the second file that repeats its partner's bytes up to their top-level
+    ``,"chains":`` has only its chains read (``serialization.decode_repeat``).
 
     Files of two formats, which address mentions differently, are an error;
     they are compared when the second file is first read.
     """
     (first_path, first_role), (second_path, second_role) = first, second
-    firsts = _documents(first_path, f"{first_role} file", (_JSONL, _CONLL), thread=first_thread)
+    ahead: dict[str, tuple] = {}
+    # the line, record, document and lengths of the first file's latest record
+    latest: Optional[tuple] = None
+
+    def decode_first(line: str, line_no: int) -> tuple:
+        nonlocal latest
+        lengths: list = []
+        record, doc = serialization.decode_record(line, line_no, lengths=lengths)
+        latest = line, record, doc, lengths
+        return record, doc, lengths
+
+    def decode_second(line: str, line_no: int) -> tuple:
+        doc = serialization.decode_repeat(line, line_no, latest) if latest and not ahead else None
+        return line_no, doc or serialization.decode_record(line, line_no)[1]
+
+    firsts = _documents(first_path, f"{first_role} file", (_JSONL, _CONLL), decode_first, thread=first_thread)
     first_format = next(firsts)
 
-    def read_seconds() -> Iterator[AnnotatedDocument]:
-        docs = _documents(second_path, f"{second_role} file", (_JSONL, _CONLL))
+    def read_seconds() -> Iterator[tuple]:
+        docs = _documents(second_path, f"{second_role} file", (_JSONL, _CONLL), decode_second)
         second_format = next(docs)
         if first_format != second_format:
             raise ToolkitError(
                 f"{first_role} file {first_path} is {first_format} but {second_role} file "
                 f"{second_path} is {second_format}; both must be in one format"
             )
-        for _, doc in docs:
-            yield doc
+        for line_no, doc, *_ in docs:
+            yield line_no, doc
 
     seconds = read_seconds()
-    ahead: dict[str, AnnotatedDocument] = {}
-    for record, doc in firsts:
-        doc_id = doc.thread.id
+    for item in firsts:
+        doc_id = item[1].thread.id
         if doc_id in ahead:
-            yield record, doc, ahead.pop(doc_id)
+            yield item, ahead.pop(doc_id)
             continue
         for other in seconds:
-            if other.thread.id == doc_id:
-                yield record, doc, other
+            if other[1].thread.id == doc_id:
+                yield item, other
                 break
-            ahead[other.thread.id] = other
+            ahead[other[1].thread.id] = other
         else:
             raise ToolkitError(f"{second_role} file {second_path} has no document {doc_id!r}")
+    # what is left of the second file has no partner
+    latest = None
     for _ in seconds:
         pass
 
@@ -438,7 +459,7 @@ def _cmd_score(args) -> int:
     if unknown:
         raise ToolkitError(f"unknown metric(s): {', '.join(unknown)}")
     pairs = _paired_documents((args.key, "key"), (args.response, "response"), first_thread=False)
-    report = metrics.score_documents((k.chains, r.chains) for _, k, r in pairs)
+    report = metrics.score_documents((key.chains, response.chains) for (_, key, _), (_, response) in pairs)
     header: list[str] = []
     values: list[str] = []
     for name in _METRIC_NAMES:
@@ -470,9 +491,19 @@ def _cmd_errors(args) -> int:
     from .errors import ErrorReport, _categorize, categorize_errors
 
     total = ErrorReport()
-    for record, key_doc, response_doc in _paired_documents(
+    for (record, key_doc, lengths), (line_no, response_doc) in _paired_documents(
         (args.key, "key"), (args.response, "response"), first_thread=True
     ):
+        # the categorizer reads the key's token at each response mention
+        if record is None:
+            lengths = [[len(sentence) for sentence in message.sentences] for message in key_doc.thread.messages]
+        stray = serialization.first_stray_mention(response_doc.mentions(), lengths)
+        if stray is not None:
+            where = "" if line_no is None else f"line {line_no}: "
+            raise ToolkitError(
+                f"response file {args.response}: {where}document {key_doc.thread.id!r}: "
+                f"mention at {stray.location} addresses no token of key file {args.key}"
+            )
         if record is None:
             total = total + categorize_errors(key_doc.thread, key_doc.chains, response_doc.chains)
         else:
@@ -512,7 +543,7 @@ def _cmd_correction_stats(args) -> int:
 
     stats = metrics.CorrectionStats()
     pairs = _paired_documents((args.pred, "pred"), (args.gold, "gold"), first_thread=False)
-    for _, pred_doc, gold_doc in pairs:
+    for (_, pred_doc, _), (_, gold_doc) in pairs:
         stats = stats + metrics.correction_stats(pred_doc.mentions(), gold_doc.mentions())
     rows = [
         ("statistic", "value"),

@@ -567,7 +567,7 @@ def _decode_chain(rec, ci: int, chain_ids: set, owners: dict, lengths: list) -> 
                 raise NativeSchemaError(f"$.chains[{ci}].mentions[{mi}]", str(exc)) from None
             # Mention compares its fields, which a bool or a float also passes
             _expect_integers(_MENTION_FIELDS, location, f"$.chains[{ci}].mentions[{mi}]")
-        if not (m < len(lengths) and s < len(lengths[m]) and end < lengths[m][s]):
+        if not _addresses_token(lengths, m, s, end):
             raise NativeSchemaError(f"$.chains[{ci}].mentions[{mi}]", f"mention at {location} addresses no token")
         if location in owners:
             raise NativeSchemaError(
@@ -583,7 +583,19 @@ def _decode_chain(rec, ci: int, chain_ids: set, owners: dict, lengths: list) -> 
         raise NativeSchemaError(f"$.chains[{ci}]", str(exc)) from None
 
 
-def record_to_document(record: dict, *, thread: bool = True) -> AnnotatedDocument:
+def _addresses_token(lengths: list, message: int, sentence: int, end: int) -> bool:
+    """Whether a mention of nonnegative indices that ends at token ``end``
+    addresses tokens of messages with the sentence ``lengths``."""
+    return message < len(lengths) and sentence < len(lengths[message]) and end < lengths[message][sentence]
+
+
+def first_stray_mention(mentions: Iterable[Mention], lengths: list) -> Optional[Mention]:
+    """The first of ``mentions`` that addresses no token of messages with
+    the sentence ``lengths``, a list of lists per message, or None."""
+    return next((m for m in mentions if not _addresses_token(lengths, m[0], m[1], m[3])), None)
+
+
+def record_to_document(record: dict, *, thread: bool = True, lengths: Optional[list] = None) -> AnnotatedDocument:
     """Build a document from one decoded native record, checking its schema.
 
     A violation raises ``NativeSchemaError`` naming the JSON path of the
@@ -591,6 +603,7 @@ def record_to_document(record: dict, *, thread: bool = True) -> AnnotatedDocumen
     token that starts before the previous one ends is reported at ``$``,
     after every message has decoded. With ``thread`` false every check still
     runs, but no token is built and the document's thread holds no message.
+    A ``lengths`` list receives each message's list of sentence lengths.
     """
     if not isinstance(record, dict):
         raise NativeSchemaError("$", "record must be an object")
@@ -600,7 +613,7 @@ def record_to_document(record: dict, *, thread: bool = True) -> AnnotatedDocumen
     if not isinstance(raw_messages, list):
         raise NativeSchemaError("$.messages", "must be a list")
     messages = []
-    lengths = []
+    lengths = [] if lengths is None else lengths
     last_end, overlap = 0, None
     for i, rec in enumerate(raw_messages):
         fields, sentence_lengths, last_end, found = _decode_message(rec, i, last_end, thread)
@@ -610,13 +623,16 @@ def record_to_document(record: dict, *, thread: bool = True) -> AnnotatedDocumen
     if overlap:
         raise NativeSchemaError("$", _overlap_message(record["id"], *overlap))
     built = _assemble_thread(record["id"], messages if thread else (), record.get("source_path"))
-    raw_chains = record.get("chains", [])
+    return AnnotatedDocument(thread=built, chains=_decode_chains(record.get("chains", []), lengths))
+
+
+def _decode_chains(raw_chains, lengths: list) -> tuple[CoreferenceChain, ...]:
+    """The chains of a record whose messages have the sentence ``lengths``."""
     if not isinstance(raw_chains, list):
         raise NativeSchemaError("$.chains", "must be a list")
     chain_ids: set = set()
     owners: dict = {}
-    chains = tuple(_decode_chain(rec, ci, chain_ids, owners, lengths) for ci, rec in enumerate(raw_chains))
-    return AnnotatedDocument(thread=built, chains=chains)
+    return tuple(_decode_chain(rec, ci, chain_ids, owners, lengths) for ci, rec in enumerate(raw_chains))
 
 
 def _encode(value) -> str:
@@ -657,24 +673,60 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-def decode_record(line: str, line_no: int, *, thread: bool = False) -> tuple[dict, AnnotatedDocument]:
+def decode_record(
+    line: str, line_no: int, *, thread: bool = False, lengths: Optional[list] = None
+) -> tuple[dict, AnnotatedDocument]:
     """Decode one JSONL line into its parsed JSON record and its document.
 
     Every error, bad JSON, NaN and Infinity included, names the line number,
     and an error in a record whose id is a string names the document too.
-    ``thread`` is as for ``record_to_document``: without it every check
-    still runs, and ``record_sentence`` builds the tokens of any one
-    sentence of the returned record.
+    ``thread`` and ``lengths`` are as for ``record_to_document``: without
+    ``thread`` every check still runs, and ``record_sentence`` builds the
+    tokens of any one sentence of the returned record.
     """
     try:
         record = json.loads(line, parse_constant=_reject_constant)
     except ValueError as exc:
         raise NativeSchemaError(f"line {line_no}", f"invalid JSON: {exc}") from None
     try:
-        return record, record_to_document(record, thread=thread)
+        return record, record_to_document(record, thread=thread, lengths=lengths)
     except NativeSchemaError as exc:
         doc_id = record.get("id") if isinstance(record, dict) else None
         raise NativeSchemaError(exc.path, exc.message, line_no, doc_id if isinstance(doc_id, str) else None) from None
+
+
+_TAIL_KEYS = (("chains",), ("chains", "features"))
+
+
+def decode_repeat(
+    line: str, line_no: int, first: tuple[str, dict, AnnotatedDocument, list]
+) -> Optional[AnnotatedDocument]:
+    """The document of ``line`` if it repeats the bytes of ``first``'s line up
+    to and including their top-level ``,"chains":``, else None.
+
+    ``first`` is a line with the record, threadless document and sentence
+    lengths that ``decode_record`` gave for it. The cut is the splice rule's
+    (``_chains_key_at``), so the shared bytes hold the id, the source path
+    and every message, all checked once already. Only the rest of ``line`` is
+    parsed, and its keys must be ``chains``, or ``chains`` then ``features``:
+    JSON keeps a repeated key's last value, which would replace a shared one.
+    Its chains are checked against ``first``'s sentences, and an error reads
+    as ``decode_record`` words it. Any other line is left to ``decode_record``.
+    """
+    first_line, record, doc, lengths = first
+    cut = _chains_key_at(first_line, record)
+    if cut < 0 or not line.startswith(first_line[: cut + len(_CHAINS_KEY)]):
+        return None
+    try:
+        tail = json.loads("{" + line[cut + 1 :], parse_constant=_reject_constant)
+    except ValueError:
+        return None
+    if tuple(tail) not in _TAIL_KEYS:
+        return None
+    try:
+        return AnnotatedDocument(doc.thread, _decode_chains(tail["chains"], lengths))
+    except NativeSchemaError as exc:
+        raise NativeSchemaError(exc.path, exc.message, line_no, doc.thread.id) from None
 
 
 def decode_line(line: str, line_no: int, *, thread: bool = True) -> AnnotatedDocument:

@@ -23,7 +23,7 @@ from threadcoref.filtering import fingerprint_message
 from threadcoref.metrics import corpus_stats
 from threadcoref.model import AnnotatedDocument, CoreferenceChain, Mention, ToolkitError, mention_text
 from threadcoref.serialization import (
-    read_native, write_conll, write_conll_documents, write_native, write_native_string,
+    read_conll_documents, read_native, write_conll, write_conll_documents, write_native, write_native_string,
 )
 
 
@@ -748,9 +748,15 @@ class TestFilterFromRecords:
         assert outs[0] == outs[1] == outs[2]
 
 
+def _compact(record: dict) -> str:
+    """A record as write_native spells it."""
+    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+
+
 class TestFirstFault:
     """A good record, then bad ones: resolve, stats and features stop at the
-    first bad record with the one line that names its file, line and document."""
+    first bad record with the one line that names its file, line and document,
+    and so do the pair commands on a response file that holds them."""
 
     @staticmethod
     def _faults(gold_corpus) -> tuple[str, dict[str, tuple[str, str]]]:
@@ -802,6 +808,28 @@ class TestFirstFault:
         where = f"input file {path} " if fault == "repeated id" else f"input file {path}: "
         assert capsys.readouterr() == ("", f"error: {where}{message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("spelling", ["compact", "default"])
+    @pytest.mark.parametrize("fault", ["token overlap", "mention addresses no token",
+                                       "mention repeated in its chain", "repeated id"])
+    @pytest.mark.parametrize("command", ["score", "errors", "correction-stats"])
+    def test_pair_commands_name_the_first_fault(self, gold_corpus, tmp_path, capsys, command, fault, spelling):
+        # in the response file, after a good pair; compact records repeat their
+        # key's bytes wherever they keep its messages
+        good, faults = self._faults(gold_corpus)
+        bad = [faults[fault][0]] + [line for name, (line, _) in faults.items() if name != fault]
+        if spelling == "compact":
+            bad = [_compact(json.loads(line)) for line in bad]
+        path = tmp_path / "faults.jsonl"
+        path.write_text("\n".join([good, *bad]) + "\n", encoding="utf-8")
+        role, args = {
+            "score": ("response", ["score", "--key", str(gold_corpus), "--response", str(path)]),
+            "errors": ("response", ["errors", "--key", str(gold_corpus), "--response", str(path)]),
+            "correction-stats": ("gold", ["correction-stats", "--pred", str(gold_corpus), "--gold", str(path)]),
+        }[command]
+        assert main(args) == 1
+        where = f"{role} file {path} " if fault == "repeated id" else f"{role} file {path}: "
+        assert capsys.readouterr() == ("", f"error: {where}{faults[fault][1]}\n")
 
 
 class TestScore:
@@ -911,6 +939,45 @@ class TestErrors:
         assert main(["errors", "--key", str(key), "--response", str(key)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert all(line.split("\t")[1] == "0" for line in lines[1:])
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "conll"])
+    def test_response_mention_past_the_key_exits_1(self, resolve_sources, tmp_path, capsys, fmt):
+        # the first record with one message more, whose one-token mention joins chain 0
+        lines = resolve_sources["mail_wide"].read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        end = max(token[3] for message in record["messages"] for sentence in message["sentences"] for token in sentence)
+        record["messages"].append({"date": None, "sentences": [[["Hello", "b", end + 1, end + 6]]]})
+        added = [len(record["messages"]) - 1, 0, 0, 0]
+        record["chains"][0]["mentions"].append(added)
+        key, response = tmp_path / f"key.{fmt}", tmp_path / f"response.{fmt}"
+        key_text, response_text = "\n".join(lines) + "\n", "\n".join([_compact(record), *lines[1:]]) + "\n"
+        keys, responses = read_native(key_text), read_native(response_text)
+        if fmt == "conll":
+            key_text, response_text = write_conll_documents(keys), write_conll_documents(responses)
+            # one message of sentences: the added one is the last
+            added = [0, sum(len(message.sentences) for message in keys[0].thread.messages), 0, 0]
+        key.write_text(key_text, encoding="utf-8")
+        response.write_text(response_text, encoding="utf-8")
+        assert main(["errors", "--key", str(key), "--response", str(response)]) == 1
+        where = "line 1: " if fmt == "jsonl" else ""
+        assert capsys.readouterr() == ("", (
+            f"error: response file {response}: {where}document {record['id']!r}: "
+            f"mention at {tuple(added)} addresses no token of key file {key}\n"))
+        # score and correction-stats read mentions only, which need no token of the key
+        from threadcoref import metrics
+
+        if fmt == "conll":
+            keys, responses = read_conll_documents(key_text), read_conll_documents(response_text)
+        report = metrics.score_documents((k.chains, r.chains) for k, r in zip(keys, responses))
+        assert main(["score", "--key", str(key), "--response", str(response), "--metrics", "muc,b3,ceafe"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split("\t")[-1] == f"{report.conll_avg_f1:.4f}"
+        stats = metrics.CorrectionStats()
+        for k, r in zip(keys, responses):
+            stats = stats + metrics.correction_stats(r.mentions(), k.mentions())
+        assert main(["correction-stats", "--pred", str(response), "--gold", str(key)]) == 0
+        out = capsys.readouterr().out
+        assert f"added_mentions\t{stats.added}\n" in out and f"deleted_mentions\t{stats.deleted}\n" in out
+        assert stats.deleted == 1
 
 
 class TestStats:
@@ -1113,6 +1180,137 @@ class TestConllPairing(TestPairing):
     """The same cases with both files in CoNLL columns."""
 
     fmt = "conll"
+
+
+class TestPairReader:
+    """A response line that repeats its key line's bytes up to the top-level
+    "chains" key has only its chains parsed; every pair command prints what
+    it prints with each record decoded in full, in both pairing orders."""
+
+    SOURCES = ["corpus10-gold", "example1-gold", "mail_wide", "mail_long"]
+    RESPONSES = ["resolved", "features", "redumped", "reversed", "token-changed", "later-messages",
+                 "other-source-path"]
+
+    @staticmethod
+    def _responses(key: Path, root: Path) -> tuple[dict[str, Path], int]:
+        """Each response made from ``key``, and the index of the record that
+        the one-record changes change: the first that holds a chain."""
+        paths = {name: root / f"{name}.jsonl" for name in TestPairReader.RESPONSES}
+        assert main(["resolve", "--baseline", "hb1", "--in", str(key), "--out", str(paths["resolved"])]) == 0
+        assert main(["features", "--in", str(paths["resolved"]), "--out", str(paths["features"]), "--mi", "--si"]) == 0
+        lines = paths["resolved"].read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        at = next(i for i, record in enumerate(records) if record["chains"])
+        changed = copy.deepcopy(records[at])
+        token = changed["messages"][0]["sentences"][0][0]
+        token[0] += "x"
+        texts = {
+            "redumped": [json.dumps(record) for record in records],
+            "reversed": lines[::-1],
+            "token-changed": lines[:at] + [_compact(changed)] + lines[at + 1:],
+            "later-messages": lines[:at] + [lines[at][:-1] + ',"messages":[]}'] + lines[at + 1:],
+            "other-source-path": [_compact(dict(record, source_path=f"elsewhere/{record['id']}")) for record in records],
+        }
+        for name, text in texts.items():
+            paths[name].write_text("".join(line + "\n" for line in text), encoding="utf-8")
+        return paths, at
+
+    @staticmethod
+    def _runs(key: Path, response: Path) -> dict[str, list[str]]:
+        """score, errors and correction-stats in both pairing orders."""
+        key, response = str(key), str(response)
+        return {
+            "score": ["score", "--key", key, "--response", response],
+            "score-reversed": ["score", "--key", response, "--response", key],
+            "errors": ["errors", "--key", key, "--response", response],
+            "errors-reversed": ["errors", "--key", response, "--response", key],
+            "correction-stats": ["correction-stats", "--pred", response, "--gold", key],
+            "correction-stats-reversed": ["correction-stats", "--pred", key, "--gold", response],
+        }
+
+    @staticmethod
+    def _outcome(capsys, args) -> tuple[int, str, str]:
+        code = main(args)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def _counted(monkeypatch, name: str) -> list:
+        """The results of each call of ``serialization.<name>`` from now on."""
+        results = []
+        func = getattr(serialization, name)
+        monkeypatch.setattr(serialization, name, lambda *a, **k: results.append(func(*a, **k)) or results[-1])
+        return results
+
+    @pytest.mark.parametrize("response", RESPONSES)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_same_output_as_full_decodes(self, resolve_sources, tmp_path, capsys, monkeypatch, source, response):
+        key = resolve_sources[source]
+        paths, at = self._responses(key, tmp_path)
+        records = len(key.read_text(encoding="utf-8").splitlines())
+        runs = self._runs(key, paths[response])
+        with monkeypatch.context() as full:
+            full.setattr(serialization, "decode_repeat", lambda line, line_no, first: None)
+            want = {run: self._outcome(capsys, args) for run, args in runs.items()}
+        repeats = self._counted(monkeypatch, "decode_repeat")
+        for run, args in runs.items():
+            repeats.clear()
+            assert self._outcome(capsys, args) == want[run], run
+            # the records that take the shared-bytes path
+            shared = {"resolved": records, "features": records, "token-changed": records - 1,
+                      "reversed": int(records == 1)}.get(response, 0)
+            if response != "later-messages":
+                assert sum(doc is not None for doc in repeats) == shared, run
+        if response == "later-messages":
+            # JSON keeps the later messages, which hold no token
+            record = json.loads(paths[response].read_text(encoding="utf-8").splitlines()[at])
+            mention = tuple(record["chains"][0]["mentions"][0][:4])
+            for run, (code, out, err) in want.items():
+                role = {"score": "response", "errors": "response", "correction-stats": "pred"}[run.removesuffix("-reversed")]
+                if run.endswith("-reversed"):
+                    role = {"response": "key", "pred": "gold"}[role]
+                assert (code, out, err) == (1, "", (
+                    f"error: {role} file {paths[response]}: line {at + 1}: document {record['id']!r}: "
+                    f"$.chains[0].mentions[0]: mention at {mention} addresses no token\n")), run
+        else:
+            assert all(code == 0 for code, _, _ in want.values())
+
+    @pytest.mark.parametrize("tail", ['[{"id":0,"mentions":[[0,0,0,NaN]]}]}', '[{"id":0,"mentions":[[0,0,0,-Infinity]]}]}',
+                                      '[{"id":0,"mentions":[[0,0,0,0]]}', '[{"id":0,"mentions":[[0,0,0,0]]}]}}'])
+    @pytest.mark.parametrize("command", ["score", "errors", "correction-stats"])
+    def test_unreadable_rest_named_as_in_full(self, gold_corpus, tmp_path, capsys, command, tail):
+        # the rest of a line that repeats its key's bytes holds what JSON cannot read
+        lines = gold_corpus.read_text(encoding="utf-8").splitlines()
+        bad = lines[1][: lines[1].rindex(',"chains":')] + ',"chains":' + tail
+        try:
+            json.loads(bad, parse_constant=serialization._reject_constant)
+        except ValueError as exc:
+            message = f"line 2: invalid JSON: {exc}"
+        path = tmp_path / "response.jsonl"
+        path.write_text("\n".join([lines[0], bad, *lines[2:]]) + "\n", encoding="utf-8")
+        role, args = {
+            "score": ("response", ["score", "--key", str(gold_corpus), "--response", str(path)]),
+            "errors": ("response", ["errors", "--key", str(gold_corpus), "--response", str(path)]),
+            "correction-stats": ("gold", ["correction-stats", "--pred", str(gold_corpus), "--gold", str(path)]),
+        }[command]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"error: {role} file {path}: {message}\n")
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_a_repeated_record_is_decoded_once(self, resolve_sources, tmp_path, capsys, monkeypatch, source):
+        key = resolve_sources[source]
+        paths, _ = self._responses(key, tmp_path)
+        records = len(key.read_text(encoding="utf-8").splitlines())
+        decoded = self._counted(monkeypatch, "decode_record")
+        repeats = self._counted(monkeypatch, "decode_repeat")
+        for run, args in self._runs(key, paths["resolved"]).items():
+            decoded.clear()
+            repeats.clear()
+            assert main(args) == 0, run
+            # once for each record of the file whose order the pairs follow, never for its partner
+            assert len(decoded) == records, run
+            assert len(repeats) == records and all(doc is not None for doc in repeats), run
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("command,first,second,roles", PAIRING_COMMANDS)
@@ -1848,7 +2046,8 @@ class TestBoundedMemory:
                 (out / str(i) / path.name).write_bytes(path.read_bytes())
         return out
 
-    @pytest.mark.parametrize("command", ["stats", "score", "score-conll", "resolve", "features", "errors"])
+    @pytest.mark.parametrize("command", ["stats", "score", "score-conll", "resolve", "features", "errors",
+                                         "correction-stats"])
     def test_peak_rss_flat_in_corpus_size(self, parsed_corpus, gold_corpus, tmp_path, command):
         peaks = []
         # a word cache that outlived each document would hold about 11 MB
@@ -1868,6 +2067,7 @@ class TestBoundedMemory:
                 "resolve": ["resolve", "--baseline", "hb2", "--in", path, "--out", str(tmp_path / "resolved.jsonl")],
                 "features": ["features", "--in", path, "--out", str(tmp_path / "features.jsonl"), "--mi", "--si", "--rev"],
                 "errors": ["errors", "--key", path, "--response", path],
+                "correction-stats": ["correction-stats", "--pred", path, "--gold", path],
             }.get(command, ["score", "--key", path, "--response", path])
             peaks.append(self._peak_rss(args))
         # a reader that held the whole 8x corpus decoded would add 10-25 MB

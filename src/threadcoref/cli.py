@@ -19,7 +19,7 @@ import os
 import sys
 from codecs import BOM_UTF8
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, starmap
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
@@ -27,7 +27,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 # Only what every subcommand needs is imported here; each handler imports
 # the modules it runs, so a command loads no code it does not use.
 from . import serialization
-from .model import AnnotatedDocument, ToolkitError, utf8_input
+from .model import AnnotatedDocument, Section, ToolkitError, utf8_input
 
 if TYPE_CHECKING:
     from .filtering import FilterConfig, ThreadSummary
@@ -147,7 +147,7 @@ def _map_jobs(func, items: Iterable, jobs: int) -> Iterator:
 _DIRECTORY, _THREAD, _JSONL, _CONLL = "a thread directory", "a thread file", "native JSONL", "CoNLL"
 
 
-def _open_input(path: str, role: str, kinds: tuple[str, ...], *, thread: bool = True) -> Iterator:
+def _open_input(path: str, role: str, kinds: tuple[str, ...]) -> Iterator:
     """What ``path`` holds, then its content, read from one open.
 
     A directory holds thread files. Any other path is one file, and its
@@ -158,10 +158,11 @@ def _open_input(path: str, role: str, kinds: tuple[str, ...], *, thread: bool = 
     this are read again from memory, so a pipe reads as a file does.
 
     The content is (text, name) pairs of thread files, in the order of
-    sorted paths; the numbered nonblank lines of native JSONL; or the
-    documents of CoNLL, which hold their threads only if ``thread``. A path
-    that holds none of ``kinds`` is an error naming the ``role``, the path
-    and what it holds, which for a file with no nonblank line is "empty".
+    sorted paths; the numbered nonblank lines of native JSONL; or each
+    document of CoNLL, whose thread holds no message, with the words of each
+    of its sentences. A path that holds none of ``kinds`` is an error naming
+    the ``role``, the path and what it holds, which for a file with no
+    nonblank line is "empty".
     """
 
     def checked(kind: str, held: Optional[str] = None) -> str:
@@ -201,7 +202,7 @@ def _open_input(path: str, role: str, kinds: tuple[str, ...], *, thread: bool = 
             # newline=None reads "\r\n" and "\r" as "\n", as the rest is read
             lines = chain(io.StringIO(b"".join(head).decode("utf-8"), newline=None), rest)
             if kind == _CONLL:
-                yield from serialization.stream_conll_documents(lines, thread=thread)
+                yield from serialization.stream_conll_documents(lines)
             else:
                 yield from serialization.stream_native_lines(lines)
 
@@ -233,45 +234,46 @@ def _checked(items: Iterable, role: str, path: str, id_of) -> Iterator:
         raise ToolkitError(f"{role} file {path}: {exc}") from None
 
 
-def _documents(path: str, role: str, kinds: tuple[str, ...], decode, *, thread: bool = False) -> Iterator:
+def _documents(path: str, role: str, kinds: tuple[str, ...], decode, conll) -> Iterator:
     """What ``path`` holds, then each of its documents, checked, in file
-    order: ``decode(line, line_no)`` of a native record, a tuple that holds
-    its threadless document second, or (None, document, None) of a CoNLL
-    document, which holds its skeleton thread only with ``thread``. ``role``
-    names the path in messages: "<role> file"."""
-    content = _open_input(path, role, kinds, thread=thread)
+    order: ``decode(line, line_no)`` of a native record, or ``conll(document,
+    sentence words)`` of a CoNLL document, a tuple that holds the threadless
+    document second. ``role`` names the path in messages: "<role> file"."""
+    content = _open_input(path, role, kinds)
     kind = next(content)
     yield kind
     if kind == _JSONL:
         content = (decode(line, line_no) for line_no, line in content)
     else:
-        content = ((None, doc, None) for doc in content)
+        content = starmap(conll, content)
     yield from _checked(content, role.removesuffix(" file"), path, lambda item: item[1].thread.id)
 
 
-def _paired_documents(
-    first: tuple[str, str], second: tuple[str, str], *, first_thread: bool
-) -> Iterator[tuple[tuple, tuple]]:
+# the section code of every CoNLL token
+_BODY = Section.BODY.code
+
+
+def _paired_documents(first: tuple[str, str], second: tuple[str, str]) -> Iterator[tuple[tuple, tuple]]:
     """Each document of the first file with the document of its id in the
-    second, as ((record, document, sentence lengths), (line number, document)).
+    second, as ((first token, document, sentence lengths), (line number, document)).
 
     ``first`` and ``second`` are (path, role) pairs; the role names the file
     in messages. Pairs come in the first file's order. While the ids agree,
     which is the normal case for a response made from its key, both files
     advance in lockstep. A second-file document read ahead of its partner
     waits in an index by id until it is asked for. Every record of both
-    files is checked once, also those no partner asks for. No document of a
-    native file holds its thread; the first record is its parsed JSON, which
-    holds the tokens, and the lengths are its messages' lists of sentence
-    lengths. A CoNLL document of the first file holds its skeleton thread
-    only if ``first_thread``, with None for its record and lengths, and a
-    CoNLL document of the second file has None for its line number. No
-    command reads the thread of the file it pairs with, so what waits in the
-    index is small.
+    files is checked once, also those no partner asks for. No document
+    holds its thread, so what waits in the index is small. The first token
+    is a function that gives a mention's first token as its text and
+    section code, read from the parsed JSON of a native record or from the
+    words of a CoNLL document, whose tokens are all body tokens; the lengths
+    are each message's list of sentence lengths. A CoNLL document of the
+    second file has None for its line number.
 
-    While the files are in step, with nothing in the index, a native line of
-    the second file that repeats its partner's bytes up to their top-level
-    ``,"chains":`` has only its chains read (``serialization.decode_repeat``).
+    A native line of the second file that repeats the bytes of the first
+    file's latest line up to their top-level ``,"chains":`` has only its
+    chains read (``serialization.decode_repeat``). It holds that line's id,
+    so it can only be that record's partner.
 
     Files of two formats, which address mentions differently, are an error;
     they are compared when the second file is first read.
@@ -283,28 +285,30 @@ def _paired_documents(
 
     def decode_first(line: str, line_no: int) -> tuple:
         nonlocal latest
-        lengths: list = []
-        record, doc = serialization.decode_record(line, line_no, lengths=lengths)
-        latest = line, record, doc, lengths
-        return record, doc, lengths
+        latest = (line, *serialization.decode_record(line, line_no))
+        _, record, doc, lengths = latest
+        return serialization.record_first_token(record), doc, lengths
+
+    def conll_first(doc: AnnotatedDocument, sentences: list[list[str]]) -> tuple:
+        return (lambda mention: (sentences[mention[1]][mention[2]], _BODY)), doc, [[len(s) for s in sentences]]
 
     def decode_second(line: str, line_no: int) -> tuple:
-        doc = serialization.decode_repeat(line, line_no, latest) if latest and not ahead else None
+        doc = serialization.decode_repeat(line, line_no, latest) if latest else None
         return line_no, doc or serialization.decode_record(line, line_no)[1]
 
-    firsts = _documents(first_path, f"{first_role} file", (_JSONL, _CONLL), decode_first, thread=first_thread)
+    firsts = _documents(first_path, f"{first_role} file", (_JSONL, _CONLL), decode_first, conll_first)
     first_format = next(firsts)
 
     def read_seconds() -> Iterator[tuple]:
-        docs = _documents(second_path, f"{second_role} file", (_JSONL, _CONLL), decode_second)
+        docs = _documents(second_path, f"{second_role} file", (_JSONL, _CONLL), decode_second,
+                          lambda doc, _: (None, doc))
         second_format = next(docs)
         if first_format != second_format:
             raise ToolkitError(
                 f"{first_role} file {first_path} is {first_format} but {second_role} file "
                 f"{second_path} is {second_format}; both must be in one format"
             )
-        for line_no, doc, *_ in docs:
-            yield line_no, doc
+        yield from docs
 
     seconds = read_seconds()
     for item in firsts:
@@ -320,7 +324,6 @@ def _paired_documents(
         else:
             raise ToolkitError(f"{second_role} file {second_path} has no document {doc_id!r}")
     # what is left of the second file has no partner
-    latest = None
     for _ in seconds:
         pass
 
@@ -415,7 +418,7 @@ def _cmd_features(args) -> int:
     # a record's id is checked before its dates are read
     records = ((line, *serialization.decode_record(line, line_no)) for line_no, line in lines)
     with _replacing(args.out) as fp:
-        for line, record, doc in _checked(records, "input", args.input, lambda item: item[2].thread.id):
+        for line, record, doc, _ in _checked(records, "input", args.input, lambda item: item[2].thread.id):
             try:
                 fp.write(features_line(line, record, doc.chains, columns, args.rev))
             except MissingDate as exc:
@@ -429,7 +432,7 @@ def _resolve_one(payload: tuple[int, str, str]) -> tuple[str, str]:
     from .baselines import _resolve
 
     line_no, line, baseline = payload
-    record, doc = serialization.decode_record(line, line_no)
+    record, doc, _ = serialization.decode_record(line, line_no)
     resolution = _resolve(
         lambda mi, si: serialization.record_sentence(record, mi, si),
         len(record["messages"]),
@@ -458,7 +461,7 @@ def _cmd_score(args) -> int:
     unknown = [m for m in requested if m not in _METRIC_NAMES]
     if unknown:
         raise ToolkitError(f"unknown metric(s): {', '.join(unknown)}")
-    pairs = _paired_documents((args.key, "key"), (args.response, "response"), first_thread=False)
+    pairs = _paired_documents((args.key, "key"), (args.response, "response"))
     report = metrics.score_documents((key.chains, response.chains) for (_, key, _), (_, response) in pairs)
     header: list[str] = []
     values: list[str] = []
@@ -488,15 +491,13 @@ _ERROR_ROWS = (
 
 
 def _cmd_errors(args) -> int:
-    from .errors import ErrorReport, _categorize, categorize_errors
+    from .errors import ErrorReport, _categorize
 
     total = ErrorReport()
-    for (record, key_doc, lengths), (line_no, response_doc) in _paired_documents(
-        (args.key, "key"), (args.response, "response"), first_thread=True
+    for (first_token, key_doc, lengths), (line_no, response_doc) in _paired_documents(
+        (args.key, "key"), (args.response, "response")
     ):
         # the categorizer reads the key's token at each response mention
-        if record is None:
-            lengths = [[len(sentence) for sentence in message.sentences] for message in key_doc.thread.messages]
         stray = serialization.first_stray_mention(response_doc.mentions(), lengths)
         if stray is not None:
             where = "" if line_no is None else f"line {line_no}: "
@@ -504,11 +505,7 @@ def _cmd_errors(args) -> int:
                 f"response file {args.response}: {where}document {key_doc.thread.id!r}: "
                 f"mention at {stray.location} addresses no token of key file {args.key}"
             )
-        if record is None:
-            total = total + categorize_errors(key_doc.thread, key_doc.chains, response_doc.chains)
-        else:
-            lookup = serialization.record_first_token(record)
-            total = total + _categorize(lookup, key_doc.chains, response_doc.chains)
+        total = total + _categorize(first_token, key_doc.chains, response_doc.chains)
     rows = [("category", "count")]
     rows += [(label, str(getattr(total, attr))) for label, attr in _ERROR_ROWS]
     _emit_table(rows, sys.stdout, args.pretty)
@@ -521,8 +518,8 @@ def _cmd_stats(args) -> int:
     lines = _open_input(args.input, "input", (_JSONL,))
     next(lines)
     records = (serialization.decode_record(line, line_no) for line_no, line in lines)
-    checked = _checked(records, "input", args.input, lambda pair: pair[1].thread.id)
-    stats = metrics.tally_corpus(serialization.record_counts(record, doc) for record, doc in checked)
+    checked = _checked(records, "input", args.input, lambda item: item[1].thread.id)
+    stats = metrics.tally_corpus(serialization.record_counts(record, doc) for record, doc, _ in checked)
     rows = [
         ("statistic", "value"),
         ("email_threads", str(stats.thread_count)),
@@ -542,7 +539,7 @@ def _cmd_correction_stats(args) -> int:
     from . import metrics
 
     stats = metrics.CorrectionStats()
-    pairs = _paired_documents((args.pred, "pred"), (args.gold, "gold"), first_thread=False)
+    pairs = _paired_documents((args.pred, "pred"), (args.gold, "gold"))
     for (_, pred_doc, _), (_, gold_doc) in pairs:
         stats = stats + metrics.correction_stats(pred_doc.mentions(), gold_doc.mentions())
     rows = [

@@ -92,7 +92,8 @@ def write_conll(doc: AnnotatedDocument) -> str:
     holds whitespace, a ``)`` or a leading ``#`` would read back as another
     document. A token text is the fourth column, so one that holds
     whitespace, as ``str.split`` counts it, would read back cut short or
-    split its row. Such an id or text is an error.
+    split its row. A mention that addresses no token would be dropped or
+    left unclosed. Such an id, text or mention is an error.
     """
     doc_id = doc.thread.id
     if doc_id.split() != [doc_id] or doc_id.startswith("#") or ")" in doc_id:
@@ -102,6 +103,7 @@ def write_conll(doc: AnnotatedDocument) -> str:
         )
     sentences = global_sentences(doc.thread)
     sent_pos = {(mi, si): g for g, (mi, si, _) in enumerate(sentences)}
+    lengths = [[len(sentence) for sentence in msg.sentences] for msg in doc.thread.messages]
 
     starts: dict[tuple[int, int], list[tuple[int, int]]] = {}
     ends: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -110,14 +112,16 @@ def write_conll(doc: AnnotatedDocument) -> str:
     for chain in doc.chains:
         for m in chain.mentions:
             span = m.location
+            if not _addresses_token(lengths, m.message_index, m.sentence_index, m.end_token):
+                raise ToolkitError(
+                    f"document {doc_id!r}: mention at {span} addresses no token and cannot be written to CoNLL"
+                )
             if span in seen_spans:
                 raise OverlappingIdenticalSpan(
                     f"span {span} claimed by chains {seen_spans[span]} and {chain.chain_id}"
                 )
             seen_spans[span] = chain.chain_id
-            g = sent_pos.get((m.message_index, m.sentence_index))
-            if g is None:
-                raise ValueError(f"mention {span} addresses no sentence")
+            g = sent_pos[(m.message_index, m.sentence_index)]
             if m.start_token == m.end_token:
                 singles.setdefault((g, m.start_token), []).append(chain.chain_id)
             else:
@@ -151,9 +155,9 @@ def write_conll_documents(docs: Iterable[AnnotatedDocument]) -> str:
     return "".join(write_conll(doc) for doc in docs)
 
 
-def _skeleton_document(
-    doc_id: str, sentences: list[list[str]], chains: dict[int, list[tuple[int, int, int]]]
-) -> AnnotatedDocument:
+def _skeleton_document(doc: AnnotatedDocument, sentences: list[list[str]]) -> AnnotatedDocument:
+    """``doc``, a document that the CoNLL reader yields, with the thread of one
+    message that its word lists ``sentences`` make: body tokens one space apart."""
     # indices, nonempty words and rising offsets hold by construction, so
     # each token is built without Token's checks
     offset = 0
@@ -166,12 +170,11 @@ def _skeleton_document(
             toks.append(_tuple_new(Token, (_intern(word), si, ti, 0, body, offset, end)))
             offset = end + 1
         token_sentences.append(tuple(toks))
-    return _chains_document(doc_id, [{"index": 0, "sentences": tuple(token_sentences)}], chains)
+    thread = _assemble_thread(doc.thread.id, [{"index": 0, "sentences": tuple(token_sentences)}])
+    return AnnotatedDocument(thread=thread, chains=doc.chains)
 
 
-def _chains_document(
-    doc_id: str, messages: list, chains: dict[int, list[tuple[int, int, int]]]
-) -> AnnotatedDocument:
+def _chains_document(doc_id: str, chains: dict[int, list[tuple[int, int, int]]]) -> AnnotatedDocument:
     chain_objs = tuple(
         CoreferenceChain(
             chain_id=cid,
@@ -184,12 +187,12 @@ def _chains_document(
         )
         for cid, spans in sorted(chains.items())
     )
-    return AnnotatedDocument(thread=_assemble_thread(doc_id, messages), chains=chain_objs)
+    return AnnotatedDocument(thread=_assemble_thread(doc_id, ()), chains=chain_objs)
 
 
 def read_conll_documents(text: str) -> list[AnnotatedDocument]:
     """Parse CoNLL column text into document skeletons (tokens + chains)."""
-    return list(iter_conll_documents(text.splitlines()))
+    return [_skeleton_document(*item) for item in iter_conll_documents(text.splitlines())]
 
 
 # Lines read from a CoNLL stream at a time: each batch is split in one call,
@@ -197,7 +200,7 @@ def read_conll_documents(text: str) -> list[AnnotatedDocument]:
 _CONLL_BATCH_LINES = 4096
 
 
-def stream_conll_documents(fp: Iterable[str], *, thread: bool = True) -> Iterator[AnnotatedDocument]:
+def stream_conll_documents(fp: Iterable[str]) -> Iterator[tuple[AnnotatedDocument, list[list[str]]]]:
     """The documents of an open CoNLL text file, one at a time, in file order.
 
     Lines split as ``str.splitlines`` splits the whole text, so a file reads
@@ -206,19 +209,19 @@ def stream_conll_documents(fp: Iterable[str], *, thread: bool = True) -> Iterato
     # a batch of "\n"-ended lines splits exactly as it does inside the whole text
     pieces = iter(fp)
     batches = iter(lambda: "".join(itertools.islice(pieces, _CONLL_BATCH_LINES)).splitlines(), [])
-    return iter_conll_documents(itertools.chain.from_iterable(batches), thread=thread)
+    return iter_conll_documents(itertools.chain.from_iterable(batches))
 
 
-def iter_conll_documents(lines: Iterable[str], *, thread: bool = True) -> Iterator[AnnotatedDocument]:
+def iter_conll_documents(lines: Iterable[str]) -> Iterator[tuple[AnnotatedDocument, list[list[str]]]]:
     """Parse CoNLL column lines, yielding each document at its ``#end document``.
 
     Each line is split once at whitespace: no column makes a blank line,
     which ends a sentence; a first column that starts with "#" makes a
     comment or a document marker; anything else is a token row. Every line
-    is checked either way; with ``thread`` false no token is built, and each
-    document's thread holds no message. A span that a document holds twice,
-    in one chain or in two, is an error at the line that closes its second
-    copy.
+    is checked, and no token is built: each document comes with the words
+    of each of its sentences, and its thread holds no message. A span that a
+    document holds twice, in one chain or in two, is an error at the line
+    that closes its second copy.
     """
     doc_id: Optional[str] = None
     sentences: list[list[str]] = []
@@ -257,10 +260,7 @@ def iter_conll_documents(lines: Iterable[str], *, thread: bool = True) -> Iterat
                 chains: dict[int, list[tuple[int, int, int]]] = {}
                 for span, cid in owners.items():
                     chains.setdefault(cid, []).append(span)
-                if thread:
-                    yield _skeleton_document(doc_id, sentences, chains)
-                else:
-                    yield _chains_document(doc_id, [], chains)
+                yield _chains_document(doc_id, chains), sentences
                 doc_id = None
             continue
         if doc_id is None:
@@ -406,10 +406,9 @@ def _expect_integers(names: tuple[str, ...], values, path: str) -> None:
 _CODES = tuple(_CODE_SECTIONS)
 
 
-def _checked_token(item, mi: int, si: int, ti: int) -> Token:
-    """The token that ``item`` holds, built through ``Token``, so that an error
-    keeps its message; offsets that ``Token`` accepts but that are not
-    integers are rejected."""
+def _check_token(item, mi: int, si: int, ti: int) -> None:
+    """Raise ``NativeSchemaError`` unless ``item`` is a token that ``Token``
+    accepts, so that an error keeps its message, with integer offsets."""
     path = f"$.messages[{mi}].sentences[{si}][{ti}]"
     if not isinstance(item, list) or len(item) != 4:
         raise NativeSchemaError(path, "token must be [text, section, char_start, char_end]")
@@ -419,82 +418,61 @@ def _checked_token(item, mi: int, si: int, ti: int) -> Token:
     except (KeyError, TypeError):
         raise NativeSchemaError(path, f"unknown section code {code!r}") from None
     try:
-        token = Token(text, si, ti, mi, section, cs, ce)
+        Token(text, si, ti, mi, section, cs, ce)
     except (TypeError, ValueError) as exc:
         raise NativeSchemaError(path, str(exc)) from None
     # Token compares offsets, which a bool or a float also passes
     _expect_integers(("char_start", "char_end"), (cs, ce), path)
-    return token
 
 
-def _decode_sentences(raw_sentences: list, mi: int, last_end: int, build: bool) -> tuple:
-    """Message ``mi``'s tokens in one checked pass: its sentences (none unless
-    ``build``), each sentence's length, the running char_end, and the first
-    token that starts before the previous one ends as (text, start, previous end).
+def _decode_sentences(raw_sentences: list, mi: int, last_end: int) -> tuple:
+    """Check message ``mi``'s tokens in one pass; give each sentence's length,
+    the running char_end, and the first token that starts before the
+    previous one ends as (text, start, previous end).
 
     A token with a nonempty string text, a known section code and integer
-    offsets with ``last_end <= start < end`` is built directly, or only
-    passed without ``build``; any other goes through ``_checked_token``.
+    offsets with ``last_end <= start < end`` passes; any other goes through
+    ``_check_token``. The loop keeps no token and counts no token index.
     """
-    sentences = []
     lengths = []
     overlap = None
     for si, sent in enumerate(raw_sentences):
         if not (isinstance(sent, list) and sent):
             raise NativeSchemaError(f"$.messages[{mi}].sentences[{si}]", "must be a nonempty list")
-        if build:
-            toks = []
-            for ti, item in enumerate(sent):
-                if isinstance(item, list) and len(item) == 4:
-                    text, code, cs, ce = item
-                    if (code in _CODES and type(text) is str and text and type(cs) is type(ce) is int
-                            and last_end <= cs < ce):
-                        toks.append(_tuple_new(Token, (_intern(text), si, ti, mi, _CODE_SECTIONS[code], cs, ce)))
-                        last_end = ce
-                        continue
-                token = _checked_token(item, mi, si, ti)
-                if token.char_start < last_end and overlap is None:
-                    overlap = (token.text, token.char_start, last_end)
-                toks.append(token)
-                last_end = token.char_end
-            sentences.append(tuple(toks))
-        else:
-            for item in sent:
-                if isinstance(item, list) and len(item) == 4:
-                    text, code, cs, ce = item
-                    if (code in _CODES and type(text) is str and text and type(cs) is type(ce) is int
-                            and last_end <= cs < ce):
-                        last_end = ce
-                        continue
-                # a check other than the overlap fails wherever the item stands,
-                # so the first place of this very item is the one an error names
-                ti = next(i for i, other in enumerate(sent) if other is item)
-                token = _checked_token(item, mi, si, ti)
-                if token.char_start < last_end and overlap is None:
-                    overlap = (token.text, token.char_start, last_end)
-                last_end = token.char_end
+        for item in sent:
+            if isinstance(item, list) and len(item) == 4:
+                text, code, cs, ce = item
+                if (code in _CODES and type(text) is str and text and type(cs) is type(ce) is int
+                        and last_end <= cs < ce):
+                    last_end = ce
+                    continue
+            # a check other than the overlap fails wherever the item stands,
+            # so the first place of this very item is the one an error names
+            _check_token(item, mi, si, next(i for i, other in enumerate(sent) if other is item))
+            text, _, cs, ce = item
+            if cs < last_end and overlap is None:
+                overlap = (text, cs, last_end)
+            last_end = ce
         lengths.append(len(sent))
-    return tuple(sentences), lengths, last_end, overlap
+    return lengths, last_end, overlap
 
 
 _TEXT_FIELDS = ("from", "subject", "x_from")
 _ADDRESS_LIST_FIELDS = ("to", "cc", "x_to", "x_cc")
 
 
-def _decode_message(rec, i: int, last_end: int, build: bool) -> tuple:
-    """Message ``i``'s fields, then what ``_decode_sentences`` gives after its sentences."""
+def _decode_message(rec, i: int, last_end: int) -> tuple:
+    """Check message ``i``'s fields; give what ``_decode_sentences`` gives for its sentences."""
     if not isinstance(rec, dict):
         raise NativeSchemaError(f"$.messages[{i}]", "must be an object")
     raw_sentences = rec.get("sentences")
     if not isinstance(raw_sentences, list):
         raise NativeSchemaError(f"$.messages[{i}].sentences", "must be a list")
-    date = None
-    if rec.get("date") is not None:
-        try:
-            date = datetime.fromisoformat(rec["date"])
-        except (TypeError, ValueError):
-            raise NativeSchemaError(f"$.messages[{i}].date", f"bad timestamp {rec['date']!r}") from None
-    sentences, lengths, last_end, overlap = _decode_sentences(raw_sentences, i, last_end, build)
+    try:
+        _message_date(rec)
+    except (TypeError, ValueError):
+        raise NativeSchemaError(f"$.messages[{i}].date", f"bad timestamp {rec['date']!r}") from None
+    checked = _decode_sentences(raw_sentences, i, last_end)
     for name in _TEXT_FIELDS:
         value = rec.get(name)
         if value is not None and not isinstance(value, str):
@@ -503,19 +481,7 @@ def _decode_message(rec, i: int, last_end: int, build: bool) -> tuple:
         value = rec.get(name, [])
         if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
             raise NativeSchemaError(f"$.messages[{i}].{name}", "must be a list of strings")
-    fields = {
-        "index": i,
-        "date": date,
-        "from_addr": rec.get("from"),
-        "to_addrs": tuple(rec.get("to", [])),
-        "cc_addrs": tuple(rec.get("cc", [])),
-        "subject": rec.get("subject"),
-        "x_from": rec.get("x_from"),
-        "x_to": tuple(rec.get("x_to", [])),
-        "x_cc": tuple(rec.get("x_cc", [])),
-        "sentences": sentences,
-    }
-    return fields, lengths, last_end, overlap
+    return checked
 
 
 _MENTION_FIELDS = ("message_index", "sentence_index", "start_token", "end_token")
@@ -595,16 +561,38 @@ def first_stray_mention(mentions: Iterable[Mention], lengths: list) -> Optional[
     return next((m for m in mentions if not _addresses_token(lengths, m[0], m[1], m[3])), None)
 
 
-def record_to_document(record: dict, *, thread: bool = True, lengths: Optional[list] = None) -> AnnotatedDocument:
+def record_to_document(record: dict) -> AnnotatedDocument:
     """Build a document from one decoded native record, checking its schema.
 
     A violation raises ``NativeSchemaError`` naming the JSON path of the
     offending value; paths are formatted only once a check has failed. A
     token that starts before the previous one ends is reported at ``$``,
-    after every message has decoded. With ``thread`` false every check still
-    runs, but no token is built and the document's thread holds no message.
-    A ``lengths`` list receives each message's list of sentence lengths.
+    after every message has been checked. Once the whole record has passed,
+    ``record_sentence`` builds each sentence's tokens.
     """
+    doc, _ = _threadless_document(record)
+    messages = [
+        {
+            "index": mi,
+            "date": _message_date(message),
+            "from_addr": message.get("from"),
+            "to_addrs": tuple(message.get("to", [])),
+            "cc_addrs": tuple(message.get("cc", [])),
+            "subject": message.get("subject"),
+            "x_from": message.get("x_from"),
+            "x_to": tuple(message.get("x_to", [])),
+            "x_cc": tuple(message.get("x_cc", [])),
+            "sentences": tuple([record_sentence(record, mi, si) for si in range(len(message["sentences"]))]),
+        }
+        for mi, message in enumerate(record["messages"])
+    ]
+    return AnnotatedDocument(_assemble_thread(doc.thread.id, messages, doc.thread.source_path), doc.chains)
+
+
+def _threadless_document(record) -> tuple[AnnotatedDocument, list]:
+    """The document of one decoded native record with a thread of no
+    messages, and each message's list of sentence lengths; every check of
+    ``record_to_document`` runs."""
     if not isinstance(record, dict):
         raise NativeSchemaError("$", "record must be an object")
     if not isinstance(record.get("id"), str):
@@ -612,18 +600,16 @@ def record_to_document(record: dict, *, thread: bool = True, lengths: Optional[l
     raw_messages = record.get("messages")
     if not isinstance(raw_messages, list):
         raise NativeSchemaError("$.messages", "must be a list")
-    messages = []
-    lengths = [] if lengths is None else lengths
+    lengths = []
     last_end, overlap = 0, None
     for i, rec in enumerate(raw_messages):
-        fields, sentence_lengths, last_end, found = _decode_message(rec, i, last_end, thread)
-        messages.append(fields)
+        sentence_lengths, last_end, found = _decode_message(rec, i, last_end)
         lengths.append(sentence_lengths)
         overlap = overlap or found
     if overlap:
         raise NativeSchemaError("$", _overlap_message(record["id"], *overlap))
-    built = _assemble_thread(record["id"], messages if thread else (), record.get("source_path"))
-    return AnnotatedDocument(thread=built, chains=_decode_chains(record.get("chains", []), lengths))
+    thread = _assemble_thread(record["id"], (), record.get("source_path"))
+    return AnnotatedDocument(thread=thread, chains=_decode_chains(record.get("chains", []), lengths)), lengths
 
 
 def _decode_chains(raw_chains, lengths: list) -> tuple[CoreferenceChain, ...]:
@@ -673,23 +659,28 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-def decode_record(
-    line: str, line_no: int, *, thread: bool = False, lengths: Optional[list] = None
-) -> tuple[dict, AnnotatedDocument]:
-    """Decode one JSONL line into its parsed JSON record and its document.
+def decode_record(line: str, line_no: int) -> tuple[dict, AnnotatedDocument, list]:
+    """Decode one JSONL line into its parsed JSON record, its document with a
+    thread of no messages, and each message's list of sentence lengths.
 
     Every error, bad JSON, NaN and Infinity included, names the line number,
     and an error in a record whose id is a string names the document too.
-    ``thread`` and ``lengths`` are as for ``record_to_document``: without
-    ``thread`` every check still runs, and ``record_sentence`` builds the
-    tokens of any one sentence of the returned record.
+    Every check of ``record_to_document`` runs, and ``record_sentence``
+    builds the tokens of any one sentence of the returned record.
     """
+    record, (doc, lengths) = _decoded(line, line_no, _threadless_document)
+    return record, doc, lengths
+
+
+def _decoded(line: str, line_no: int, decode: Callable[[dict], object]) -> tuple:
+    """The parsed JSON record of one JSONL line and ``decode`` of it, each
+    error named as ``decode_record`` names it."""
     try:
         record = json.loads(line, parse_constant=_reject_constant)
     except ValueError as exc:
         raise NativeSchemaError(f"line {line_no}", f"invalid JSON: {exc}") from None
     try:
-        return record, record_to_document(record, thread=thread, lengths=lengths)
+        return record, decode(record)
     except NativeSchemaError as exc:
         doc_id = record.get("id") if isinstance(record, dict) else None
         raise NativeSchemaError(exc.path, exc.message, line_no, doc_id if isinstance(doc_id, str) else None) from None
@@ -729,16 +720,17 @@ def decode_repeat(
         raise NativeSchemaError(exc.path, exc.message, line_no, doc.thread.id) from None
 
 
-def decode_line(line: str, line_no: int, *, thread: bool = True) -> AnnotatedDocument:
-    """The document of one JSONL line, decoded and checked as ``decode_record`` does."""
-    return decode_record(line, line_no, thread=thread)[1]
+def decode_line(line: str, line_no: int) -> AnnotatedDocument:
+    """The document of one JSONL line with its thread, decoded and checked as
+    ``decode_record`` does."""
+    return _decoded(line, line_no, record_to_document)[1]
 
 
 def record_sentence(record: dict, message_index: int, sentence_index: int) -> tuple[Token, ...]:
     """The tokens of one sentence of a record that ``record_to_document`` has
-    checked, the same tokens a full decode builds. Each token of a checked
-    record is a list of a nonempty text, a section code and integer offsets,
-    so each is built directly."""
+    checked; the only place where native JSON becomes tokens. Each token of
+    a checked record is a list of a nonempty text, a section code and
+    integer offsets, so each is built directly."""
     sentence = record["messages"][message_index]["sentences"][sentence_index]
     return tuple([
         _tuple_new(Token, (_intern(text), sentence_index, ti, message_index, _CODE_SECTIONS[code], cs, ce))

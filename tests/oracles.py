@@ -708,14 +708,14 @@ def skeleton_document_reference(doc_id, sentences, chains) -> AnnotatedDocument:
     return AnnotatedDocument(thread=thread, chains=chain_objs)
 
 
-def iter_conll_documents_reference(lines, *, thread: bool = True):
+def iter_conll_documents_reference(lines):
     """The CoNLL line reader that strips every line and tests it against each
     marker prefix in turn, yielding each document at its ``#end document``.
 
-    Every line is checked either way; with ``thread`` false no token is built,
-    and each document's thread holds no message. A span that a document
-    holds twice, in one chain or in two, is an error at the line that closes
-    its second copy.
+    Every line is checked, and no token is built: each document, whose thread
+    holds no message, comes with the words of its sentences. A span that a
+    document holds twice, in one chain or in two, is an error at the line
+    that closes its second copy.
     """
     doc_id: Optional[str] = None
     sentences: list[list[str]] = []
@@ -749,10 +749,7 @@ def iter_conll_documents_reference(lines, *, thread: bool = True):
             chains: dict[int, list[tuple[int, int, int]]] = {}
             for span, cid in owners.items():
                 chains.setdefault(cid, []).append(span)
-            if thread:
-                yield _serialization._skeleton_document(doc_id, sentences, chains)
-            else:
-                yield _serialization._chains_document(doc_id, [], chains)
+            yield _serialization._chains_document(doc_id, chains), sentences
             doc_id = None
             continue
         if stripped.startswith("#"):

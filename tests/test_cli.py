@@ -545,10 +545,12 @@ class TestResolveSplice:
     def test_builds_only_the_sentences_that_hold_a_mention(self, resolve_sources, tmp_path, monkeypatch):
         built = []
         record_sentence = serialization.record_sentence
-        monkeypatch.setattr(serialization, "record_sentence",
-                            lambda record, mi, si: built.append((record["id"], mi, si)) or record_sentence(record, mi, si))
         path = resolve_sources["mail_wide"]
-        _resolve_text(tmp_path, path.read_text(encoding="utf-8"))
+        with monkeypatch.context() as counted:
+            counted.setattr(serialization, "record_sentence",
+                            lambda record, mi, si: built.append((record["id"], mi, si)) or record_sentence(record, mi, si))
+            _resolve_text(tmp_path, path.read_text(encoding="utf-8"))
+        # read_native builds every sentence, through record_sentence too
         docs = read_native(path.read_text(encoding="utf-8"))
         held = sorted({(d.thread.id, m.message_index, m.sentence_index) for d in docs for m in d.mentions()})
         assert sorted(built) == held
@@ -711,6 +713,28 @@ class TestErrorsFromRecords:
             assert main(["errors", "--key", str(first), "--response", str(second)]) == 0
             want = oracles.errors_report_reference(*(p.read_text(encoding="utf-8").splitlines() for p in (first, second)))
             assert not want.is_zero
+            rows = [("category", "count"), *((label, str(getattr(want, attr))) for label, attr in cli._ERROR_ROWS)]
+            assert capsys.readouterr().out == "".join("\t".join(row) + "\n" for row in rows)
+
+    @pytest.mark.parametrize("source", ["mail_wide", "mail_long"])
+    def test_conll_same_report_as_skeleton_threads(self, resolve_sources, capsys, source):
+        # a CoNLL key's tokens are read from its words, and no token is built
+        from unittest import mock
+
+        from threadcoref import errors
+
+        root = resolve_sources[source].parent
+        for first, second in (("gold", "response"), ("response", "gold")):
+            key, response = (read_conll_documents((root / f"{name}.conll").read_text(encoding="utf-8"))
+                             for name in (first, second))
+            partner = {doc.thread.id: doc for doc in response}
+            want = errors.ErrorReport()
+            for doc in key:
+                want = want + errors.categorize_errors(doc.thread, doc.chains, partner[doc.thread.id].chains)
+            assert not want.is_zero
+            args = ["errors", "--key", str(root / f"{first}.conll"), "--response", str(root / f"{second}.conll")]
+            with mock.patch.object(serialization, "_skeleton_document", side_effect=AssertionError("a skeleton")):
+                assert main(args) == 0
             rows = [("category", "count"), *((label, str(getattr(want, attr))) for label, attr in cli._ERROR_ROWS)]
             assert capsys.readouterr().out == "".join("\t".join(row) + "\n" for row in rows)
 
@@ -885,15 +909,23 @@ class TestScore:
         assert main(["score", "--key", str(gold_corpus), "--response", str(gold_corpus)]) == 0
         expected = capsys.readouterr().out
         decoded = []
-        decode_record = serialization.decode_record
+        decode_record, decode_repeat = serialization.decode_record, serialization.decode_repeat
 
-        def counting(line, line_no, **kwargs):
+        def counting(line, line_no):
             decoded.append(line_no)
-            return decode_record(line, line_no, **kwargs)
+            return decode_record(line, line_no)
+
+        def counting_repeats(line, line_no, first):
+            doc = decode_repeat(line, line_no, first)
+            if doc is not None:
+                decoded.append(line_no)
+            return doc
 
         monkeypatch.setattr(serialization, "decode_record", counting)
+        monkeypatch.setattr(serialization, "decode_repeat", counting_repeats)
         assert main(["score", "--key", str(gold_corpus), "--response", str(reversed_path)]) == 0
         assert capsys.readouterr().out == expected
+        # one document of each record, from a full decode or from its chains only
         assert len(decoded) == 2 * len(lines)
 
     def test_native_key_vs_resolved_response(self, gold_corpus, tmp_path, capsys):
@@ -1256,9 +1288,10 @@ class TestPairReader:
         for run, args in runs.items():
             repeats.clear()
             assert self._outcome(capsys, args) == want[run], run
-            # the records that take the shared-bytes path
+            # the records that take the shared-bytes path: of the reversed
+            # response, the partner of the first key record, read last
             shared = {"resolved": records, "features": records, "token-changed": records - 1,
-                      "reversed": int(records == 1)}.get(response, 0)
+                      "reversed": 1}.get(response, 0)
             if response != "later-messages":
                 assert sum(doc is not None for doc in repeats) == shared, run
         if response == "later-messages":
@@ -1295,6 +1328,26 @@ class TestPairReader:
         }[command]
         assert main(args) == 1
         assert capsys.readouterr() == ("", f"error: {role} file {path}: {message}\n")
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_unpaired_record_first(self, resolve_sources, tmp_path, capsys, monkeypatch, source):
+        # a copy of the first record under another id, which no key record
+        # asks for, waits in the read-ahead index to the end; each partner
+        # after it still repeats the latest key line's bytes
+        key = resolve_sources[source]
+        paths, _ = self._responses(key, tmp_path)
+        lines = paths["resolved"].read_text(encoding="utf-8").splitlines()
+        unpaired = dict(json.loads(lines[0]), id="unpaired")
+        response = tmp_path / "unpaired.jsonl"
+        response.write_text("".join(line + "\n" for line in [_compact(unpaired), *lines]), encoding="utf-8")
+        # the runs that read the response second, which holds the unpaired record
+        runs = {run: args for run, args in self._runs(key, response).items() if args[-1] == str(response)}
+        want = {run: self._outcome(capsys, self._runs(key, paths["resolved"])[run]) for run in runs}
+        repeats = self._counted(monkeypatch, "decode_repeat")
+        for run, args in runs.items():
+            repeats.clear()
+            assert self._outcome(capsys, args) == want[run] and want[run][0] == 0, run
+            assert sum(doc is not None for doc in repeats) == len(lines), run
 
     @pytest.mark.parametrize("source", SOURCES)
     def test_a_repeated_record_is_decoded_once(self, resolve_sources, tmp_path, capsys, monkeypatch, source):
@@ -1861,9 +1914,10 @@ class TestCollectorPolicy:
             lines = cli._open_input(str(gold_corpus), "input", (cli._JSONL,))
             next(lines)
             docs = [serialization.decode_line(line, line_no) for line_no, line in lines]
-            skeletons = list(cli._open_input(str(conll), "input", (cli._CONLL,)))[1:]
+            skeletons = [serialization._skeleton_document(*item)
+                         for item in list(cli._open_input(str(conll), "input", (cli._CONLL,)))[1:]]
             bare = [doc for path in (gold_corpus, conll) for pair in cli._paired_documents(
-                (str(path), "key"), (str(path), "response"), first_thread=False) for doc in pair]
+                (str(path), "key"), (str(path), "response")) for doc in pair]
             written = io.StringIO()
             serialization.write_native(docs, written)
             made = (

@@ -25,6 +25,7 @@ from threadcoref.model import (
     EmailThread,
     EntityType,
     Mention,
+    Section,
     Token,
     ToolkitError,
     validate_document,
@@ -54,11 +55,13 @@ def native_file(path):
         yield line_no, decode_line(line, line_no)
 
 
-def conll_file(path, *, thread=True):
-    """Each document of a CoNLL file, read as the commands read it."""
-    content = cli._open_input(str(path), "input", (cli._CONLL,), thread=thread)
+def conll_file(path):
+    """Each document of a CoNLL file, read as the commands read it, with the
+    skeleton thread that its word lists make."""
+    content = cli._open_input(str(path), "input", (cli._CONLL,))
     next(content)
-    yield from content
+    for doc, words in content:
+        yield serialization._skeleton_document(doc, words)
 
 
 def conll_rows(text):
@@ -81,15 +84,16 @@ def chain_fields(doc):
 
 def decode_both(record):
     """``decode_line`` on the record's JSON line, with its thread; first checks
-    that the threadless decode gives the same error, or the same id, source
-    path and chains with a thread of no messages. An error is raised as
-    ``record_to_document`` raises it, once its line number and document id,
-    named when the record's id is a string, are checked."""
+    that ``decode_record`` gives the same error, or the same id, source path
+    and chains with a thread of no messages, and the full thread's sentence
+    lengths. An error is raised as ``record_to_document`` raises it, once its
+    line number and document id, named when the record's id is a string,
+    are checked."""
     line = json.dumps(record)
     outcomes = []
-    for thread in (True, False):
+    for decode in (decode_line, serialization.decode_record):
         try:
-            outcomes.append(decode_line(line, 7, thread=thread))
+            outcomes.append(decode(line, 7))
         except NativeSchemaError as exc:
             outcomes.append(exc)
     full, bare = outcomes
@@ -100,7 +104,9 @@ def decode_both(record):
         assert (full.line_number, full.document_id, str(full)) == (
             7, doc_id, f"line 7: {where}{full.path}: {full.message}")
         raise NativeSchemaError(full.path, full.message)
+    _, bare, lengths = bare
     assert bare.thread.messages == () and chain_fields(bare) == chain_fields(full)
+    assert lengths == [[len(sentence) for sentence in msg.sentences] for msg in full.thread.messages]
     return full
 
 
@@ -184,6 +190,21 @@ class TestWriteConll:
             write_conll(doc)
         with pytest.raises(ToolkitError, match=message):
             write_conll_documents([example1_document, doc])
+
+    # a span past the sentence end was dropped, one that straddled it left
+    # its chain unclosed, and one in no sentence raised a bare ValueError
+    @pytest.mark.parametrize("location", [(0, 0, 5, 7), (0, 0, 1, 3), (0, 1, 0, 0), (1, 0, 0, 0)], ids=repr)
+    def test_mention_that_addresses_no_token_rejected(self, location):
+        thread = EmailThread("t", (EmailMessage(0, sentences=((
+            Token("Hi", 0, 0, 0, Section.BODY, 0, 2), Token("Bob", 0, 1, 0, Section.BODY, 3, 6)),)),))
+        doc = AnnotatedDocument(thread, (CoreferenceChain(0, (Mention(0, 0, 0, 0), Mention(*location))),))
+        message = (f"^document 't': mention at {re.escape(repr(location))} addresses no token "
+                   "and cannot be written to CoNLL$")
+        with pytest.raises(ToolkitError, match=message) as err:
+            write_conll(doc)
+        assert type(err.value) is ToolkitError
+        with pytest.raises(ToolkitError, match=message):
+            write_conll_documents([doc._replace(chains=doc.chains[:0]), doc])
 
     @pytest.mark.parametrize("doc_id", ["a(b", "x#", "x.txt#", "ü.txt", "u01/inbox/3.", "a;b", "(x"])
     def test_other_ids_round_trip(self, example1_document, doc_id):
@@ -706,7 +727,11 @@ class TestDecoderDifferential:
 
 def reference_conll(text):
     """``read_conll_documents`` with the CoNLL document builder it replaced."""
-    with mock.patch.object(serialization, "_skeleton_document", oracles.skeleton_document_reference):
+    def reference(doc, words):
+        chains = {chain.chain_id: [m.location[1:] for m in chain.mentions] for chain in doc.chains}
+        return oracles.skeleton_document_reference(doc.thread.id, words, chains)
+
+    with mock.patch.object(serialization, "_skeleton_document", reference):
         return read_conll_documents(text)
 
 
@@ -899,16 +924,18 @@ class TestDecoderTargeted:
         assert new == reference and new[0] == "document"
 
 
-def threadless_conll_outcome(text, thread=False):
-    """What a threadless read keeps of CoNLL text: each document's id and
-    chains, or the error; with ``thread`` the same of a full read."""
+def threadless_conll_outcome(text, skeletons=False):
+    """What the reader keeps of CoNLL text: each document's id and chains, or
+    the error; with ``skeletons`` the same of the documents that
+    ``_skeleton_document`` makes of what the reader yields."""
     try:
-        docs = list(serialization.iter_conll_documents(text.split("\n"), thread=thread))
+        items = list(serialization.iter_conll_documents(text.split("\n")))
     except MalformedColumn as exc:
         return ("error", exc.line_number, str(exc))
-    if not thread:
-        assert all(doc.thread.messages == () for doc in docs)
-    return ("documents", [chain_fields(doc) for doc in docs])
+    if skeletons:
+        return ("documents", [chain_fields(serialization._skeleton_document(*item)) for item in items])
+    assert all(doc.thread.messages == () for doc, _ in items)
+    return ("documents", [chain_fields(doc) for doc, _ in items])
 
 
 _CONLL_CORRUPTIONS = [
@@ -938,7 +965,7 @@ class TestConllBuilderDifferential:
                 outcomes.append(("documents", [build_fields(d) for d in read(text)]))
             except MalformedColumn as exc:
                 outcomes.append(("error", exc.line_number, str(exc)))
-        assert threadless_conll_outcome(text) == threadless_conll_outcome(text, thread=True)
+        assert threadless_conll_outcome(text) == threadless_conll_outcome(text, skeletons=True)
         return outcomes
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -995,9 +1022,10 @@ def _reader_outcome(docs):
 
 class TestConllReaderDifferential:
     """The CoNLL line reader against the one that stripped and prefix-tested
-    every line, kept in ``oracles``: on mutated text, in both ``thread``
-    modes, the same documents or the same line and message, also through the
-    stream reader with its batches ending at any line."""
+    every line, kept in ``oracles``: on mutated text, with and without the
+    skeleton threads that the word lists make, the same documents or the same
+    line and message, also through the stream reader with its batches ending
+    at any line."""
 
     @pytest.fixture(scope="class")
     def conll_texts(self, example1_document):
@@ -1048,13 +1076,16 @@ class TestConllReaderDifferential:
     def test_same_documents_or_same_error(self, conll_texts, data):
         text = self._mutated(data, data.draw(st.sampled_from(conll_texts)).split("\n"))
         batch = data.draw(st.sampled_from([1, 2, 3, 5, serialization._CONLL_BATCH_LINES]))
-        for thread in (True, False):
-            reference = _reader_outcome(oracles.iter_conll_documents_reference(text.splitlines(), thread=thread))
-            assert _reader_outcome(serialization.iter_conll_documents(text.splitlines(), thread=thread)) == reference
+        for skeletons in (True, False):
+            def outcome(items):
+                return _reader_outcome(serialization._skeleton_document(*item) if skeletons else item for item in items)
+
+            reference = outcome(oracles.iter_conll_documents_reference(text.splitlines()))
+            assert outcome(serialization.iter_conll_documents(text.splitlines())) == reference
             with mock.patch.object(serialization, "_CONLL_BATCH_LINES", batch):
                 # a text file's lines, and pieces that end at any line break
                 for pieces in (io.StringIO(text, newline=None), text.splitlines(keepends=True)):
-                    assert _reader_outcome(serialization.stream_conll_documents(pieces, thread=thread)) == reference
+                    assert outcome(serialization.stream_conll_documents(pieces)) == reference
 
 
 def _corpus10_record(thread, rng):
@@ -1070,8 +1101,8 @@ def _corpus10_record(thread, rng):
 
 
 class TestThreadlessDecode:
-    """``thread=False`` checks every record as the full decode does, and keeps
-    only the id, the source path and the chains."""
+    """``decode_record`` checks every record as the full decode does, and its
+    document keeps only the id, the source path and the chains."""
 
     @pytest.fixture(scope="class")
     def fixture_lines(self, example1_document, corpus10_threads):
@@ -1099,9 +1130,9 @@ class TestThreadlessDecode:
 
     def test_bad_json_line(self):
         errors = []
-        for thread in (True, False):
+        for decode in (decode_line, serialization.decode_record):
             with pytest.raises(NativeSchemaError) as err:
-                decode_line("{broken", 4, thread=thread)
+                decode("{broken", 4)
             errors.append((err.value.path, str(err.value)))
         assert errors[0] == errors[1] and errors[0][0] == "line 4"
 
@@ -1125,15 +1156,15 @@ class TestThreadlessDecode:
         conll = write_conll_documents(sample_documents).split("\n")
 
         with self._no_token():
-            bare = [decode_line(line, n, thread=False) for n, line in enumerate(native, start=1)]
-            skeletons = list(serialization.iter_conll_documents(conll, thread=False))
+            bare = [serialization.decode_record(line, n)[1] for n, line in enumerate(native, start=1)]
+            skeletons = [doc for doc, _ in serialization.iter_conll_documents(conll)]
         assert [chain_fields(doc) for doc in bare] == [chain_fields(doc) for doc in sample_documents]
         assert [doc.chains for doc in skeletons] == [doc.chains for doc in read_conll_documents("\n".join(conll))]
         assert all(doc.thread.messages == () for doc in bare + skeletons)
 
     def test_record_sentence_builds_the_tokens_of_a_full_decode(self, fixture_lines):
         for line_no, line in enumerate(fixture_lines, start=1):
-            record, bare = serialization.decode_record(line, line_no)
+            record, bare, _ = serialization.decode_record(line, line_no)
             full = decode_line(line, line_no)
             assert bare.thread.messages == () and bare.chains == full.chains
             for msg in full.thread.messages:
@@ -1185,12 +1216,32 @@ class TestThreadlessDecode:
             assert paths["verdicts"].read_text(encoding="utf-8").splitlines()[1:] == [
                 f"{v.thread_id}\t{v.category.value}\t{v.detail}" for v in verdicts]
 
-    def test_file_reader_passes_the_flag(self, sample_documents, tmp_path):
+    @pytest.mark.parametrize("command", ["score", "errors", "correction-stats"])
+    def test_conll_pair_commands_build_no_token(self, sample_documents, tmp_path, capsys, command):
+        key, response = tmp_path / "key.conll", tmp_path / "response.conll"
+        key.write_text(write_conll_documents(sample_documents), encoding="utf-8")
+        # each document without its first chain
+        response.write_text(write_conll_documents([d._replace(chains=d.chains[1:]) for d in sample_documents]),
+                            encoding="utf-8")
+        roles = ("--pred", "--gold") if command == "correction-stats" else ("--response", "--key")
+        argv = [command, roles[0], str(response), roles[1], str(key)]
+        assert cli.main(argv) == 0
+        want = capsys.readouterr().out
+        with self._no_token(), mock.patch.object(
+                serialization, "_skeleton_document", side_effect=AssertionError("a skeleton was built")):
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want
+
+    def test_file_reader_yields_threadless_documents(self, sample_documents, tmp_path):
         path = tmp_path / "docs.conll"
-        path.write_text(write_conll_documents(sample_documents), encoding="utf-8")
-        bare = list(conll_file(path, thread=False))
-        assert [d.chains for d in bare] == [d.chains for d in conll_file(path)]
-        assert all(d.thread.messages == () for d in bare)
+        text = write_conll_documents(sample_documents)
+        path.write_text(text, encoding="utf-8")
+        content = cli._open_input(str(path), "input", (cli._CONLL,))
+        next(content)
+        bare = list(content)
+        assert [d.chains for d, _ in bare] == [d.chains for d in conll_file(path)]
+        assert list(conll_file(path)) == read_conll_documents(text)
+        assert all(d.thread.messages == () for d, _ in bare)
 
 
 class TestCommandsOnMutatedRecords:
@@ -1342,13 +1393,16 @@ class TestRepeatedLocations:
         (["(1|(2", "-", "1)|2)"], 4, "chain 2: span at sentence 0, tokens 0-2 is already in chain 1"),
         (["-", "(1|(1", "1)|1)"], 4, "chain 1: span at sentence 0, tokens 1-2 is already in chain 1"),
     ], ids=repr)
-    @pytest.mark.parametrize("thread", [True, False])
-    def test_conll_span_in_two_chains(self, rows, line, message, thread):
+    @pytest.mark.parametrize("skeletons", [True, False])
+    def test_conll_span_in_two_chains(self, rows, line, message, skeletons):
         with pytest.raises(MalformedColumn) as err:
-            list(serialization.iter_conll_documents(self._conll(rows), thread=thread))
+            if skeletons:
+                read_conll_documents("\n".join(self._conll(rows)))
+            else:
+                list(serialization.iter_conll_documents(self._conll(rows)))
         assert (err.value.line_number, str(err.value)) == (line, f"line {line}: {message}")
 
     def test_conll_distinct_spans_accepted(self):
-        doc, = serialization.iter_conll_documents(self._conll(["(1|(2)", "1)|(1)"]))
+        (doc, _), = serialization.iter_conll_documents(self._conll(["(1|(2)", "1)|(1)"]))
         assert [[m.location for m in c.mentions] for c in doc.chains] == [
             [(0, 0, 0, 1), (0, 0, 1, 1)], [(0, 0, 0, 0)]]

@@ -56,7 +56,6 @@ _EXPORTS = {
             "filter_corpus",
             "filter_summaries",
             "fingerprint_message",
-            "summarize_thread",
         ),
         "filtering",
     ),

@@ -31,7 +31,6 @@ from .model import AnnotatedDocument, Section, ToolkitError, utf8_input
 
 if TYPE_CHECKING:
     from .filtering import FilterConfig, ThreadSummary
-    from .model import EmailThread
     from .parsing import ParserConfig
 
 _METRIC_NAMES = ("muc", "b3", "ceafe", "lea")
@@ -71,22 +70,22 @@ def _walk_directory(directory: str, prefix: str) -> Iterator[tuple[Path, str]]:
             yield from _walk_directory(entry.path, f"{prefix}{entry.name}/")
 
 
-def _parse_text(text: str, rel: str, config: ParserConfig) -> EmailThread:
-    from .parsing import RawThread, parse_thread
+def _parse_text(text: str, rel: str, config: ParserConfig) -> dict:
+    """The native record of a thread file's text, with no chains; no token is built."""
+    from .parsing import RawThread, parse_record
 
-    return parse_thread(RawThread(id=rel, text=text, source_path=rel), config)
+    return parse_record(RawThread(id=rel, text=text, source_path=rel), config)
 
 
 def _parse_one(args: tuple[str, str, ParserConfig]) -> str:
-    doc = AnnotatedDocument(thread=_parse_text(*args))
-    return serialization.write_native_string([doc])
+    return serialization.record_line(_parse_text(*args))
 
 
 def _summarize_one(args: tuple[str, str, ParserConfig, FilterConfig]) -> ThreadSummary:
-    from .filtering import summarize_thread
+    from .filtering import summarize_record
 
     text, rel, config, filter_config = args
-    return summarize_thread(_parse_text(text, rel, config), filter_config)
+    return summarize_record(_parse_text(text, rel, config), filter_config)
 
 
 def _summarize_line(args: tuple[int, str, FilterConfig]) -> ThreadSummary:
@@ -160,9 +159,9 @@ def _open_input(path: str, role: str, kinds: tuple[str, ...]) -> Iterator:
     The content is (text, name) pairs of thread files, in the order of
     sorted paths; the numbered nonblank lines of native JSONL; or each
     document of CoNLL, whose thread holds no message, with the words of each
-    of its sentences. A path that holds none of ``kinds`` is an error naming
-    the ``role``, the path and what it holds, which for a file with no
-    nonblank line is "empty".
+    of its sentences and the number of its ``#begin document`` line. A path
+    that holds none of ``kinds`` is an error naming the ``role``, the path
+    and what it holds, which for a file with no nonblank line is "empty".
     """
 
     def checked(kind: str, held: Optional[str] = None) -> str:
@@ -237,8 +236,8 @@ def _checked(items: Iterable, role: str, path: str, id_of) -> Iterator:
 def _documents(path: str, role: str, kinds: tuple[str, ...], decode, conll) -> Iterator:
     """What ``path`` holds, then each of its documents, checked, in file
     order: ``decode(line, line_no)`` of a native record, or ``conll(document,
-    sentence words)`` of a CoNLL document, a tuple that holds the threadless
-    document second. ``role`` names the path in messages: "<role> file"."""
+    sentence words, line number)`` of a CoNLL document, a tuple that holds the
+    threadless document second. ``role`` names the path in messages: "<role> file"."""
     content = _open_input(path, role, kinds)
     kind = next(content)
     yield kind
@@ -267,8 +266,8 @@ def _paired_documents(first: tuple[str, str], second: tuple[str, str]) -> Iterat
     is a function that gives a mention's first token as its text and
     section code, read from the parsed JSON of a native record or from the
     words of a CoNLL document, whose tokens are all body tokens; the lengths
-    are each message's list of sentence lengths. A CoNLL document of the
-    second file has None for its line number.
+    are each message's list of sentence lengths. The line number of a CoNLL
+    document is that of its ``#begin document`` line.
 
     A native line of the second file that repeats the bytes of the first
     file's latest line up to their top-level ``,"chains":`` has only its
@@ -289,7 +288,7 @@ def _paired_documents(first: tuple[str, str], second: tuple[str, str]) -> Iterat
         _, record, doc, lengths = latest
         return serialization.record_first_token(record), doc, lengths
 
-    def conll_first(doc: AnnotatedDocument, sentences: list[list[str]]) -> tuple:
+    def conll_first(doc: AnnotatedDocument, sentences: list[list[str]], _) -> tuple:
         return (lambda mention: (sentences[mention[1]][mention[2]], _BODY)), doc, [[len(s) for s in sentences]]
 
     def decode_second(line: str, line_no: int) -> tuple:
@@ -301,7 +300,7 @@ def _paired_documents(first: tuple[str, str], second: tuple[str, str]) -> Iterat
 
     def read_seconds() -> Iterator[tuple]:
         docs = _documents(second_path, f"{second_role} file", (_JSONL, _CONLL), decode_second,
-                          lambda doc, _: (None, doc))
+                          lambda doc, _, line_no: (line_no, doc))
         second_format = next(docs)
         if first_format != second_format:
             raise ToolkitError(
@@ -500,9 +499,8 @@ def _cmd_errors(args) -> int:
         # the categorizer reads the key's token at each response mention
         stray = serialization.first_stray_mention(response_doc.mentions(), lengths)
         if stray is not None:
-            where = "" if line_no is None else f"line {line_no}: "
             raise ToolkitError(
-                f"response file {args.response}: {where}document {key_doc.thread.id!r}: "
+                f"response file {args.response}: line {line_no}: document {key_doc.thread.id!r}: "
                 f"mention at {stray.location} addresses no token of key file {args.key}"
             )
         total = total + _categorize(first_token, key_doc.chains, response_doc.chains)

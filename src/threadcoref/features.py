@@ -3,9 +3,10 @@
 Three per-thread features: the message identifier of each token (MI), the
 section label of each token (SI), and temporal reordering of the thread's
 messages (REV). MI and SI are pure projections of the token stream; REV
-rebuilds the thread with messages sorted by date, remapping message indices
-and token offsets, and can carry an attached annotation along consistently.
-``features_line`` does the same to a checked native record, from its JSON.
+sorts the messages by date, remapping message indices and token offsets,
+and carries an attached annotation along. The messages move in one place,
+as a native record's (``serialization._record_messages``): ``features_line``
+writes the moved record, and ``reverse_document`` builds its document again.
 """
 from __future__ import annotations
 
@@ -16,13 +17,10 @@ from . import serialization
 from .model import (
     AnnotatedDocument,
     CoreferenceChain,
-    EmailMessage,
     EmailThread,
     Mention,
     Section,
-    Token,
     ToolkitError,
-    _assemble_thread,
     _tuple_new,
     mention_order,
 )
@@ -83,40 +81,6 @@ def _date_permutation(dates: Sequence[Optional[datetime]]) -> list[int]:
     return perm
 
 
-def _shift_message(msg: EmailMessage, new_index: int, new_base: int) -> tuple[dict, int]:
-    """The fields of ``msg`` renumbered to new_index, its token offsets shifted
-    to start at new_base, and the base for the next message.
-
-    The shift keeps every token's order and length, so each token is built
-    directly.
-    """
-    moved = msg._asdict()
-    moved["index"] = new_index
-    if not msg.sentences:
-        return moved, new_base
-    shift = new_base - msg.sentences[0][0].char_start
-    moved["sentences"] = tuple(
-        tuple(
-            _tuple_new(Token, (text, si, ti, new_index, section, cs + shift, ce + shift))
-            for text, si, ti, _, section, cs, ce in sentence
-        )
-        for sentence in msg.sentences
-    )
-    return moved, msg.sentences[-1][-1].char_end + shift + 1
-
-
-def _reorder(thread: EmailThread, perm: list[int]) -> EmailThread:
-    """``thread`` with message i moved to index perm[i], and token offsets
-    shifted so the thread-level stream stays strictly increasing."""
-    order = sorted(range(len(perm)), key=lambda old: perm[old])
-    messages = []
-    base = 0
-    for new_index, old_index in enumerate(order):
-        moved, base = _shift_message(thread.messages[old_index], new_index, base)
-        messages.append(moved)
-    return _assemble_thread(thread.id, messages, thread.source_path)
-
-
 def reverse_thread(thread: EmailThread) -> EmailThread:
     """Reorder messages by date, oldest first; ties keep their order.
 
@@ -125,8 +89,7 @@ def reverse_thread(thread: EmailThread) -> EmailThread:
     multiset of messages and every token's text are preserved. Raises
     MissingDate when any message has no parseable date.
     """
-    perm = date_permutation(thread)
-    return thread if perm == list(range(len(perm))) else _reorder(thread, perm)
+    return reverse_document(AnnotatedDocument(thread)).thread
 
 
 def _moved_chains(chains: Sequence[CoreferenceChain], perm: list[int]) -> tuple[CoreferenceChain, ...]:
@@ -143,11 +106,19 @@ def _moved_chains(chains: Sequence[CoreferenceChain], perm: list[int]) -> tuple[
 
 
 def reverse_document(doc: AnnotatedDocument) -> AnnotatedDocument:
-    """reverse_thread plus consistent remapping of mention message indices."""
+    """reverse_thread plus consistent remapping of mention message indices.
+
+    The thread is moved as its native record, through the reorder that
+    ``features_line`` uses (``serialization._record_messages``), and built
+    again by ``serialization.record_to_document``.
+    """
     perm = date_permutation(doc.thread)
     if perm == list(range(len(perm))):
         return doc
-    return AnnotatedDocument(thread=_reorder(doc.thread, perm), chains=_moved_chains(doc.chains, perm))
+    order = sorted(range(len(perm)), key=perm.__getitem__)
+    record = serialization.document_to_record(AnnotatedDocument(doc.thread))
+    record["messages"] = serialization._record_messages(record["messages"], order)
+    return AnnotatedDocument(serialization.record_to_document(record).thread, _moved_chains(doc.chains, perm))
 
 
 def features_line(line: str, record: dict, chains: Sequence[CoreferenceChain], features: Sequence[str], rev: bool) -> str:

@@ -10,10 +10,11 @@ verdict under a fixed precedence:
 
 Classification reads a small ``ThreadSummary`` of each thread, so a caller
 can read threads one at a time and keep only their summaries.
-``summarize_thread`` rebuilds each message body once and runs the content
-checks (no content, inline attachment, non-English) over those bodies;
-they have no public entry point of their own. ``summarize_record`` does the
-same from a checked native record's JSON, through the same summarizer.
+``summarize_record`` makes it from a checked native record's JSON, the form
+that both the parser and the JSONL reader give: it rebuilds each message
+body once and runs the content checks (no content, inline attachment,
+non-English) over those bodies; they have no public entry point of their
+own. ``filter_corpus`` summarizes a parsed thread through its record.
 Duplicate detection needs a read-only fingerprint index built over the
 whole candidate set in a single pass, and a postings index from each
 fingerprint to the threads that hold it, so a thread is checked only
@@ -31,7 +32,7 @@ from pathlib import PurePath
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import serialization, wordlists
-from .model import EmailMessage, EmailThread, Section, ToolkitError, utf8_input
+from .model import AnnotatedDocument, EmailMessage, EmailThread, Section, ToolkitError, utf8_input
 
 
 class FilterCategory(enum.Enum):
@@ -127,10 +128,6 @@ def _body(sentences: Iterable[list[str]]) -> tuple[list[str], str]:
     return words, "\n".join(parts)
 
 
-def _message_body(msg: EmailMessage) -> tuple[list[str], str]:
-    return _body([t.text for t in sentence if t.section is Section.BODY] for sentence in msg.sentences)
-
-
 def _fingerprint(date: Optional[datetime], sender: Optional[str], subject: Optional[str], body: str) -> str:
     minute = date.strftime("%Y-%m-%d %H:%M") if date else ""
     body = _WHITESPACE_RE.sub(" ", body).strip()
@@ -144,7 +141,8 @@ def fingerprint_message(msg: EmailMessage) -> str:
     Canonical form: subject with Re:/Fw: prefixes stripped, date truncated
     to minutes, sender lowercased, body text with whitespace collapsed.
     """
-    return _fingerprint(msg.date, msg.from_addr, msg.subject, _message_body(msg)[1])
+    body = _body([t.text for t in sentence if t.section is Section.BODY] for sentence in msg.sentences)[1]
+    return _fingerprint(msg.date, msg.from_addr, msg.subject, body)
 
 
 def build_corpus_index(threads: Iterable[EmailThread]) -> dict[str, Counter]:
@@ -287,31 +285,17 @@ _CONTENT_DETAILS = {
 }
 
 
-def summarize_thread(
-    thread: EmailThread, config: FilterConfig = DEFAULT_FILTER_CONFIG
-) -> ThreadSummary:
-    """The thread's summary; each message body is rebuilt once, for every check."""
-    messages = [(m.date, m.from_addr, m.subject, _message_body(m)) for m in thread.messages]
-    return _summarize(thread.id, thread.source_path, messages, config)
-
-
 def summarize_record(record: dict, config: FilterConfig = DEFAULT_FILTER_CONFIG) -> ThreadSummary:
-    """``summarize_thread`` of the thread of a native record that
-    ``serialization.decode_record`` checked, read from its JSON: the date,
-    sender, subject and body token texts of each message. No token is built."""
+    """The summary of the thread of a checked native record, such as
+    ``serialization.decode_record`` or ``parsing.parse_record`` gives, read
+    from its JSON: the date, sender, subject and body token texts of each
+    message. Each message body is rebuilt once, for every check, and no
+    token is built."""
     body = Section.BODY.code
     messages = [
         (date, m.get("from"), m.get("subject"), _body([t[0] for t in s if t[1] == body] for s in m["sentences"]))
         for date, m in zip(serialization.record_dates(record), record["messages"])
     ]
-    return _summarize(record["id"], record.get("source_path"), messages, config)
-
-
-def _summarize(
-    thread_id: str, source_path: Optional[str], messages: Sequence[tuple], config: FilterConfig
-) -> ThreadSummary:
-    """The summary of a thread whose messages are given as (date, sender,
-    subject, body as ``_body`` gives it)."""
     bodies = [body for *_, body in messages]
     if _is_no_content(bodies):
         content = FilterCategory.NO_CONTENT
@@ -322,8 +306,8 @@ def _summarize(
     else:
         content = None
     return ThreadSummary(
-        id=thread_id,
-        source_path=source_path,
+        id=record["id"],
+        source_path=record.get("source_path"),
         fingerprints=Counter(_fingerprint(date, sender, subject, text) for date, sender, subject, (_, text) in messages),
         message_count=len(messages),
         content=content,
@@ -369,7 +353,8 @@ def filter_corpus(
     Threads stored under excluded directories are dropped before
     classification and appear only in the report's dropped count.
     """
-    return filter_summaries([summarize_thread(t, config) for t in threads], exclusion, config)
+    summaries = [summarize_record(serialization.document_to_record(AnnotatedDocument(t)), config) for t in threads]
+    return filter_summaries(summaries, exclusion, config)
 
 
 def filter_summaries(

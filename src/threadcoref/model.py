@@ -9,11 +9,12 @@ them too.
 Structural invariants that a constructor can check locally (token offsets,
 message index contiguity) raise ``ValueError`` at construction time;
 cross-object consistency of chains and mentions is reported as data by
-:func:`validate_document`. Every builder in the package (the native and CoNLL
-readers, the parser and the date reordering) assembles a document in one
-checked pass: each token is checked once, or holds the checks by construction,
-and messages and thread are assembled without running the constructors' checks
-again (:func:`_assemble_thread`).
+:func:`validate_document`. The package builds documents in two places: the
+native reader, through which the parser and the date reordering build theirs
+from a native record, and the CoNLL reader's skeleton. Each assembles a
+document in one checked pass: each token is checked once, or holds the checks
+by construction, and messages and thread are assembled without running the
+constructors' checks again (:func:`_assemble_thread`).
 """
 from __future__ import annotations
 

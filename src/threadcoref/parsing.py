@@ -6,14 +6,17 @@ separator lines ("-----Original Message-----", "Forwarded by ...") or fresh
 header blocks. All functions here are pure; threads can be parsed
 concurrently with no shared state.
 
-``parse_thread`` reads a thread in one walk over its lines: the text is
+``parse_record`` reads a thread in one walk over its lines: the text is
 split once, each line's field name and separator flag are computed once,
 messages are cut where those flags say, each message's header block is
 walked once for both its end and its fields, and each line is tokenized at
-its own offset in the thread. Per-line section labels exist only inside
-that walk. The stage functions ``split_messages``, ``parse_header`` and
-``tokenize_and_sentence_split`` are views over the same helpers, for one
-thread or one message slice.
+its own offset in the thread. It gives the thread's native record, which
+``parse`` writes and ``filter`` summarizes, and builds no token;
+``parse_thread`` builds the thread from that record through
+``serialization.record_to_document``. Per-line section codes exist only
+inside the walk. The stage functions ``split_messages``, ``parse_header``
+and ``tokenize_and_sentence_split`` are views over the same helpers, for
+one thread or one message slice.
 
 The tokenizer is deliberately simple: whitespace split, punctuation peeled
 off token edges, contraction suffixes split ("I'll" -> "I", "'ll"), email
@@ -31,8 +34,8 @@ from itertools import accumulate, takewhile
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from . import wordlists
-from .model import EmailThread, Section, Token, ToolkitError, _assemble_thread, _intern, _tuple_new
+from . import serialization, wordlists
+from .model import EmailThread, Section, Token, ToolkitError
 
 
 class UnparseableThread(ToolkitError):
@@ -89,6 +92,9 @@ _KNOWN_FIELDS = frozenset(
 
 # str.splitlines() ends a line at "\r\n" and at each of these
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# the section codes of the native format, which label lines and tokens
+_HEADER, _BODY, _FOOTER = Section.HEADER.code, Section.BODY.code, Section.FOOTER.code
 
 
 @lru_cache(maxsize=16)
@@ -221,8 +227,8 @@ def _header_walk(
     return end, fields
 
 
-def _sections(count: int, header_end: int, body: Iterable[str], config: ParserConfig) -> list[Section]:
-    """Section labels of a message's ``count`` lines, whose header region ends before line ``header_end``.
+def _sections(count: int, header_end: int, body: Iterable[str], config: ParserConfig) -> list[str]:
+    """Section codes of a message's ``count`` lines, whose header region ends before line ``header_end``.
 
     ``body`` gives the casefolded lines from ``header_end`` on. The first
     of them that holds a footer marker opens the footer region, which runs
@@ -234,11 +240,7 @@ def _sections(count: int, header_end: int, body: Iterable[str], config: ParserCo
         if search(line):
             break
         footer_start += 1
-    return (
-        [Section.HEADER] * header_end
-        + [Section.BODY] * (footer_start - header_end)
-        + [Section.FOOTER] * (count - footer_start)
-    )
+    return [_HEADER] * header_end + [_BODY] * (footer_start - header_end) + [_FOOTER] * (count - footer_start)
 
 
 def split_messages(
@@ -343,8 +345,8 @@ def _parse_date(value: str) -> Optional[datetime]:
     return date
 
 
-def _header_values(fields: dict[str, str]) -> dict:
-    """The message fields, as HeaderFields names them, that a header block's fields give."""
+def _header_values(fields: dict[str, str]) -> tuple:
+    """The message fields, in the order of HeaderFields, that a header block's fields give."""
     date = None
     for key in ("date", "sent"):
         if key in fields:
@@ -362,16 +364,16 @@ def _header_values(fields: dict[str, str]) -> dict:
         else:
             from_addr = value.strip()
 
-    return {
-        "date": date,
-        "from_addr": from_addr,
-        "to_addrs": split_address_list(fields.get("to", "")),
-        "cc_addrs": split_address_list(fields.get("cc", "")),
-        "subject": fields.get("subject") or None,
-        "x_from": fields.get("x-from") or None,
-        "x_to": split_address_list(fields.get("x-to", "")),
-        "x_cc": split_address_list(fields.get("x-cc", "")),
-    }
+    return (
+        date,
+        from_addr,
+        split_address_list(fields.get("to", "")),
+        split_address_list(fields.get("cc", "")),
+        fields.get("subject") or None,
+        fields.get("x-from") or None,
+        split_address_list(fields.get("x-to", "")),
+        split_address_list(fields.get("x-cc", "")),
+    )
 
 
 def parse_header(message_text: str, config: ParserConfig = DEFAULT_CONFIG) -> HeaderFields:
@@ -383,7 +385,7 @@ def parse_header(message_text: str, config: ParserConfig = DEFAULT_CONFIG) -> He
     """
     lines = message_text.splitlines()
     fields = _header_walk(lines, *_line_facts(lines, map(str.casefold, lines), config))[1]
-    return HeaderFields(**_header_values(fields))
+    return HeaderFields(*_header_values(fields))
 
 
 _LEADING_PUNCT = set("([{<\"“”‘’`")
@@ -453,51 +455,35 @@ def _tokenize_line(line: str, line_offset: int) -> list[tuple[str, int, int]]:
     return toks
 
 
-def _sentences(
-    lines: Sequence[str],
-    offsets: Sequence[int],
-    sections: Sequence[Section],
-    message_index: int,
-    direct: bool,
-) -> tuple[tuple[Token, ...], ...]:
-    """Sentences of Tokens of ``lines``, each line tokenized at its offset.
+def _sentences(lines: Sequence[str], offsets: Iterable[int], sections: Sequence) -> list[list[list]]:
+    """Sentences of ``lines``, each line tokenized at its offset, as a native
+    record holds them: each token a list of its text, its line's entry of
+    ``sections`` and its offsets.
 
-    A body sentence ends after a token of terminal marks and may span
-    lines; a header or footer line is one sentence. Each token is built
-    once, without Token's checks. Unless ``direct`` says the arguments pass
-    them, every token then goes through Token, which raises what it raises.
+    A line whose entry is the body code is body text: a body sentence ends
+    after a token of terminal marks and may span lines. Any other line that
+    holds a token is one sentence.
     """
-    sentences: list[tuple[Token, ...]] = []
-    body: list[Token] = []  # the open body sentence
+    sentences: list[list[list]] = []
+    body: list[list] = []  # the open body sentence
     for line, offset, section in zip(lines, offsets, sections):
         toks = _tokenize_line(line, offset)
-        if section is Section.BODY:
-            si = len(sentences)
-            ti = len(body)
+        if section == _BODY:
             for t, cs, ce in toks:
-                body.append(_tuple_new(Token, (_intern(t), si, ti, message_index, section, cs, ce)))
-                ti += 1
+                body.append([t, section, cs, ce])
                 # only a token that ends in a terminal mark can be all terminal marks
                 if t[-1] in ".?!" and _TERMINAL_RE.match(t):
-                    sentences.append(tuple(body))
+                    sentences.append(body)
                     body = []
-                    si += 1
-                    ti = 0
         else:
             if body:
-                sentences.append(tuple(body))
+                sentences.append(body)
                 body = []
             if toks:
-                si = len(sentences)
-                sentences.append(tuple([
-                    _tuple_new(Token, (_intern(t), si, ti, message_index, section, cs, ce))
-                    for ti, (t, cs, ce) in enumerate(toks)
-                ]))
+                sentences.append([[t, section, cs, ce] for t, cs, ce in toks])
     if body:
-        sentences.append(tuple(body))
-    if not direct:
-        return tuple(tuple([Token(*tok) for tok in sentence]) for sentence in sentences)
-    return tuple(sentences)
+        sentences.append(body)
+    return sentences
 
 
 def tokenize_and_sentence_split(
@@ -511,7 +497,8 @@ def tokenize_and_sentence_split(
 
     ``sections`` gives one Section per line (defaults to all BODY). Header
     and footer lines become one sentence each; body sentences break after a
-    terminal-punctuation token and may span lines.
+    terminal-punctuation token and may span lines. Each token goes through
+    Token, which raises what it raises.
     """
     pieces = text.splitlines(keepends=True)
     if sections is None:
@@ -520,39 +507,46 @@ def tokenize_and_sentence_split(
         raise ValueError(
             f"sections length {len(sections)} != line count {len(pieces)}"
         )
-    # texts are nonempty strings, indices count from 0 and offsets rise, so
-    # with these argument types every Token check holds and each token is
-    # built directly; any other argument goes through Token and its checks
-    direct = (
-        type(message_index) is int
-        and message_index >= 0
-        and type(base_offset) is int
-        and base_offset >= 0
-        and all(isinstance(section, Section) for section in sections)
-    )
+    # a body line goes in as the body code; any other entry goes in boxed in a
+    # tuple, which is no code, and comes out to Token, which checks it
+    labels = [_BODY if section is Section.BODY else (section,) for section in sections]
     # trailing line-break characters make no token, so each piece is tokenized whole
     offsets = accumulate(map(len, pieces[:-1]), initial=base_offset)
-    return _sentences(pieces, offsets, sections, message_index, direct)
+    return tuple(
+        tuple([
+            Token(t, si, ti, message_index, Section.BODY if label == _BODY else label[0], cs, ce)
+            for ti, (t, label, cs, ce) in enumerate(sentence)
+        ])
+        for si, sentence in enumerate(_sentences(pieces, offsets, labels))
+    )
 
 
-def parse_thread(raw: RawThread, config: ParserConfig = DEFAULT_CONFIG) -> EmailThread:
-    """Parse a raw thread file into an EmailThread.
+def parse_record(raw: RawThread, config: ParserConfig = DEFAULT_CONFIG) -> dict:
+    """The native record of a raw thread file, with no chains: what
+    ``serialization.write_native`` writes of the thread ``parse_thread``
+    gives, made in one walk, with no token built.
 
-    Message indices follow file order, which for quoted threads is most
-    recent first. Deterministic: parsing the same bytes twice yields
-    structurally equal threads. Slices are disjoint and in file order, so the
-    thread holds every invariant the constructors check and is assembled
-    without running them again.
+    Messages follow file order, which for quoted threads is most recent
+    first. Deterministic: parsing the same bytes twice yields equal records.
     """
     lines = _read_lines(raw.text, config)
     starts = _message_starts(raw, lines)
     messages = []
-    for i, (start, stop) in enumerate(zip(starts, [*starts[1:], len(lines.text)])):
+    for start, stop in zip(starts, [*starts[1:], len(lines.text)]):
         text = lines.text[start:stop]
         header_end, fields = _header_walk(text, lines.names[start:stop], lines.separators[start:stop])
         sections = _sections(len(text), header_end, lines.folded[start + header_end : stop], config)
-        message = _header_values(fields)
-        message["index"] = i
-        message["sentences"] = _sentences(text, lines.offsets[start:stop], sections, i, True)
-        messages.append(message)
-    return _assemble_thread(raw.id, messages, raw.source_path)
+        sentences = _sentences(text, lines.offsets[start:stop], sections)
+        messages.append(serialization._message_record(*_header_values(fields), sentences))
+    return {"id": raw.id, "source_path": raw.source_path, "messages": messages, "chains": []}
+
+
+def parse_thread(raw: RawThread, config: ParserConfig = DEFAULT_CONFIG) -> EmailThread:
+    """Parse a raw thread file into an EmailThread: the thread of
+    ``parse_record``'s record, built by ``serialization.record_to_document``.
+
+    Message indices follow file order. Slices are disjoint and in file
+    order, so the record passes every check and its thread is assembled
+    without running the constructors' checks.
+    """
+    return serialization.record_to_document(parse_record(raw, config)).thread

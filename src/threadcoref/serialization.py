@@ -192,7 +192,7 @@ def _chains_document(doc_id: str, chains: dict[int, list[tuple[int, int, int]]])
 
 def read_conll_documents(text: str) -> list[AnnotatedDocument]:
     """Parse CoNLL column text into document skeletons (tokens + chains)."""
-    return [_skeleton_document(*item) for item in iter_conll_documents(text.splitlines())]
+    return [_skeleton_document(doc, words) for doc, words, _ in iter_conll_documents(text.splitlines())]
 
 
 # Lines read from a CoNLL stream at a time: each batch is split in one call,
@@ -200,7 +200,7 @@ def read_conll_documents(text: str) -> list[AnnotatedDocument]:
 _CONLL_BATCH_LINES = 4096
 
 
-def stream_conll_documents(fp: Iterable[str]) -> Iterator[tuple[AnnotatedDocument, list[list[str]]]]:
+def stream_conll_documents(fp: Iterable[str]) -> Iterator[tuple[AnnotatedDocument, list[list[str]], int]]:
     """The documents of an open CoNLL text file, one at a time, in file order.
 
     Lines split as ``str.splitlines`` splits the whole text, so a file reads
@@ -212,18 +212,19 @@ def stream_conll_documents(fp: Iterable[str]) -> Iterator[tuple[AnnotatedDocumen
     return iter_conll_documents(itertools.chain.from_iterable(batches))
 
 
-def iter_conll_documents(lines: Iterable[str]) -> Iterator[tuple[AnnotatedDocument, list[list[str]]]]:
+def iter_conll_documents(lines: Iterable[str]) -> Iterator[tuple[AnnotatedDocument, list[list[str]], int]]:
     """Parse CoNLL column lines, yielding each document at its ``#end document``.
 
     Each line is split once at whitespace: no column makes a blank line,
     which ends a sentence; a first column that starts with "#" makes a
     comment or a document marker; anything else is a token row. Every line
     is checked, and no token is built: each document comes with the words
-    of each of its sentences, and its thread holds no message. A span that a
-    document holds twice, in one chain or in two, is an error at the line
-    that closes its second copy.
+    of each of its sentences and the number of its ``#begin document`` line,
+    and its thread holds no message. A span that a document holds twice, in
+    one chain or in two, is an error at the line that closes its second copy.
     """
     doc_id: Optional[str] = None
+    begin = 0  # the line number of the open document's #begin document
     sentences: list[list[str]] = []
     current: list[str] = []
     owners: dict[tuple[int, int, int], int] = {}
@@ -247,7 +248,7 @@ def iter_conll_documents(lines: Iterable[str]) -> Iterator[tuple[AnnotatedDocume
                 doc_id, closed, _ = rest.partition(")")
                 if not (opened and closed):
                     raise MalformedColumn(line_no, "malformed #begin document line")
-                sentences, current, owners, open_spans = [], [], {}, {}
+                begin, sentences, current, owners, open_spans = line_no, [], [], {}, {}
             elif stripped.startswith("#end document"):
                 if doc_id is None:
                     raise MalformedColumn(line_no, "#end document without #begin")
@@ -260,7 +261,7 @@ def iter_conll_documents(lines: Iterable[str]) -> Iterator[tuple[AnnotatedDocume
                 chains: dict[int, list[tuple[int, int, int]]] = {}
                 for span, cid in owners.items():
                     chains.setdefault(cid, []).append(span)
-                yield _chains_document(doc_id, chains), sentences
+                yield _chains_document(doc_id, chains), sentences, begin
                 doc_id = None
             continue
         if doc_id is None:
@@ -349,37 +350,38 @@ def document_to_record(
     doc: AnnotatedDocument, features: Sequence[str] = ()
 ) -> dict:
     thread = doc.thread
-    messages = []
-    for msg in thread.messages:
-        messages.append(
-            {
-                "date": msg.date.isoformat() if msg.date else None,
-                "from": msg.from_addr,
-                "to": list(msg.to_addrs),
-                "cc": list(msg.cc_addrs),
-                "subject": msg.subject,
-                "x_from": msg.x_from,
-                "x_to": list(msg.x_to),
-                "x_cc": list(msg.x_cc),
-                "sentences": [
-                    [
-                        [t.text, t.section.code, t.char_start, t.char_end]
-                        for t in sentence
-                    ]
-                    for sentence in msg.sentences
-                ],
-            }
-        )
     record = {
         "id": thread.id,
         "source_path": thread.source_path,
-        "messages": messages,
+        "messages": [
+            _message_record(
+                *msg[1:9],
+                [[[t.text, t.section.code, t.char_start, t.char_end] for t in sentence] for sentence in msg.sentences],
+            )
+            for msg in thread.messages
+        ],
         "chains": _chain_records(doc.chains),
     }
     if features:
-        codes = [[[t.section.code for t in sentence] for sentence in msg.sentences] for msg in thread.messages]
-        record["features"] = _feature_columns(codes, features)
+        record["features"] = _feature_columns(_record_codes(record["messages"]), features)
     return record
+
+
+def _message_record(date, sender, to, cc, subject, x_from, x_to, x_cc, sentences: list) -> dict:
+    """One message of a native record, its keys in the order ``write_native``
+    writes them: the fields of ``EmailMessage`` from ``date`` to ``x_cc``,
+    and the sentences as lists of [text, section code, char_start, char_end]."""
+    return {
+        "date": None if date is None else date.isoformat(),
+        "from": sender,
+        "to": list(to),
+        "cc": list(cc),
+        "subject": subject,
+        "x_from": x_from,
+        "x_to": list(x_to),
+        "x_cc": list(x_cc),
+        "sentences": sentences,
+    }
 
 
 def _feature_columns(codes: list, features: Sequence[str]) -> dict:
@@ -631,8 +633,12 @@ def write_native(
 ) -> None:
     """Write one JSON record per line; key order is fixed for determinism."""
     for doc in docs:
-        fp.write(_encode(document_to_record(doc, features=features)))
-        fp.write("\n")
+        fp.write(record_line(document_to_record(doc, features=features)))
+
+
+def record_line(record: dict) -> str:
+    """A native record as ``write_native`` writes it: one line of compact JSON."""
+    return _encode(record) + "\n"
 
 
 def write_native_string(
@@ -797,7 +803,7 @@ def replace_chains(
     }
     if features:
         out["features"] = _feature_columns(_record_codes(messages), features)
-    return _encode(out) + "\n"
+    return record_line(out)
 
 
 def _record_codes(messages: list) -> list:
@@ -822,10 +828,10 @@ def _record_messages(messages: list, order: Optional[Sequence[int]]) -> list:
     The JSON already holds each token as ``document_to_record`` writes it, a
     list of its text, section code and integer offsets, so sentences are
     kept as they are. A date is written in ``isoformat``. Moved messages have
-    their token offsets shifted as ``features.reverse_thread`` shifts them:
-    each message's by one constant, so that it starts one past the end of
-    the message before it, or at 0; a token list is made anew only where
-    that constant is not 0.
+    their token offsets shifted, each message's by one constant, so that it
+    starts one past the end of the message before it, or at 0; a token list
+    is made anew only where that constant is not 0. This is the one reorder
+    of the package: ``features`` moves records and threads through it.
     """
     out = []
     base = 0
@@ -837,18 +843,11 @@ def _record_messages(messages: list, order: Optional[Sequence[int]]) -> list:
             base = sentences[-1][-1][3] + shift + 1
             if shift:
                 sentences = [[[text, code, cs + shift, ce + shift] for text, code, cs, ce in s] for s in sentences]
-        date = _message_date(message)
-        out.append({
-            "date": None if date is None else date.isoformat(),
-            "from": message.get("from"),
-            "to": message.get("to", []),
-            "cc": message.get("cc", []),
-            "subject": message.get("subject"),
-            "x_from": message.get("x_from"),
-            "x_to": message.get("x_to", []),
-            "x_cc": message.get("x_cc", []),
-            "sentences": sentences,
-        })
+        out.append(_message_record(
+            _message_date(message), message.get("from"), message.get("to", []), message.get("cc", []),
+            message.get("subject"), message.get("x_from"), message.get("x_to", []), message.get("x_cc", []),
+            sentences,
+        ))
     return out
 
 

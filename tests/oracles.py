@@ -20,7 +20,8 @@ stripped every line and tested it against each marker prefix, and the
 chain sets, overlap rows, error categorizer and correction bookkeeping
 keyed by the mentions themselves rather than by their locations, the
 ``resolve`` and ``features`` lines that decoded and re-encoded the whole
-record, and the ``errors`` report over fully decoded key threads.
+record, the date reorder that moved a thread's tokens message by message,
+and the ``errors`` report over fully decoded key threads.
 Differential tests require the package to agree with them. They share the
 package's unchanged helpers (model types, the metric halves, the chunk
 splitter, the address-list splitter).
@@ -713,7 +714,8 @@ def iter_conll_documents_reference(lines):
     marker prefix in turn, yielding each document at its ``#end document``.
 
     Every line is checked, and no token is built: each document, whose thread
-    holds no message, comes with the words of its sentences. A span that a
+    holds no message, comes with the words of its sentences and the number
+    of its ``#begin document`` line. A span that a
     document holds twice, in one chain or in two, is an error at the line
     that closes its second copy.
     """
@@ -737,7 +739,7 @@ def iter_conll_documents_reference(lines):
             if "(" not in stripped or ")" not in stripped.split("(", 1)[1]:
                 raise MalformedColumn(line_no, "malformed #begin document line")
             doc_id = stripped.split("(", 1)[1].split(")", 1)[0]
-            sentences, current, owners, open_spans = [], [], {}, {}
+            begin, sentences, current, owners, open_spans = line_no, [], [], {}, {}
             continue
         if stripped.startswith("#end document"):
             if doc_id is None:
@@ -749,7 +751,7 @@ def iter_conll_documents_reference(lines):
             chains: dict[int, list[tuple[int, int, int]]] = {}
             for span, cid in owners.items():
                 chains.setdefault(cid, []).append(span)
-            yield _serialization._chains_document(doc_id, chains), sentences
+            yield _serialization._chains_document(doc_id, chains), sentences, begin
             doc_id = None
             continue
         if stripped.startswith("#"):
@@ -1264,16 +1266,44 @@ def resolve_line_reference(line: str, line_no: int, baseline: str) -> str:
     return _serialization.write_native_string([AnnotatedDocument(thread=doc.thread, chains=chains)])
 
 
-def features_line_reference(line: str, line_no: int, features=(), rev: bool = False) -> str:
-    """The output line of ``features`` for one input line, by a full decode,
-    ``reverse_document`` with ``rev``, and a full re-encode."""
+def reverse_document_reference(doc: AnnotatedDocument) -> AnnotatedDocument:
+    """``reverse_document`` by the thread-level reorder that moving the native
+    record replaced: each message's tokens are built again through the checked
+    constructors, shifted so that the message starts one past the end of the
+    message before it, or at 0, and each mention moves with its message."""
     # imported here: perfbench/checks.py loads this file, and its process
     # should load no module that its checks do not run
-    from threadcoref.features import reverse_document
+    from threadcoref.features import date_permutation
 
+    perm = date_permutation(doc.thread)
+    if perm == list(range(len(perm))):
+        return doc
+    messages = []
+    base = 0
+    for new, old in enumerate(sorted(range(len(perm)), key=perm.__getitem__)):
+        msg = doc.thread.messages[old]
+        shift = base - msg.sentences[0][0].char_start if msg.sentences else 0
+        sentences = tuple(
+            tuple(t._replace(message_index=new, char_start=t.char_start + shift, char_end=t.char_end + shift)
+                  for t in sentence)
+            for sentence in msg.sentences
+        )
+        messages.append(msg._replace(index=new, sentences=sentences))
+        if msg.sentences:
+            base = msg.sentences[-1][-1].char_end + shift + 1
+    chains = tuple(
+        CoreferenceChain(c.chain_id, tuple(sorted(m._replace(message_index=perm[m.message_index]) for m in c.mentions)))
+        for c in doc.chains
+    )
+    return AnnotatedDocument(EmailThread(doc.thread.id, tuple(messages), doc.thread.source_path), chains)
+
+
+def features_line_reference(line: str, line_no: int, features=(), rev: bool = False) -> str:
+    """The output line of ``features`` for one input line, by a full decode,
+    ``reverse_document_reference`` with ``rev``, and a full re-encode."""
     doc = _serialization.decode_line(line, line_no)
     if rev:
-        doc = reverse_document(doc)
+        doc = reverse_document_reference(doc)
     return _serialization.write_native_string([doc], features=features)
 
 

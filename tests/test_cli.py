@@ -972,6 +972,20 @@ class TestErrors:
         lines = capsys.readouterr().out.strip().splitlines()
         assert all(line.split("\t")[1] == "0" for line in lines[1:])
 
+    def test_conll_response_error_names_the_begin_document_line(self, tmp_path, capsys):
+        # document b's second token, which its key lacks, holds a mention
+        def conll(b_rows):
+            return "".join(["#begin document (a); part 000\na\t0\t0\tHello\t(1)\na\t0\t1\tthere\t(1)\n\n",
+                            "#end document\n#begin document (b); part 000\n", *b_rows, "\n#end document\n"])
+
+        key, response = tmp_path / "key.conll", tmp_path / "response.conll"
+        key.write_text(conll(["b\t0\t0\tHi\t(2)\n"]), encoding="utf-8")
+        response.write_text(conll(["b\t0\t0\tHi\t(2)\n", "b\t0\t1\tyou\t(3)\n"]), encoding="utf-8")
+        assert main(["errors", "--key", str(key), "--response", str(response)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: response file {response}: line 6: document 'b': "
+            f"mention at (0, 0, 1, 1) addresses no token of key file {key}\n"))
+
     @pytest.mark.parametrize("fmt", ["jsonl", "conll"])
     def test_response_mention_past_the_key_exits_1(self, resolve_sources, tmp_path, capsys, fmt):
         # the first record with one message more, whose one-token mention joins chain 0
@@ -991,9 +1005,9 @@ class TestErrors:
         key.write_text(key_text, encoding="utf-8")
         response.write_text(response_text, encoding="utf-8")
         assert main(["errors", "--key", str(key), "--response", str(response)]) == 1
-        where = "line 1: " if fmt == "jsonl" else ""
+        # the record's line, or the #begin document line of its CoNLL document
         assert capsys.readouterr() == ("", (
-            f"error: response file {response}: {where}document {record['id']!r}: "
+            f"error: response file {response}: line 1: document {record['id']!r}: "
             f"mention at {tuple(added)} addresses no token of key file {key}\n"))
         # score and correction-stats read mentions only, which need no token of the key
         from threadcoref import metrics
@@ -1914,8 +1928,8 @@ class TestCollectorPolicy:
             lines = cli._open_input(str(gold_corpus), "input", (cli._JSONL,))
             next(lines)
             docs = [serialization.decode_line(line, line_no) for line_no, line in lines]
-            skeletons = [serialization._skeleton_document(*item)
-                         for item in list(cli._open_input(str(conll), "input", (cli._CONLL,)))[1:]]
+            skeletons = [serialization._skeleton_document(doc, words)
+                         for doc, words, _ in list(cli._open_input(str(conll), "input", (cli._CONLL,)))[1:]]
             bare = [doc for path in (gold_corpus, conll) for pair in cli._paired_documents(
                 (str(path), "key"), (str(path), "response")) for doc in pair]
             written = io.StringIO()
@@ -1924,7 +1938,7 @@ class TestCollectorPolicy:
                 metrics.score_documents((d.chains, s.chains) for d, s in zip(docs, skeletons)),
                 [errors.categorize_errors(d.thread, d.chains, d.chains) for d in docs],
                 [features.reverse_document(d) for d in docs],
-                [filtering.summarize_thread(d.thread) for d in docs],
+                [filtering.summarize_record(serialization.document_to_record(d)) for d in docs],
                 metrics.corpus_stats(docs),
                 [parsing.parse_thread(raw) for raw in raws],
                 [baselines.resolve_hb1(d.thread, d.mentions()) for d in docs],

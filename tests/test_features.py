@@ -5,6 +5,7 @@ from unittest import mock
 
 import pytest
 
+import oracles
 from conftest import build_fields, checked_document, synthetic_document, tiny_thread
 from threadcoref.features import (
     FeatureAnnotation,
@@ -131,6 +132,7 @@ class TestReverseDocument:
             assert validate_document(doc) == []
             out = reverse_document(doc)
             assert validate_document(out) == []
+            assert out == oracles.reverse_document_reference(doc)
             from threadcoref.model import mention_text
 
             before = sorted(
@@ -194,6 +196,18 @@ class TestOnePassReorder:
             for out in self._both_directions(doc):
                 assert build_fields(out) == build_fields(checked_document(out))
                 assert validate_document(out) == []
+
+    def test_same_as_thread_level_reorder(self, documents):
+        # the record reorder against moving each message's tokens, kept in ``oracles``
+        for doc in documents:
+            ascending = reverse_document(doc)
+            newest_first = mirrored(ascending, ascending.thread.messages[0].date)
+            for before, after in ((doc, ascending), (newest_first, reverse_document(newest_first))):
+                expected = oracles.reverse_document_reference(before)
+                assert after == expected
+                # equal aware dates may differ in zone; the moved ones keep theirs
+                assert [(m.date, m.date.utcoffset()) for m in after.thread.messages] == [
+                    (m.date, m.date.utcoffset()) for m in expected.thread.messages]
 
     def test_offsets_shift_message_by_message(self, documents):
         # each message keeps its own spacing and starts one past the previous end

@@ -22,10 +22,16 @@ from threadcoref.filtering import (
     filter_corpus,
     filter_summaries,
     fingerprint_message,
-    summarize_thread,
+    summarize_record,
 )
-from threadcoref.model import EmailMessage, EmailThread, Section, Token, ToolkitError
+from threadcoref.model import AnnotatedDocument, EmailMessage, EmailThread, Section, Token, ToolkitError
 from threadcoref.parsing import RawThread, parse_thread
+from threadcoref.serialization import document_to_record
+
+
+def summarize(thread, config=DEFAULT_FILTER_CONFIG):
+    """The summary of ``thread``: ``summarize_record`` of its native record."""
+    return summarize_record(document_to_record(AnnotatedDocument(thread)), config)
 
 
 def body_thread(thread_id, bodies, subjects=None, senders=None):
@@ -52,7 +58,7 @@ def body_thread(thread_id, bodies, subjects=None, senders=None):
 def content_verdict(thread, config=DEFAULT_FILTER_CONFIG):
     """The content check that rejects ``thread``, or None, as its summary
     holds it; checked against the checks run one by one in ``oracles``."""
-    content = summarize_thread(thread, config).content
+    content = summarize(thread, config).content
     assert content is oracles.summarize_thread_reference(thread, config).content
     return content
 
@@ -60,7 +66,7 @@ def content_verdict(thread, config=DEFAULT_FILTER_CONFIG):
 def is_valid_length(thread):
     """Whether the length rule keeps ``thread``: its summary, content checks
     aside, is not too short."""
-    summary = summarize_thread(thread)._replace(content=None)
+    summary = summarize(thread)._replace(content=None)
     verdicts, _ = filter_summaries([summary])
     return verdicts[0].category is not FilterCategory.TOO_SHORT
 
@@ -189,7 +195,7 @@ def has_attachment(thread, config):
     """Whether the summary of ``thread``, none of whose messages has an empty
     body, rejects it for an inline attachment."""
     assert not oracles.detect_no_content_reference(thread)
-    return summarize_thread(thread, config).content is FilterCategory.INVALID_ATTACHMENT
+    return summarize(thread, config).content is FilterCategory.INVALID_ATTACHMENT
 
 
 class TestInvalidAttachmentDifferential:
@@ -328,7 +334,7 @@ class TestPrecedence:
     def test_exclusion_beats_duplicate(self):
         a = body_thread("a", [["one"], ["two"]])
         b = body_thread("b", [["one"], ["two"]])
-        exclusion = ExclusionSet(frozenset(summarize_thread(b).fingerprints))
+        exclusion = ExclusionSet(frozenset(summarize(b).fingerprints))
         verdicts, _ = filter_corpus([a, b], exclusion)
         cats = {v.thread_id: v.category for v in verdicts}
         assert cats["a"] is FilterCategory.EXCLUSION_OVERLAP
@@ -379,7 +385,8 @@ def sectioned_thread(messages, thread_id="t"):
 
 
 class TestSummaryDifferential:
-    """summarize_thread against the checks run one by one, kept in ``oracles``."""
+    """summarize_record of a thread's record against the checks run one by one
+    on the thread, kept in ``oracles``."""
 
     @pytest.mark.parametrize("config", _SUMMARY_CONFIGS)
     def test_fixture_threads(self, config, corpus10_threads, example1_thread):
@@ -388,13 +395,13 @@ class TestSummaryDifferential:
             parse_thread(RawThread(id=f"s{i}", text=synthetic_raw_text(rng)[0])) for i in range(20)
         ]
         for thread in [example1_thread, *corpus10_threads, *synthetic]:
-            assert summarize_thread(thread, config) == oracles.summarize_thread_reference(thread, config)
+            assert summarize(thread, config) == oracles.summarize_thread_reference(thread, config)
 
     @settings(max_examples=400, deadline=None)
     @given(messages=_MESSAGES, config=st.sampled_from(_SUMMARY_CONFIGS))
     def test_generated_threads(self, messages, config):
         thread = sectioned_thread(messages)
-        summary = summarize_thread(thread, config)
+        summary = summarize(thread, config)
         assert summary == oracles.summarize_thread_reference(thread, config)
         assert [fingerprint_message(m) for m in thread.messages] == [
             oracles.fingerprint_message_reference(m) for m in thread.messages

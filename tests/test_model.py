@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from threadcoref import baselines, errors, features, filtering, metrics, model, parsing
+from threadcoref import baselines, errors, features, filtering, metrics, model, parsing, serialization
 from threadcoref.model import (
     AnnotatedDocument,
     CoreferenceChain,
@@ -215,7 +215,7 @@ def _value_types(example1_document):
         thread.messages[0].sentences[0][0], thread.messages[0], thread, mentions[0], doc.chains[0], doc,
         raw, parsing.ParserConfig(), parsing.parse_header(raw.text),
         verdicts[0], filtering.ExclusionSet.from_threads([thread]), filtering.FilterConfig(), report,
-        filtering.summarize_thread(thread),
+        filtering.summarize_record(serialization.document_to_record(doc)),
         features.feature_annotation(thread),
         participants, participants.by_message[0], baselines.resolve_hb2(thread, mentions),
         baselines.UnresolvedPronoun(mentions[0], baselines.PronounClass.SECOND, "no recipient"),

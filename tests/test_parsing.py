@@ -1,19 +1,23 @@
+import contextlib
+import io
 import pickle
 import random
 import re
 import sys
+import tempfile
 from collections import Counter
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import CORPUS10_DIR, DATA_DIR, build_fields, checked_document, synthetic_raw_text
 from threadcoref.model import AnnotatedDocument, EmailMessage, EmailThread, Section, Token
-from threadcoref import parsing
+from threadcoref import cli, model, parsing, serialization
 from threadcoref.parsing import (
     ParserConfig,
     RawThread,
@@ -479,7 +483,7 @@ def _separators(lines, config) -> list[bool]:
 
 def _footer_start(lines, header_end, config) -> int:
     sections = parsing._sections(len(lines), header_end, map(str.casefold, lines[header_end:]), config)
-    return len(lines) - sections.count(Section.FOOTER)
+    return len(lines) - sections.count(Section.FOOTER.code)
 
 
 class TestMarkerDifferential:
@@ -623,6 +627,77 @@ class TestParseThreadDifferential:
         # the walk cuts exactly these off each line, so its lines are those of str.splitlines()
         breaks = {chr(c) for c in range(0x3000) if len(f"a{chr(c)}b".splitlines()) == 2}
         assert breaks == set(parsing._LINE_BREAKS)
+
+
+class TestCommandsOnMutatedThreads:
+    """``parse`` and ``filter`` on a small directory of mutated thread files,
+    run in process. Each run exits 0 with the bytes of the stage-by-stage
+    parser kept in ``oracles``, ``filter`` giving the directory the verdicts
+    it gives the parsed records, or exits 1 with the reference's error on one
+    ``error:`` line and no traceback."""
+
+    @staticmethod
+    def _run(argv) -> tuple[int, str]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = cli.main(argv)
+        return status, err.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_reference_bytes_and_verdicts_or_one_error_line(self, data):
+        def thread_text() -> str:
+            kind = data.draw(st.sampled_from(["mutated"] * 4 + ["fixture"] * 3 + ["no header"]))
+            if kind == "mutated":
+                return _mutated(data)
+            return data.draw(st.sampled_from(_FIXTURE_TEXTS if kind == "fixture" else ["", " \n\n", "Hi there.\n"]))
+
+        texts = [thread_text() for _ in range(data.draw(st.integers(1, 3)))]
+        with tempfile.TemporaryDirectory() as work:
+            threads = Path(work) / "threads"
+            threads.mkdir()
+            written = io.StringIO()
+            expected = (0, "")
+            for i, text in enumerate(texts):
+                name = f"t{i}.txt"
+                (threads / name).write_bytes(text.encode("utf-8"))
+                # the text as the command reads it: "\r\n" and "\r" become "\n"
+                raw = RawThread(name, cli._thread_text(text.encode("utf-8")), name)
+                try:
+                    serialization.write_native([AnnotatedDocument(oracles.parse_thread_reference(raw))], written)
+                except UnparseableThread as exc:
+                    expected = expected if expected[0] else (1, f"error: {exc}\n")
+            event(f"exit {expected[0]}")
+            parsed = f"{work}/parsed.jsonl"
+            assert self._run(["parse", "--in", str(threads), "--out", parsed]) == expected
+            assert self._run(["filter", "--in", str(threads), "--report", f"{work}/r1", "--verdicts", f"{work}/v1",
+                              "--min-messages", "2"]) == expected
+            if expected[0]:
+                return
+            assert Path(parsed).read_text(encoding="utf-8") == written.getvalue()
+            assert self._run(["filter", "--in", parsed, "--report", f"{work}/r2", "--verdicts", f"{work}/v2",
+                              "--min-messages", "2"]) == (0, "")
+            for name in ("r", "v"):
+                assert Path(f"{work}/{name}1").read_bytes() == Path(f"{work}/{name}2").read_bytes()
+
+    def test_parse_and_filter_build_no_token(self, tmp_path):
+        # both commands work from the parser's record: no token, message or thread is built
+        def run():
+            parsed, report, verdicts = tmp_path / "parsed.jsonl", tmp_path / "report", tmp_path / "verdicts"
+            assert cli.main(["parse", "--in", str(CORPUS10_DIR), "--out", str(parsed)]) == 0
+            assert cli.main(["filter", "--in", str(CORPUS10_DIR), "--report", str(report),
+                             "--verdicts", str(verdicts)]) == 0
+            return [path.read_bytes() for path in (parsed, report, verdicts)]
+
+        want = run()
+        raising = mock.Mock(side_effect=AssertionError("a token or thread was built"))
+        with mock.patch.object(serialization, "record_sentence", raising), \
+                mock.patch.object(serialization, "_assemble_thread", raising), \
+                mock.patch.object(model, "_assemble_thread", raising), \
+                mock.patch.object(Token, "__new__", raising):
+            assert run() == want
+        raising.assert_not_called()
+        assert want[0] == (DATA_DIR / "golden" / "corpus10.jsonl").read_bytes()
 
 
 class TestOneWalk:

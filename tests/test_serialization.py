@@ -60,7 +60,7 @@ def conll_file(path):
     skeleton thread that its word lists make."""
     content = cli._open_input(str(path), "input", (cli._CONLL,))
     next(content)
-    for doc, words in content:
+    for doc, words, _ in content:
         yield serialization._skeleton_document(doc, words)
 
 
@@ -933,9 +933,9 @@ def threadless_conll_outcome(text, skeletons=False):
     except MalformedColumn as exc:
         return ("error", exc.line_number, str(exc))
     if skeletons:
-        return ("documents", [chain_fields(serialization._skeleton_document(*item)) for item in items])
-    assert all(doc.thread.messages == () for doc, _ in items)
-    return ("documents", [chain_fields(doc) for doc, _ in items])
+        return ("documents", [chain_fields(serialization._skeleton_document(doc, words)) for doc, words, _ in items])
+    assert all(doc.thread.messages == () for doc, *_ in items)
+    return ("documents", [chain_fields(doc) for doc, *_ in items])
 
 
 _CONLL_CORRUPTIONS = [
@@ -1078,7 +1078,7 @@ class TestConllReaderDifferential:
         batch = data.draw(st.sampled_from([1, 2, 3, 5, serialization._CONLL_BATCH_LINES]))
         for skeletons in (True, False):
             def outcome(items):
-                return _reader_outcome(serialization._skeleton_document(*item) if skeletons else item for item in items)
+                return _reader_outcome(serialization._skeleton_document(*item[:2]) if skeletons else item for item in items)
 
             reference = outcome(oracles.iter_conll_documents_reference(text.splitlines()))
             assert outcome(serialization.iter_conll_documents(text.splitlines())) == reference
@@ -1157,7 +1157,7 @@ class TestThreadlessDecode:
 
         with self._no_token():
             bare = [serialization.decode_record(line, n)[1] for n, line in enumerate(native, start=1)]
-            skeletons = [doc for doc, _ in serialization.iter_conll_documents(conll)]
+            skeletons = [doc for doc, *_ in serialization.iter_conll_documents(conll)]
         assert [chain_fields(doc) for doc in bare] == [chain_fields(doc) for doc in sample_documents]
         assert [doc.chains for doc in skeletons] == [doc.chains for doc in read_conll_documents("\n".join(conll))]
         assert all(doc.thread.messages == () for doc in bare + skeletons)
@@ -1239,9 +1239,9 @@ class TestThreadlessDecode:
         content = cli._open_input(str(path), "input", (cli._CONLL,))
         next(content)
         bare = list(content)
-        assert [d.chains for d, _ in bare] == [d.chains for d in conll_file(path)]
+        assert [d.chains for d, *_ in bare] == [d.chains for d in conll_file(path)]
         assert list(conll_file(path)) == read_conll_documents(text)
-        assert all(d.thread.messages == () for d, _ in bare)
+        assert all(d.thread.messages == () for d, *_ in bare)
 
 
 class TestCommandsOnMutatedRecords:
@@ -1403,6 +1403,6 @@ class TestRepeatedLocations:
         assert (err.value.line_number, str(err.value)) == (line, f"line {line}: {message}")
 
     def test_conll_distinct_spans_accepted(self):
-        (doc, _), = serialization.iter_conll_documents(self._conll(["(1|(2)", "1)|(1)"]))
+        (doc, _, _), = serialization.iter_conll_documents(self._conll(["(1|(2)", "1)|(1)"]))
         assert [[m.location for m in c.mentions] for c in doc.chains] == [
             [(0, 0, 0, 1), (0, 0, 1, 1)], [(0, 0, 0, 0)]]

@@ -19,7 +19,7 @@ import os
 import sys
 from codecs import BOM_UTF8
 from contextlib import contextmanager
-from itertools import chain, starmap
+from itertools import chain, islice, starmap
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
@@ -37,6 +37,8 @@ _METRIC_NAMES = ("muc", "b3", "ceafe", "lea")
 
 
 def _emit_table(rows: Sequence[Sequence[str]], out, pretty: bool) -> None:
+    if out is None:  # sys.stdout in a process started with it closed
+        raise ToolkitError("standard output is closed")
     if pretty:
         widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
         for row in rows:
@@ -96,7 +98,8 @@ def _summarize_line(args: tuple[int, str, FilterConfig]) -> ThreadSummary:
 
 
 # Items sent to a worker at a time: each chunk costs the parent's pool threads a
-# round trip, so small chunks slow a large input; a smaller input uses one worker.
+# round trip, so small chunks slow a large input. An input of one chunk or less
+# would keep one worker busy while the parent waits, so it starts no pool.
 _CHUNK_SIZE = 32
 
 
@@ -112,15 +115,12 @@ def _map_jobs(func, items: Iterable, jobs: int) -> Iterator:
     """``func`` of each item, lazily and in input order, in ``jobs`` processes.
 
     An item's exception is raised where its result would come, after the
-    results of the items before it, as in one process.
+    results of the items before it, as in one process. Items that make at
+    most one chunk are run in this process.
     """
     if jobs <= 1:
         yield from map(func, items)
         return
-    # imported here so that single-process runs never load multiprocessing
-    from functools import partial
-    from multiprocessing import Pool
-
     # the pool reads the items in a thread of its own and would drop the partial
     # chunk before an item that fails to be read: stop there, raise after it
     failed: list[Exception] = []
@@ -131,13 +131,23 @@ def _map_jobs(func, items: Iterable, jobs: int) -> Iterator:
         except Exception as exc:
             failed.append(exc)
 
-    # a worker runs a chunk as one call, which an exception would end for the
-    # whole chunk, so each item's exception comes back as its outcome
-    with Pool(jobs) as pool:
-        for result, exc in pool.imap(partial(_outcome, func), until_failure(), _CHUNK_SIZE):
-            if exc is not None:
-                raise exc
-            yield result
+    # one wrapper only: a second over the same items would close them when freed
+    source = until_failure()
+    head = list(islice(source, _CHUNK_SIZE + 1))
+    if len(head) <= _CHUNK_SIZE:
+        yield from map(func, head)
+    else:
+        # imported here so that runs with no pool never load multiprocessing
+        from functools import partial
+        from multiprocessing import Pool
+
+        # a worker runs a chunk as one call, which an exception would end for the
+        # whole chunk, so each item's exception comes back as its outcome
+        with Pool(jobs) as pool:
+            for result, exc in pool.imap(partial(_outcome, func), chain(head, source), _CHUNK_SIZE):
+                if exc is not None:
+                    raise exc
+                yield result
     if failed:
         raise failed.pop()
 
@@ -652,13 +662,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     gc.disable()
     try:
         status = args.func(args)
-        # a closed stdout shows here, not in the flush at interpreter exit
-        sys.stdout.flush()
+        # a failing stdout shows here, not in the flush at interpreter exit;
+        # stdout is None in a process started with it closed
+        if sys.stdout is not None:
+            try:
+                sys.stdout.flush()
+            except OSError:
+                # what is still buffered goes to devnull, so that the flush
+                # at exit cannot fail again
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise
         return status
     except BrokenPipeError:
-        # the reader went away: send what is still buffered to devnull, so
-        # the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader went away: nothing to say
         return 1
     except (ToolkitError, OSError) as exc:
         # BrokenPipeError is an OSError too: the clause above must come first
@@ -670,4 +688,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    status = main()
+    # the process is about to end and the OS takes back its memory: frozen,
+    # the heap is neither collected nor freed object by object at exit
+    gc.freeze()
+    sys.exit(status)

@@ -19,6 +19,7 @@ from conftest import (
     synthetic_document,
     tiny_thread,
 )
+from threadcoref import cli
 from threadcoref.baselines import chain_overlapping_mentions, resolve_hb1, resolve_hb2
 from threadcoref.cli import main
 from threadcoref.errors import ErrorReport, categorize_errors
@@ -479,7 +480,10 @@ def _run_pipeline(workdir, jobs):
     return artifacts, reports
 
 
-def test_criterion_10_end_to_end_determinism(tmp_path):
+def test_criterion_10_end_to_end_determinism(tmp_path, monkeypatch):
+    # corpus10 fills one chunk of 32 items, which --jobs runs in process: chunks
+    # of two make --jobs 8 run its pool
+    monkeypatch.setattr(cli, "_CHUNK_SIZE", 2)
     with criterion(10, "pipeline byte-identical across runs and worker counts"):
         start = time.perf_counter()
         first, first_reports = _run_pipeline(tmp_path / "a", jobs=1)

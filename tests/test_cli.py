@@ -27,6 +27,13 @@ from threadcoref.serialization import (
 )
 
 
+@pytest.fixture(autouse=True)
+def small_chunks(monkeypatch):
+    """Chunks of two items, so that the small inputs of these tests make
+    several chunks and --jobs 2 runs a pool of workers, as a large input does."""
+    monkeypatch.setattr(cli, "_CHUNK_SIZE", 2)
+
+
 @pytest.fixture()
 def parsed_corpus(tmp_path):
     out = tmp_path / "corpus.jsonl"
@@ -854,6 +861,62 @@ class TestFirstFault:
         assert main(args) == 1
         where = f"{role} file {path} " if fault == "repeated id" else f"{role} file {path}: "
         assert capsys.readouterr() == ("", f"error: {where}{faults[fault][1]}\n")
+
+
+class TestPoolStart:
+    """--jobs runs a pool only for more than one chunk of items, and either
+    way gives the bytes and the first fault of --jobs 1."""
+
+    @staticmethod
+    def _threads(tmp_path: Path, count: int) -> Path:
+        threads = tmp_path / "threads"
+        threads.mkdir()
+        for path in sorted(CORPUS10_DIR.iterdir())[:count]:
+            (threads / path.name).write_bytes(path.read_bytes())
+        return threads
+
+    @pytest.mark.parametrize("extra, pools", [(0, []), (1, [(2,)])], ids=["one-chunk", "two-chunks"])
+    def test_pool_only_past_one_chunk(self, tmp_path, monkeypatch, extra, pools):
+        threads = self._threads(tmp_path, cli._CHUNK_SIZE + extra)
+        want, got = tmp_path / "want.jsonl", tmp_path / "got.jsonl"
+        assert main(["parse", "--in", str(threads), "--out", str(want), "--jobs", "1"]) == 0
+        started = []
+        pool = multiprocessing.Pool
+
+        def spy(*args, **kwargs):
+            started.append(args)
+            if not pools:
+                raise AssertionError("a pool was started for one chunk")
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", spy)
+        assert main(["parse", "--in", str(threads), "--out", str(got), "--jobs", "2"]) == 0
+        assert started == pools
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("good", [1, 3], ids=["in-first-chunk", "past-first-chunk"])
+    def test_read_failure_raised_after_earlier_results(self, good):
+        def items():
+            yield from range(good)
+            raise ValueError("unreadable item")
+
+        results = []
+        with pytest.raises(ValueError, match="unreadable item"):
+            for result in cli._map_jobs(str, items(), 2):
+                results.append(result)
+        assert results == [str(i) for i in range(good)]
+
+    def test_item_fault_raised_before_a_later_read_failure(self):
+        # both in the first chunk, which is read before any item is run
+        def items():
+            yield from ("1", "x")
+            raise ValueError("unreadable item")
+
+        results = []
+        with pytest.raises(ValueError, match="invalid literal"):
+            for result in cli._map_jobs(int, items(), 2):
+                results.append(result)
+        assert results == [1]
 
 
 class TestScore:
@@ -1848,27 +1911,71 @@ class TestPipedInput:
 class TestClosedStdout:
     """A reader that closes the pipe early ends the command quietly with exit 1."""
 
+    @staticmethod
+    def _run(args: list[str], stdout, buffered: bool = True, shell_redirect: str = "") -> subprocess.CompletedProcess:
+        """The CLI as a child process, its stdout redirected by ``shell_redirect`` if given."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=str(src), **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
+        argv = [sys.executable, "-m", "threadcoref.cli", *args]
+        if shell_redirect:
+            argv = ["sh", "-c", f'exec "$@" {shell_redirect}', "sh", *argv]
+        return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("command", ["stats", "score"])
     def test_broken_pipe_exits_1_without_traceback(self, gold_corpus, command, buffered):
         args = ["stats", "--in", str(gold_corpus)] if command == "stats" else [
             "score", "--key", str(gold_corpus), "--response", str(gold_corpus)]
-        src = Path(__file__).resolve().parent.parent / "src"
         # buffered, the pipe fails at the flush; unbuffered, at the first write
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env.update(PYTHONPATH=str(src), **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "threadcoref.cli", *args], stdout=write_end,
-                stderr=subprocess.PIPE, env=env, text=True,
-            )
+            proc = self._run(args, write_end, buffered)
         finally:
             os.close(write_end)
         assert proc.returncode == 1
         assert len(proc.stderr.splitlines()) <= 1, proc.stderr
         assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["stats", "score"])
+    def test_full_stdout_exits_1_with_one_line(self, gold_corpus, command, buffered):
+        # buffered, the write fails at the flush and the bytes stay buffered:
+        # the flush at interpreter exit must not try them again
+        args = ["stats", "--in", str(gold_corpus)] if command == "stats" else [
+            "score", "--key", str(gold_corpus), "--response", str(gold_corpus)]
+        with open("/dev/full", "w") as full:
+            proc = self._run(args, full, buffered)
+        assert (proc.returncode, proc.stderr) == (1, "error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("command", ["parse", "filter", "features", "resolve"])
+    def test_file_commands_run_with_stdout_closed(self, gold_corpus, tmp_path, command):
+        source = str(CORPUS10_DIR if command in ("parse", "filter") else gold_corpus)
+        args = {
+            "parse": ["parse", "--in", source, "--out", "{out}"],
+            "filter": ["filter", "--in", source, "--report", "{out}"],
+            "features": ["features", "--in", source, "--out", "{out}", "--mi", "--si", "--rev"],
+            "resolve": ["resolve", "--baseline", "hb2", "--in", source, "--out", "{out}"],
+        }[command]
+        want, got = tmp_path / "want", tmp_path / "got"
+        assert main([a.format(out=want) for a in args]) == 0
+        proc = self._run([a.format(out=got) for a in args], None, shell_redirect=">&-")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("command", ["stats", "score", "errors", "correction-stats"])
+    def test_table_commands_exit_1_with_stdout_closed(self, gold_corpus, command):
+        path = str(gold_corpus)
+        args = {
+            "stats": ["stats", "--in", path],
+            "score": ["score", "--key", path, "--response", path],
+            "errors": ["errors", "--key", path, "--response", path],
+            "correction-stats": ["correction-stats", "--pred", path, "--gold", path],
+        }[command]
+        proc = self._run(args, None, shell_redirect=">&-")
+        assert (proc.returncode, proc.stderr) == (1, "error: standard output is closed\n")
 
 
 class TestCollectorPolicy:

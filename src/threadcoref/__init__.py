@@ -50,7 +50,6 @@ _EXPORTS = {
         (
             "ExclusionSet",
             "FilterCategory",
-            "FilterConfig",
             "FilterVerdict",
             "ThreadSummary",
             "filter_corpus",

@@ -240,11 +240,6 @@ class MessageParticipants(NamedTuple):
 class ParticipantIndex(NamedTuple):
     by_message: tuple[MessageParticipants, ...] = ()
 
-    def for_message(self, index: int) -> MessageParticipants:
-        if 0 <= index < len(self.by_message):
-            return self.by_message[index]
-        return MessageParticipants()
-
 
 def _participants(facts: _MentionFacts, message_count: int) -> tuple[list[list[int]], ...]:
     """Per message, the positions of its senders, its recipients and its

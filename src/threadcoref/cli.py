@@ -30,15 +30,21 @@ from . import serialization
 from .model import AnnotatedDocument, Section, ToolkitError, utf8_input
 
 if TYPE_CHECKING:
-    from .filtering import FilterConfig, ThreadSummary
+    from .filtering import ThreadSummary
     from .parsing import ParserConfig
 
 _METRIC_NAMES = ("muc", "b3", "ceafe", "lea")
 
 
-def _emit_table(rows: Sequence[Sequence[str]], out, pretty: bool) -> None:
-    if out is None:  # sys.stdout in a process started with it closed
+def _stdout() -> IO[str]:
+    """``sys.stdout``, which is None in a process started with it closed: a
+    command that writes there asks for it before it reads any input."""
+    if sys.stdout is None:
         raise ToolkitError("standard output is closed")
+    return sys.stdout
+
+
+def _emit_table(rows: Sequence[Sequence[str]], out, pretty: bool) -> None:
     if pretty:
         widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
         for row in rows:
@@ -83,18 +89,17 @@ def _parse_one(args: tuple[str, str, ParserConfig]) -> str:
     return serialization.record_line(_parse_text(*args))
 
 
-def _summarize_one(args: tuple[str, str, ParserConfig, FilterConfig]) -> ThreadSummary:
+def _summarize_one(args: tuple[str, str, ParserConfig]) -> ThreadSummary:
     from .filtering import summarize_record
 
-    text, rel, config, filter_config = args
-    return summarize_record(_parse_text(text, rel, config), filter_config)
+    return summarize_record(_parse_text(*args))
 
 
-def _summarize_line(args: tuple[int, str, FilterConfig]) -> ThreadSummary:
+def _summarize_line(args: tuple[int, str]) -> ThreadSummary:
     from .filtering import summarize_record
 
-    line_no, line, filter_config = args
-    return summarize_record(serialization.decode_record(line, line_no)[0], filter_config)
+    line_no, line = args
+    return summarize_record(serialization.decode_record(line, line_no)[0])
 
 
 # Items sent to a worker at a time: each chunk costs the parent's pool threads a
@@ -361,14 +366,14 @@ def _replacing(path: str) -> Iterator[IO[str]]:
 
 
 def _map_threads(
-    threads: Iterable[tuple[str, str]], separators: Optional[str], footers: Optional[str], jobs: int, func, *extra
+    threads: Iterable[tuple[str, str]], separators: Optional[str], footers: Optional[str], jobs: int, func
 ) -> Iterator:
-    """``func`` of (text, name, parser config, *extra) for each thread, lazily
-    and in input order, in ``jobs`` processes."""
+    """``func`` of (text, name, parser config) for each thread, lazily and in
+    input order, in ``jobs`` processes."""
     from .parsing import ParserConfig
 
     config = ParserConfig.from_files(separators, footers)
-    return _map_jobs(func, ((text, name, config, *extra) for text, name in threads), jobs)
+    return _map_jobs(func, ((text, name, config) for text, name in threads), jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +392,6 @@ def _cmd_parse(args) -> int:
 def _cmd_filter(args) -> int:
     from . import filtering
 
-    config = filtering.FilterConfig(min_messages=args.min_messages)
     # a wrong exclusion file is an error before the corpus is read
     exclusion = (
         filtering.ExclusionSet.from_file(args.exclude_fingerprints)
@@ -396,15 +400,15 @@ def _cmd_filter(args) -> int:
     )
     content = _open_input(args.input, "input", (_DIRECTORY, _THREAD, _JSONL))
     if next(content) != _JSONL:
-        summarized = _map_threads(content, args.separators, args.footers, args.jobs, _summarize_one, config)
+        summarized = _map_threads(content, args.separators, args.footers, args.jobs, _summarize_one)
     elif args.separators is not None or args.footers is not None:
         raise ToolkitError(
             f"--separators and --footers apply to thread files only, not to the JSONL file {args.input}"
         )
     else:
-        summarized = _map_jobs(_summarize_line, ((n, line, config) for n, line in content), args.jobs)
+        summarized = _map_jobs(_summarize_line, content, args.jobs)
     summaries = list(_checked(summarized, "input", args.input, attrgetter("id")))
-    verdicts, report = filtering.filter_summaries(summaries, exclusion, config)
+    verdicts, report = filtering.filter_summaries(summaries, exclusion, args.min_messages)
     rows = [("category", "count")]
     rows += [(cat.value, str(count)) for cat, count in report.counts]
     rows.append(("total", str(report.total)))
@@ -464,6 +468,7 @@ def _cmd_resolve(args) -> int:
 def _cmd_score(args) -> int:
     from . import metrics
 
+    out = _stdout()
     requested = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not requested:
         raise ToolkitError("--metrics names no metric")
@@ -483,7 +488,7 @@ def _cmd_score(args) -> int:
     if all(m in requested for m in ("muc", "b3", "ceafe")):
         header.append("avg_f1")
         values.append(f"{report.conll_avg_f1:.4f}")
-    _emit_table([header, values], sys.stdout, args.pretty)
+    _emit_table([header, values], out, args.pretty)
     return 0
 
 
@@ -502,6 +507,7 @@ _ERROR_ROWS = (
 def _cmd_errors(args) -> int:
     from .errors import ErrorReport, _categorize
 
+    out = _stdout()
     total = ErrorReport()
     for (first_token, key_doc, lengths), (line_no, response_doc) in _paired_documents(
         (args.key, "key"), (args.response, "response")
@@ -516,13 +522,14 @@ def _cmd_errors(args) -> int:
         total = total + _categorize(first_token, key_doc.chains, response_doc.chains)
     rows = [("category", "count")]
     rows += [(label, str(getattr(total, attr))) for label, attr in _ERROR_ROWS]
-    _emit_table(rows, sys.stdout, args.pretty)
+    _emit_table(rows, out, args.pretty)
     return 0
 
 
 def _cmd_stats(args) -> int:
     from . import metrics
 
+    out = _stdout()
     lines = _open_input(args.input, "input", (_JSONL,))
     next(lines)
     records = (serialization.decode_record(line, line_no) for line_no, line in lines)
@@ -539,13 +546,14 @@ def _cmd_stats(args) -> int:
         ("longest_chain_length", str(stats.longest_chain)),
         ("average_chain_length", f"{stats.average_chain_length:.4f}"),
     ]
-    _emit_table(rows, sys.stdout, args.pretty)
+    _emit_table(rows, out, args.pretty)
     return 0
 
 
 def _cmd_correction_stats(args) -> int:
     from . import metrics
 
+    out = _stdout()
     stats = metrics.CorrectionStats()
     pairs = _paired_documents((args.pred, "pred"), (args.gold, "gold"))
     for (_, pred_doc, _), (_, gold_doc) in pairs:
@@ -562,7 +570,7 @@ def _cmd_correction_stats(args) -> int:
         ("recall", f"{stats.recall:.4f}"),
         ("f1", f"{stats.f1:.4f}"),
     ]
-    _emit_table(rows, sys.stdout, args.pretty)
+    _emit_table(rows, out, args.pretty)
     return 0
 
 
@@ -571,9 +579,12 @@ def _cmd_correction_stats(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _positive_int(value: str) -> int:
-    number = int(value)
+    try:
+        number = int(value)
+    except ValueError:  # not an integer: refused below with the same message
+        number = 0
     if number <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value!r}")
     return number
 
 

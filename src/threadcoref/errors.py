@@ -88,10 +88,6 @@ class ErrorReport(NamedTuple):
             self.new_chain_count + other.new_chain_count,
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return self == ErrorReport()
-
 
 def categorize_errors(
     thread: EmailThread,

@@ -8,6 +8,10 @@ verdict under a fixed precedence:
     EXCLUSION_OVERLAP > DUPLICATE > NO_CONTENT > INVALID_ATTACHMENT
     > NON_ENGLISH > TOO_SHORT > ACCEPTED
 
+The rules are those that cut the corpus, and their thresholds are fixed.
+The one value a caller sets is ``min_messages``, below which a thread is
+too short.
+
 Classification reads a small ``ThreadSummary`` of each thread, so a caller
 can read threads one at a time and keep only their summaries.
 ``summarize_record`` makes it from a checked native record's JSON, the form
@@ -18,8 +22,8 @@ own. ``filter_corpus`` summarizes a parsed thread through its record.
 Duplicate detection needs a read-only fingerprint index built over the
 whole candidate set in a single pass, and a postings index from each
 fingerprint to the threads that hold it, so a thread is checked only
-against the holders of its rarest fingerprint. ``filter_summaries`` applies the directory rule, the length
-rule and the precedence.
+against the holders of its rarest fingerprint. ``filter_summaries``
+applies the directory rule, the length rule and the precedence.
 """
 from __future__ import annotations
 
@@ -91,17 +95,14 @@ class ExclusionSet(NamedTuple):
         return cls(frozenset(filter(None, lines)))
 
 
-class FilterConfig(NamedTuple):
-    min_messages: int = 4
-    hex_min_run: int = 512
-    hex_min_fraction: float = 0.95
-    stopword_min_fraction: float = 0.02
-    language_min_tokens: int = 50
-    excluded_directories: frozenset[str] = wordlists.EXCLUDED_DIRECTORIES
-    stopwords: frozenset[str] = wordlists.ENGLISH_STOPWORDS
-
-
-DEFAULT_FILTER_CONFIG = FilterConfig()
+# An inline attachment is a run of hex digits, spaces and newlines of at least
+# _HEX_MIN_RUN characters, at least _HEX_MIN_FRACTION of them digits. A thread
+# of at least _LANGUAGE_MIN_TOKENS body tokens is non-English when fewer than
+# _STOPWORD_MIN_FRACTION of them are English stopwords.
+_HEX_MIN_RUN = 512
+_HEX_MIN_FRACTION = 0.95
+_LANGUAGE_MIN_TOKENS = 50
+_STOPWORD_MIN_FRACTION = 0.02
 
 _SUBJECT_PREFIX_RE = re.compile(r"^\s*((re|fw|fwd)\s*:\s*)+", re.IGNORECASE)
 _WHITESPACE_RE = re.compile(r"\s+")
@@ -221,32 +222,32 @@ def _is_no_content(bodies: _Bodies) -> bool:
 _HEX_RUN = re.compile(r"[0-9a-fA-F \n]+")
 
 
-def _has_hex_attachment(bodies: _Bodies, config: FilterConfig) -> bool:
+def _has_hex_attachment(bodies: _Bodies) -> bool:
     """True when a message body embeds a long inline-attachment hex blob."""
     for _, body in bodies:
         for run in _HEX_RUN.findall(body):
-            if len(run) >= config.hex_min_run:
+            if len(run) >= _HEX_MIN_RUN:
                 digits = len(run) - run.count(" ") - run.count("\n")
-                if digits / len(run) >= config.hex_min_fraction:
+                if digits / len(run) >= _HEX_MIN_FRACTION:
                     return True
     return False
 
 
-def _is_non_english(bodies: _Bodies, config: FilterConfig) -> bool:
+def _is_non_english(bodies: _Bodies) -> bool:
     """Stopword-hit language guard; short bodies are never rejected."""
     tokens = sum(len(words) for words, _ in bodies)
-    if tokens < config.language_min_tokens:
+    if tokens < _LANGUAGE_MIN_TOKENS:
         return False
-    is_stopword = config.stopwords.__contains__
+    is_stopword = wordlists.ENGLISH_STOPWORDS.__contains__
     hits = sum(sum(map(is_stopword, map(str.casefold, words))) for words, _ in bodies)
-    return hits / tokens < config.stopword_min_fraction
+    return hits / tokens < _STOPWORD_MIN_FRACTION
 
 
-def _in_excluded_directory(source_path: Optional[str], config: FilterConfig) -> bool:
+def _in_excluded_directory(source_path: Optional[str]) -> bool:
     if not source_path:
         return False
     parts = PurePath(source_path).parts[:-1]
-    return any(p in config.excluded_directories for p in parts)
+    return any(p in wordlists.EXCLUDED_DIRECTORIES for p in parts)
 
 
 class FilterReport(NamedTuple):
@@ -259,16 +260,13 @@ class FilterReport(NamedTuple):
     def total(self) -> int:
         return sum(count for _, count in self.counts)
 
-    def count(self, category: FilterCategory) -> int:
-        return dict(self.counts).get(category, 0)
-
 
 class ThreadSummary(NamedTuple):
     """What classification needs of one thread, so the thread itself can go.
 
     ``content`` is the first of the content checks (no content, inline
     attachment, non-English, in precedence order) that rejects the thread,
-    or None; it depends on the ``FilterConfig`` the summary was made with.
+    or None.
     """
 
     id: str
@@ -285,7 +283,7 @@ _CONTENT_DETAILS = {
 }
 
 
-def summarize_record(record: dict, config: FilterConfig = DEFAULT_FILTER_CONFIG) -> ThreadSummary:
+def summarize_record(record: dict) -> ThreadSummary:
     """The summary of the thread of a checked native record, such as
     ``serialization.decode_record`` or ``parsing.parse_record`` gives, read
     from its JSON: the date, sender, subject and body token texts of each
@@ -299,9 +297,9 @@ def summarize_record(record: dict, config: FilterConfig = DEFAULT_FILTER_CONFIG)
     bodies = [body for *_, body in messages]
     if _is_no_content(bodies):
         content = FilterCategory.NO_CONTENT
-    elif _has_hex_attachment(bodies, config):
+    elif _has_hex_attachment(bodies):
         content = FilterCategory.INVALID_ATTACHMENT
-    elif _is_non_english(bodies, config):
+    elif _is_non_english(bodies):
         content = FilterCategory.NON_ENGLISH
     else:
         content = None
@@ -319,7 +317,7 @@ def _classify(
     corpus_index: Mapping[str, Counter],
     postings: Mapping[str, Mapping[str, Counter]],
     exclusion: ExclusionSet,
-    config: FilterConfig,
+    min_messages: int,
 ) -> FilterVerdict:
     own = corpus_index.get(summary.id) or summary.fingerprints
     if exclusion.fingerprints:
@@ -334,40 +332,37 @@ def _classify(
         return FilterVerdict(summary.id, FilterCategory.DUPLICATE, "contained in another thread")
     if summary.content is not None:
         return FilterVerdict(summary.id, summary.content, _CONTENT_DETAILS[summary.content])
-    if summary.message_count < config.min_messages:
+    if summary.message_count < min_messages:
         return FilterVerdict(
             summary.id,
             FilterCategory.TOO_SHORT,
-            f"{summary.message_count} message(s), need {config.min_messages}",
+            f"{summary.message_count} message(s), need {min_messages}",
         )
     return FilterVerdict(summary.id, FilterCategory.ACCEPTED, "")
 
 
 def filter_corpus(
-    threads: Sequence[EmailThread],
-    exclusion: ExclusionSet = ExclusionSet(),
-    config: FilterConfig = DEFAULT_FILTER_CONFIG,
+    threads: Sequence[EmailThread], exclusion: ExclusionSet = ExclusionSet(), min_messages: int = 4
 ) -> tuple[list[FilterVerdict], FilterReport]:
     """Classify every candidate thread; verdicts partition the candidate set.
 
     Threads stored under excluded directories are dropped before
-    classification and appear only in the report's dropped count.
+    classification and appear only in the report's dropped count. A thread
+    of fewer than ``min_messages`` messages is too short.
     """
-    summaries = [summarize_record(serialization.document_to_record(AnnotatedDocument(t)), config) for t in threads]
-    return filter_summaries(summaries, exclusion, config)
+    summaries = [summarize_record(serialization.document_to_record(AnnotatedDocument(t))) for t in threads]
+    return filter_summaries(summaries, exclusion, min_messages)
 
 
 def filter_summaries(
-    summaries: Sequence[ThreadSummary],
-    exclusion: ExclusionSet = ExclusionSet(),
-    config: FilterConfig = DEFAULT_FILTER_CONFIG,
+    summaries: Sequence[ThreadSummary], exclusion: ExclusionSet, min_messages: int
 ) -> tuple[list[FilterVerdict], FilterReport]:
-    """``filter_corpus`` over thread summaries made with the same ``config``."""
-    candidates = [s for s in summaries if not _in_excluded_directory(s.source_path, config)]
+    """``filter_corpus`` over thread summaries."""
+    candidates = [s for s in summaries if not _in_excluded_directory(s.source_path)]
     dropped = len(summaries) - len(candidates)
     index = {s.id: s.fingerprints for s in candidates}
     postings = _postings(index)
-    verdicts = [_classify(s, index, postings, exclusion, config) for s in candidates]
+    verdicts = [_classify(s, index, postings, exclusion, min_messages) for s in candidates]
     tally = Counter(v.category for v in verdicts)
     report = FilterReport(
         counts=tuple((cat, tally.get(cat, 0)) for cat in REPORT_ORDER),

@@ -194,9 +194,6 @@ class EmailMessage(_MessageFields):
         for sentence in self.sentences:
             yield from sentence
 
-    def body_tokens(self) -> Iterator[Token]:
-        return (t for t in self.tokens() if t.section is Section.BODY)
-
 
 class _ThreadFields(NamedTuple):
     id: str

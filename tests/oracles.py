@@ -813,7 +813,7 @@ _HEX_CHARS = set("0123456789abcdefABCDEF \n")
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
 
 
-def detect_invalid_attachment_reference(thread, config=_filtering.DEFAULT_FILTER_CONFIG) -> bool:
+def detect_invalid_attachment_reference(thread, min_run=512, min_fraction=0.95) -> bool:
     """The hex-attachment check by walking each body character by character."""
     for msg in thread.messages:
         body = body_text_reference(msg)
@@ -826,9 +826,9 @@ def detect_invalid_attachment_reference(thread, config=_filtering.DEFAULT_FILTER
             while j < n and body[j] in _HEX_CHARS:
                 j += 1
             run = body[i:j]
-            if len(run) >= config.hex_min_run:
+            if len(run) >= min_run:
                 digits = sum(1 for c in run if c in _HEX_DIGITS)
-                if digits / len(run) >= config.hex_min_fraction:
+                if digits / len(run) >= min_fraction:
                     return True
             i = j
     return False
@@ -910,25 +910,25 @@ def fingerprint_message_reference(msg) -> str:
 
 def detect_no_content_reference(thread) -> bool:
     messages = thread.messages
-    return sum(1 for m in messages if not any(m.body_tokens())) * 2 > len(messages)
+    return sum(1 for m in messages if not any(t.section is Section.BODY for t in m.tokens())) * 2 > len(messages)
 
 
-def detect_non_english_reference(thread, config=_filtering.DEFAULT_FILTER_CONFIG) -> bool:
-    tokens = [t for m in thread.messages for t in m.body_tokens()]
-    if len(tokens) < config.language_min_tokens:
+def detect_non_english_reference(thread, min_tokens=50, min_fraction=0.02) -> bool:
+    tokens = [t for m in thread.messages for t in m.tokens() if t.section is Section.BODY]
+    if len(tokens) < min_tokens:
         return False
-    hits = sum(1 for t in tokens if t.text.casefold() in config.stopwords)
-    return hits / len(tokens) < config.stopword_min_fraction
+    hits = sum(1 for t in tokens if t.text.casefold() in _wordlists.ENGLISH_STOPWORDS)
+    return hits / len(tokens) < min_fraction
 
 
-def summarize_thread_reference(thread, config=_filtering.DEFAULT_FILTER_CONFIG):
+def summarize_thread_reference(thread, hex_run=512, hex_fraction=0.95, min_tokens=50, stopword_fraction=0.02):
     """Each content check over the whole thread on its own, in precedence order."""
     content = None
     if detect_no_content_reference(thread):
         content = _filtering.FilterCategory.NO_CONTENT
-    elif detect_invalid_attachment_reference(thread, config):
+    elif detect_invalid_attachment_reference(thread, hex_run, hex_fraction):
         content = _filtering.FilterCategory.INVALID_ATTACHMENT
-    elif detect_non_english_reference(thread, config):
+    elif detect_non_english_reference(thread, min_tokens, stopword_fraction):
         content = _filtering.FilterCategory.NON_ENGLISH
     return _filtering.ThreadSummary(
         id=thread.id,
@@ -952,10 +952,10 @@ def is_duplicate_reference(thread_id, own, corpus_index) -> bool:
     return False
 
 
-def duplicate_verdicts_reference(summaries, config=_filtering.DEFAULT_FILTER_CONFIG) -> list[bool]:
+def duplicate_verdicts_reference(summaries) -> list[bool]:
     """Per summary outside the excluded directories, whether it is a duplicate,
     by scanning every indexed thread."""
-    candidates = [s for s in summaries if not _filtering._in_excluded_directory(s.source_path, config)]
+    candidates = [s for s in summaries if not _filtering._in_excluded_directory(s.source_path)]
     index = {s.id: s.fingerprints for s in candidates}
     return [is_duplicate_reference(s.id, index.get(s.id) or s.fingerprints, index) for s in candidates]
 
@@ -1216,7 +1216,7 @@ def resolve_reference(thread, mentions, plural_as_thread_chain: bool) -> "_basel
         pclass = classes[mention]
         if pclass is PronounClass.OTHER or in_footer[mention]:
             continue
-        entry = participants.for_message(mention.message_index)
+        entry = participants.by_message[mention.message_index]
         mi = index_of[mention]
         if pclass is PronounClass.FIRST_SINGULAR:
             if entry.senders:

@@ -95,7 +95,7 @@ class TestParticipantIndex:
         m = example1_mentions
         mentions = list(m.values())
         index = build_participant_index(example1_thread, mentions)
-        entry = index.for_message(0)
+        entry = index.by_message[0]
         sender_texts = {mention_text(example1_thread, s) for s in entry.senders}
         recipient_texts = {mention_text(example1_thread, r) for r in entry.recipients}
         assert sender_texts == {"g..barkowsky@enron.com", "Barkowsky , Gloria G ."}
@@ -105,8 +105,8 @@ class TestParticipantIndex:
     def test_headerless_message_empty_entry(self):
         thread = parse("From: a@x.com\nSubject: s\n\nhello there.\n")
         index = build_participant_index(thread, [])
-        assert index.for_message(0).senders == ()
-        assert index.for_message(0).recipients == ()
+        assert index.by_message[0].senders == ()
+        assert index.by_message[0].recipients == ()
 
     def test_sender_on_to_line_excluded_from_pronoun_recipients(self):
         thread = parse(
@@ -119,7 +119,7 @@ class TestParticipantIndex:
         other_recipient = find_span(thread, ["bob.smith@acme.com"])
         assert mention_text(thread, self_recipient) == "alice.johnson@acme.com"
         index = build_participant_index(thread, [sender, self_recipient, other_recipient])
-        entry = index.for_message(0)
+        entry = index.by_message[0]
         assert set(entry.recipients) == {self_recipient, other_recipient}
         assert set(entry.pronoun_recipients) == {other_recipient}
 

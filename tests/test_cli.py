@@ -18,6 +18,7 @@ import oracles
 from conftest import CORPUS10_DIR, DATA_DIR, derive_mentions, synthetic_document
 from threadcoref import cli, serialization
 from threadcoref.cli import main
+from threadcoref.errors import ErrorReport
 from threadcoref.features import message_identifier, reverse_document, section_info
 from threadcoref.filtering import fingerprint_message
 from threadcoref.metrics import corpus_stats
@@ -719,7 +720,7 @@ class TestErrorsFromRecords:
         for first, second in ((key, response), (response, key)):
             assert main(["errors", "--key", str(first), "--response", str(second)]) == 0
             want = oracles.errors_report_reference(*(p.read_text(encoding="utf-8").splitlines() for p in (first, second)))
-            assert not want.is_zero
+            assert want != ErrorReport()
             rows = [("category", "count"), *((label, str(getattr(want, attr))) for label, attr in cli._ERROR_ROWS)]
             assert capsys.readouterr().out == "".join("\t".join(row) + "\n" for row in rows)
 
@@ -738,7 +739,7 @@ class TestErrorsFromRecords:
             want = errors.ErrorReport()
             for doc in key:
                 want = want + errors.categorize_errors(doc.thread, doc.chains, partner[doc.thread.id].chains)
-            assert not want.is_zero
+            assert want != ErrorReport()
             args = ["errors", "--key", str(root / f"{first}.conll"), "--response", str(root / f"{second}.conll")]
             with mock.patch.object(serialization, "_skeleton_document", side_effect=AssertionError("a skeleton")):
                 assert main(args) == 0
@@ -1965,17 +1966,29 @@ class TestClosedStdout:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert got.read_bytes() == want.read_bytes()
 
-    @pytest.mark.parametrize("command", ["stats", "score", "errors", "correction-stats"])
+    # the commands that write a table to standard output, and their arguments
+    TABLE_COMMANDS = {
+        "stats": ["stats", "--in", "{path}"],
+        "score": ["score", "--key", "{path}", "--response", "{path}"],
+        "errors": ["errors", "--key", "{path}", "--response", "{path}"],
+        "correction-stats": ["correction-stats", "--pred", "{path}", "--gold", "{path}"],
+    }
+
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
     def test_table_commands_exit_1_with_stdout_closed(self, gold_corpus, command):
-        path = str(gold_corpus)
-        args = {
-            "stats": ["stats", "--in", path],
-            "score": ["score", "--key", path, "--response", path],
-            "errors": ["errors", "--key", path, "--response", path],
-            "correction-stats": ["correction-stats", "--pred", path, "--gold", path],
-        }[command]
+        args = [a.format(path=gold_corpus) for a in self.TABLE_COMMANDS[command]]
         proc = self._run(args, None, shell_redirect=">&-")
         assert (proc.returncode, proc.stderr) == (1, "error: standard output is closed\n")
+
+    @pytest.mark.parametrize("command", TABLE_COMMANDS)
+    def test_closed_stdout_is_refused_before_any_input_is_read(self, gold_corpus, capsys, monkeypatch, command):
+        from unittest import mock
+
+        args = [a.format(path=gold_corpus) for a in self.TABLE_COMMANDS[command]]
+        monkeypatch.setattr(sys, "stdout", None)
+        with mock.patch.object(serialization, "decode_record", side_effect=AssertionError("a record was read")):
+            assert main(args) == 1
+        assert capsys.readouterr().err == "error: standard output is closed\n"
 
 
 class TestCollectorPolicy:
@@ -2336,11 +2349,12 @@ class TestImports:
         ).stdout
         assert out.strip() == "[]"
 
-    # Every public name of the package namespace before it became lazy.
+    # Every public name of the package namespace before it became lazy, but for
+    # the filter's settings class: its rules are fixed, and min_messages is an argument.
     EXPORTED = (
         "AnnotatedDocument", "ChainAlignment", "CoreferenceChain", "CorpusStats", "CorrectionStats",
         "EmailMessage", "EmailThread", "EntityType", "ErrorReport", "ExclusionSet", "FeatureAnnotation",
-        "FilterCategory", "FilterConfig", "FilterVerdict", "MalformedColumn", "Mention", "MetricScore",
+        "FilterCategory", "FilterVerdict", "MalformedColumn", "Mention", "MetricScore",
         "MissingDate", "NativeSchemaError", "OverlappingIdenticalSpan", "ParserConfig", "ParticipantIndex",
         "PronounClass", "RawThread", "Resolution", "ScoreReport", "Section", "Token", "ToolkitError",
         "UnparseableThread", "align_chains", "b_cubed", "baselines", "build_participant_index",
@@ -2443,21 +2457,31 @@ class TestImports:
 
 
 class TestPublicSurface:
-    """Each public top-level function and class of the package has a caller
-    besides the tests: the package itself, the benchmark, the demos or CI,
-    or it is a name the package exports. A name that only tests call is a
-    second entry point that nothing runs."""
+    """Each public top-level function and class of the package, and each
+    public method and property of such a class, has a caller besides the
+    tests: the package itself, the benchmark, the demos or CI, or it is a
+    name the package exports. A name that only tests call is a second entry
+    point that nothing runs.
+
+    A method is matched by its name alone, so one that shares its name with
+    a name used elsewhere passes unseen: a ``count`` method would pass for
+    every ``str.count`` call in the package."""
 
     ROOT = Path(__file__).resolve().parents[1]
     CALLER_DIRS = ("src", "perfbench", "demos")
 
     @staticmethod
     def _public_definitions(path: Path) -> list[str]:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        return [
-            node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-        ]
+        """Each public top-level function and class of the module at ``path``,
+        and each public method and property of such a class as ``Class.name``."""
+        names = []
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                names.append(node.name)
+                if isinstance(node, ast.ClassDef):
+                    names += [f"{node.name}.{item.name}" for item in node.body
+                              if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+        return names
 
     @classmethod
     def _referenced(cls, root: Path) -> set[str]:
@@ -2489,7 +2513,8 @@ class TestPublicSurface:
         modules = sorted((self.ROOT / "src" / "threadcoref").glob("*.py"))
         assert len(modules) >= 10
         unused = [
-            f"{path.stem}.{name}" for path in modules for name in self._public_definitions(path) if name not in allowed
+            f"{path.stem}.{name}" for path in modules for name in self._public_definitions(path)
+            if name.rsplit(".", 1)[-1] not in allowed
         ]
         assert unused == []
 
@@ -2498,10 +2523,12 @@ class TestPublicSurface:
         files = {
             "src/module.py": (
                 'def unused_view():\n    """unused_view is mentioned here."""\n\n\n# unused_view\n'
-                "def used_in_demo():\n    return 1\n\n\nclass LookedUp:\n    pass\n\n\n"
+                "def used_in_demo():\n    return 1\n\n\nclass LookedUp:\n    @property\n    def unused_property(self):\n"
+                "        return 1\n\n    def used_method(self):\n        return 2\n\n    def _private(self):\n"
+                "        return 3\n\n\n"
                 "def used_in_ci():\n    return used_in_package()\n\n\ndef used_in_package():\n    return 2\n"
             ),
-            "demos/demo.py": "from module import used_in_demo\n\nused_in_demo()\n",
+            "demos/demo.py": "from module import LookedUp, used_in_demo\n\nused_in_demo()\nLookedUp().used_method()\n",
             "perfbench/layers.py": 'TRACED = ("LookedUp",)\n',
             ".github/workflows/ci.yml": "run: python -c 'import module; module.used_in_ci()'\n",
             "tests/test_module.py": "from module import unused_view\n\nunused_view()\n",
@@ -2510,9 +2537,10 @@ class TestPublicSurface:
             (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / name).write_text(text, encoding="utf-8")
         definitions = self._public_definitions(tmp_path / "src" / "module.py")
-        assert len(definitions) == 5
+        assert len(definitions) == 7
         referenced = self._referenced(tmp_path)
-        assert [name for name in definitions if name not in referenced] == ["unused_view"]
+        unused = [name for name in definitions if name.rsplit(".", 1)[-1] not in referenced]
+        assert unused == ["unused_view", "LookedUp.unused_property"]
 
 
 class TestReadmeSynopsis:
@@ -2556,6 +2584,16 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["score", "--nope"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+    @pytest.mark.parametrize("command", [["parse", "--in", "x", "--out", "y", "--jobs"],
+                                         ["filter", "--in", "x", "--report", "y", "--min-messages"]])
+    def test_count_that_is_no_positive_integer_exits_2(self, capsys, command, value):
+        with pytest.raises(SystemExit) as err:
+            main([*command, value])
+        assert err.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message.endswith(f": error: argument {command[-1]}: must be a positive integer, got {value!r}")
 
     def test_pretty_flag_aligns(self, gold_corpus, capsys):
         main(["stats", "--in", str(gold_corpus), "--pretty"])

@@ -49,7 +49,6 @@ class TestCategorizeErrorsAbstractSpans:
         key = chains([m(6, 2), m(7, 1)], [m(7, 5, 8)])
         report = categorize_errors(example1_thread, key, key)
         assert report == ErrorReport()
-        assert report.is_zero
 
     def test_decomposed_chain_fixture(self, example1_thread):
         # one four-mention body chain split into two predicted chains

@@ -12,10 +12,8 @@ import oracles
 from conftest import synthetic_raw_text, tiny_thread
 from threadcoref import filtering
 from threadcoref.filtering import (
-    DEFAULT_FILTER_CONFIG,
     ExclusionSet,
     FilterCategory,
-    FilterConfig,
     build_corpus_index,
     detect_duplicate,
     ThreadSummary,
@@ -29,9 +27,19 @@ from threadcoref.parsing import RawThread, parse_thread
 from threadcoref.serialization import document_to_record
 
 
-def summarize(thread, config=DEFAULT_FILTER_CONFIG):
+def summarize(thread):
     """The summary of ``thread``: ``summarize_record`` of its native record."""
-    return summarize_record(document_to_record(AnnotatedDocument(thread)), config)
+    return summarize_record(document_to_record(AnnotatedDocument(thread)))
+
+
+def thresholds(hex_run=512, hex_fraction=0.95, min_tokens=50, stopword_fraction=0.02):
+    """``filtering``'s content thresholds set to these values within a block;
+    ``oracles.summarize_thread_reference`` takes the same values in this order,
+    and both default to the shipped ones."""
+    return mock.patch.multiple(
+        filtering, _HEX_MIN_RUN=hex_run, _HEX_MIN_FRACTION=hex_fraction,
+        _LANGUAGE_MIN_TOKENS=min_tokens, _STOPWORD_MIN_FRACTION=stopword_fraction,
+    )
 
 
 def body_thread(thread_id, bodies, subjects=None, senders=None):
@@ -55,11 +63,11 @@ def body_thread(thread_id, bodies, subjects=None, senders=None):
     return EmailThread(id=thread_id, messages=tuple(messages))
 
 
-def content_verdict(thread, config=DEFAULT_FILTER_CONFIG):
+def content_verdict(thread):
     """The content check that rejects ``thread``, or None, as its summary
     holds it; checked against the checks run one by one in ``oracles``."""
-    content = summarize(thread, config).content
-    assert content is oracles.summarize_thread_reference(thread, config).content
+    content = summarize(thread).content
+    assert content is oracles.summarize_thread_reference(thread).content
     return content
 
 
@@ -67,7 +75,7 @@ def is_valid_length(thread):
     """Whether the length rule keeps ``thread``: its summary, content checks
     aside, is not too short."""
     summary = summarize(thread)._replace(content=None)
-    verdicts, _ = filter_summaries([summary])
+    verdicts, _ = filter_summaries([summary], ExclusionSet(), 4)
     return verdicts[0].category is not FilterCategory.TOO_SHORT
 
 
@@ -191,44 +199,39 @@ def bodies_thread(bodies):
 _HEX_PIECES = st.sampled_from(["0", "7", "a", "F", "deadBEEF", " ", "\n", "  \n ", "g", "x", "-", "é", "Z"])
 
 
-def has_attachment(thread, config):
+def has_attachment(thread, run, fraction):
     """Whether the summary of ``thread``, none of whose messages has an empty
-    body, rejects it for an inline attachment."""
+    body, rejects it for an inline attachment, with hex runs of ``run``
+    characters and a ``fraction`` of digits as the bounds."""
     assert not oracles.detect_no_content_reference(thread)
-    return summarize(thread, config).content is FilterCategory.INVALID_ATTACHMENT
+    with thresholds(run, fraction):
+        return summarize(thread).content is FilterCategory.INVALID_ATTACHMENT
 
 
 class TestInvalidAttachmentDifferential:
     """The regex scan against the character loop kept in ``oracles``."""
 
-    @staticmethod
-    def _config(run, fraction):
-        return FilterConfig(hex_min_run=run, hex_min_fraction=fraction)
-
     @pytest.mark.parametrize("run", [7, 8, 9])
     @pytest.mark.parametrize("digits", [5, 6, 7, 8])
     @pytest.mark.parametrize("cut", ["", "g", "\t"])
     def test_runs_at_the_length_and_fraction_bounds(self, run, digits, cut):
-        # hex_min_run 8 and fraction 0.75: a run of 8 with 6 digits is exactly at both bounds
-        config = self._config(8, 0.75)
+        # a run of 8 and a fraction of 0.75: a run of 8 with 6 digits is exactly at both bounds
         blob = "a" * digits + " " * (run - digits - 1) + "\n" * (run > digits)
         for body in (blob, f"x{blob}x", f"{blob[:3]}{cut}{blob[3:]}", f"{blob} {cut}{blob}", " \n " * run):
             thread = bodies_thread(["hello there", body])
-            assert has_attachment(thread, config) == oracles.detect_invalid_attachment_reference(
-                thread, config
+            assert has_attachment(thread, 8, 0.75) == oracles.detect_invalid_attachment_reference(
+                thread, 8, 0.75
             ), repr(body)
 
     def test_both_bounds_are_inclusive(self):
-        config = self._config(8, 0.75)
-        assert has_attachment(bodies_thread(["aaaaaa \n"]), config)
-        assert not has_attachment(bodies_thread(["aaaaa  \n"]), config)
-        assert not has_attachment(bodies_thread(["aaaaaa\n"]), config)
+        assert has_attachment(bodies_thread(["aaaaaa \n"]), 8, 0.75)
+        assert not has_attachment(bodies_thread(["aaaaa  \n"]), 8, 0.75)
+        assert not has_attachment(bodies_thread(["aaaaaa\n"]), 8, 0.75)
 
     def test_whitespace_only_run_is_not_an_attachment(self):
-        config = self._config(4, 0.01)
         thread = bodies_thread([" \n \n \n  "])
-        assert not has_attachment(thread, config)
-        assert not oracles.detect_invalid_attachment_reference(thread, config)
+        assert not has_attachment(thread, 4, 0.01)
+        assert not oracles.detect_invalid_attachment_reference(thread, 4, 0.01)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -237,10 +240,9 @@ class TestInvalidAttachmentDifferential:
         fraction=st.sampled_from([0.01, 0.5, 0.75, 0.8, 0.95, 1.0]),
     )
     def test_same_verdict_as_character_loop(self, bodies, run, fraction):
-        config = self._config(run, fraction)
         thread = bodies_thread(bodies)
-        assert has_attachment(thread, config) == oracles.detect_invalid_attachment_reference(
-            thread, config
+        assert has_attachment(thread, run, fraction) == oracles.detect_invalid_attachment_reference(
+            thread, run, fraction
         )
 
 
@@ -256,6 +258,40 @@ class TestNonEnglish:
     def test_short_body_never_rejected(self):
         words = "estimado colega saludos cordiales desde oficina".split()
         assert content_verdict(body_thread("t", [words])) is None
+
+
+class TestShippedThresholds:
+    """The content thresholds that the command line runs with, at their
+    bounds and one step short of them, with nothing patched."""
+
+    def test_hex_run_length_bound(self):
+        assert content_verdict(bodies_thread(["a" * 512])) is FilterCategory.INVALID_ATTACHMENT
+        assert content_verdict(bodies_thread(["a" * 511])) is None
+
+    def test_hex_digit_share_bound(self):
+        # 494 digits of 520 characters is a share of exactly 0.95, 493 of 519 just under it
+        assert content_verdict(bodies_thread(["a" * 494 + " " * 26])) is FilterCategory.INVALID_ATTACHMENT
+        assert content_verdict(bodies_thread(["a" * 493 + " " * 27])) is None
+        assert content_verdict(bodies_thread(["a" * 493 + " " * 26])) is None
+
+    @staticmethod
+    def _verdict(stopwords, others):
+        """The category of a four-message thread of ``stopwords`` stopwords and
+        ``others`` other words in its bodies."""
+        words = ["the"] * stopwords + [f"w{i}" for i in range(others)]
+        thread = body_thread("t", [words[i::4] for i in range(4)])
+        verdicts, _ = filter_corpus([thread])
+        assert verdicts[0].category is (content_verdict(thread) or FilterCategory.ACCEPTED)
+        return verdicts[0].category
+
+    def test_stopword_share_bound(self):
+        # one stopword in 50 body tokens is a share of exactly 0.02, one in 51 just under it
+        assert self._verdict(1, 49) is FilterCategory.ACCEPTED
+        assert self._verdict(1, 50) is FilterCategory.NON_ENGLISH
+        assert self._verdict(0, 50) is FilterCategory.NON_ENGLISH
+
+    def test_fewer_body_tokens_than_the_language_bound(self):
+        assert self._verdict(0, 49) is FilterCategory.ACCEPTED
 
 
 def in_excluded_directory(thread):
@@ -317,8 +353,7 @@ class TestFilterCorpus:
         assert verdicts[0].category is FilterCategory.TOO_SHORT
 
     def test_threshold_overrides(self):
-        config = FilterConfig(min_messages=2)
-        verdicts, _ = filter_corpus([body_thread("t", [["hello"], ["there"]])], config=config)
+        verdicts, _ = filter_corpus([body_thread("t", [["hello"], ["there"]])], min_messages=2)
         assert verdicts[0].category is FilterCategory.ACCEPTED
 
     def test_verdict_details_name_reason(self, corpus10_threads):
@@ -345,11 +380,8 @@ class TestPrecedence:
         assert verdicts[0].category is FilterCategory.NO_CONTENT
 
 
-_SUMMARY_CONFIGS = [
-    DEFAULT_FILTER_CONFIG,
-    FilterConfig(language_min_tokens=1, stopword_min_fraction=0.5, hex_min_run=4, hex_min_fraction=0.5),
-    FilterConfig(language_min_tokens=3, stopword_min_fraction=0.2, hex_min_run=2, hex_min_fraction=1.0),
-]
+# the shipped content thresholds and two small sets, in the order ``thresholds`` takes them
+_THRESHOLDS = [(512, 0.95, 50, 0.02), (4, 0.5, 1, 0.5), (2, 1.0, 3, 0.2)]
 _WORDS = st.sampled_from([
     "the", "The", "AND", "of", "hello", "deadBEEF", "0123456789abcdef", "7", "a b", "x\ty", " \n ", "ß", "é",
     "Re:", ".",
@@ -388,21 +420,24 @@ class TestSummaryDifferential:
     """summarize_record of a thread's record against the checks run one by one
     on the thread, kept in ``oracles``."""
 
-    @pytest.mark.parametrize("config", _SUMMARY_CONFIGS)
-    def test_fixture_threads(self, config, corpus10_threads, example1_thread):
+    @pytest.mark.parametrize("values", _THRESHOLDS)
+    def test_fixture_threads(self, values, corpus10_threads, example1_thread):
         rng = random.Random(5)
         synthetic = [
             parse_thread(RawThread(id=f"s{i}", text=synthetic_raw_text(rng)[0])) for i in range(20)
         ]
         for thread in [example1_thread, *corpus10_threads, *synthetic]:
-            assert summarize(thread, config) == oracles.summarize_thread_reference(thread, config)
+            with thresholds(*values):
+                summary = summarize(thread)
+            assert summary == oracles.summarize_thread_reference(thread, *values)
 
     @settings(max_examples=400, deadline=None)
-    @given(messages=_MESSAGES, config=st.sampled_from(_SUMMARY_CONFIGS))
-    def test_generated_threads(self, messages, config):
+    @given(messages=_MESSAGES, values=st.sampled_from(_THRESHOLDS))
+    def test_generated_threads(self, messages, values):
         thread = sectioned_thread(messages)
-        summary = summarize(thread, config)
-        assert summary == oracles.summarize_thread_reference(thread, config)
+        with thresholds(*values):
+            summary = summarize(thread)
+        assert summary == oracles.summarize_thread_reference(thread, *values)
         assert [fingerprint_message(m) for m in thread.messages] == [
             oracles.fingerprint_message_reference(m) for m in thread.messages
         ]
@@ -417,8 +452,8 @@ class TestDuplicateDifferential:
 
     @staticmethod
     def _check(summaries):
-        verdicts, _ = filter_summaries(summaries)
-        kept = [s.id for s in summaries if not filtering._in_excluded_directory(s.source_path, DEFAULT_FILTER_CONFIG)]
+        verdicts, _ = filter_summaries(summaries, ExclusionSet(), 4)
+        kept = [s.id for s in summaries if not filtering._in_excluded_directory(s.source_path)]
         assert [v.thread_id for v in verdicts] == kept
         assert [v.category is FilterCategory.DUPLICATE for v in verdicts] == (
             oracles.duplicate_verdicts_reference(summaries)
@@ -462,7 +497,7 @@ class TestDuplicateDifferential:
         # a zero count needs no fingerprint
         self._check([_summary("a", {"x": 0}), _summary("b", {"y": 1})])
         verdicts, _ = filter_summaries([_summary("a", {"x": 1}), _summary("b", {"x": 1, "y": 1}),
-                                        _summary("c", {"x": 1, "y": 1})])
+                                        _summary("c", {"x": 1, "y": 1})], ExclusionSet(), 4)
         assert [v.category.value for v in verdicts] == ["duplicate", "accepted", "duplicate"]
 
 
@@ -498,7 +533,7 @@ def test_duplicate_checks_grow_linearly():
             return original(small, big)
 
         with mock.patch.object(filtering, "_is_submultiset", counted):
-            filter_summaries(_planted_corpus(n, seed=7))
+            filter_summaries(_planted_corpus(n, seed=7), ExclusionSet(), 4)
         return calls
 
     small, large = checks(200), checks(2000)

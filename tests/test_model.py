@@ -214,7 +214,7 @@ def _value_types(example1_document):
     return [
         thread.messages[0].sentences[0][0], thread.messages[0], thread, mentions[0], doc.chains[0], doc,
         raw, parsing.ParserConfig(), parsing.parse_header(raw.text),
-        verdicts[0], filtering.ExclusionSet.from_threads([thread]), filtering.FilterConfig(), report,
+        verdicts[0], filtering.ExclusionSet.from_threads([thread]), report,
         filtering.summarize_record(serialization.document_to_record(doc)),
         features.feature_annotation(thread),
         participants, participants.by_message[0], baselines.resolve_hb2(thread, mentions),

@@ -10,8 +10,6 @@ Submodules are imported on first use of a name that lives in them, so
 ``import threadcoref`` (and each CLI command) loads only what it runs.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 _SUBMODULES = (
@@ -121,10 +119,12 @@ __all__ = sorted((*_EXPORTS, *_SUBMODULES))
 
 
 def __getattr__(name: str):
+    # __import__, unlike importlib.import_module, shows in -X importtime; given
+    # a fromlist, it returns the submodule itself, not this package
     if name in _EXPORTS:
-        value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+        value = getattr(__import__(f"{__name__}.{_EXPORTS[name]}", fromlist=[name]), name)
     elif name in _SUBMODULES:
-        value = importlib.import_module(f"{__name__}.{name}")
+        value = __import__(f"{__name__}.{name}", fromlist=["*"])
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value  # later lookups skip this function

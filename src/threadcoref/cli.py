@@ -24,10 +24,9 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-# Only what every subcommand needs is imported here; each handler imports
-# the modules it runs, so a command loads no code it does not use.
-from . import serialization
-from .model import AnnotatedDocument, Section, ToolkitError, utf8_input
+# Only the model and its record writer, which every command needs, load here;
+# each handler imports the modules it runs, so no command loads unused code.
+from .model import AnnotatedDocument, Section, ToolkitError, record_line, utf8_input
 
 if TYPE_CHECKING:
     from .filtering import ThreadSummary
@@ -86,7 +85,7 @@ def _parse_text(text: str, rel: str, config: ParserConfig) -> dict:
 
 
 def _parse_one(args: tuple[str, str, ParserConfig]) -> str:
-    return serialization.record_line(_parse_text(*args))
+    return record_line(_parse_text(*args))
 
 
 def _summarize_one(args: tuple[str, str, ParserConfig]) -> ThreadSummary:
@@ -96,6 +95,7 @@ def _summarize_one(args: tuple[str, str, ParserConfig]) -> ThreadSummary:
 
 
 def _summarize_line(args: tuple[int, str]) -> ThreadSummary:
+    from . import serialization
     from .filtering import summarize_record
 
     line_no, line = args
@@ -212,6 +212,8 @@ def _open_input(path: str, role: str, kinds: tuple[str, ...]) -> Iterator:
         if kind == _THREAD:
             yield _thread_text(b"".join(head) + fp.read()), Path(path).name
             return
+        from . import serialization
+
         with utf8_input(path), io.TextIOWrapper(fp, encoding="utf-8") as rest:
             # newline=None reads "\r\n" and "\r" as "\n", as the rest is read
             lines = chain(io.StringIO(b"".join(head).decode("utf-8"), newline=None), rest)
@@ -236,6 +238,8 @@ def _checked(items: Iterable, role: str, path: str, id_of) -> Iterator:
     document. A record the file's reader rejects, here or in a worker
     process, is an error that names the file.
     """
+    from . import serialization
+
     seen: set[str] = set()
     try:
         for item in items:
@@ -292,6 +296,8 @@ def _paired_documents(first: tuple[str, str], second: tuple[str, str]) -> Iterat
     Files of two formats, which address mentions differently, are an error;
     they are compared when the second file is first read.
     """
+    from . import serialization
+
     (first_path, first_role), (second_path, second_role) = first, second
     ahead: dict[str, tuple] = {}
     # the line, record, document and lengths of the first file's latest record
@@ -423,6 +429,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_features(args) -> int:
+    from . import serialization
     from .features import MissingDate, features_line
 
     columns = [name for name, wanted in (("mi", args.mi), ("si", args.si)) if wanted]
@@ -442,6 +449,7 @@ def _cmd_features(args) -> int:
 def _resolve_one(payload: tuple[int, str, str]) -> tuple[str, str]:
     """The id and output line of one input line: the record is checked in
     full, but only the sentences that hold a mention build their tokens."""
+    from . import serialization
     from .baselines import _resolve
 
     line_no, line, baseline = payload
@@ -505,6 +513,7 @@ _ERROR_ROWS = (
 
 
 def _cmd_errors(args) -> int:
+    from . import serialization
     from .errors import ErrorReport, _categorize
 
     out = _stdout()
@@ -527,7 +536,7 @@ def _cmd_errors(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from . import metrics
+    from . import metrics, serialization
 
     out = _stdout()
     lines = _open_input(args.input, "input", (_JSONL,))

@@ -14,11 +14,15 @@ native reader, through which the parser and the date reordering build theirs
 from a native record, and the CoNLL reader's skeleton. Each assembles a
 document in one checked pass: each token is checked once, or holds the checks
 by construction, and messages and thread are assembled without running the
-constructors' checks again (:func:`_assemble_thread`).
+constructors' checks again (:func:`_assemble_thread`). The native record
+writer lives here too: :func:`_message_record` lays out a message in
+``EmailMessage``'s field order and :func:`record_line` writes a record, so
+``parse`` writes records without loading the readers.
 """
 from __future__ import annotations
 
 import enum
+import json
 import sys
 from contextlib import contextmanager
 from datetime import datetime
@@ -248,6 +252,33 @@ def _assemble_thread(thread_id: str, messages, source_path: Optional[str] = None
     ``sentences``; a field it lacks takes its default."""
     built = tuple([_tuple_new(EmailMessage, (_MESSAGE_DEFAULTS | values).values()) for values in messages])
     return _tuple_new(EmailThread, (thread_id, built, source_path))
+
+
+def _message_record(date, sender, to, cc, subject, x_from, x_to, x_cc, sentences: list) -> dict:
+    """One message of a native record, its keys in the order ``write_native``
+    writes them: the fields of ``EmailMessage`` from ``date`` to ``x_cc``,
+    and the sentences as lists of [text, section code, char_start, char_end]."""
+    return {
+        "date": None if date is None else date.isoformat(),
+        "from": sender,
+        "to": list(to),
+        "cc": list(cc),
+        "subject": subject,
+        "x_from": x_from,
+        "x_to": list(x_to),
+        "x_cc": list(x_cc),
+        "sentences": sentences,
+    }
+
+
+# a value as write_native writes it: compact, and non-ASCII kept raw. A record
+# is a tree, built from JSON or by the parser, so no cycle check is made.
+_encode = json.JSONEncoder(ensure_ascii=False, allow_nan=False, separators=(",", ":"), check_circular=False).encode
+
+
+def record_line(record: dict) -> str:
+    """A native record as ``write_native`` writes it: one line of compact JSON."""
+    return _encode(record) + "\n"
 
 
 class _MentionFields(NamedTuple):

@@ -12,8 +12,8 @@ messages are cut where those flags say, each message's header block is
 walked once for both its end and its fields, and each line is tokenized at
 its own offset in the thread. It gives the thread's native record, which
 ``parse`` writes and ``filter`` summarizes, and builds no token;
-``parse_thread`` builds the thread from that record through
-``serialization.record_to_document``. Per-line section codes exist only
+``parse_thread`` alone imports ``serialization``, to build the thread from
+that record with ``record_to_document``. Per-line section codes exist only
 inside the walk. The stage functions ``split_messages``, ``parse_header``
 and ``tokenize_and_sentence_split`` are views over the same helpers, for
 one thread or one message slice.
@@ -34,8 +34,8 @@ from itertools import accumulate, takewhile
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from . import serialization, wordlists
-from .model import EmailThread, Section, Token, ToolkitError
+from . import wordlists
+from .model import EmailThread, Section, Token, ToolkitError, _message_record
 
 
 class UnparseableThread(ToolkitError):
@@ -537,7 +537,7 @@ def parse_record(raw: RawThread, config: ParserConfig = DEFAULT_CONFIG) -> dict:
         header_end, fields = _header_walk(text, lines.names[start:stop], lines.separators[start:stop])
         sections = _sections(len(text), header_end, lines.folded[start + header_end : stop], config)
         sentences = _sentences(text, lines.offsets[start:stop], sections)
-        messages.append(serialization._message_record(*_header_values(fields), sentences))
+        messages.append(_message_record(*_header_values(fields), sentences))
     return {"id": raw.id, "source_path": raw.source_path, "messages": messages, "chains": []}
 
 
@@ -549,4 +549,6 @@ def parse_thread(raw: RawThread, config: ParserConfig = DEFAULT_CONFIG) -> Email
     order, so the record passes every check and its thread is assembled
     without running the constructors' checks.
     """
-    return serialization.record_to_document(parse_record(raw, config)).thread
+    from .serialization import record_to_document
+
+    return record_to_document(parse_record(raw, config)).thread

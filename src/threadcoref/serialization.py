@@ -8,7 +8,8 @@ structure is not representable in the column format).
 
 The native format keeps everything: one JSON record per line per thread,
 losslessly round-tripping headers, sections, offsets, chains and entity
-types, and streamable over large corpora.
+types, and streamable over large corpora. Its record writer,
+``record_line``, lives in ``model``, so ``parse`` loads none of this.
 """
 from __future__ import annotations
 
@@ -27,10 +28,13 @@ from .model import (
     Token,
     ToolkitError,
     _assemble_thread,
+    _encode,
     _intern,
+    _message_record,
     _overlap_message,
     _tuple_new,
     mention_order,
+    record_line,
 )
 
 
@@ -367,23 +371,6 @@ def document_to_record(
     return record
 
 
-def _message_record(date, sender, to, cc, subject, x_from, x_to, x_cc, sentences: list) -> dict:
-    """One message of a native record, its keys in the order ``write_native``
-    writes them: the fields of ``EmailMessage`` from ``date`` to ``x_cc``,
-    and the sentences as lists of [text, section code, char_start, char_end]."""
-    return {
-        "date": None if date is None else date.isoformat(),
-        "from": sender,
-        "to": list(to),
-        "cc": list(cc),
-        "subject": subject,
-        "x_from": x_from,
-        "x_to": list(x_to),
-        "x_cc": list(x_cc),
-        "sentences": sentences,
-    }
-
-
 def _feature_columns(codes: list, features: Sequence[str]) -> dict:
     """The ``features`` value of a record whose tokens have the section
     ``codes``, a list per message of a list per sentence: each token's
@@ -623,22 +610,12 @@ def _decode_chains(raw_chains, lengths: list) -> tuple[CoreferenceChain, ...]:
     return tuple(_decode_chain(rec, ci, chain_ids, owners, lengths) for ci, rec in enumerate(raw_chains))
 
 
-def _encode(value) -> str:
-    """``value`` as write_native writes it: compact, and non-ASCII kept raw."""
-    return json.dumps(value, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
-
-
 def write_native(
     docs: Iterable[AnnotatedDocument], fp: IO[str], features: Sequence[str] = ()
 ) -> None:
     """Write one JSON record per line; key order is fixed for determinism."""
     for doc in docs:
         fp.write(record_line(document_to_record(doc, features=features)))
-
-
-def record_line(record: dict) -> str:
-    """A native record as ``write_native`` writes it: one line of compact JSON."""
-    return _encode(record) + "\n"
 
 
 def write_native_string(

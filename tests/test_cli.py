@@ -2420,6 +2420,28 @@ class TestImports:
         assert "cli" in loaded
         assert not set(self.HANDLER_MODULES) & set(loaded), loaded
 
+    def test_cli_import_loads_no_reader(self, tmp_path):
+        # the record writer lives in the model: the entry point compiles no reader code
+        assert "serialization" not in self._loaded_after("import threadcoref.cli", tmp_path)
+
+    def test_parse_loads_no_reader(self, tmp_path):
+        code = self._running(
+            ["parse", "--in", str(CORPUS10_DIR), "--out", str(tmp_path / "parsed.jsonl"), "--jobs", "1"])
+        loaded = self._loaded_after(code, tmp_path)
+        assert "parsing" in loaded
+        assert "serialization" not in loaded, loaded
+
+    def test_importtime_logs_each_submodule(self, tmp_path):
+        # importlib.import_module bypasses the interpreter's import timer, so a
+        # lazily loaded submodule would show only inside its importer's time
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        err = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", "import threadcoref; threadcoref.metrics"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        ).stderr
+        assert re.search(r"\| +threadcoref\.metrics$", err, re.MULTILINE), err
+
     # command -> (arguments, the handler modules it runs); each reads native
     # JSONL, so none may load the parser or the email package
     READERS = {
@@ -2439,6 +2461,7 @@ class TestImports:
         loaded = self._modules_after(code, tmp_path)
         package = {name.split(".", 1)[1] for name in loaded if name.startswith("threadcoref.")}
         assert package & set(self.HANDLER_MODULES) == runs
+        assert "serialization" in package
         assert not [name for name in loaded if name.split(".")[0] == "email"], loaded
 
     def test_every_exported_name_resolves(self):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import build_fields, checked_document, synthetic_document
 from oracles import mention_from_absolute, mention_to_absolute
-from threadcoref import cli, features, serialization
+from threadcoref import cli, features, model, serialization
 from threadcoref.errors import ErrorReport
 from threadcoref.features import reverse_document
 from threadcoref.filtering import filter_corpus
@@ -693,16 +693,18 @@ def _is_hole(record, path) -> bool:
     return False
 
 
+@pytest.fixture(scope="module")
+def fixture_records(example1_document):
+    """Native records as JSON text, the seeds that ``_mutate`` changes."""
+    rng = random.Random(11)
+    docs = [example1_document] + [synthetic_document(rng)[0] for _ in range(2)]
+    records = [document_to_record(doc) for doc in docs]
+    records[1] = document_to_record(docs[1], features=("mi", "si"))
+    return [json.dumps(record) for record in records]
+
+
 class TestDecoderDifferential:
     """The decoder against the reference decoder kept in ``oracles``, on mutated fixtures."""
-
-    @pytest.fixture(scope="class")
-    def fixture_records(self, example1_document):
-        rng = random.Random(11)
-        docs = [example1_document] + [synthetic_document(rng)[0] for _ in range(2)]
-        records = [document_to_record(doc) for doc in docs]
-        records[1] = document_to_record(docs[1], features=("mi", "si"))
-        return [json.dumps(record) for record in records]
 
     @staticmethod
     def _outcome(decode, record):
@@ -724,6 +726,44 @@ class TestDecoderDifferential:
             reference = ("crash",)
         if new != reference:
             assert new[0] == "error" and _is_hole(record, new[1]), (new, reference)
+
+
+class TestRecordLine:
+    """``record_line``, whose encoder makes no cycle check, writes what
+    ``json.dumps`` writes with the native settings and refuses what it refuses."""
+
+    @staticmethod
+    def _mutated(fixture_records, data) -> dict:
+        record = json.loads(data.draw(st.sampled_from(fixture_records)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            _mutate(data, record)
+        return record
+
+    def test_one_definition(self):
+        assert serialization.record_line is model.record_line
+        assert serialization._message_record is model._message_record
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_same_bytes_as_json_dumps(self, fixture_records, data):
+        record = self._mutated(fixture_records, data)
+        expected = json.dumps(record, ensure_ascii=False, allow_nan=False, separators=(",", ":")) + "\n"
+        assert model.record_line(record) == expected
+
+    @pytest.mark.parametrize("value, error", [
+        (float("nan"), ValueError), (float("-inf"), ValueError), ({"PER"}, TypeError), (b"PER", TypeError),
+    ])
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_refuses_what_json_dumps_refuses(self, fixture_records, value, error, data):
+        record = self._mutated(fixture_records, data)
+        sites = list(_sites(record))[1:]
+        path = sites[data.draw(st.integers(0, len(sites) - 1))]
+        _at(record, path[:-1])[path[-1]] = value
+        with pytest.raises(error):
+            json.dumps(record, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+        with pytest.raises(error):
+            model.record_line(record)
 
 
 def reference_conll(text):

@@ -43,7 +43,7 @@ _EXPORTS = {
         ),
         "model",
     ),
-    **dict.fromkeys(("ParserConfig", "RawThread", "UnparseableThread", "parse_thread"), "parsing"),
+    **dict.fromkeys(("RawThread", "UnparseableThread", "parse_thread"), "parsing"),
     **dict.fromkeys(
         (
             "ExclusionSet",

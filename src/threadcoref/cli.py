@@ -30,7 +30,6 @@ from .model import AnnotatedDocument, Section, ToolkitError, record_line, utf8_i
 
 if TYPE_CHECKING:
     from .filtering import ThreadSummary
-    from .parsing import ParserConfig
 
 _METRIC_NAMES = ("muc", "b3", "ceafe", "lea")
 
@@ -77,21 +76,22 @@ def _walk_directory(directory: str, prefix: str) -> Iterator[tuple[Path, str]]:
             yield from _walk_directory(entry.path, f"{prefix}{entry.name}/")
 
 
-def _parse_text(text: str, rel: str, config: ParserConfig) -> dict:
-    """The native record of a thread file's text, with no chains; no token is built."""
+def _parse_text(thread: tuple[str, str]) -> dict:
+    """The native record of a thread file's (text, name), with no chains; no token is built."""
     from .parsing import RawThread, parse_record
 
-    return parse_record(RawThread(id=rel, text=text, source_path=rel), config)
+    text, name = thread
+    return parse_record(RawThread(id=name, text=text, source_path=name))
 
 
-def _parse_one(args: tuple[str, str, ParserConfig]) -> str:
-    return record_line(_parse_text(*args))
+def _parse_one(thread: tuple[str, str]) -> str:
+    return record_line(_parse_text(thread))
 
 
-def _summarize_one(args: tuple[str, str, ParserConfig]) -> ThreadSummary:
+def _summarize_one(thread: tuple[str, str]) -> ThreadSummary:
     from .filtering import summarize_record
 
-    return summarize_record(_parse_text(*args))
+    return summarize_record(_parse_text(thread))
 
 
 def _summarize_line(args: tuple[int, str]) -> ThreadSummary:
@@ -238,8 +238,6 @@ def _checked(items: Iterable, role: str, path: str, id_of) -> Iterator:
     document. A record the file's reader rejects, here or in a worker
     process, is an error that names the file.
     """
-    from . import serialization
-
     seen: set[str] = set()
     try:
         for item in items:
@@ -248,8 +246,13 @@ def _checked(items: Iterable, role: str, path: str, id_of) -> Iterator:
                 raise ToolkitError(f"{role} file {path} repeats document id {doc_id!r}")
             seen.add(doc_id)
             yield item
-    except (serialization.NativeSchemaError, serialization.MalformedColumn) as exc:
-        raise ToolkitError(f"{role} file {path}: {exc}") from None
+    except ToolkitError as exc:
+        # imported only here, so that a run of thread files loads no reader
+        from . import serialization
+
+        if isinstance(exc, (serialization.NativeSchemaError, serialization.MalformedColumn)):
+            raise ToolkitError(f"{role} file {path}: {exc}") from None
+        raise
 
 
 def _documents(path: str, role: str, kinds: tuple[str, ...], decode, conll) -> Iterator:
@@ -355,7 +358,7 @@ def _replacing(path: str) -> Iterator[IO[str]]:
     A command that fails part way through its input leaves ``path`` as it
     was. A path that names no regular file, such as /dev/stdout, is written
     in place. Otherwise a symbolic link is followed, so the file it names is
-    replaced.
+    replaced. A file that cannot be made beside it is an error naming ``path``.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fp:
@@ -364,22 +367,15 @@ def _replacing(path: str) -> Iterator[IO[str]]:
     target = Path(os.path.realpath(path))
     partial_out = target.with_name(f".{target.name}.{os.getpid()}.partial")
     try:
-        with open(partial_out, "w", encoding="utf-8") as fp:
+        fp = open(partial_out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ToolkitError(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        with fp:
             yield fp
         os.replace(partial_out, target)
     finally:
         partial_out.unlink(missing_ok=True)
-
-
-def _map_threads(
-    threads: Iterable[tuple[str, str]], separators: Optional[str], footers: Optional[str], jobs: int, func
-) -> Iterator:
-    """``func`` of (text, name, parser config) for each thread, lazily and in
-    input order, in ``jobs`` processes."""
-    from .parsing import ParserConfig
-
-    config = ParserConfig.from_files(separators, footers)
-    return _map_jobs(func, ((text, name, config) for text, name in threads), jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +385,7 @@ def _map_threads(
 def _cmd_parse(args) -> int:
     threads = _open_input(args.input, "input", (_DIRECTORY, _THREAD))
     next(threads)
-    lines = _map_threads(threads, args.separators, args.footers, args.jobs, _parse_one)
+    lines = _map_jobs(_parse_one, threads, args.jobs)
     with _replacing(args.out) as fp:
         fp.writelines(lines)
     return 0
@@ -405,14 +401,8 @@ def _cmd_filter(args) -> int:
         else filtering.ExclusionSet()
     )
     content = _open_input(args.input, "input", (_DIRECTORY, _THREAD, _JSONL))
-    if next(content) != _JSONL:
-        summarized = _map_threads(content, args.separators, args.footers, args.jobs, _summarize_one)
-    elif args.separators is not None or args.footers is not None:
-        raise ToolkitError(
-            f"--separators and --footers apply to thread files only, not to the JSONL file {args.input}"
-        )
-    else:
-        summarized = _map_jobs(_summarize_line, content, args.jobs)
+    summarize = _summarize_line if next(content) == _JSONL else _summarize_one
+    summarized = _map_jobs(summarize, content, args.jobs)
     summaries = list(_checked(summarized, "input", args.input, attrgetter("id")))
     verdicts, report = filtering.filter_summaries(summaries, exclusion, args.min_messages)
     rows = [("category", "count")]
@@ -615,8 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse thread files into native records")
     p.add_argument("--in", dest="input", required=True, help="thread file or directory")
     p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("--separators", help="separator marker phrases, one per line")
-    p.add_argument("--footers", help="footer marker phrases, one per line")
     add_jobs(p)
     p.set_defaults(func=_cmd_parse)
 
@@ -625,8 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude-fingerprints", help="file of fingerprints to exclude")
     p.add_argument("--report", required=True, help="TSV report output path")
     p.add_argument("--verdicts", help="optional per-thread verdict TSV")
-    p.add_argument("--separators", help="separator marker phrases, one per line")
-    p.add_argument("--footers", help="footer marker phrases, one per line")
     p.add_argument("--min-messages", type=_positive_int, default=4)
     add_pretty(p)
     add_jobs(p)

@@ -23,6 +23,7 @@ from .model import (
     ToolkitError,
     _tuple_new,
     mention_order,
+    record_dates,
 )
 
 
@@ -132,7 +133,7 @@ def features_line(line: str, record: dict, chains: Sequence[CoreferenceChain], f
     the record's JSON, and no token is built.
     """
     if rev:
-        perm = _date_permutation(serialization.record_dates(record))
+        perm = _date_permutation(record_dates(record))
         if perm != list(range(len(perm))):
             order = sorted(range(len(perm)), key=perm.__getitem__)
             return serialization.replace_chains(line, record, _moved_chains(chains, perm), features, order)

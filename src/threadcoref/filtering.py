@@ -35,8 +35,8 @@ from datetime import datetime
 from pathlib import PurePath
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from . import serialization, wordlists
-from .model import AnnotatedDocument, EmailMessage, EmailThread, Section, ToolkitError, utf8_input
+from . import wordlists
+from .model import AnnotatedDocument, EmailMessage, EmailThread, Section, ToolkitError, record_dates, utf8_input
 
 
 class FilterCategory(enum.Enum):
@@ -292,7 +292,7 @@ def summarize_record(record: dict) -> ThreadSummary:
     body = Section.BODY.code
     messages = [
         (date, m.get("from"), m.get("subject"), _body([t[0] for t in s if t[1] == body] for s in m["sentences"]))
-        for date, m in zip(serialization.record_dates(record), record["messages"])
+        for date, m in zip(record_dates(record), record["messages"])
     ]
     bodies = [body for *_, body in messages]
     if _is_no_content(bodies):
@@ -350,7 +350,9 @@ def filter_corpus(
     classification and appear only in the report's dropped count. A thread
     of fewer than ``min_messages`` messages is too short.
     """
-    summaries = [summarize_record(serialization.document_to_record(AnnotatedDocument(t))) for t in threads]
+    from .serialization import document_to_record
+
+    summaries = [summarize_record(document_to_record(AnnotatedDocument(t))) for t in threads]
     return filter_summaries(summaries, exclusion, min_messages)
 
 

@@ -17,7 +17,8 @@ by construction, and messages and thread are assembled without running the
 constructors' checks again (:func:`_assemble_thread`). The native record
 writer lives here too: :func:`_message_record` lays out a message in
 ``EmailMessage``'s field order and :func:`record_line` writes a record, so
-``parse`` writes records without loading the readers.
+``parse`` writes records without loading the readers; :func:`record_dates`
+reads a record's dates back, so ``filter`` on thread files loads no reader.
 """
 from __future__ import annotations
 
@@ -269,6 +270,17 @@ def _message_record(date, sender, to, cc, subject, x_from, x_to, x_cc, sentences
         "x_cc": list(x_cc),
         "sentences": sentences,
     }
+
+
+def _message_date(message: dict) -> Optional[datetime]:
+    """The date of a native record's message, read back from what ``_message_record`` writes."""
+    date = message.get("date")
+    return None if date is None else datetime.fromisoformat(date)
+
+
+def record_dates(record: dict) -> list[Optional[datetime]]:
+    """The date of each message of a checked record, or None where it has none."""
+    return [_message_date(message) for message in record["messages"]]
 
 
 # a value as write_native writes it: compact, and non-ASCII kept raw. A record

@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import re
 from datetime import datetime
-from functools import lru_cache
 from itertools import accumulate, takewhile
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import wordlists
@@ -49,34 +47,6 @@ class RawThread(NamedTuple):
     text: str
     source_path: Optional[str] = None
 
-
-class ParserConfig(NamedTuple):
-    """Marker phrases controlling message splitting and footer detection."""
-
-    separator_markers: tuple[str, ...] = wordlists.SEPARATOR_MARKERS
-    footer_markers: tuple[str, ...] = wordlists.FOOTER_MARKERS
-
-    @classmethod
-    def from_files(
-        cls,
-        separators: str | Path | None = None,
-        footers: str | Path | None = None,
-    ) -> "ParserConfig":
-        return cls(
-            separator_markers=(
-                wordlists.load_phrase_file(separators)
-                if separators
-                else wordlists.SEPARATOR_MARKERS
-            ),
-            footer_markers=(
-                wordlists.load_phrase_file(footers)
-                if footers
-                else wordlists.FOOTER_MARKERS
-            ),
-        )
-
-
-DEFAULT_CONFIG = ParserConfig()
 
 # a header line starts with its field name and a colon; a line never holds a line break
 _FIELD_NAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9-]*)\s*:")
@@ -97,16 +67,17 @@ _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _HEADER, _BODY, _FOOTER = Section.HEADER.code, Section.BODY.code, Section.FOOTER.code
 
 
-@lru_cache(maxsize=16)
 def _marker_search(markers: tuple[str, ...]):
     """``search`` of a pattern that finds any of ``markers`` as a substring.
 
-    No markers match nothing; an empty marker matches every string, as
-    ``"" in s`` does.
+    An empty marker matches every string, as ``"" in s`` does.
     """
-    if not markers:
-        return re.compile(r"(?!)").search
     return re.compile("|".join(map(re.escape, markers))).search
+
+
+# the searches of a casefolded line for the shipped separator and footer markers
+_SEPARATOR_SEARCH = _marker_search(wordlists.SEPARATOR_MARKERS)
+_FOOTER_SEARCH = _marker_search(wordlists.FOOTER_MARKERS)
 
 
 def _header_field(line: str) -> Optional[str]:
@@ -116,7 +87,7 @@ def _header_field(line: str) -> Optional[str]:
 
 
 def _line_facts(
-    lines: Iterable[str], folded: Iterable[str], config: ParserConfig
+    lines: Iterable[str], folded: Iterable[str]
 ) -> tuple[Iterator[Optional[str]], Iterator[Optional[re.Match]]]:
     """What the grammar reads of each line: its ``_header_field``, and its
     separator marker match, None when it holds no separator marker.
@@ -125,7 +96,7 @@ def _line_facts(
     Each line is read when it is asked for, so a walk that stops early
     reads no lines past its end.
     """
-    return map(_header_field, lines), map(_marker_search(config.separator_markers), folded)
+    return map(_header_field, lines), map(_SEPARATOR_SEARCH, folded)
 
 
 class _Lines(NamedTuple):
@@ -138,12 +109,12 @@ class _Lines(NamedTuple):
     separators: list[Optional[re.Match]]  # each line's separator marker match
 
 
-def _read_lines(text: str, config: ParserConfig) -> _Lines:
+def _read_lines(text: str) -> _Lines:
     pieces = text.splitlines(keepends=True)
     # a piece holds no line break but the one that ends it, so rstrip removes exactly that
     lines = [piece.rstrip(_LINE_BREAKS) for piece in pieces]
     folded = [line.casefold() for line in lines]
-    names, separators = map(list, _line_facts(lines, folded, config))
+    names, separators = map(list, _line_facts(lines, folded))
     return _Lines(lines, [0, *accumulate(map(len, pieces))], folded, names, separators)
 
 
@@ -227,25 +198,22 @@ def _header_walk(
     return end, fields
 
 
-def _sections(count: int, header_end: int, body: Iterable[str], config: ParserConfig) -> list[str]:
+def _sections(count: int, header_end: int, body: Iterable[str]) -> list[str]:
     """Section codes of a message's ``count`` lines, whose header region ends before line ``header_end``.
 
     ``body`` gives the casefolded lines from ``header_end`` on. The first
     of them that holds a footer marker opens the footer region, which runs
     to the end of the message.
     """
-    search = _marker_search(config.footer_markers)
     footer_start = header_end
     for line in body:
-        if search(line):
+        if _FOOTER_SEARCH(line):
             break
         footer_start += 1
     return [_HEADER] * header_end + [_BODY] * (footer_start - header_end) + [_FOOTER] * (count - footer_start)
 
 
-def split_messages(
-    raw: RawThread, config: ParserConfig = DEFAULT_CONFIG
-) -> list[tuple[str, int]]:
+def split_messages(raw: RawThread) -> list[tuple[str, int]]:
     """Cut a thread file into per-message slices of (text, char offset).
 
     Boundaries open at separator-marker lines and at fresh header blocks.
@@ -253,7 +221,7 @@ def split_messages(
     offset 0. Raises UnparseableThread when the file contains no known
     header line at all.
     """
-    lines = _read_lines(raw.text, config)
+    lines = _read_lines(raw.text)
     bounds = [lines.offsets[i] for i in _message_starts(raw, lines)] + [len(raw.text)]
     return [(raw.text[a:b], a) for a, b in zip(bounds, bounds[1:])]
 
@@ -376,7 +344,7 @@ def _header_values(fields: dict[str, str]) -> tuple:
     )
 
 
-def parse_header(message_text: str, config: ParserConfig = DEFAULT_CONFIG) -> HeaderFields:
+def parse_header(message_text: str) -> HeaderFields:
     """Extract the known header fields from the top of a message slice.
 
     Unknown header lines are not errors; they simply stay header-section
@@ -384,7 +352,7 @@ def parse_header(message_text: str, config: ParserConfig = DEFAULT_CONFIG) -> He
     absent (None or empty tuple), never an empty string.
     """
     lines = message_text.splitlines()
-    fields = _header_walk(lines, *_line_facts(lines, map(str.casefold, lines), config))[1]
+    fields = _header_walk(lines, *_line_facts(lines, map(str.casefold, lines)))[1]
     return HeaderFields(*_header_values(fields))
 
 
@@ -521,7 +489,7 @@ def tokenize_and_sentence_split(
     )
 
 
-def parse_record(raw: RawThread, config: ParserConfig = DEFAULT_CONFIG) -> dict:
+def parse_record(raw: RawThread) -> dict:
     """The native record of a raw thread file, with no chains: what
     ``serialization.write_native`` writes of the thread ``parse_thread``
     gives, made in one walk, with no token built.
@@ -529,19 +497,19 @@ def parse_record(raw: RawThread, config: ParserConfig = DEFAULT_CONFIG) -> dict:
     Messages follow file order, which for quoted threads is most recent
     first. Deterministic: parsing the same bytes twice yields equal records.
     """
-    lines = _read_lines(raw.text, config)
+    lines = _read_lines(raw.text)
     starts = _message_starts(raw, lines)
     messages = []
     for start, stop in zip(starts, [*starts[1:], len(lines.text)]):
         text = lines.text[start:stop]
         header_end, fields = _header_walk(text, lines.names[start:stop], lines.separators[start:stop])
-        sections = _sections(len(text), header_end, lines.folded[start + header_end : stop], config)
+        sections = _sections(len(text), header_end, lines.folded[start + header_end : stop])
         sentences = _sentences(text, lines.offsets[start:stop], sections)
         messages.append(_message_record(*_header_values(fields), sentences))
     return {"id": raw.id, "source_path": raw.source_path, "messages": messages, "chains": []}
 
 
-def parse_thread(raw: RawThread, config: ParserConfig = DEFAULT_CONFIG) -> EmailThread:
+def parse_thread(raw: RawThread) -> EmailThread:
     """Parse a raw thread file into an EmailThread: the thread of
     ``parse_record``'s record, built by ``serialization.record_to_document``.
 
@@ -551,4 +519,4 @@ def parse_thread(raw: RawThread, config: ParserConfig = DEFAULT_CONFIG) -> Email
     """
     from .serialization import record_to_document
 
-    return record_to_document(parse_record(raw, config)).thread
+    return record_to_document(parse_record(raw)).thread

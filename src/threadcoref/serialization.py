@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from datetime import datetime
 from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
 
 from .model import (
@@ -30,6 +29,7 @@ from .model import (
     _assemble_thread,
     _encode,
     _intern,
+    _message_date,
     _message_record,
     _overlap_message,
     _tuple_new,
@@ -786,16 +786,6 @@ def replace_chains(
 def _record_codes(messages: list) -> list:
     """The section codes of a checked record's tokens, a list per message of a list per sentence."""
     return [[[token[1] for token in sentence] for sentence in message["sentences"]] for message in messages]
-
-
-def _message_date(message: dict) -> Optional[datetime]:
-    date = message.get("date")
-    return None if date is None else datetime.fromisoformat(date)
-
-
-def record_dates(record: dict) -> list[Optional[datetime]]:
-    """The date of each message of a checked record, or None where it has none."""
-    return [_message_date(message) for message in record["messages"]]
 
 
 def _record_messages(messages: list, order: Optional[Sequence[int]]) -> list:

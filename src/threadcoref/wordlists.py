@@ -1,13 +1,8 @@
 """Shipped word lists and marker phrases.
 
-Every list here is a default: the parser and filter accept replacements
-loaded from plain-text files (one entry per line, UTF-8, ``#`` comments).
+Every list here is fixed: no command or function takes a replacement. The
+marker phrases are casefolded, as the lines they are searched in are.
 """
-from __future__ import annotations
-
-from pathlib import Path
-
-from .model import utf8_input
 
 FIRST_PERSON_SINGULAR = frozenset(["i", "me", "my", "mine", "myself"])
 
@@ -78,15 +73,3 @@ EXCLUDED_DIRECTORIES = frozenset(
         "_sent",
     ]
 )
-
-
-def load_phrase_file(path: str | Path) -> tuple[str, ...]:
-    """Read one casefolded phrase per line; blank lines and # comments skipped."""
-    with utf8_input(path):
-        text = Path(path).read_text(encoding="utf-8")
-    phrases = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            phrases.append(line.casefold())
-    return tuple(phrases)

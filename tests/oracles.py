@@ -60,6 +60,7 @@ from threadcoref.model import (
 )
 from threadcoref import serialization as _serialization
 from threadcoref.serialization import MalformedColumn, NativeSchemaError
+from threadcoref.wordlists import FOOTER_MARKERS, SEPARATOR_MARKERS
 
 
 def _norm(chains) -> list[frozenset]:
@@ -996,7 +997,7 @@ def lines_with_offsets_reference(text: str) -> list[tuple[str, int]]:
     return lines
 
 
-def split_messages_reference(raw, config=_parsing.DEFAULT_CONFIG) -> list[tuple[str, int]]:
+def split_messages_reference(raw, separators=SEPARATOR_MARKERS) -> list[tuple[str, int]]:
     if not raw.text.strip():
         raise _parsing.UnparseableThread(f"thread {raw.id}: empty text")
     lines = lines_with_offsets_reference(raw.text)
@@ -1008,11 +1009,11 @@ def split_messages_reference(raw, config=_parsing.DEFAULT_CONFIG) -> list[tuple[
     for i in range(1, len(texts)):
         line = texts[i]
         if not (
-            has_marker_reference(line, config.separator_markers) or starts_fresh_header_block_reference(texts, i)
+            has_marker_reference(line, separators) or starts_fresh_header_block_reference(texts, i)
         ):
             continue
         segment = texts[boundaries[-1] : i]
-        if all(not l.strip() or has_marker_reference(l, config.separator_markers) for l in segment):
+        if all(not l.strip() or has_marker_reference(l, separators) for l in segment):
             continue
         boundaries.append(i)
     slices = []
@@ -1024,11 +1025,10 @@ def split_messages_reference(raw, config=_parsing.DEFAULT_CONFIG) -> list[tuple[
     return slices
 
 
-def header_region_end_reference(lines, config=_parsing.DEFAULT_CONFIG) -> int:
+def header_region_end_reference(lines, separators=SEPARATOR_MARKERS) -> int:
     """Leading separator/blank lines, then header lines and their folded continuations."""
-    i = 0
-    n = len(lines)
-    while i < n and (not lines[i].strip() or has_marker_reference(lines[i], config.separator_markers)):
+    i, n = 0, len(lines)
+    while i < n and (not lines[i].strip() or has_marker_reference(lines[i], separators)):
         i += 1
     saw_header = False
     while i < n:
@@ -1043,10 +1043,10 @@ def header_region_end_reference(lines, config=_parsing.DEFAULT_CONFIG) -> int:
     return i if saw_header else 0
 
 
-def assign_sections_reference(message_text: str, config=_parsing.DEFAULT_CONFIG) -> list[Section]:
+def assign_sections_reference(message_text: str, separators=SEPARATOR_MARKERS, footers=FOOTER_MARKERS) -> list[Section]:
     lines = message_text.splitlines()
-    header_end = header_region_end_reference(lines, config)
-    footer_start = footer_region_start_reference(lines, header_end, config.footer_markers)
+    header_end = header_region_end_reference(lines, separators)
+    footer_start = footer_region_start_reference(lines, header_end, footers)
     return (
         [Section.HEADER] * header_end
         + [Section.BODY] * (footer_start - header_end)
@@ -1054,17 +1054,17 @@ def assign_sections_reference(message_text: str, config=_parsing.DEFAULT_CONFIG)
     )
 
 
-def parse_header_reference(message_text: str, config=_parsing.DEFAULT_CONFIG) -> "_parsing.HeaderFields":
+def parse_header_reference(message_text: str, separators=SEPARATOR_MARKERS) -> "_parsing.HeaderFields":
     """The fields of the region's lines, read in a second walk over the region.
 
     The date is as email.utils reads it, which keeps the hour of a 12-hour
     time as written; the differential tests generate no AM/PM dates."""
     lines = message_text.splitlines()
-    header_end = header_region_end_reference(lines, config)
+    header_end = header_region_end_reference(lines, separators)
     fields: dict[str, str] = {}
     current: Optional[str] = None
     for line in lines[:header_end]:
-        if has_marker_reference(line, config.separator_markers) or not line.strip():
+        if has_marker_reference(line, separators) or not line.strip():
             continue
         m = _HEADER_LINE_RE.match(line)
         if m:
@@ -1106,14 +1106,14 @@ def parse_header_reference(message_text: str, config=_parsing.DEFAULT_CONFIG) ->
     )
 
 
-def parse_thread_reference(raw, config=_parsing.DEFAULT_CONFIG) -> EmailThread:
+def parse_thread_reference(raw, separators=SEPARATOR_MARKERS, footers=FOOTER_MARKERS) -> EmailThread:
     """The stages one after another, each reading its message slice again: cut
     the thread into slices, then label, read the header of and tokenize each
     slice, and build the thread through the checked constructors."""
     messages = []
-    for i, (text, offset) in enumerate(split_messages_reference(raw, config)):
-        sentences = sentence_split_reference(text, assign_sections_reference(text, config), i, offset)
-        fields = parse_header_reference(text, config)._asdict()
+    for i, (text, offset) in enumerate(split_messages_reference(raw, separators)):
+        sentences = sentence_split_reference(text, assign_sections_reference(text, separators, footers), i, offset)
+        fields = parse_header_reference(text, separators)._asdict()
         messages.append(EmailMessage(index=i, sentences=sentences, **fields))
     return EmailThread(raw.id, tuple(messages), raw.source_path)
 

@@ -104,20 +104,6 @@ class TestParse:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-    def test_separator_file_same_bytes_under_jobs(self, tmp_path):
-        separators = tmp_path / "separators.txt"
-        separators.write_text("# marker phrases, one per line\n- Forwarded by\n", encoding="utf-8")
-        outs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"sep{jobs}.jsonl"
-            assert main(["parse", "--in", str(CORPUS10_DIR), "--out", str(out),
-                         "--separators", str(separators), "--jobs", jobs]) == 0
-            outs.append(out.read_bytes())
-        default = tmp_path / "default.jsonl"
-        main(["parse", "--in", str(CORPUS10_DIR), "--out", str(default)])
-        # without the original-message marker, fewer messages are split off
-        assert outs[0] == outs[1] != default.read_bytes()
-
 
 class TestGoldenParse:
     """parse output on the shipped fixtures, byte for byte, under both job counts.
@@ -294,15 +280,6 @@ class TestFilter:
                      "--exclude-fingerprints", str(exclusion)]) == 1
         assert capsys.readouterr().err == (
             f"error: exclusion file {exclusion}: line 1 is not a message fingerprint (16 lowercase hex digits)\n")
-        assert not report.exists()
-
-    @pytest.mark.parametrize("flag", ["--separators", "--footers"])
-    def test_parser_flag_on_records_exits_1(self, gold_corpus, tmp_path, capsys, flag):
-        # records are parsed already: the flag would be ignored, its file never opened
-        report = tmp_path / "report.tsv"
-        assert main(["filter", "--in", str(gold_corpus), "--report", str(report), flag, "/nonexistent"]) == 1
-        assert capsys.readouterr() == ("", (
-            f"error: --separators and --footers apply to thread files only, not to the JSONL file {gold_corpus}\n"))
         assert not report.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -1722,6 +1699,22 @@ class TestRemovedPrettyFlag:
         assert "unrecognized arguments: --pretty" in capsys.readouterr().err
 
 
+class TestRemovedMarkerFlags:
+    """The separator and footer marker phrases are fixed: no command takes a file of them."""
+
+    @pytest.mark.parametrize("command", ["parse", "filter"])
+    @pytest.mark.parametrize("flag", ["--separators", "--footers"])
+    def test_rejected_and_nothing_written(self, tmp_path, capsys, command, flag):
+        markers = tmp_path / "markers.txt"
+        markers.write_text("- forwarded by\n", encoding="utf-8")
+        output = "--out" if command == "parse" else "--report"
+        with pytest.raises(SystemExit) as err:
+            main([command, "--in", str(CORPUS10_DIR), output, str(tmp_path / "out"), flag, str(markers)])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag} {markers}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["markers.txt"]
+
+
 class TestInvalidUtf8:
     """A text input that is not UTF-8 ends the command with one line naming the file."""
 
@@ -1736,8 +1729,6 @@ class TestInvalidUtf8:
         ["correction-stats", "--pred", "{bad}", "--gold", "{gold}"],
         ["filter", "--in", "{bad}", "--report", "{out}"],
         ["filter", "--in", "{gold}", "--report", "{out}", "--exclude-fingerprints", "{bad}"],
-        ["parse", "--in", str(DATA_DIR / "example1.txt"), "--out", "{out}", "--separators", "{bad}"],
-        ["parse", "--in", str(DATA_DIR / "example1.txt"), "--out", "{out}", "--footers", "{bad}"],
     ], ids=lambda args: "-".join(a.strip("{}-") for a in args if not a.startswith("/")))
     def test_exits_1_with_one_line(self, gold_corpus, tmp_path, capsys, example1_document, args):
         # a valid first line, so that streaming readers fail part way through
@@ -2112,6 +2103,17 @@ class TestOutputReplacement:
         assert link.is_symlink()
         assert target.read_bytes() == gold_corpus.read_bytes()
 
+    @pytest.mark.parametrize("args", [
+        ["parse", "--in", str(CORPUS10_DIR), "--out", "nodir/out.jsonl"],
+        ["filter", "--in", str(CORPUS10_DIR), "--report", "nodir/r.tsv"],
+        ["filter", "--in", str(CORPUS10_DIR), "--report", "r.tsv", "--verdicts", "nodir/v.tsv"],
+    ], ids=lambda args: args[-2].strip("-"))
+    def test_output_in_a_missing_directory_names_the_path_given(self, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: cannot write {args[-1]}: No such file or directory\n"
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".partial")]
+
     def test_output_may_be_the_input(self, gold_corpus):
         expected = gold_corpus.read_bytes()
         assert main(["features", "--in", str(gold_corpus), "--out", str(gold_corpus)]) == 0
@@ -2350,12 +2352,13 @@ class TestImports:
         assert out.strip() == "[]"
 
     # Every public name of the package namespace before it became lazy, but for
-    # the filter's settings class: its rules are fixed, and min_messages is an argument.
+    # the filter's and the parser's settings classes: the filter's rules and the
+    # parser's marker phrases are fixed, and min_messages is an argument.
     EXPORTED = (
         "AnnotatedDocument", "ChainAlignment", "CoreferenceChain", "CorpusStats", "CorrectionStats",
         "EmailMessage", "EmailThread", "EntityType", "ErrorReport", "ExclusionSet", "FeatureAnnotation",
         "FilterCategory", "FilterVerdict", "MalformedColumn", "Mention", "MetricScore",
-        "MissingDate", "NativeSchemaError", "OverlappingIdenticalSpan", "ParserConfig", "ParticipantIndex",
+        "MissingDate", "NativeSchemaError", "OverlappingIdenticalSpan", "ParticipantIndex",
         "PronounClass", "RawThread", "Resolution", "ScoreReport", "Section", "Token", "ToolkitError",
         "UnparseableThread", "align_chains", "b_cubed", "baselines", "build_participant_index",
         "categorize_errors", "ceaf_e", "chain_overlapping_mentions", "conll_average", "corpus_stats",
@@ -2430,6 +2433,16 @@ class TestImports:
         loaded = self._loaded_after(code, tmp_path)
         assert "parsing" in loaded
         assert "serialization" not in loaded, loaded
+
+    def test_filter_on_thread_files_loads_no_reader(self, gold_corpus, tmp_path):
+        # the record dates are read in the model, beside the writer that writes them
+        report = str(tmp_path / "report.tsv")
+        code = self._running(["filter", "--in", str(CORPUS10_DIR), "--report", report, "--jobs", "1"])
+        loaded = self._loaded_after(code, tmp_path)
+        assert "filtering" in loaded
+        assert "serialization" not in loaded, loaded
+        code = self._running(["filter", "--in", str(gold_corpus), "--report", report])
+        assert "serialization" in self._loaded_after(code, tmp_path)
 
     def test_importtime_logs_each_submodule(self, tmp_path):
         # importlib.import_module bypasses the interpreter's import timer, so a

@@ -5,7 +5,6 @@ import random
 import re
 import sys
 import tempfile
-from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
@@ -17,9 +16,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import CORPUS10_DIR, DATA_DIR, build_fields, checked_document, synthetic_raw_text
 from threadcoref.model import AnnotatedDocument, EmailMessage, EmailThread, Section, Token
-from threadcoref import cli, model, parsing, serialization
+from threadcoref import cli, model, parsing, serialization, wordlists
 from threadcoref.parsing import (
-    ParserConfig,
     RawThread,
     UnparseableThread,
     parse_header,
@@ -213,19 +211,31 @@ class TestTokenizer:
                 assert text[tok.char_start : tok.char_end] == tok.text
 
 
-def token_sections_reference(raw, config=parsing.DEFAULT_CONFIG):
+def marker_searches(separators=wordlists.SEPARATOR_MARKERS, footers=wordlists.FOOTER_MARKERS):
+    """The parser's separator and footer searches made from these marker
+    phrases within a block; the oracles take the same phrases as arguments,
+    and both default to the shipped lists."""
+    return mock.patch.multiple(
+        parsing, _SEPARATOR_SEARCH=parsing._marker_search(separators), _FOOTER_SEARCH=parsing._marker_search(footers),
+    )
+
+
+def token_sections_reference(raw, separators=wordlists.SEPARATOR_MARKERS, footers=wordlists.FOOTER_MARKERS):
     """The section of each token of the thread, in thread order, as
     ``oracles.assign_sections_reference`` labels its line in its message slice."""
     sections = []
-    for text, _ in oracles.split_messages_reference(raw, config):
+    for text, _ in oracles.split_messages_reference(raw, separators):
         lines = oracles.lines_with_offsets_reference(text)
-        for (line, _), label in zip(lines, oracles.assign_sections_reference(text, config), strict=True):
+        labels = oracles.assign_sections_reference(text, separators, footers)
+        for (line, _), label in zip(lines, labels, strict=True):
             sections += [label] * len(oracles.tokenize_line_reference(line, 0))
     return sections
 
 
-def assert_sections_match_reference(raw, config=parsing.DEFAULT_CONFIG):
-    assert [t.section for t in parse_thread(raw, config).tokens()] == token_sections_reference(raw, config)
+def assert_sections_match_reference(raw, separators=wordlists.SEPARATOR_MARKERS, footers=wordlists.FOOTER_MARKERS):
+    with marker_searches(separators, footers):
+        sections = [t.section for t in parse_thread(raw).tokens()]
+    assert sections == token_sections_reference(raw, separators, footers)
 
 
 class TestSections:
@@ -304,16 +314,14 @@ class TestParseThread:
             "juliet.txt": 4,
         }
 
-    def test_custom_marker_config(self, tmp_path):
-        seps = tmp_path / "seps.txt"
-        seps.write_text("=== quoted mail ===\n", encoding="utf-8")
-        config = ParserConfig.from_files(separators=seps)
+    def test_custom_separator_marker(self):
         text = (
             "From: a@x.com\nSubject: s\n\ntop.\n\n"
             "=== QUOTED MAIL ===\nFrom: b@y.com\nSubject: s\n\nolder.\n"
         )
-        slices = split_messages(RawThread(id="t", text=text), config)
-        assert len(slices) == 2
+        assert len(split_messages(RawThread(id="t", text=text))) == 1
+        with marker_searches(separators=("=== quoted mail ===",)):
+            assert len(split_messages(RawThread(id="t", text=text))) == 2
 
 
 _FIXTURE_TEXTS = [(DATA_DIR / "example1.txt").read_text(encoding="utf-8")] + [
@@ -472,17 +480,17 @@ class TestTokenizerDifferential:
 
 _MARKERS = st.lists(
     st.sampled_from(["", "-- forwarded", "original", ".*", "a|b", "(", "[x]", "\\", "^", "$", "?", "é", "Ab"]),
-    max_size=4,
+    min_size=1, max_size=4,
 ).map(tuple)
 
 
-def _separators(lines, config) -> list[bool]:
-    read = parsing._read_lines("".join(line + "\n" for line in lines), config)
+def _separators(lines) -> list[bool]:
+    read = parsing._read_lines("".join(line + "\n" for line in lines))
     return [separator is not None for separator in read.separators]
 
 
-def _footer_start(lines, header_end, config) -> int:
-    sections = parsing._sections(len(lines), header_end, map(str.casefold, lines[header_end:]), config)
+def _footer_start(lines, header_end) -> int:
+    sections = parsing._sections(len(lines), header_end, map(str.casefold, lines[header_end:]))
     return len(lines) - sections.count(Section.FOOTER.code)
 
 
@@ -496,23 +504,61 @@ class TestMarkerDifferential:
         max_size=6,
     ), header_end=st.integers(0, 6))
     def test_same_lines_match(self, markers, lines, header_end):
-        config = ParserConfig(separator_markers=markers, footer_markers=markers)
-        assert _separators(lines, config) == [oracles.has_marker_reference(line, markers) for line in lines]
-        assert _footer_start(lines, header_end, config) == (
-            oracles.footer_region_start_reference(lines, header_end, markers)
-        )
+        with marker_searches(markers, markers):
+            assert _separators(lines) == [oracles.has_marker_reference(line, markers) for line in lines]
+            assert _footer_start(lines, header_end) == (
+                oracles.footer_region_start_reference(lines, header_end, markers)
+            )
 
-    def test_no_markers_match_nothing_and_an_empty_marker_matches_all(self):
-        assert _separators(["", "-----Original Message-----"], ParserConfig(separator_markers=())) == [
-            False, False,
-        ]
-        assert _separators([""], ParserConfig(separator_markers=("x", ""))) == [True]
-        assert _footer_start(["a", "b"], 1, ParserConfig(footer_markers=("",))) == 1
-        assert _footer_start(["a", "b"], 0, ParserConfig(footer_markers=())) == 2
+    def test_an_empty_marker_matches_all(self):
+        with marker_searches(separators=("x", ""), footers=("",)):
+            assert _separators([""]) == [True]
+            assert _footer_start(["a", "b"], 1) == 1
 
     def test_metacharacters_are_literal(self):
-        config = ParserConfig(separator_markers=("a.c", "(x|y)"))
-        assert _separators(["abc xy", "A.C", "z (X|Y) z"], config) == [False, True, True]
+        with marker_searches(separators=("a.c", "(x|y)")):
+            assert _separators(["abc xy", "A.C", "z (X|Y) z"]) == [False, True, True]
+
+
+# a line of each shipped separator marker, in mixed case; the third is a Lotus Notes forward
+_SEPARATOR_LINES = [
+    "-----Original Message-----",
+    "-----ORIGINAL APPOINTMENT-----",
+    "----- Forwarded by Sara Shackleton/HOU/ECT on 05/15/2001 08:55 AM -----",
+    "Begin forwarded MESSAGE:",
+]
+
+
+class TestShippedMarkers:
+    """Each shipped marker phrase does its work, with nothing patched."""
+
+    @pytest.mark.parametrize("marker", wordlists.SEPARATOR_MARKERS + wordlists.FOOTER_MARKERS)
+    def test_nonempty_and_casefolded(self, marker):
+        # lines are casefolded before the search, so a marker that is not would never match
+        assert marker and marker == marker.casefold()
+
+    def test_every_separator_marker_has_a_line(self):
+        folded = [line.casefold() for line in _SEPARATOR_LINES]
+        assert [m for m in wordlists.SEPARATOR_MARKERS if not any(m in line for line in folded)] == []
+
+    @pytest.mark.parametrize("line", _SEPARATOR_LINES)
+    def test_separator_line_opens_a_message(self, line):
+        text = f"From: a@x.com\nSubject: s\n\ntop.\n\n{line}\nFrom: b@y.com\nSubject: s\n\nolder.\n"
+        assert [offset for _, offset in split_messages(RawThread(id="t", text=text))] == [0, text.index(line)]
+
+    @pytest.mark.parametrize("marker", wordlists.FOOTER_MARKERS)
+    def test_footer_marker_opens_a_footer_to_the_message_end(self, marker):
+        line = f"Notice. {marker.title()} the sender."
+        text = (
+            f"From: a@x.com\nSubject: s\n\nThe update is attached.\n\n{line}\nSecond footer line.\n\n"
+            f"{SEPARATOR}\nFrom: b@y.com\nSubject: s\n\nolder.\n"
+        )
+        first, second = parse_thread(RawThread(id="t", text=text)).messages
+        footer_start = text.index(line)
+        assert [t.section is Section.FOOTER for t in first.tokens()] == [
+            t.char_start >= footer_start for t in first.tokens()
+        ]
+        assert Section.FOOTER not in {t.section for t in second.tokens()}
 
 
 # header lines of every field the grammar names, in mixed case, with and
@@ -545,9 +591,11 @@ _BLOCK_LINES = st.lists(
     st.one_of(st.sampled_from(_FIELD_LINES + _OTHER_LINES).map(lambda line: [line]), _HEADER_BLOCKS),
     max_size=10,
 ).map(lambda blocks: [line for block in blocks for line in block])
-_HEADER_CONFIGS = st.sampled_from([
-    ParserConfig(),
-    ParserConfig(separator_markers=("from:", "status"), footer_markers=("-----",)),
+# (separator markers, footer markers): the shipped lists, and a set that
+# marks header lines and separator lines in other ways
+_MARKER_SETS = st.sampled_from([
+    (wordlists.SEPARATOR_MARKERS, wordlists.FOOTER_MARKERS),
+    (("from:", "status"), ("-----",)),
 ])
 
 
@@ -556,8 +604,9 @@ class TestHeaderBlockDifferential:
     predicates and the two walks they replaced, kept in ``oracles``."""
 
     @settings(max_examples=600, deadline=None)
-    @given(lines=_BLOCK_LINES, newline=st.sampled_from(["\n", "\r\n"]), config=_HEADER_CONFIGS)
-    def test_same_messages_sections_and_fields(self, lines, newline, config):
+    @given(lines=_BLOCK_LINES, newline=st.sampled_from(["\n", "\r\n"]), marker_set=_MARKER_SETS)
+    def test_same_messages_sections_and_fields(self, lines, newline, marker_set):
+        separators, _ = marker_set
         text = newline.join(lines)
         names = [parsing._header_field(line) for line in lines]
         for i in range(len(lines)):
@@ -566,19 +615,21 @@ class TestHeaderBlockDifferential:
             )
         raw = RawThread(id="t", text=text)
         try:
-            expected = oracles.split_messages_reference(raw, config)
+            expected = oracles.split_messages_reference(raw, separators)
         except UnparseableThread as exc:
-            with pytest.raises(UnparseableThread, match=f"^{re.escape(str(exc))}$"):
-                split_messages(raw, config)
+            with marker_searches(*marker_set), \
+                    pytest.raises(UnparseableThread, match=f"^{re.escape(str(exc))}$"):
+                split_messages(raw)
             expected = [(text, 0)]
         else:
-            assert split_messages(raw, config) == expected
-            assert_sections_match_reference(raw, config)
+            with marker_searches(*marker_set):
+                assert split_messages(raw) == expected
+            assert_sections_match_reference(raw, *marker_set)
         # a separator line opens a message, so only a whole text puts one inside a header region
         for message_text in {text, *(piece for piece, _ in expected)}:
-            assert parse_header(message_text, config)._asdict() == (
-                oracles.parse_header_reference(message_text, config)._asdict()
-            )
+            with marker_searches(*marker_set):
+                fields = parse_header(message_text)._asdict()
+            assert fields == oracles.parse_header_reference(message_text, separators)._asdict()
 
     def test_separator_in_the_region_adds_no_field(self):
         text = "From: a@acme.com\nSubject: FW: - Forwarded by Tim\n continued\nTo: b@acme.com\n\nbody\n"
@@ -599,20 +650,22 @@ class TestParseThreadDifferential:
     after another, each reading its slice again, kept in ``oracles``."""
 
     @staticmethod
-    def _same_thread(raw, config=parsing.DEFAULT_CONFIG) -> None:
+    def _same_thread(raw, separators=wordlists.SEPARATOR_MARKERS, footers=wordlists.FOOTER_MARKERS) -> None:
         try:
-            expected = oracles.parse_thread_reference(raw, config)
+            expected = oracles.parse_thread_reference(raw, separators, footers)
         except UnparseableThread as exc:
-            with pytest.raises(UnparseableThread, match=f"^{re.escape(str(exc))}$"):
-                parse_thread(raw, config)
+            with marker_searches(separators, footers), \
+                    pytest.raises(UnparseableThread, match=f"^{re.escape(str(exc))}$"):
+                parse_thread(raw)
             return
-        assert parse_thread(raw, config) == expected
+        with marker_searches(separators, footers):
+            assert parse_thread(raw) == expected
 
     @settings(max_examples=600, deadline=None)
-    @given(lines=_BLOCK_LINES, ends=_LINE_ENDS, newline=st.sampled_from(["\n", "\r\n"]), config=_HEADER_CONFIGS)
-    def test_generated_lines(self, lines, ends, newline, config):
+    @given(lines=_BLOCK_LINES, ends=_LINE_ENDS, newline=st.sampled_from(["\n", "\r\n"]), marker_set=_MARKER_SETS)
+    def test_generated_lines(self, lines, ends, newline, marker_set):
         text = newline.join(line + ends[i % len(ends)] for i, line in enumerate(lines))
-        self._same_thread(RawThread(id="t", text=text, source_path="t.txt"), config)
+        self._same_thread(RawThread(id="t", text=text, source_path="t.txt"), *marker_set)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -704,23 +757,12 @@ class TestOneWalk:
     """parse_thread reads each line's field name and separator flag once."""
 
     def test_each_line_tested_once(self):
-        real_search = parsing._marker_search
         for text in [TWO_MESSAGE_TEXT, *_FIXTURE_TEXTS]:
-            searches = Counter()
-
-            def counting_search(markers):
-                search = real_search(markers)
-
-                def counted(line):
-                    searches[markers] += 1
-                    return search(line)
-
-                return counted
-
             with mock.patch.object(parsing, "_header_field", wraps=parsing._header_field) as field, \
-                    mock.patch.object(parsing, "_marker_search", counting_search):
+                    mock.patch.object(parsing, "_SEPARATOR_SEARCH", wraps=parsing._SEPARATOR_SEARCH) as separator, \
+                    mock.patch.object(parsing, "_FOOTER_SEARCH", wraps=parsing._FOOTER_SEARCH) as footer:
                 parse_thread(RawThread(id="t", text=text))
             lines = len(text.splitlines())
             assert field.call_count == lines
-            assert searches[parsing.DEFAULT_CONFIG.separator_markers] == lines
-            assert searches[parsing.DEFAULT_CONFIG.footer_markers] <= lines
+            assert separator.call_count == lines
+            assert footer.call_count <= lines
